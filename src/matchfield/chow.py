@@ -6,14 +6,14 @@ on (L minus rho) union {j}.  For linkage fields the right degree vectors of
 the covectors hit every lattice point of (n-d+1)*Delta_{d-1} exactly once;
 the resulting bijection phi: rho -> lattice point determines the field.
 
-Reconstruction inverts phi by recursion on n.  For a fixed left node j and
-right node i, the degree pairs of the covectors containing the edge (lj, ri)
-form a *combinatorial sector*, computed by a sweep over the levels of the
-i-th right coordinate: the unique pair at the top level (v_i = n-d+1) seeds
-the sector, and a pair at level h joins when some already-admitted pair sits
-at rdv v + e_i - e_k.  Removing the sector edge from each pair produces the
-degree pairs of the covectors of the field with lj deleted, which the
-recursion resolves; re-attaching (lj, ri) rebuilds every covector through j.
+Reconstruction inverts phi with one sweep per left node.  For fixed j and
+i, the covectors containing the edge (lj, ri) form a *combinatorial sector*,
+swept over the levels of the i-th right coordinate: the unique pair at the
+top level (v_i = n-d+1) seeds it, and a pair at level h joins when an
+admitted pair sits at rdv v + e_i - e_k.  The d sectors of j partition the
+covectors through j and give each its edge at lj.  A certificate rebuilds
+the field and re-derives the covectors.  The paper's induction on deleting
+lj is kept in the tests as an oracle.
 
 Chow covectors are also the minimal transversals to the field: graphs
 meeting every matching, minimal under inclusion.  A Berge-style blocker
@@ -23,6 +23,7 @@ computation provides that independent description at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from . import core, fields
@@ -190,7 +191,7 @@ def field_from_chow(cc: ChowCollection) -> fields.MatchingField:
         if tope.left_degrees() != core.all_ones(n):
             raise InconsistentCollectionError(f"union at {v} is not a maximal tope")
         neighbor_sets = [tope.right_neighbors(i) for i in range(1, d + 1)]
-        for choice in fields._product(neighbor_sets):
+        for choice in product(*neighbor_sets):
             sigma = tuple(sorted(choice))
             m = BipartiteGraph(n, d, list(zip(choice, range(1, d + 1))))
             old = assignment.get(sigma)
@@ -228,17 +229,10 @@ def minimal_transversals(
             if h & hyper:
                 fresh.append(h)
             else:
-                for b in _mask_bits(hyper):
+                for b in core._bits(hyper):
                     fresh.append(h | (1 << b))
         minimal = _minimize(fresh)
     return {BipartiteGraph.from_mask(n, d, mask) for mask in minimal}
-
-
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _minimize(masks: list[int]) -> list[int]:
@@ -315,14 +309,21 @@ def reconstruct_chow_from_phi(phi: PhiMap, n: int, d: int) -> ChowCollection:
     if (phi.n, phi.d) != (n, d):
         raise MatchfieldError("phi dimensions disagree")
     phi.validate_bijective()
-    memo: dict = {}
-    labels = tuple(range(1, n + 1))
-    mapping = {frozenset(rho): v for rho, v in phi.mapping.items()}
-    covectors = _reconstruct_chow(mapping, labels, d, memo)
-    out = {
-        tuple(sorted(rho)): BipartiteGraph(n, d, edges)
-        for rho, edges in covectors.items()
-    }
+    by_rdv = {v: rho for rho, v in phi.mapping.items()}
+    edges: dict = {rho: [] for rho in phi.mapping}
+    for j in range(1, n + 1):
+        member_rdvs = {v for rho, v in phi.mapping.items() if j in rho}
+        assigned: set = set()
+        for i in range(1, d + 1):
+            seed = tuple((n - d + 1) if t == i else 0 for t in range(1, d + 1))
+            for rdv in _sector_sweep(by_rdv, member_rdvs, i, seed, d):
+                if rdv in assigned:
+                    raise InconsistentPhiError(f"rdv {rdv} admitted to two sectors of {j}")
+                assigned.add(rdv)
+                edges[by_rdv[rdv]].append((j, i))
+        if assigned != member_rdvs:
+            raise InconsistentPhiError(f"sectors do not cover all pairs through {j}")
+    out = {rho: BipartiteGraph(n, d, e) for rho, e in edges.items()}
     try:
         collection = ChowCollection(n, d, out)
         if collection.phi().mapping != phi.mapping:
@@ -336,71 +337,6 @@ def reconstruct_chow_from_phi(phi: PhiMap, n: int, d: int) -> ChowCollection:
     return collection
 
 
-def _reconstruct_chow(mapping, labels, d, memo):
-    """mapping: frozenset(rho) -> rdv over the left label set `labels`.
-
-    Returns frozenset(rho) -> tuple of edges ((j, i) with original labels).
-    """
-    key = labels
-    if key in memo:
-        return memo[key]
-    n = len(labels)
-    if n == d:
-        out = {}
-        for rho, rdv in mapping.items():
-            if len(rho) != 1 or sum(rdv) != 1:
-                raise InconsistentPhiError("bad base-case pair")
-            (j,) = tuple(rho)
-            i = rdv.index(1) + 1
-            out[rho] = ((j, i),)
-        memo[key] = out
-        return out
-
-    by_rdv = {v: rho for rho, v in mapping.items()}
-    if len(by_rdv) != len(mapping):
-        raise InconsistentPhiError("right projection is not injective")
-    covectors: dict = {}
-    for j in labels:
-        member_rdvs = {v for rho, v in mapping.items() if j in rho}
-        sectors = {}
-        assigned: dict = {}
-        for i in range(1, d + 1):
-            seed = tuple((n - d + 1) if t == i else 0 for t in range(1, d + 1))
-            admitted = _sector_sweep(by_rdv, member_rdvs, i, seed, d)
-            sectors[i] = admitted
-            for rdv in admitted:
-                if rdv in assigned:
-                    raise InconsistentPhiError(
-                        f"rdv {rdv} admitted to two sectors of {j}"
-                    )
-                assigned[rdv] = i
-        if set(assigned) != member_rdvs:
-            raise InconsistentPhiError(f"sectors do not cover all pairs through {j}")
-        # deletion: remove lj and its sector edge from every member
-        sub_labels = tuple(x for x in labels if x != j)
-        sub_mapping = {}
-        for rdv, i in assigned.items():
-            rho = by_rdv[rdv]
-            sub_rho = frozenset(rho - {j})
-            sub_rdv = tuple(x - (1 if t == i else 0) for t, x in enumerate(rdv, start=1))
-            if any(x < 0 for x in sub_rdv) or sub_rho in sub_mapping:
-                raise InconsistentPhiError("deletion is not a valid phi map")
-            sub_mapping[sub_rho] = sub_rdv
-        sub_covectors = _reconstruct_chow(sub_mapping, sub_labels, d, memo)
-        for rdv, i in assigned.items():
-            rho = by_rdv[rdv]
-            edges = sub_covectors[frozenset(rho - {j})] + ((j, i),)
-            edges = tuple(sorted(edges))
-            old = covectors.get(rho)
-            if old is not None and old != edges:
-                raise InconsistentPhiError(f"branches disagree on covector {set(rho)}")
-            covectors[rho] = edges
-    if len(covectors) != len(mapping):
-        raise InconsistentPhiError("not every covector was reconstructed")
-    memo[key] = covectors
-    return covectors
-
-
 def collection_to_json_dict(cc: ChowCollection) -> dict:
     return {
         "n": cc.n,
@@ -409,18 +345,6 @@ def collection_to_json_dict(cc: ChowCollection) -> dict:
             core.subset_key(rho): [list(e) for e in g.edges] for rho, g in cc.items()
         },
     }
-
-
-def collection_from_json_dict(data: dict) -> ChowCollection:
-    n, d = data["n"], data["d"]
-    return ChowCollection(
-        n,
-        d,
-        {
-            core.parse_subset_key(key): BipartiteGraph(n, d, [tuple(e) for e in edges])
-            for key, edges in data["covectors"].items()
-        },
-    )
 
 
 def phi_to_json_dict(phi: PhiMap) -> dict:

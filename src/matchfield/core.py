@@ -128,10 +128,6 @@ class BipartiteGraph:
         drop = BipartiteGraph(self.n, self.d, edges)
         return self.difference(drop)
 
-    def with_edges(self, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
-        add = BipartiteGraph(self.n, self.d, edges)
-        return self.union(add)
-
     def left_degrees(self) -> tuple[int, ...]:
         row = (1 << self.d) - 1
         return tuple(
@@ -156,13 +152,6 @@ class BipartiteGraph:
 
     def right_support(self) -> tuple[int, ...]:
         return tuple(i for i, deg in enumerate(self.right_degrees(), start=1) if deg)
-
-    def restrict(self, left: Iterable[int], right: Iterable[int]) -> "BipartiteGraph":
-        """Induced subgraph on left ⊔ right, kept on the same ambient node set."""
-        ls, rs = set(left), set(right)
-        return BipartiteGraph(
-            self.n, self.d, [e for e in self.edges if e[0] in ls and e[1] in rs]
-        )
 
     def relabel_left(self, new_n: int, label_map: dict[int, int]) -> "BipartiteGraph":
         return BipartiteGraph(new_n, self.d, [(label_map[j], i) for j, i in self.edges])
@@ -569,12 +558,6 @@ def parse_subset_key(key: str) -> tuple[int, ...]:
 
 def subset_key(subset: Iterable[int]) -> str:
     return ",".join(str(x) for x in subset)
-
-
-def binomial(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
 
 
 def all_spanning_trees(n: int, d: int) -> list[BipartiteGraph]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Iterable, Optional, Sequence
 
 from . import core
@@ -517,7 +517,7 @@ def field_from_arrangement(ta: TopeArrangement) -> MatchingField:
     assignment: dict = {}
     for _, tope in ta.items():
         neighbor_sets = [tope.right_neighbors(i) for i in range(1, ta.d + 1)]
-        for choice in _product(neighbor_sets):
+        for choice in product(*neighbor_sets):
             sigma = tuple(sorted(choice))
             m = BipartiteGraph(ta.n, ta.d, list(zip(choice, range(1, ta.d + 1))))
             old = assignment.get(sigma)
@@ -527,15 +527,6 @@ def field_from_arrangement(ta: TopeArrangement) -> MatchingField:
     field = validate_matching_field(ta.n, ta.d, assignment)
     require_linkage(field)
     return field
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    for x in pools[0]:
-        for rest in _product(pools[1:]):
-            yield (x,) + rest
 
 
 def subfield_delete_left(field: MatchingField, j: int) -> MatchingField:

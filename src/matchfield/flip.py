@@ -17,7 +17,8 @@ graph, in bijection with the lattice points of (n-d)*Delta_{d-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 from typing import Iterable, Sequence
 
 from . import core, fields
@@ -71,7 +72,7 @@ def flip_graph(field: fields.MatchingField) -> FlipGraph:
 
 
 def expected_edge_count(n: int, d: int) -> int:
-    return core.binomial(n, d + 1) * d
+    return comb(n, d + 1) * d
 
 
 def edge_count_check(field: fields.MatchingField) -> bool:
@@ -160,7 +161,7 @@ def tope_to_cell(field: fields.MatchingField, v: Sequence[int]) -> Prodsimplicia
 def cell_of_tope(field: fields.MatchingField, tope: BipartiteGraph) -> ProdsimplicialCell:
     neighbor_sets = tuple(tope.right_neighbors(i) for i in range(1, field.d + 1))
     verts = set()
-    for choice in fields._product(neighbor_sets):
+    for choice in product(*neighbor_sets):
         sigma = tuple(sorted(choice))
         expected = BipartiteGraph(field.n, field.d, list(zip(choice, range(1, field.d + 1))))
         if field.matching(sigma) != expected:
@@ -184,7 +185,7 @@ def cell_to_tope(field: fields.MatchingField, vertices: Iterable) -> BipartiteGr
         m = field.matching(sigma)
         coord = tuple((m.right_neighbors(i))[0] for i in range(1, field.d + 1))
         coords[sigma] = coord
-    expected = {tuple(sorted(c)): c for c in fields._product(neighbor_sets)}
+    expected = {tuple(sorted(c)): c for c in product(*neighbor_sets)}
     if sorted(coords) != sorted(expected) or any(
         coords[s] != expected[s] for s in coords
     ):

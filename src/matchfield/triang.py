@@ -11,17 +11,17 @@ orientation test cannot see.
 
 The degree-pair map sends each tree to its left and right degree vectors,
 normalised by subtracting the all-ones vectors.  The pair set determines the
-triangulation; reconstruction works by recursion on n + d, mirroring the
-covector reconstruction: pick a left node j that is a leaf of some trees,
-split those trees into combinatorial sectors per right node by a level sweep
-over the right degree of that node, delete the leaf edge, recurse on the
-deletion (a triangulation of a facet) and re-attach.
+triangulation; reconstruction works by recursion on n + d: pick a left
+node j that is a leaf of some trees, split those trees into combinatorial
+sectors per right node by a level sweep over the right degree of that node,
+delete the leaf edge, recurse on the deletion (a triangulation of a facet)
+and re-attach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial
 from typing import Iterable, Optional, Sequence
 
@@ -532,7 +532,7 @@ def extended_tope_arrangement(t: Triangulation) -> fields.ExtendedTopeArrangemen
     degree vector in n*Delta_{d-1}; boundary cells have isolated right nodes."""
     graphs: dict = {}
     for g in t.sorted_trees():
-        for choice in fields._product([g.left_neighbors(j) for j in range(1, t.n + 1)]):
+        for choice in product(*(g.left_neighbors(j) for j in range(1, t.n + 1))):
             cell = BipartiteGraph(t.n, t.d, list(zip(range(1, t.n + 1), choice)))
             rdv = cell.right_degrees()
             old = graphs.get(rdv)

@@ -1,9 +1,12 @@
 """Chow covectors: both constructions, the bijection, transversality,
 sectors, and reconstruction from the phi map."""
 
+import random
+
 import pytest
 
 from matchfield import (
+    BipartiteGraph,
     InconsistentPhiError,
     NotLinkageError,
     SizeCapError,
@@ -19,7 +22,14 @@ from matchfield import (
     subsets,
     tope_arrangement,
 )
-from matchfield.chow import PhiMap, phi_from_json_dict, phi_to_json_dict
+from matchfield.chow import (
+    ChowCollection,
+    PhiMap,
+    _sector_sweep,
+    phi_from_json_dict,
+    phi_to_json_dict,
+)
+from matchfield.errors import InconsistentCollectionError
 from matchfield.randgen import seeded_coherent_field
 
 from conftest import field_from_words, graph
@@ -31,6 +41,93 @@ REFERENCE_PHI = {
     (1, 2, 3): (1, 2),
     (2, 3, 4): (0, 3),
 }
+
+
+def reconstruct_by_deletion(phi, n, d):
+    """Oracle for reconstruct_chow_from_phi: the deletion induction of the
+    paper's proof, followed by the same certificate."""
+    phi.validate_bijective()
+    mapping = {frozenset(rho): v for rho, v in phi.mapping.items()}
+    covectors = _reconstruct_chow(mapping, tuple(range(1, n + 1)), d, {})
+    out = {
+        tuple(sorted(rho)): BipartiteGraph(n, d, edges)
+        for rho, edges in covectors.items()
+    }
+    try:
+        collection = ChowCollection(n, d, out)
+        if collection.phi().mapping != phi.mapping:
+            raise InconsistentPhiError("reconstruction does not reproduce phi")
+        field = field_from_chow(collection)
+        if chow_collection(field) != collection:
+            raise InconsistentPhiError("covectors do not belong to any field")
+    except (InconsistentCollectionError, NotLinkageError) as exc:
+        raise InconsistentPhiError(str(exc)) from exc
+    return collection
+
+
+def _reconstruct_chow(mapping, labels, d, memo):
+    """mapping: frozenset(rho) -> rdv over the left label set `labels`.
+
+    Returns frozenset(rho) -> tuple of edges ((j, i) with original labels).
+    """
+    key = labels
+    if key in memo:
+        return memo[key]
+    n = len(labels)
+    if n == d:
+        out = {}
+        for rho, rdv in mapping.items():
+            if len(rho) != 1 or sum(rdv) != 1:
+                raise InconsistentPhiError("bad base-case pair")
+            (j,) = tuple(rho)
+            i = rdv.index(1) + 1
+            out[rho] = ((j, i),)
+        memo[key] = out
+        return out
+
+    by_rdv = {v: rho for rho, v in mapping.items()}
+    if len(by_rdv) != len(mapping):
+        raise InconsistentPhiError("right projection is not injective")
+    covectors: dict = {}
+    for j in labels:
+        member_rdvs = {v for rho, v in mapping.items() if j in rho}
+        sectors = {}
+        assigned: dict = {}
+        for i in range(1, d + 1):
+            seed = tuple((n - d + 1) if t == i else 0 for t in range(1, d + 1))
+            admitted = _sector_sweep(by_rdv, member_rdvs, i, seed, d)
+            sectors[i] = admitted
+            for rdv in admitted:
+                if rdv in assigned:
+                    raise InconsistentPhiError(
+                        f"rdv {rdv} admitted to two sectors of {j}"
+                    )
+                assigned[rdv] = i
+        if set(assigned) != member_rdvs:
+            raise InconsistentPhiError(f"sectors do not cover all pairs through {j}")
+        # deletion: remove lj and its sector edge from every member
+        sub_labels = tuple(x for x in labels if x != j)
+        sub_mapping = {}
+        for rdv, i in assigned.items():
+            rho = by_rdv[rdv]
+            sub_rho = frozenset(rho - {j})
+            sub_rdv = tuple(x - (1 if t == i else 0) for t, x in enumerate(rdv, start=1))
+            if any(x < 0 for x in sub_rdv) or sub_rho in sub_mapping:
+                raise InconsistentPhiError("deletion is not a valid phi map")
+            sub_mapping[sub_rho] = sub_rdv
+        sub_covectors = _reconstruct_chow(sub_mapping, sub_labels, d, memo)
+        for rdv, i in assigned.items():
+            rho = by_rdv[rdv]
+            edges = sub_covectors[frozenset(rho - {j})] + ((j, i),)
+            edges = tuple(sorted(edges))
+            old = covectors.get(rho)
+            if old is not None and old != edges:
+                raise InconsistentPhiError(f"branches disagree on covector {set(rho)}")
+            covectors[rho] = edges
+    if len(covectors) != len(mapping):
+        raise InconsistentPhiError("not every covector was reconstructed")
+    memo[key] = covectors
+    return covectors
 
 
 class TestByDefinition:
@@ -231,6 +328,32 @@ class TestReconstruction:
             key = frozenset(mapping.items())
             rebuilt = reconstruct_chow_from_phi(PhiMap(n, 2, mapping), n, 2)
             assert key in linkage_phis and rebuilt == linkage_phis[key]
+
+    @pytest.mark.parametrize("n,d", [(4, 2), (5, 3), (6, 3), (7, 3), (8, 4)])
+    def test_agrees_with_deletion_oracle(self, n, d):
+        # the true phi map of a coherent field and seeded two-value swaps of
+        # it: both routes accept with equal covectors, or both reject
+        field, _, _ = seeded_coherent_field(n, d, 1000 * n + d)
+        cc = chow_collection(field)
+        keys = sorted(cc.phi().mapping)
+        rng = random.Random(n * d)
+        mappings = [cc.phi().mapping]
+        for _ in range(4):
+            a, b = rng.sample(keys, 2)
+            swapped = dict(cc.phi().mapping)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            mappings.append(swapped)
+        verdicts = []
+        for mapping in mappings:
+            results = []
+            for route in (reconstruct_chow_from_phi, reconstruct_by_deletion):
+                try:
+                    results.append(route(PhiMap(n, d, mapping), n, d).covectors)
+                except InconsistentPhiError:
+                    results.append(None)
+            assert results[0] == results[1]
+            verdicts.append(results[0])
+        assert verdicts[0] == cc.covectors
 
     def test_deletion_restriction(self, field_42):
         # stripping lj from the covectors through lj gives the collection of

@@ -150,8 +150,7 @@ class TestCells:
     def test_face_lattice(self, field_42, field_53):
         # every choice of nonempty neighbour subsets is itself a cell whose
         # union tope has exactly those neighbour sets
-        from itertools import combinations as combos
-        from matchfield.fields import _product
+        from itertools import combinations as combos, product
 
         for field in (field_42, field_53):
             for _, cell in maximal_cells(field).items():
@@ -159,10 +158,10 @@ class TestCells:
                     [frozenset(c) for r in range(1, len(ns) + 1) for c in combos(ns, r)]
                     for ns in cell.neighbor_sets
                 ]
-                for chosen in _product([tuple(p) for p in subset_pools]):
+                for chosen in product(*subset_pools):
                     verts = [
                         tuple(sorted(pick))
-                        for pick in _product([tuple(sorted(c)) for c in chosen])
+                        for pick in product(*(sorted(c) for c in chosen))
                     ]
                     sub_tope = cell_to_tope(field, verts)
                     got = tuple(
