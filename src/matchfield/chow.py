@@ -23,7 +23,6 @@ computation provides that independent description at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from . import core, fields
@@ -176,30 +175,8 @@ def field_from_chow(cc: ChowCollection) -> fields.MatchingField:
     """Rebuild the field: the tope with right degree vector v is the union of
     the covectors at v - 1_{[d] minus i}; its maximal matchings give the
     field."""
-    n, d = cc.n, cc.d
-    by_rdv = cc.by_rdv()
-    assignment: dict = {}
-    for point in core.simplex_lattice_points(n - d, d):
-        v = core.vector_sum(point, core.all_ones(d))
-        tope: Optional[BipartiteGraph] = None
-        for i in range(1, d + 1):
-            rdv = tuple(x - (0 if t == i else 1) for t, x in enumerate(v, start=1))
-            cov = by_rdv.get(rdv)
-            if cov is None:
-                raise InconsistentCollectionError(f"no covector with rdv {rdv}")
-            tope = cov if tope is None else tope.union(cov)
-        if tope.left_degrees() != core.all_ones(n):
-            raise InconsistentCollectionError(f"union at {v} is not a maximal tope")
-        neighbor_sets = [tope.right_neighbors(i) for i in range(1, d + 1)]
-        for choice in product(*neighbor_sets):
-            sigma = tuple(sorted(choice))
-            m = BipartiteGraph(n, d, list(zip(choice, range(1, d + 1))))
-            old = assignment.get(sigma)
-            if old is not None and old != m:
-                raise InconsistentCollectionError(f"conflicting matchings on {sigma}")
-            assignment[sigma] = m
-    field = fields.validate_matching_field(n, d, assignment)
-    return field
+    topes = fields.topes_from_covectors(cc.n, cc.d, cc.covectors.values())
+    return fields.field_from_topes(cc.n, cc.d, topes.values())
 
 
 # ---------------------------------------------------------------------------

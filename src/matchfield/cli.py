@@ -16,9 +16,27 @@ from . import chow, core, fields, flip, stacks, triang
 from .errors import MatchfieldError
 
 
+def _not_an_integer(token: str):
+    raise ValueError(f"expected an integer, got {token}")
+
+
 def _load(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        text = fh.read()
+    data = json.loads(text, parse_float=_not_an_integer, parse_constant=_not_an_integer)
+    if not isinstance(data, dict):
+        raise ValueError("input must be a JSON object")
+    for literal in ("true", "false"):  # no input format has them in its string keys
+        if literal in text:
+            _not_an_integer(literal)
+    return data
+
+
+def _load_matching_field(path: str) -> fields.MatchingField:
+    field = fields.field_from_json_dict(_load(path))
+    if not isinstance(field, fields.MatchingField):
+        raise MatchfieldError(f"expected a matching field, not type {field.type_vector}")
+    return field
 
 
 def _emit(data, path=None) -> None:
@@ -86,7 +104,7 @@ def cmd_amalgamate(args) -> int:
 
 
 def cmd_arrangement(args) -> int:
-    field = fields.field_from_json_dict(_load(args.input))
+    field = _load_matching_field(args.input)
     ta = fields.tope_arrangement(field)
     _emit(_with_seed(fields.arrangement_to_json_dict(ta), args), args.json)
     return 0
@@ -101,14 +119,14 @@ def cmd_trianguloid_check(args) -> int:
 
 
 def cmd_chow(args) -> int:
-    field = fields.field_from_json_dict(_load(args.input))
+    field = _load_matching_field(args.input)
     cc = chow.chow_collection(field)
     _emit(_with_seed(chow.collection_to_json_dict(cc), args), args.json)
     return 0
 
 
 def cmd_phi(args) -> int:
-    field = fields.field_from_json_dict(_load(args.input))
+    field = _load_matching_field(args.input)
     cc = chow.chow_collection(field)
     _emit(_with_seed(chow.phi_to_json_dict(cc.phi()), args), args.json)
     return 0
@@ -183,7 +201,7 @@ def cmd_enumerate_triangulations(args) -> int:
 
 
 def cmd_flipgraph(args) -> int:
-    field = fields.field_from_json_dict(_load(args.input))
+    field = _load_matching_field(args.input)
     fg = flip.flip_graph(field)
     if args.dot:
         colored = fields.is_linkage(field).ok  # tree coloring needs linkage
@@ -204,7 +222,7 @@ def cmd_flipgraph(args) -> int:
 
 
 def cmd_cells(args) -> int:
-    field = fields.field_from_json_dict(_load(args.input))
+    field = _load_matching_field(args.input)
     cells = flip.maximal_cells(field)
     out = _with_seed(
         {
@@ -238,14 +256,14 @@ def cmd_ensemble_check(args) -> int:
 
 
 def cmd_stiefel(args) -> int:
-    field = fields.field_from_json_dict(_load(args.input))
+    field = _load_matching_field(args.input)
     matroids = stacks.stiefel_image_of_field(field)
     _emit(_with_seed({"matroids": [m.as_dict() for m in matroids]}, args), args.json)
     return 0
 
 
 def cmd_right_submatching_check(args) -> int:
-    field = fields.field_from_json_dict(_load(args.input))
+    field = _load_matching_field(args.input)
     report = stacks.right_submatching_check(field, max_left=args.cap)
     out = _with_seed(
         {"ok": report.ok, "witness": repr(report.witness) if report.witness else None},
@@ -256,9 +274,8 @@ def cmd_right_submatching_check(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    data = _load(args.input)
     if args.kind == "chow":
-        field = fields.field_from_json_dict(data)
+        field = _load_matching_field(args.input)
         cc = chow.chow_collection(field)
         rebuilt = chow.reconstruct_chow_from_phi(cc.phi(), field.n, field.d)
         diff = sorted(
@@ -267,7 +284,7 @@ def cmd_roundtrip(args) -> int:
             if cc.covectors.get(rho) != rebuilt.covectors.get(rho)
         )
     else:
-        t = triang.triangulation_from_json_dict(data)
+        t = triang.triangulation_from_json_dict(_load(args.input))
         rebuilt = triang.reconstruct_triangulation(triang.phi(t), t.n, t.d)
         diff = sorted(
             str([list(e) for e in g.edges])

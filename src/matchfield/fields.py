@@ -13,7 +13,10 @@ yields one maximal tope per positive right degree vector of sum n.  Keyed by
 right degree vector minus the all-ones vector, these form the tope
 arrangement of the field, a bijection onto the lattice points of
 (n-d)*Delta_{d-1}, and the field can be recovered from the arrangement by
-collecting the maximal matchings of its topes.
+collecting the maximal matchings of its topes.  The arrangement is built
+without amalgamating: the maximal tope of type v is the union of the Chow
+covectors whose right degree vectors are v - 1_{[d] minus i}, i = 1..d, and
+one pass over the matchings yields every Chow covector.
 
 Extended arrangements additionally carry a graph for every lattice point of
 n*Delta_{d-1} (isolated right nodes allowed at the boundary) and are where
@@ -30,6 +33,7 @@ from typing import Iterable, Optional, Sequence
 from . import core
 from .core import BipartiteGraph
 from .errors import (
+    InconsistentCollectionError,
     MatchfieldError,
     MissingSubsetError,
     NotAMatchingError,
@@ -51,12 +55,6 @@ class TopeField:
 
     def tope(self, sigma: Iterable[int]) -> BipartiteGraph:
         return self.assignment[tuple(sorted(sigma))]
-
-    def subsets(self):
-        return core.subsets(self.n, self.thickness)
-
-    def graphs(self):
-        return self.assignment.values()
 
     def items(self):
         return self.assignment.items()
@@ -180,35 +178,6 @@ def is_linkage(field: TopeField) -> LinkageReport:
         if not res.ok:
             failures.append(res)
     return LinkageReport(not failures, tuple(failures))
-
-
-def is_linkage_pairwise(field: MatchingField) -> bool:
-    """Independent formulation over pairs of d-subsets.
-
-    For distinct sigma, sigma' there must be some j' in sigma' minus sigma
-    such that swapping j' for the sigma-partner of its sigma'-partner changes
-    the matching only at that right node.
-    """
-    sigmas = list(core.subsets(field.n, field.d))
-    for sigma, sigma_p in permutations(sigmas, 2):
-        m = field.matching(sigma)
-        m_p = field.matching(sigma_p)
-        found = False
-        for j_p in sigma_p:
-            if j_p in sigma:
-                continue
-            (i,) = m_p.left_neighbors(j_p)
-            (j,) = m.right_neighbors(i)
-            swapped = tuple(sorted(set(sigma) - {j} | {j_p}))
-            m_s = field.matching(swapped)
-            if m_s.difference(m).right_support() == (i,) and m.difference(
-                m_s
-            ).right_support() == (i,):
-                found = True
-                break
-        if not found:
-            return False
-    return True
 
 
 def require_linkage(field: TopeField) -> None:
@@ -484,47 +453,68 @@ def check_sector_monotonicity(graphs: dict) -> None:
                         )
 
 
-def tope_arrangement(field: MatchingField) -> TopeArrangement:
-    """Maximal tope for every lattice point of (n-d)*Delta_{d-1}."""
-    n, d = field.n, field.d
-    ones = core.all_ones(d)
-    cache: dict[tuple, TopeField] = {ones: field}
-
-    def field_for(target):
-        # reuse the canonical-order prefix chain
-        if target in cache:
-            return cache[target]
-        prev = None
-        for i in range(d, 0, -1):
-            if target[i - 1] > 1:
-                prev = list(target)
-                prev[i - 1] -= 1
-                step = i
-                break
-        tf = i_amalgamation(field_for(tuple(prev)), step)
-        cache[target] = tf
-        return tf
-
+def topes_from_covectors(n: int, d: int, covectors: Iterable[BipartiteGraph]) -> dict:
+    """Maximal topes keyed by the lattice points p of (n-d)*Delta_{d-1}: the
+    tope at p has right degree vector p + 1 and is the union of the Chow
+    covectors with right degree vectors p + e_i, i = 1..d."""
+    by_rdv = {g.right_degrees(): g.mask for g in covectors}
     topes = {}
     for point in core.simplex_lattice_points(n - d, d):
-        v = core.vector_sum(point, ones)
-        topes[point] = field_for(v).tope(range(1, n + 1))
-    return TopeArrangement(n, d, topes)
+        mask = 0
+        for i in range(1, d + 1):
+            rdv = core.vector_sum(point, core.unit_vector(d, i))
+            if rdv not in by_rdv:
+                raise InconsistentCollectionError(f"no covector with rdv {rdv}")
+            mask |= by_rdv[rdv]
+        tope = BipartiteGraph.from_mask(n, d, mask)
+        if tope.left_degrees() != core.all_ones(n):
+            v = core.vector_sum(point, core.all_ones(d))
+            raise InconsistentCollectionError(f"union at {v} is not a maximal tope")
+        topes[point] = tope
+    return topes
+
+
+def tope_arrangement(field: MatchingField) -> TopeArrangement:
+    """Maximal tope for every lattice point of (n-d)*Delta_{d-1}, built as
+    unions of Chow covectors (topes_from_covectors).
+
+    The edge (lj, ri) of the matching on sigma is the lj-edge of the Chow
+    covector of rho = (L minus sigma) + j, so one pass over the matchings
+    builds every covector.  A non-linkage field raises NotLinkageError with
+    the first failing tau, the one the amalgamation chain (maximal_tope)
+    would stop at.
+    """
+    require_linkage(field)
+    n, d = field.n, field.d
+    everyone = (1 << n) - 1
+    masks: dict[int, int] = {}  # rho as a left-node bitmask -> covector mask
+    for sigma, m in field.items():
+        rest = everyone ^ sum(1 << (j - 1) for j in sigma)
+        for b in core._bits(m.mask):
+            rho = rest | 1 << (b // d)
+            masks[rho] = masks.get(rho, 0) | 1 << b
+    covectors = [BipartiteGraph.from_mask(n, d, mask) for mask in masks.values()]
+    return TopeArrangement(n, d, topes_from_covectors(n, d, covectors))
+
+
+def field_from_topes(n: int, d: int, topes: Iterable[BipartiteGraph]) -> MatchingField:
+    """Collect the maximal (size d) matchings of the topes; one per d-subset."""
+    assignment: dict = {}
+    for tope in topes:
+        neighbor_sets = [tope.right_neighbors(i) for i in range(1, d + 1)]
+        for choice in product(*neighbor_sets):
+            sigma = tuple(sorted(choice))
+            m = BipartiteGraph(n, d, list(zip(choice, range(1, d + 1))))
+            old = assignment.get(sigma)
+            if old is not None and old != m:
+                raise InconsistentCollectionError(f"conflicting matchings on {sigma}")
+            assignment[sigma] = m
+    return validate_matching_field(n, d, assignment)
 
 
 def field_from_arrangement(ta: TopeArrangement) -> MatchingField:
-    """Collect the maximal (size d) matchings of the topes; one per d-subset."""
-    assignment: dict = {}
-    for _, tope in ta.items():
-        neighbor_sets = [tope.right_neighbors(i) for i in range(1, ta.d + 1)]
-        for choice in product(*neighbor_sets):
-            sigma = tuple(sorted(choice))
-            m = BipartiteGraph(ta.n, ta.d, list(zip(choice, range(1, ta.d + 1))))
-            old = assignment.get(sigma)
-            if old is not None and old != m:
-                raise MatchfieldError(f"conflicting matchings on {sigma}")
-            assignment[sigma] = m
-    field = validate_matching_field(ta.n, ta.d, assignment)
+    """The field whose maximal matchings the topes contain; it must be linkage."""
+    field = field_from_topes(ta.n, ta.d, (tope for _, tope in ta.items()))
     require_linkage(field)
     return field
 
@@ -548,19 +538,23 @@ def maximal_tope_covectors(field: MatchingField) -> dict[tuple, BipartiteGraph]:
     """Linkage covectors of the thickness n-1 tope fields, keyed by the type.
 
     These are the trees the maximal topes are extracted from: one covector on
-    tau = [n] for every positive type vector of sum n - 1.
+    tau = [n] for every positive type vector v of sum n - 1, the union of the
+    maximal topes of types v + e_i, i = 1..d.
     """
     n, d = field.n, field.d
     out = {}
     if n - 1 < d:
         return out
+    ta = tope_arrangement(field)
     for point in core.simplex_lattice_points(n - 1 - d, d):
-        v = core.vector_sum(point, core.all_ones(d))
-        tf = tope_field_of_type(field, v)
-        res = linkage_covector(tf, range(1, n + 1))
-        if not res.ok:
-            raise NotLinkageError(res.tau, res.cycle)
-        out[v] = res.graph
+        mask = 0
+        for i in range(1, d + 1):
+            mask |= ta.tope(core.vector_sum(point, core.unit_vector(d, i))).mask
+        union = BipartiteGraph.from_mask(n, d, mask)
+        cycle = core.find_cycle(union)
+        if cycle:
+            raise NotLinkageError(tuple(range(1, n + 1)), tuple(cycle))
+        out[core.vector_sum(point, core.all_ones(d))] = union
     return out
 
 
@@ -699,9 +693,7 @@ def extended_arrangement_by_stripping(
     label_map = {old: new for new, old in enumerate(keep, start=1)}
     m = field.n - field.d
     graphs = {}
-    ones = core.all_ones(field.d)
-    for point in core.simplex_lattice_points(m, field.d):
-        tope = maximal_tope(field, core.vector_sum(point, ones))
+    for point, tope in tope_arrangement(field).items():
         stripped = tope.without_edges(dummy)
         if len(stripped) != len(tope) - field.d:
             raise MatchfieldError(

@@ -2,7 +2,8 @@
 
 Vertices are the matchings (identified by their d-subsets); two are adjacent
 when they differ in exactly one edge, necessarily at the same right node,
-which labels the edge.  For a linkage field the flip graph has
+which labels the edge.  The graph is built by bucketing the matchings on
+what they keep when their ri-edge is removed.  For a linkage field it has
 binom(n, d+1) * d edges and decomposes edge-exactly into the linkage trees,
 one per (d+1)-subset of left nodes.
 
@@ -61,14 +62,19 @@ def _flip_label(m1: BipartiteGraph, m2: BipartiteGraph):
 
 
 def flip_graph(field: fields.MatchingField) -> FlipGraph:
-    vertices = tuple(core.subsets(field.n, field.d))
-    edges = set()
-    for s1, s2 in combinations(vertices, 2):
-        label = _flip_label(field.matching(s1), field.matching(s2))
-        if label is not None:
-            a, b = sorted((s1, s2))
-            edges.add((a, b, label))
-    return FlipGraph(field.n, field.d, vertices, frozenset(edges))
+    """All flips in one keyed pass: matchings that differ only at ri share the
+    key (matching minus its ri-edge, i), so every pair inside one bucket is an
+    edge labelled i.  Needs no linkage."""
+    buckets: dict = {}
+    for sigma, m in field.items():
+        for b in core._bits(m.mask):
+            buckets.setdefault((m.mask ^ 1 << b, b % field.d + 1), []).append(sigma)
+    edges = frozenset(
+        (a, b, i)
+        for (_, i), group in buckets.items()
+        for a, b in combinations(sorted(group), 2)
+    )
+    return FlipGraph(field.n, field.d, tuple(core.subsets(field.n, field.d)), edges)
 
 
 def expected_edge_count(n: int, d: int) -> int:

@@ -51,10 +51,13 @@ class MatchingStack:
         if len(key[0]) != len(key[1]):
             raise MatchfieldError("|J| and |I| must agree")
         if key not in self.entries:
-            if self.filler is None:
-                raise MatchfieldError(f"no matching assigned to {key}")
-            self.entries[key] = self.filler(key[0], key[1])
+            self.entries[key] = self._fill(key)
         return self.entries[key]
+
+    def _fill(self, key) -> BipartiteGraph:
+        if self.filler is None:
+            raise MatchfieldError(f"no matching assigned to {key}")
+        return self.filler(*key)
 
     def pairs(self):
         for k in range(self.n + 1):
@@ -65,15 +68,18 @@ class MatchingStack:
                     yield (J, I)
 
     def materialize(self) -> None:
-        for J, I in self.pairs():
-            self.matching(J, I)
+        self.entries.update(self._materialized())
+
+    def _materialized(self) -> dict:
+        """The entries plus the filler's value at every missing pair, without
+        storing anything."""
+        missing = (key for key in self.pairs() if key not in self.entries)
+        return {**self.entries, **{key: self._fill(key) for key in missing}}
 
     def __eq__(self, other):
         if not isinstance(other, MatchingStack) or (self.n, self.d) != (other.n, other.d):
             return False
-        self.materialize()
-        other.materialize()
-        return self.entries == other.entries
+        return self._materialized() == other._materialized()
 
     def __repr__(self):
         return f"<MatchingStack ({self.n},{self.d})>"

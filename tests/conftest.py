@@ -4,9 +4,11 @@ Matchings are written as words: position i of the word holds the left node
 matched to ri.
 """
 
+import random
+
 import pytest
 
-from matchfield import BipartiteGraph, validate_matching_field
+from matchfield import BipartiteGraph, subsets, validate_matching_field
 from matchfield.triang import extract_field_from_trees
 
 
@@ -16,6 +18,18 @@ def graph(n, d, edges):
 
 def matching_from_word(n, d, word):
     return BipartiteGraph(n, d, [(int(ch), pos) for pos, ch in enumerate(word, start=1)])
+
+
+def random_matching_field(n, d, seed):
+    """Matching field with a seeded random matching on every d-subset; most
+    such fields are not linkage."""
+    rng = random.Random(seed)
+    assignment = {}
+    for sigma in subsets(n, d):
+        rights = list(range(1, d + 1))
+        rng.shuffle(rights)
+        assignment[sigma] = BipartiteGraph(n, d, list(zip(sigma, rights)))
+    return validate_matching_field(n, d, assignment)
 
 
 def field_from_words(n, d, words):
@@ -83,6 +97,25 @@ COVECTOR_TREES_64 = [
 
 # (5,3) linkage field whose flip graph decomposes into five linkage trees
 FIELD_53_WORDS = ["321", "142", "521", "341", "351", "541", "342", "523", "542", "543"]
+
+
+@pytest.fixture(scope="session")
+def differential_fields():
+    """Inputs on which fast constructions are compared with their oracles:
+    seeded coherent (linkage) fields from (4,2) to (8,4), then seeded random
+    matching fields, most of them not linkage."""
+    from matchfield.randgen import seeded_coherent_field
+
+    coherent = [
+        seeded_coherent_field(n, d, 100 * n + d)[0]
+        for n, d in [(4, 2), (5, 2), (5, 3), (6, 3), (7, 3), (6, 4), (8, 4)]
+    ]
+    random_fields = [
+        random_matching_field(n, d, 10 * n + d + seed)
+        for n, d in [(4, 2), (5, 2), (5, 3), (6, 3), (6, 4)]
+        for seed in range(3)
+    ]
+    return coherent + random_fields
 
 
 @pytest.fixture(scope="session")

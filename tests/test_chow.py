@@ -329,6 +329,32 @@ class TestReconstruction:
             rebuilt = reconstruct_chow_from_phi(PhiMap(n, 2, mapping), n, 2)
             assert key in linkage_phis and rebuilt == linkage_phis[key]
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            # three values of the phi map of a coherent (4,3) field, rotated
+            ({(1, 2): (1, 0, 1), (1, 3): (0, 2, 0), (2, 4): (0, 0, 2)},
+             "admitted to two sectors"),
+            ({(2, 3): (0, 2, 0), (2, 4): (2, 0, 0), (3, 4): (1, 1, 0)},
+             "does not reproduce phi"),
+            # two values swapped
+            ({(1, 2): (1, 1, 0), (2, 3): (0, 0, 2)}, "sectors do not cover all pairs"),
+            ({(2, 4): (2, 0, 0), (3, 4): (0, 2, 0)}, "do not biject onto the lattice points"),
+        ],
+        ids=["two-sectors", "phi-equality", "coverage", "collection"],
+    )
+    def test_each_rejection_check(self, values, message):
+        # each input is first refused by the named check; the last check,
+        # chow_collection(field) == collection, was reached by no input tried
+        mapping = {
+            (1, 2): (0, 0, 2), (1, 3): (1, 0, 1), (1, 4): (0, 1, 1),
+            (2, 3): (1, 1, 0), (2, 4): (0, 2, 0), (3, 4): (2, 0, 0),
+        }
+        assert reconstruct_chow_from_phi(PhiMap(4, 3, mapping), 4, 3)
+        mapping.update(values)
+        with pytest.raises(InconsistentPhiError, match=message):
+            reconstruct_chow_from_phi(PhiMap(4, 3, mapping), 4, 3)
+
     @pytest.mark.parametrize("n,d", [(4, 2), (5, 3), (6, 3), (7, 3), (8, 4)])
     def test_agrees_with_deletion_oracle(self, n, d):
         # the true phi map of a coherent field and seeded two-value swaps of

@@ -189,3 +189,31 @@ def test_byte_stability(capsys, field_file):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert '"seed":7' in outputs[0]
+
+
+@pytest.mark.parametrize(
+    "data, fault",
+    [
+        ({"n": 2, "d": 2, "matchings": {"1,2": [[1.0, 1], [2, 2]]}}, "1.0"),
+        ([{"n": 2, "d": 2, "matchings": {"1,2": [[1, 1], [2, 2]]}}], "JSON object"),
+        ({"n": True, "d": 1, "matchings": {"1": [[1, 1]]}}, "true"),
+    ],
+    ids=["float-edge", "top-level-list", "bool-size"],
+)
+def test_malformed_input_is_a_usage_error(capsys, tmp_path, data, fault):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["check-linkage", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError" and fault in err["message"]
+
+
+@pytest.mark.parametrize("command", ["arrangement", "flipgraph", "cells", "chow", "stiefel"])
+def test_tope_field_where_a_matching_field_is_needed(capsys, tmp_path, tope_field_42, command):
+    path = tmp_path / "tope.json"
+    path.write_text(core.canonical_json(field_to_json_dict(tope_field_42)))
+    assert run([command, str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == "expected a matching field, not type (2, 1)"

@@ -1,5 +1,7 @@
 """Fields: validation, linkage, coherence, amalgamation, arrangements, axioms."""
 
+from itertools import permutations
+
 import pytest
 
 from matchfield import (
@@ -24,13 +26,12 @@ from matchfield import (
     validate_tope_field,
 )
 from matchfield import fields as fields_mod
-from matchfield.core import is_compatible
+from matchfield.core import all_ones, is_compatible, vector_sum
 from matchfield.fields import (
     check_sector_monotonicity,
     extended_arrangement_by_stripping,
     field_from_json_dict,
     field_to_json_dict,
-    is_linkage_pairwise,
     maximal_tope_covectors,
     subfield_delete_left,
     tope_field_of_type,
@@ -45,6 +46,86 @@ from conftest import (
     graph,
     matching_from_word,
 )
+
+
+def is_linkage_pairwise(field):
+    """Oracle for is_linkage: an independent formulation over pairs of
+    d-subsets.
+
+    For distinct sigma, sigma' there must be some j' in sigma' minus sigma
+    such that swapping j' for the sigma-partner of its sigma'-partner changes
+    the matching only at that right node.
+    """
+    sigmas = list(subsets(field.n, field.d))
+    for sigma, sigma_p in permutations(sigmas, 2):
+        m = field.matching(sigma)
+        m_p = field.matching(sigma_p)
+        found = False
+        for j_p in sigma_p:
+            if j_p in sigma:
+                continue
+            (i,) = m_p.left_neighbors(j_p)
+            (j,) = m.right_neighbors(i)
+            swapped = tuple(sorted(set(sigma) - {j} | {j_p}))
+            m_s = field.matching(swapped)
+            if m_s.difference(m).right_support() == (i,) and m.difference(
+                m_s
+            ).right_support() == (i,):
+                found = True
+                break
+        if not found:
+            return False
+    return True
+
+
+def arrangement_by_amalgamation(field):
+    """Oracle for tope_arrangement: every maximal tope from the chain of
+    i-amalgamations, reusing the canonical-order prefix chain."""
+    n, d = field.n, field.d
+    ones = all_ones(d)
+    cache = {ones: field}
+
+    def field_for(target):
+        if target in cache:
+            return cache[target]
+        for i in range(d, 0, -1):
+            if target[i - 1] > 1:
+                prev = list(target)
+                prev[i - 1] -= 1
+                step = i
+                break
+        tf = i_amalgamation(field_for(tuple(prev)), step)
+        cache[target] = tf
+        return tf
+
+    topes = {}
+    for point in simplex_lattice_points(n - d, d):
+        topes[point] = field_for(vector_sum(point, ones)).tope(range(1, n + 1))
+    return fields_mod.TopeArrangement(n, d, topes)
+
+
+def covectors_by_amalgamation(field):
+    """Oracle for maximal_tope_covectors: the linkage covector on [n] of the
+    amalgamated tope field of every positive type of sum n - 1."""
+    n, d = field.n, field.d
+    out = {}
+    if n - 1 < d:
+        return out
+    for point in simplex_lattice_points(n - 1 - d, d):
+        v = vector_sum(point, all_ones(d))
+        res = linkage_covector(tope_field_of_type(field, v), range(1, n + 1))
+        if not res.ok:
+            raise NotLinkageError(res.tau, res.cycle)
+        out[v] = res.graph
+    return out
+
+
+def outcome(route, field):
+    """The result of a route, or the type, message and cycle of its error."""
+    try:
+        return route(field)
+    except MatchfieldError as exc:
+        return type(exc), str(exc), getattr(exc, "cycle", None)
 
 
 class TestValidation:
@@ -295,6 +376,28 @@ class TestArrangement:
         broken[(2, 0)] = graph(4, 2, [(1, 1), (2, 1), (3, 1), (4, 2)])
         with pytest.raises(MatchfieldError):
             fields_mod.TopeArrangement(4, 2, broken)
+
+
+class TestAgainstAmalgamation:
+    def test_arrangement(self, differential_fields, field_42, field_43, field_63, field_64):
+        inputs = differential_fields + [field_42, field_43, field_63, field_64]
+        verdicts = []
+        for field in inputs:
+            got = outcome(tope_arrangement, field)
+            assert got == outcome(arrangement_by_amalgamation, field)
+            verdicts.append(isinstance(got, tuple) and got[0])
+        # both kinds of input occur: arrangements built, and linkage refused
+        assert set(verdicts) == {False, NotLinkageError}
+
+    def test_maximal_tope_covectors(self, differential_fields, field_42, field_43, field_64):
+        for field in differential_fields + [field_42, field_43, field_64]:
+            got = outcome(maximal_tope_covectors, field)
+            assert got == outcome(covectors_by_amalgamation, field)
+
+    def test_single_matching(self):
+        f = field_from_words(2, 2, {(1, 2): "21"})
+        assert tope_arrangement(f) == arrangement_by_amalgamation(f)
+        assert maximal_tope_covectors(f) == {} == covectors_by_amalgamation(f)
 
 
 class TestSubfield:

@@ -1,5 +1,7 @@
 """Flip graphs, linkage trees, and prodsimplicial cells."""
 
+from itertools import combinations
+
 import pytest
 
 from matchfield import (
@@ -13,7 +15,9 @@ from matchfield import (
     maximal_tope,
     tope_to_cell,
 )
+from matchfield import subsets
 from matchfield.flip import (
+    FlipGraph,
     expected_edge_count,
     flip_graph_to_dot,
     linkage_tree_decomposition,
@@ -21,6 +25,30 @@ from matchfield.flip import (
 )
 
 from conftest import field_from_words, graph
+
+
+def flip_label(m1, m2):
+    """Deviating right node if the matchings differ in exactly one edge."""
+    diff1 = m1.difference(m2)
+    diff2 = m2.difference(m1)
+    if len(diff1) == 1 and len(diff2) == 1:
+        ((_, i1),) = diff1.edges
+        ((_, i2),) = diff2.edges
+        if i1 == i2:
+            return i1
+    return None
+
+
+def flip_graph_by_pairs(field):
+    """Oracle for flip_graph: test every pair of matchings."""
+    vertices = tuple(subsets(field.n, field.d))
+    edges = set()
+    for s1, s2 in combinations(vertices, 2):
+        label = flip_label(field.matching(s1), field.matching(s2))
+        if label is not None:
+            a, b = sorted((s1, s2))
+            edges.add((a, b, label))
+    return FlipGraph(field.n, field.d, vertices, frozenset(edges))
 
 
 class TestFlipGraph:
@@ -78,6 +106,12 @@ class TestFlipGraph:
         assert ((1, 2, 3), (1, 2, 5), 1) in fg.edges
         # 321 and 351: deviation at r2
         assert ((1, 2, 3), (1, 3, 5), 2) in fg.edges
+
+
+    def test_agrees_with_pairwise_scan(self, differential_fields, field_43, field_63):
+        # linkage or not, the keyed pass finds exactly the flips of the scan
+        for field in differential_fields + [field_43, field_63]:
+            assert flip_graph(field) == flip_graph_by_pairs(field)
 
 
 class TestLinkageTrees:

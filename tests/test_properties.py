@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from matchfield import (
     BipartiteGraph,
+    flip_graph,
     is_compatible,
     is_linkage,
     maximal_tope,
@@ -20,13 +21,26 @@ from matchfield.fields import check_sector_monotonicity
 from matchfield.randgen import random_weight_matrix, seeded_coherent_field, splitmix64
 from matchfield.stacks import check_basis_exchange, transversal_matroid
 
-from conftest import exhaustive_compatibility, graph
+from conftest import exhaustive_compatibility, graph, random_matching_field
+from test_fields import arrangement_by_amalgamation, outcome
+from test_flip import flip_graph_by_pairs
 
 
 def graphs_strategy(n, d):
     return st.integers(min_value=0, max_value=(1 << (n * d)) - 1).map(
         lambda mask: BipartiteGraph.from_mask(n, d, mask)
     )
+
+
+class TestKeyedPassOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([(3, 2), (4, 2), (5, 2), (4, 3), (5, 3)]), st.integers(0, 1 << 32))
+    def test_random_matching_fields(self, size, seed):
+        # linkage or not, the covector and keyed-pass routes agree with the
+        # amalgamation chain and the pairwise scan
+        field = random_matching_field(*size, seed)
+        assert flip_graph(field) == flip_graph_by_pairs(field)
+        assert outcome(tope_arrangement, field) == outcome(arrangement_by_amalgamation, field)
 
 
 class TestCompatibilityOracle:

@@ -144,6 +144,20 @@ class TestExtendExtract:
         report = validate_ensemble(stack)
         assert report.closure_ok
 
+    def test_equality_stores_nothing(self, field_42):
+        # equality compares the filled-in stacks without filling them in
+        lazy = extend(field_42, "lexicographic-min")
+        other = extend(field_42, "lexicographic-min")
+        before = dict(lazy.entries)
+        assert lazy == other
+        assert lazy.entries == before and other.entries == before
+        full = extend(field_42, "lexicographic-min")
+        full.materialize()
+        assert lazy == full and len(full.entries) > len(lazy.entries) == len(before)
+        empty = MatchingStack(4, 2, before, filler=lambda J, I: BipartiteGraph(4, 2, []))
+        assert lazy != empty
+        assert lazy.entries == before and empty.entries == before
+
     def test_unknown_strategy(self, field_42):
         with pytest.raises(MatchfieldError):
             extend(field_42, "random")
