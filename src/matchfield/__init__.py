@@ -10,7 +10,6 @@ from .core import (
     contained_tope,
     degree_vectors,
     is_compatible,
-    matchings_agree,
     simplex_lattice_points,
     subsets,
 )

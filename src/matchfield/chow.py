@@ -10,10 +10,11 @@ Reconstruction inverts phi with one sweep per left node.  For fixed j and
 i, the covectors containing the edge (lj, ri) form a *combinatorial sector*,
 swept over the levels of the i-th right coordinate: the unique pair at the
 top level (v_i = n-d+1) seeds it, and a pair at level h joins when an
-admitted pair sits at rdv v + e_i - e_k.  The d sectors of j partition the
-covectors through j and give each its edge at lj.  A certificate rebuilds
-the field and re-derives the covectors.  The paper's induction on deleting
-lj is kept in the tests as an oracle.
+admitted pair sits at rdv v + e_i - e_k.  The sweep is ``core.sector_sweep``,
+the same one that rebuilds triangulations from degree pairs.  The d sectors
+of j partition the covectors through j and give each its edge at lj.  A
+certificate rebuilds the field and re-derives the covectors.  The paper's
+induction on deleting lj is kept in the tests as an oracle.
 
 Chow covectors are also the minimal transversals to the field: graphs
 meeting every matching, minimal under inclusion.  A Berge-style blocker
@@ -244,37 +245,6 @@ def sector(collection: dict, j: int, i: int) -> SectorImage:
     return SectorImage(j, i, frozenset(members))
 
 
-def _sector_sweep(pairs_by_rdv: dict, member_rdvs: set, i: int, seed_rdv: tuple, d: int):
-    """Level sweep computing one combinatorial sector.
-
-    pairs_by_rdv: rdv -> pair for the whole input; member_rdvs: rdvs of the
-    pairs with the relevant left coordinate equal to 1.  Returns the admitted
-    rdvs.  A pair at level h = v_i is admitted when some admitted pair sits at
-    v + e_i - e_k; the unique pair at the top level seeds the sweep.
-    """
-    if seed_rdv not in pairs_by_rdv:
-        raise InconsistentPhiError(f"no member with extreme rdv {seed_rdv}")
-    if seed_rdv not in member_rdvs:
-        return set()
-    admitted = {seed_rdv}
-    top = seed_rdv[i - 1]
-    by_level: dict[int, list[tuple]] = {}
-    for rdv in member_rdvs:
-        by_level.setdefault(rdv[i - 1], []).append(rdv)
-    for h in range(top - 1, -1, -1):
-        for rdv in sorted(by_level.get(h, [])):
-            for k in range(1, d + 1):
-                if k == i or rdv[k - 1] == 0:
-                    continue
-                up = list(rdv)
-                up[i - 1] += 1
-                up[k - 1] -= 1
-                if tuple(up) in admitted:
-                    admitted.add(rdv)
-                    break
-    return admitted
-
-
 def reconstruct_chow_from_phi(phi: PhiMap, n: int, d: int) -> ChowCollection:
     """Invert phi: rebuild every covector from the subset -> lattice point
     bijection of a linkage field.
@@ -293,7 +263,9 @@ def reconstruct_chow_from_phi(phi: PhiMap, n: int, d: int) -> ChowCollection:
         assigned: set = set()
         for i in range(1, d + 1):
             seed = tuple((n - d + 1) if t == i else 0 for t in range(1, d + 1))
-            for rdv in _sector_sweep(by_rdv, member_rdvs, i, seed, d):
+            if seed not in by_rdv:
+                raise InconsistentPhiError(f"no member with extreme rdv {seed}")
+            for rdv in core.sector_sweep(member_rdvs, i, seed):
                 if rdv in assigned:
                     raise InconsistentPhiError(f"rdv {rdv} admitted to two sectors of {j}")
                 assigned.add(rdv)

@@ -140,9 +140,7 @@ def cmd_reconstruct_chow(args) -> int:
 
 
 def cmd_validate_triangulation(args) -> int:
-    data = _load(args.input)
-    n, d = data["n"], data["d"]
-    trees = [core.BipartiteGraph(n, d, [tuple(e) for e in t]) for t in data["trees"]]
+    n, d, trees = triang.trees_from_json_dict(_load(args.input))
     report = triang.check_triangulation(trees, n, d)
     out = _with_seed(
         {"valid": report.ok, "violation": report.kind, "witness": repr(report.witness)},

@@ -14,8 +14,8 @@ orienting the edges of g1 \\ g2 left-to-right and those of g2 \\ g1
 right-to-left and searching for a directed cycle; such a cycle alternates
 between the two graphs and its two halves are the conflicting matchings.
 Note the criterion ignores edges present in both graphs.  The stronger,
-containment-based agreement check used for triangulation axioms lives in
-``matchings_agree``.
+containment-based agreement check used for triangulation axioms and stacks
+is ``agreed_matchings``, one pass over a dict keyed by (J, I).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import MatchfieldError, NotASpanningTreeError, SizeCapError
 
@@ -395,8 +395,8 @@ def contained_matchings(g: BipartiteGraph) -> dict[tuple, BipartiteGraph]:
     """All nonempty matchings inside g, keyed by (left support, right support).
 
     A forest contains at most one matching per support pair; for a graph with
-    several, an arbitrary conflict is kept so callers must treat the map as
-    advisory (matchings_agree handles conflicts exactly).
+    several, an arbitrary one is kept, so agreement verdicts built on this map
+    (``agreed_matchings``) are exact only for forests.
     """
     out: dict[tuple, BipartiteGraph] = {}
     for m in _enumerate_matchings(g.edges, 0, [], g.n, g.d):
@@ -419,22 +419,28 @@ def _enumerate_matchings(edges, start, current, n, d):
         current.pop()
 
 
-def matchings_agree(
-    g1: BipartiteGraph, g2: BipartiteGraph
-) -> tuple[bool, Optional[CompatibilityWitness]]:
-    """Containment-based agreement: whenever both graphs contain perfect
-    matchings on the same J ⊔ I, those matchings coincide.
+def agreed_matchings(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[tuple]]:
+    """Containment agreement in one keyed pass: the matchings inside the
+    graphs keyed by (J, I), each from the first graph holding its key, and
+    the first disagreement (g, h, J, I) or None.  "First" is the order of a
+    pairwise scan over g before h, then over g's keys; a key's clash is
+    between its first holder and the first later graph that differs there.
 
     Stronger than is_compatible for trees: a shared edge may lie on an
     alternating cycle, which the symmetric-difference orientation cannot see.
     """
-    g1._same_sides(g2)
-    first = contained_matchings(g1)
-    for key, m2 in contained_matchings(g2).items():
-        m1 = first.get(key)
-        if m1 is not None and m1 != m2:
-            return False, CompatibilityWitness(key[0], key[1], m1, m2)
-    return True, None
+    first: dict[tuple, tuple] = {}  # (J, I) -> (matching, graph index, key position)
+    clashes = []
+    for b, g in enumerate(graphs):
+        for pos, (key, m) in enumerate(contained_matchings(g).items()):
+            m_a, a, pos_a = first.setdefault(key, (m, b, pos))
+            if m_a != m:
+                clashes.append((a, b, pos_a, key))
+    agreed = {key: m for key, (m, _, _) in first.items()}
+    if not clashes:
+        return agreed, None
+    a, b, _, (J, I) = min(clashes)
+    return agreed, (graphs[a], graphs[b], J, I)
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +526,32 @@ def unit_vector(dim: int, i: int) -> tuple[int, ...]:
 
 def all_ones(dim: int) -> tuple[int, ...]:
     return (1,) * dim
+
+
+def sector_sweep(member_rdvs: set, i: int, seed: tuple) -> set:
+    """Combinatorial sector of ri among the member right degree vectors:
+    from the seed at the top level of coordinate i downwards, a member joins
+    when an admitted member sits at v + e_i - e_k (k != i, v_k > 0).  Empty
+    when the seed is not a member; callers check that it exists at all."""
+    if seed not in member_rdvs:
+        return set()
+    admitted = {seed}
+    by_level: dict[int, list[tuple]] = {}
+    for rdv in member_rdvs:
+        by_level.setdefault(rdv[i - 1], []).append(rdv)
+    for h in range(seed[i - 1] - 1, -1, -1):
+        # any order admits the same set; sorted fixes the order callers report in
+        for rdv in sorted(by_level.get(h, [])):
+            for k in range(len(rdv)):
+                if k == i - 1 or rdv[k] == 0:
+                    continue
+                up = list(rdv)
+                up[i - 1] += 1
+                up[k] -= 1
+                if tuple(up) in admitted:
+                    admitted.add(rdv)
+                    break
+    return admitted
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,9 @@ def stack_from_trees(trees: Iterable[BipartiteGraph], n: int, d: int) -> Matchin
     The trees must cover all (J, I) pairs and agree; both hold for valid
     triangulations.
     """
-    entries: dict = {}
-    for g in trees:
-        for key, m in core.contained_matchings(g).items():
-            old = entries.get(key)
-            if old is not None and old != m:
-                raise MatchfieldError(f"trees disagree on the matching of {key}")
-            entries[key] = m
+    entries, clash = core.agreed_matchings(list(trees))
+    if clash is not None:
+        raise MatchfieldError(f"trees disagree on the matching of {clash[2:]}")
     empty = BipartiteGraph(n, d, [])
     entries[((), ())] = empty
     stack = MatchingStack(n, d, entries)

@@ -7,15 +7,18 @@ non-leaf edge of one tree leaves a forest contained in another tree, and any
 two trees containing perfect matchings on the same node sets agree there.
 The last axiom is checked by containment (not the symmetric-difference cycle
 criterion): a shared edge can sit on an alternating cycle that the
-orientation test cannot see.
+orientation test cannot see.  It is one pass over the contained matchings
+keyed by (J, I), ``core.agreed_matchings``, which also builds the ensemble
+of ``stacks.stack_from_trees``.  The flip axiom is a lookup too: another
+spanning tree containing a tree minus one edge is that forest plus one edge.
 
 The degree-pair map sends each tree to its left and right degree vectors,
 normalised by subtracting the all-ones vectors.  The pair set determines the
 triangulation; reconstruction works by recursion on n + d: pick a left
 node j that is a leaf of some trees, split those trees into combinatorial
-sectors per right node by a level sweep over the right degree of that node,
-delete the leaf edge, recurse on the deletion (a triangulation of a facet)
-and re-attach.
+sectors per right node by a level sweep over the right degree of that node
+(``core.sector_sweep``, shared with Chow reconstruction), delete the leaf
+edge, recurse on the deletion (a triangulation of a facet) and re-attach.
 """
 
 from __future__ import annotations
@@ -72,25 +75,24 @@ class Triangulation:
 
 
 def find_agreement_violation(trees: Sequence[BipartiteGraph]):
-    """Pair of trees containing different matchings on the same node sets."""
-    maps = [core.contained_matchings(g) for g in trees]
-    for (g, mg), (h, mh) in combinations(zip(trees, maps), 2):
-        for key, m1 in mg.items():
-            m2 = mh.get(key)
-            if m2 is not None and m1 != m2:
-                return (g, h, key[0], key[1])
-    return None
+    """First pair of trees (g, h, J, I) containing different matchings on the
+    same node sets J ⊔ I, in pairwise-scan order; None if all agree."""
+    return core.agreed_matchings(trees)[1]
 
 
 def find_flip_violation(trees: Sequence[BipartiteGraph]):
-    """Tree and non-leaf edge whose removal is contained in no other tree."""
+    """Tree and non-leaf edge whose removal is contained in no other tree.
+    For spanning trees on one node set, such another tree is g minus the
+    edge plus one edge outside g: a lookup in the set of tree masks."""
+    masks = {g.mask for g in trees}
     for g in trees:
         left, right = core.degree_vectors(g)
+        outside = [1 << b for b in core._bits(~g.mask & ((1 << (g.n * g.d)) - 1))]
         for j, i in g.edges:
             if left[j - 1] == 1 or right[i - 1] == 1:
                 continue
-            reduced = g.without_edges([(j, i)])
-            if not any(h != g and reduced.is_subgraph(h) for h in trees):
+            reduced = g.without_edges([(j, i)]).mask
+            if not any(reduced | bit in masks for bit in outside):
                 return (g, (j, i))
     return None
 
@@ -180,12 +182,7 @@ def phi(t: Triangulation) -> frozenset:
     pairs = frozenset(tree_degree_pair(g) for g in t.trees)
     if len(pairs) != len(t.trees):
         raise MatchfieldError("degree pairs are not distinct")
-    lefts = sorted(u for u, _ in pairs)
-    rights = sorted(v for _, v in pairs)
-    if lefts != core.simplex_lattice_points(t.d - 1, t.n):
-        raise MatchfieldError("left projection is not a bijection")
-    if rights != core.simplex_lattice_points(t.n - 1, t.d):
-        raise MatchfieldError("right projection is not a bijection")
+    _check_pair_shape(pairs, t.n, t.d)
     return pairs
 
 
@@ -215,6 +212,11 @@ def reconstruct_triangulation(pairs: Iterable, n: int, d: int) -> Triangulation:
 
 
 def _check_pair_shape(pairs, n, d):
+    # count first, so that a huge (n, d) never lists its lattice points
+    if min(n, d) < 1 or len(pairs) != tree_count(n, d):
+        raise InconsistentPairsError(
+            f"{len(pairs)} pairs do not fit a triangulation of size ({n}, {d})"
+        )
     lefts = sorted(u for u, _ in pairs)
     rights = sorted(v for _, v in pairs)
     if lefts != core.simplex_lattice_points(d - 1, n) or rights != core.simplex_lattice_points(
@@ -258,8 +260,10 @@ def _reconstruct(pairs, left_labels, right_labels, memo):
             raise InconsistentPairsError(f"no tree has {j} as a leaf")
         assigned: dict = {}
         for ipos, i in enumerate(right_labels):
-            admitted = _tree_sector_sweep(by_rdv, member_rdvs, ipos, n, d)
-            for rdv in admitted:
+            seed = tuple((n - 1) if t == ipos else 0 for t in range(d))
+            if seed not in by_rdv:
+                raise InconsistentPairsError(f"no tree with extreme rdv {seed}")
+            for rdv in core.sector_sweep(member_rdvs, ipos + 1, seed):
                 if rdv in assigned:
                     raise InconsistentPairsError(
                         f"rdv {rdv} admitted to two sectors of {j}"
@@ -302,35 +306,6 @@ def _reconstruct(pairs, left_labels, right_labels, memo):
     result = frozenset(trees.values())
     memo[key] = result
     return result
-
-
-def _tree_sector_sweep(by_rdv, member_rdvs, ipos, n, d):
-    """Level sweep for trees: normalised rdvs, pivot coordinate ipos.
-
-    Seed is the point (n-1) * e_ipos; a member at level h joins when an
-    admitted pair sits at v + e_ipos - e_k (with v_k >= 1, i.e. unnormalised
-    degree > 1)."""
-    seed = tuple((n - 1) if t == ipos else 0 for t in range(d))
-    if seed not in by_rdv:
-        raise InconsistentPairsError(f"no tree with extreme rdv {seed}")
-    if seed not in member_rdvs:
-        return set()
-    admitted = {seed}
-    by_level: dict[int, list] = {}
-    for rdv in member_rdvs:
-        by_level.setdefault(rdv[ipos], []).append(rdv)
-    for h in range(n - 2, -1, -1):
-        for rdv in sorted(by_level.get(h, [])):
-            for k in range(d):
-                if k == ipos or rdv[k] == 0:
-                    continue
-                up = list(rdv)
-                up[ipos] += 1
-                up[k] -= 1
-                if tuple(up) in admitted:
-                    admitted.add(rdv)
-                    break
-    return admitted
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +394,6 @@ def _deletion_exists(members, pos, ipos, n, d):
 
     def search(idx, chosen):
         if idx == len(options):
-            try:
-                _check_pair_shape(frozenset(chosen), n_new, d_new)
-            except InconsistentPairsError:
-                return False
             rep = necessary_conditions(chosen, n_new, d_new, check_deletions=False)
             return rep.projections_ok and rep.adjacency_ok
         for cand in options[idx]:
@@ -554,9 +525,33 @@ def triangulation_to_json_dict(t: Triangulation) -> dict:
     }
 
 
+def _json_list(value, what: str, length: Optional[int] = None) -> list:
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        size = "a list" if length is None else f"a list of length {length}"
+        raise ValueError(f"{what} must be {size}, got {value!r}")
+    return list(value)
+
+
+def _int_tuple(value, what: str, length: Optional[int] = None) -> tuple[int, ...]:
+    items = _json_list(value, what, length)
+    if any(type(x) is not int for x in items):
+        raise ValueError(f"{what} must hold integers, got {value!r}")
+    return tuple(items)
+
+
+def trees_from_json_dict(data: dict) -> tuple[int, int, list[BipartiteGraph]]:
+    """n, d and the trees of a triangulation object.  Raises ValueError when
+    a value has the wrong JSON shape; the trees are not validated."""
+    n, d = _int_tuple([data["n"], data["d"]], "n and d")
+    trees = [
+        BipartiteGraph(n, d, [_int_tuple(e, "an edge", 2) for e in _json_list(t, "a tree")])
+        for t in _json_list(data["trees"], "trees")
+    ]
+    return n, d, trees
+
+
 def triangulation_from_json_dict(data: dict) -> Triangulation:
-    n, d = data["n"], data["d"]
-    trees = [BipartiteGraph(n, d, [tuple(e) for e in tree]) for tree in data["trees"]]
+    n, d, trees = trees_from_json_dict(data)
     return validate_triangulation(trees, n, d)
 
 
@@ -569,4 +564,11 @@ def pairs_to_json_dict(pairs: Iterable, n: int, d: int) -> dict:
 
 
 def pairs_from_json_dict(data: dict) -> frozenset:
-    return frozenset((tuple(u), tuple(v)) for u, v in data["pairs"])
+    """The degree pairs of a pair-set object; its n and d must be integers.
+    Raises ValueError when a value has the wrong JSON shape."""
+    _int_tuple([data["n"], data["d"]], "n and d")
+    pairs = set()
+    for pair in _json_list(data["pairs"], "pairs"):
+        u, v = _json_list(pair, "a degree pair", 2)
+        pairs.add((_int_tuple(u, "a degree vector"), _int_tuple(v, "a degree vector")))
+    return frozenset(pairs)

@@ -183,3 +183,17 @@ def exhaustive_compatibility(g1, g2):
     for key in set(m1) & set(m2):
         return False, key
     return True, None
+
+
+def matchings_agree(g1, g2):
+    """Oracle for core.agreed_matchings on two graphs: whenever both contain
+    perfect matchings on the same J ⊔ I, those matchings coincide."""
+    from matchfield.core import CompatibilityWitness, contained_matchings
+
+    g1._same_sides(g2)
+    first = contained_matchings(g1)
+    for key, m2 in contained_matchings(g2).items():
+        m1 = first.get(key)
+        if m1 is not None and m1 != m2:
+            return False, CompatibilityWitness(key[0], key[1], m1, m2)
+    return True, None

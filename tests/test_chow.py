@@ -25,10 +25,10 @@ from matchfield import (
 from matchfield.chow import (
     ChowCollection,
     PhiMap,
-    _sector_sweep,
     phi_from_json_dict,
     phi_to_json_dict,
 )
+from matchfield.core import sector_sweep
 from matchfield.errors import InconsistentCollectionError
 from matchfield.randgen import seeded_coherent_field
 
@@ -95,7 +95,9 @@ def _reconstruct_chow(mapping, labels, d, memo):
         assigned: dict = {}
         for i in range(1, d + 1):
             seed = tuple((n - d + 1) if t == i else 0 for t in range(1, d + 1))
-            admitted = _sector_sweep(by_rdv, member_rdvs, i, seed, d)
+            if seed not in by_rdv:
+                raise InconsistentPhiError(f"no member with extreme rdv {seed}")
+            admitted = sector_sweep(member_rdvs, i, seed)
             sectors[i] = admitted
             for rdv in admitted:
                 if rdv in assigned:

@@ -217,3 +217,58 @@ def test_tope_field_where_a_matching_field_is_needed(capsys, tmp_path, tope_fiel
     assert run([command, str(path)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["message"] == "expected a matching field, not type (2, 1)"
+
+
+MALFORMED_TREES = {
+    "trees-number": {"n": 2, "d": 2, "trees": 5},
+    "tree-number": {"n": 2, "d": 2, "trees": [5]},
+    "edge-string": {"n": 2, "d": 2, "trees": [[["1", 1], [2, 1], [2, 2]]]},
+    "edge-triple": {"n": 2, "d": 2, "trees": [[[1, 1, 2], [2, 1], [2, 2]]]},
+    "n-string": {"n": "2", "d": 2, "trees": [[[1, 1], [2, 1], [2, 2]]]},
+}
+TREE_COMMANDS = [
+    ["validate-triangulation"],
+    ["extract"],
+    ["phi-triangulation"],
+    ["roundtrip", "--kind", "triangulation"],
+]
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_TREES))
+@pytest.mark.parametrize("command", TREE_COMMANDS, ids=lambda c: c[0])
+def test_malformed_triangulation_is_a_usage_error(capsys, tmp_path, command, fault):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED_TREES[fault]))
+    assert run(command + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 2, "d": 2, "pairs": 3},
+        {"n": 2, "d": 2, "pairs": [[1, 2]]},
+        {"n": 2, "d": 2, "pairs": [[[0, 1]]]},
+        {"n": 2, "d": "2", "pairs": []},
+    ],
+    ids=["pairs-number", "pair-of-numbers", "pair-of-one", "d-string"],
+)
+def test_malformed_pairs_are_a_usage_error(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["reconstruct-triangulation", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ValueError"
+
+
+def test_pair_set_of_the_wrong_size_is_refused_before_any_work(capsys, tmp_path):
+    # listing the lattice points of 29 * Delta_29 would not finish
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 30, "d": 30, "pairs": []}))
+    assert run(["reconstruct-triangulation", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InconsistentPairsError"
+    assert err["message"] == "0 pairs do not fit a triangulation of size (30, 30)"

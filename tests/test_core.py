@@ -11,7 +11,6 @@ from matchfield import (
     contained_tope,
     degree_vectors,
     is_compatible,
-    matchings_agree,
     simplex_lattice_points,
     subsets,
 )
@@ -99,8 +98,8 @@ class TestCompatibility:
         g1 = graph(2, 2, [(1, 1), (2, 2)])
         g2 = graph(2, 2, [(1, 2), (2, 1), (1, 1)])
         assert is_compatible(g1, g2)[0]
-        ok, witness = matchings_agree(g1, g2)
-        assert not ok and witness.left == (1, 2)
+        _, clash = core.agreed_matchings([g1, g2])
+        assert clash is not None and clash[:3] == (g1, g2, (1, 2))
 
 
 class TestContainedTope:

@@ -20,10 +20,16 @@ from matchfield.core import contained_matchings, is_spanning_tree
 from matchfield.fields import check_sector_monotonicity
 from matchfield.randgen import random_weight_matrix, seeded_coherent_field, splitmix64
 from matchfield.stacks import check_basis_exchange, transversal_matroid
+from matchfield.triang import (
+    find_agreement_violation,
+    find_flip_violation,
+    staircase_triangulation,
+)
 
 from conftest import exhaustive_compatibility, graph, random_matching_field
 from test_fields import arrangement_by_amalgamation, outcome
 from test_flip import flip_graph_by_pairs
+from test_triang import agreement_by_pairs, flip_violation_by_scan, spanning_tree_of_order
 
 
 def graphs_strategy(n, d):
@@ -41,6 +47,29 @@ class TestKeyedPassOracles:
         field = random_matching_field(*size, seed)
         assert flip_graph(field) == flip_graph_by_pairs(field)
         assert outcome(tope_arrangement, field) == outcome(arrangement_by_amalgamation, field)
+
+
+@st.composite
+def perturbed_tree_lists(draw):
+    """A relabelled staircase with up to three trees replaced by spanning
+    trees of random edge orders, in a drawn order."""
+    n, d = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4), (4, 3)]))
+    left = draw(st.permutations(range(1, n + 1)))
+    right = draw(st.permutations(range(1, d + 1)))
+    trees = staircase_triangulation(n, d, left, right).sorted_trees()
+    every = [(j, i) for j in range(1, n + 1) for i in range(1, d + 1)]
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(trees) - 1))
+        trees[pos] = spanning_tree_of_order(n, d, draw(st.permutations(every)))
+    return draw(st.permutations(trees))
+
+
+class TestTriangulationAxiomOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(perturbed_tree_lists())
+    def test_keyed_pass_and_mask_lookup(self, trees):
+        assert find_agreement_violation(trees) == agreement_by_pairs(trees)
+        assert find_flip_violation(trees) == flip_violation_by_scan(trees)
 
 
 class TestCompatibilityOracle:
@@ -92,7 +121,7 @@ class TestDegreeVectorRigidity:
         # the containment notion is the right one here: sharing only one of
         # the two degree vectors leaves the symmetric difference unbalanced,
         # so the cycle criterion can miss the conflicting matchings
-        from matchfield.core import all_spanning_trees, matchings_agree
+        from matchfield.core import agreed_matchings, all_spanning_trees
 
         trees = all_spanning_trees(3, 3)
         for a, b in itertools.combinations(trees, 2):
@@ -100,7 +129,7 @@ class TestDegreeVectorRigidity:
                 a.left_degrees() == b.left_degrees()
                 or a.right_degrees() == b.right_degrees()
             ):
-                assert not matchings_agree(a, b)[0]
+                assert agreed_matchings([a, b])[1] is not None
 
 
 def _column_functions(sigma, v):

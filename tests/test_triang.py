@@ -1,6 +1,9 @@
 """Triangulations: axioms, extraction, degree pairs, reconstruction,
 necessary conditions, generators, enumeration."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from matchfield import (
@@ -17,11 +20,15 @@ from matchfield import (
     staircase_triangulation,
     validate_triangulation,
 )
+from matchfield.core import agreed_matchings, contained_matchings
+from matchfield.stacks import stack_from_trees
 from matchfield.triang import (
     Triangulation,
     check_triangulation,
     extended_tope_arrangement,
     extract_field_from_trees,
+    find_agreement_violation,
+    find_flip_violation,
     pairs_from_json_dict,
     pairs_to_json_dict,
     tree_count,
@@ -30,7 +37,75 @@ from matchfield.triang import (
 )
 from matchfield import trianguloid_check
 
-from conftest import graph
+from conftest import graph, matchings_agree
+
+
+def agreement_by_pairs(trees):
+    """Oracle for find_agreement_violation: scan every pair of trees."""
+    maps = [contained_matchings(g) for g in trees]
+    for (g, mg), (h, mh) in combinations(zip(trees, maps), 2):
+        for key, m1 in mg.items():
+            m2 = mh.get(key)
+            if m2 is not None and m1 != m2:
+                return (g, h, key[0], key[1])
+    return None
+
+
+def flip_violation_by_scan(trees):
+    """Oracle for find_flip_violation: test every other tree for containment."""
+    for g in trees:
+        left, right = g.left_degrees(), g.right_degrees()
+        for j, i in g.edges:
+            if left[j - 1] == 1 or right[i - 1] == 1:
+                continue
+            reduced = g.without_edges([(j, i)])
+            if not any(h != g and reduced.is_subgraph(h) for h in trees):
+                return (g, (j, i))
+    return None
+
+
+def random_spanning_tree(n, d, rng):
+    """Kruskal's algorithm on a shuffled edge list of K_{n,d}."""
+    every = [(j, i) for j in range(1, n + 1) for i in range(1, d + 1)]
+    rng.shuffle(every)
+    return spanning_tree_of_order(n, d, every)
+
+
+def spanning_tree_of_order(n, d, edges):
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    chosen = []
+    for j, i in edges:
+        a, b = find(("L", j)), find(("R", i))
+        if a != b:
+            parent[a] = b
+            chosen.append((j, i))
+    return graph(n, d, chosen)
+
+
+def perturbed_staircases(sizes, per_size, seed):
+    """Relabelled staircases with 0-3 trees replaced by random spanning
+    trees, in shuffled order: (n, d, trees) triples."""
+    rng = random.Random(seed)
+    out = []
+    for n, d in sizes:
+        for _ in range(per_size):
+            left = rng.sample(range(1, n + 1), n)
+            right = rng.sample(range(1, d + 1), d)
+            trees = staircase_triangulation(n, d, left, right).sorted_trees()
+            for pos in rng.sample(range(len(trees)), rng.randint(0, min(3, len(trees)))):
+                trees[pos] = random_spanning_tree(n, d, rng)
+            rng.shuffle(trees)
+            out.append((n, d, trees))
+    return out
+
+
+PERTURBED_SIZES = [(n, d) for n in range(2, 6) for d in range(2, 5)]
 
 
 SQUARE_TREES = [
@@ -86,6 +161,48 @@ class TestValidation:
 
         t = staircase_triangulation(3, 2)
         assert find_flip_violation(t.sorted_trees()) is None
+
+
+class TestKeyedAxioms:
+    """The keyed agreement pass and the flip mask lookup against the pairwise
+    scans they replace."""
+
+    CASES = perturbed_staircases(PERTURBED_SIZES, 12, seed=2018)
+
+    def test_witnesses_match_pairwise_scans(self):
+        agreement = flip = 0
+        for n, d, trees in self.CASES:
+            witness = find_agreement_violation(trees)
+            assert witness == agreement_by_pairs(trees)
+            agreement += witness is not None
+            witness = find_flip_violation(trees)
+            assert witness == flip_violation_by_scan(trees)
+            flip += witness is not None
+        # both verdicts occur, so neither comparison is vacuous
+        assert 0 < agreement < len(self.CASES) and 0 < flip < len(self.CASES)
+
+    def test_pair_verdicts_match_matchings_agree(self):
+        for n, d, trees in self.CASES[::6]:
+            for g, h in combinations(trees[:8], 2):
+                clash = agreed_matchings([g, h])[1]
+                assert (clash is None) == matchings_agree(g, h)[0]
+                if clash is not None:
+                    key = clash[2:]
+                    assert contained_matchings(g)[key] != contained_matchings(h)[key]
+
+    def test_stack_unchanged_on_valid_triangulations(self):
+        for n, d in [(2, 2), (3, 2), (2, 4), (3, 3), (4, 3), (5, 2)]:
+            trees = staircase_triangulation(n, d, None, tuple(range(d, 0, -1))).sorted_trees()
+            entries = {((), ()): graph(n, d, [])}
+            for g in trees:
+                for key, m in contained_matchings(g).items():
+                    assert entries.setdefault(key, m) == m
+            assert stack_from_trees(trees, n, d).entries == entries
+
+    def test_stack_refuses_disagreeing_trees(self):
+        trees = [graph(2, 2, SQUARE_TREES[0]), graph(2, 2, [(1, 2), (2, 1), (2, 2)])]
+        with pytest.raises(MatchfieldError, match=r"disagree on the matching of \(\(1, 2\), \(1, 2\)\)"):
+            stack_from_trees(trees, 2, 2)
 
 
 class TestExtraction:
@@ -182,6 +299,17 @@ class TestReconstruction:
         pairs = {((0, 1), (1, 0)), ((1, 0), (1, 0))}
         with pytest.raises(InconsistentPairsError):
             reconstruct_triangulation(pairs, 2, 2)
+
+    def test_pair_count_checked_before_lattice_points(self):
+        # 29 * Delta_29 has C(58, 29) lattice points; none may be listed
+        with pytest.raises(InconsistentPairsError, match="0 pairs"):
+            reconstruct_triangulation(set(), 30, 30)
+        assert not necessary_conditions(set(), 30, 30).projections_ok
+
+    @pytest.mark.parametrize("n,d", [(0, 2), (2, 0), (1, 0), (-1, 3)])
+    def test_empty_sides_rejected(self, n, d):
+        with pytest.raises(InconsistentPairsError):
+            reconstruct_triangulation(set(), n, d)
 
     def test_phi_injective_on_enumerable_cases(self):
         for n, d in [(2, 2), (2, 3), (2, 4), (3, 3)]:
