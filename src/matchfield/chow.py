@@ -24,6 +24,7 @@ computation provides that independent description at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from . import core, fields
@@ -140,12 +141,13 @@ class PhiMap:
         self.mapping = {tuple(sorted(r)): tuple(v) for r, v in mapping.items()}
 
     def validate_bijective(self) -> None:
-        expected = list(core.subsets(self.n, self.n - self.d + 1))
-        if sorted(self.mapping) != sorted(expected):
+        k = self.n - self.d + 1
+        # count first, so that a huge (n, d) never lists its subsets
+        if 0 <= k <= self.n and len(self.mapping) != comb(self.n, k):
             raise InconsistentPhiError("phi keys must be the (n-d+1)-subsets")
-        if sorted(self.mapping.values()) != core.simplex_lattice_points(
-            self.n - self.d + 1, self.d
-        ):
+        if sorted(self.mapping) != sorted(core.subsets(self.n, k)):
+            raise InconsistentPhiError("phi keys must be the (n-d+1)-subsets")
+        if sorted(self.mapping.values()) != core.simplex_lattice_points(k, self.d):
             raise InconsistentPhiError("phi values must biject onto the lattice points")
 
     def items(self):
@@ -287,26 +289,12 @@ def reconstruct_chow_from_phi(phi: PhiMap, n: int, d: int) -> ChowCollection:
 
 
 def collection_to_json_dict(cc: ChowCollection) -> dict:
-    return {
-        "n": cc.n,
-        "d": cc.d,
-        "covectors": {
-            core.subset_key(rho): [list(e) for e in g.edges] for rho, g in cc.items()
-        },
-    }
+    return core.write_table(cc.n, cc.d, "covectors", cc.items())
 
 
 def phi_to_json_dict(phi: PhiMap) -> dict:
-    return {
-        "n": phi.n,
-        "d": phi.d,
-        "phi": {core.subset_key(rho): list(v) for rho, v in phi.items()},
-    }
+    return core.write_table(phi.n, phi.d, "phi", phi.items())
 
 
 def phi_from_json_dict(data: dict) -> PhiMap:
-    return PhiMap(
-        data["n"],
-        data["d"],
-        {core.parse_subset_key(k): tuple(v) for k, v in data["phi"].items()},
-    )
+    return PhiMap(*core.read_table(data, "phi", vectors=True))

@@ -16,6 +16,10 @@ between the two graphs and its two halves are the conflicting matchings.
 Note the criterion ignores edges present in both graphs.  The stronger,
 containment-based agreement check used for triangulation axioms and stacks
 is ``agreed_matchings``, one pass over a dict keyed by (J, I).
+
+Every JSON format is read strictly by ``read_table``, which raises
+ValueError on a value of the wrong shape, and written by ``write_table``;
+graphs, triangulations and degree pairs are read with the same checks.
 """
 
 from __future__ import annotations
@@ -559,11 +563,11 @@ def sector_sweep(member_rdvs: set, i: int, seed: tuple) -> set:
 
 
 def graph_to_json_dict(g: BipartiteGraph) -> dict:
-    return {"n": g.n, "d": g.d, "edges": [list(e) for e in g.edges]}
+    return {"n": g.n, "d": g.d, "edges": _edge_list(g)}
 
 
 def graph_from_json_dict(data: dict) -> BipartiteGraph:
-    return BipartiteGraph(data["n"], data["d"], [tuple(e) for e in data["edges"]])
+    return _graph(*read_sides(data), data["edges"])
 
 
 def canonical_json(data) -> str:
@@ -590,6 +594,61 @@ def parse_subset_key(key: str) -> tuple[int, ...]:
 
 def subset_key(subset: Iterable[int]) -> str:
     return ",".join(str(x) for x in subset)
+
+
+def _json_list(value, what: str, length: Optional[int] = None) -> list:
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        size = "a list" if length is None else f"a list of length {length}"
+        raise ValueError(f"{what} must be {size}, got {value!r}")
+    return list(value)
+
+
+def _int_tuple(value, what: str, length: Optional[int] = None) -> tuple[int, ...]:
+    items = _json_list(value, what, length)
+    if any(type(x) is not int for x in items):
+        raise ValueError(f"{what} must hold integers, got {value!r}")
+    return tuple(items)
+
+
+def _graph(n: int, d: int, edges) -> BipartiteGraph:
+    """A graph from its JSON edge list; ValueError unless that is a list of
+    integer pairs."""
+    if type(edges) not in (list, tuple):
+        raise ValueError(f"an edge list must be a list, got {edges!r}")
+    for e in edges:
+        if type(e) not in (list, tuple) or len(e) != 2 or {type(e[0]), type(e[1])} != {int}:
+            raise ValueError(f"an edge must be a pair of integers, got {e!r}")
+    return BipartiteGraph(n, d, edges)
+
+
+def _edge_list(g: BipartiteGraph) -> list:
+    return [list(e) for e in g.edges]
+
+
+def read_sides(data: dict) -> tuple[int, int]:
+    """n and d of an input object; ValueError unless both are integers."""
+    return _int_tuple([data["n"], data["d"]], "n and d")
+
+
+def read_table(
+    data: dict, name: str, parse_key=parse_subset_key, vectors: bool = False
+) -> tuple[int, int, dict]:
+    """n, d and the table data[name], keys parsed by parse_key and values
+    read as graphs or, with vectors, integer tuples.  Raises ValueError on
+    a value of the wrong JSON shape; nothing else is validated."""
+    n, d = read_sides(data)
+    table = data[name]
+    if not isinstance(table, dict):
+        raise ValueError(f"{name} must be an object, got {table!r}")
+    if vectors:
+        return n, d, {parse_key(k): _int_tuple(v, "a vector") for k, v in table.items()}
+    return n, d, {parse_key(k): _graph(n, d, v) for k, v in table.items()}
+
+
+def write_table(n: int, d: int, name: str, items: Iterable, key=subset_key) -> dict:
+    """The object read_table reads: graphs become edge lists, vectors lists."""
+    table = {key(k): _edge_list(v) if isinstance(v, BipartiteGraph) else list(v) for k, v in items}
+    return {"n": n, "d": d, name: table}
 
 
 def all_spanning_trees(n: int, d: int) -> list[BipartiteGraph]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from . import core
@@ -570,8 +571,9 @@ class ExtendedTopeArrangement:
         self.n = n
         self.d = d
         self.graphs = {tuple(p): g for p, g in graphs.items()}
-        points = core.simplex_lattice_points(n, d)
-        if sorted(self.graphs) != points:
+        # count first, so that a huge (n, d) never lists its lattice points
+        size_ok = min(n, d - 1) >= 0 and len(self.graphs) == comb(n + d - 1, d - 1)
+        if not size_ok or sorted(self.graphs) != core.simplex_lattice_points(n, d):
             raise MatchfieldError("extended arrangement must cover all lattice points")
 
     def graph(self, point: Sequence[int]) -> BipartiteGraph:
@@ -710,63 +712,31 @@ def extended_arrangement_by_stripping(
 
 
 def field_to_json_dict(field: TopeField) -> dict:
-    data = {
-        "n": field.n,
-        "d": field.d,
-        "matchings": {
-            core.subset_key(sigma): [list(e) for e in g.edges]
-            for sigma, g in field.items()
-        },
-    }
+    data = core.write_table(field.n, field.d, "matchings", field.items())
     if field.type_vector != core.all_ones(field.d):
         data["type"] = list(field.type_vector)
     return data
 
 
 def field_from_json_dict(data: dict) -> TopeField:
-    n, d = data["n"], data["d"]
-    assignment = {
-        core.parse_subset_key(key): BipartiteGraph(n, d, [tuple(e) for e in edges])
-        for key, edges in data["matchings"].items()
-    }
-    if "type" in data and tuple(data["type"]) != core.all_ones(d):
-        return validate_tope_field(n, d, tuple(data["type"]), assignment)
+    n, d, assignment = core.read_table(data, "matchings")
+    v = core._int_tuple(data.get("type", core.all_ones(d)), "a type vector")
+    if v != core.all_ones(d):
+        return validate_tope_field(n, d, v, assignment)
     return validate_matching_field(n, d, assignment)
 
 
 def arrangement_to_json_dict(ta: TopeArrangement) -> dict:
-    return {
-        "n": ta.n,
-        "d": ta.d,
-        "topes": {
-            core.subset_key(point): [list(e) for e in g.edges] for point, g in ta.items()
-        },
-    }
+    return core.write_table(ta.n, ta.d, "topes", ta.items())
 
 
 def arrangement_from_json_dict(data: dict) -> TopeArrangement:
-    n, d = data["n"], data["d"]
-    topes = {
-        core.parse_subset_key(key): BipartiteGraph(n, d, [tuple(e) for e in edges])
-        for key, edges in data["topes"].items()
-    }
-    return TopeArrangement(n, d, topes)
+    return TopeArrangement(*core.read_table(data, "topes"))
 
 
 def extended_to_json_dict(eta: ExtendedTopeArrangement) -> dict:
-    return {
-        "n": eta.n,
-        "d": eta.d,
-        "graphs": {
-            core.subset_key(point): [list(e) for e in g.edges] for point, g in eta.items()
-        },
-    }
+    return core.write_table(eta.n, eta.d, "graphs", eta.items())
 
 
 def extended_from_json_dict(data: dict) -> ExtendedTopeArrangement:
-    n, d = data["n"], data["d"]
-    graphs = {
-        core.parse_subset_key(key): BipartiteGraph(n, d, [tuple(e) for e in edges])
-        for key, edges in data["graphs"].items()
-    }
-    return ExtendedTopeArrangement(n, d, graphs)
+    return ExtendedTopeArrangement(*core.read_table(data, "graphs"))

@@ -475,20 +475,9 @@ def parse_stack_key(key: str):
 
 def stack_to_json_dict(stack: MatchingStack) -> dict:
     stack.materialize()
-    return {
-        "n": stack.n,
-        "d": stack.d,
-        "matchings": {
-            stack_key(J, I): [list(e) for e in g.edges]
-            for (J, I), g in sorted(stack.entries.items())
-        },
-    }
+    entries = sorted(stack.entries.items())
+    return core.write_table(stack.n, stack.d, "matchings", entries, key=lambda JI: stack_key(*JI))
 
 
 def stack_from_json_dict(data: dict) -> MatchingStack:
-    n, d = data["n"], data["d"]
-    entries = {}
-    for key, edges in data["matchings"].items():
-        J, I = parse_stack_key(key)
-        entries[(J, I)] = BipartiteGraph(n, d, [tuple(e) for e in edges])
-    return MatchingStack(n, d, entries)
+    return MatchingStack(*core.read_table(data, "matchings", parse_stack_key))

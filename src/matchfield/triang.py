@@ -198,7 +198,7 @@ def reconstruct_triangulation(pairs: Iterable, n: int, d: int) -> Triangulation:
     _check_pair_shape(pairs, n, d)
     memo: dict = {}
     trees = _reconstruct(pairs, tuple(range(1, n + 1)), tuple(range(1, d + 1)), memo)
-    out = [BipartiteGraph(n, d, edges) for edges in trees]
+    out = [BipartiteGraph(n, d, edges) for edges in trees.values()]
     t = Triangulation(n, d, out)
     if frozenset(tree_degree_pair(g) for g in t.trees) != pairs:
         raise InconsistentPairsError("reconstruction does not reproduce the pairs")
@@ -228,7 +228,9 @@ def _check_pair_shape(pairs, n, d):
 def _reconstruct(pairs, left_labels, right_labels, memo):
     """pairs: normalised degree pairs over the given label tuples.
 
-    Returns a set of edge tuples in original labels.
+    Returns {degree pair: edge tuple in original labels}, each tree keyed
+    by its own degree pair; a base case does so whatever pair was asked
+    for, so that a wrong request fails the caller's lookup.
     """
     key = (left_labels, right_labels, pairs)
     if key in memo:
@@ -236,17 +238,17 @@ def _reconstruct(pairs, left_labels, right_labels, memo):
     n, d = len(left_labels), len(right_labels)
     if n == 1:
         (pair,) = pairs
-        edges = frozenset({tuple((left_labels[0], i) for i in right_labels)})
-        memo[key] = edges
-        return edges
+        trees = {((d - 1,), (0,) * d): tuple((left_labels[0], i) for i in right_labels)}
+        memo[key] = trees
+        return trees
     if d == 1:
-        edges = frozenset({tuple((j, right_labels[0]) for j in left_labels)})
-        memo[key] = edges
-        return edges
+        trees = {((0,) * n, (n - 1,)): tuple((j, right_labels[0]) for j in left_labels)}
+        memo[key] = trees
+        return trees
     if n < d:
         flipped = frozenset((v, u) for u, v in pairs)
         sub = _reconstruct(flipped, right_labels, left_labels, memo)
-        trees = frozenset(tuple(sorted((j, i) for i, j in t)) for t in sub)
+        trees = {(u, v): tuple(sorted((j, i) for i, j in t)) for (v, u), t in sub.items()}
         memo[key] = trees
         return trees
 
@@ -285,14 +287,8 @@ def _reconstruct(pairs, left_labels, right_labels, memo):
         sub_trees = _reconstruct(
             frozenset(sub_pairs), sub_left, right_labels, memo
         )
-        sub_by_pair = {}
-        for t in sub_trees:
-            g = BipartiteGraph(max(left_labels), max(right_labels), t)
-            lu = tuple(g.left_degrees()[x - 1] - 1 for x in sub_left)
-            rv = tuple(g.right_degrees()[x - 1] - 1 for x in right_labels)
-            sub_by_pair[(lu, rv)] = t
         for (sub_u, sub_v), (rdv, i) in sub_pairs.items():
-            base = sub_by_pair.get((sub_u, sub_v))
+            base = sub_trees.get((sub_u, sub_v))
             if base is None:
                 raise InconsistentPairsError("recursion lost a deletion pair")
             tree = tuple(sorted(base + ((j, i),)))
@@ -303,9 +299,8 @@ def _reconstruct(pairs, left_labels, right_labels, memo):
             trees[pair] = tree
     if len(trees) != len(pairs):
         raise InconsistentPairsError("not every tree was reconstructed")
-    result = frozenset(trees.values())
-    memo[key] = result
-    return result
+    memo[key] = trees
+    return trees
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +405,10 @@ def _deletion_exists(members, pos, ipos, n, d):
 # generators
 
 
+# a (10, 10) staircase has 48,620 trees and takes about 3 s to build and print
+STAIRCASE_MAX_TREES = 10**5
+
+
 def staircase_triangulation(
     n: int,
     d: int,
@@ -419,7 +418,16 @@ def staircase_triangulation(
     """Staircase triangulation: one tree per monotone lattice path through the
     n x d grid, with rows and columns taken in the given orders (identity by
     default).  For n = 2 the right order realises the bijection between
-    triangulations of Delta_1 x Delta_{d-1} and permutations of [d]."""
+    triangulations of Delta_1 x Delta_{d-1} and permutations of [d].
+    Raises SizeCapError beyond MAX_SIDE nodes a side or STAIRCASE_MAX_TREES
+    trees, before any tree is built."""
+    if min(n, d) >= 1:
+        core._check_sides(n, d)
+        if tree_count(n, d) > STAIRCASE_MAX_TREES:
+            raise SizeCapError(
+                f"staircase ({n}, {d}) has {tree_count(n, d)} trees, "
+                f"over the cap of {STAIRCASE_MAX_TREES}"
+            )
     left_order = list(left_order or range(1, n + 1))
     right_order = list(right_order or range(1, d + 1))
     if sorted(left_order) != list(range(1, n + 1)) or sorted(right_order) != list(
@@ -518,36 +526,14 @@ def extended_tope_arrangement(t: Triangulation) -> fields.ExtendedTopeArrangemen
 
 
 def triangulation_to_json_dict(t: Triangulation) -> dict:
-    return {
-        "n": t.n,
-        "d": t.d,
-        "trees": [[list(e) for e in g.edges] for g in t.sorted_trees()],
-    }
-
-
-def _json_list(value, what: str, length: Optional[int] = None) -> list:
-    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
-        size = "a list" if length is None else f"a list of length {length}"
-        raise ValueError(f"{what} must be {size}, got {value!r}")
-    return list(value)
-
-
-def _int_tuple(value, what: str, length: Optional[int] = None) -> tuple[int, ...]:
-    items = _json_list(value, what, length)
-    if any(type(x) is not int for x in items):
-        raise ValueError(f"{what} must hold integers, got {value!r}")
-    return tuple(items)
+    return {"n": t.n, "d": t.d, "trees": [core._edge_list(g) for g in t.sorted_trees()]}
 
 
 def trees_from_json_dict(data: dict) -> tuple[int, int, list[BipartiteGraph]]:
     """n, d and the trees of a triangulation object.  Raises ValueError when
     a value has the wrong JSON shape; the trees are not validated."""
-    n, d = _int_tuple([data["n"], data["d"]], "n and d")
-    trees = [
-        BipartiteGraph(n, d, [_int_tuple(e, "an edge", 2) for e in _json_list(t, "a tree")])
-        for t in _json_list(data["trees"], "trees")
-    ]
-    return n, d, trees
+    n, d = core.read_sides(data)
+    return n, d, [core._graph(n, d, t) for t in core._json_list(data["trees"], "trees")]
 
 
 def triangulation_from_json_dict(data: dict) -> Triangulation:
@@ -566,9 +552,9 @@ def pairs_to_json_dict(pairs: Iterable, n: int, d: int) -> dict:
 def pairs_from_json_dict(data: dict) -> frozenset:
     """The degree pairs of a pair-set object; its n and d must be integers.
     Raises ValueError when a value has the wrong JSON shape."""
-    _int_tuple([data["n"], data["d"]], "n and d")
+    core.read_sides(data)
     pairs = set()
-    for pair in _json_list(data["pairs"], "pairs"):
-        u, v = _json_list(pair, "a degree pair", 2)
-        pairs.add((_int_tuple(u, "a degree vector"), _int_tuple(v, "a degree vector")))
+    for pair in core._json_list(data["pairs"], "pairs"):
+        u, v = core._json_list(pair, "a degree pair", 2)
+        pairs.add((core._int_tuple(u, "a degree vector"), core._int_tuple(v, "a degree vector")))
     return frozenset(pairs)

@@ -1,16 +1,25 @@
 """Command-line surface: exit codes, JSON reports, byte stability."""
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from matchfield import core
+from matchfield.chow import chow_collection, phi_to_json_dict
 from matchfield.cli import run
-from matchfield.fields import field_to_json_dict
+from matchfield.fields import extended_to_json_dict, field_to_json_dict
 from matchfield.stacks import stack_to_json_dict, stack_from_trees
-from matchfield.triang import staircase_triangulation, triangulation_to_json_dict
-
-
+from matchfield.triang import (
+    STAIRCASE_MAX_TREES,
+    pairs_to_json_dict,
+    phi,
+    staircase_triangulation,
+    triangulation_to_json_dict,
+)
 
 
 @pytest.fixture()
@@ -272,3 +281,174 @@ def test_pair_set_of_the_wrong_size_is_refused_before_any_work(capsys, tmp_path)
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InconsistentPairsError"
     assert err["message"] == "0 pairs do not fit a triangulation of size (30, 30)"
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        (["check-linkage"], {"n": 2, "d": 2, "matchings": []}),
+        (["check-linkage"], {"n": 2, "d": 2, "matchings": {"1,2": 5}}),
+        (["arrangement"], {"n": 2, "d": 2, "matchings": {"1,2": {}}}),
+        (["amalgamate", "--target", "2,1"], {"n": 3, "d": 2, "matchings": {}, "type": "x"}),
+        (["trianguloid-check"], {"n": 1, "d": 2, "graphs": []}),
+        (["trianguloid-check"], {"n": 1, "d": 2, "graphs": {"1,0": [[1, "1"]], "0,1": [[1, 2]]}}),
+        (["reconstruct-chow", "--phi"], {"n": 2, "d": 2, "phi": []}),
+        (["reconstruct-chow", "--phi"], {"n": 2, "d": 2, "phi": {"1": [1, "x"], "2": [0, 1]}}),
+        (["complete"], {"n": 1, "d": 1, "matchings": 5}),
+        (["ensemble-check"], {"n": 1, "d": 1, "matchings": {"J:1|I:1": [None], "J:|I:": []}}),
+    ],
+    ids=[
+        "field-list",
+        "field-number",
+        "field-edges-object",
+        "tope-type-string",
+        "extended-list",
+        "extended-edge-string",
+        "phi-list",
+        "phi-vector-string",
+        "stack-number",
+        "stack-edge-null",
+    ],
+)
+def test_malformed_table_is_a_usage_error(capsys, tmp_path, command, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(command + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "command, data, error, message",
+    [
+        (
+            ["reconstruct-chow", "--phi"],
+            {"n": 60, "d": 30, "phi": {}},
+            "InconsistentPhiError",
+            "phi keys must be the (n-d+1)-subsets",
+        ),
+        (
+            ["trianguloid-check"],
+            {"n": 60, "d": 30, "graphs": {}},
+            "MatchfieldError",
+            "extended arrangement must cover all lattice points",
+        ),
+    ],
+    ids=["phi", "extended"],
+)
+def test_wrong_entry_count_is_refused_before_any_work(
+    capsys, tmp_path, command, data, error, message
+):
+    # C(60, 31) subsets and C(89, 29) lattice points would never be listed
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert run(command + [str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": error, "message": message}
+
+
+def test_staircase_over_the_cap_is_refused(capsys):
+    assert run(["staircase", "--n", "30", "--d", "30"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "SizeCapError",
+        "message": f"staircase (30, 30) has 30067266499541040 trees, "
+        f"over the cap of {STAIRCASE_MAX_TREES}",
+    }
+
+
+# -- fuzzing the input boundary -----------------------------------------------
+
+FIELD_COMMANDS = [
+    ["check-linkage"],
+    ["amalgamate", "--target", "2,1"],
+    ["arrangement"],
+    ["chow"],
+    ["phi"],
+    ["flipgraph"],
+    ["cells"],
+    ["stiefel"],
+    ["right-submatching-check"],
+    ["roundtrip", "--kind", "chow"],
+]
+DELETE = "<delete>"
+REPLACEMENTS = [[], {}, "x", None, [1], -1, 0, 1, 2, 3, DELETE]
+
+
+@pytest.fixture(scope="session")
+def fuzz_inputs(field_42, tope_field_42, extended_24):
+    """One small valid input per format and the subcommands that read it."""
+    t32, t22 = staircase_triangulation(3, 2), staircase_triangulation(2, 2)
+    return {
+        "field": (field_to_json_dict(field_42), FIELD_COMMANDS),
+        "tope-field": (field_to_json_dict(tope_field_42), FIELD_COMMANDS),
+        "extended": (extended_to_json_dict(extended_24), [["trianguloid-check"]]),
+        "phi": (phi_to_json_dict(chow_collection(field_42).phi()), [["reconstruct-chow", "--phi"]]),
+        "triangulation": (triangulation_to_json_dict(t32), TREE_COMMANDS),
+        "pairs": (pairs_to_json_dict(phi(t32), 3, 2), [["reconstruct-triangulation"]]),
+        "stack": (
+            stack_to_json_dict(stack_from_trees(t22.sorted_trees(), 2, 2)),
+            [["ensemble-check"], ["complete"]],
+        ),
+    }
+
+
+def node_paths(data, path=()):
+    """The path to every node of a JSON value, the root first."""
+    yield path
+    if isinstance(data, dict):
+        children = data.items()
+    elif isinstance(data, list):
+        children = enumerate(data)
+    else:
+        children = ()
+    for key, child in children:
+        yield from node_paths(child, path + (key,))
+
+
+def mutated(data, path, value):
+    """A copy of data with the node at path replaced by value, or deleted."""
+    if not path:
+        return value
+    data = copy.deepcopy(data)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if value == DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return data
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "fmt", ["field", "tope-field", "extended", "phi", "triangulation", "pairs", "stack"]
+)
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(choice=st.data())
+def test_mutated_input_never_escapes_the_cli(tmp_path, fuzz_inputs, fmt, choice):
+    data, commands = fuzz_inputs[fmt]
+    path = choice.draw(st.sampled_from(list(node_paths(data))), label="path")
+    value = choice.draw(st.sampled_from(REPLACEMENTS if path else REPLACEMENTS[:-1]), label="value")
+    source = tmp_path / "mutated.json"
+    source.write_text(json.dumps(mutated(data, path, value)))
+    for command in commands:
+        code, out, err = run_quietly(command + [str(source)])
+        assert code in (0, 1, 2)
+        if code:
+            assert isinstance(json.loads(err), dict)
+        assert run_quietly(command + [str(source)])[1] == out

@@ -187,6 +187,40 @@ class TestGraphBasics:
         g = graph(4, 2, [(1, 1), (2, 2)])
         assert core.graph_from_json_dict(core.graph_to_json_dict(g)) == g
 
+    def test_table_round_trip(self):
+        g = graph(4, 2, [(1, 1), (2, 2)])
+        data = core.write_table(4, 2, "graphs", [((1, 2), g)])
+        assert data == {"n": 4, "d": 2, "graphs": {"1,2": [[1, 1], [2, 2]]}}
+        assert core.read_table(data, "graphs") == (4, 2, {(1, 2): g})
+        data = core.write_table(4, 2, "phi", [((1, 2, 3), (3, 0))])
+        assert data == {"n": 4, "d": 2, "phi": {"1,2,3": [3, 0]}}
+        assert core.read_table(data, "phi", vectors=True) == (4, 2, {(1, 2, 3): (3, 0)})
+
+    @pytest.mark.parametrize(
+        "data, vectors",
+        [
+            ({"n": "4", "d": 2, "t": {}}, False),
+            ({"n": 4, "d": None, "t": {}}, False),
+            ({"n": 4, "d": 2, "t": []}, False),
+            ({"n": 4, "d": 2, "t": {"1,2": 5}}, False),
+            ({"n": 4, "d": 2, "t": {"1,2": {}}}, False),
+            ({"n": 4, "d": 2, "t": {"1,2": "12"}}, False),
+            ({"n": 4, "d": 2, "t": {"1,2": [[1, 1], [2]]}}, False),
+            ({"n": 4, "d": 2, "t": {"1,2": [[1, 1], ["2", 2]]}}, False),
+            ({"n": 4, "d": 2, "t": {"1,2": [[1, 1], [2, None]]}}, False),
+            ({"n": 4, "d": 2, "t": {"x": [[1, 1]]}}, False),
+            ({"n": 4, "d": 2, "t": {"1,2,3": {}}}, True),
+            ({"n": 4, "d": 2, "t": {"1,2,3": [3, "0"]}}, True),
+        ],
+    )
+    def test_table_of_the_wrong_shape(self, data, vectors):
+        with pytest.raises(ValueError):
+            core.read_table(data, "t", vectors=vectors)
+
+    def test_graph_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match="pair of integers"):
+            core.graph_from_json_dict({"n": 2, "d": 2, "edges": [[1, 1], {}]})
+
     def test_dot_shapes(self):
         dot = core.graph_to_dot(graph(2, 2, [(1, 1)]))
         assert "L1 [shape=box" in dot and "R2 [shape=circle" in dot

@@ -2,7 +2,7 @@
 necessary conditions, generators, enumeration."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -20,10 +20,12 @@ from matchfield import (
     staircase_triangulation,
     validate_triangulation,
 )
-from matchfield.core import agreed_matchings, contained_matchings
+from matchfield import core, simplex_lattice_points
+from matchfield.core import BipartiteGraph, agreed_matchings, contained_matchings
 from matchfield.stacks import stack_from_trees
 from matchfield.triang import (
     Triangulation,
+    _reconstruct,
     check_triangulation,
     extended_tope_arrangement,
     extract_field_from_trees,
@@ -103,6 +105,121 @@ def perturbed_staircases(sizes, per_size, seed):
             rng.shuffle(trees)
             out.append((n, d, trees))
     return out
+
+
+def reconstruct_by_degree_recount(pairs, left_labels, right_labels, memo):
+    """Oracle for triang._reconstruct: the set-valued recursion that rebuilds
+    each subtree as a graph to recompute its degree pair."""
+    key = (left_labels, right_labels, pairs)
+    if key in memo:
+        return memo[key]
+    n, d = len(left_labels), len(right_labels)
+    if n == 1:
+        (pair,) = pairs
+        edges = frozenset({tuple((left_labels[0], i) for i in right_labels)})
+        memo[key] = edges
+        return edges
+    if d == 1:
+        edges = frozenset({tuple((j, right_labels[0]) for j in left_labels)})
+        memo[key] = edges
+        return edges
+    if n < d:
+        flipped = frozenset((v, u) for u, v in pairs)
+        sub = reconstruct_by_degree_recount(flipped, right_labels, left_labels, memo)
+        trees = frozenset(tuple(sorted((j, i) for i, j in t)) for t in sub)
+        memo[key] = trees
+        return trees
+
+    by_rdv = {v: (u, v) for u, v in pairs}
+    if len(by_rdv) != len(pairs):
+        raise InconsistentPairsError("right projection is not injective")
+    trees: dict = {}
+    for pos, j in enumerate(left_labels):
+        member_rdvs = {v for u, v in pairs if u[pos] == 0}
+        if not member_rdvs:
+            raise InconsistentPairsError(f"no tree has {j} as a leaf")
+        assigned: dict = {}
+        for ipos, i in enumerate(right_labels):
+            seed = tuple((n - 1) if t == ipos else 0 for t in range(d))
+            if seed not in by_rdv:
+                raise InconsistentPairsError(f"no tree with extreme rdv {seed}")
+            for rdv in core.sector_sweep(member_rdvs, ipos + 1, seed):
+                if rdv in assigned:
+                    raise InconsistentPairsError(
+                        f"rdv {rdv} admitted to two sectors of {j}"
+                    )
+                assigned[rdv] = (ipos, i)
+        if set(assigned) != member_rdvs:
+            raise InconsistentPairsError(f"sectors do not cover all pairs through {j}")
+        sub_left = tuple(x for x in left_labels if x != j)
+        sub_pairs = {}
+        for rdv, (ipos, i) in assigned.items():
+            u, v = by_rdv[rdv]
+            sub_u = tuple(x for t, x in enumerate(u) if t != pos)
+            sub_v = tuple(x - (1 if t == ipos else 0) for t, x in enumerate(v))
+            if any(x < 0 for x in sub_v):
+                raise InconsistentPairsError("deletion leaves a negative degree")
+            sub_pairs[(sub_u, sub_v)] = (rdv, i)
+        if len(sub_pairs) != len(assigned):
+            raise InconsistentPairsError("deletion pairs collide")
+        sub_trees = reconstruct_by_degree_recount(
+            frozenset(sub_pairs), sub_left, right_labels, memo
+        )
+        sub_by_pair = {}
+        for t in sub_trees:
+            g = BipartiteGraph(max(left_labels), max(right_labels), t)
+            lu = tuple(g.left_degrees()[x - 1] - 1 for x in sub_left)
+            rv = tuple(g.right_degrees()[x - 1] - 1 for x in right_labels)
+            sub_by_pair[(lu, rv)] = t
+        for (sub_u, sub_v), (rdv, i) in sub_pairs.items():
+            base = sub_by_pair.get((sub_u, sub_v))
+            if base is None:
+                raise InconsistentPairsError("recursion lost a deletion pair")
+            tree = tuple(sorted(base + ((j, i),)))
+            pair = by_rdv[rdv]
+            old = trees.get(pair)
+            if old is not None and old != tree:
+                raise InconsistentPairsError(f"branches disagree on the tree at {pair}")
+            trees[pair] = tree
+    if len(trees) != len(pairs):
+        raise InconsistentPairsError("not every tree was reconstructed")
+    result = frozenset(trees.values())
+    memo[key] = result
+    return result
+
+
+def all_pairings(n, d):
+    """Every pair set whose projections biject onto the lattice points."""
+    lefts = simplex_lattice_points(d - 1, n)
+    rights = simplex_lattice_points(n - 1, d)
+    return [frozenset(zip(lefts, perm)) for perm in permutations(rights)]
+
+
+def swapped_staircase_pairs(sizes, per_size, seed):
+    """Degree pairs of relabelled staircases with the right vectors of 0-3
+    pairs of pairs swapped: (n, d, pairs) triples."""
+    rng = random.Random(seed)
+    out = []
+    for n, d in sizes:
+        for _ in range(per_size):
+            left = rng.sample(range(1, n + 1), n)
+            right = rng.sample(range(1, d + 1), d)
+            pairs = sorted(phi(staircase_triangulation(n, d, left, right)))
+            for _ in range(rng.randint(0, 3)):
+                a, b = rng.sample(range(len(pairs)), 2)
+                (ua, va), (ub, vb) = pairs[a], pairs[b]
+                pairs[a], pairs[b] = (ua, vb), (ub, va)
+            out.append((n, d, frozenset(pairs)))
+    return out
+
+
+def outcome(reconstruct, pairs, n, d):
+    """Trees as a set of edge tuples, or the exception's type and message."""
+    try:
+        trees = reconstruct(pairs, tuple(range(1, n + 1)), tuple(range(1, d + 1)), {})
+    except Exception as exc:
+        return type(exc), str(exc)
+    return frozenset(trees.values()) if isinstance(trees, dict) else trees
 
 
 PERTURBED_SIZES = [(n, d) for n in range(2, 6) for d in range(2, 5)]
@@ -310,6 +427,16 @@ class TestReconstruction:
     def test_empty_sides_rejected(self, n, d):
         with pytest.raises(InconsistentPairsError):
             reconstruct_triangulation(set(), n, d)
+
+    def test_pair_keyed_recursion_agrees_with_degree_recount(self):
+        cases = [(n, d, pairs) for n, d in [(3, 3), (2, 4), (4, 2)] for pairs in all_pairings(n, d)]
+        cases += swapped_staircase_pairs(PERTURBED_SIZES, 24, 7)
+        kinds = set()
+        for n, d, pairs in cases:
+            expected = outcome(reconstruct_by_degree_recount, pairs, n, d)
+            assert outcome(_reconstruct, pairs, n, d) == expected, (n, d, sorted(pairs))
+            kinds.add(expected[0] if isinstance(expected, tuple) else "trees")
+        assert {"trees", InconsistentPairsError} <= kinds
 
     def test_phi_injective_on_enumerable_cases(self):
         for n, d in [(2, 2), (2, 3), (2, 4), (3, 3)]:
