@@ -9,6 +9,7 @@ failure (the report goes to stderr as JSON), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -397,8 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call; no option has a
+    mutable default, so parsing leaves it as it was."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -184,18 +184,21 @@ def stack_right_linkage(stack: MatchingStack) -> tuple[bool, Optional[tuple]]:
 
 
 def validate_ensemble(stack: MatchingStack) -> EnsembleReport:
-    """Support, closure and both linkage axioms, with the first witness."""
-    support_ok, closure_ok = True, True
-    witness = None
-    try:
-        for J, I in stack.pairs():
+    """Support, closure and both linkage axioms, with the first witness.  A
+    pair without a matching fails support; an axiom left unchecked because
+    support failed is reported false."""
+    support_ok, witness = True, None
+    for J, I in stack.pairs():
+        try:
             m = stack.matching(J, I)
-            if m.left_support() != J or m.right_support() != I or not core.is_matching(m):
-                support_ok = False
-                witness = ("support", J, I)
-                break
-    except MatchfieldError:
-        support_ok = False
+            ok = m.left_support() == J and m.right_support() == I and core.is_matching(m)
+        except MatchfieldError:
+            ok = False
+        if not ok:
+            support_ok = False
+            witness = ("support", J, I)
+            break
+    closure_ok = support_ok
     if support_ok:
         for J, I in stack.pairs():
             m = stack.matching(J, I)

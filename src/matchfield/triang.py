@@ -419,15 +419,17 @@ def staircase_triangulation(
     n x d grid, with rows and columns taken in the given orders (identity by
     default).  For n = 2 the right order realises the bijection between
     triangulations of Delta_1 x Delta_{d-1} and permutations of [d].
-    Raises SizeCapError beyond MAX_SIDE nodes a side or STAIRCASE_MAX_TREES
-    trees, before any tree is built."""
-    if min(n, d) >= 1:
-        core._check_sides(n, d)
-        if tree_count(n, d) > STAIRCASE_MAX_TREES:
-            raise SizeCapError(
-                f"staircase ({n}, {d}) has {tree_count(n, d)} trees, "
-                f"over the cap of {STAIRCASE_MAX_TREES}"
-            )
+    Raises MatchfieldError on an empty side, and SizeCapError beyond
+    MAX_SIDE nodes a side or STAIRCASE_MAX_TREES trees, before any tree is
+    built."""
+    if min(n, d) < 1:
+        raise MatchfieldError(f"staircase ({n}, {d}) needs a node on each side")
+    core._check_sides(n, d)
+    if tree_count(n, d) > STAIRCASE_MAX_TREES:
+        raise SizeCapError(
+            f"staircase ({n}, {d}) has {tree_count(n, d)} trees, "
+            f"over the cap of {STAIRCASE_MAX_TREES}"
+        )
     left_order = list(left_order or range(1, n + 1))
     right_order = list(right_order or range(1, d + 1))
     if sorted(left_order) != list(range(1, n + 1)) or sorted(right_order) != list(

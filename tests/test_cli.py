@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from matchfield import core
 from matchfield.chow import chow_collection, phi_to_json_dict
-from matchfield.cli import run
+from matchfield.cli import build_parser, run
 from matchfield.fields import extended_to_json_dict, field_to_json_dict
 from matchfield.stacks import stack_to_json_dict, stack_from_trees
 from matchfield.triang import (
@@ -145,6 +145,20 @@ def test_stack_commands(capsys, tmp_path):
     assert run(["complete", str(path)]) == 0
     field = json.loads(capsys.readouterr().out)
     assert field["n"] == 4 and field["d"] == 2
+
+
+def test_missing_stack_pair_is_reported(capsys, tmp_path):
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps({"n": 2, "d": 2, "matchings": {}}))
+    assert run(["ensemble-check", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report == {
+        "closure": False,
+        "left_linkage": False,
+        "right_linkage": False,
+        "support": False,
+        "witness": "('support', (), ())",
+    }
 
 
 def test_stiefel_and_submatching(capsys, field_file):
@@ -346,6 +360,49 @@ def test_wrong_entry_count_is_refused_before_any_work(
     assert run(command + [str(path)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": error, "message": message}
+
+
+@pytest.mark.parametrize("n,d", [(0, 5), (3, 0), (-1, 2)])
+def test_staircase_with_an_empty_side_is_refused(capsys, n, d):
+    assert run(["staircase", "--n", str(n), "--d", str(d)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "MatchfieldError",
+        "message": f"staircase ({n}, {d}) needs a node on each side",
+    }
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, field_file):
+    # help, usage errors, failures and results print the same bytes on a
+    # second call through the same parser, which is built once
+    from matchfield import cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    calls = [
+        ["--help"],
+        ["chow", "--help"],
+        ["frobnicate"],
+        ["staircase", "--n", "x", "--d", "2"],
+        ["staircase", "--n", "2"],
+        ["chow", field_file, "--seed", "3"],
+        ["staircase", "--n", "2", "--d", "3", "--right-order", "2,1,3"],
+        ["check-linkage", "/nonexistent/field.json"],
+    ]
+    rounds = []
+    for _ in range(2):
+        results = []
+        for argv in calls:
+            code = run(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        rounds.append(results)
+    assert rounds[0] == rounds[1]
+    assert [code for code, _, _ in rounds[0]] == [0, 0, 2, 2, 2, 0, 0, 2]
+    assert "usage: matchfield" in rounds[0][0][1]
+    assert built == [1]
 
 
 def test_staircase_over_the_cap_is_refused(capsys):

@@ -1,23 +1,31 @@
 """Fields: validation, linkage, coherence, amalgamation, arrangements, axioms."""
 
+import random
+from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchfield import (
     MatchfieldError,
     MissingSubsetError,
     NotAMatchingError,
     NotLinkageError,
+    SizeCapError,
     TiedMinimumError,
+    chow_collection,
     coherent_field,
     coherent_tope_field,
     field_from_arrangement,
+    flip_graph,
     i_amalgamation,
     increasing_splitting,
     is_linkage,
     linkage_covector,
     maximal_tope,
+    reconstruct_chow_from_phi,
     simplex_lattice_points,
     subsets,
     tope_arrangement,
@@ -25,9 +33,10 @@ from matchfield import (
     validate_matching_field,
     validate_tope_field,
 )
-from matchfield import fields as fields_mod
-from matchfield.core import all_ones, is_compatible, vector_sum
+from matchfield import core, fields as fields_mod
+from matchfield.core import BipartiteGraph, all_ones, is_compatible, vector_sum
 from matchfield.fields import (
+    _min_assignment,
     check_sector_monotonicity,
     extended_arrangement_by_stripping,
     field_from_json_dict,
@@ -36,6 +45,7 @@ from matchfield.fields import (
     subfield_delete_left,
     tope_field_of_type,
 )
+from matchfield.randgen import random_weight_matrix, seeded_coherent_field
 
 from conftest import (
     COVECTORS_42,
@@ -118,6 +128,33 @@ def covectors_by_amalgamation(field):
             raise NotLinkageError(res.tau, res.cycle)
         out[v] = res.graph
     return out
+
+
+def coherent_field_by_permutations(weights):
+    """Oracle for coherent_field: all d! bijections on each d-subset, the
+    route before the subset DP."""
+    n = len(weights)
+    d = len(weights[0])
+    weights = [[Fraction(x) for x in row] for row in weights]
+    assignment = {}
+    columns = tuple(range(1, d + 1))
+    for sigma in core.subsets(n, d):
+        best, tied = _min_assignment(sigma, weights, columns)
+        if tied is not None:
+            first = BipartiteGraph(n, d, list(zip(sigma, best)))
+            second = BipartiteGraph(n, d, list(zip(sigma, tied)))
+            raise TiedMinimumError(sigma, first, second)
+        assignment[sigma] = BipartiteGraph(n, d, list(zip(sigma, best)))
+    return fields_mod.MatchingField(n, d, assignment)
+
+
+def coherent_outcome(route, weights):
+    """The field of a route, or the message, subset and both witnesses of
+    its tie."""
+    try:
+        return route(weights)
+    except TiedMinimumError as exc:
+        return str(exc), exc.sigma, exc.first, exc.second
 
 
 def outcome(route, field):
@@ -253,6 +290,77 @@ class TestCoherent:
         tf = coherent_tope_field([(0,), (1,), (2,)], (3,))
         assert tf.tope((1, 2, 3)).edges == ((1, 1), (2, 1), (3, 1))
 
+    def test_dp_agrees_with_search_on_fixed_weights(self):
+        # the reference weights, and the matrices behind the conftest seeds
+        inputs = [self.WEIGHTS, [[0, 0], [0, 0], [0, 0]], [[0, 5], [3, 1]]]
+        inputs += [
+            random_weight_matrix(n, d, 100 * n + d)
+            for n, d in [(4, 2), (5, 2), (5, 3), (6, 3), (7, 3), (6, 4), (8, 4)]
+        ]
+        for weights in inputs:
+            got = coherent_outcome(coherent_field, weights)
+            assert got == coherent_outcome(coherent_field_by_permutations, weights)
+
+    @pytest.mark.parametrize(
+        "n,d,seeds",
+        [(3, 1, 2), (5, 2, 2), (7, 3, 2), (10, 3, 2), (6, 4, 2), (10, 4, 2),
+         (5, 5, 2), (8, 5, 2), (10, 5, 1), (7, 6, 2), (10, 6, 1)],
+    )
+    def test_dp_agrees_with_search_on_seeded_weights(self, n, d, seeds):
+        for seed in range(seeds):
+            weights = random_weight_matrix(n, d, 7 * n + d + seed)
+            assert coherent_field(weights) == coherent_field_by_permutations(weights)
+
+    def test_dp_agrees_with_search_on_small_integer_weights(self):
+        # entries in 0..3 tie often: same field, or same tie and witnesses
+        rng = random.Random(2024)
+        tied = 0
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            d = rng.randint(1, min(n, 4))
+            weights = [[rng.randint(0, 3) for _ in range(d)] for _ in range(n)]
+            got = coherent_outcome(coherent_field, weights)
+            assert got == coherent_outcome(coherent_field_by_permutations, weights)
+            tied += isinstance(got, tuple)
+        assert 50 < tied < 350
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_dp_agrees_with_search_hypothesis(self, data):
+        n = data.draw(st.integers(1, 6))
+        d = data.draw(st.integers(1, min(n, 4)))
+        row = st.lists(st.integers(0, 3), min_size=d, max_size=d)
+        weights = data.draw(st.lists(row, min_size=n, max_size=n))
+        got = coherent_outcome(coherent_field, weights)
+        assert got == coherent_outcome(coherent_field_by_permutations, weights)
+
+    def test_oversized_input_refused_before_any_work(self):
+        # (40, 20) has 1.4e11 twenty-subsets; (30, 29) has only 30, but the
+        # DP would visit every smaller subset, about 2^30 of them
+        for n, d in [(40, 20), (30, 29)]:
+            with pytest.raises(SizeCapError, match="over the cap"):
+                coherent_field([[0] * d for _ in range(n)])
+        assert sum(comb(14, k) for k in range(8)) <= fields_mod.COHERENT_MAX_SUBSETS
+
+    def test_dp_reaches_beyond_the_search(self):
+        # (14, 7): 3432 subsets of 5040 bijections each for the search
+        field, _, _ = seeded_coherent_field(14, 7, 1407)
+        assert len(field.assignment) == comb(14, 7)
+        assert is_linkage(field).ok
+
+
+class TestBeyondSixColumns:
+    """The first d >= 7 inputs, reachable since coherent fields come from
+    the subset DP."""
+
+    @pytest.mark.parametrize("n,d", [(9, 7), (10, 7)])
+    def test_chow_arrangement_and_flips(self, n, d):
+        field, _, _ = seeded_coherent_field(n, d, 1000 * n + d)
+        cc = chow_collection(field)
+        assert reconstruct_chow_from_phi(cc.phi(), n, d) == cc
+        assert field_from_arrangement(tope_arrangement(field)) == field
+        assert len(flip_graph(field).edges) == comb(n, d + 1) * d
+
 
 class TestIncreasingSplitting:
     def test_reference_tope(self, tope_field_42):
@@ -368,6 +476,11 @@ class TestArrangement:
     def test_round_trip(self, field_42, field_53, field_63, field_64):
         for field in (field_42, field_53, field_63, field_64):
             assert field_from_arrangement(tope_arrangement(field)) == field
+
+    def test_key_count_checked_before_lattice_points(self):
+        # 40 * Delta_19 has C(39, 19), about 6.9e10, lattice points
+        with pytest.raises(MatchfieldError, match="arrangement keys are not the lattice points"):
+            fields_mod.arrangement_from_json_dict({"n": 40, "d": 20, "topes": {}})
 
     def test_sector_monotonicity_enforced(self, field_42):
         ta = tope_arrangement(field_42)

@@ -79,6 +79,16 @@ class TestEnsemble:
         report = validate_ensemble(stack)
         assert not report.support_ok
 
+    def test_missing_pair_is_the_support_witness(self):
+        # the first pair without a matching is named; closure and both
+        # linkage axioms go unchecked and are reported false
+        empty = graph(2, 2, [])
+        for entries, missing in [({}, ((), ())), ({((), ()): empty}, ((1,), (1,)))]:
+            report = validate_ensemble(MatchingStack(2, 2, entries))
+            assert report.witness == ("support",) + missing
+            assert not (report.support_ok or report.closure_ok)
+            assert not (report.left_linkage_ok or report.right_linkage_ok)
+
 
 class TestCompletion:
     def test_one_two_stack(self):
