@@ -6,7 +6,6 @@ transversal matroids."""
 
 from .core import (
     BipartiteGraph,
-    classify,
     contained_tope,
     degree_vectors,
     is_compatible,
@@ -50,20 +49,15 @@ from .chow import (
     ChowCollection,
     PhiMap,
     chow_by_definition,
-    chow_by_intersection,
     chow_collection,
     field_from_chow,
-    is_transversal,
-    minimal_transversals,
     reconstruct_chow_from_phi,
-    sector,
 )
 from .triang import (
     Triangulation,
     count_bound,
     enumerate_triangulations,
     extract_field,
-    necessary_conditions,
     phi,
     reconstruct_triangulation,
     staircase_triangulation,
@@ -71,11 +65,9 @@ from .triang import (
 )
 from .flip import (
     cell_to_tope,
-    edge_count_check,
     flip_graph,
     linkage_tree,
     maximal_cells,
-    tope_to_cell,
 )
 from .stacks import (
     MatchingStack,

@@ -14,18 +14,16 @@ admitted pair sits at rdv v + e_i - e_k.  The sweep is ``core.sector_sweep``,
 the same one that rebuilds triangulations from degree pairs.  The d sectors
 of j partition the covectors through j and give each its edge at lj.  A
 certificate rebuilds the field and re-derives the covectors.  The paper's
-induction on deleting lj is kept in the tests as an oracle.
-
-Chow covectors are also the minimal transversals to the field: graphs
-meeting every matching, minimal under inclusion.  A Berge-style blocker
-computation provides that independent description at desk scale.
+induction on deleting lj is kept in the tests as an oracle, and so are the
+two other descriptions of the covectors: as intersections of maximal topes,
+and as the minimal transversals to the field (graphs meeting every matching,
+minimal under inclusion) by a Berge-style blocker computation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from . import core, fields
 from .core import BipartiteGraph
@@ -34,7 +32,6 @@ from .errors import (
     InconsistentPhiError,
     MatchfieldError,
     NotLinkageError,
-    SizeCapError,
 )
 
 
@@ -52,34 +49,6 @@ def chow_by_definition(field: fields.MatchingField, rho: Iterable[int]) -> Bipar
         (i,) = field.matching(sigma).left_neighbors(j)
         edges.append((j, i))
     return BipartiteGraph(n, d, edges)
-
-
-def chow_by_intersection(
-    ta: fields.TopeArrangement, v: Sequence[int]
-) -> BipartiteGraph:
-    """Covector with right degree vector v from the maximal topes.
-
-    Intersect the topes with right degree vector v + 1_{[d] minus i} over the
-    i with v_i > 0; coordinates with v_i = 0 contribute no tope, and instead
-    every ri-edge is deleted from the result."""
-    v = tuple(v)
-    n, d = ta.n, ta.d
-    if len(v) != d or sum(v) != n - d + 1 or any(x < 0 for x in v):
-        raise MatchfieldError(f"{v} is not a lattice point of {n - d + 1}Δ_{d - 1}")
-    current: Optional[BipartiteGraph] = None
-    for i in range(1, d + 1):
-        if v[i - 1] == 0:
-            continue
-        # tope rdv v + 1_{[d] minus i} is keyed by the lattice point v - e_i
-        point = tuple(x - (1 if t == i else 0) for t, x in enumerate(v, start=1))
-        tope = ta.tope(point)
-        current = tope if current is None else current.intersection(tope)
-    assert current is not None  # sum v = n - d + 1 >= 1 forces a positive entry
-    drop = []
-    for i in range(1, d + 1):
-        if v[i - 1] == 0:
-            drop.extend((j, i) for j in current.right_neighbors(i))
-    return current.without_edges(drop)
 
 
 class ChowCollection:
@@ -183,68 +152,7 @@ def field_from_chow(cc: ChowCollection) -> fields.MatchingField:
 
 
 # ---------------------------------------------------------------------------
-# transversals (the blocker description)
-
-
-def is_transversal(g: BipartiteGraph, field: fields.MatchingField) -> bool:
-    """True when g shares an edge with every matching of the field."""
-    return all(g.mask & m.mask for _, m in field.items())
-
-
-def minimal_transversals(
-    field: fields.MatchingField, cap: tuple[int, int] = (7, 3)
-) -> set[BipartiteGraph]:
-    """All inclusion-minimal transversals, by Berge multiplication.
-
-    Exponential oracle; sizes are capped (default n <= 7, d <= 3).
-    """
-    n, d = field.n, field.d
-    if n > cap[0] or d > cap[1]:
-        raise SizeCapError(f"minimal_transversals capped at {cap}")
-    minimal: list[int] = [0]
-    for _, m in sorted(field.items()):
-        hyper = m.mask
-        fresh: list[int] = []
-        for h in minimal:
-            if h & hyper:
-                fresh.append(h)
-            else:
-                for b in core._bits(hyper):
-                    fresh.append(h | (1 << b))
-        minimal = _minimize(fresh)
-    return {BipartiteGraph.from_mask(n, d, mask) for mask in minimal}
-
-
-def _minimize(masks: list[int]) -> list[int]:
-    masks = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    kept: list[int] = []
-    for m in masks:
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return kept
-
-
-# ---------------------------------------------------------------------------
-# combinatorial sectors and reconstruction
-
-
-@dataclass(frozen=True)
-class SectorImage:
-    """Degree pairs of the collection members where lj is a leaf on ri."""
-
-    j: int
-    i: int
-    members: frozenset
-
-
-def sector(collection: dict, j: int, i: int) -> SectorImage:
-    """Members of an rdv-keyed collection containing (lj, ri) with lj of
-    degree 1, reported by their (left, right) degree-vector pairs."""
-    members = []
-    for _, g in sorted(collection.items()):
-        if (j, i) in g and g.left_degrees()[j - 1] == 1:
-            members.append((g.left_degrees(), g.right_degrees()))
-    return SectorImage(j, i, frozenset(members))
+# reconstruction
 
 
 def reconstruct_chow_from_phi(phi: PhiMap, n: int, d: int) -> ChowCollection:

@@ -169,18 +169,12 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 # ---------------------------------------------------------------------------
-# degree vectors and classification
+# degree vectors, cycles and trees
 
 
 def degree_vectors(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Left and right degree vectors; both sum to the edge count."""
     return g.left_degrees(), g.right_degrees()
-
-
-@dataclass(frozen=True)
-class GraphClass:
-    kind: str  # one of: matching, tope, spanning-tree, forest, other
-    type_vector: Optional[tuple[int, ...]] = None
 
 
 def _adjacency(g: BipartiteGraph) -> dict[tuple[str, int], list[tuple[str, int]]]:
@@ -254,45 +248,10 @@ def is_forest(g: BipartiteGraph) -> bool:
     return find_cycle(g) is None
 
 
-def connected_components(g: BipartiteGraph) -> list[set]:
-    adj = _adjacency(g)
-    seen: set = set()
-    comps = []
-    for root in adj:
-        if root in seen:
-            continue
-        comp = set()
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node in comp:
-                continue
-            comp.add(node)
-            stack.extend(adj[node])
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def is_spanning_tree(g: BipartiteGraph) -> bool:
-    """Connected and acyclic on all n + d nodes."""
-    if len(g) != g.n + g.d - 1:
-        return False
-    return is_forest(g) and len(connected_components(g)) == 1
-
-
-def classify(g: BipartiteGraph) -> GraphClass:
-    """Classify with priority matching > tope > spanning tree > forest > other."""
-    left, right = degree_vectors(g)
-    if all(deg >= 1 for deg in right) and all(deg <= 1 for deg in left):
-        if all(deg == 1 for deg in right):
-            return GraphClass("matching", right)
-        return GraphClass("tope", right)
-    if is_spanning_tree(g):
-        return GraphClass("spanning-tree")
-    if is_forest(g):
-        return GraphClass("forest")
-    return GraphClass("other")
+    """Connected and acyclic on all n + d nodes: an acyclic graph with
+    n + d - 1 edges has exactly one component."""
+    return len(g) == g.n + g.d - 1 and is_forest(g)
 
 
 def is_matching(g: BipartiteGraph) -> bool:
@@ -301,11 +260,9 @@ def is_matching(g: BipartiteGraph) -> bool:
     )
 
 
-def is_tope(g: BipartiteGraph, allow_isolated_right: bool = False) -> bool:
+def is_tope(g: BipartiteGraph) -> bool:
     left, right = degree_vectors(g)
-    if not all(deg <= 1 for deg in left):
-        return False
-    return allow_isolated_right or all(deg >= 1 for deg in right)
+    return all(deg <= 1 for deg in left) and all(deg >= 1 for deg in right)
 
 
 # ---------------------------------------------------------------------------
@@ -573,19 +530,6 @@ def graph_from_json_dict(data: dict) -> BipartiteGraph:
 def canonical_json(data) -> str:
     """Canonical JSON: sorted keys, no floats, newline-terminated."""
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def graph_to_dot(g: BipartiteGraph, name: str = "G") -> str:
-    """DOT export: left nodes as boxes L1..Ln, right nodes as circles R1..Rd."""
-    lines = [f"graph {name} {{"]
-    for j in range(1, g.n + 1):
-        lines.append(f'  L{j} [shape=box, label="{j}"];')
-    for i in range(1, g.d + 1):
-        lines.append(f'  R{i} [shape=circle, label="{i}"];')
-    for j, i in g.edges:
-        lines.append(f"  L{j} -- R{i};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_subset_key(key: str) -> tuple[int, ...]:

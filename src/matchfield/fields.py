@@ -93,47 +93,43 @@ class MatchingField(TopeField):
 
 
 def validate_matching_field(n: int, d: int, assignment: dict) -> MatchingField:
-    """Check a raw subset -> graph map and wrap it as a MatchingField.
+    """Check a raw subset -> graph map and wrap it as a MatchingField: the
+    type (1, ..., 1) call of the field validator."""
+    return _validated_field(n, d, core.all_ones(d), assignment)
 
-    Raises MissingSubsetError, NotAMatchingError or WrongSupportError with the
-    offending subset.
-    """
-    cleaned = {}
-    for sigma, graph in assignment.items():
-        cleaned[tuple(sorted(sigma))] = graph
-    for sigma in core.subsets(n, d):
+
+def validate_tope_field(n: int, d: int, type_vector: Sequence[int], assignment: dict) -> TopeField:
+    """Check a raw subset -> graph map against a type vector, which must be
+    positive, of length d and of sum at most n, and wrap it as a TopeField."""
+    v = tuple(type_vector)
+    if len(v) != d or any(x < 1 for x in v) or sum(v) > n:
+        raise MatchfieldError(f"invalid type vector {v} for ({n}, {d})")
+    return _validated_field(n, d, v, assignment)
+
+
+def _validated_field(n: int, d: int, v: tuple, assignment: dict) -> TopeField:
+    """The one field validator: the keys must be exactly the sum(v)-subsets
+    of [n], each holding a graph on (n, d) with left degrees at most 1, right
+    degree vector v and left support its key.  Raises MissingSubsetError,
+    NotAMatchingError or WrongSupportError with the offending subset.  A
+    MatchingField when v = (1, ..., 1), else a TopeField."""
+    matching = v == core.all_ones(d)
+    what = "perfect matching" if matching else f"tope of type {v}"
+    cleaned = {tuple(sorted(s)): g for s, g in assignment.items()}
+    for sigma in core.subsets(n, sum(v)):
         graph = cleaned.get(sigma)
         if graph is None:
             raise MissingSubsetError(sigma)
         if graph.n != n or graph.d != d:
             raise NotAMatchingError(sigma, f"graph for {sigma} has wrong ambient size")
-        if graph.right_degrees() != core.all_ones(d) or any(
-            deg > 1 for deg in graph.left_degrees()
-        ):
-            raise NotAMatchingError(sigma)
+        if graph.right_degrees() != v or any(deg > 1 for deg in graph.left_degrees()):
+            raise NotAMatchingError(sigma, f"value for {sigma} is not a {what}")
         if graph.left_support() != sigma:
             raise WrongSupportError(sigma, graph.left_support())
-    extra = set(cleaned) - set(core.subsets(n, d))
+    extra = set(cleaned).difference(core.subsets(n, sum(v)))
     if extra:
         raise WrongSupportError(min(extra), None)
-    return MatchingField(n, d, cleaned)
-
-
-def validate_tope_field(n: int, d: int, type_vector: Sequence[int], assignment: dict) -> TopeField:
-    v = tuple(type_vector)
-    if len(v) != d or any(x < 1 for x in v) or sum(v) > n:
-        raise MatchfieldError(f"invalid type vector {v} for ({n}, {d})")
-    k = sum(v)
-    cleaned = {tuple(sorted(s)): g for s, g in assignment.items()}
-    for sigma in core.subsets(n, k):
-        graph = cleaned.get(sigma)
-        if graph is None:
-            raise MissingSubsetError(sigma)
-        if graph.right_degrees() != v or any(deg > 1 for deg in graph.left_degrees()):
-            raise NotAMatchingError(sigma, f"value for {sigma} is not a tope of type {v}")
-        if graph.left_support() != sigma:
-            raise WrongSupportError(sigma, graph.left_support())
-    return TopeField(n, d, v, cleaned)
+    return MatchingField(n, d, cleaned) if matching else TopeField(n, d, v, cleaned)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +228,17 @@ def coherent_field(weights: Sequence[Sequence]) -> MatchingField:
     the number of optimal bijections is carried along.  A count above 1 on a
     d-subset is a tie: the first tied subset in `core.subsets` order raises
     TiedMinimumError with two optimal matchings found by `_min_assignment`.
-    Raises SizeCapError, before any work, when the DP would visit more than
-    COHERENT_MAX_SUBSETS subsets.
+    Raises MatchfieldError unless the weights form an n x d matrix with
+    1 <= d <= n, and SizeCapError when the DP would visit more than
+    COHERENT_MAX_SUBSETS subsets; both before any work.
     """
     n = len(weights)
-    d = len(weights[0])
+    d = len(weights[0]) if n else 0
+    if not 1 <= d <= n or any(len(row) != d for row in weights):
+        shape = [len(row) for row in weights]
+        raise MatchfieldError(
+            f"weights with row lengths {shape} are not an n x d matrix with 1 <= d <= n"
+        )
     visited = sum(comb(n, k) for k in range(d + 1))
     if visited > COHERENT_MAX_SUBSETS:
         raise SizeCapError(
@@ -429,12 +431,11 @@ def maximal_tope(
 class TopeArrangement:
     """Compatible maximal topes keyed by lattice points of (n-d)*Delta_{d-1}."""
 
-    def __init__(self, n: int, d: int, topes: dict, check: bool = True):
+    def __init__(self, n: int, d: int, topes: dict):
         self.n = n
         self.d = d
         self.topes = {tuple(p): g for p, g in topes.items()}
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self) -> None:
         m = self.n - self.d

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import core, fields
 from .core import BipartiteGraph
@@ -79,12 +79,6 @@ def flip_graph(field: fields.MatchingField) -> FlipGraph:
 
 def expected_edge_count(n: int, d: int) -> int:
     return comb(n, d + 1) * d
-
-
-def edge_count_check(field: fields.MatchingField) -> bool:
-    """Edge count of the flip graph equals binom(n, d+1) * d (linkage only)."""
-    fields.require_linkage(field)
-    return len(flip_graph(field).edges) == expected_edge_count(field.n, field.d)
 
 
 @dataclass(frozen=True)
@@ -155,13 +149,6 @@ class ProdsimplicialCell:
     @property
     def factor_dims(self) -> tuple:
         return tuple(len(ns) - 1 for ns in self.neighbor_sets)
-
-
-def tope_to_cell(field: fields.MatchingField, v: Sequence[int]) -> ProdsimplicialCell:
-    """Cell of the maximal tope with right degree vector v: its matchings are
-    the transversals of the neighbour sets."""
-    tope = fields.maximal_tope(field, v)
-    return cell_of_tope(field, tope)
 
 
 def cell_of_tope(field: fields.MatchingField, tope: BipartiteGraph) -> ProdsimplicialCell:

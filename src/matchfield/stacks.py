@@ -147,17 +147,15 @@ def _layer_field(stack: MatchingStack, I: tuple) -> fields.MatchingField:
     return fields.MatchingField(stack.n, k, assignment)
 
 
-def _transpose_layer_field(stack: MatchingStack, J: tuple) -> fields.MatchingField:
-    """Fixed-J layer as a matching field on R ⊔ J (sides swapped)."""
-    k = len(J)
-    relabel = {j: t for t, j in enumerate(J, start=1)}
-    assignment = {}
-    for I in core.subsets(stack.d, k):
-        m = stack.matching(J, I)
-        assignment[I] = BipartiteGraph(
-            stack.d, k, [(i, relabel[j]) for j, i in m.edges]
-        )
-    return fields.MatchingField(stack.d, k, assignment)
+def _transpose(stack: MatchingStack) -> MatchingStack:
+    """The stack with its sides swapped, filled on demand: (I, J) holds the
+    matching of (J, I) with every edge reversed."""
+
+    def filler(I, J):
+        edges = [(i, j) for j, i in stack.matching(J, I).edges]
+        return BipartiteGraph(stack.d, stack.n, edges)
+
+    return MatchingStack(stack.d, stack.n, {}, filler)
 
 
 def stack_left_linkage(stack: MatchingStack) -> tuple[bool, Optional[tuple]]:
@@ -169,17 +167,6 @@ def stack_left_linkage(stack: MatchingStack) -> tuple[bool, Optional[tuple]]:
             report = fields.is_linkage(_layer_field(stack, I))
             if not report.ok:
                 return False, (I, report.failures[0].tau)
-    return True, None
-
-
-def stack_right_linkage(stack: MatchingStack) -> tuple[bool, Optional[tuple]]:
-    for k in range(1, min(stack.n, stack.d) + 1):
-        if k + 1 > stack.d:
-            continue
-        for J in core.subsets(stack.n, k):
-            report = fields.is_linkage(_transpose_layer_field(stack, J))
-            if not report.ok:
-                return False, (J, report.failures[0].tau)
     return True, None
 
 
@@ -215,7 +202,8 @@ def validate_ensemble(stack: MatchingStack) -> EnsembleReport:
             if not closure_ok:
                 break
     left_ok, lw = stack_left_linkage(stack) if support_ok else (False, None)
-    right_ok, rw = stack_right_linkage(stack) if support_ok else (False, None)
+    # every fixed-J layer is right linkage when the transposed stack is left linkage
+    right_ok, rw = stack_left_linkage(_transpose(stack)) if support_ok else (False, None)
     witness = witness or (("left-linkage",) + lw if lw else None) or (
         ("right-linkage",) + rw if rw else None
     )
@@ -352,11 +340,16 @@ def _has_perfect_left_matching(g: BipartiteGraph, J: Sequence[int]) -> bool:
     return all(augment(j, set()) for j in J)
 
 
-def transversal_matroid(g: BipartiteGraph, cap: int = 12) -> TransversalMatroid:
+# left subsets are tested one by one for a matching: 2^12 = 4,096 at n = 12
+TRANSVERSAL_MAX_LEFT = 12
+
+
+def transversal_matroid(g: BipartiteGraph) -> TransversalMatroid:
     """Matroid on the left nodes whose independent sets are the matchable
-    subsets; bases are stored explicitly (desk scale)."""
-    if g.n > cap:
-        raise SizeCapError(f"transversal_matroid capped at n <= {cap}")
+    subsets; bases are stored explicitly (desk scale).  Raises SizeCapError
+    beyond TRANSVERSAL_MAX_LEFT left nodes, before any work."""
+    if g.n > TRANSVERSAL_MAX_LEFT:
+        raise SizeCapError(f"transversal_matroid capped at n <= {TRANSVERSAL_MAX_LEFT}")
     rank = 0
     for size in range(min(g.n, g.d), -1, -1):
         if any(

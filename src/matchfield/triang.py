@@ -304,104 +304,6 @@ def _reconstruct(pairs, left_labels, right_labels, memo):
 
 
 # ---------------------------------------------------------------------------
-# necessary conditions on pair sets
-
-
-def _adjacent_pairs(p, q):
-    """Both components differ by +1/-1 in exactly two coordinates."""
-
-    def one_swap(a, b):
-        diffs = [x - y for x, y in zip(a, b)]
-        return sorted(x for x in diffs if x) == [-1, 1]
-
-    return one_swap(p[0], q[0]) and one_swap(p[1], q[1])
-
-
-@dataclass(frozen=True)
-class NecessaryConditionsReport:
-    projections_ok: bool
-    adjacency_ok: bool
-    deletion_ok: Optional[bool]  # None when an earlier condition already failed
-    witness: Optional[tuple] = None
-
-    @property
-    def ok(self):
-        return bool(self.projections_ok and self.adjacency_ok and self.deletion_ok)
-
-
-def necessary_conditions(pairs: Iterable, n: int, d: int, check_deletions: bool = True):
-    """Screen a pair set against conditions every triangulation image meets:
-    bijective projections, enough adjacent pairs (at least n+d-1-l(p) where
-    l(p) counts unnormalised entries equal to 1), and existence of a deletion
-    satisfying the first two conditions (searched exhaustively)."""
-    pairs = frozenset((tuple(u), tuple(v)) for u, v in pairs)
-    try:
-        _check_pair_shape(pairs, n, d)
-    except InconsistentPairsError as exc:
-        return NecessaryConditionsReport(False, None, None, (str(exc),))
-
-    plist = sorted(pairs)
-    for p in plist:
-        l_p = sum(1 for x in p[0] if x == 0) + sum(1 for x in p[1] if x == 0)
-        needed = n + d - 1 - l_p
-        have = sum(1 for q in plist if q != p and _adjacent_pairs(p, q))
-        if have < needed:
-            return NecessaryConditionsReport(True, False, None, (p, have, needed))
-
-    if not check_deletions:
-        return NecessaryConditionsReport(True, True, True)
-    for pos in range(n):
-        members = [p for p in plist if p[0][pos] == 0]
-        if not _deletion_exists(members, pos, None, n, d):
-            return NecessaryConditionsReport(True, True, False, ("left", pos + 1))
-    for ipos in range(d):
-        members = [p for p in plist if p[1][ipos] == 0]
-        if not _deletion_exists(members, None, ipos, n, d):
-            return NecessaryConditionsReport(True, True, False, ("right", ipos + 1))
-    return NecessaryConditionsReport(True, True, True)
-
-
-def _deletion_exists(members, pos, ipos, n, d):
-    """Search a choice of decremented coordinate per member making the
-    deletion satisfy the first two conditions."""
-    if pos is not None:
-        n_new, d_new = n - 1, d
-    else:
-        n_new, d_new = n, d - 1
-
-    def candidates(p):
-        u, v = p
-        if pos is not None:
-            base_u = tuple(x for t, x in enumerate(u) if t != pos)
-            return [
-                ((base_u, tuple(x - (1 if t == k else 0) for t, x in enumerate(v))))
-                for k in range(d)
-                if v[k] >= 1
-            ]
-        base_v = tuple(x for t, x in enumerate(v) if t != ipos)
-        return [
-            ((tuple(x - (1 if t == k else 0) for t, x in enumerate(u)), base_v))
-            for k in range(n)
-            if u[k] >= 1
-        ]
-
-    options = [candidates(p) for p in members]
-
-    def search(idx, chosen):
-        if idx == len(options):
-            rep = necessary_conditions(chosen, n_new, d_new, check_deletions=False)
-            return rep.projections_ok and rep.adjacency_ok
-        for cand in options[idx]:
-            if cand in chosen:
-                continue
-            if search(idx + 1, chosen | {cand}):
-                return True
-        return False
-
-    return search(0, frozenset())
-
-
-# ---------------------------------------------------------------------------
 # generators
 
 

@@ -1,0 +1,304 @@
+"""Second routes to objects the library builds one way: independent
+descriptions kept as test oracles.
+
+- Chow covectors as intersections of maximal topes and as the minimal
+  transversals of the field (Berge multiplication, desk scale), and the
+  combinatorial sectors of an rdv-keyed collection.
+- Necessary conditions on a degree-pair set, screened before a certified
+  reconstruction.
+- Prodsimplicial cells by amalgamating to the maximal tope, and the flip
+  edge count of a linkage field.
+- Graph classification and connected components by breadth-first search,
+  the oracle for ``core.is_spanning_tree``.
+- Right linkage of a stack, layer by layer with the sides swapped, the
+  oracle for left linkage of the transposed stack.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
+
+from matchfield import core, fields
+from matchfield.core import BipartiteGraph, degree_vectors, is_forest, is_spanning_tree
+from matchfield.errors import InconsistentPairsError, MatchfieldError, SizeCapError
+from matchfield.flip import ProdsimplicialCell, cell_of_tope, expected_edge_count, flip_graph
+from matchfield.stacks import MatchingStack
+from matchfield.triang import _check_pair_shape
+
+
+# ---------------------------------------------------------------------------
+# graphs: classification and connected components
+
+
+@dataclass(frozen=True)
+class GraphClass:
+    kind: str  # one of: matching, tope, spanning-tree, forest, other
+    type_vector: Optional[tuple[int, ...]] = None
+
+
+def connected_components(g: BipartiteGraph) -> list[set]:
+    adj = core._adjacency(g)
+    seen: set = set()
+    comps = []
+    for root in adj:
+        if root in seen:
+            continue
+        comp = set()
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node in comp:
+                continue
+            comp.add(node)
+            stack.extend(adj[node])
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def classify(g: BipartiteGraph) -> GraphClass:
+    """Classify with priority matching > tope > spanning tree > forest > other."""
+    left, right = degree_vectors(g)
+    if all(deg >= 1 for deg in right) and all(deg <= 1 for deg in left):
+        if all(deg == 1 for deg in right):
+            return GraphClass("matching", right)
+        return GraphClass("tope", right)
+    if is_spanning_tree(g):
+        return GraphClass("spanning-tree")
+    if is_forest(g):
+        return GraphClass("forest")
+    return GraphClass("other")
+
+
+# ---------------------------------------------------------------------------
+# Chow covectors: intersections of topes, transversals, sectors
+
+
+def chow_by_intersection(
+    ta: fields.TopeArrangement, v: Sequence[int]
+) -> BipartiteGraph:
+    """Covector with right degree vector v from the maximal topes.
+
+    Intersect the topes with right degree vector v + 1_{[d] minus i} over the
+    i with v_i > 0; coordinates with v_i = 0 contribute no tope, and instead
+    every ri-edge is deleted from the result."""
+    v = tuple(v)
+    n, d = ta.n, ta.d
+    if len(v) != d or sum(v) != n - d + 1 or any(x < 0 for x in v):
+        raise MatchfieldError(f"{v} is not a lattice point of {n - d + 1}Δ_{d - 1}")
+    current: Optional[BipartiteGraph] = None
+    for i in range(1, d + 1):
+        if v[i - 1] == 0:
+            continue
+        # tope rdv v + 1_{[d] minus i} is keyed by the lattice point v - e_i
+        point = tuple(x - (1 if t == i else 0) for t, x in enumerate(v, start=1))
+        tope = ta.tope(point)
+        current = tope if current is None else current.intersection(tope)
+    assert current is not None  # sum v = n - d + 1 >= 1 forces a positive entry
+    drop = []
+    for i in range(1, d + 1):
+        if v[i - 1] == 0:
+            drop.extend((j, i) for j in current.right_neighbors(i))
+    return current.without_edges(drop)
+
+
+def is_transversal(g: BipartiteGraph, field: fields.MatchingField) -> bool:
+    """True when g shares an edge with every matching of the field."""
+    return all(g.mask & m.mask for _, m in field.items())
+
+
+def minimal_transversals(
+    field: fields.MatchingField, cap: tuple[int, int] = (7, 3)
+) -> set[BipartiteGraph]:
+    """All inclusion-minimal transversals, by Berge multiplication.
+
+    Exponential oracle; sizes are capped (default n <= 7, d <= 3).
+    """
+    n, d = field.n, field.d
+    if n > cap[0] or d > cap[1]:
+        raise SizeCapError(f"minimal_transversals capped at {cap}")
+    minimal: list[int] = [0]
+    for _, m in sorted(field.items()):
+        hyper = m.mask
+        fresh: list[int] = []
+        for h in minimal:
+            if h & hyper:
+                fresh.append(h)
+            else:
+                for b in core._bits(hyper):
+                    fresh.append(h | (1 << b))
+        minimal = _minimize(fresh)
+    return {BipartiteGraph.from_mask(n, d, mask) for mask in minimal}
+
+
+def _minimize(masks: list[int]) -> list[int]:
+    masks = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    kept: list[int] = []
+    for m in masks:
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return kept
+
+
+@dataclass(frozen=True)
+class SectorImage:
+    """Degree pairs of the collection members where lj is a leaf on ri."""
+
+    j: int
+    i: int
+    members: frozenset
+
+
+def sector(collection: dict, j: int, i: int) -> SectorImage:
+    """Members of an rdv-keyed collection containing (lj, ri) with lj of
+    degree 1, reported by their (left, right) degree-vector pairs."""
+    members = []
+    for _, g in sorted(collection.items()):
+        if (j, i) in g and g.left_degrees()[j - 1] == 1:
+            members.append((g.left_degrees(), g.right_degrees()))
+    return SectorImage(j, i, frozenset(members))
+
+
+# ---------------------------------------------------------------------------
+# flip graphs and cells
+
+
+def tope_to_cell(field: fields.MatchingField, v: Sequence[int]) -> ProdsimplicialCell:
+    """Cell of the maximal tope with right degree vector v: its matchings are
+    the transversals of the neighbour sets."""
+    tope = fields.maximal_tope(field, v)
+    return cell_of_tope(field, tope)
+
+
+def edge_count_check(field: fields.MatchingField) -> bool:
+    """Edge count of the flip graph equals binom(n, d+1) * d (linkage only)."""
+    fields.require_linkage(field)
+    return len(flip_graph(field).edges) == expected_edge_count(field.n, field.d)
+
+
+# ---------------------------------------------------------------------------
+# necessary conditions on pair sets
+
+
+def _adjacent_pairs(p, q):
+    """Both components differ by +1/-1 in exactly two coordinates."""
+
+    def one_swap(a, b):
+        diffs = [x - y for x, y in zip(a, b)]
+        return sorted(x for x in diffs if x) == [-1, 1]
+
+    return one_swap(p[0], q[0]) and one_swap(p[1], q[1])
+
+
+@dataclass(frozen=True)
+class NecessaryConditionsReport:
+    projections_ok: bool
+    adjacency_ok: bool
+    deletion_ok: Optional[bool]  # None when an earlier condition already failed
+    witness: Optional[tuple] = None
+
+    @property
+    def ok(self):
+        return bool(self.projections_ok and self.adjacency_ok and self.deletion_ok)
+
+
+def necessary_conditions(pairs: Iterable, n: int, d: int, check_deletions: bool = True):
+    """Screen a pair set against conditions every triangulation image meets:
+    bijective projections, enough adjacent pairs (at least n+d-1-l(p) where
+    l(p) counts unnormalised entries equal to 1), and existence of a deletion
+    satisfying the first two conditions (searched exhaustively)."""
+    pairs = frozenset((tuple(u), tuple(v)) for u, v in pairs)
+    try:
+        _check_pair_shape(pairs, n, d)
+    except InconsistentPairsError as exc:
+        return NecessaryConditionsReport(False, None, None, (str(exc),))
+
+    plist = sorted(pairs)
+    for p in plist:
+        l_p = sum(1 for x in p[0] if x == 0) + sum(1 for x in p[1] if x == 0)
+        needed = n + d - 1 - l_p
+        have = sum(1 for q in plist if q != p and _adjacent_pairs(p, q))
+        if have < needed:
+            return NecessaryConditionsReport(True, False, None, (p, have, needed))
+
+    if not check_deletions:
+        return NecessaryConditionsReport(True, True, True)
+    for pos in range(n):
+        members = [p for p in plist if p[0][pos] == 0]
+        if not _deletion_exists(members, pos, None, n, d):
+            return NecessaryConditionsReport(True, True, False, ("left", pos + 1))
+    for ipos in range(d):
+        members = [p for p in plist if p[1][ipos] == 0]
+        if not _deletion_exists(members, None, ipos, n, d):
+            return NecessaryConditionsReport(True, True, False, ("right", ipos + 1))
+    return NecessaryConditionsReport(True, True, True)
+
+
+def _deletion_exists(members, pos, ipos, n, d):
+    """Search a choice of decremented coordinate per member making the
+    deletion satisfy the first two conditions."""
+    if pos is not None:
+        n_new, d_new = n - 1, d
+    else:
+        n_new, d_new = n, d - 1
+
+    def candidates(p):
+        u, v = p
+        if pos is not None:
+            base_u = tuple(x for t, x in enumerate(u) if t != pos)
+            return [
+                ((base_u, tuple(x - (1 if t == k else 0) for t, x in enumerate(v))))
+                for k in range(d)
+                if v[k] >= 1
+            ]
+        base_v = tuple(x for t, x in enumerate(v) if t != ipos)
+        return [
+            ((tuple(x - (1 if t == k else 0) for t, x in enumerate(u)), base_v))
+            for k in range(n)
+            if u[k] >= 1
+        ]
+
+    options = [candidates(p) for p in members]
+
+    def search(idx, chosen):
+        if idx == len(options):
+            rep = necessary_conditions(chosen, n_new, d_new, check_deletions=False)
+            return rep.projections_ok and rep.adjacency_ok
+        for cand in options[idx]:
+            if cand in chosen:
+                continue
+            if search(idx + 1, chosen | {cand}):
+                return True
+        return False
+
+    return search(0, frozenset())
+
+
+# ---------------------------------------------------------------------------
+# right linkage of a stack
+
+
+def _transpose_layer_field(stack: MatchingStack, J: tuple) -> fields.MatchingField:
+    """Fixed-J layer as a matching field on R ⊔ J (sides swapped)."""
+    k = len(J)
+    relabel = {j: t for t, j in enumerate(J, start=1)}
+    assignment = {}
+    for I in core.subsets(stack.d, k):
+        m = stack.matching(J, I)
+        assignment[I] = BipartiteGraph(
+            stack.d, k, [(i, relabel[j]) for j, i in m.edges]
+        )
+    return fields.MatchingField(stack.d, k, assignment)
+
+
+def stack_right_linkage(stack: MatchingStack) -> tuple[bool, Optional[tuple]]:
+    """Right linkage of every fixed-J layer, with the first witness (J, tau)."""
+    for k in range(1, min(stack.n, stack.d) + 1):
+        if k + 1 > stack.d:
+            continue
+        for J in core.subsets(stack.n, k):
+            report = fields.is_linkage(_transpose_layer_field(stack, J))
+            if not report.ok:
+                return False, (J, report.failures[0].tau)
+    return True, None

@@ -33,7 +33,7 @@ from matchfield import (
     tope_arrangement,
     trianguloid_check,
 )
-from matchfield.chow import chow_collection, minimal_transversals
+from matchfield.chow import chow_collection
 from matchfield.cli import run as cli_run
 from matchfield.core import canonical_json
 from matchfield.fields import (
@@ -51,6 +51,7 @@ from conftest import (
     TOPE_COVECTOR_42,
     exhaustive_compatibility,
 )
+from oracles import minimal_transversals
 
 
 def criterion(number, summary):

@@ -11,13 +11,9 @@ from matchfield import (
     NotLinkageError,
     SizeCapError,
     chow_by_definition,
-    chow_by_intersection,
     chow_collection,
     field_from_chow,
-    is_transversal,
-    minimal_transversals,
     reconstruct_chow_from_phi,
-    sector,
     simplex_lattice_points,
     subsets,
     tope_arrangement,
@@ -33,6 +29,7 @@ from matchfield.errors import InconsistentCollectionError
 from matchfield.randgen import seeded_coherent_field
 
 from conftest import field_from_words, graph
+from oracles import chow_by_intersection, is_transversal, minimal_transversals, sector
 
 
 REFERENCE_PHI = {

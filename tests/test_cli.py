@@ -242,6 +242,43 @@ def test_tope_field_where_a_matching_field_is_needed(capsys, tmp_path, tope_fiel
     assert err["message"] == "expected a matching field, not type (2, 1)"
 
 
+@pytest.mark.parametrize(
+    "data, extra",
+    [
+        (
+            {
+                "n": 3, "d": 2, "type": [2, 1],
+                "matchings": {"1,2,3": [[1, 1], [2, 1], [3, 2]], "1,2": [[1, 1], [2, 2]]},
+            },
+            "(1, 2)",
+        ),
+        (
+            {
+                "n": 3, "d": 2,
+                "matchings": {
+                    "1,2": [[1, 1], [2, 2]], "1,3": [[1, 1], [3, 2]], "2,3": [[2, 1], [3, 2]],
+                    "1,2,3": [[1, 1], [2, 1], [3, 2]],
+                },
+            },
+            "(1, 2, 3)",
+        ),
+    ],
+    ids=["tope-field", "matching-field"],
+)
+def test_field_with_an_extra_subset_is_refused(capsys, tmp_path, data, extra):
+    # tope and matching fields share one validator, which refuses a key of
+    # the wrong size instead of echoing it back
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(data))
+    assert run(["amalgamate", str(path), "--target", "2,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "WrongSupportError",
+        "message": f"value for {extra} has left support None",
+    }
+
+
 MALFORMED_TREES = {
     "trees-number": {"n": 2, "d": 2, "trees": 5},
     "tree-number": {"n": 2, "d": 2, "trees": [5]},

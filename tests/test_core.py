@@ -7,7 +7,6 @@ from matchfield import (
     MatchfieldError,
     NotASpanningTreeError,
     SizeCapError,
-    classify,
     contained_tope,
     degree_vectors,
     is_compatible,
@@ -17,6 +16,7 @@ from matchfield import (
 from matchfield import core
 
 from conftest import exhaustive_compatibility, graph
+from oracles import classify, connected_components
 
 
 class TestDegreeVectors:
@@ -54,6 +54,19 @@ class TestClassify:
         assert classify(graph(3, 2, [(1, 1), (1, 2)])).kind == "forest"
         square = graph(2, 2, [(1, 1), (1, 2), (2, 1), (2, 2)])
         assert classify(square).kind == "other"
+
+
+class TestSpanningTrees:
+    @pytest.mark.parametrize("n,d", [(3, 3), (2, 4)])
+    def test_every_subgraph_against_the_search(self, n, d):
+        # n + d - 1 edges and acyclic, against one BFS component and the count
+        found = 0
+        for mask in range(1 << (n * d)):
+            g = core.BipartiteGraph.from_mask(n, d, mask)
+            expected = len(g) == n + d - 1 and len(connected_components(g)) == 1
+            assert core.is_spanning_tree(g) == expected, g
+            found += expected
+        assert found == n ** (d - 1) * d ** (n - 1)  # spanning trees of K_{n,d}
 
 
 class TestCompatibility:
@@ -220,8 +233,3 @@ class TestGraphBasics:
     def test_graph_of_the_wrong_shape(self):
         with pytest.raises(ValueError, match="pair of integers"):
             core.graph_from_json_dict({"n": 2, "d": 2, "edges": [[1, 1], {}]})
-
-    def test_dot_shapes(self):
-        dot = core.graph_to_dot(graph(2, 2, [(1, 1)]))
-        assert "L1 [shape=box" in dot and "R2 [shape=circle" in dot
-        assert "L1 -- R1;" in dot

@@ -15,6 +15,7 @@ from matchfield import (
     NotLinkageError,
     SizeCapError,
     TiedMinimumError,
+    WrongSupportError,
     chow_collection,
     coherent_field,
     coherent_tope_field,
@@ -193,6 +194,45 @@ class TestValidation:
         got = validate_tope_field(4, 2, (2, 1), dict(tope_field_42.items()))
         assert got == tope_field_42
 
+    def test_matching_field_messages(self):
+        good = {s: matching_from_word(4, 2, w) for s, w in FIELD_42_WORDS.items()}
+        cases = [
+            ({(1, 2): good[(1, 2)]}, "no entry for subset (1, 3)"),
+            ({**good, (1, 2): graph(4, 2, [(1, 1), (2, 1)])},
+             "value for (1, 2) is not a perfect matching"),
+            ({**good, (1, 2): graph(5, 2, [(1, 1), (2, 2)])},
+             "graph for (1, 2) has wrong ambient size"),
+            ({**good, (1, 2): matching_from_word(4, 2, "13")},
+             "value for (1, 2) has left support (1, 3)"),
+            ({**good, (1, 2, 3): graph(4, 2, [(1, 1), (2, 2)])},
+             "value for (1, 2, 3) has left support None"),
+        ]
+        for assignment, message in cases:
+            with pytest.raises(MatchfieldError) as err:
+                validate_matching_field(4, 2, assignment)
+            assert str(err.value) == message
+
+    def test_tope_field_checked_like_a_matching_field(self, tope_field_42):
+        # the extra key and the ambient size were not checked for tope fields
+        good = dict(tope_field_42.items())
+        with pytest.raises(WrongSupportError) as err:
+            validate_tope_field(4, 2, (2, 1), {**good, (1, 2): graph(4, 2, [(1, 1), (2, 2)])})
+        assert err.value.sigma == (1, 2)
+        wide = {**good, (1, 2, 3): graph(5, 2, [(1, 1), (2, 1), (3, 2)])}
+        with pytest.raises(NotAMatchingError, match="wrong ambient size"):
+            validate_tope_field(4, 2, (2, 1), wide)
+        with pytest.raises(NotAMatchingError, match="not a tope of type"):
+            validate_tope_field(4, 2, (1, 2), good)
+
+    @pytest.mark.parametrize("v", [(2,), (0, 3), (3, 2)])
+    def test_invalid_type_vector(self, tope_field_42, v):
+        with pytest.raises(MatchfieldError, match="invalid type vector"):
+            validate_tope_field(4, 2, v, dict(tope_field_42.items()))
+
+    def test_all_ones_type_gives_a_matching_field(self, field_42):
+        got = validate_tope_field(4, 2, (1, 1), dict(field_42.items()))
+        assert isinstance(got, fields_mod.MatchingField) and got == field_42
+
 
 class TestLinkage:
     def test_covectors_match_reference(self, field_42):
@@ -341,6 +381,24 @@ class TestCoherent:
             with pytest.raises(SizeCapError, match="over the cap"):
                 coherent_field([[0] * d for _ in range(n)])
         assert sum(comb(14, k) for k in range(8)) <= fields_mod.COHERENT_MAX_SUBSETS
+
+    @pytest.mark.parametrize(
+        "weights, shape",
+        [([[0, 1], [2]], "[2, 1]"), ([], "[]"), ([[0, 1, 2], [3, 4, 5]], "[3, 3]")],
+        ids=["ragged", "empty", "fewer-rows-than-columns"],
+    )
+    def test_malformed_matrix_refused_before_any_work(self, monkeypatch, weights, shape):
+        def no_work(*args):
+            raise AssertionError("the DP ran")
+
+        monkeypatch.setattr(fields_mod, "Fraction", no_work)
+        monkeypatch.setattr(fields_mod, "comb", no_work)
+        with pytest.raises(MatchfieldError) as err:
+            coherent_field(weights)
+        assert type(err.value) is MatchfieldError
+        assert str(err.value) == (
+            f"weights with row lengths {shape} are not an n x d matrix with 1 <= d <= n"
+        )
 
     def test_dp_reaches_beyond_the_search(self):
         # (14, 7): 3432 subsets of 5040 bijections each for the search

@@ -8,12 +8,10 @@ from matchfield import (
     MatchfieldError,
     NotLinkageError,
     cell_to_tope,
-    edge_count_check,
     flip_graph,
     linkage_tree,
     maximal_cells,
     maximal_tope,
-    tope_to_cell,
 )
 from matchfield import subsets
 from matchfield.flip import (
@@ -25,6 +23,7 @@ from matchfield.flip import (
 )
 
 from conftest import field_from_words, graph
+from oracles import edge_count_check, tope_to_cell
 
 
 def flip_label(m1, m2):

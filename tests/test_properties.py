@@ -15,7 +15,7 @@ from matchfield import (
     subsets,
     tope_arrangement,
 )
-from matchfield.chow import chow_by_definition, chow_by_intersection, chow_collection
+from matchfield.chow import chow_by_definition, chow_collection
 from matchfield.core import contained_matchings, is_spanning_tree
 from matchfield.fields import check_sector_monotonicity
 from matchfield.randgen import random_weight_matrix, seeded_coherent_field, splitmix64
@@ -27,6 +27,7 @@ from matchfield.triang import (
 )
 
 from conftest import exhaustive_compatibility, graph, random_matching_field
+from oracles import chow_by_intersection
 from test_fields import arrangement_by_amalgamation, outcome
 from test_flip import flip_graph_by_pairs
 from test_triang import agreement_by_pairs, flip_violation_by_scan, spanning_tree_of_order

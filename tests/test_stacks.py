@@ -1,6 +1,7 @@
 """Stacks, ensembles, completion, extension, matroids, right submatchings."""
 
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from matchfield import (
     BipartiteGraph,
     MatchfieldError,
     MatchingStack,
+    SizeCapError,
     completion,
     completion_linkage_check,
     extend,
@@ -20,15 +22,31 @@ from matchfield import (
     transversal_matroid,
     validate_ensemble,
 )
+from matchfield import stacks as stacks_mod
 from matchfield.stacks import (
+    _transpose,
     check_basis_exchange,
     stack_from_json_dict,
+    stack_left_linkage,
     stack_to_json_dict,
     stiefel_image_of_field,
 )
 from matchfield.fields import maximal_tope_covectors
 
 from conftest import field_from_words, graph
+from oracles import stack_right_linkage
+
+
+def random_stack(n, d, seed):
+    """A seeded random perfect matching on every pair (J, I); most such
+    stacks are neither closed nor linkage."""
+    rng = random.Random(seed)
+    entries = {}
+    for J, I in MatchingStack(n, d, {}).pairs():
+        rights = list(I)
+        rng.shuffle(rights)
+        entries[(J, I)] = BipartiteGraph(n, d, list(zip(J, rights)))
+    return MatchingStack(n, d, entries)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +106,37 @@ class TestEnsemble:
             assert report.witness == ("support",) + missing
             assert not (report.support_ok or report.closure_ok)
             assert not (report.left_linkage_ok or report.right_linkage_ok)
+
+
+class TestRightLinkage:
+    def test_transposed_left_linkage_agrees_with_the_layers(self, square_stack, stack_42):
+        # verdict and witness (J, tau) of the fixed-J layers, on ensembles of
+        # staircases and on random stacks
+        ensembles = [square_stack, stack_42] + [
+            stack_from_trees(staircase_triangulation(n, d).sorted_trees(), n, d)
+            for n, d in [(3, 3), (2, 3), (3, 2), (2, 4)]
+        ]
+        randoms = [
+            random_stack(n, d, 10 * n + d + seed)
+            for n, d in [(3, 3), (2, 3), (3, 2), (2, 4), (4, 3)]
+            for seed in range(4)
+        ]
+        verdicts = []
+        for stack in ensembles + randoms:
+            expected = stack_right_linkage(stack)
+            assert stack_left_linkage(_transpose(stack)) == expected
+            report = validate_ensemble(stack)
+            assert report.right_linkage_ok == expected[0]
+            if report.left_linkage_ok and report.closure_ok and not expected[0]:
+                assert report.witness == ("right-linkage",) + expected[1]
+            verdicts.append(expected[0])
+        assert all(verdicts[: len(ensembles)])
+        assert False in verdicts
+
+    def test_degenerate_stack_is_right_linkage(self):
+        stack = MatchingStack(0, 2, {((), ()): BipartiteGraph(0, 2, [])})
+        report = validate_ensemble(stack)
+        assert report.ok and stack_right_linkage(stack) == (True, None)
 
 
 class TestCompletion:
@@ -188,6 +237,12 @@ class TestMatroids:
         }
         assert m.bases == expected
         assert check_basis_exchange(m)
+
+    def test_size_cap(self):
+        cap = stacks_mod.TRANSVERSAL_MAX_LEFT
+        assert transversal_matroid(graph(cap, 1, [(1, 1)])).rank == 1
+        with pytest.raises(SizeCapError, match=f"n <= {cap}"):
+            transversal_matroid(graph(cap + 1, 2, [(1, 1), (2, 2)]))
 
     def test_matching_matroid(self):
         m = transversal_matroid(graph(4, 2, [(1, 1), (2, 2)]))

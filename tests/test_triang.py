@@ -14,7 +14,6 @@ from matchfield import (
     enumerate_triangulations,
     extract_field,
     is_linkage,
-    necessary_conditions,
     phi,
     reconstruct_triangulation,
     staircase_triangulation,
@@ -40,6 +39,7 @@ from matchfield.triang import (
 from matchfield import trianguloid_check
 
 from conftest import graph, matchings_agree
+from oracles import necessary_conditions
 
 
 def agreement_by_pairs(trees):
