@@ -17,6 +17,15 @@ Note the criterion ignores edges present in both graphs.  The stronger,
 containment-based agreement check used for triangulation axioms and stacks
 is ``agreed_matchings``, one pass over a dict keyed by (J, I).
 
+Two certificate kernels work on integer masks alone.  ``matching_masks``
+lists the matchings inside a graph as {(J mask, I mask): edge mask} by a
+depth-first search over left rows and free right bits, in the order of the
+edge-list enumeration it replaced; ``agreed_matchings`` compares those ints
+and turns only its clash witness back into subsets.  For graphs whose left
+degrees are all 1, such as maximal topes, ``functions_compatible`` decides
+compatibility from the two maps [n] -> [d] (``tope_function``): the arcs
+f2(j) -> f1(j) must form an acyclic digraph on the d right nodes.
+
 Every JSON format is read strictly by ``read_table``, which raises
 ValueError on a value of the wrong shape, and written by ``write_table``;
 graphs, triangulations and degree pairs are read with the same checks.
@@ -352,56 +361,108 @@ def _directed_cycle_through(j0, i0, fwd, bwd):
     return None
 
 
-def contained_matchings(g: BipartiteGraph) -> dict[tuple, BipartiteGraph]:
-    """All nonempty matchings inside g, keyed by (left support, right support).
+def tope_function(g: BipartiteGraph) -> tuple[int, ...]:
+    """The map f of a graph whose left degrees are all 1, 0-based:
+    f[j - 1] = i - 1 for its edge (lj, ri)."""
+    d = g.d
+    full = (1 << d) - 1
+    return tuple((g.mask >> (j * d) & full).bit_length() - 1 for j in range(g.n))
 
-    A forest contains at most one matching per support pair; for a graph with
-    several, an arbitrary one is kept, so agreement verdicts built on this map
-    (``agreed_matchings``) are exact only for forests.
+
+def functions_compatible(f1: Sequence[int], f2: Sequence[int], d: int) -> bool:
+    """is_compatible for two graphs with all left degrees 1, from their
+    tope_function values.  Each left node j with f1[j] != f2[j] carries the
+    only two arcs through it, r_f2[j] -> lj -> r_f1[j]; contracted, they
+    form a digraph on the d right nodes, acyclic exactly when the graphs
+    are compatible.  Sinks are peeled from the out-neighbour masks until
+    nothing is left (acyclic) or no sink remains (a cycle)."""
+    out = [0] * d
+    for a, b in zip(f1, f2):
+        if a != b:
+            out[b] |= 1 << a
+    live = [u for u in range(d) if out[u]]  # nodes without out-arcs are sinks
+    while live:
+        alive = 0
+        for u in live:
+            alive |= 1 << u
+        rest = [u for u in live if out[u] & alive]
+        if len(rest) == len(live):
+            return False
+        live = rest
+    return True
+
+
+def matching_masks(g: BipartiteGraph) -> dict[tuple[int, int], int]:
+    """All nonempty matchings inside g as {(J mask, I mask): edge mask}.
+
+    Bit j - 1 of J stands for lj, bit i - 1 of I for ri.  A depth-first
+    search extends a matching by one edge of a later nonempty left row, rows
+    in increasing order and the free right bits of a row in increasing
+    order; a matching is listed before its extensions, so the keys come in
+    the preorder of the matchings over the lexicographic edge order.  A
+    forest contains at most one matching per (J, I); for a graph with
+    several the last one found is kept, so agreement verdicts built on this
+    map (``agreed_matchings``) are exact only for forests.
     """
-    out: dict[tuple, BipartiteGraph] = {}
-    for m in _enumerate_matchings(g.edges, 0, [], g.n, g.d):
-        key = (tuple(sorted(j for j, _ in m)), tuple(sorted(i for _, i in m)))
-        out[key] = BipartiteGraph(g.n, g.d, m)
+    d = g.d
+    full = (1 << d) - 1
+    rows = [(j, g.mask >> (j * d) & full) for j in range(g.n)]
+    rows = [(1 << j, j * d, row) for j, row in rows if row]
+    out: dict[tuple[int, int], int] = {}
+
+    def extend(start: int, J: int, I: int, m: int) -> None:
+        for t in range(start, len(rows)):
+            jbit, shift, row = rows[t]
+            free = row & ~I
+            while free:
+                low = free & -free
+                free ^= low
+                key = (J | jbit, I | low)
+                out[key] = m | low << shift
+                extend(t + 1, *key, out[key])
+
+    extend(0, 0, 0, 0)
     return out
 
 
-def _enumerate_matchings(edges, start, current, n, d):
-    if current:
-        yield tuple(current)
-    used_l = {j for j, _ in current}
-    used_r = {i for _, i in current}
-    for idx in range(start, len(edges)):
-        j, i = edges[idx]
-        if j in used_l or i in used_r:
-            continue
-        current.append((j, i))
-        yield from _enumerate_matchings(edges, idx + 1, current, n, d)
-        current.pop()
+def mask_subset(mask: int) -> tuple[int, ...]:
+    """The 1-based subset whose members are the set bits of mask."""
+    return tuple(b + 1 for b in _bits(mask))
+
+
+def contained_matchings(g: BipartiteGraph) -> dict[tuple, BipartiteGraph]:
+    """``matching_masks`` keyed by (left support, right support) tuples, each
+    matching as a graph."""
+    return {
+        (mask_subset(J), mask_subset(I)): BipartiteGraph.from_mask(g.n, g.d, m)
+        for (J, I), m in matching_masks(g).items()
+    }
 
 
 def agreed_matchings(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[tuple]]:
     """Containment agreement in one keyed pass: the matchings inside the
-    graphs keyed by (J, I), each from the first graph holding its key, and
-    the first disagreement (g, h, J, I) or None.  "First" is the order of a
-    pairwise scan over g before h, then over g's keys; a key's clash is
-    between its first holder and the first later graph that differs there.
+    graphs as ``matching_masks`` entries, each from the first graph holding
+    its key, and the first disagreement (g, h, J, I) or None, with J and I
+    as tuples.  "First" is the order of a pairwise scan over g before h,
+    then over g's keys; a key's clash is between its first holder and the
+    first later graph that differs there.
 
     Stronger than is_compatible for trees: a shared edge may lie on an
     alternating cycle, which the symmetric-difference orientation cannot see.
     """
-    first: dict[tuple, tuple] = {}  # (J, I) -> (matching, graph index, key position)
+    first: dict[tuple, tuple] = {}  # (J, I) -> (edge mask, graph index, key position)
     clashes = []
     for b, g in enumerate(graphs):
-        for pos, (key, m) in enumerate(contained_matchings(g).items()):
+        for pos, (key, m) in enumerate(matching_masks(g).items()):
             m_a, a, pos_a = first.setdefault(key, (m, b, pos))
             if m_a != m:
+                # (a, pos_a) names the key, so min never compares keys
                 clashes.append((a, b, pos_a, key))
     agreed = {key: m for key, (m, _, _) in first.items()}
     if not clashes:
         return agreed, None
     a, b, _, (J, I) = min(clashes)
-    return agreed, (graphs[a], graphs[b], J, I)
+    return agreed, (graphs[a], graphs[b], mask_subset(J), mask_subset(I))
 
 
 # ---------------------------------------------------------------------------

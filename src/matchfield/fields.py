@@ -102,7 +102,7 @@ def validate_tope_field(n: int, d: int, type_vector: Sequence[int], assignment: 
     """Check a raw subset -> graph map against a type vector, which must be
     positive, of length d and of sum at most n, and wrap it as a TopeField."""
     v = tuple(type_vector)
-    if len(v) != d or any(x < 1 for x in v) or sum(v) > n:
+    if len(v) != d or any(x < 1 for x in v):
         raise MatchfieldError(f"invalid type vector {v} for ({n}, {d})")
     return _validated_field(n, d, v, assignment)
 
@@ -110,9 +110,15 @@ def validate_tope_field(n: int, d: int, type_vector: Sequence[int], assignment: 
 def _validated_field(n: int, d: int, v: tuple, assignment: dict) -> TopeField:
     """The one field validator: the keys must be exactly the sum(v)-subsets
     of [n], each holding a graph on (n, d) with left degrees at most 1, right
-    degree vector v and left support its key.  Raises MissingSubsetError,
-    NotAMatchingError or WrongSupportError with the offending subset.  A
-    MatchingField when v = (1, ..., 1), else a TopeField."""
+    degree vector v and left support its key.  Raises MatchfieldError naming
+    (n, d) when sum(v) > n, so a matching field with d > n, then
+    MissingSubsetError, NotAMatchingError or WrongSupportError with the
+    offending subset.  A MatchingField when v = (1, ..., 1), else a
+    TopeField."""
+    if sum(v) > n:
+        raise MatchfieldError(
+            f"invalid type vector {v} for ({n}, {d}): its sum {sum(v)} exceeds n = {n}"
+        )
     matching = v == core.all_ones(d)
     what = "perfect matching" if matching else f"tope of type {v}"
     cleaned = {tuple(sorted(s)): g for s, g in assignment.items()}
@@ -449,10 +455,10 @@ class TopeArrangement:
                 raise MatchfieldError(f"tope at {point} has wrong right degrees")
             if tope.left_degrees() != core.all_ones(self.n):
                 raise MatchfieldError(f"tope at {point} is not maximal")
-        items = sorted(self.topes.items())
-        for (p1, t1), (p2, t2) in combinations(items, 2):
-            ok, _ = core.is_compatible(t1, t2)
-            if not ok:
+        # maximal topes are functions [n] -> [d]; compare them pairwise
+        functions = [(p, core.tope_function(t)) for p, t in sorted(self.topes.items())]
+        for (p1, f1), (p2, f2) in combinations(functions, 2):
+            if not core.functions_compatible(f1, f2, self.d):
                 raise MatchfieldError(f"topes at {p1} and {p2} are incompatible")
         check_sector_monotonicity(self.topes)
 

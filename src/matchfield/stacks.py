@@ -91,11 +91,18 @@ def stack_from_trees(trees: Iterable[BipartiteGraph], n: int, d: int) -> Matchin
     The trees must cover all (J, I) pairs and agree; both hold for valid
     triangulations.
     """
-    entries, clash = core.agreed_matchings(list(trees))
+    trees = list(trees)
+    for g in trees:
+        if (g.n, g.d) != (n, d):
+            raise MatchfieldError(f"a tree on ({g.n}, {g.d}) among trees on ({n}, {d})")
+    agreed, clash = core.agreed_matchings(trees)
     if clash is not None:
         raise MatchfieldError(f"trees disagree on the matching of {clash[2:]}")
-    empty = BipartiteGraph(n, d, [])
-    entries[((), ())] = empty
+    entries = {
+        (core.mask_subset(J), core.mask_subset(I)): BipartiteGraph.from_mask(n, d, m)
+        for (J, I), m in agreed.items()
+    }
+    entries[((), ())] = BipartiteGraph(n, d, [])
     stack = MatchingStack(n, d, entries)
     missing = [pair for pair in stack.pairs() if pair not in stack.entries]
     if missing:
@@ -276,7 +283,8 @@ def extend(
 
     lexicographic-min pairs the h-th smallest element of J with the h-th
     smallest of I; from-weights uses the exact-rational minimal matching of
-    the given matrix (ties raise).
+    the given matrix (ties raise), which must be n x d: another shape
+    raises MatchfieldError naming its row lengths before the stack is built.
     """
     n, d = field.n, field.d
     entries = {}
@@ -289,6 +297,11 @@ def extend(
     elif strategy == "from-weights":
         if weights is None:
             raise MatchfieldError("from-weights needs a weight matrix")
+        if len(weights) != n or any(len(row) != d for row in weights):
+            shape = [len(row) for row in weights]
+            raise MatchfieldError(
+                f"weights with row lengths {shape} are not a {n} x {d} matrix"
+            )
         rat = [[Fraction(x) for x in row] for row in weights]
 
         def filler(J, I):

@@ -91,7 +91,7 @@ def find_flip_violation(trees: Sequence[BipartiteGraph]):
         for j, i in g.edges:
             if left[j - 1] == 1 or right[i - 1] == 1:
                 continue
-            reduced = g.without_edges([(j, i)]).mask
+            reduced = g.mask & ~(1 << ((j - 1) * g.d + i - 1))
             if not any(reduced | bit in masks for bit in outside):
                 return (g, (j, i))
     return None
@@ -138,16 +138,19 @@ def extract_field_from_trees(
     Works for partial tree sets as long as every d-subset is covered and the
     trees agree; the extraction of a full triangulation always qualifies.
     """
-    assignment: dict = {}
+    full = (1 << d) - 1
+    masks: dict = {}  # J mask -> edge mask of the matching on J ⊔ R
     for g in trees:
-        for key, m in core.contained_matchings(g).items():
-            sigma, right = key
-            if len(right) != d:
-                continue
-            old = assignment.get(sigma)
-            if old is not None and old != m:
-                raise MatchfieldError(f"trees disagree on the matching of {sigma}")
-            assignment[sigma] = m
+        if (g.n, g.d) != (n, d):
+            raise MatchfieldError(f"a tree on ({g.n}, {g.d}) among trees on ({n}, {d})")
+        for (J, I), m in core.matching_masks(g).items():
+            if I == full and masks.setdefault(J, m) != m:
+                raise MatchfieldError(
+                    f"trees disagree on the matching of {core.mask_subset(J)}"
+                )
+    assignment = {
+        core.mask_subset(J): BipartiteGraph.from_mask(n, d, m) for J, m in masks.items()
+    }
     return fields.validate_matching_field(n, d, assignment)
 
 
@@ -375,7 +378,7 @@ def enumerate_triangulations(n: int, d: int) -> list[Triangulation]:
     rdvs = sorted(classes)
     if len(rdvs) != K:
         raise MatchfieldError("unexpected degree class count")
-    maps = {g: core.contained_matchings(g) for g in trees}
+    maps = {g: core.matching_masks(g) for g in trees}
 
     found: list[Triangulation] = []
 

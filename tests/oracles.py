@@ -12,6 +12,9 @@ descriptions kept as test oracles.
   the oracle for ``core.is_spanning_tree``.
 - Right linkage of a stack, layer by layer with the sides swapped, the
   oracle for left linkage of the transposed stack.
+- Contained matchings as edge tuples in the preorder of the lexicographic
+  edge list, and the containment agreement pass over them: the oracles for
+  ``core.matching_masks`` and ``core.agreed_matchings``.
 """
 
 from __future__ import annotations
@@ -302,3 +305,49 @@ def stack_right_linkage(stack: MatchingStack) -> tuple[bool, Optional[tuple]]:
             if not report.ok:
                 return False, (J, report.failures[0].tau)
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# contained matchings over edge lists
+
+
+def contained_matchings_by_edges(g: BipartiteGraph) -> dict[tuple, BipartiteGraph]:
+    """Oracle for core.matching_masks: every nonempty matching inside g,
+    keyed by (left support, right support), in the preorder of the edge
+    tuples."""
+    out: dict[tuple, BipartiteGraph] = {}
+    for m in _enumerate_matchings(g.edges, 0, [], g.n, g.d):
+        key = (tuple(sorted(j for j, _ in m)), tuple(sorted(i for _, i in m)))
+        out[key] = BipartiteGraph(g.n, g.d, m)
+    return out
+
+
+def _enumerate_matchings(edges, start, current, n, d):
+    if current:
+        yield tuple(current)
+    used_l = {j for j, _ in current}
+    used_r = {i for _, i in current}
+    for idx in range(start, len(edges)):
+        j, i = edges[idx]
+        if j in used_l or i in used_r:
+            continue
+        current.append((j, i))
+        yield from _enumerate_matchings(edges, idx + 1, current, n, d)
+        current.pop()
+
+
+def agreed_matchings_by_edges(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[tuple]]:
+    """Oracle for core.agreed_matchings over contained_matchings_by_edges:
+    the agreed graphs keyed by (J, I) tuples and the first clash."""
+    first: dict[tuple, tuple] = {}
+    clashes = []
+    for b, g in enumerate(graphs):
+        for pos, (key, m) in enumerate(contained_matchings_by_edges(g).items()):
+            m_a, a, pos_a = first.setdefault(key, (m, b, pos))
+            if m_a != m:
+                clashes.append((a, b, pos_a, key))
+    agreed = {key: m for key, (m, _, _) in first.items()}
+    if not clashes:
+        return agreed, None
+    a, b, _, (J, I) = min(clashes)
+    return agreed, (graphs[a], graphs[b], J, I)

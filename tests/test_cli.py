@@ -4,6 +4,10 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -231,6 +235,30 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, data, fault):
     assert captured.out == ""
     err = json.loads(captured.err)
     assert err["error"] == "ValueError" and fault in err["message"]
+
+
+def test_field_with_more_columns_than_left_nodes(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 2, "d": 3, "matchings": {}}))
+    assert run(["check-linkage", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "MatchfieldError",
+        "message": "invalid type vector (1, 1, 1) for (2, 3): its sum 3 exceeds n = 2",
+    }
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 2)], ids=["help", "no-arguments"])
+def test_module_entry_point(argv, code):
+    # python -m matchfield runs the command line from a source checkout
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "matchfield", *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == code
+    assert "usage: matchfield" in (done.stdout if code == 0 else done.stderr)
 
 
 @pytest.mark.parametrize("command", ["arrangement", "flipgraph", "cells", "chow", "stiefel"])

@@ -1,6 +1,10 @@
-"""Graph primitives: degrees, classification, compatibility, contained topes."""
+"""Graph primitives: degrees, classification, compatibility, contained topes,
+and the mask kernels against their edge-list oracles."""
+
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchfield import (
     BipartiteGraph,
@@ -16,7 +20,12 @@ from matchfield import (
 from matchfield import core
 
 from conftest import exhaustive_compatibility, graph
-from oracles import classify, connected_components
+from oracles import (
+    agreed_matchings_by_edges,
+    classify,
+    connected_components,
+    contained_matchings_by_edges,
+)
 
 
 class TestDegreeVectors:
@@ -233,3 +242,92 @@ class TestGraphBasics:
     def test_graph_of_the_wrong_shape(self):
         with pytest.raises(ValueError, match="pair of integers"):
             core.graph_from_json_dict({"n": 2, "d": 2, "edges": [[1, 1], {}]})
+
+
+class TestMatchingMasks:
+    @staticmethod
+    def as_tuples(g):
+        return [
+            ((core.mask_subset(J), core.mask_subset(I)), BipartiteGraph.from_mask(g.n, g.d, m))
+            for (J, I), m in core.matching_masks(g).items()
+        ]
+
+    @pytest.mark.parametrize("n, d", [(3, 3), (2, 4), (4, 4)])
+    def test_every_spanning_tree(self, n, d):
+        trees = core.all_spanning_trees(n, d)
+        assert len(trees) == n ** (d - 1) * d ** (n - 1)
+        for g in trees:
+            # same keys in the same order, and the same matchings
+            assert self.as_tuples(g) == list(contained_matchings_by_edges(g).items())
+
+    def test_thin_converter(self):
+        g = graph(3, 3, [(1, 1), (1, 2), (2, 2), (2, 3), (3, 1)])
+        assert core.contained_matchings(g) == contained_matchings_by_edges(g)
+        assert list(core.contained_matchings(g)) == list(contained_matchings_by_edges(g))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_any_graph(self, n, d, data):
+        bits = data.draw(st.sets(st.integers(0, n * d - 1), max_size=n * d))
+        g = BipartiteGraph.from_mask(n, d, sum(1 << b for b in bits))
+        expected = contained_matchings_by_edges(g)
+        got = self.as_tuples(g)
+        assert [key for key, _ in got] == list(expected)
+        # with several matchings per key both keep the last one found
+        assert got == list(expected.items())
+
+    def test_agreement_witness_on_all_tree_pairs(self):
+        trees = core.all_spanning_trees(3, 3)
+        clashes = 0
+        for pair in combinations(trees, 2):
+            agreed, clash = core.agreed_matchings(pair)
+            old_agreed, old_clash = agreed_matchings_by_edges(pair)
+            assert clash == old_clash
+            assert {
+                (core.mask_subset(J), core.mask_subset(I)): BipartiteGraph.from_mask(3, 3, m)
+                for (J, I), m in agreed.items()
+            } == old_agreed
+            clashes += clash is not None
+        # both verdicts occur, so the comparison is not vacuous
+        assert 0 < clashes < len(trees) * (len(trees) - 1) // 2
+
+    def test_agreement_witness_over_many_trees(self):
+        trees = core.all_spanning_trees(2, 4)[::3]
+        assert core.agreed_matchings(trees)[1] == agreed_matchings_by_edges(trees)[1]
+
+
+def maximal_topes(n, d):
+    """Every graph with left degrees 1 covering all right nodes."""
+    out = []
+    for f in product(range(1, d + 1), repeat=n):
+        if len(set(f)) == d:
+            out.append(BipartiteGraph(n, d, list(zip(range(1, n + 1), f))))
+    return out
+
+
+class TestTopeFunctions:
+    def test_function_of_a_tope(self):
+        g = graph(4, 3, [(1, 2), (2, 1), (3, 3), (4, 2)])
+        assert core.tope_function(g) == (1, 0, 2, 1)
+
+    @pytest.mark.parametrize("n, d", [(4, 2), (5, 2), (4, 3), (5, 3)])
+    def test_all_maximal_tope_pairs(self, n, d):
+        topes = maximal_topes(n, d)
+        verdicts = set()
+        for a, b in combinations(topes, 2):
+            fa, fb = core.tope_function(a), core.tope_function(b)
+            expected = is_compatible(a, b)[0]
+            assert core.functions_compatible(fa, fb, d) == expected
+            assert core.functions_compatible(fb, fa, d) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 6), st.data())
+    def test_any_function_pair(self, n, d, data):
+        fs = st.lists(st.integers(1, d), min_size=n, max_size=n)
+        f1, f2 = data.draw(fs), data.draw(fs)
+        a = BipartiteGraph(n, d, list(zip(range(1, n + 1), f1)))
+        b = BipartiteGraph(n, d, list(zip(range(1, n + 1), f2)))
+        got = core.functions_compatible(core.tope_function(a), core.tope_function(b), d)
+        assert got == is_compatible(a, b)[0]

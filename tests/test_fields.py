@@ -1,5 +1,6 @@
 """Fields: validation, linkage, coherence, amalgamation, arrangements, axioms."""
 
+import itertools
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -189,6 +190,14 @@ class TestValidation:
         bad[(1, 2)] = matching_from_word(4, 2, "13")
         with pytest.raises(MatchfieldError):
             validate_matching_field(4, 2, bad)
+
+    def test_more_columns_than_left_nodes(self):
+        # a (2, 3) matching field would need 3-subsets of [2]
+        with pytest.raises(MatchfieldError) as err:
+            validate_matching_field(2, 3, {})
+        assert str(err.value) == "invalid type vector (1, 1, 1) for (2, 3): its sum 3 exceeds n = 2"
+        with pytest.raises(MatchfieldError, match=r"for \(4, 2\): its sum 5 exceeds n = 4"):
+            validate_tope_field(4, 2, (3, 2), {})
 
     def test_tope_field_valid(self, tope_field_42):
         got = validate_tope_field(4, 2, (2, 1), dict(tope_field_42.items()))
@@ -547,6 +556,42 @@ class TestArrangement:
         broken[(2, 0)] = graph(4, 2, [(1, 1), (2, 1), (3, 1), (4, 2)])
         with pytest.raises(MatchfieldError):
             fields_mod.TopeArrangement(4, 2, broken)
+
+
+    def test_planted_incompatible_pair(self, field_42):
+        topes = dict(tope_arrangement(field_42).topes)
+        topes[(1, 1)] = graph(4, 2, [(1, 1), (2, 2), (3, 1), (4, 2)])
+        # the tope clashes with (2, 0) only, so the first pair is not reported
+        with pytest.raises(MatchfieldError) as err:
+            fields_mod.TopeArrangement(4, 2, topes)
+        assert str(err.value) == "topes at (1, 1) and (2, 0) are incompatible"
+
+    def test_first_incompatible_pair_as_by_the_cycle_test(self, field_53):
+        # every one-tope replacement in a (5,3) arrangement: the message names
+        # the first pair in sorted order that is_compatible refuses
+        ta = tope_arrangement(field_53)
+        refused = 0
+        for point, old in ta.items():
+            for f in itertools.product((1, 2, 3), repeat=5):
+                g = graph(5, 3, list(zip(range(1, 6), f)))
+                if g == old or g.right_degrees() != vector_sum(point, (1, 1, 1)):
+                    continue
+                topes = {**ta.topes, point: g}
+                first = next(
+                    (
+                        f"topes at {p1} and {p2} are incompatible"
+                        for (p1, t1), (p2, t2) in itertools.combinations(sorted(topes.items()), 2)
+                        if not is_compatible(t1, t2)[0]
+                    ),
+                    None,
+                )
+                if first is None:
+                    continue
+                refused += 1
+                with pytest.raises(MatchfieldError) as err:
+                    fields_mod.TopeArrangement(5, 3, topes)
+                assert str(err.value) == first
+        assert refused > 10
 
 
 class TestAgainstAmalgamation:

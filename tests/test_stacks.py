@@ -203,6 +203,24 @@ class TestExtendExtract:
         report = validate_ensemble(stack)
         assert report.closure_ok
 
+    @pytest.mark.parametrize(
+        "weights, shape",
+        [
+            ([[0, 1], [2]], "[2, 1]"),
+            ([[0, 1], [0, 0], [1]], "[2, 2, 1]"),
+            ([[0, 1], [0, 0]], "[2, 2]"),
+            ([[0, 1, 2], [0, 0, 1], [1, 0, 2]], "[3, 3, 3]"),
+        ],
+        ids=["ragged", "short-row", "too-few-rows", "too-many-columns"],
+    )
+    def test_weights_of_the_wrong_shape(self, weights, shape):
+        from matchfield import coherent_field
+
+        field = coherent_field([(0, 1), (0, 0), (1, 0)])
+        with pytest.raises(MatchfieldError) as err:
+            extend(field, "from-weights", weights=weights)
+        assert str(err.value) == f"weights with row lengths {shape} are not a 3 x 2 matrix"
+
     def test_equality_stores_nothing(self, field_42):
         # equality compares the filled-in stacks without filling them in
         lazy = extend(field_42, "lexicographic-min")

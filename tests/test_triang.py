@@ -316,6 +316,14 @@ class TestKeyedAxioms:
                     assert entries.setdefault(key, m) == m
             assert stack_from_trees(trees, n, d).entries == entries
 
+    def test_trees_on_other_sides_are_refused(self):
+        # masks of graphs on other node sets would be read as other edges
+        trees = staircase_triangulation(3, 2).sorted_trees()
+        other = graph(2, 3, [(1, 1), (1, 2), (1, 3), (2, 3)])
+        for build in (stack_from_trees, extract_field_from_trees):
+            with pytest.raises(MatchfieldError, match=r"a tree on \(2, 3\) among trees on \(3, 2\)"):
+                build(trees + [other], 3, 2)
+
     def test_stack_refuses_disagreeing_trees(self):
         trees = [graph(2, 2, SQUARE_TREES[0]), graph(2, 2, [(1, 2), (2, 1), (2, 2)])]
         with pytest.raises(MatchfieldError, match=r"disagree on the matching of \(\(1, 2\), \(1, 2\)\)"):
