@@ -59,10 +59,6 @@ def _write_dot(text: str, path: str) -> None:
         fh.write(text)
 
 
-def _parse_vector(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
-
-
 def _with_seed(data: dict, args) -> dict:
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
@@ -98,7 +94,7 @@ def cmd_check_linkage(args) -> int:
 
 def cmd_amalgamate(args) -> int:
     field = fields.field_from_json_dict(_load(args.input))
-    target = _parse_vector(args.target)
+    target = core.parse_point_key(args.target)
     tf = fields.tope_field_of_type(field, target)
     _emit(_with_seed(fields.field_to_json_dict(tf), args), args.json)
     return 0
@@ -174,8 +170,8 @@ def cmd_reconstruct_triangulation(args) -> int:
 
 
 def cmd_staircase(args) -> int:
-    left = _parse_vector(args.left_order) if args.left_order else None
-    right = _parse_vector(args.right_order) if args.right_order else None
+    left = core.parse_point_key(args.left_order) if args.left_order else None
+    right = core.parse_point_key(args.right_order) if args.right_order else None
     t = triang.staircase_triangulation(args.n, args.d, left, right)
     _emit(_with_seed(triang.triangulation_to_json_dict(t), args), args.json)
     return 0
@@ -263,7 +259,7 @@ def cmd_stiefel(args) -> int:
 
 def cmd_right_submatching_check(args) -> int:
     field = _load_matching_field(args.input)
-    report = stacks.right_submatching_check(field, max_left=args.cap)
+    report = stacks.right_submatching_check(field)
     out = _with_seed(
         {"ok": report.ok, "witness": repr(report.witness) if report.witness else None},
         args,
@@ -317,10 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("amalgamate", cmd_amalgamate, help="iterated amalgamation to a type")
     p.add_argument("input")
-    p.add_argument(
-        "--target", "--type", dest="target", required=True,
-        help="target type vector, e.g. 3,1",
-    )
+    p.add_argument("--target", required=True, help="target type vector, e.g. 3,1")
 
     p = add("arrangement", cmd_arrangement, help="tope arrangement of a field")
     p.add_argument("input")
@@ -389,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compatible right submatching property",
     )
     p.add_argument("input")
-    p.add_argument("--cap", type=int, help="cap on |J|")
 
     p = add("roundtrip", cmd_roundtrip, help="forward map, reconstruct, diff")
     p.add_argument("--kind", choices=["chow", "triangulation"], required=True)

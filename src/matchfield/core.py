@@ -27,13 +27,15 @@ compatibility from the two maps [n] -> [d] (``tope_function``): the arcs
 f2(j) -> f1(j) must form an acyclic digraph on the d right nodes.
 
 Every JSON format is read strictly by ``read_table``, which raises
-ValueError on a value of the wrong shape, and written by ``write_table``;
-graphs, triangulations and degree pairs are read with the same checks.
+ValueError on a value of the wrong shape or on a subset key that is not
+its subset's one spelling, and written by ``write_table``; graphs,
+triangulations and degree pairs are read with the same checks.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
@@ -594,7 +596,19 @@ def canonical_json(data) -> str:
 
 
 def parse_subset_key(key: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in key.split(","))
+    """The subset a key spells: positive integers in increasing order,
+    comma-joined.  Any other key raises ValueError naming it, so no two keys
+    of a table spell one subset."""
+    if re.fullmatch(r"[1-9][0-9]*(,[1-9][0-9]*)*", key):
+        subset = parse_point_key(key)
+        if list(subset) == sorted(set(subset)):
+            return subset
+    raise ValueError(f"subset key {key!r} must list positive integers in increasing order")
+
+
+def parse_point_key(key: str) -> tuple[int, ...]:
+    """A lattice point, or any integer vector, from its comma-joined key."""
+    return tuple(map(int, key.split(",")))
 
 
 def subset_key(subset: Iterable[int]) -> str:
@@ -640,7 +654,8 @@ def read_table(
 ) -> tuple[int, int, dict]:
     """n, d and the table data[name], keys parsed by parse_key and values
     read as graphs or, with vectors, integer tuples.  Raises ValueError on
-    a value of the wrong JSON shape; nothing else is validated."""
+    a value of the wrong JSON shape or a key parse_key refuses; nothing
+    else is validated."""
     n, d = read_sides(data)
     table = data[name]
     if not isinstance(table, dict):

@@ -785,7 +785,7 @@ def arrangement_to_json_dict(ta: TopeArrangement) -> dict:
 
 
 def arrangement_from_json_dict(data: dict) -> TopeArrangement:
-    return TopeArrangement(*core.read_table(data, "topes"))
+    return TopeArrangement(*core.read_table(data, "topes", core.parse_point_key))
 
 
 def extended_to_json_dict(eta: ExtendedTopeArrangement) -> dict:
@@ -793,4 +793,4 @@ def extended_to_json_dict(eta: ExtendedTopeArrangement) -> dict:
 
 
 def extended_from_json_dict(data: dict) -> ExtendedTopeArrangement:
-    return ExtendedTopeArrangement(*core.read_table(data, "graphs"))
+    return ExtendedTopeArrangement(*core.read_table(data, "graphs", core.parse_point_key))

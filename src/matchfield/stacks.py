@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from . import core, fields
@@ -32,54 +33,37 @@ from .errors import MatchfieldError, SizeCapError, TiedMinimumError
 
 
 class MatchingStack:
-    """Map (J, I) -> perfect matching on J ⊔ I, with optional lazy filler.
+    """Map (J, I) -> perfect matching on J ⊔ I, stored as a plain table.
 
-    Entries are stored sparsely; a filler(J, I) callback may synthesise
-    missing entries on demand (used by the weight strategy).
+    Entries may be sparse: a pair without an entry has no matching, and
+    asking for it raises MatchfieldError.
     """
 
-    def __init__(self, n: int, d: int, entries: dict, filler=None):
+    def __init__(self, n: int, d: int, entries: dict):
         self.n = n
         self.d = d
         self.entries = {
             (tuple(sorted(J)), tuple(sorted(I))): g for (J, I), g in entries.items()
         }
-        self.filler = filler
 
     def matching(self, J: Iterable[int], I: Iterable[int]) -> BipartiteGraph:
         key = (tuple(sorted(J)), tuple(sorted(I)))
         if len(key[0]) != len(key[1]):
             raise MatchfieldError("|J| and |I| must agree")
         if key not in self.entries:
-            self.entries[key] = self._fill(key)
+            raise MatchfieldError(f"no matching assigned to {key}")
         return self.entries[key]
 
-    def _fill(self, key) -> BipartiteGraph:
-        if self.filler is None:
-            raise MatchfieldError(f"no matching assigned to {key}")
-        return self.filler(*key)
-
     def pairs(self):
-        for k in range(self.n + 1):
-            if k > self.d:
-                break
+        for k in range(min(self.n, self.d) + 1):
             for J in core.subsets(self.n, k):
                 for I in core.subsets(self.d, k):
                     yield (J, I)
 
-    def materialize(self) -> None:
-        self.entries.update(self._materialized())
-
-    def _materialized(self) -> dict:
-        """The entries plus the filler's value at every missing pair, without
-        storing anything."""
-        missing = (key for key in self.pairs() if key not in self.entries)
-        return {**self.entries, **{key: self._fill(key) for key in missing}}
-
     def __eq__(self, other):
-        if not isinstance(other, MatchingStack) or (self.n, self.d) != (other.n, other.d):
+        if not isinstance(other, MatchingStack):
             return False
-        return self._materialized() == other._materialized()
+        return (self.n, self.d, self.entries) == (other.n, other.d, other.entries)
 
     def __repr__(self):
         return f"<MatchingStack ({self.n},{self.d})>"
@@ -155,14 +139,20 @@ def _layer_field(stack: MatchingStack, I: tuple) -> fields.MatchingField:
 
 
 def _transpose(stack: MatchingStack) -> MatchingStack:
-    """The stack with its sides swapped, filled on demand: (I, J) holds the
-    matching of (J, I) with every edge reversed."""
-
-    def filler(I, J):
-        edges = [(i, j) for j, i in stack.matching(J, I).edges]
-        return BipartiteGraph(stack.d, stack.n, edges)
-
-    return MatchingStack(stack.d, stack.n, {}, filler)
+    """The stack with its sides swapped: (I, J) holds the matching of (J, I)
+    with every edge reversed.  Every nonempty pair must have a matching; the
+    empty pair is left out, since the swapped sides may have no right node."""
+    return MatchingStack(
+        stack.d,
+        stack.n,
+        {
+            (I, J): BipartiteGraph(
+                stack.d, stack.n, [(i, j) for j, i in stack.matching(J, I).edges]
+            )
+            for J, I in stack.pairs()
+            if J
+        },
+    )
 
 
 def stack_left_linkage(stack: MatchingStack) -> tuple[bool, Optional[tuple]]:
@@ -181,7 +171,6 @@ def validate_ensemble(stack: MatchingStack) -> EnsembleReport:
     """Support, closure and both linkage axioms, with the first witness.  A
     pair without a matching fails support; an axiom left unchecked because
     support failed is reported false."""
-    support_ok, witness = True, None
     for J, I in stack.pairs():
         try:
             m = stack.matching(J, I)
@@ -189,32 +178,23 @@ def validate_ensemble(stack: MatchingStack) -> EnsembleReport:
         except MatchfieldError:
             ok = False
         if not ok:
-            support_ok = False
-            witness = ("support", J, I)
-            break
-    closure_ok = support_ok
-    if support_ok:
-        for J, I in stack.pairs():
-            m = stack.matching(J, I)
-            for r in range(1, len(J)):
-                for sub_edges in combinations(m.edges, r):
-                    sub = BipartiteGraph(stack.n, stack.d, sub_edges)
-                    key = (sub.left_support(), sub.right_support())
-                    if stack.matching(*key) != sub:
-                        closure_ok = False
-                        witness = witness or ("closure", J, I, key)
-                        break
-                if not closure_ok:
-                    break
-            if not closure_ok:
-                break
-    left_ok, lw = stack_left_linkage(stack) if support_ok else (False, None)
+            return EnsembleReport(False, False, False, False, ("support", J, I))
+    left_ok, lw = stack_left_linkage(stack)
     # every fixed-J layer is right linkage when the transposed stack is left linkage
-    right_ok, rw = stack_left_linkage(_transpose(stack)) if support_ok else (False, None)
-    witness = witness or (("left-linkage",) + lw if lw else None) or (
+    right_ok, rw = stack_left_linkage(_transpose(stack))
+    for J, I in stack.pairs():
+        m = stack.matching(J, I)
+        for r in range(1, len(J)):
+            for sub_edges in combinations(m.edges, r):
+                sub = BipartiteGraph(stack.n, stack.d, sub_edges)
+                key = (sub.left_support(), sub.right_support())
+                if stack.matching(*key) != sub:
+                    witness = ("closure", J, I, key)
+                    return EnsembleReport(True, False, left_ok, right_ok, witness)
+    witness = (("left-linkage",) + lw if lw else None) or (
         ("right-linkage",) + rw if rw else None
     )
-    return EnsembleReport(support_ok, closure_ok, left_ok, right_ok, witness)
+    return EnsembleReport(True, True, left_ok, right_ok, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -268,43 +248,45 @@ def extraction(stack: MatchingStack) -> fields.MatchingField:
     return fields.validate_matching_field(stack.n, stack.d, assignment)
 
 
-def _lex_min_matching(n, d, J, I):
-    edges = list(zip(J, I))
-    return BipartiteGraph(n, d, edges)
+# every pair (J, I) is filled: C(n + d, d) of them; (9, 6) has 5,005 and takes
+# about 1 s from weights on a 2-core x86-64 machine
+EXTEND_MAX_PAIRS = 10**4
 
 
 def extend(
-    field: fields.MatchingField,
-    strategy: str = "lexicographic-min",
-    weights: Optional[Sequence[Sequence]] = None,
+    field: fields.MatchingField, weights: Optional[Sequence[Sequence]] = None
 ) -> MatchingStack:
     """Extend a field to a stack: pairs with I = R take the field's matchings,
-    all others are filled by the strategy.
+    every other pair is filled at once.
 
-    lexicographic-min pairs the h-th smallest element of J with the h-th
-    smallest of I; from-weights uses the exact-rational minimal matching of
-    the given matrix (ties raise), which must be n x d: another shape
-    raises MatchfieldError naming its row lengths before the stack is built.
+    Without weights the h-th smallest element of J is paired with the h-th
+    smallest of I (lexicographic-min).  With weights each pair takes the
+    exact-rational minimal matching of the matrix (ties raise
+    TiedMinimumError), which must be n x d: another shape raises
+    MatchfieldError naming its row lengths before the stack is built.
+    Raises SizeCapError beyond EXTEND_MAX_PAIRS pairs, before any work.
     """
     n, d = field.n, field.d
-    entries = {}
-    full = tuple(range(1, d + 1))
-    for sigma, m in field.items():
-        entries[(sigma, full)] = m
-    if strategy == "lexicographic-min":
-        def filler(J, I):
-            return _lex_min_matching(n, d, J, I)
-    elif strategy == "from-weights":
-        if weights is None:
-            raise MatchfieldError("from-weights needs a weight matrix")
+    pairs = comb(n + d, d)
+    if pairs > EXTEND_MAX_PAIRS:
+        raise SizeCapError(
+            f"extending a ({n}, {d}) field fills {pairs} pairs, "
+            f"over the cap of {EXTEND_MAX_PAIRS}"
+        )
+    if weights is not None:
         if len(weights) != n or any(len(row) != d for row in weights):
             shape = [len(row) for row in weights]
             raise MatchfieldError(
                 f"weights with row lengths {shape} are not a {n} x {d} matrix"
             )
         rat = [[Fraction(x) for x in row] for row in weights]
-
-        def filler(J, I):
+    full = tuple(range(1, d + 1))
+    stack = MatchingStack(n, d, {(sigma, full): m for sigma, m in field.items()})
+    for J, I in stack.pairs():
+        if (J, I) in stack.entries:
+            continue
+        best = I
+        if weights is not None:
             best, tied = fields._min_assignment(J, rat, I)
             if tied is not None:
                 raise TiedMinimumError(
@@ -312,10 +294,8 @@ def extend(
                     BipartiteGraph(n, d, list(zip(J, best))),
                     BipartiteGraph(n, d, list(zip(J, tied))),
                 )
-            return BipartiteGraph(n, d, list(zip(J, best)))
-    else:
-        raise MatchfieldError(f"unknown strategy {strategy!r}")
-    return MatchingStack(n, d, entries, filler=filler)
+        stack.entries[(J, I)] = BipartiteGraph(n, d, list(zip(J, best)))
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -411,37 +391,45 @@ class SubmatchingReport:
     witness: Optional[tuple] = None  # (J, I, kind, data)
 
 
-def right_submatching_check(
-    field: fields.MatchingField, max_left: Optional[int] = None
-) -> SubmatchingReport:
-    """For every left subset J and right subset I with |I| = |J| + 1, the
-    union of the existing submatchings of field matchings on J ⊔ I' (I'
+def right_submatching_check(field: fields.MatchingField) -> SubmatchingReport:
+    """For every left subset J and right subset I with |I| = |J| + 1 <= d,
+    the union of the existing submatchings of field matchings on J ⊔ I' (I'
     ranging over the |J|-subsets of I) must be a forest whose contained
     |J|-matchings are all compatible with the field.
 
-    max_left caps |J| (default: no cap beyond d - 1).
+    The submatchings come from one table built from ``core.matching_masks``
+    of every field matching: (J mask, I' mask) -> edge mask, or None where
+    two field matchings differ; reaching such a key raises MatchfieldError.
     """
     n, d = field.n, field.d
-    cap = min(d - 1, max_left if max_left is not None else d - 1)
     all_matchings = [m for _, m in field.items()]
-    for size in range(1, cap + 1):
+    submatchings: dict[tuple[int, int], Optional[int]] = {}
+    for m in all_matchings:
+        for key, sub in core.matching_masks(m).items():
+            if submatchings.setdefault(key, sub) != sub:
+                submatchings[key] = None
+    for size in range(1, d):
         for J in core.subsets(n, size):
+            J_mask = sum(1 << (j - 1) for j in J)
             for I in core.subsets(d, size + 1):
-                union = BipartiteGraph.from_mask(n, d, 0)
-                pieces = {}
+                union_mask = 0
                 for I_sub in combinations(I, size):
-                    sub = _field_submatching(field, J, I_sub)
-                    if sub is not None:
-                        pieces[I_sub] = sub
-                        union = union.union(sub)
-                if not pieces:
+                    key = (J_mask, sum(1 << (i - 1) for i in I_sub))
+                    if key not in submatchings:
+                        continue
+                    if submatchings[key] is None:
+                        raise MatchfieldError(f"field matchings disagree on ({J}, {I_sub})")
+                    union_mask |= submatchings[key]
+                if not union_mask:
                     continue
+                union = BipartiteGraph.from_mask(n, d, union_mask)
                 cycle = core.find_cycle(union)
                 if cycle is not None:
                     return SubmatchingReport(False, (J, I, "cycle", tuple(cycle)))
-                for key, m in core.contained_matchings(union).items():
-                    if len(key[0]) != size:
+                for (left, _), mask in core.matching_masks(union).items():
+                    if left.bit_count() != size:
                         continue
+                    m = BipartiteGraph.from_mask(n, d, mask)
                     for other in all_matchings:
                         ok, _ = core.is_compatible(m, other)
                         if not ok:
@@ -449,22 +437,6 @@ def right_submatching_check(
                                 False, (J, I, "incompatible", (m, other))
                             )
     return SubmatchingReport(True)
-
-
-def _field_submatching(field, J, I_sub):
-    """Unique submatching of a field matching on J ⊔ I_sub, if any exists."""
-    found = None
-    for _, m in field.items():
-        edges = [(j, i) for j, i in m.edges if j in J and i in I_sub]
-        if len(edges) != len(J):
-            continue
-        sub = BipartiteGraph(field.n, field.d, edges)
-        if sub.left_support() != J or sub.right_support() != tuple(I_sub):
-            continue
-        if found is not None and found != sub:
-            raise MatchfieldError(f"field matchings disagree on ({J}, {I_sub})")
-        found = sub
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +448,18 @@ def stack_key(J, I) -> str:
 
 
 def parse_stack_key(key: str):
-    j_part, i_part = key.split("|")
-    J = core.parse_subset_key(j_part[2:]) if j_part[2:] else ()
-    I = core.parse_subset_key(i_part[2:]) if i_part[2:] else ()
-    return J, I
+    """(J, I) from the key J:<subset>|I:<subset>, either subset possibly
+    empty; any other key raises ValueError naming it."""
+    j_part, _, i_part = key.partition("|")
+    if j_part[:2] == "J:" and i_part[:2] == "I:":
+        try:
+            return tuple(core.parse_subset_key(h[2:]) if h[2:] else () for h in (j_part, i_part))
+        except ValueError:
+            pass
+    raise ValueError(f"stack key {key!r} must read J:<subset>|I:<subset>")
 
 
 def stack_to_json_dict(stack: MatchingStack) -> dict:
-    stack.materialize()
     entries = sorted(stack.entries.items())
     return core.write_table(stack.n, stack.d, "matchings", entries, key=lambda JI: stack_key(*JI))
 

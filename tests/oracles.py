@@ -15,18 +15,21 @@ descriptions kept as test oracles.
 - Contained matchings as edge tuples in the preorder of the lexicographic
   edge list, and the containment agreement pass over them: the oracles for
   ``core.matching_masks`` and ``core.agreed_matchings``.
+- The right-submatching check that rescans every field matching for each
+  (J, I'), the oracle for the table-driven ``right_submatching_check``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from matchfield import core, fields
 from matchfield.core import BipartiteGraph, degree_vectors, is_forest, is_spanning_tree
 from matchfield.errors import InconsistentPairsError, MatchfieldError, SizeCapError
 from matchfield.flip import ProdsimplicialCell, cell_of_tope, expected_edge_count, flip_graph
-from matchfield.stacks import MatchingStack
+from matchfield.stacks import MatchingStack, SubmatchingReport
 from matchfield.triang import _check_pair_shape
 
 
@@ -351,3 +354,63 @@ def agreed_matchings_by_edges(graphs: Sequence[BipartiteGraph]) -> tuple[dict, O
         return agreed, None
     a, b, _, (J, I) = min(clashes)
     return agreed, (graphs[a], graphs[b], J, I)
+
+
+# ---------------------------------------------------------------------------
+# compatible right submatchings, one rescan of the field per (J, I')
+
+
+def right_submatching_check_by_rescan(
+    field: fields.MatchingField, max_left: Optional[int] = None
+) -> SubmatchingReport:
+    """For every left subset J and right subset I with |I| = |J| + 1, the
+    union of the existing submatchings of field matchings on J ⊔ I' (I'
+    ranging over the |J|-subsets of I) must be a forest whose contained
+    |J|-matchings are all compatible with the field.
+
+    max_left caps |J| (default: no cap beyond d - 1).
+    """
+    n, d = field.n, field.d
+    cap = min(d - 1, max_left if max_left is not None else d - 1)
+    all_matchings = [m for _, m in field.items()]
+    for size in range(1, cap + 1):
+        for J in core.subsets(n, size):
+            for I in core.subsets(d, size + 1):
+                union = BipartiteGraph.from_mask(n, d, 0)
+                pieces = {}
+                for I_sub in combinations(I, size):
+                    sub = _field_submatching(field, J, I_sub)
+                    if sub is not None:
+                        pieces[I_sub] = sub
+                        union = union.union(sub)
+                if not pieces:
+                    continue
+                cycle = core.find_cycle(union)
+                if cycle is not None:
+                    return SubmatchingReport(False, (J, I, "cycle", tuple(cycle)))
+                for key, m in core.contained_matchings(union).items():
+                    if len(key[0]) != size:
+                        continue
+                    for other in all_matchings:
+                        ok, _ = core.is_compatible(m, other)
+                        if not ok:
+                            return SubmatchingReport(
+                                False, (J, I, "incompatible", (m, other))
+                            )
+    return SubmatchingReport(True)
+
+
+def _field_submatching(field, J, I_sub):
+    """Unique submatching of a field matching on J ⊔ I_sub, if any exists."""
+    found = None
+    for _, m in field.items():
+        edges = [(j, i) for j, i in m.edges if j in J and i in I_sub]
+        if len(edges) != len(J):
+            continue
+        sub = BipartiteGraph(field.n, field.d, edges)
+        if sub.left_support() != J or sub.right_support() != tuple(I_sub):
+            continue
+        if found is not None and found != sub:
+            raise MatchfieldError(f"field matchings disagree on ({J}, {I_sub})")
+        found = sub
+    return found

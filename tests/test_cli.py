@@ -1,10 +1,12 @@
 """Command-line surface: exit codes, JSON reports, byte stability."""
 
+import argparse
 import contextlib
 import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -425,6 +427,96 @@ def test_wrong_entry_count_is_refused_before_any_work(
     assert run(command + [str(path)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": error, "message": message}
+
+
+def square_stack_data():
+    return stack_to_json_dict(stack_from_trees(staircase_triangulation(2, 2).sorted_trees(), 2, 2))
+
+
+def assert_usage_error_naming(capsys, argv, key):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError" and repr(key) in err["message"]
+
+
+@pytest.mark.parametrize(
+    "respell",
+    [
+        lambda key: key.replace("J:", "XY").replace("I:", "ZW"),
+        lambda key: key.replace("J:", "").replace("I:", ""),
+        lambda key: key + "|I:1",
+    ],
+    ids=["wrong-prefixes", "unprefixed", "third-part"],
+)
+@pytest.mark.parametrize("command", ["ensemble-check", "complete"])
+def test_stack_keys_must_read_j_and_i(capsys, tmp_path, command, respell):
+    data = square_stack_data()
+    data["matchings"] = {respell(k): v for k, v in data["matchings"].items()}
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(data))
+    assert_usage_error_naming(capsys, [command, str(path)], next(iter(data["matchings"])))
+
+
+@pytest.mark.parametrize("bad", ["2,1", "1,1", "0,1", "-1,2", "01,2", "1, 2", "+1,2", ""])
+def test_field_subset_keys_have_one_spelling(capsys, tmp_path, field_42, bad):
+    # a second spelling of a subset would otherwise win over the first by file order
+    data = field_to_json_dict(field_42)
+    data["matchings"][bad] = data["matchings"]["1,2"][::-1]
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(data))
+    assert_usage_error_naming(capsys, ["check-linkage", str(path)], bad)
+
+
+def test_phi_subset_keys_have_one_spelling(capsys, tmp_path, field_42):
+    data = phi_to_json_dict(chow_collection(field_42).phi())
+    data["phi"]["4,2,1"] = data["phi"].pop("1,2,4")
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(data))
+    assert_usage_error_naming(capsys, ["reconstruct-chow", "--phi", str(path)], "4,2,1")
+
+
+@pytest.mark.parametrize(
+    "key, bad", [("J:1,2|I:1,2", "J:2,1|I:1,2"), ("J:1,2|I:1,2", "J:1,2|I:2,1")], ids=["J", "I"]
+)
+def test_stack_subset_keys_have_one_spelling(capsys, tmp_path, key, bad):
+    data = square_stack_data()
+    data["matchings"][bad] = data["matchings"].pop(key)
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(data))
+    assert_usage_error_naming(capsys, ["ensemble-check", str(path)], bad)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["right-submatching-check", "FIELD", "--cap", "0"],
+        ["amalgamate", "FIELD", "--type", "2,1"],
+        ["amalgamate", "FIELD", "--target", "2,1", "--type", "2,1"],
+    ],
+    ids=["cap", "type", "type-beside-target"],
+)
+def test_removed_options_are_usage_errors(capsys, field_file, argv):
+    assert run([field_file if a == "FIELD" else a for a in argv]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_readme_lists_every_subcommand_and_option():
+    # the command table and its header line against the parser, both ways
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    common = set(re.findall(r"--[a-z][a-z-]*", section.split("\n|", 1)[0]))
+    documented = {}
+    for cell in re.findall(r"^\| (.+?) \|", section, re.M):
+        for usage in re.findall(r"`([^`]+)`", cell):
+            documented[usage.split()[0]] = common | set(re.findall(r"--[a-z][a-z-]*", usage))
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actual = {
+        name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
+        for name, p in subparsers.choices.items()
+    }
+    assert documented == actual
 
 
 @pytest.mark.parametrize("n,d", [(0, 5), (3, 0), (-1, 2)])

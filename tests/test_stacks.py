@@ -1,5 +1,6 @@
 """Stacks, ensembles, completion, extension, matroids, right submatchings."""
 
+import hashlib
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from matchfield import (
     SizeCapError,
     completion,
     completion_linkage_check,
+    core,
     extend,
     extraction,
     is_linkage,
@@ -22,6 +24,7 @@ from matchfield import (
     transversal_matroid,
     validate_ensemble,
 )
+from matchfield import randgen
 from matchfield import stacks as stacks_mod
 from matchfield.stacks import (
     _transpose,
@@ -33,8 +36,8 @@ from matchfield.stacks import (
 )
 from matchfield.fields import maximal_tope_covectors
 
-from conftest import field_from_words, graph
-from oracles import stack_right_linkage
+from conftest import field_from_words, graph, random_matching_field
+from oracles import right_submatching_check_by_rescan, stack_right_linkage
 
 
 def random_stack(n, d, seed):
@@ -79,17 +82,12 @@ class TestEnsemble:
         report = validate_ensemble(broken)
         assert report.support_ok
         assert not report.closure_ok
-        assert report.witness[0] == "closure"
+        # the full matching is the first pair with a reassigned submatching
+        assert report.witness == ("closure", (1, 2, 3), (1, 2, 3), key)
 
     def test_non_linkage_layer(self, field_43):
         # stack whose full layer is the compatible-but-not-linkage field
-        entries = {}
-        for sigma, m in field_43.items():
-            entries[(sigma, (1, 2, 3))] = m
-        stack = MatchingStack(4, 3, entries, filler=lambda J, I: BipartiteGraph(
-            4, 3, list(zip(J, I))
-        ))
-        report = validate_ensemble(stack)
+        report = validate_ensemble(extend(field_43))
         assert not report.left_linkage_ok
 
     def test_support_violation(self):
@@ -106,6 +104,12 @@ class TestEnsemble:
             assert report.witness == ("support",) + missing
             assert not (report.support_ok or report.closure_ok)
             assert not (report.left_linkage_ok or report.right_linkage_ok)
+
+    def test_missing_pair_raises_and_stores_nothing(self):
+        stack = MatchingStack(2, 2, {((), ()): graph(2, 2, [])})
+        with pytest.raises(MatchfieldError, match=r"no matching assigned to \(\(1,\), \(2,\)\)"):
+            stack.matching((1,), (2,))
+        assert list(stack.entries) == [((), ())]
 
 
 class TestRightLinkage:
@@ -189,7 +193,7 @@ class TestCompletion:
 
 class TestExtendExtract:
     def test_round_trip_lexicographic(self, field_42):
-        stack = extend(field_42, "lexicographic-min")
+        stack = extend(field_42)
         assert extraction(stack) == field_42
 
     def test_round_trip_weights(self):
@@ -197,7 +201,7 @@ class TestExtendExtract:
         from matchfield import coherent_field
 
         field = coherent_field(weights)
-        stack = extend(field, "from-weights", weights=weights)
+        stack = extend(field, weights=weights)
         assert extraction(stack) == field
         # sampled closure: the weight-minimal submatchings nest
         report = validate_ensemble(stack)
@@ -218,26 +222,60 @@ class TestExtendExtract:
 
         field = coherent_field([(0, 1), (0, 0), (1, 0)])
         with pytest.raises(MatchfieldError) as err:
-            extend(field, "from-weights", weights=weights)
+            extend(field, weights=weights)
         assert str(err.value) == f"weights with row lengths {shape} are not a 3 x 2 matrix"
 
-    def test_equality_stores_nothing(self, field_42):
-        # equality compares the filled-in stacks without filling them in
-        lazy = extend(field_42, "lexicographic-min")
-        other = extend(field_42, "lexicographic-min")
-        before = dict(lazy.entries)
-        assert lazy == other
-        assert lazy.entries == before and other.entries == before
-        full = extend(field_42, "lexicographic-min")
-        full.materialize()
-        assert lazy == full and len(full.entries) > len(lazy.entries) == len(before)
-        empty = MatchingStack(4, 2, before, filler=lambda J, I: BipartiteGraph(4, 2, []))
-        assert lazy != empty
-        assert lazy.entries == before and empty.entries == before
+    def test_stacks_differing_in_one_entry_are_unequal(self, field_42):
+        stack = extend(field_42)
+        assert stack == extend(field_42)
+        entries = dict(stack.entries)
+        entries[((1, 2), (1, 2))] = graph(4, 2, [(1, 2), (2, 1)])
+        assert stack != MatchingStack(4, 2, entries)
+        del entries[((1, 2), (1, 2))]
+        assert stack != MatchingStack(4, 2, entries)
+        assert stack != MatchingStack(4, 3, stack.entries)
 
-    def test_unknown_strategy(self, field_42):
-        with pytest.raises(MatchfieldError):
-            extend(field_42, "random")
+    def test_lexicographic_bytes(self, field_42):
+        assert core.canonical_json(stack_to_json_dict(extend(field_42))) == (
+            '{"d":2,"matchings":{"J:1,2|I:1,2":[[1,1],[2,2]],"J:1,3|I:1,2":[[1,1],[3,2]],'
+            '"J:1,4|I:1,2":[[1,1],[4,2]],"J:1|I:1":[[1,1]],"J:1|I:2":[[1,2]],'
+            '"J:2,3|I:1,2":[[2,1],[3,2]],"J:2,4|I:1,2":[[2,2],[4,1]],"J:2|I:1":[[2,1]],'
+            '"J:2|I:2":[[2,2]],"J:3,4|I:1,2":[[3,2],[4,1]],"J:3|I:1":[[3,1]],'
+            '"J:3|I:2":[[3,2]],"J:4|I:1":[[4,1]],"J:4|I:2":[[4,2]],"J:|I:":[]},"n":4}\n'
+        )
+
+    def test_from_weights_bytes(self):
+        from matchfield import coherent_field
+
+        weights = [(0, 1), (0, 0), (1, 0)]
+        stack = extend(coherent_field(weights), weights=weights)
+        assert core.canonical_json(stack_to_json_dict(stack)) == (
+            '{"d":2,"matchings":{"J:1,2|I:1,2":[[1,1],[2,2]],"J:1,3|I:1,2":[[1,1],[3,2]],'
+            '"J:1|I:1":[[1,1]],"J:1|I:2":[[1,2]],"J:2,3|I:1,2":[[2,1],[3,2]],'
+            '"J:2|I:1":[[2,1]],"J:2|I:2":[[2,2]],"J:3|I:1":[[3,1]],"J:3|I:2":[[3,2]],'
+            '"J:|I:":[]},"n":3}\n'
+        )
+        # at d = 3 the weight-minimal 2-matchings differ from lexicographic-min
+        field, weights, _ = randgen.seeded_coherent_field(4, 3, 1)
+        text = core.canonical_json(stack_to_json_dict(extend(field, weights=weights)))
+        assert text != core.canonical_json(stack_to_json_dict(extend(field)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "825e93166dec176158d9eddbd357121e7406b0f84db43462a5409f0b91f36546"
+        )
+
+    def test_size_cap(self, field_42, monkeypatch):
+        # C(4 + 2, 2) = 15 pairs
+        monkeypatch.setattr(stacks_mod, "EXTEND_MAX_PAIRS", 15)
+        assert len(extend(field_42).entries) == 15
+        monkeypatch.setattr(stacks_mod, "EXTEND_MAX_PAIRS", 14)
+        with pytest.raises(SizeCapError) as err:
+            extend(field_42, weights=[[0]])
+        assert str(err.value) == "extending a (4, 2) field fills 15 pairs, over the cap of 14"
+
+    def test_size_cap_default(self):
+        field, _, _ = randgen.seeded_coherent_field(10, 7, 0)  # C(17, 7) = 19,448 pairs
+        with pytest.raises(SizeCapError, match=f"over the cap of {stacks_mod.EXTEND_MAX_PAIRS}"):
+            extend(field)
 
     def test_extraction_matches_triangulation_field(self, stack_42):
         from matchfield import extract_field
@@ -312,6 +350,31 @@ class TestRightSubmatching:
     def test_square_vacuous(self):
         f = field_from_words(2, 2, {(1, 2): "12"})
         assert right_submatching_check(f).ok
+
+    def test_agrees_with_the_rescan_oracle(self, field_64):
+        # coherent fields, seeded random fields and the failing (6,4) fixture:
+        # verdict, witness and disagreement error are the oracle's
+        def outcome(check, field):
+            try:
+                report = check(field)
+            except MatchfieldError as exc:
+                return ("error", str(exc))
+            return ("ok",) if report.ok else ("witness", report.witness)
+
+        cases = [
+            randgen.seeded_coherent_field(n, d, seed)[0]
+            for n, d in [(4, 2), (4, 3), (5, 3), (5, 4), (6, 3), (7, 3), (7, 4)]
+            for seed in range(6)
+        ]
+        sizes = [(3, 2), (4, 2), (4, 3), (5, 3), (5, 4), (6, 3)]
+        cases += [random_matching_field(*sizes[seed % 6], seed) for seed in range(300)]
+        cases.append(field_64)
+        kinds = set()
+        for field in cases:
+            expected = outcome(right_submatching_check_by_rescan, field)
+            assert outcome(right_submatching_check, field) == expected
+            kinds.add(expected[0])
+        assert kinds == {"ok", "witness", "error"}
 
 
 class TestSerialization:
