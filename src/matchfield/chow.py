@@ -110,9 +110,11 @@ class PhiMap:
         self.mapping = {tuple(sorted(r)): tuple(v) for r, v in mapping.items()}
 
     def validate_bijective(self) -> None:
+        if not 1 <= self.d <= self.n + 1:
+            raise InconsistentPhiError(f"phi for ({self.n}, {self.d}) needs 1 <= d <= n + 1")
         k = self.n - self.d + 1
         # count first, so that a huge (n, d) never lists its subsets
-        if 0 <= k <= self.n and len(self.mapping) != comb(self.n, k):
+        if len(self.mapping) != comb(self.n, k):
             raise InconsistentPhiError("phi keys must be the (n-d+1)-subsets")
         if sorted(self.mapping) != sorted(core.subsets(self.n, k)):
             raise InconsistentPhiError("phi keys must be the (n-d+1)-subsets")

@@ -2,8 +2,13 @@
 
 Every subcommand maps to one library operation or a short pipeline; input
 and output are canonical JSON (sorted keys, integers only, newline
-terminated), so runs are byte-stable.  Exit codes: 0 success, 1 validation
-failure (the report goes to stderr as JSON), 2 usage error.
+terminated), so runs are byte-stable.  Each handler loads its input,
+computes, and returns ``(result, verdict)``: the JSON dict and whether the
+check it runs passed (always true for a subcommand with no verdict).  ``run``
+writes them in one place: it adds ``--seed`` to the result, writes it to
+stdout or the ``--json`` file, and writes it to stderr as well when the
+verdict fails.  Exit codes: 0 success, 1 validation failure (the report goes
+to stderr as JSON), 2 usage error.
 """
 
 from __future__ import annotations
@@ -40,29 +45,13 @@ def _load_matching_field(path: str) -> fields.MatchingField:
     return field
 
 
-def _emit(data, path=None) -> None:
-    text = core.canonical_json(data)
+def _write(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout without one."""
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _fail(report) -> int:
-    sys.stderr.write(core.canonical_json(report))
-    return 1
-
-
-def _write_dot(text: str, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def _with_seed(data: dict, args) -> dict:
-    if getattr(args, "seed", None) is not None:
-        data["seed"] = args.seed
-    return data
 
 
 def _cycle_json(cycle):
@@ -72,203 +61,161 @@ def _cycle_json(cycle):
 # -- subcommand handlers ----------------------------------------------------
 
 
-def cmd_check_linkage(args) -> int:
+def cmd_check_linkage(args) -> tuple[dict, bool]:
     field = fields.field_from_json_dict(_load(args.input))
     report = fields.is_linkage(field)
-    out = _with_seed(
-        {
-            "linkage": report.ok,
-            "failures": [
-                {"tau": list(res.tau), "cycle": _cycle_json(res.cycle)}
-                for res in report.failures
-            ],
-        },
-        args,
-    )
-    if report.ok:
-        _emit(out, args.json)
-        return 0
-    _emit(out, args.json)
-    return _fail(out)
+    out = {
+        "linkage": report.ok,
+        "failures": [
+            {"tau": list(res.tau), "cycle": _cycle_json(res.cycle)}
+            for res in report.failures
+        ],
+    }
+    return out, report.ok
 
 
-def cmd_amalgamate(args) -> int:
+def cmd_amalgamate(args) -> tuple[dict, bool]:
     field = fields.field_from_json_dict(_load(args.input))
     target = core.parse_point_key(args.target)
     tf = fields.tope_field_of_type(field, target)
-    _emit(_with_seed(fields.field_to_json_dict(tf), args), args.json)
-    return 0
+    return fields.field_to_json_dict(tf), True
 
 
-def cmd_arrangement(args) -> int:
+def cmd_arrangement(args) -> tuple[dict, bool]:
     field = _load_matching_field(args.input)
     ta = fields.tope_arrangement(field)
-    _emit(_with_seed(fields.arrangement_to_json_dict(ta), args), args.json)
-    return 0
+    return fields.arrangement_to_json_dict(ta), True
 
 
-def cmd_trianguloid_check(args) -> int:
+def cmd_trianguloid_check(args) -> tuple[dict, bool]:
     eta = fields.extended_from_json_dict(_load(args.input))
     report = fields.trianguloid_check(eta)
-    out = _with_seed(report.as_dict(), args)
-    _emit(out, args.json)
-    return 0 if report.trianguloid else _fail(out)
+    return report.as_dict(), report.trianguloid
 
 
-def cmd_chow(args) -> int:
+def cmd_chow(args) -> tuple[dict, bool]:
     field = _load_matching_field(args.input)
     cc = chow.chow_collection(field)
-    _emit(_with_seed(chow.collection_to_json_dict(cc), args), args.json)
-    return 0
+    return chow.collection_to_json_dict(cc), True
 
 
-def cmd_phi(args) -> int:
+def cmd_phi(args) -> tuple[dict, bool]:
     field = _load_matching_field(args.input)
     cc = chow.chow_collection(field)
-    _emit(_with_seed(chow.phi_to_json_dict(cc.phi()), args), args.json)
-    return 0
+    return chow.phi_to_json_dict(cc.phi()), True
 
 
-def cmd_reconstruct_chow(args) -> int:
+def cmd_reconstruct_chow(args) -> tuple[dict, bool]:
     phi = chow.phi_from_json_dict(_load(args.phi))
     cc = chow.reconstruct_chow_from_phi(phi, phi.n, phi.d)
-    _emit(_with_seed(chow.collection_to_json_dict(cc), args), args.json)
-    return 0
+    return chow.collection_to_json_dict(cc), True
 
 
-def cmd_validate_triangulation(args) -> int:
+def cmd_validate_triangulation(args) -> tuple[dict, bool]:
     n, d, trees = triang.trees_from_json_dict(_load(args.input))
     report = triang.check_triangulation(trees, n, d)
-    out = _with_seed(
-        {"valid": report.ok, "violation": report.kind, "witness": repr(report.witness)},
-        args,
-    )
-    _emit(out, args.json)
-    return 0 if report.ok else _fail(out)
+    out = {"valid": report.ok, "violation": report.kind, "witness": repr(report.witness)}
+    return out, report.ok
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args) -> tuple[dict, bool]:
     t = triang.triangulation_from_json_dict(_load(args.input))
     field = triang.extract_field(t)
-    _emit(_with_seed(fields.field_to_json_dict(field), args), args.json)
-    return 0
+    return fields.field_to_json_dict(field), True
 
 
-def cmd_phi_triangulation(args) -> int:
+def cmd_phi_triangulation(args) -> tuple[dict, bool]:
     t = triang.triangulation_from_json_dict(_load(args.input))
     pairs = triang.phi(t)
-    _emit(_with_seed(triang.pairs_to_json_dict(pairs, t.n, t.d), args), args.json)
-    return 0
+    return triang.pairs_to_json_dict(pairs, t.n, t.d), True
 
 
-def cmd_reconstruct_triangulation(args) -> int:
+def cmd_reconstruct_triangulation(args) -> tuple[dict, bool]:
     data = _load(args.input)
     pairs = triang.pairs_from_json_dict(data)
     t = triang.reconstruct_triangulation(pairs, data["n"], data["d"])
-    _emit(_with_seed(triang.triangulation_to_json_dict(t), args), args.json)
-    return 0
+    return triang.triangulation_to_json_dict(t), True
 
 
-def cmd_staircase(args) -> int:
+def cmd_staircase(args) -> tuple[dict, bool]:
     left = core.parse_point_key(args.left_order) if args.left_order else None
     right = core.parse_point_key(args.right_order) if args.right_order else None
     t = triang.staircase_triangulation(args.n, args.d, left, right)
-    _emit(_with_seed(triang.triangulation_to_json_dict(t), args), args.json)
-    return 0
+    return triang.triangulation_to_json_dict(t), True
 
 
-def cmd_enumerate_triangulations(args) -> int:
+def cmd_enumerate_triangulations(args) -> tuple[dict, bool]:
     found = triang.enumerate_triangulations(args.n, args.d)
-    out = _with_seed(
-        {
-            "n": args.n,
-            "d": args.d,
-            "count": len(found),
-            "bound": triang.count_bound(args.n, args.d),
-            "triangulations": [
-                triang.triangulation_to_json_dict(t)["trees"] for t in found
-            ],
-        },
-        args,
-    )
-    _emit(out, args.json)
-    return 0
+    out = {
+        "n": args.n,
+        "d": args.d,
+        "count": len(found),
+        "bound": triang.count_bound(args.n, args.d),
+        "triangulations": [
+            triang.triangulation_to_json_dict(t)["trees"] for t in found
+        ],
+    }
+    return out, True
 
 
-def cmd_flipgraph(args) -> int:
+def cmd_flipgraph(args) -> tuple[dict, bool]:
     field = _load_matching_field(args.input)
     fg = flip.flip_graph(field)
     if args.dot:
         colored = fields.is_linkage(field).ok  # tree coloring needs linkage
-        _write_dot(flip.flip_graph_to_dot(field, color=colored), args.dot)
-    out = _with_seed(
-        {
-            "vertices": [list(s) for s in fg.vertices],
-            "edges": sorted(
-                [list(a), list(b), label] for a, b, label in fg.edges
-            ),
-            "edge_count": len(fg.edges),
-            "expected_for_linkage": flip.expected_edge_count(field.n, field.d),
-        },
-        args,
-    )
-    _emit(out, args.json)
-    return 0
+        _write(flip.flip_graph_to_dot(field, color=colored), args.dot)
+    out = {
+        "vertices": [list(s) for s in fg.vertices],
+        "edges": sorted(
+            [list(a), list(b), label] for a, b, label in fg.edges
+        ),
+        "edge_count": len(fg.edges),
+        "expected_for_linkage": flip.expected_edge_count(field.n, field.d),
+    }
+    return out, True
 
 
-def cmd_cells(args) -> int:
+def cmd_cells(args) -> tuple[dict, bool]:
     field = _load_matching_field(args.input)
     cells = flip.maximal_cells(field)
-    out = _with_seed(
-        {
-            "cells": {
-                core.subset_key(point): {
-                    "factors": [list(ns) for ns in cell.neighbor_sets],
-                    "vertices": sorted(list(s) for s in cell.vertices),
-                }
-                for point, cell in sorted(cells.items())
+    out = {
+        "cells": {
+            core.subset_key(point): {
+                "factors": [list(ns) for ns in cell.neighbor_sets],
+                "vertices": sorted(list(s) for s in cell.vertices),
             }
-        },
-        args,
-    )
-    _emit(out, args.json)
-    return 0
+            for point, cell in sorted(cells.items())
+        }
+    }
+    return out, True
 
 
-def cmd_complete(args) -> int:
+def cmd_complete(args) -> tuple[dict, bool]:
     stack = stacks.stack_from_json_dict(_load(args.input))
     field = stacks.completion(stack)
-    _emit(_with_seed(fields.field_to_json_dict(field), args), args.json)
-    return 0
+    return fields.field_to_json_dict(field), True
 
 
-def cmd_ensemble_check(args) -> int:
+def cmd_ensemble_check(args) -> tuple[dict, bool]:
     stack = stacks.stack_from_json_dict(_load(args.input))
     report = stacks.validate_ensemble(stack)
-    out = _with_seed(report.as_dict(), args)
-    _emit(out, args.json)
-    return 0 if report.ok else _fail(out)
+    return report.as_dict(), report.ok
 
 
-def cmd_stiefel(args) -> int:
+def cmd_stiefel(args) -> tuple[dict, bool]:
     field = _load_matching_field(args.input)
     matroids = stacks.stiefel_image_of_field(field)
-    _emit(_with_seed({"matroids": [m.as_dict() for m in matroids]}, args), args.json)
-    return 0
+    return {"matroids": [m.as_dict() for m in matroids]}, True
 
 
-def cmd_right_submatching_check(args) -> int:
+def cmd_right_submatching_check(args) -> tuple[dict, bool]:
     field = _load_matching_field(args.input)
     report = stacks.right_submatching_check(field)
-    out = _with_seed(
-        {"ok": report.ok, "witness": repr(report.witness) if report.witness else None},
-        args,
-    )
-    _emit(out, args.json)
-    return 0 if report.ok else _fail(out)
+    out = {"ok": report.ok, "witness": repr(report.witness) if report.witness else None}
+    return out, report.ok
 
 
-def cmd_roundtrip(args) -> int:
+def cmd_roundtrip(args) -> tuple[dict, bool]:
     if args.kind == "chow":
         field = _load_matching_field(args.input)
         cc = chow.chow_collection(field)
@@ -285,9 +232,7 @@ def cmd_roundtrip(args) -> int:
             str([list(e) for e in g.edges])
             for g in t.trees.symmetric_difference(rebuilt.trees)
         )
-    out = _with_seed({"kind": args.kind, "diff": diff, "match": not diff}, args)
-    _emit(out, args.json)
-    return 0 if not diff else _fail(out)
+    return {"kind": args.kind, "diff": diff, "match": not diff}, not diff
 
 
 # -- parser -----------------------------------------------------------------
@@ -404,7 +349,14 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.handler(args)
+        out, ok = args.handler(args)
+        if args.seed is not None:
+            out["seed"] = args.seed
+        text = core.canonical_json(out)
+        _write(text, args.json)
+        if not ok:
+            sys.stderr.write(text)
+        return 0 if ok else 1
     except MatchfieldError as exc:
         sys.stderr.write(core.canonical_json({"error": type(exc).__name__, "message": str(exc)}))
         return 1

@@ -128,12 +128,15 @@ def _validated_field(n: int, d: int, v: tuple, assignment: dict) -> TopeField:
             raise MissingSubsetError(sigma)
         if graph.n != n or graph.d != d:
             raise NotAMatchingError(sigma, f"graph for {sigma} has wrong ambient size")
-        if graph.right_degrees() != v or any(deg > 1 for deg in graph.left_degrees()):
+        left = graph.left_degrees()
+        if graph.right_degrees() != v or any(deg > 1 for deg in left):
             raise NotAMatchingError(sigma, f"value for {sigma} is not a {what}")
-        if graph.left_support() != sigma:
-            raise WrongSupportError(sigma, graph.left_support())
-    extra = set(cleaned).difference(core.subsets(n, sum(v)))
-    if extra:
+        support = tuple(j for j, deg in enumerate(left, start=1) if deg)
+        if support != sigma:
+            raise WrongSupportError(sigma, support)
+    # every subset is present by now, so a surplus key means an extra one
+    if len(cleaned) > comb(n, sum(v)):
+        extra = set(cleaned).difference(core.subsets(n, sum(v)))
         raise WrongSupportError(min(extra), None)
     return MatchingField(n, d, cleaned) if matching else TopeField(n, d, v, cleaned)
 

@@ -367,7 +367,10 @@ def enumerate_triangulations(n: int, d: int) -> list[Triangulation]:
     one tree, by the agreement axiom and counting); the search extends a
     partial selection class by class, pruning on containment-agreement and
     distinct left degree vectors, and validates each complete candidate.
+    Raises MatchfieldError on an empty side, like staircase_triangulation.
     """
+    if min(n, d) < 1:
+        raise MatchfieldError(f"enumerate_triangulations ({n}, {d}) needs a node on each side")
     K = tree_count(n, d)
     if K > 6:
         raise SizeCapError(f"enumerate_triangulations capped at K <= 6, got K = {K}")

@@ -21,6 +21,7 @@ from matchfield.fields import extended_to_json_dict, field_to_json_dict
 from matchfield.stacks import stack_to_json_dict, stack_from_trees
 from matchfield.triang import (
     STAIRCASE_MAX_TREES,
+    extended_tope_arrangement,
     pairs_to_json_dict,
     phi,
     staircase_triangulation,
@@ -415,13 +416,27 @@ def test_malformed_table_is_a_usage_error(capsys, tmp_path, command, data):
             "MatchfieldError",
             "extended arrangement must cover all lattice points",
         ),
+        (
+            ["reconstruct-chow", "--phi"],
+            {"n": 3, "d": 5, "phi": {}},
+            "InconsistentPhiError",
+            "phi for (3, 5) needs 1 <= d <= n + 1",
+        ),
+        (
+            ["reconstruct-chow", "--phi"],
+            {"n": 2, "d": 0, "phi": {}},
+            "InconsistentPhiError",
+            "phi for (2, 0) needs 1 <= d <= n + 1",
+        ),
     ],
-    ids=["phi", "extended"],
+    ids=["phi", "extended", "phi-d-above-n-plus-1", "phi-d-zero"],
 )
 def test_wrong_entry_count_is_refused_before_any_work(
     capsys, tmp_path, command, data, error, message
 ):
-    # C(60, 31) subsets and C(89, 29) lattice points would never be listed
+    # C(60, 31) subsets and C(89, 29) lattice points would never be listed;
+    # a phi whose d lies outside 1..n+1 is refused by its size before its
+    # (n-d+1)-subsets, which do not exist, are asked for
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(data))
     assert run(command + [str(path)]) == 1
@@ -519,14 +534,27 @@ def test_readme_lists_every_subcommand_and_option():
     assert documented == actual
 
 
-@pytest.mark.parametrize("n,d", [(0, 5), (3, 0), (-1, 2)])
-def test_staircase_with_an_empty_side_is_refused(capsys, n, d):
-    assert run(["staircase", "--n", str(n), "--d", str(d)]) == 1
+EMPTY_SIDES = [(0, 5), (3, 0), (-1, 2)]
+
+
+@pytest.mark.parametrize(
+    "command, routine, n, d",
+    [pytest.param("staircase", "staircase", n, d, id=f"{n}-{d}") for n, d in EMPTY_SIDES]
+    + [
+        pytest.param(
+            "enumerate-triangulations", "enumerate_triangulations", n, d, id=f"enumerate-{n}-{d}"
+        )
+        for n, d in EMPTY_SIDES
+    ],
+)
+def test_staircase_with_an_empty_side_is_refused(capsys, command, routine, n, d):
+    # refused by name before any count of trees is taken
+    assert run([command, "--n", str(n), "--d", str(d)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {
         "error": "MatchfieldError",
-        "message": f"staircase ({n}, {d}) needs a node on each side",
+        "message": f"{routine} ({n}, {d}) needs a node on each side",
     }
 
 
@@ -666,3 +694,101 @@ def test_mutated_input_never_escapes_the_cli(tmp_path, fuzz_inputs, fmt, choice)
         if code:
             assert isinstance(json.loads(err), dict)
         assert run_quietly(command + [str(source)])[1] == out
+
+
+# -- one output policy for every subcommand ------------------------------------
+
+
+@pytest.fixture()
+def inputs(tmp_path, field_42, field_43, field_64, trees_63, extended_24):
+    """The path of one input file for each upper-case name in OUTPUT_CASES."""
+    t32 = staircase_triangulation(3, 2)
+    data = {
+        "FIELD": field_to_json_dict(field_42),
+        "NONLINKAGE": field_to_json_dict(field_43),
+        "WIDE": field_to_json_dict(field_64),
+        "EXTENDED": extended_to_json_dict(extended_tope_arrangement(t32)),
+        "HEXAGON": extended_to_json_dict(extended_24),
+        "PHI": phi_to_json_dict(chow_collection(field_42).phi()),
+        "TREES": triangulation_to_json_dict(t32),
+        "TOO-FEW-TREES": {"n": 6, "d": 3, "trees": [list(map(list, g.edges)) for g in trees_63]},
+        "PAIRS": pairs_to_json_dict(phi(t32), 3, 2),
+        "STACK": square_stack_data(),
+        "EMPTY-STACK": {"n": 2, "d": 2, "matchings": {}},
+    }
+    paths = {}
+    for name, value in data.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(core.canonical_json(value))
+        paths[name] = str(path)
+    return paths
+
+
+# every subcommand on a passing input, and each verdict also on a failing one
+OUTPUT_CASES = [
+    (["check-linkage", "FIELD"], 0),
+    (["check-linkage", "NONLINKAGE"], 1),
+    (["amalgamate", "FIELD", "--target", "2,1"], 0),
+    (["arrangement", "FIELD"], 0),
+    (["trianguloid-check", "EXTENDED"], 0),
+    (["trianguloid-check", "HEXAGON"], 1),
+    (["chow", "FIELD"], 0),
+    (["phi", "FIELD"], 0),
+    (["reconstruct-chow", "--phi", "PHI"], 0),
+    (["validate-triangulation", "TREES"], 0),
+    (["validate-triangulation", "TOO-FEW-TREES"], 1),
+    (["extract", "TREES"], 0),
+    (["phi-triangulation", "TREES"], 0),
+    (["reconstruct-triangulation", "PAIRS"], 0),
+    (["staircase", "--n", "2", "--d", "3", "--right-order", "2,1,3"], 0),
+    (["enumerate-triangulations", "--n", "2", "--d", "3"], 0),
+    (["flipgraph", "FIELD"], 0),
+    (["cells", "FIELD"], 0),
+    (["complete", "STACK"], 0),
+    (["ensemble-check", "STACK"], 0),
+    (["ensemble-check", "EMPTY-STACK"], 1),
+    (["stiefel", "FIELD"], 0),
+    (["right-submatching-check", "FIELD"], 0),
+    (["right-submatching-check", "WIDE"], 1),
+    (["roundtrip", "--kind", "chow", "FIELD"], 0),
+    (["roundtrip", "--kind", "triangulation", "TREES"], 0),
+]
+
+
+def test_output_cases_cover_every_subcommand():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[0] for argv, _ in OUTPUT_CASES} == set(subparsers.choices)
+
+
+@pytest.mark.parametrize("argv, code", OUTPUT_CASES, ids=[" ".join(a) for a, _ in OUTPUT_CASES])
+def test_every_subcommand_follows_one_output_policy(tmp_path, inputs, argv, code):
+    # --json moves the report off stdout unchanged, --seed adds one key, and
+    # a failed verdict exits 1 with the same bytes on stderr
+    argv = [inputs.get(a, a) for a in argv]
+    target = tmp_path / "out.json"
+    plain = run_quietly(argv)
+    seeded = run_quietly(argv + ["--seed", "5"])
+    to_file = run_quietly(argv + ["--seed", "5", "--json", str(target)])
+    assert plain[0] == seeded[0] == to_file[0] == code
+    assert to_file[1] == ""
+    written = target.read_text()
+    assert written == seeded[1]
+    assert json.loads(written) == {**json.loads(plain[1]), "seed": 5}
+    if code:
+        assert to_file[2] == seeded[2] == written
+        assert plain[2] == plain[1]
+    else:
+        assert to_file[2] == seeded[2] == plain[2] == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["staircase", "--n", "2", "--d", "2"], ["check-linkage", "NONLINKAGE"]],
+    ids=["result", "failed-verdict"],
+)
+def test_unwritable_json_path_is_a_usage_error(tmp_path, inputs, argv):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_quietly([inputs.get(a, a) for a in argv] + ["--json", str(target)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "FileNotFoundError"
