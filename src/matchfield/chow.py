@@ -10,14 +10,14 @@ Reconstruction inverts phi with one sweep per left node.  For fixed j and
 i, the covectors containing the edge (lj, ri) form a *combinatorial sector*,
 swept over the levels of the i-th right coordinate: the unique pair at the
 top level (v_i = n-d+1) seeds it, and a pair at level h joins when an
-admitted pair sits at rdv v + e_i - e_k.  The sweep is ``core.sector_sweep``,
-the same one that rebuilds triangulations from degree pairs.  The d sectors
-of j partition the covectors through j and give each its edge at lj.  A
-certificate rebuilds the field and re-derives the covectors.  The paper's
-induction on deleting lj is kept in the tests as an oracle, and so are the
-two other descriptions of the covectors: as intersections of maximal topes,
-and as the minimal transversals to the field (graphs meeting every matching,
-minimal under inclusion) by a Berge-style blocker computation.
+admitted pair sits at rdv v + e_i - e_k.  The d sectors of j partition the
+covectors through j and give each its edge at lj: ``core.sectors``, the same
+partition that rebuilds triangulations from degree pairs.  A certificate
+rebuilds the field and re-derives the covectors.  The paper's induction on
+deleting lj is kept in the tests as an oracle, and so are the two other
+descriptions of the covectors: as intersections of maximal topes, and as the
+minimal transversals to the field (graphs meeting every matching, minimal
+under inclusion) by a Berge-style blocker computation.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ class PhiMap:
         self.mapping = {tuple(sorted(r)): tuple(v) for r, v in mapping.items()}
 
     def validate_bijective(self) -> None:
-        if not 1 <= self.d <= self.n + 1:
-            raise InconsistentPhiError(f"phi for ({self.n}, {self.d}) needs 1 <= d <= n + 1")
+        if not 1 <= self.d <= self.n:
+            raise InconsistentPhiError(f"phi for ({self.n}, {self.d}) needs 1 <= d <= n")
         k = self.n - self.d + 1
         # count first, so that a huge (n, d) never lists its subsets
         if len(self.mapping) != comb(self.n, k):
@@ -172,18 +172,9 @@ def reconstruct_chow_from_phi(phi: PhiMap, n: int, d: int) -> ChowCollection:
     edges: dict = {rho: [] for rho in phi.mapping}
     for j in range(1, n + 1):
         member_rdvs = {v for rho, v in phi.mapping.items() if j in rho}
-        assigned: set = set()
-        for i in range(1, d + 1):
-            seed = tuple((n - d + 1) if t == i else 0 for t in range(1, d + 1))
-            if seed not in by_rdv:
-                raise InconsistentPhiError(f"no member with extreme rdv {seed}")
-            for rdv in core.sector_sweep(member_rdvs, i, seed):
-                if rdv in assigned:
-                    raise InconsistentPhiError(f"rdv {rdv} admitted to two sectors of {j}")
-                assigned.add(rdv)
-                edges[by_rdv[rdv]].append((j, i))
-        if assigned != member_rdvs:
-            raise InconsistentPhiError(f"sectors do not cover all pairs through {j}")
+        sector = core.sectors(member_rdvs, by_rdv, n - d + 1, j, InconsistentPhiError)
+        for rdv, i in sector.items():
+            edges[by_rdv[rdv]].append((j, i))
     out = {rho: BipartiteGraph(n, d, e) for rho, e in edges.items()}
     try:
         collection = ChowCollection(n, d, out)

@@ -578,6 +578,26 @@ def sector_sweep(member_rdvs: set, i: int, seed: tuple) -> set:
     return admitted
 
 
+def sectors(member_rdvs: set, rdvs, top: int, j: int, error: type) -> dict:
+    """Partition the member right degree vectors of left node j into its
+    combinatorial sectors, one per right node i swept from the seed top * e_i
+    (``sector_sweep``): {rdv: i}.  Raises ``error`` when a seed is not among
+    rdvs, a member is admitted to two sectors, or the sectors miss one."""
+    d = len(next(iter(rdvs)))
+    sector: dict = {}
+    for i in range(1, d + 1):
+        seed = tuple(top if t == i else 0 for t in range(1, d + 1))
+        if seed not in rdvs:
+            raise error(f"no member with extreme rdv {seed}")
+        for rdv in sector_sweep(member_rdvs, i, seed):
+            if rdv in sector:
+                raise error(f"rdv {rdv} admitted to two sectors of {j}")
+            sector[rdv] = i
+    if sector.keys() != member_rdvs:
+        raise error(f"sectors do not cover all pairs through {j}")
+    return sector
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -14,11 +14,13 @@ spanning tree containing a tree minus one edge is that forest plus one edge.
 
 The degree-pair map sends each tree to its left and right degree vectors,
 normalised by subtracting the all-ones vectors.  The pair set determines the
-triangulation; reconstruction works by recursion on n + d: pick a left
-node j that is a leaf of some trees, split those trees into combinatorial
-sectors per right node by a level sweep over the right degree of that node
-(``core.sector_sweep``, shared with Chow reconstruction), delete the leaf
-edge, recurse on the deletion (a triangulation of a facet) and re-attach.
+triangulation; reconstruction rebuilds each tree along one chain of
+deletions: take the tree's first left leaf j, find its edge from the
+combinatorial sector of j that holds the tree's right degree vector
+(``core.sectors``, shared with Chow reconstruction), delete it, and go on in
+the facet triangulation without j.  Each deletion step is computed once for
+all trees that take it.  The rebuilt trees are certified: they must
+reproduce the pairs and satisfy the axioms.
 """
 
 from __future__ import annotations
@@ -195,13 +197,14 @@ def phi(t: Triangulation) -> frozenset:
 
 def reconstruct_triangulation(pairs: Iterable, n: int, d: int) -> Triangulation:
     """Rebuild the unique triangulation with the given normalised degree
-    pairs.  Raises InconsistentPairsError if none exists (detection is
-    best-effort for inputs not arising from a triangulation)."""
+    pairs.  Raises InconsistentPairsError if none exists: the rebuilt trees
+    must reproduce the pairs and satisfy the axioms, so that every accepted
+    input is a triangulation's pair set and every other one is refused."""
     pairs = frozenset((tuple(u), tuple(v)) for u, v in pairs)
     _check_pair_shape(pairs, n, d)
+    left, right = tuple(range(1, n + 1)), tuple(range(1, d + 1))
     memo: dict = {}
-    trees = _reconstruct(pairs, tuple(range(1, n + 1)), tuple(range(1, d + 1)), memo)
-    out = [BipartiteGraph(n, d, edges) for edges in trees.values()]
+    out = [BipartiteGraph(n, d, _tree(pair, pairs, left, right, memo)) for pair in sorted(pairs)]
     t = Triangulation(n, d, out)
     if frozenset(tree_degree_pair(g) for g in t.trees) != pairs:
         raise InconsistentPairsError("reconstruction does not reproduce the pairs")
@@ -228,82 +231,56 @@ def _check_pair_shape(pairs, n, d):
         raise InconsistentPairsError("projections are not bijections onto lattice points")
 
 
-def _reconstruct(pairs, left_labels, right_labels, memo):
-    """pairs: normalised degree pairs over the given label tuples.
+def _tree(pair, pairs, left_labels, right_labels, memo):
+    """Edges, in original labels, of the tree at `pair` among the normalised
+    degree pairs `pairs` over the given label tuples.
 
-    Returns {degree pair: edge tuple in original labels}, each tree keyed
-    by its own degree pair; a base case does so whatever pair was asked
-    for, so that a wrong request fails the caller's lookup.
+    With n >= d the tree's first left leaf lj (u_j = 0) exists, since
+    sum(u) = d - 1 < n.  Its edge is (lj, ri) for the sector of j that holds
+    v, and the rest of the tree is the tree at the deleted pair of the facet
+    without lj.  memo holds each deletion step, shared by the trees that take
+    it, and each transposed pair set.
     """
-    key = (left_labels, right_labels, pairs)
-    if key in memo:
-        return memo[key]
     n, d = len(left_labels), len(right_labels)
     if n == 1:
-        (pair,) = pairs
-        trees = {((d - 1,), (0,) * d): tuple((left_labels[0], i) for i in right_labels)}
-        memo[key] = trees
-        return trees
+        return tuple((left_labels[0], i) for i in right_labels)
     if d == 1:
-        trees = {((0,) * n, (n - 1,)): tuple((j, right_labels[0]) for j in left_labels)}
-        memo[key] = trees
-        return trees
+        return tuple((j, right_labels[0]) for j in left_labels)
+    u, v = pair
     if n < d:
-        flipped = frozenset((v, u) for u, v in pairs)
-        sub = _reconstruct(flipped, right_labels, left_labels, memo)
-        trees = {(u, v): tuple(sorted((j, i) for i, j in t)) for (v, u), t in sub.items()}
-        memo[key] = trees
-        return trees
+        key = (left_labels, right_labels, pairs)
+        if key not in memo:
+            memo[key] = frozenset((b, a) for a, b in pairs)
+        sub = _tree((v, u), memo[key], right_labels, left_labels, memo)
+        return tuple((j, i) for i, j in sub)
+    pos = u.index(0)
+    key = (left_labels, right_labels, pairs, pos)
+    if key not in memo:
+        memo[key] = _deletion(pairs, pos, n, left_labels[pos])
+    down, facet = memo[key]
+    i, sub_pair = down[pair]
+    sub_left = left_labels[:pos] + left_labels[pos + 1 :]
+    sub = _tree(sub_pair, facet, sub_left, right_labels, memo)
+    return sub + ((left_labels[pos], right_labels[i - 1]),)
 
-    by_rdv = {v: (u, v) for u, v in pairs}
-    if len(by_rdv) != len(pairs):
-        raise InconsistentPairsError("right projection is not injective")
-    trees: dict = {}
-    for pos, j in enumerate(left_labels):
-        member_rdvs = {v for u, v in pairs if u[pos] == 0}
-        if not member_rdvs:
-            raise InconsistentPairsError(f"no tree has {j} as a leaf")
-        assigned: dict = {}
-        for ipos, i in enumerate(right_labels):
-            seed = tuple((n - 1) if t == ipos else 0 for t in range(d))
-            if seed not in by_rdv:
-                raise InconsistentPairsError(f"no tree with extreme rdv {seed}")
-            for rdv in core.sector_sweep(member_rdvs, ipos + 1, seed):
-                if rdv in assigned:
-                    raise InconsistentPairsError(
-                        f"rdv {rdv} admitted to two sectors of {j}"
-                    )
-                assigned[rdv] = (ipos, i)
-        if set(assigned) != member_rdvs:
-            raise InconsistentPairsError(f"sectors do not cover all pairs through {j}")
-        sub_left = tuple(x for x in left_labels if x != j)
-        sub_pairs = {}
-        for rdv, (ipos, i) in assigned.items():
-            u, v = by_rdv[rdv]
-            sub_u = tuple(x for t, x in enumerate(u) if t != pos)
-            sub_v = tuple(x - (1 if t == ipos else 0) for t, x in enumerate(v))
-            if any(x < 0 for x in sub_v):
-                raise InconsistentPairsError("deletion leaves a negative degree")
-            sub_pairs[(sub_u, sub_v)] = (rdv, i)
-        if len(sub_pairs) != len(assigned):
-            raise InconsistentPairsError("deletion pairs collide")
-        sub_trees = _reconstruct(
-            frozenset(sub_pairs), sub_left, right_labels, memo
-        )
-        for (sub_u, sub_v), (rdv, i) in sub_pairs.items():
-            base = sub_trees.get((sub_u, sub_v))
-            if base is None:
-                raise InconsistentPairsError("recursion lost a deletion pair")
-            tree = tuple(sorted(base + ((j, i),)))
-            pair = by_rdv[rdv]
-            old = trees.get(pair)
-            if old is not None and old != tree:
-                raise InconsistentPairsError(f"branches disagree on the tree at {pair}")
-            trees[pair] = tree
-    if len(trees) != len(pairs):
-        raise InconsistentPairsError("not every tree was reconstructed")
-    memo[key] = trees
-    return trees
+
+def _deletion(pairs, pos, n, j):
+    """Delete left node j at position pos from the trees having it as a leaf:
+    ({pair: (i, facet pair)}, facet pairs), where ri is j's neighbour.
+
+    Both projections of the facet pairs stay injective: the lefts lose a
+    common zero, and members v in sector i and v - e_i + e_k in sector k,
+    which would meet, are refused as one member admitted to two sectors."""
+    rdvs = {v for _, v in pairs}
+    members = [(u, v) for u, v in pairs if u[pos] == 0]
+    sector = core.sectors({v for _, v in members}, rdvs, n - 1, j, InconsistentPairsError)
+    down = {}
+    for u, v in members:
+        i = sector[v]
+        if v[i - 1] == 0:
+            raise InconsistentPairsError("deletion leaves a negative degree")
+        down[(u, v)] = (i, (u[:pos] + u[pos + 1 :], v[: i - 1] + (v[i - 1] - 1,) + v[i:]))
+    return down, frozenset(facet for _, facet in down.values())
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ descriptions kept as test oracles.
   combinatorial sectors of an rdv-keyed collection.
 - Necessary conditions on a degree-pair set, screened before a certified
   reconstruction.
+- Degree-pair reconstruction that deletes every left leaf at every level
+  and checks that the branches agree, the oracle for the one deletion chain
+  per tree of ``reconstruct_triangulation``.
 - Prodsimplicial cells by amalgamating to the maximal tope, and the flip
   edge count of a linkage field.
 - Graph classification and connected components by breadth-first search,
@@ -30,7 +33,12 @@ from matchfield.core import BipartiteGraph, degree_vectors, is_forest, is_spanni
 from matchfield.errors import InconsistentPairsError, MatchfieldError, SizeCapError
 from matchfield.flip import ProdsimplicialCell, cell_of_tope, expected_edge_count, flip_graph
 from matchfield.stacks import MatchingStack, SubmatchingReport
-from matchfield.triang import _check_pair_shape
+from matchfield.triang import (
+    Triangulation,
+    _check_pair_shape,
+    check_triangulation,
+    tree_degree_pair,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +287,106 @@ def _deletion_exists(members, pos, ipos, n, d):
         return False
 
     return search(0, frozenset())
+
+
+# ---------------------------------------------------------------------------
+# degree-pair reconstruction deleting every left leaf
+
+
+def reconstruct_by_every_leaf(pairs, left_labels, right_labels, memo):
+    """Oracle for ``triang._tree``: the recursion that deletes every left
+    leaf j at every level and checks that the branches agree.
+
+    pairs: normalised degree pairs over the given label tuples.
+
+    Returns {degree pair: edge tuple in original labels}, each tree keyed
+    by its own degree pair; a base case does so whatever pair was asked
+    for, so that a wrong request fails the caller's lookup.
+    """
+    key = (left_labels, right_labels, pairs)
+    if key in memo:
+        return memo[key]
+    n, d = len(left_labels), len(right_labels)
+    if n == 1:
+        (pair,) = pairs
+        trees = {((d - 1,), (0,) * d): tuple((left_labels[0], i) for i in right_labels)}
+        memo[key] = trees
+        return trees
+    if d == 1:
+        trees = {((0,) * n, (n - 1,)): tuple((j, right_labels[0]) for j in left_labels)}
+        memo[key] = trees
+        return trees
+    if n < d:
+        flipped = frozenset((v, u) for u, v in pairs)
+        sub = reconstruct_by_every_leaf(flipped, right_labels, left_labels, memo)
+        trees = {(u, v): tuple(sorted((j, i) for i, j in t)) for (v, u), t in sub.items()}
+        memo[key] = trees
+        return trees
+
+    by_rdv = {v: (u, v) for u, v in pairs}
+    if len(by_rdv) != len(pairs):
+        raise InconsistentPairsError("right projection is not injective")
+    trees: dict = {}
+    for pos, j in enumerate(left_labels):
+        member_rdvs = {v for u, v in pairs if u[pos] == 0}
+        if not member_rdvs:
+            raise InconsistentPairsError(f"no tree has {j} as a leaf")
+        assigned: dict = {}
+        for ipos, i in enumerate(right_labels):
+            seed = tuple((n - 1) if t == ipos else 0 for t in range(d))
+            if seed not in by_rdv:
+                raise InconsistentPairsError(f"no tree with extreme rdv {seed}")
+            for rdv in core.sector_sweep(member_rdvs, ipos + 1, seed):
+                if rdv in assigned:
+                    raise InconsistentPairsError(
+                        f"rdv {rdv} admitted to two sectors of {j}"
+                    )
+                assigned[rdv] = (ipos, i)
+        if set(assigned) != member_rdvs:
+            raise InconsistentPairsError(f"sectors do not cover all pairs through {j}")
+        sub_left = tuple(x for x in left_labels if x != j)
+        sub_pairs = {}
+        for rdv, (ipos, i) in assigned.items():
+            u, v = by_rdv[rdv]
+            sub_u = tuple(x for t, x in enumerate(u) if t != pos)
+            sub_v = tuple(x - (1 if t == ipos else 0) for t, x in enumerate(v))
+            if any(x < 0 for x in sub_v):
+                raise InconsistentPairsError("deletion leaves a negative degree")
+            sub_pairs[(sub_u, sub_v)] = (rdv, i)
+        if len(sub_pairs) != len(assigned):
+            raise InconsistentPairsError("deletion pairs collide")
+        sub_trees = reconstruct_by_every_leaf(
+            frozenset(sub_pairs), sub_left, right_labels, memo
+        )
+        for (sub_u, sub_v), (rdv, i) in sub_pairs.items():
+            base = sub_trees.get((sub_u, sub_v))
+            if base is None:
+                raise InconsistentPairsError("recursion lost a deletion pair")
+            tree = tuple(sorted(base + ((j, i),)))
+            pair = by_rdv[rdv]
+            old = trees.get(pair)
+            if old is not None and old != tree:
+                raise InconsistentPairsError(f"branches disagree on the tree at {pair}")
+            trees[pair] = tree
+    if len(trees) != len(pairs):
+        raise InconsistentPairsError("not every tree was reconstructed")
+    memo[key] = trees
+    return trees
+
+
+def reconstruct_triangulation_by_every_leaf(pairs: Iterable, n: int, d: int):
+    """``reconstruct_by_every_leaf`` under the shape check and the
+    certificate of ``reconstruct_triangulation``: the trees must reproduce
+    the pairs and satisfy the axioms."""
+    pairs = frozenset((tuple(u), tuple(v)) for u, v in pairs)
+    _check_pair_shape(pairs, n, d)
+    trees = reconstruct_by_every_leaf(pairs, tuple(range(1, n + 1)), tuple(range(1, d + 1)), {})
+    t = Triangulation(n, d, [BipartiteGraph(n, d, edges) for edges in trees.values()])
+    if frozenset(tree_degree_pair(g) for g in t.trees) != pairs:
+        raise InconsistentPairsError("reconstruction does not reproduce the pairs")
+    if not check_triangulation(t.trees, n, d).ok:
+        raise InconsistentPairsError("rebuilt trees violate an axiom")
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,11 @@ class TestReconstruction:
         with pytest.raises(InconsistentPhiError):
             reconstruct_chow_from_phi(PhiMap(4, 2, mapping), 4, 2)
 
+    def test_d_above_n_is_refused_as_phi_fault(self):
+        # its only key is the empty subset, and no matching field has d > n
+        with pytest.raises(InconsistentPhiError, match=r"needs 1 <= d <= n$"):
+            reconstruct_chow_from_phi(PhiMap(2, 3, {(): (0, 0, 0)}), 2, 3)
+
     def test_realizable_swap_finds_the_other_field(self, field_42):
         # swapping two values of this bijection lands on the phi map of a
         # different linkage field, which the reconstruction must find

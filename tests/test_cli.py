@@ -420,13 +420,13 @@ def test_malformed_table_is_a_usage_error(capsys, tmp_path, command, data):
             ["reconstruct-chow", "--phi"],
             {"n": 3, "d": 5, "phi": {}},
             "InconsistentPhiError",
-            "phi for (3, 5) needs 1 <= d <= n + 1",
+            "phi for (3, 5) needs 1 <= d <= n",
         ),
         (
             ["reconstruct-chow", "--phi"],
             {"n": 2, "d": 0, "phi": {}},
             "InconsistentPhiError",
-            "phi for (2, 0) needs 1 <= d <= n + 1",
+            "phi for (2, 0) needs 1 <= d <= n",
         ),
     ],
     ids=["phi", "extended", "phi-d-above-n-plus-1", "phi-d-zero"],
@@ -435,7 +435,7 @@ def test_wrong_entry_count_is_refused_before_any_work(
     capsys, tmp_path, command, data, error, message
 ):
     # C(60, 31) subsets and C(89, 29) lattice points would never be listed;
-    # a phi whose d lies outside 1..n+1 is refused by its size before its
+    # a phi whose d lies outside 1..n is refused by its size before its
     # (n-d+1)-subsets, which do not exist, are asked for
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(data))

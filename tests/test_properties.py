@@ -3,14 +3,18 @@ checks, order independence."""
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchfield import (
     BipartiteGraph,
+    InconsistentPairsError,
     flip_graph,
     is_compatible,
     is_linkage,
     maximal_tope,
+    phi,
+    reconstruct_triangulation,
     simplex_lattice_points,
     subsets,
     tope_arrangement,
@@ -21,13 +25,14 @@ from matchfield.fields import check_sector_monotonicity
 from matchfield.randgen import random_weight_matrix, seeded_coherent_field, splitmix64
 from matchfield.stacks import check_basis_exchange, transversal_matroid
 from matchfield.triang import (
+    check_triangulation,
     find_agreement_violation,
     find_flip_violation,
     staircase_triangulation,
 )
 
 from conftest import exhaustive_compatibility, graph, random_matching_field
-from oracles import chow_by_intersection
+from oracles import chow_by_intersection, reconstruct_triangulation_by_every_leaf
 from test_fields import arrangement_by_amalgamation, outcome
 from test_flip import flip_graph_by_pairs
 from test_triang import agreement_by_pairs, flip_violation_by_scan, spanning_tree_of_order
@@ -71,6 +76,32 @@ class TestTriangulationAxiomOracles:
     def test_keyed_pass_and_mask_lookup(self, trees):
         assert find_agreement_violation(trees) == agreement_by_pairs(trees)
         assert find_flip_violation(trees) == flip_violation_by_scan(trees)
+
+
+@st.composite
+def bijective_pairings(draw):
+    """The left lattice points paired with a permutation of the right ones."""
+    n, d = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    rights = draw(st.permutations(simplex_lattice_points(n - 1, d)))
+    return n, d, frozenset(zip(simplex_lattice_points(d - 1, n), rights))
+
+
+class TestDegreePairReconstruction:
+    @settings(max_examples=300, deadline=None)
+    @given(bijective_pairings())
+    def test_random_pairings_are_rebuilt_or_refused(self, case):
+        # nothing but InconsistentPairsError may escape, and the verdict and
+        # trees are those of the every-leaf recursion under the certificate
+        n, d, pairs = case
+        try:
+            t = reconstruct_triangulation(pairs, n, d)
+        except InconsistentPairsError:
+            with pytest.raises(InconsistentPairsError):
+                reconstruct_triangulation_by_every_leaf(pairs, n, d)
+            return
+        assert phi(t) == pairs
+        assert check_triangulation(t.sorted_trees(), n, d).ok
+        assert reconstruct_triangulation_by_every_leaf(pairs, n, d) == t
 
 
 class TestCompatibilityOracle:

@@ -24,7 +24,6 @@ from matchfield.core import BipartiteGraph, agreed_matchings, contained_matching
 from matchfield.stacks import stack_from_trees
 from matchfield.triang import (
     Triangulation,
-    _reconstruct,
     check_triangulation,
     extended_tope_arrangement,
     extract_field_from_trees,
@@ -39,7 +38,11 @@ from matchfield.triang import (
 from matchfield import trianguloid_check
 
 from conftest import graph, matchings_agree
-from oracles import necessary_conditions
+from oracles import (
+    necessary_conditions,
+    reconstruct_by_every_leaf,
+    reconstruct_triangulation_by_every_leaf,
+)
 
 
 def agreement_by_pairs(trees):
@@ -108,8 +111,8 @@ def perturbed_staircases(sizes, per_size, seed):
 
 
 def reconstruct_by_degree_recount(pairs, left_labels, right_labels, memo):
-    """Oracle for triang._reconstruct: the set-valued recursion that rebuilds
-    each subtree as a graph to recompute its degree pair."""
+    """Oracle for reconstruct_by_every_leaf: the set-valued recursion that
+    rebuilds each subtree as a graph to recompute its degree pair."""
     key = (left_labels, right_labels, pairs)
     if key in memo:
         return memo[key]
@@ -211,6 +214,13 @@ def swapped_staircase_pairs(sizes, per_size, seed):
                 pairs[a], pairs[b] = (ua, vb), (ub, va)
             out.append((n, d, frozenset(pairs)))
     return out
+
+
+def differential_pair_sets():
+    """All pairings at (3,3), (2,4) and (4,2), and 288 swapped staircase pair
+    sets up to (5,4): (n, d, pairs) triples."""
+    cases = [(n, d, pairs) for n, d in [(3, 3), (2, 4), (4, 2)] for pairs in all_pairings(n, d)]
+    return cases + swapped_staircase_pairs(PERTURBED_SIZES, 24, 7)
 
 
 def outcome(reconstruct, pairs, n, d):
@@ -392,7 +402,10 @@ class TestReconstruction:
 
     @pytest.mark.parametrize(
         "n,d",
-        [(1, 1), (2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5), (5, 2), (3, 4), (4, 3), (6, 1), (1, 6)],
+        [
+            (1, 1), (2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5), (5, 2), (3, 4),
+            (4, 3), (6, 1), (1, 6), (7, 6), (6, 7),
+        ],
     )
     def test_staircase_round_trips(self, n, d):
         t = staircase_triangulation(n, d)
@@ -437,14 +450,53 @@ class TestReconstruction:
             reconstruct_triangulation(set(), n, d)
 
     def test_pair_keyed_recursion_agrees_with_degree_recount(self):
-        cases = [(n, d, pairs) for n, d in [(3, 3), (2, 4), (4, 2)] for pairs in all_pairings(n, d)]
-        cases += swapped_staircase_pairs(PERTURBED_SIZES, 24, 7)
         kinds = set()
-        for n, d, pairs in cases:
+        for n, d, pairs in differential_pair_sets():
             expected = outcome(reconstruct_by_degree_recount, pairs, n, d)
-            assert outcome(_reconstruct, pairs, n, d) == expected, (n, d, sorted(pairs))
+            assert outcome(reconstruct_by_every_leaf, pairs, n, d) == expected, (n, d, sorted(pairs))
             kinds.add(expected[0] if isinstance(expected, tuple) else "trees")
         assert {"trees", InconsistentPairsError} <= kinds
+
+    def test_one_chain_per_tree_agrees_with_every_leaf_oracle(self):
+        accepted = 0
+        for n, d, pairs in differential_pair_sets():
+            try:
+                expected = reconstruct_triangulation_by_every_leaf(pairs, n, d)
+            except InconsistentPairsError:
+                with pytest.raises(InconsistentPairsError):
+                    reconstruct_triangulation(pairs, n, d)
+                continue
+            assert reconstruct_triangulation(pairs, n, d) == expected, (n, d, sorted(pairs))
+            accepted += 1
+        assert accepted == 350
+
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [
+            (
+                [((0, 0, 2), (0, 2, 0)), ((0, 1, 1), (1, 0, 1)), ((0, 2, 0), (2, 0, 0)),
+                 ((1, 0, 1), (0, 0, 2)), ((1, 1, 0), (1, 1, 0)), ((2, 0, 0), (0, 1, 1))],
+                "rdv (0, 2, 0) admitted to two sectors of 2",
+            ),
+            (
+                [((0, 0, 2), (0, 1, 1)), ((0, 1, 1), (2, 0, 0)), ((0, 2, 0), (0, 2, 0)),
+                 ((1, 0, 1), (1, 1, 0)), ((1, 1, 0), (0, 0, 2)), ((2, 0, 0), (1, 0, 1))],
+                "sectors do not cover all pairs through 2",
+            ),
+            (
+                [((0, 0, 2), (1, 0, 1)), ((0, 1, 1), (0, 0, 2)), ((0, 2, 0), (1, 1, 0)),
+                 ((1, 0, 1), (0, 2, 0)), ((1, 1, 0), (2, 0, 0)), ((2, 0, 0), (0, 1, 1))],
+                "deletion leaves a negative degree",
+            ),
+        ],
+        ids=["two-sectors", "coverage", "negative-degree"],
+    )
+    def test_each_deletion_check_refuses_an_input_first(self, pairs, message):
+        # without its check, each input escapes as another exception or is
+        # refused later with another message
+        with pytest.raises(InconsistentPairsError) as info:
+            reconstruct_triangulation(pairs, 3, 3)
+        assert str(info.value) == message
 
     def test_phi_injective_on_enumerable_cases(self):
         for n, d in [(2, 2), (2, 3), (2, 4), (3, 3)]:
