@@ -36,7 +36,6 @@ from .fields import (
     coherent_tope_field,
     field_from_arrangement,
     i_amalgamation,
-    increasing_splitting,
     is_linkage,
     linkage_covector,
     maximal_tope,
@@ -48,7 +47,6 @@ from .fields import (
 from .chow import (
     ChowCollection,
     PhiMap,
-    chow_by_definition,
     chow_collection,
     field_from_chow,
     reconstruct_chow_from_phi,

@@ -5,6 +5,8 @@ graph of the map sending j in rho to the right partner of lj in the matching
 on (L minus rho) union {j}.  For linkage fields the right degree vectors of
 the covectors hit every lattice point of (n-d+1)*Delta_{d-1} exactly once;
 the resulting bijection phi: rho -> lattice point determines the field.
+One pass over the matchings builds every covector: the edge (lj, ri) of the
+matching on sigma belongs to the covector of rho = (L minus sigma) + j.
 
 Reconstruction inverts phi with one sweep per left node.  For fixed j and
 i, the covectors containing the edge (lj, ri) form a *combinatorial sector*,
@@ -37,7 +39,9 @@ from .errors import (
 
 def chow_by_definition(field: fields.MatchingField, rho: Iterable[int]) -> BipartiteGraph:
     """Covector of rho: edge (j, i) where i is lj's partner in the matching on
-    (L minus rho) + j.  Works for any matching field, linkage or not."""
+    (L minus rho) + j.  Works for any matching field, linkage or not.  The
+    library builds every covector in one keyed pass (`fields.chow_masks`);
+    this per-rho definition is kept as the oracle the tests check it against."""
     rho = tuple(sorted(rho))
     n, d = field.n, field.d
     if len(rho) != n - d + 1:
@@ -138,11 +142,12 @@ class PhiMap:
 def chow_collection(field: fields.MatchingField) -> ChowCollection:
     """All covectors of a linkage field; the rdv bijection is certified."""
     fields.require_linkage(field)
+    n, d = field.n, field.d
     covectors = {
-        rho: chow_by_definition(field, rho)
-        for rho in core.subsets(field.n, field.n - field.d + 1)
+        core.mask_subset(rho): BipartiteGraph.from_mask(n, d, mask)
+        for rho, mask in fields.chow_masks(field).items()
     }
-    return ChowCollection(field.n, field.d, covectors)
+    return ChowCollection(n, d, covectors)
 
 
 def field_from_chow(cc: ChowCollection) -> fields.MatchingField:

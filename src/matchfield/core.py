@@ -602,14 +602,6 @@ def sectors(member_rdvs: set, rdvs, top: int, j: int, error: type) -> dict:
 # serialization
 
 
-def graph_to_json_dict(g: BipartiteGraph) -> dict:
-    return {"n": g.n, "d": g.d, "edges": _edge_list(g)}
-
-
-def graph_from_json_dict(data: dict) -> BipartiteGraph:
-    return _graph(*read_sides(data), data["edges"])
-
-
 def canonical_json(data) -> str:
     """Canonical JSON: sorted keys, no floats, newline-terminated."""
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"

@@ -5,7 +5,12 @@ perfect matching on sigma ⊔ R.  A tope field of type v = (v1..vd) assigns to
 every k-subset (k = sum v) a tope whose right degree vector is v.  The field
 is *linkage* when the union of the assignments over every (k+1)-subset tau is
 a tree, the *linkage covector* of tau; inside it each right node ri has
-degree vi + 1.
+degree vi + 1.  On a validated field every such union is connected: for a
+component C and any x in tau, the tope on tau - x gives |C_L - x| = sum of
+v_i over C_R, which holds for x in C_L and for x outside C_L only when
+C_L = tau.  So the union is a tree exactly when it has k + d edges, and
+linkage is decided by OR-ing tope masks and one popcount per tau
+(`is_linkage`).
 
 The i-amalgamation extracts from each covector the unique tope of type
 v + e_i, producing a tope field one thicker; iterating up to thickness n
@@ -16,7 +21,7 @@ arrangement of the field, a bijection onto the lattice points of
 collecting the maximal matchings of its topes.  The arrangement is built
 without amalgamating: the maximal tope of type v is the union of the Chow
 covectors whose right degree vectors are v - 1_{[d] minus i}, i = 1..d, and
-one pass over the matchings yields every Chow covector.
+one keyed pass over the matchings yields every Chow covector (`chow_masks`).
 
 Extended arrangements additionally carry a graph for every lattice point of
 n*Delta_{d-1} (isolated right nodes allowed at the boundary) and are where
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import core
 from .core import BipartiteGraph
@@ -180,22 +185,57 @@ class LinkageReport:
 
 
 def is_linkage(field: TopeField) -> LinkageReport:
-    """Check the tree condition for every (k+1)-subset; collect all failures."""
-    if field.thickness >= field.n:
-        return LinkageReport(True, ())  # no (k+1)-subsets; vacuously linkage
-    failures = []
-    for tau in core.subsets(field.n, field.thickness + 1):
-        res = linkage_covector(field, tau)
-        if not res.ok:
-            failures.append(res)
-    return LinkageReport(not failures, tuple(failures))
+    """Check the tree condition for every (k+1)-subset; collect all failures.
+
+    A union is a tree when it has k + d edges and a walk over the rows of tau
+    reaches all d right nodes.  On a validated field the walk always does:
+    for a component C of the union and any x in tau, the tope on tau - x
+    pairs C_L - x with C_R, so |C_L - x| = sum of v_i over C_R.  That is
+    |C_L| - 1 for x in C_L and |C_L| otherwise, and v > 0, so C_L = tau and
+    the union is connected.  The walk guards raw TopeFields built without
+    validation.  Only a failing tau goes through `linkage_covector` and
+    `core.find_cycle`, which build its graph and cycle.
+    """
+    failures = tuple(_failing_covectors(field))
+    return LinkageReport(not failures, failures)
 
 
 def require_linkage(field: TopeField) -> None:
-    report = is_linkage(field)
-    if not report.ok:
-        first = report.failures[0]
+    first = next(_failing_covectors(field), None)
+    if first is not None:
         raise NotLinkageError(first.tau, first.cycle)
+
+
+def _failing_covectors(field: TopeField) -> Iterator[CovectorResult]:
+    """The non-tree covectors in `core.subsets` order; none when k >= n (no
+    (k+1)-subsets, so vacuously linkage)."""
+    n, d, k = field.n, field.d, field.thickness
+    topes = {sum(1 << (j - 1) for j in sigma): g.mask for sigma, g in field.items()}
+    for tau in core.subsets(n, k + 1) if k < n else ():
+        everyone = sum(1 << (j - 1) for j in tau)
+        union = 0
+        for j in tau:
+            union |= topes[everyone ^ 1 << (j - 1)]
+        if union.bit_count() != k + d or not _rows_span(union, tau, d):
+            res = linkage_covector(field, tau)
+            if not res.ok:
+                yield res
+
+
+def _rows_span(union: int, tau: tuple, d: int) -> bool:
+    """Whether the rows of tau in an edge mask join up through shared right
+    nodes and reach all d of them: a breadth-first walk over row bitmasks."""
+    rows = [union >> ((j - 1) * d) & ((1 << d) - 1) for j in tau]
+    reached, pending = rows[0], rows[1:]
+    while pending:
+        rest = [r for r in pending if not r & reached]
+        if len(rest) == len(pending):
+            return False
+        for r in pending:
+            if r & reached:
+                reached |= r
+        pending = rest
+    return reached == (1 << d) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -340,37 +380,6 @@ def coherent_tope_field(weights: Sequence[Sequence], type_vector: Sequence[int])
     return TopeField(n, d, v, assignment)
 
 
-def increasing_splitting(tf: TopeField) -> MatchingField:
-    """Split right node ri into v_i copies; within each tope the neighbours of
-    ri go to increasing copies in increasing index order.  Returns an (n, k)
-    matching field on the flattened copy nodes."""
-    v = tf.type_vector
-    k = tf.thickness
-    offset = [0]
-    for x in v:
-        offset.append(offset[-1] + x)
-    assignment = {}
-    for sigma, tope in tf.items():
-        edges = []
-        for i in range(1, tf.d + 1):
-            for t, j in enumerate(sorted(tope.right_neighbors(i)), start=1):
-                edges.append((j, offset[i - 1] + t))
-        assignment[sigma] = BipartiteGraph(tf.n, k, edges)
-    return MatchingField(tf.n, k, assignment)
-
-
-def collapse_split_graph(g: BipartiteGraph, type_vector: Sequence[int]) -> BipartiteGraph:
-    """Inverse of the splitting on a single graph: merge the copy nodes back."""
-    v = tuple(type_vector)
-    lookup = {}
-    col = 0
-    for i, count in enumerate(v, start=1):
-        for _ in range(count):
-            col += 1
-            lookup[col] = i
-    return BipartiteGraph(g.n, len(v), [(j, lookup[i]) for j, i in g.edges])
-
-
 # ---------------------------------------------------------------------------
 # amalgamation
 
@@ -484,31 +493,26 @@ class TopeArrangement:
 
 def check_sector_monotonicity(graphs: dict) -> None:
     """For rdv-adjacent members G at a and H at a + e_p - e_q, the rq-edges of
-    H must lie in G and the rp-edges of G must lie in H."""
+    H must lie in G and the rp-edges of G must lie in H.  Compared as column
+    masks; a violation names the missing edge with the least j."""
+    if not graphs:
+        return
+    d = len(next(iter(graphs)))
+    column = ((1 << core.MAX_SIDE * d) - 1) // ((1 << d) - 1)  # bit j*d of every row j
     for point, g in graphs.items():
-        d = len(point)
-        for p in range(1, d + 1):
-            for q in range(1, d + 1):
-                if p == q or point[q - 1] == 0:
-                    continue
-                shifted = list(point)
-                shifted[p - 1] += 1
-                shifted[q - 1] -= 1
-                h = graphs.get(tuple(shifted))
-                if h is None:
-                    continue
-                for j in h.right_neighbors(q):
-                    if (j, q) not in g:
-                        raise MatchfieldError(
-                            f"sector violation: edge ({j},{q}) of {tuple(shifted)} "
-                            f"missing at {point}"
-                        )
-                for j in g.right_neighbors(p):
-                    if (j, p) not in h:
-                        raise MatchfieldError(
-                            f"sector violation: edge ({j},{p}) of {point} "
-                            f"missing at {tuple(shifted)}"
-                        )
+        for p, q in permutations(range(1, d + 1), 2):
+            if point[q - 1] == 0:
+                continue
+            shifted = tuple(x + (i == p) - (i == q) for i, x in enumerate(point, start=1))
+            h = graphs.get(shifted)
+            if h is None:
+                continue
+            for i, have, lack, at, to in ((q, h, g, shifted, point), (p, g, h, point, shifted)):
+                extra = have.mask & column << (i - 1) & ~lack.mask
+                if extra:
+                    j = ((extra & -extra).bit_length() - 1) // d + 1
+                    raise MatchfieldError(
+                        f"sector violation: edge ({j},{i}) of {at} missing at {to}")
 
 
 def topes_from_covectors(n: int, d: int, covectors: Iterable[BipartiteGraph]) -> dict:
@@ -532,26 +536,32 @@ def topes_from_covectors(n: int, d: int, covectors: Iterable[BipartiteGraph]) ->
     return topes
 
 
-def tope_arrangement(field: MatchingField) -> TopeArrangement:
-    """Maximal tope for every lattice point of (n-d)*Delta_{d-1}, built as
-    unions of Chow covectors (topes_from_covectors).
-
-    The edge (lj, ri) of the matching on sigma is the lj-edge of the Chow
-    covector of rho = (L minus sigma) + j, so one pass over the matchings
-    builds every covector.  A non-linkage field raises NotLinkageError with
-    the first failing tau, the one the amalgamation chain (maximal_tope)
-    would stop at.
-    """
-    require_linkage(field)
-    n, d = field.n, field.d
-    everyone = (1 << n) - 1
-    masks: dict[int, int] = {}  # rho as a left-node bitmask -> covector mask
+def chow_masks(field: MatchingField) -> dict[int, int]:
+    """Every Chow covector of a matching field, linkage or not, in one keyed
+    pass: {rho as a left-node bitmask: covector edge mask}.  The edge (lj, ri)
+    of the matching on sigma is the lj-edge of the covector of
+    rho = (L minus sigma) + j."""
+    d = field.d
+    everyone = (1 << field.n) - 1
+    masks: dict[int, int] = {}
     for sigma, m in field.items():
         rest = everyone ^ sum(1 << (j - 1) for j in sigma)
         for b in core._bits(m.mask):
             rho = rest | 1 << (b // d)
             masks[rho] = masks.get(rho, 0) | 1 << b
-    covectors = [BipartiteGraph.from_mask(n, d, mask) for mask in masks.values()]
+    return masks
+
+
+def tope_arrangement(field: MatchingField) -> TopeArrangement:
+    """Maximal tope for every lattice point of (n-d)*Delta_{d-1}, built as
+    unions of the Chow covectors of `chow_masks` (topes_from_covectors).
+
+    A non-linkage field raises NotLinkageError with the first failing tau,
+    the one the amalgamation chain (maximal_tope) would stop at.
+    """
+    require_linkage(field)
+    n, d = field.n, field.d
+    covectors = [BipartiteGraph.from_mask(n, d, mask) for mask in chow_masks(field).values()]
     return TopeArrangement(n, d, topes_from_covectors(n, d, covectors))
 
 
@@ -575,21 +585,6 @@ def field_from_arrangement(ta: TopeArrangement) -> MatchingField:
     field = field_from_topes(ta.n, ta.d, (tope for _, tope in ta.items()))
     require_linkage(field)
     return field
-
-
-def subfield_delete_left(field: MatchingField, j: int) -> MatchingField:
-    """Induced field on L minus lj: keep the subsets avoiding j, relabel."""
-    label_map = {old: new for new, old in enumerate(
-        [x for x in range(1, field.n + 1) if x != j], start=1
-    )}
-    assignment = {}
-    for sigma, m in field.items():
-        if j in sigma:
-            continue
-        assignment[tuple(label_map[x] for x in sigma)] = m.relabel_left(
-            field.n - 1, label_map
-        )
-    return MatchingField(field.n - 1, field.d, assignment)
 
 
 def maximal_tope_covectors(field: MatchingField) -> dict[tuple, BipartiteGraph]:

@@ -16,6 +16,17 @@ def graph(n, d, edges):
     return BipartiteGraph(n, d, edges)
 
 
+def graph_to_json_dict(g):
+    return {"n": g.n, "d": g.d, "edges": [list(e) for e in g.edges]}
+
+
+def graph_from_json_dict(data):
+    """A graph read with the strict checks of the table reader."""
+    from matchfield import core
+
+    return core._graph(*core.read_sides(data), data["edges"])
+
+
 def matching_from_word(n, d, word):
     return BipartiteGraph(n, d, [(int(ch), pos) for pos, ch in enumerate(word, start=1)])
 

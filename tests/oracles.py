@@ -13,6 +13,11 @@ descriptions kept as test oracles.
   edge count of a linkage field.
 - Graph classification and connected components by breadth-first search,
   the oracle for ``core.is_spanning_tree``.
+- Constructions that only theorem checks run: the increasing splitting of a
+  tope field into a matching field and its inverse on one graph, and the
+  induced field on L minus lj.
+- Linkage by building every (k+1)-subset union as a graph and searching it
+  for a cycle, the oracle for the edge-count test of ``fields.is_linkage``.
 - Right linkage of a stack, layer by layer with the sides swapped, the
   oracle for left linkage of the transposed stack.
 - Contained matchings as edge tuples in the preorder of the lexicographic
@@ -387,6 +392,75 @@ def reconstruct_triangulation_by_every_leaf(pairs: Iterable, n: int, d: int):
     if not check_triangulation(t.trees, n, d).ok:
         raise InconsistentPairsError("rebuilt trees violate an axiom")
     return t
+
+
+# ---------------------------------------------------------------------------
+# splitting right nodes and deleting a left node
+
+
+def increasing_splitting(tf: fields.TopeField) -> fields.MatchingField:
+    """Split right node ri into v_i copies; within each tope the neighbours of
+    ri go to increasing copies in increasing index order.  Returns an (n, k)
+    matching field on the flattened copy nodes."""
+    v = tf.type_vector
+    k = tf.thickness
+    offset = [0]
+    for x in v:
+        offset.append(offset[-1] + x)
+    assignment = {}
+    for sigma, tope in tf.items():
+        edges = []
+        for i in range(1, tf.d + 1):
+            for t, j in enumerate(sorted(tope.right_neighbors(i)), start=1):
+                edges.append((j, offset[i - 1] + t))
+        assignment[sigma] = BipartiteGraph(tf.n, k, edges)
+    return fields.MatchingField(tf.n, k, assignment)
+
+
+def collapse_split_graph(g: BipartiteGraph, type_vector: Sequence[int]) -> BipartiteGraph:
+    """Inverse of the splitting on a single graph: merge the copy nodes back."""
+    v = tuple(type_vector)
+    lookup = {}
+    col = 0
+    for i, count in enumerate(v, start=1):
+        for _ in range(count):
+            col += 1
+            lookup[col] = i
+    return BipartiteGraph(g.n, len(v), [(j, lookup[i]) for j, i in g.edges])
+
+
+def subfield_delete_left(field: fields.MatchingField, j: int) -> fields.MatchingField:
+    """Induced field on L minus lj: keep the subsets avoiding j, relabel."""
+    label_map = {old: new for new, old in enumerate(
+        [x for x in range(1, field.n + 1) if x != j], start=1
+    )}
+    assignment = {}
+    for sigma, m in field.items():
+        if j in sigma:
+            continue
+        assignment[tuple(label_map[x] for x in sigma)] = m.relabel_left(
+            field.n - 1, label_map
+        )
+    return fields.MatchingField(field.n - 1, field.d, assignment)
+
+
+# ---------------------------------------------------------------------------
+# linkage by unions and cycles
+
+
+def is_linkage_by_cycles(field: fields.TopeField) -> fields.LinkageReport:
+    """Oracle for ``fields.is_linkage``: the union over every (k+1)-subset tau
+    built graph by graph, then a union-find cycle search on every union."""
+    n, d, k = field.n, field.d, field.thickness
+    failures = []
+    for tau in core.subsets(n, k + 1) if k < n else ():
+        union = BipartiteGraph.from_mask(n, d, 0)
+        for drop in tau:
+            union = union.union(field.tope(tuple(x for x in tau if x != drop)))
+        cycle = core.find_cycle(union)
+        if cycle:
+            failures.append(fields.CovectorResult(tau, union, tuple(cycle)))
+    return fields.LinkageReport(not failures, tuple(failures))
 
 
 # ---------------------------------------------------------------------------

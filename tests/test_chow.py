@@ -10,7 +10,6 @@ from matchfield import (
     InconsistentPhiError,
     NotLinkageError,
     SizeCapError,
-    chow_by_definition,
     chow_collection,
     field_from_chow,
     reconstruct_chow_from_phi,
@@ -21,9 +20,11 @@ from matchfield import (
 from matchfield.chow import (
     ChowCollection,
     PhiMap,
+    chow_by_definition,
     phi_from_json_dict,
     phi_to_json_dict,
 )
+from matchfield import core, fields
 from matchfield.core import sector_sweep
 from matchfield.errors import InconsistentCollectionError
 from matchfield.randgen import seeded_coherent_field
@@ -150,6 +151,16 @@ class TestByDefinition:
     def test_wrong_rho_size(self, field_42):
         with pytest.raises(Exception):
             chow_by_definition(field_42, (1, 2))
+
+    def test_keyed_pass_gives_every_covector(self, differential_fields):
+        # linkage or not, one pass over the matchings gives the covector of
+        # every (n-d+1)-subset rho, as its definition does
+        for field in differential_fields:
+            masks = {core.mask_subset(rho): m for rho, m in fields.chow_masks(field).items()}
+            assert masks == {
+                rho: chow_by_definition(field, rho).mask
+                for rho in subsets(field.n, field.n - field.d + 1)
+            }
 
 
 class TestByIntersection:
@@ -388,7 +399,7 @@ class TestReconstruction:
     def test_deletion_restriction(self, field_42):
         # stripping lj from the covectors through lj gives the collection of
         # the field with lj deleted
-        from matchfield.fields import subfield_delete_left
+        from oracles import subfield_delete_left
 
         cc = chow_collection(field_42)
         for j in range(1, 5):

@@ -19,7 +19,7 @@ from matchfield import (
 )
 from matchfield import core
 
-from conftest import exhaustive_compatibility, graph
+from conftest import exhaustive_compatibility, graph, graph_from_json_dict, graph_to_json_dict
 from oracles import (
     agreed_matchings_by_edges,
     classify,
@@ -207,7 +207,7 @@ class TestGraphBasics:
 
     def test_json_round_trip(self):
         g = graph(4, 2, [(1, 1), (2, 2)])
-        assert core.graph_from_json_dict(core.graph_to_json_dict(g)) == g
+        assert graph_from_json_dict(graph_to_json_dict(g)) == g
 
     def test_table_round_trip(self):
         g = graph(4, 2, [(1, 1), (2, 2)])
@@ -241,7 +241,7 @@ class TestGraphBasics:
 
     def test_graph_of_the_wrong_shape(self):
         with pytest.raises(ValueError, match="pair of integers"):
-            core.graph_from_json_dict({"n": 2, "d": 2, "edges": [[1, 1], {}]})
+            graph_from_json_dict({"n": 2, "d": 2, "edges": [[1, 1], {}]})
 
 
 class TestMatchingMasks:

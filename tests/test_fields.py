@@ -23,7 +23,6 @@ from matchfield import (
     field_from_arrangement,
     flip_graph,
     i_amalgamation,
-    increasing_splitting,
     is_linkage,
     linkage_covector,
     maximal_tope,
@@ -44,7 +43,6 @@ from matchfield.fields import (
     field_from_json_dict,
     field_to_json_dict,
     maximal_tope_covectors,
-    subfield_delete_left,
     tope_field_of_type,
 )
 from matchfield.randgen import random_weight_matrix, seeded_coherent_field
@@ -57,6 +55,13 @@ from conftest import (
     field_from_words,
     graph,
     matching_from_word,
+    random_matching_field,
+)
+from oracles import (
+    collapse_split_graph,
+    increasing_splitting,
+    is_linkage_by_cycles,
+    subfield_delete_left,
 )
 
 
@@ -293,6 +298,104 @@ class TestLinkage:
                     assert is_compatible(a, b)[0]
 
 
+def amalgamated_tope_fields(field):
+    """Every tope field reachable from a linkage field by i-amalgamations,
+    up to thickness n - 1, keyed by type."""
+    found = {field.type_vector: field}
+    frontier = [field]
+    while frontier:
+        tf = frontier.pop()
+        if tf.thickness + 1 >= tf.n:
+            continue
+        for i in range(1, tf.d + 1):
+            nxt = i_amalgamation(tf, i)
+            if nxt.type_vector not in found:
+                found[nxt.type_vector] = nxt
+                frontier.append(nxt)
+    return [found[v] for v in sorted(found)]
+
+
+def retyped_topes(tf, sigma):
+    """Every tope of tf's type on sigma: maps sigma -> [d] hitting ri v_i times."""
+    for f in itertools.product(range(1, tf.d + 1), repeat=len(sigma)):
+        g = BipartiteGraph(tf.n, tf.d, list(zip(sigma, f)))
+        if g.right_degrees() == tf.type_vector:
+            yield g
+
+
+@st.composite
+def raw_tope_fields(draw):
+    """Unvalidated tope fields: any graph on (n, d) for every k-subset, so
+    unions may miss left nodes of tau or carry edges outside it."""
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, n - 1))
+    masks = st.integers(0, (1 << (n * d)) - 1)
+    assignment = {
+        sigma: BipartiteGraph.from_mask(n, d, draw(masks)) for sigma in subsets(n, k)
+    }
+    return fields_mod.TopeField(n, d, (k,) + (0,) * (d - 1), assignment)
+
+
+class TestLinkageAgainstCycles:
+    """The edge-count test of is_linkage gives the reports of building every
+    union as a graph and searching it for a cycle, failures included."""
+
+    def test_differential_fields(self, differential_fields):
+        verdicts = set()
+        for field in differential_fields:
+            report = is_linkage(field)
+            assert report == is_linkage_by_cycles(field)
+            verdicts.add(report.ok)
+        assert verdicts == {True, False}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([(3, 2), (4, 2), (5, 2), (4, 3), (5, 3), (6, 3)]), st.integers(0, 1 << 32))
+    def test_random_matching_fields(self, size, seed):
+        field = random_matching_field(*size, seed)
+        assert is_linkage(field) == is_linkage_by_cycles(field)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_tope_fields())
+    def test_raw_tope_fields(self, field):
+        assert is_linkage(field) == is_linkage_by_cycles(field)
+
+    def test_amalgamated_tope_fields(self, field_42, field_53, field_63, field_64):
+        failing = 0
+        for field in (field_42, field_53, field_63, field_64):
+            for tf in amalgamated_tope_fields(field):
+                assert is_linkage(tf) == is_linkage_by_cycles(tf)
+                assert is_linkage(tf).ok
+                # replace the tope on the first subset by each other tope
+                sigma = min(tf.assignment)
+                for g in retyped_topes(tf, sigma):
+                    changed = validate_tope_field(
+                        tf.n, tf.d, tf.type_vector, {**tf.assignment, sigma: g}
+                    )
+                    report = is_linkage(changed)
+                    assert report == is_linkage_by_cycles(changed)
+                    failing += not report.ok
+        assert failing > 10
+
+    def test_find_cycle_runs_once_per_failing_tau(self, monkeypatch, differential_fields):
+        searched = []
+        real = core.find_cycle
+        monkeypatch.setattr(core, "find_cycle", lambda g: searched.append(g) or real(g))
+        for field in differential_fields:
+            searched.clear()
+            report = is_linkage(field)
+            assert searched == [res.graph for res in report.failures]
+            searched.clear()
+            if report.ok:
+                fields_mod.require_linkage(field)
+            else:
+                with pytest.raises(NotLinkageError) as err:
+                    fields_mod.require_linkage(field)
+                assert (err.value.tau, err.value.cycle) == (
+                    report.failures[0].tau, report.failures[0].cycle)
+            assert len(searched) == (not report.ok)
+
+
 class TestCoherent:
     WEIGHTS = [(0, 1), (0, 0), (1, 0)]
 
@@ -444,7 +547,7 @@ class TestIncreasingSplitting:
         split = increasing_splitting(tope_field_42)
         for w in simplex_lattice_points(1, 3):
             v_split = tuple(x + 1 for x in w)
-            merged = fields_mod.collapse_split_graph(
+            merged = collapse_split_graph(
                 maximal_tope(split, v_split), (2, 1)
             )
             assert merged == maximal_tope(field_42, (v_split[0] + v_split[1], v_split[2]))
@@ -556,6 +659,39 @@ class TestArrangement:
         broken[(2, 0)] = graph(4, 2, [(1, 1), (2, 1), (3, 1), (4, 2)])
         with pytest.raises(MatchfieldError):
             fields_mod.TopeArrangement(4, 2, broken)
+
+    def test_sector_violation_names_least_rq_edge_of_h(self):
+        # H at (1, 0) = (0, 1) + e1 - e2 has r2-edges (2,2), (3,2), both
+        # missing from G; the least j is named, in the last column
+        graphs = {
+            (0, 1): graph(3, 2, [(1, 1), (1, 2)]),
+            (1, 0): graph(3, 2, [(1, 1), (2, 2), (3, 2)]),
+        }
+        with pytest.raises(MatchfieldError) as err:
+            check_sector_monotonicity(graphs)
+        assert str(err.value) == "sector violation: edge (2,2) of (1, 0) missing at (0, 1)"
+
+    def test_sector_violation_names_least_rp_edge_of_g(self):
+        # G at (1, 0), H at (0, 1) = (1, 0) + e2 - e1: the r1-edges of H lie
+        # in G, but the r2-edges (2,2), (3,2) of G are missing from H
+        graphs = {
+            (1, 0): graph(3, 2, [(1, 1), (2, 2), (3, 2)]),
+            (0, 1): graph(3, 2, [(1, 1)]),
+        }
+        with pytest.raises(MatchfieldError) as err:
+            check_sector_monotonicity(graphs)
+        assert str(err.value) == "sector violation: edge (2,2) of (1, 0) missing at (0, 1)"
+
+    def test_sector_violation_in_a_middle_column(self):
+        # d = 3: G at (0, 1, 0), H at (0, 0, 1) = G's point + e3 - e2; the
+        # r2-edges (3,2), (4,2) of H are missing from G
+        graphs = {
+            (0, 1, 0): graph(4, 3, [(1, 1), (2, 2)]),
+            (0, 0, 1): graph(4, 3, [(1, 1), (3, 2), (4, 2)]),
+        }
+        with pytest.raises(MatchfieldError) as err:
+            check_sector_monotonicity(graphs)
+        assert str(err.value) == "sector violation: edge (3,2) of (0, 0, 1) missing at (0, 1, 0)"
 
 
     def test_planted_incompatible_pair(self, field_42):

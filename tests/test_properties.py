@@ -31,7 +31,13 @@ from matchfield.triang import (
     staircase_triangulation,
 )
 
-from conftest import exhaustive_compatibility, graph, random_matching_field
+from conftest import (
+    exhaustive_compatibility,
+    graph,
+    graph_from_json_dict,
+    graph_to_json_dict,
+    random_matching_field,
+)
 from oracles import chow_by_intersection, reconstruct_triangulation_by_every_leaf
 from test_fields import arrangement_by_amalgamation, outcome
 from test_flip import flip_graph_by_pairs
@@ -325,14 +331,12 @@ class TestSerializationProperties:
     @settings(max_examples=200, deadline=None)
     @given(graphs_strategy(5, 3))
     def test_graph_json_round_trip(self, g):
-        from matchfield.core import graph_from_json_dict, graph_to_json_dict
-
         assert graph_from_json_dict(graph_to_json_dict(g)) == g
 
     @settings(max_examples=100, deadline=None)
     @given(graphs_strategy(4, 4))
     def test_canonical_json_is_stable(self, g):
-        from matchfield.core import canonical_json, graph_to_json_dict
+        from matchfield.core import canonical_json
 
         a = canonical_json(graph_to_json_dict(g))
         b = canonical_json(graph_to_json_dict(g))
