@@ -76,7 +76,6 @@ from .stacks import (
     extraction,
     right_submatching_check,
     stack_from_trees,
-    stiefel_image,
     transversal_matroid,
     validate_ensemble,
 )

@@ -70,7 +70,10 @@ class ChowCollection:
         if sorted(self.covectors) != sorted(expected):
             raise InconsistentCollectionError("keys must be the (n-d+1)-subsets")
         for rho, g in self.covectors.items():
-            if g.left_support() != rho or any(deg > 1 for deg in g.left_degrees()):
+            # its left rows, read once: nonzero exactly on rho, one bit at most each
+            rows = [g.mask >> (j * g.d) & ((1 << g.d) - 1) for j in range(g.n)]
+            support = tuple(j for j, row in enumerate(rows, start=1) if row)
+            if support != rho or any(row & (row - 1) for row in rows):
                 raise InconsistentCollectionError(f"covector at {rho} has wrong support")
         rdvs = sorted(g.right_degrees() for g in self.covectors.values())
         if rdvs != core.simplex_lattice_points(n - d + 1, d):

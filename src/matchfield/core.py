@@ -22,9 +22,10 @@ lists the matchings inside a graph as {(J mask, I mask): edge mask} by a
 depth-first search over left rows and free right bits, in the order of the
 edge-list enumeration it replaced; ``agreed_matchings`` compares those ints
 and turns only its clash witness back into subsets.  For graphs whose left
-degrees are all 1, such as maximal topes, ``functions_compatible`` decides
-compatibility from the two maps [n] -> [d] (``tope_function``): the arcs
-f2(j) -> f1(j) must form an acyclic digraph on the d right nodes.
+degrees are at most 1, such as maximal topes and partial matchings,
+``functions_compatible`` decides compatibility from the two partial maps
+(``tope_function``): the arcs f2(j) -> f1(j) over the left nodes both maps
+use must form an acyclic digraph on the d right nodes.
 
 Every JSON format is read strictly by ``read_table``, which raises
 ValueError on a value of the wrong shape or on a subset key that is not
@@ -364,21 +365,23 @@ def _directed_cycle_through(j0, i0, fwd, bwd):
 
 
 def tope_function(g: BipartiteGraph) -> tuple[int, ...]:
-    """The map f of a graph whose left degrees are all 1, 0-based:
-    f[j - 1] = i - 1 for its edge (lj, ri)."""
+    """The map f of a graph whose left degrees are at most 1, 0-based:
+    f[j - 1] = i - 1 for its edge (lj, ri), and d where lj has no edge."""
     d = g.d
     full = (1 << d) - 1
-    return tuple((g.mask >> (j * d) & full).bit_length() - 1 for j in range(g.n))
+    rows = (g.mask >> (j * d) & full for j in range(g.n))
+    return tuple(row.bit_length() - 1 if row else d for row in rows)
 
 
 def functions_compatible(f1: Sequence[int], f2: Sequence[int], d: int) -> bool:
-    """is_compatible for two graphs with all left degrees 1, from their
-    tope_function values.  Each left node j with f1[j] != f2[j] carries the
-    only two arcs through it, r_f2[j] -> lj -> r_f1[j]; contracted, they
-    form a digraph on the d right nodes, acyclic exactly when the graphs
-    are compatible.  Sinks are peeled from the out-neighbour masks until
-    nothing is left (acyclic) or no sink remains (a cycle)."""
-    out = [0] * d
+    """is_compatible for two graphs with left degrees at most 1, from their
+    tope_function values.  A left node j with f1[j] != f2[j] carries the
+    arcs r_f2[j] -> lj -> r_f1[j]; contracted, they form a digraph on the d
+    right nodes, acyclic exactly when the graphs are compatible.  The value
+    d of a node one graph leaves out puts its one arc at an extra node d,
+    never peeled or alive, so it closes no cycle.  Sinks are peeled from the
+    out-neighbour masks until nothing is left (acyclic) or none remains."""
+    out = [0] * (d + 1)
     for a, b in zip(f1, f2):
         if a != b:
             out[b] |= 1 << a
@@ -476,18 +479,18 @@ def contained_tope(tree: BipartiteGraph, k: int) -> BipartiteGraph:
 
     The tree must cover every right node and be a tree on its support
     (isolated left nodes are ignored, so linkage covectors on a subset of L
-    qualify).  Rooting the tree at rk, the last edge of the path from rk to
-    every other right node is removed; that edge is the one joining the other
-    right node to its parent.
+    qualify): it has one edge fewer than nodes and the search from rk
+    reaches them all, so no cycle search is needed.  Rooting the tree at rk,
+    the last edge of the path from rk to every other right node is removed;
+    that edge is the one joining the other right node to its parent.
     """
     if not (1 <= k <= tree.d):
         raise MatchfieldError(f"right index {k} out of range")
     right = tree.right_degrees()
     if any(deg == 0 for deg in right):
         raise NotASpanningTreeError("tree must cover every right node")
-    support = set(tree.left_support())
-    nodes = len(support) + tree.d
-    if len(tree) != nodes - 1 or not is_forest(tree):
+    nodes = len(tree.left_support()) + tree.d
+    if len(tree) != nodes - 1:
         raise NotASpanningTreeError("input is not a tree on its support")
     # BFS from rk; drop the parent edge of every other right node
     adj = _adjacency(tree)
@@ -505,8 +508,8 @@ def contained_tope(tree: BipartiteGraph, k: int) -> BipartiteGraph:
                     drop.append((node[1], nb[1]))
                 nxt.append(nb)
         frontier = nxt
-    if len(parent) != nodes:
-        raise NotASpanningTreeError("tree is disconnected")
+    if len(parent) != nodes:  # nodes - 1 edges: disconnected exactly when cyclic
+        raise NotASpanningTreeError("input is not a tree on its support")
     return tree.without_edges(drop)
 
 

@@ -209,22 +209,44 @@ def require_linkage(field: TopeField) -> None:
 def _failing_covectors(field: TopeField) -> Iterator[CovectorResult]:
     """The non-tree covectors in `core.subsets` order; none when k >= n (no
     (k+1)-subsets, so vacuously linkage)."""
-    n, d, k = field.n, field.d, field.thickness
+    for tau, union in _covector_unions(field):
+        if not _is_tree(union, tau, field.d):
+            res = linkage_covector(field, tau)
+            if not res.ok:
+                yield res
+
+
+def _covector_unions(field: TopeField) -> Iterator[tuple[tuple, int]]:
+    """(tau, edge mask of its covector) for every (k+1)-subset tau in
+    `core.subsets` order, from the tope masks keyed by left-subset bitmask."""
+    n, k = field.n, field.thickness
     topes = {sum(1 << (j - 1) for j in sigma): g.mask for sigma, g in field.items()}
     for tau in core.subsets(n, k + 1) if k < n else ():
         everyone = sum(1 << (j - 1) for j in tau)
         union = 0
         for j in tau:
             union |= topes[everyone ^ 1 << (j - 1)]
-        if union.bit_count() != k + d or not _rows_span(union, tau, d):
-            res = linkage_covector(field, tau)
-            if not res.ok:
-                yield res
+        yield tau, union
 
 
-def _rows_span(union: int, tau: tuple, d: int) -> bool:
-    """Whether the rows of tau in an edge mask join up through shared right
-    nodes and reach all d of them: a breadth-first walk over row bitmasks."""
+def covector_graph(n: int, d: int, tau: tuple, union: int) -> BipartiteGraph:
+    """The covector of tau from its edge mask.  Only a mask failing `_is_tree`
+    goes through `core.find_cycle`: a cycle raises NotLinkageError with tau
+    and the cycle, and a forest is returned as it is."""
+    graph = BipartiteGraph.from_mask(n, d, union)
+    if not _is_tree(union, tau, d):
+        cycle = core.find_cycle(graph)
+        if cycle:
+            raise NotLinkageError(tau, tuple(cycle))
+    return graph
+
+
+def _is_tree(union: int, tau: tuple, d: int) -> bool:
+    """Whether an edge mask on the rows of tau is a tree on tau ⊔ [d]: it has
+    |tau| + d - 1 edges, and a breadth-first walk over the row bitmasks
+    joins them up through shared right nodes and reaches all d of them."""
+    if union.bit_count() != len(tau) + d - 1:
+        return False
     rows = [union >> ((j - 1) * d) & ((1 << d) - 1) for j in tau]
     reached, pending = rows[0], rows[1:]
     while pending:
@@ -395,12 +417,10 @@ def i_amalgamation(tf: TopeField, i: int) -> TopeField:
         raise MatchfieldError(f"right index {i} out of range")
     if tf.thickness >= tf.n:
         raise MatchfieldError("tope field already has maximal thickness")
-    assignment = {}
-    for tau in core.subsets(tf.n, tf.thickness + 1):
-        res = linkage_covector(tf, tau)
-        if not res.ok:
-            raise NotLinkageError(tau, res.cycle)
-        assignment[tau] = core.contained_tope(res.graph, i)
+    assignment = {
+        tau: core.contained_tope(covector_graph(tf.n, tf.d, tau, union), i)
+        for tau, union in _covector_unions(tf)
+    }
     new_type = core.vector_sum(tf.type_vector, core.unit_vector(tf.d, i))
     return TopeField(tf.n, tf.d, new_type, assignment)
 
@@ -599,15 +619,12 @@ def maximal_tope_covectors(field: MatchingField) -> dict[tuple, BipartiteGraph]:
     if n - 1 < d:
         return out
     ta = tope_arrangement(field)
+    tau = tuple(range(1, n + 1))
     for point in core.simplex_lattice_points(n - 1 - d, d):
         mask = 0
         for i in range(1, d + 1):
             mask |= ta.tope(core.vector_sum(point, core.unit_vector(d, i))).mask
-        union = BipartiteGraph.from_mask(n, d, mask)
-        cycle = core.find_cycle(union)
-        if cycle:
-            raise NotLinkageError(tuple(range(1, n + 1)), tuple(cycle))
-        out[core.vector_sum(point, core.all_ones(d))] = union
+        out[core.vector_sum(point, core.all_ones(d))] = covector_graph(n, d, tau, mask)
     return out
 
 

@@ -24,7 +24,7 @@ from typing import Iterable
 
 from . import core, fields
 from .core import BipartiteGraph
-from .errors import MatchfieldError, NotAProductSkeletonError, NotLinkageError
+from .errors import MatchfieldError, NotAProductSkeletonError
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,11 @@ def linkage_tree(field: fields.MatchingField, tau: Iterable[int]) -> LinkageTree
     tau = tuple(sorted(tau))
     if len(tau) != field.d + 1:
         raise MatchfieldError(f"tau must have size {field.d + 1}")
-    res = fields.linkage_covector(field, tau)
-    if not res.ok:
-        raise NotLinkageError(tau, res.cycle)
     verts = [tuple(x for x in tau if x != drop) for drop in tau]
+    union = 0
+    for sigma in verts:
+        union |= field.matching(sigma).mask
+    covector = fields.covector_graph(field.n, field.d, tau, union)
     edges = set()
     for s1, s2 in combinations(verts, 2):
         label = _flip_label(field.matching(s1), field.matching(s2))
@@ -112,27 +113,9 @@ def linkage_tree(field: fields.MatchingField, tau: Iterable[int]) -> LinkageTree
     for a, b, i in edges:
         (j,) = set(tau) - set(a)
         (j_p,) = set(tau) - set(b)
-        if (j, i) not in res.graph or (j_p, i) not in res.graph:
+        if (j, i) not in covector or (j_p, i) not in covector:
             raise MatchfieldError(f"edge labels disagree with the covector on {tau}")
     return LinkageTree(tau, tuple(sorted(verts)), frozenset(edges))
-
-
-def linkage_tree_decomposition(field: fields.MatchingField) -> dict:
-    """Every flip edge lies in exactly one linkage tree; returns tau -> tree
-    and certifies the exact cover."""
-    fg = flip_graph(field)
-    cover: dict = {}
-    trees = {}
-    for tau in core.subsets(field.n, field.d + 1):
-        tree = linkage_tree(field, tau)
-        trees[tau] = tree
-        for edge in tree.edges:
-            if edge in cover:
-                raise MatchfieldError(f"flip edge {edge} covered twice")
-            cover[edge] = tau
-    if set(cover) != set(fg.edges):
-        raise MatchfieldError("linkage trees do not cover the flip graph exactly")
-    return trees
 
 
 # ---------------------------------------------------------------------------

@@ -356,24 +356,6 @@ def transversal_matroid(g: BipartiteGraph) -> TransversalMatroid:
     return TransversalMatroid(g.n, rank, bases)
 
 
-def check_basis_exchange(m: TransversalMatroid) -> bool:
-    for b1 in m.bases:
-        for b2 in m.bases:
-            for x in set(b1) - set(b2):
-                ok = any(
-                    tuple(sorted(set(b1) - {x} | {y})) in m.bases
-                    for y in set(b2) - set(b1)
-                )
-                if not ok:
-                    return False
-    return True
-
-
-def stiefel_image(graphs: Iterable[BipartiteGraph]) -> list[TransversalMatroid]:
-    """Transversal matroid of every graph in the collection, in order."""
-    return [transversal_matroid(g) for g in graphs]
-
-
 def stiefel_image_of_field(field: fields.MatchingField) -> list[TransversalMatroid]:
     """Stiefel image of the maximal tope linkage covectors (the covectors on
     tau = [n] of the thickness n-1 tope fields), keyed order: by type."""
@@ -400,14 +382,19 @@ def right_submatching_check(field: fields.MatchingField) -> SubmatchingReport:
     The submatchings come from one table built from ``core.matching_masks``
     of every field matching: (J mask, I' mask) -> edge mask, or None where
     two field matchings differ; reaching such a key raises MatchfieldError.
+    Each distinct |J|-matching is tested once, by ``core.functions_compatible``
+    on partial maps; it joins ``passed`` only once every field matching
+    accepts it, so the first failure and its witness are a full rescan's.
     """
     n, d = field.n, field.d
     all_matchings = [m for _, m in field.items()]
+    functions = [core.tope_function(m) for m in all_matchings]
     submatchings: dict[tuple[int, int], Optional[int]] = {}
     for m in all_matchings:
         for key, sub in core.matching_masks(m).items():
             if submatchings.setdefault(key, sub) != sub:
                 submatchings[key] = None
+    passed: set[int] = set()
     for size in range(1, d):
         for J in core.subsets(n, size):
             J_mask = sum(1 << (j - 1) for j in J)
@@ -427,15 +414,16 @@ def right_submatching_check(field: fields.MatchingField) -> SubmatchingReport:
                 if cycle is not None:
                     return SubmatchingReport(False, (J, I, "cycle", tuple(cycle)))
                 for (left, _), mask in core.matching_masks(union).items():
-                    if left.bit_count() != size:
+                    if left.bit_count() != size or mask in passed:
                         continue
                     m = BipartiteGraph.from_mask(n, d, mask)
-                    for other in all_matchings:
-                        ok, _ = core.is_compatible(m, other)
-                        if not ok:
+                    f = core.tope_function(m)
+                    for other, g in zip(all_matchings, functions):
+                        if not core.functions_compatible(f, g, d):
                             return SubmatchingReport(
                                 False, (J, I, "incompatible", (m, other))
                             )
+                    passed.add(mask)
     return SubmatchingReport(True)
 
 

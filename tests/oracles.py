@@ -14,17 +14,22 @@ descriptions kept as test oracles.
 - Graph classification and connected components by breadth-first search,
   the oracle for ``core.is_spanning_tree``.
 - Constructions that only theorem checks run: the increasing splitting of a
-  tope field into a matching field and its inverse on one graph, and the
-  induced field on L minus lj.
+  tope field into a matching field and its inverse on one graph, the
+  induced field on L minus lj, the exact cover of the flip graph by the
+  linkage trees, the Stiefel image of a list of graphs and the basis
+  exchange axiom of a transversal matroid.
 - Linkage by building every (k+1)-subset union as a graph and searching it
-  for a cycle, the oracle for the edge-count test of ``fields.is_linkage``.
+  for a cycle, the oracle for the edge-count test of ``fields.is_linkage``,
+  and the i-amalgamation step built the same way, the oracle for the mask
+  test of ``fields.i_amalgamation``.
 - Right linkage of a stack, layer by layer with the sides swapped, the
   oracle for left linkage of the transposed stack.
 - Contained matchings as edge tuples in the preorder of the lexicographic
   edge list, and the containment agreement pass over them: the oracles for
   ``core.matching_masks`` and ``core.agreed_matchings``.
 - The right-submatching check that rescans every field matching for each
-  (J, I'), the oracle for the table-driven ``right_submatching_check``.
+  (J, I') and runs ``is_compatible`` on every contained matching, the
+  oracle for the table-driven ``right_submatching_check``.
 """
 
 from __future__ import annotations
@@ -35,9 +40,25 @@ from typing import Iterable, Optional, Sequence
 
 from matchfield import core, fields
 from matchfield.core import BipartiteGraph, degree_vectors, is_forest, is_spanning_tree
-from matchfield.errors import InconsistentPairsError, MatchfieldError, SizeCapError
-from matchfield.flip import ProdsimplicialCell, cell_of_tope, expected_edge_count, flip_graph
-from matchfield.stacks import MatchingStack, SubmatchingReport
+from matchfield.errors import (
+    InconsistentPairsError,
+    MatchfieldError,
+    NotLinkageError,
+    SizeCapError,
+)
+from matchfield.flip import (
+    ProdsimplicialCell,
+    cell_of_tope,
+    expected_edge_count,
+    flip_graph,
+    linkage_tree,
+)
+from matchfield.stacks import (
+    MatchingStack,
+    SubmatchingReport,
+    TransversalMatroid,
+    transversal_matroid,
+)
 from matchfield.triang import (
     Triangulation,
     _check_pair_shape,
@@ -444,6 +465,42 @@ def subfield_delete_left(field: fields.MatchingField, j: int) -> fields.Matching
     return fields.MatchingField(field.n - 1, field.d, assignment)
 
 
+def linkage_tree_decomposition(field: fields.MatchingField) -> dict:
+    """Every flip edge lies in exactly one linkage tree; returns tau -> tree
+    and certifies the exact cover."""
+    fg = flip_graph(field)
+    cover: dict = {}
+    trees = {}
+    for tau in core.subsets(field.n, field.d + 1):
+        tree = linkage_tree(field, tau)
+        trees[tau] = tree
+        for edge in tree.edges:
+            if edge in cover:
+                raise MatchfieldError(f"flip edge {edge} covered twice")
+            cover[edge] = tau
+    if set(cover) != set(fg.edges):
+        raise MatchfieldError("linkage trees do not cover the flip graph exactly")
+    return trees
+
+
+def stiefel_image(graphs: Iterable[BipartiteGraph]) -> list[TransversalMatroid]:
+    """Transversal matroid of every graph in the collection, in order."""
+    return [transversal_matroid(g) for g in graphs]
+
+
+def check_basis_exchange(m: TransversalMatroid) -> bool:
+    for b1 in m.bases:
+        for b2 in m.bases:
+            for x in set(b1) - set(b2):
+                ok = any(
+                    tuple(sorted(set(b1) - {x} | {y})) in m.bases
+                    for y in set(b2) - set(b1)
+                )
+                if not ok:
+                    return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # linkage by unions and cycles
 
@@ -461,6 +518,24 @@ def is_linkage_by_cycles(field: fields.TopeField) -> fields.LinkageReport:
         if cycle:
             failures.append(fields.CovectorResult(tau, union, tuple(cycle)))
     return fields.LinkageReport(not failures, tuple(failures))
+
+
+def i_amalgamation_by_cycles(tf: fields.TopeField, i: int) -> fields.TopeField:
+    """Oracle for ``fields.i_amalgamation``: every covector built graph by
+    graph through ``linkage_covector`` and its union-find cycle search, the
+    first tau with a cycle raising NotLinkageError."""
+    if not (1 <= i <= tf.d):
+        raise MatchfieldError(f"right index {i} out of range")
+    if tf.thickness >= tf.n:
+        raise MatchfieldError("tope field already has maximal thickness")
+    assignment = {}
+    for tau in core.subsets(tf.n, tf.thickness + 1):
+        res = fields.linkage_covector(tf, tau)
+        if not res.ok:
+            raise NotLinkageError(tau, res.cycle)
+        assignment[tau] = core.contained_tope(res.graph, i)
+    new_type = core.vector_sum(tf.type_vector, core.unit_vector(tf.d, i))
+    return fields.TopeField(tf.n, tf.d, new_type, assignment)
 
 
 # ---------------------------------------------------------------------------

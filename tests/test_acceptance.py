@@ -41,7 +41,7 @@ from matchfield.fields import (
     field_from_arrangement,
     field_to_json_dict,
 )
-from matchfield.flip import expected_edge_count, linkage_tree_decomposition
+from matchfield.flip import expected_edge_count
 from matchfield.randgen import seeded_coherent_field, splitmix64
 from matchfield.triang import extended_tope_arrangement
 
@@ -51,7 +51,7 @@ from conftest import (
     TOPE_COVECTOR_42,
     exhaustive_compatibility,
 )
-from oracles import minimal_transversals
+from oracles import linkage_tree_decomposition, minimal_transversals
 
 
 def criterion(number, summary):

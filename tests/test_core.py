@@ -1,7 +1,7 @@
 """Graph primitives: degrees, classification, compatibility, contained topes,
 and the mask kernels against their edge-list oracles."""
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -309,6 +309,59 @@ class TestTopeFunctions:
     def test_function_of_a_tope(self):
         g = graph(4, 3, [(1, 2), (2, 1), (3, 3), (4, 2)])
         assert core.tope_function(g) == (1, 0, 2, 1)
+
+    def test_function_of_a_partial_matching(self):
+        # a left node without an edge takes the value d
+        assert core.tope_function(graph(4, 3, [(1, 2), (3, 3)])) == (1, 3, 2, 3)
+        assert core.tope_function(graph(2, 2, [])) == (2, 2)
+
+    def test_all_partial_against_perfect_matchings(self):
+        # every partial matching of K_{4,3} against every perfect matching
+        # on a 3-subset, both argument orders
+        n, d = 4, 3
+        partial = [
+            BipartiteGraph(n, d, list(zip(J, I)))
+            for k in range(d + 1)
+            for J in subsets(n, k)
+            for I in permutations(range(1, d + 1), k)
+        ]
+        perfect = [g for g in partial if len(g) == d]
+        verdicts = set()
+        for a in partial:
+            for b in perfect:
+                expected = is_compatible(a, b)[0]
+                fa, fb = core.tope_function(a), core.tope_function(b)
+                assert core.functions_compatible(fa, fb, d) == expected
+                assert core.functions_compatible(fb, fa, d) == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 5), st.data())
+    def test_partial_against_perfect_matching(self, n, d, data):
+        d = min(n, d)
+        sigma = data.draw(st.lists(st.integers(1, n), min_size=d, max_size=d, unique=True))
+        rights = data.draw(st.permutations(range(1, d + 1)))
+        k = data.draw(st.integers(0, d))
+        J = data.draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True))
+        I = data.draw(st.lists(st.integers(1, d), min_size=k, max_size=k, unique=True))
+        a = BipartiteGraph(n, d, list(zip(J, I)))
+        b = BipartiteGraph(n, d, list(zip(sigma, rights)))
+        fa, fb = core.tope_function(a), core.tope_function(b)
+        expected = is_compatible(a, b)[0]
+        assert core.functions_compatible(fa, fb, d) == expected
+        assert core.functions_compatible(fb, fa, d) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 6), st.data())
+    def test_any_partial_function_pair(self, n, d, data):
+        # left degrees at most 1: value 0 draws no edge at that left node
+        fs = st.lists(st.integers(0, d), min_size=n, max_size=n)
+        f1, f2 = data.draw(fs), data.draw(fs)
+        a = BipartiteGraph(n, d, [(j, i) for j, i in zip(range(1, n + 1), f1) if i])
+        b = BipartiteGraph(n, d, [(j, i) for j, i in zip(range(1, n + 1), f2) if i])
+        got = core.functions_compatible(core.tope_function(a), core.tope_function(b), d)
+        assert got == is_compatible(a, b)[0]
 
     @pytest.mark.parametrize("n, d", [(4, 2), (5, 2), (4, 3), (5, 3)])
     def test_all_maximal_tope_pairs(self, n, d):

@@ -59,6 +59,7 @@ from conftest import (
 )
 from oracles import (
     collapse_split_graph,
+    i_amalgamation_by_cycles,
     increasing_splitting,
     is_linkage_by_cycles,
     subfield_delete_left,
@@ -597,6 +598,60 @@ class TestAmalgamation:
     def test_result_is_linkage(self, field_42):
         assert is_linkage(i_amalgamation(field_42, 1)).ok
         assert is_linkage(i_amalgamation(field_42, 2)).ok
+
+
+def amalgamation_outcome(route, tf, i):
+    """The tope field of one step, or the type, message, tau and cycle of
+    its error."""
+    try:
+        return route(tf, i)
+    except MatchfieldError as exc:
+        return type(exc), str(exc), getattr(exc, "tau", None), getattr(exc, "cycle", None)
+
+
+class TestAmalgamationOnMasks:
+    def test_chain_equals_the_cycle_search_chain(self):
+        # every step of the canonical chain to every maximal type
+        for n, d in [(4, 2), (5, 2), (5, 3), (6, 3), (6, 4)]:
+            for seed in range(3):
+                field = seeded_coherent_field(n, d, seed)[0]
+                for point in simplex_lattice_points(n - d, d):
+                    target = vector_sum(point, all_ones(d))
+                    new = old = field
+                    for i in fields_mod.amalgamation_order(d, target, all_ones(d)):
+                        new, old = i_amalgamation(new, i), i_amalgamation_by_cycles(old, i)
+                        assert new == old
+                    assert new.type_vector == target
+
+    def test_accepting_chain_searches_no_cycle(self, monkeypatch):
+        searched = []
+        real = core.find_cycle
+        monkeypatch.setattr(core, "find_cycle", lambda g: searched.append(g) or real(g))
+        field = seeded_coherent_field(6, 3, 2)[0]
+        assert maximal_tope(field, (2, 2, 2)).left_degrees() == all_ones(6)
+        assert len(maximal_tope_covectors(field)) == comb(4, 2)
+        assert searched == []
+
+    def test_non_linkage_inputs_raise_the_same_error(self, field_43):
+        # one step from each right node, then a second step from every
+        # first step that succeeded
+        cases = [field_43] + [
+            random_matching_field(*size, seed)
+            for size in [(4, 2), (5, 2), (4, 3), (5, 3), (6, 3)]
+            for seed in range(12)
+        ]
+        raised = 0
+        for field in cases:
+            for i in range(1, field.d + 1):
+                got = amalgamation_outcome(i_amalgamation, field, i)
+                assert got == amalgamation_outcome(i_amalgamation_by_cycles, field, i)
+                if isinstance(got, tuple):
+                    raised += got[0] is NotLinkageError
+                    continue
+                for i2 in range(1, field.d + 1):
+                    again = amalgamation_outcome(i_amalgamation, got, i2)
+                    assert again == amalgamation_outcome(i_amalgamation_by_cycles, got, i2)
+        assert raised > 20
 
 
 class TestMaximalTopes:

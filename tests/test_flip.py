@@ -9,6 +9,7 @@ from matchfield import (
     NotLinkageError,
     cell_to_tope,
     flip_graph,
+    linkage_covector,
     linkage_tree,
     maximal_cells,
     maximal_tope,
@@ -18,12 +19,11 @@ from matchfield.flip import (
     FlipGraph,
     expected_edge_count,
     flip_graph_to_dot,
-    linkage_tree_decomposition,
     matching_word,
 )
 
-from conftest import field_from_words, graph
-from oracles import edge_count_check, tope_to_cell
+from conftest import field_from_words, graph, random_matching_field
+from oracles import edge_count_check, linkage_tree_decomposition, tope_to_cell
 
 
 def flip_label(m1, m2):
@@ -126,6 +126,26 @@ class TestLinkageTrees:
     def test_non_linkage_rejected(self, field_43):
         with pytest.raises(NotLinkageError):
             linkage_tree(field_43, (1, 2, 3, 4))
+
+    def test_rejects_the_taus_of_the_cycle_search(self, field_43):
+        # exactly the taus whose covector has a cycle raise NotLinkageError,
+        # with the cycle that linkage_covector finds
+        cases = [field_43] + [random_matching_field(*size, seed)
+                              for size in [(4, 2), (5, 2), (4, 3), (5, 3)] for seed in range(8)]
+        raised = 0
+        for field in cases:
+            for tau in subsets(field.n, field.d + 1):
+                res = linkage_covector(field, tau)
+                try:
+                    linkage_tree(field, tau)
+                    got = None
+                except NotLinkageError as exc:
+                    got = (exc.tau, exc.cycle)
+                except MatchfieldError:
+                    got = None
+                assert got == (None if res.ok else (res.tau, res.cycle))
+                raised += got is not None
+        assert raised > 20
 
     def test_decomposition_covers_exactly(self, field_42, field_53):
         for field in (field_42, field_53):

@@ -23,7 +23,7 @@ from matchfield.chow import chow_by_definition, chow_collection
 from matchfield.core import contained_matchings, is_spanning_tree
 from matchfield.fields import check_sector_monotonicity
 from matchfield.randgen import random_weight_matrix, seeded_coherent_field, splitmix64
-from matchfield.stacks import check_basis_exchange, transversal_matroid
+from matchfield.stacks import transversal_matroid
 from matchfield.triang import (
     check_triangulation,
     find_agreement_violation,
@@ -38,7 +38,11 @@ from conftest import (
     graph_to_json_dict,
     random_matching_field,
 )
-from oracles import chow_by_intersection, reconstruct_triangulation_by_every_leaf
+from oracles import (
+    check_basis_exchange,
+    chow_by_intersection,
+    reconstruct_triangulation_by_every_leaf,
+)
 from test_fields import arrangement_by_amalgamation, outcome
 from test_flip import flip_graph_by_pairs
 from test_triang import agreement_by_pairs, flip_violation_by_scan, spanning_tree_of_order

@@ -20,7 +20,6 @@ from matchfield import (
     right_submatching_check,
     stack_from_trees,
     staircase_triangulation,
-    stiefel_image,
     transversal_matroid,
     validate_ensemble,
 )
@@ -28,7 +27,6 @@ from matchfield import randgen
 from matchfield import stacks as stacks_mod
 from matchfield.stacks import (
     _transpose,
-    check_basis_exchange,
     stack_from_json_dict,
     stack_left_linkage,
     stack_to_json_dict,
@@ -37,7 +35,12 @@ from matchfield.stacks import (
 from matchfield.fields import maximal_tope_covectors
 
 from conftest import field_from_words, graph, random_matching_field
-from oracles import right_submatching_check_by_rescan, stack_right_linkage
+from oracles import (
+    check_basis_exchange,
+    right_submatching_check_by_rescan,
+    stack_right_linkage,
+    stiefel_image,
+)
 
 
 def random_stack(n, d, seed):
@@ -369,12 +372,26 @@ class TestRightSubmatching:
         sizes = [(3, 2), (4, 2), (4, 3), (5, 3), (5, 4), (6, 3)]
         cases += [random_matching_field(*sizes[seed % 6], seed) for seed in range(300)]
         cases.append(field_64)
-        kinds = set()
+        kinds, witnesses = set(), set()
         for field in cases:
             expected = outcome(right_submatching_check_by_rescan, field)
             assert outcome(right_submatching_check, field) == expected
             kinds.add(expected[0])
+            if expected[0] == "witness":
+                witnesses.add(expected[1][2])
         assert kinds == {"ok", "witness", "error"}
+        assert witnesses == {"cycle", "incompatible"}
+
+    def test_accepting_field_makes_no_is_compatible_call(self, monkeypatch):
+        calls = []
+        real = core.is_compatible
+        monkeypatch.setattr(core, "is_compatible", lambda a, b: calls.append(1) or real(a, b))
+        field = randgen.seeded_coherent_field(6, 3, 1)[0]
+        # the counter sees the calls of the rescan oracle
+        assert right_submatching_check_by_rescan(field).ok and calls
+        calls.clear()
+        assert right_submatching_check(field).ok
+        assert calls == []
 
 
 class TestSerialization:
