@@ -33,7 +33,6 @@ from .fields import (
     TopeArrangement,
     TopeField,
     coherent_field,
-    coherent_tope_field,
     field_from_arrangement,
     i_amalgamation,
     is_linkage,
@@ -62,7 +61,6 @@ from .triang import (
     validate_triangulation,
 )
 from .flip import (
-    cell_to_tope,
     flip_graph,
     linkage_tree,
     maximal_cells,
@@ -71,7 +69,6 @@ from .stacks import (
     MatchingStack,
     TransversalMatroid,
     completion,
-    completion_linkage_check,
     extend,
     extraction,
     right_submatching_check,

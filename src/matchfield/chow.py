@@ -6,7 +6,9 @@ on (L minus rho) union {j}.  For linkage fields the right degree vectors of
 the covectors hit every lattice point of (n-d+1)*Delta_{d-1} exactly once;
 the resulting bijection phi: rho -> lattice point determines the field.
 One pass over the matchings builds every covector: the edge (lj, ri) of the
-matching on sigma belongs to the covector of rho = (L minus sigma) + j.
+matching on sigma belongs to the covector of rho = (L minus sigma) + j.  As
+then sigma = (L minus rho) + j, the same pass run on the covectors reads the
+field back (``fields.chow_masks``).
 
 Reconstruction inverts phi with one sweep per left node.  For fixed j and
 i, the covectors containing the edge (lj, ri) form a *combinatorial sector*,
@@ -19,7 +21,8 @@ rebuilds the field and re-derives the covectors.  The paper's induction on
 deleting lj is kept in the tests as an oracle, and so are the two other
 descriptions of the covectors: as intersections of maximal topes, and as the
 minimal transversals to the field (graphs meeting every matching, minimal
-under inclusion) by a Berge-style blocker computation.
+under inclusion) by a Berge-style blocker computation; and so is the field
+read back through the maximal topes, unions of covectors.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Iterable
 from . import core, fields
 from .core import BipartiteGraph
 from .errors import (
+    FieldValidationError,
     InconsistentCollectionError,
     InconsistentPhiError,
     MatchfieldError,
@@ -145,20 +149,24 @@ class PhiMap:
 def chow_collection(field: fields.MatchingField) -> ChowCollection:
     """All covectors of a linkage field; the rdv bijection is certified."""
     fields.require_linkage(field)
-    n, d = field.n, field.d
-    covectors = {
-        core.mask_subset(rho): BipartiteGraph.from_mask(n, d, mask)
-        for rho, mask in fields.chow_masks(field).items()
-    }
-    return ChowCollection(n, d, covectors)
+    table = {core.subset_mask(sigma): m.mask for sigma, m in field.items()}
+    return ChowCollection(field.n, field.d, _chow_pass(field.n, field.d, table))
 
 
 def field_from_chow(cc: ChowCollection) -> fields.MatchingField:
-    """Rebuild the field: the tope with right degree vector v is the union of
-    the covectors at v - 1_{[d] minus i}; its maximal matchings give the
-    field."""
-    topes = fields.topes_from_covectors(cc.n, cc.d, cc.covectors.values())
-    return fields.field_from_topes(cc.n, cc.d, topes.values())
+    """Rebuild the field by the pass that built the covectors, run on them.
+    A collection that belongs to no field gives some d-subset a graph that is
+    not a perfect matching, and the validator raises NotAMatchingError."""
+    table = {core.subset_mask(rho): g.mask for rho, g in cc.covectors.items()}
+    return fields.validate_matching_field(cc.n, cc.d, _chow_pass(cc.n, cc.d, table))
+
+
+def _chow_pass(n: int, d: int, table: dict) -> dict:
+    """``fields.chow_masks`` of the table, keyed by subsets and with graphs."""
+    return {
+        core.mask_subset(key): BipartiteGraph.from_mask(n, d, mask)
+        for key, mask in fields.chow_masks(n, d, table).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +200,7 @@ def reconstruct_chow_from_phi(phi: PhiMap, n: int, d: int) -> ChowCollection:
         field = field_from_chow(collection)
         if chow_collection(field) != collection:
             raise InconsistentPhiError("covectors do not belong to any field")
-    except (InconsistentCollectionError, NotLinkageError) as exc:
+    except (FieldValidationError, InconsistentCollectionError, NotLinkageError) as exc:
         raise InconsistentPhiError(str(exc)) from exc
     return collection
 

@@ -151,10 +151,8 @@ class BipartiteGraph:
         )
 
     def right_degrees(self) -> tuple[int, ...]:
-        degs = [0] * self.d
-        for _, i in self.edges:
-            degs[i - 1] += 1
-        return tuple(degs)
+        mask, column = self.mask, column_mask(self.n, self.d)
+        return tuple([(mask >> i & column).bit_count() for i in range(self.d)])
 
     def left_neighbors(self, j: int) -> tuple[int, ...]:
         row = self.mask >> ((j - 1) * self.d) & ((1 << self.d) - 1)
@@ -171,6 +169,12 @@ class BipartiteGraph:
 
     def relabel_left(self, new_n: int, label_map: dict[int, int]) -> "BipartiteGraph":
         return BipartiteGraph(new_n, self.d, [(label_map[j], i) for j, i in self.edges])
+
+
+def column_mask(n: int, d: int) -> int:
+    """Bit j * d of every row j < n: the r1 column of an n x d edge mask,
+    and shifted left by i - 1 the ri column."""
+    return ((1 << n * d) - 1) // ((1 << d) - 1)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -270,11 +274,6 @@ def is_matching(g: BipartiteGraph) -> bool:
     return all(deg <= 1 for deg in g.left_degrees()) and all(
         deg <= 1 for deg in g.right_degrees()
     )
-
-
-def is_tope(g: BipartiteGraph) -> bool:
-    left, right = degree_vectors(g)
-    return all(deg <= 1 for deg in left) and all(deg >= 1 for deg in right)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +434,12 @@ def mask_subset(mask: int) -> tuple[int, ...]:
     return tuple(b + 1 for b in _bits(mask))
 
 
+def subset_mask(subset: Iterable[int]) -> int:
+    """The bitmask whose set bits are the members of a 1-based subset; the
+    inverse of mask_subset."""
+    return sum(1 << (j - 1) for j in subset)
+
+
 def contained_matchings(g: BipartiteGraph) -> dict[tuple, BipartiteGraph]:
     """``matching_masks`` keyed by (left support, right support) tuples, each
     matching as a graph."""
@@ -518,15 +523,27 @@ def contained_tope(tree: BipartiteGraph, k: int) -> BipartiteGraph:
 
 
 def subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """k-subsets of [n] in colexicographic order."""
+    """k-subsets of [n] in colexicographic order, without recursion.  The
+    least member runs through its range in an inner loop; then the next
+    member c_j with c_j + 1 not in the subset is raised (n + 1 stands above
+    the top one) and the members below it are reset to 1..j."""
     if not (0 <= k <= n <= MAX_SIDE):
         raise SizeCapError(f"subsets({n}, {k}) out of range")
     if k == 0:
         yield ()
         return
-    for top in range(k, n + 1):
-        for rest in subsets(top - 1, k - 1):
-            yield rest + (top,)
+    c = list(range(1, k + 1)) + [n + 1]
+    while True:
+        rest = tuple(c[1:k])
+        for first in range(c[0], c[1]):
+            yield (first,) + rest
+        j = 1
+        while j < k and c[j] + 1 == c[j + 1]:
+            j += 1
+        if j == k:
+            return
+        c[j] += 1
+        c[:j] = range(1, j + 1)
 
 
 def simplex_lattice_points(m: int, dim: int) -> list[tuple[int, ...]]:

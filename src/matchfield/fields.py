@@ -17,11 +17,14 @@ v + e_i, producing a tope field one thicker; iterating up to thickness n
 yields one maximal tope per positive right degree vector of sum n.  Keyed by
 right degree vector minus the all-ones vector, these form the tope
 arrangement of the field, a bijection onto the lattice points of
-(n-d)*Delta_{d-1}, and the field can be recovered from the arrangement by
-collecting the maximal matchings of its topes.  The arrangement is built
-without amalgamating: the maximal tope of type v is the union of the Chow
-covectors whose right degree vectors are v - 1_{[d] minus i}, i = 1..d, and
-one keyed pass over the matchings yields every Chow covector (`chow_masks`).
+(n-d)*Delta_{d-1}, and the field is recovered from the arrangement by
+collecting the maximal matchings of its topes with `field_from_graphs`, the
+collector that also reads the field off the trees of a triangulation.  The
+arrangement is built without amalgamating: the maximal tope of type v is the
+union of the Chow covectors whose right degree vectors are
+v - 1_{[d] minus i}, i = 1..d, and one keyed pass over the matchings yields
+every Chow covector (`chow_masks`).  The pass is its own inverse: run on the
+covectors it reads the field back.
 
 Extended arrangements additionally carry a graph for every lattice point of
 n*Delta_{d-1} (isolated right nodes allowed at the boundary) and are where
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -220,9 +223,9 @@ def _covector_unions(field: TopeField) -> Iterator[tuple[tuple, int]]:
     """(tau, edge mask of its covector) for every (k+1)-subset tau in
     `core.subsets` order, from the tope masks keyed by left-subset bitmask."""
     n, k = field.n, field.thickness
-    topes = {sum(1 << (j - 1) for j in sigma): g.mask for sigma, g in field.items()}
+    topes = {core.subset_mask(sigma): g.mask for sigma, g in field.items()}
     for tau in core.subsets(n, k + 1) if k < n else ():
-        everyone = sum(1 << (j - 1) for j in tau)
+        everyone = core.subset_mask(tau)
         union = 0
         for j in tau:
             union |= topes[everyone ^ 1 << (j - 1)]
@@ -336,7 +339,7 @@ def coherent_field(weights: Sequence[Sequence]) -> MatchingField:
     columns = tuple(range(1, d + 1))
     assignment = {}
     for sigma in core.subsets(n, d):
-        mask = sum(1 << (j - 1) for j in sigma)
+        mask = core.subset_mask(sigma)
         if levels[d][mask][1] > 1:
             best, tied = _min_assignment(sigma, weights, columns)
             first = BipartiteGraph(n, d, list(zip(sigma, best)))
@@ -349,57 +352,6 @@ def coherent_field(weights: Sequence[Sequence]) -> MatchingField:
             mask &= ~(1 << j)
         assignment[sigma] = BipartiteGraph(n, d, edges)
     return MatchingField(n, d, assignment)
-
-
-def _column_functions(sigma, counts):
-    """All maps sigma -> columns hitting column i exactly counts[i] times."""
-    if not sigma:
-        if all(c == 0 for c in counts):
-            yield ()
-        return
-    j = sigma[0]
-    for i, c in enumerate(counts, start=1):
-        if c:
-            reduced = list(counts)
-            reduced[i - 1] -= 1
-            for rest in _column_functions(sigma[1:], reduced):
-                yield ((j, i),) + rest
-
-
-def coherent_tope_field(weights: Sequence[Sequence], type_vector: Sequence[int]) -> TopeField:
-    """Tope field of the weight-minimal column assignments with multiplicity v.
-
-    Equivalent to duplicating column i of the matrix v_i times and taking the
-    coherent matching field of the widened matrix; only the column pattern is
-    compared, so copy ties are harmless and within a column the increasing
-    convention applies implicitly.
-    """
-    n = len(weights)
-    d = len(weights[0])
-    v = tuple(type_vector)
-    if any(x < 1 for x in v):
-        raise MatchfieldError(f"type vector {v} must be positive")
-    k = sum(v)
-    if k > n:
-        raise MatchfieldError(f"thickness {k} exceeds {n}")
-    weights = [[Fraction(x) for x in row] for row in weights]
-    assignment = {}
-    for sigma in core.subsets(n, k):
-        best = None
-        best_cost = None
-        tied = None
-        for func in _column_functions(sigma, v):
-            cost = sum(weights[j - 1][i - 1] for j, i in func)
-            if best_cost is None or cost < best_cost:
-                best, best_cost, tied = func, cost, None
-            elif cost == best_cost and set(func) != set(best):
-                tied = func
-        if tied is not None:
-            raise TiedMinimumError(
-                sigma, BipartiteGraph(n, d, best), BipartiteGraph(n, d, tied)
-            )
-        assignment[sigma] = BipartiteGraph(n, d, best)
-    return TopeField(n, d, v, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +470,7 @@ def check_sector_monotonicity(graphs: dict) -> None:
     if not graphs:
         return
     d = len(next(iter(graphs)))
-    column = ((1 << core.MAX_SIDE * d) - 1) // ((1 << d) - 1)  # bit j*d of every row j
+    column = core.column_mask(core.MAX_SIDE, d)
     for point, g in graphs.items():
         for p, q in permutations(range(1, d + 1), 2):
             if point[q - 1] == 0:
@@ -556,20 +508,20 @@ def topes_from_covectors(n: int, d: int, covectors: Iterable[BipartiteGraph]) ->
     return topes
 
 
-def chow_masks(field: MatchingField) -> dict[int, int]:
-    """Every Chow covector of a matching field, linkage or not, in one keyed
-    pass: {rho as a left-node bitmask: covector edge mask}.  The edge (lj, ri)
-    of the matching on sigma is the lj-edge of the covector of
-    rho = (L minus sigma) + j."""
-    d = field.d
-    everyone = (1 << field.n) - 1
-    masks: dict[int, int] = {}
-    for sigma, m in field.items():
-        rest = everyone ^ sum(1 << (j - 1) for j in sigma)
-        for b in core._bits(m.mask):
-            rho = rest | 1 << (b // d)
-            masks[rho] = masks.get(rho, 0) | 1 << b
-    return masks
+def chow_masks(n: int, d: int, table: dict[int, int]) -> dict[int, int]:
+    """The keyed pass between a matching field and its Chow covectors, both
+    as {left-subset bitmask: edge mask}, linkage or not.  The edge (lj, ri) of
+    the matching on sigma is the lj-edge of the covector of
+    rho = (L minus sigma) + j; as then sigma = (L minus rho) + j, the pass is
+    its own inverse on tables whose entries lie in the rows of their keys."""
+    everyone = (1 << n) - 1
+    out: dict[int, int] = {}
+    for subset, mask in table.items():
+        rest = everyone ^ subset
+        for b in core._bits(mask):
+            key = rest | 1 << (b // d)
+            out[key] = out.get(key, 0) | 1 << b
+    return out
 
 
 def tope_arrangement(field: MatchingField) -> TopeArrangement:
@@ -581,28 +533,34 @@ def tope_arrangement(field: MatchingField) -> TopeArrangement:
     """
     require_linkage(field)
     n, d = field.n, field.d
-    covectors = [BipartiteGraph.from_mask(n, d, mask) for mask in chow_masks(field).values()]
+    table = {core.subset_mask(sigma): m.mask for sigma, m in field.items()}
+    covectors = [BipartiteGraph.from_mask(n, d, mask) for mask in chow_masks(n, d, table).values()]
     return TopeArrangement(n, d, topes_from_covectors(n, d, covectors))
 
 
-def field_from_topes(n: int, d: int, topes: Iterable[BipartiteGraph]) -> MatchingField:
-    """Collect the maximal (size d) matchings of the topes; one per d-subset."""
-    assignment: dict = {}
-    for tope in topes:
-        neighbor_sets = [tope.right_neighbors(i) for i in range(1, d + 1)]
-        for choice in product(*neighbor_sets):
-            sigma = tuple(sorted(choice))
-            m = BipartiteGraph(n, d, list(zip(choice, range(1, d + 1))))
-            old = assignment.get(sigma)
-            if old is not None and old != m:
-                raise InconsistentCollectionError(f"conflicting matchings on {sigma}")
-            assignment[sigma] = m
+def field_from_graphs(graphs: Iterable[BipartiteGraph], n: int, d: int) -> MatchingField:
+    """Collect the perfect matchings on d-subset ⊔ R inside the graphs, the
+    trees of a triangulation or the maximal topes of an arrangement.  Partial
+    graph sets work as long as they cover every d-subset and agree."""
+    full = (1 << d) - 1
+    masks: dict = {}  # J mask -> edge mask of the matching on J ⊔ R
+    for g in graphs:
+        if (g.n, g.d) != (n, d):
+            raise MatchfieldError(f"a tree on ({g.n}, {g.d}) among trees on ({n}, {d})")
+        for (J, I), m in core.matching_masks(g).items():
+            if I == full and masks.setdefault(J, m) != m:
+                raise MatchfieldError(
+                    f"trees disagree on the matching of {core.mask_subset(J)}"
+                )
+    assignment = {
+        core.mask_subset(J): BipartiteGraph.from_mask(n, d, m) for J, m in masks.items()
+    }
     return validate_matching_field(n, d, assignment)
 
 
 def field_from_arrangement(ta: TopeArrangement) -> MatchingField:
     """The field whose maximal matchings the topes contain; it must be linkage."""
-    field = field_from_topes(ta.n, ta.d, (tope for _, tope in ta.items()))
+    field = field_from_graphs((tope for _, tope in ta.items()), ta.n, ta.d)
     require_linkage(field)
     return field
 

@@ -24,7 +24,7 @@ from typing import Iterable
 
 from . import core, fields
 from .core import BipartiteGraph
-from .errors import MatchfieldError, NotAProductSkeletonError
+from .errors import MatchfieldError
 
 
 @dataclass(frozen=True)
@@ -144,35 +144,6 @@ def cell_of_tope(field: fields.MatchingField, tope: BipartiteGraph) -> Prodsimpl
             raise MatchfieldError(f"tope matching on {sigma} is not in the field")
         verts.add(sigma)
     return ProdsimplicialCell(neighbor_sets, frozenset(verts))
-
-
-def cell_to_tope(field: fields.MatchingField, vertices: Iterable) -> BipartiteGraph:
-    """Union of the matchings of a cell's vertex set, verified to be a product
-    skeleton via the neighbour-choice coordinatisation."""
-    verts = sorted(tuple(sorted(s)) for s in vertices)
-    union = BipartiteGraph.from_mask(field.n, field.d, 0)
-    for sigma in verts:
-        union = union.union(field.matching(sigma))
-    if not core.is_tope(union):
-        raise NotAProductSkeletonError("union of the matchings is not a tope")
-    neighbor_sets = tuple(union.right_neighbors(i) for i in range(1, field.d + 1))
-    coords = {}
-    for sigma in verts:
-        m = field.matching(sigma)
-        coord = tuple((m.right_neighbors(i))[0] for i in range(1, field.d + 1))
-        coords[sigma] = coord
-    expected = {tuple(sorted(c)): c for c in product(*neighbor_sets)}
-    if sorted(coords) != sorted(expected) or any(
-        coords[s] != expected[s] for s in coords
-    ):
-        raise NotAProductSkeletonError("vertex set is not a full product of simplices")
-    # flips must change exactly one coordinate
-    for s1, s2 in combinations(verts, 2):
-        label = _flip_label(field.matching(s1), field.matching(s2))
-        differ = sum(1 for a, b in zip(coords[s1], coords[s2]) if a != b)
-        if (label is not None) != (differ == 1):
-            raise NotAProductSkeletonError("flip structure disagrees with coordinates")
-    return union
 
 
 def maximal_cells(field: fields.MatchingField) -> dict:

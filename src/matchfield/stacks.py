@@ -217,26 +217,6 @@ def completion(stack: MatchingStack) -> fields.MatchingField:
     return fields.validate_matching_field(n, d, assignment)
 
 
-def completion_linkage_check(stack: MatchingStack) -> tuple[bool, bool]:
-    """Left linkage of the stack and of its completion.
-
-    A linkage completion forces every stack layer to be linkage (deleting
-    dummy leaves from a covector tree leaves a tree), so completion-linkage
-    without stack-linkage is impossible and is asserted.  The converse needs
-    the layers to cohere: a completion covector mixes entries of adjacent
-    layers, so a stack violating closure can be layer-linkage while its
-    completion is not.  For closed stacks (ensembles), both values agree.
-    """
-    stack_ok, _ = stack_left_linkage(stack)
-    comp_ok = fields.is_linkage(completion(stack)).ok
-    if comp_ok and not stack_ok:
-        raise MatchfieldError(
-            "completion is linkage but a stack layer is not; "
-            "deleting dummy leaves should have preserved the trees"
-        )
-    return stack_ok, comp_ok
-
-
 def extraction(stack: MatchingStack) -> fields.MatchingField:
     """Keep the pairs with I = R: one matching per d-subset of L."""
     if stack.n < stack.d:
@@ -397,11 +377,11 @@ def right_submatching_check(field: fields.MatchingField) -> SubmatchingReport:
     passed: set[int] = set()
     for size in range(1, d):
         for J in core.subsets(n, size):
-            J_mask = sum(1 << (j - 1) for j in J)
+            J_mask = core.subset_mask(J)
             for I in core.subsets(d, size + 1):
                 union_mask = 0
                 for I_sub in combinations(I, size):
-                    key = (J_mask, sum(1 << (i - 1) for i in I_sub))
+                    key = (J_mask, core.subset_mask(I_sub))
                     if key not in submatchings:
                         continue
                     if submatchings[key] is None:

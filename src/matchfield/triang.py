@@ -132,28 +132,8 @@ def validate_triangulation(
 # extraction
 
 
-def extract_field_from_trees(
-    trees: Iterable[BipartiteGraph], n: int, d: int
-) -> fields.MatchingField:
-    """Collect the size-d matchings occurring in the trees.
-
-    Works for partial tree sets as long as every d-subset is covered and the
-    trees agree; the extraction of a full triangulation always qualifies.
-    """
-    full = (1 << d) - 1
-    masks: dict = {}  # J mask -> edge mask of the matching on J ⊔ R
-    for g in trees:
-        if (g.n, g.d) != (n, d):
-            raise MatchfieldError(f"a tree on ({g.n}, {g.d}) among trees on ({n}, {d})")
-        for (J, I), m in core.matching_masks(g).items():
-            if I == full and masks.setdefault(J, m) != m:
-                raise MatchfieldError(
-                    f"trees disagree on the matching of {core.mask_subset(J)}"
-                )
-    assignment = {
-        core.mask_subset(J): BipartiteGraph.from_mask(n, d, m) for J, m in masks.items()
-    }
-    return fields.validate_matching_field(n, d, assignment)
+# the collector under its older name, which callers outside the package use
+extract_field_from_trees = fields.field_from_graphs
 
 
 def extract_field(t: Triangulation) -> fields.MatchingField:
@@ -163,7 +143,7 @@ def extract_field(t: Triangulation) -> fields.MatchingField:
     """
     if t.n < t.d:
         raise MatchfieldError("extraction needs n >= d; transpose first")
-    field = extract_field_from_trees(t.sorted_trees(), t.n, t.d)
+    field = fields.field_from_graphs(t.sorted_trees(), t.n, t.d)
     fields.require_linkage(field)
     return field
 

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from matchfield import BipartiteGraph, subsets, validate_matching_field
-from matchfield.triang import extract_field_from_trees
+from matchfield.fields import field_from_graphs
 
 
 def graph(n, d, edges):
@@ -159,7 +159,7 @@ def trees_63():
 
 @pytest.fixture(scope="session")
 def field_63(trees_63):
-    return extract_field_from_trees(trees_63, 6, 3)
+    return field_from_graphs(trees_63, 6, 3)
 
 
 @pytest.fixture(scope="session")
@@ -169,7 +169,7 @@ def covector_trees_64():
 
 @pytest.fixture(scope="session")
 def field_64(covector_trees_64):
-    return extract_field_from_trees(covector_trees_64, 6, 4)
+    return field_from_graphs(covector_trees_64, 6, 4)
 
 
 @pytest.fixture(scope="session")

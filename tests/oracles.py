@@ -2,22 +2,29 @@
 descriptions kept as test oracles.
 
 - Chow covectors as intersections of maximal topes and as the minimal
-  transversals of the field (Berge multiplication, desk scale), and the
-  combinatorial sectors of an rdv-keyed collection.
+  transversals of the field (Berge multiplication, desk scale), the
+  combinatorial sectors of an rdv-keyed collection, and the field read back
+  through the maximal topes, unions of its covectors: the oracle for the
+  keyed pass of ``chow.field_from_chow``.
+- Colexicographic subsets by recursion on the top member, the oracle for
+  the iterative ``core.subsets``.
 - Necessary conditions on a degree-pair set, screened before a certified
   reconstruction.
 - Degree-pair reconstruction that deletes every left leaf at every level
   and checks that the branches agree, the oracle for the one deletion chain
   per tree of ``reconstruct_triangulation``.
-- Prodsimplicial cells by amalgamating to the maximal tope, and the flip
-  edge count of a linkage field.
+- Prodsimplicial cells by amalgamating to the maximal tope, the tope of a
+  cell's vertex set checked to be a product skeleton, and the flip edge
+  count of a linkage field.
 - Graph classification and connected components by breadth-first search,
   the oracle for ``core.is_spanning_tree``.
 - Constructions that only theorem checks run: the increasing splitting of a
   tope field into a matching field and its inverse on one graph, the
   induced field on L minus lj, the exact cover of the flip graph by the
-  linkage trees, the Stiefel image of a list of graphs and the basis
-  exchange axiom of a transversal matroid.
+  linkage trees, the Stiefel image of a list of graphs, the basis
+  exchange axiom of a transversal matroid, left linkage of a stack against
+  that of its completion, and coherent tope fields by exhaustive search
+  over the column assignments.
 - Linkage by building every (k+1)-subset union as a graph and searching it
   for a cycle, the oracle for the edge-count test of ``fields.is_linkage``,
   and the i-amalgamation step built the same way, the oracle for the mask
@@ -35,19 +42,25 @@ descriptions kept as test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from fractions import Fraction
+from itertools import combinations, product
+from typing import Iterable, Iterator, Optional, Sequence
 
 from matchfield import core, fields
+from matchfield.chow import ChowCollection
 from matchfield.core import BipartiteGraph, degree_vectors, is_forest, is_spanning_tree
 from matchfield.errors import (
+    InconsistentCollectionError,
     InconsistentPairsError,
     MatchfieldError,
+    NotAProductSkeletonError,
     NotLinkageError,
     SizeCapError,
+    TiedMinimumError,
 )
 from matchfield.flip import (
     ProdsimplicialCell,
+    _flip_label,
     cell_of_tope,
     expected_edge_count,
     flip_graph,
@@ -57,6 +70,8 @@ from matchfield.stacks import (
     MatchingStack,
     SubmatchingReport,
     TransversalMatroid,
+    completion,
+    stack_left_linkage,
     transversal_matroid,
 )
 from matchfield.triang import (
@@ -200,6 +215,39 @@ def sector(collection: dict, j: int, i: int) -> SectorImage:
     return SectorImage(j, i, frozenset(members))
 
 
+def field_from_chow_by_topes(cc: ChowCollection) -> fields.MatchingField:
+    """Oracle for ``chow.field_from_chow``: the tope with right degree vector
+    v is the union of the covectors at v - 1_{[d] minus i}, and the maximal
+    matchings of the topes, one per choice of a neighbour of every ri, give
+    the field.  A union that is not a maximal tope, or two topes holding
+    different matchings on one d-subset, raise InconsistentCollectionError."""
+    n, d = cc.n, cc.d
+    topes = fields.topes_from_covectors(n, d, cc.covectors.values())
+    assignment: dict = {}
+    for tope in topes.values():
+        for choice in product(*(tope.right_neighbors(i) for i in range(1, d + 1))):
+            sigma = tuple(sorted(choice))
+            m = BipartiteGraph(n, d, list(zip(choice, range(1, d + 1))))
+            if assignment.setdefault(sigma, m) != m:
+                raise InconsistentCollectionError(f"conflicting matchings on {sigma}")
+    return fields.validate_matching_field(n, d, assignment)
+
+
+# ---------------------------------------------------------------------------
+# subsets
+
+
+def subsets_by_recursion(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Oracle for ``core.subsets``: the k-subsets of [n] in colexicographic
+    order, every (k-1)-subset of [top - 1] followed by top, for top = k..n."""
+    if k == 0:
+        yield ()
+        return
+    for top in range(k, n + 1):
+        for rest in subsets_by_recursion(top - 1, k - 1):
+            yield rest + (top,)
+
+
 # ---------------------------------------------------------------------------
 # flip graphs and cells
 
@@ -209,6 +257,36 @@ def tope_to_cell(field: fields.MatchingField, v: Sequence[int]) -> Prodsimplicia
     the transversals of the neighbour sets."""
     tope = fields.maximal_tope(field, v)
     return cell_of_tope(field, tope)
+
+
+def cell_to_tope(field: fields.MatchingField, vertices: Iterable) -> BipartiteGraph:
+    """Union of the matchings of a cell's vertex set, verified to be a product
+    skeleton via the neighbour-choice coordinatisation."""
+    verts = sorted(tuple(sorted(s)) for s in vertices)
+    union = BipartiteGraph.from_mask(field.n, field.d, 0)
+    for sigma in verts:
+        union = union.union(field.matching(sigma))
+    left, right = degree_vectors(union)
+    if any(deg > 1 for deg in left) or any(deg < 1 for deg in right):
+        raise NotAProductSkeletonError("union of the matchings is not a tope")
+    neighbor_sets = tuple(union.right_neighbors(i) for i in range(1, field.d + 1))
+    coords = {}
+    for sigma in verts:
+        m = field.matching(sigma)
+        coord = tuple((m.right_neighbors(i))[0] for i in range(1, field.d + 1))
+        coords[sigma] = coord
+    expected = {tuple(sorted(c)): c for c in product(*neighbor_sets)}
+    if sorted(coords) != sorted(expected) or any(
+        coords[s] != expected[s] for s in coords
+    ):
+        raise NotAProductSkeletonError("vertex set is not a full product of simplices")
+    # flips must change exactly one coordinate
+    for s1, s2 in combinations(verts, 2):
+        label = _flip_label(field.matching(s1), field.matching(s2))
+        differ = sum(1 for a, b in zip(coords[s1], coords[s2]) if a != b)
+        if (label is not None) != (differ == 1):
+            raise NotAProductSkeletonError("flip structure disagrees with coordinates")
+    return union
 
 
 def edge_count_check(field: fields.MatchingField) -> bool:
@@ -486,6 +564,79 @@ def linkage_tree_decomposition(field: fields.MatchingField) -> dict:
 def stiefel_image(graphs: Iterable[BipartiteGraph]) -> list[TransversalMatroid]:
     """Transversal matroid of every graph in the collection, in order."""
     return [transversal_matroid(g) for g in graphs]
+
+
+def completion_linkage_check(stack: MatchingStack) -> tuple[bool, bool]:
+    """Left linkage of the stack and of its completion.
+
+    A linkage completion forces every stack layer to be linkage (deleting
+    dummy leaves from a covector tree leaves a tree), so completion-linkage
+    without stack-linkage is impossible and is asserted.  The converse needs
+    the layers to cohere: a completion covector mixes entries of adjacent
+    layers, so a stack violating closure can be layer-linkage while its
+    completion is not.  For closed stacks (ensembles), both values agree.
+    """
+    stack_ok, _ = stack_left_linkage(stack)
+    comp_ok = fields.is_linkage(completion(stack)).ok
+    if comp_ok and not stack_ok:
+        raise MatchfieldError(
+            "completion is linkage but a stack layer is not; "
+            "deleting dummy leaves should have preserved the trees"
+        )
+    return stack_ok, comp_ok
+
+
+def column_functions(sigma, counts):
+    """All maps sigma -> columns hitting column i exactly counts[i] times."""
+    if not sigma:
+        if all(c == 0 for c in counts):
+            yield ()
+        return
+    j = sigma[0]
+    for i, c in enumerate(counts, start=1):
+        if c:
+            reduced = list(counts)
+            reduced[i - 1] -= 1
+            for rest in column_functions(sigma[1:], reduced):
+                yield ((j, i),) + rest
+
+
+def coherent_tope_field(
+    weights: Sequence[Sequence], type_vector: Sequence[int]
+) -> fields.TopeField:
+    """Tope field of the weight-minimal column assignments with multiplicity v.
+
+    Equivalent to duplicating column i of the matrix v_i times and taking the
+    coherent matching field of the widened matrix; only the column pattern is
+    compared, so copy ties are harmless and within a column the increasing
+    convention applies implicitly.
+    """
+    n = len(weights)
+    d = len(weights[0])
+    v = tuple(type_vector)
+    if any(x < 1 for x in v):
+        raise MatchfieldError(f"type vector {v} must be positive")
+    k = sum(v)
+    if k > n:
+        raise MatchfieldError(f"thickness {k} exceeds {n}")
+    weights = [[Fraction(x) for x in row] for row in weights]
+    assignment = {}
+    for sigma in core.subsets(n, k):
+        best = None
+        best_cost = None
+        tied = None
+        for func in column_functions(sigma, v):
+            cost = sum(weights[j - 1][i - 1] for j, i in func)
+            if best_cost is None or cost < best_cost:
+                best, best_cost, tied = func, cost, None
+            elif cost == best_cost and set(func) != set(best):
+                tied = func
+        if tied is not None:
+            raise TiedMinimumError(
+                sigma, BipartiteGraph(n, d, best), BipartiteGraph(n, d, tied)
+            )
+        assignment[sigma] = BipartiteGraph(n, d, best)
+    return fields.TopeField(n, d, v, assignment)
 
 
 def check_basis_exchange(m: TransversalMatroid) -> bool:

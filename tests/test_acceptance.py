@@ -16,7 +16,6 @@ from functools import wraps
 from matchfield import (
     BipartiteGraph,
     MatchingStack,
-    completion_linkage_check,
     enumerate_triangulations,
     flip_graph,
     i_amalgamation,
@@ -51,7 +50,7 @@ from conftest import (
     TOPE_COVECTOR_42,
     exhaustive_compatibility,
 )
-from oracles import linkage_tree_decomposition, minimal_transversals
+from oracles import completion_linkage_check, linkage_tree_decomposition, minimal_transversals
 
 
 def criterion(number, summary):

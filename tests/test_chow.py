@@ -8,10 +8,12 @@ import pytest
 from matchfield import (
     BipartiteGraph,
     InconsistentPhiError,
+    NotAMatchingError,
     NotLinkageError,
     SizeCapError,
     chow_collection,
     field_from_chow,
+    is_linkage,
     reconstruct_chow_from_phi,
     simplex_lattice_points,
     subsets,
@@ -30,7 +32,13 @@ from matchfield.errors import InconsistentCollectionError
 from matchfield.randgen import seeded_coherent_field
 
 from conftest import field_from_words, graph
-from oracles import chow_by_intersection, is_transversal, minimal_transversals, sector
+from oracles import (
+    chow_by_intersection,
+    field_from_chow_by_topes,
+    is_transversal,
+    minimal_transversals,
+    sector,
+)
 
 
 REFERENCE_PHI = {
@@ -156,7 +164,9 @@ class TestByDefinition:
         # linkage or not, one pass over the matchings gives the covector of
         # every (n-d+1)-subset rho, as its definition does
         for field in differential_fields:
-            masks = {core.mask_subset(rho): m for rho, m in fields.chow_masks(field).items()}
+            table = {core.subset_mask(sigma): m.mask for sigma, m in field.items()}
+            covectors = fields.chow_masks(field.n, field.d, table)
+            masks = {core.mask_subset(rho): m for rho, m in covectors.items()}
             assert masks == {
                 rho: chow_by_definition(field, rho).mask
                 for rho in subsets(field.n, field.n - field.d + 1)
@@ -224,6 +234,37 @@ class TestFieldFromChow:
     def test_coherent_round_trip(self):
         field, _, _ = seeded_coherent_field(5, 3, 20240521)
         assert field_from_chow(chow_collection(field)) == field
+
+    def test_agrees_with_tope_route(
+        self, differential_fields, field_42, field_53, field_63, field_64
+    ):
+        # the keyed pass read backwards and the unions of covectors into
+        # maximal topes give the same field, which is the one they came from
+        coherent = [
+            seeded_coherent_field(n, d, 10 * n + d)[0]
+            for n, d in [(4, 2), (5, 3), (6, 3), (7, 4), (8, 4), (9, 4), (10, 5)]
+        ]
+        inputs = differential_fields + [field_42, field_53, field_63, field_64] + coherent
+        checked = 0
+        for field in inputs:
+            if not is_linkage(field).ok:
+                continue
+            cc = chow_collection(field)
+            assert field_from_chow(cc) == field_from_chow_by_topes(cc) == field
+            checked += 1
+        assert checked >= 15
+
+    # a validated collection that belongs to no field: the covectors of
+    # (1,3) and (2,3) both send their lj-edge to r1 on the subset (1, 2)
+    NO_FIELD = {(1, 3): [(1, 1), (3, 1)], (2, 3): [(2, 1), (3, 2)], (1, 2): [(1, 2), (2, 2)]}
+
+    def test_collection_of_no_field_is_refused(self):
+        cc = ChowCollection(3, 2, {rho: graph(3, 2, e) for rho, e in self.NO_FIELD.items()})
+        with pytest.raises(NotAMatchingError) as caught:
+            field_from_chow(cc)
+        assert caught.value.sigma == (1, 2)
+        with pytest.raises(InconsistentCollectionError):
+            field_from_chow_by_topes(cc)
 
 
 class TestTransversals:

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -792,3 +793,113 @@ def test_unwritable_json_path_is_a_usage_error(tmp_path, inputs, argv):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+# -- canonical stdout pinned across changes -------------------------------------
+
+# Larger inputs beside OUTPUT_CASES: seeded coherent fields and a relabelled
+# staircase at the benchmark's sizes.
+PINNED_FIELDS = {"COHERENT-9-4": (9, 4, 94), "COHERENT-10-5": (10, 5, 105)}
+PINNED_RUNS = [argv for argv, _ in OUTPUT_CASES] + [
+    argv
+    for name in PINNED_FIELDS
+    for argv in (
+        ["arrangement", name],
+        ["cells", name],
+        ["chow", name],
+        ["phi", name],
+        ["reconstruct-chow", "--phi", "PHI-" + name],
+        ["roundtrip", "--kind", "chow", name],
+    )
+] + [["extract", "STAIRCASE-6-5"], ["roundtrip", "--kind", "triangulation", "STAIRCASE-6-5"]]
+
+# sha256 of the stdout of every run in PINNED_RUNS, recorded at a known-good
+# revision: a change that alters canonical output for valid inputs fails here
+STDOUT_SHA256 = {
+    "check-linkage FIELD": "1a466de1a01dfa9c96c9154ff57e0be7f992b17a0e92f0b70c07b5e80465111a",
+    "check-linkage NONLINKAGE": "c1a74af0b0701a5f0cc9d11dd1bb9cd5e3d04c2ab5c367b3355dc9c9922661e3",
+    "amalgamate FIELD --target 2,1":
+        "8a618bb5c08907d7c004ebb1122a54a3f3a439d1d07197ab2e34cbe06c1a2d79",
+    "arrangement FIELD": "fdeae69185987c91f27349340bc0ec44f8f88b19b621d409941454e4d6972737",
+    "trianguloid-check EXTENDED":
+        "010e532115b1891963a6ed17707e818b7e3f4399b631d5a0747726a3896550ec",
+    "trianguloid-check HEXAGON": "b4c0f006af075d8dbd414df530f599607226f162f1515890f5f11922456824ed",
+    "chow FIELD": "da77c8cc61eb0d66354fac338665a187ba7ff87cf10a64a5dffe4d375ddfa7cc",
+    "phi FIELD": "9bb647c4661a85f39201db4d4419dfff1f3c5212afda133c1b0f35bec5f54349",
+    "reconstruct-chow --phi PHI":
+        "da77c8cc61eb0d66354fac338665a187ba7ff87cf10a64a5dffe4d375ddfa7cc",
+    "validate-triangulation TREES":
+        "6afdd0ccd86b15757375ee14676c7df51f2ee6ab676d72f0787a8cc03eff7522",
+    "validate-triangulation TOO-FEW-TREES":
+        "3fef858eb5e0f863356690f50dd156591477adac3d229e66be640a6b825faa3e",
+    "extract TREES": "61c9f59fa3b19e4acc9ac50507c73258f11f28bfd004b0768b4faa47c2c96596",
+    "phi-triangulation TREES": "d819e100f4a29c676e0d103ec2c524dafd61d44c00cce95bf28b620849c9159c",
+    "reconstruct-triangulation PAIRS":
+        "e12ff29e359d240d0320a6d7f118f23848a578fbb6aa5bf5b5ffa3952b72d550",
+    "staircase --n 2 --d 3 --right-order 2,1,3":
+        "b85808b66dae52b006e6d693f3f3e81affe617c571a6a837021df046d3a250bc",
+    "enumerate-triangulations --n 2 --d 3":
+        "d1f4e59ef84eeb398c02c31706820da5d62722f566624ba35d6e74bf278f19a9",
+    "flipgraph FIELD": "248db8a84e80dec0b4c7895e211a32c4674b491b072591bbc3e9c6ae827a442f",
+    "cells FIELD": "ff8af4e90414587f4b0884cbf385502d8dd26f3adcd0ac5d27d0a19c112b6b8f",
+    "complete STACK": "ac11e56e44ef1b185c68bd799baa5db29bbc092eae624d551131a7749aa6167b",
+    "ensemble-check STACK": "b1a9808c65e2443070fbd47697f5ed3e115664151cc351b5e953a91f6f03e50d",
+    "ensemble-check EMPTY-STACK":
+        "0a69a4db5165b86c181267c0e353ebd93800deef4401efbdeb4b1cc9a625f178",
+    "stiefel FIELD": "380a4aa0749ddfd23ace5477a2056af3e118ed062be2421149d04c7b46e16609",
+    "right-submatching-check FIELD":
+        "262e5582a4db6b5a2e0888e2f22e12f95a28f66852bde8d3a612f267d91340a8",
+    "right-submatching-check WIDE":
+        "aab5e113b61e6bfca8567205668f9921700ed936581cce467a1220faab3c91ac",
+    "roundtrip --kind chow FIELD":
+        "ea3c5c3b040893e22a810a765bd9d0ff4d644eb34689dd10b8c3431bb6cf7f35",
+    "roundtrip --kind triangulation TREES":
+        "791f7db196140e618af5a5dfc9b9cac00e1ed333fee4cbab91e78c6b978e495d",
+    "arrangement COHERENT-9-4": "2f02a03464b2c1a13380b5d5b23f775772cf287592514c7d7fb201b36bd862cf",
+    "cells COHERENT-9-4": "cb82bdc4adb95a741cdf106b62f5191f1cd36808817a48aa926959eac2f23df9",
+    "chow COHERENT-9-4": "63953df892de6daf979c8be8e08f8918773b5f90ddcdb865315aad2c274f2f6e",
+    "phi COHERENT-9-4": "4cb4d6e6a4d7cf6be0e32840067b642ac5104a91cd9b3fd0bec8e665dabe568c",
+    "reconstruct-chow --phi PHI-COHERENT-9-4":
+        "63953df892de6daf979c8be8e08f8918773b5f90ddcdb865315aad2c274f2f6e",
+    "roundtrip --kind chow COHERENT-9-4":
+        "ea3c5c3b040893e22a810a765bd9d0ff4d644eb34689dd10b8c3431bb6cf7f35",
+    "arrangement COHERENT-10-5": "545de5edfac8d8adb3d1c2ff85da63b4e1d6908f8bdd79318f04b2c59293339b",
+    "cells COHERENT-10-5": "4a67cce3616c0ba8847dae6bd07d5b7b58bb34e5e0cf3d1afa7da360f2d42376",
+    "chow COHERENT-10-5": "309ec88ffa822410979f89dfa1625e765efacfa2976260613e07884d47e12417",
+    "phi COHERENT-10-5": "833659dc09e85e073cf4691cf02eabdea4af994c1a85cfc801c29f9c991c5313",
+    "reconstruct-chow --phi PHI-COHERENT-10-5":
+        "309ec88ffa822410979f89dfa1625e765efacfa2976260613e07884d47e12417",
+    "roundtrip --kind chow COHERENT-10-5":
+        "ea3c5c3b040893e22a810a765bd9d0ff4d644eb34689dd10b8c3431bb6cf7f35",
+    "extract STAIRCASE-6-5": "7a1bc0677bce3254ac9c44ba8d1c8d0edb0cf7bc04ff901d88b2f4b2ea402dfb",
+    "roundtrip --kind triangulation STAIRCASE-6-5":
+        "791f7db196140e618af5a5dfc9b9cac00e1ed333fee4cbab91e78c6b978e495d",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs(tmp_path_factory):
+    from matchfield.randgen import seeded_coherent_field
+
+    work = tmp_path_factory.mktemp("pinned")
+    data = {}
+    for name, (n, d, seed) in PINNED_FIELDS.items():
+        field, _, _ = seeded_coherent_field(n, d, seed)
+        data[name] = field_to_json_dict(field)
+        data["PHI-" + name] = phi_to_json_dict(chow_collection(field).phi())
+    t = staircase_triangulation(6, 5, [3, 6, 1, 5, 2, 4], [2, 5, 1, 4, 3])
+    data["STAIRCASE-6-5"] = triangulation_to_json_dict(t)
+    paths = {}
+    for name, value in data.items():
+        path = work / f"{name}.json"
+        path.write_text(core.canonical_json(value))
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("argv", PINNED_RUNS, ids=[" ".join(a) for a in PINNED_RUNS])
+def test_stdout_matches_its_pinned_digest(inputs, pinned_inputs, argv):
+    paths = {**inputs, **pinned_inputs}
+    _, out, _ = run_quietly([paths.get(a, a) for a in argv])
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == STDOUT_SHA256.get(" ".join(argv)), f"{' '.join(argv)!r}: {digest!r},"

@@ -25,6 +25,7 @@ from oracles import (
     classify,
     connected_components,
     contained_matchings_by_edges,
+    subsets_by_recursion,
 )
 
 
@@ -176,6 +177,17 @@ class TestSubsetsAndLatticePoints:
         with pytest.raises(SizeCapError):
             list(subsets(3, 4))
 
+    def test_agrees_with_recursion(self):
+        for n in range(11):
+            for k in range(n + 1):
+                assert list(subsets(n, k)) == list(subsets_by_recursion(n, k))
+
+    def test_subset_masks(self):
+        for k in range(6):
+            for subset in subsets(5, k):
+                mask = core.subset_mask(subset)
+                assert mask.bit_count() == k and core.mask_subset(mask) == subset
+
     def test_lattice_points(self):
         assert simplex_lattice_points(2, 2) == [(0, 2), (1, 1), (2, 0)]
         assert len(simplex_lattice_points(4, 3)) == 15
@@ -183,6 +195,18 @@ class TestSubsetsAndLatticePoints:
 
 
 class TestGraphBasics:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 6), st.integers(1, 6), st.data())
+    def test_right_degrees_count_edges(self, n, d, data):
+        cells = st.sets(st.integers(0, n * d - 1), max_size=n * d) if n else st.just(set())
+        bits = data.draw(cells)
+        g = BipartiteGraph.from_mask(n, d, sum(1 << b for b in bits))
+        assert g.right_degrees() == tuple(
+            sum(1 for _, i in g.edges if i == r) for r in range(1, d + 1)
+        )
+        column = core.column_mask(n, d)
+        assert [b for b in range(n * d) if column >> b & 1] == [j * d for j in range(n)]
+
     def test_canonical_edge_order(self):
         g = graph(3, 2, [(3, 1), (1, 2), (1, 1)])
         assert g.edges == ((1, 1), (1, 2), (3, 1))

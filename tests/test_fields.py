@@ -19,7 +19,6 @@ from matchfield import (
     WrongSupportError,
     chow_collection,
     coherent_field,
-    coherent_tope_field,
     field_from_arrangement,
     flip_graph,
     i_amalgamation,
@@ -58,7 +57,9 @@ from conftest import (
     random_matching_field,
 )
 from oracles import (
+    coherent_tope_field,
     collapse_split_graph,
+    column_functions,
     i_amalgamation_by_cycles,
     increasing_splitting,
     is_linkage_by_cycles,
@@ -658,7 +659,7 @@ class TestMaximalTopes:
     def brute_force(self, field, v):
         """Unique tope with right degree vector v compatible with the field."""
         hits = []
-        for func in fields_mod._column_functions(tuple(range(1, field.n + 1)), v):
+        for func in column_functions(tuple(range(1, field.n + 1)), v):
             tope = graph(field.n, field.d, func)
             if all(is_compatible(tope, m)[0] for _, m in field.items()):
                 hits.append(tope)
@@ -701,6 +702,16 @@ class TestArrangement:
     def test_round_trip(self, field_42, field_53, field_63, field_64):
         for field in (field_42, field_53, field_63, field_64):
             assert field_from_arrangement(tope_arrangement(field)) == field
+
+    def test_conflicting_topes_name_the_subset(self, field_42):
+        # built past the validator, which refuses such topes first: the
+        # collector names the d-subset on which two topes disagree
+        ta = object.__new__(fields_mod.TopeArrangement)
+        ta.n, ta.d = 4, 2
+        ta.topes = dict(tope_arrangement(field_42).topes)
+        ta.topes[(1, 1)] = graph(4, 2, [(1, 2), (2, 1), (3, 1), (4, 2)])
+        with pytest.raises(MatchfieldError, match=r"trees disagree on the matching of \(1, 2\)$"):
+            field_from_arrangement(ta)
 
     def test_key_count_checked_before_lattice_points(self):
         # 40 * Delta_19 has C(39, 19), about 6.9e10, lattice points

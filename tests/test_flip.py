@@ -7,7 +7,6 @@ import pytest
 from matchfield import (
     MatchfieldError,
     NotLinkageError,
-    cell_to_tope,
     flip_graph,
     linkage_covector,
     linkage_tree,
@@ -23,7 +22,7 @@ from matchfield.flip import (
 )
 
 from conftest import field_from_words, graph, random_matching_field
-from oracles import edge_count_check, linkage_tree_decomposition, tope_to_cell
+from oracles import cell_to_tope, edge_count_check, linkage_tree_decomposition, tope_to_cell
 
 
 def flip_label(m1, m2):

@@ -41,6 +41,7 @@ from conftest import (
 from oracles import (
     check_basis_exchange,
     chow_by_intersection,
+    column_functions,
     reconstruct_triangulation_by_every_leaf,
 )
 from test_fields import arrangement_by_amalgamation, outcome
@@ -152,7 +153,7 @@ class TestDegreeVectorRigidity:
             topes = {}
             k = sum(v)
             for sigma in subsets(4, k):
-                for func in _column_functions(sigma, v):
+                for func in column_functions(sigma, v):
                     g = graph(4, 2, func)
                     topes.setdefault((g.left_degrees(), v), []).append(g)
             for group in topes.values():
@@ -172,12 +173,6 @@ class TestDegreeVectorRigidity:
                 or a.right_degrees() == b.right_degrees()
             ):
                 assert agreed_matchings([a, b])[1] is not None
-
-
-def _column_functions(sigma, v):
-    from matchfield.fields import _column_functions as impl
-
-    return impl(sigma, v)
 
 
 class TestCoherentFields:

@@ -12,7 +12,6 @@ from matchfield import (
     MatchingStack,
     SizeCapError,
     completion,
-    completion_linkage_check,
     core,
     extend,
     extraction,
@@ -37,6 +36,7 @@ from matchfield.fields import maximal_tope_covectors
 from conftest import field_from_words, graph, random_matching_field
 from oracles import (
     check_basis_exchange,
+    completion_linkage_check,
     right_submatching_check_by_rescan,
     stack_right_linkage,
     stiefel_image,

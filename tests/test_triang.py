@@ -21,12 +21,12 @@ from matchfield import (
 )
 from matchfield import core, simplex_lattice_points
 from matchfield.core import BipartiteGraph, agreed_matchings, contained_matchings
+from matchfield.fields import field_from_graphs
 from matchfield.stacks import stack_from_trees
 from matchfield.triang import (
     Triangulation,
     check_triangulation,
     extended_tope_arrangement,
-    extract_field_from_trees,
     find_agreement_violation,
     find_flip_violation,
     pairs_from_json_dict,
@@ -330,7 +330,7 @@ class TestKeyedAxioms:
         # masks of graphs on other node sets would be read as other edges
         trees = staircase_triangulation(3, 2).sorted_trees()
         other = graph(2, 3, [(1, 1), (1, 2), (1, 3), (2, 3)])
-        for build in (stack_from_trees, extract_field_from_trees):
+        for build in (stack_from_trees, field_from_graphs):
             with pytest.raises(MatchfieldError, match=r"a tree on \(2, 3\) among trees on \(3, 2\)"):
                 build(trees + [other], 3, 2)
 
@@ -369,7 +369,7 @@ class TestExtraction:
     def test_partial_extraction_requires_coverage(self):
         single = staircase_triangulation(3, 2).sorted_trees()[:1]
         with pytest.raises(MatchfieldError):
-            extract_field_from_trees(single, 3, 2)
+            field_from_graphs(single, 3, 2)
 
 
 class TestPhi:
