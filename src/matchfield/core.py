@@ -17,15 +17,15 @@ Note the criterion ignores edges present in both graphs.  The stronger,
 containment-based agreement check used for triangulation axioms and stacks
 is ``agreed_matchings``, one pass over a dict keyed by (J, I).
 
-Two certificate kernels work on integer masks alone.  ``matching_masks``
-lists the matchings inside a graph as {(J mask, I mask): edge mask} by a
-depth-first search over left rows and free right bits, in the order of the
-edge-list enumeration it replaced; ``agreed_matchings`` compares those ints
-and turns only its clash witness back into subsets.  For graphs whose left
-degrees are at most 1, such as maximal topes and partial matchings,
+The certificate kernels work on integer masks alone.  ``agreed_matchings``
+lists each graph's matchings row by row into one dict keyed by (J mask,
+I mask); only a clash goes to the depth-first ``matching_masks`` preorder,
+which names the witness.  ``right_perfect_matchings`` builds only the
+matchings that cover R, column by column; ``_rows_form_tree`` tests a tree
+by a walk over row masks; ``sector_sweep`` is a breadth-first search over
+lattice points.  For graphs whose left degrees are at most 1,
 ``functions_compatible`` decides compatibility from the two partial maps
-(``tope_function``): the arcs f2(j) -> f1(j) over the left nodes both maps
-use must form an acyclic digraph on the d right nodes.
+(``tope_function``): the arcs f2(j) -> f1(j) must form an acyclic digraph.
 
 Every JSON format is read strictly by ``read_table``, which raises
 ValueError on a value of the wrong shape or on a subset key that is not
@@ -260,14 +260,28 @@ def _forest_path(adj, start, goal):
     raise MatchfieldError("no path in forest")  # unreachable for joined components
 
 
-def is_forest(g: BipartiteGraph) -> bool:
-    return find_cycle(g) is None
-
-
 def is_spanning_tree(g: BipartiteGraph) -> bool:
-    """Connected and acyclic on all n + d nodes: an acyclic graph with
-    n + d - 1 edges has exactly one component."""
-    return len(g) == g.n + g.d - 1 and is_forest(g)
+    """Connected on all n + d nodes with n + d - 1 edges, so acyclic."""
+    return _rows_form_tree(g.mask, range(1, g.n + 1), g.d)
+
+
+def _rows_form_tree(mask: int, rows: Sequence[int], d: int) -> bool:
+    """Whether an edge mask on the given left rows is a tree on rows ⊔ [d]:
+    len(rows) + d - 1 edges, all joined up by a walk over the row masks."""
+    if mask.bit_count() != len(rows) + d - 1:
+        return False
+    full = (1 << d) - 1
+    pending = [mask >> ((j - 1) * d) & full for j in rows]
+    reached = pending.pop() if pending else full
+    while pending:
+        rest = [r for r in pending if not r & reached]
+        if len(rest) == len(pending):
+            return False
+        for r in pending:
+            if r & reached:
+                reached |= r
+        pending = rest
+    return reached == full
 
 
 def is_matching(g: BipartiteGraph) -> bool:
@@ -429,6 +443,20 @@ def matching_masks(g: BipartiteGraph) -> dict[tuple[int, int], int]:
     return out
 
 
+def right_perfect_matchings(g: BipartiteGraph) -> dict[int, int]:
+    """The matchings inside g that cover every right node, as {J mask: edge
+    mask}, built column by column: each matching of r1..r(i-1) is extended
+    by an unused left node of column i.  A forest holds at most one
+    matching per J; for a graph with several the last one found is kept."""
+    d, column = g.d, column_mask(g.n, g.d)
+    level = {0: 0}
+    for i in range(d):
+        ends = [(1 << b // d, 1 << b + i) for b in _bits(g.mask >> i & column)]
+        level = {J | jbit: m | edge for J, m in level.items()
+                 for jbit, edge in ends if not J & jbit}
+    return level
+
+
 def mask_subset(mask: int) -> tuple[int, ...]:
     """The 1-based subset whose members are the set bits of mask."""
     return tuple(b + 1 for b in _bits(mask))
@@ -457,9 +485,34 @@ def agreed_matchings(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[t
     then over g's keys; a key's clash is between its first holder and the
     first later graph that differs there.
 
+    Each graph's matchings go row by row into one shared dict: those on the
+    rows before lj, then each extended by a free bit of row j.  A key given
+    two matchings, even by one graph, hands over to the preorder pass.
+
     Stronger than is_compatible for trees: a shared edge may lie on an
     alternating cycle, which the symmetric-difference orientation cannot see.
     """
+    agreed: dict[tuple, int] = {}
+    for g in graphs:
+        d, full = g.d, (1 << g.d) - 1
+        level = [(0, 0, 0)]  # (J, I, edge mask), the empty matching first
+        for j in range(g.n):
+            ends = [(1 << b, 1 << b + j * d) for b in _bits(g.mask >> (j * d) & full)]
+            grown = []
+            for J, I, m in level:
+                J |= 1 << j
+                for low, edge in ends:
+                    if not I & low:
+                        e = m | edge
+                        if agreed.setdefault((J, I | low), e) != e:
+                            return _agreed_in_preorder(graphs)
+                        grown.append((J, I | low, e))
+            level += grown
+    return agreed, None
+
+
+def _agreed_in_preorder(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[tuple]]:
+    """``agreed_matchings`` over each graph's ``matching_masks`` in turn."""
     first: dict[tuple, tuple] = {}  # (J, I) -> (edge mask, graph index, key position)
     clashes = []
     for b, g in enumerate(graphs):
@@ -573,28 +626,25 @@ def all_ones(dim: int) -> tuple[int, ...]:
 
 
 def sector_sweep(member_rdvs: set, i: int, seed: tuple) -> set:
-    """Combinatorial sector of ri among the member right degree vectors:
-    from the seed at the top level of coordinate i downwards, a member joins
-    when an admitted member sits at v + e_i - e_k (k != i, v_k > 0).  Empty
-    when the seed is not a member; callers check that it exists at all."""
+    """Combinatorial sector of ri among the member right degree vectors: the
+    members reached from the seed by the moves v -> v - e_i + e_k (v_i > 0),
+    breadth first, so a member joins when an admitted one sits at
+    v + e_i - e_k.  Empty when the seed is not a member."""
     if seed not in member_rdvs:
         return set()
-    admitted = {seed}
-    by_level: dict[int, list[tuple]] = {}
-    for rdv in member_rdvs:
-        by_level.setdefault(rdv[i - 1], []).append(rdv)
-    for h in range(seed[i - 1] - 1, -1, -1):
-        # any order admits the same set; sorted fixes the order callers report in
-        for rdv in sorted(by_level.get(h, [])):
-            for k in range(len(rdv)):
-                if k == i - 1 or rdv[k] == 0:
-                    continue
-                up = list(rdv)
-                up[i - 1] += 1
-                up[k] -= 1
-                if tuple(up) in admitted:
-                    admitted.add(rdv)
-                    break
+    admitted, queue = {seed}, [seed]
+    i -= 1
+    for v in queue:  # grows while it is read, first in first out
+        if v[i]:
+            down = list(v)
+            down[i] -= 1
+            for k in range(len(v)):  # k = i gives v back, already admitted
+                down[k] += 1
+                w = tuple(down)
+                down[k] -= 1
+                if w in member_rdvs and w not in admitted:
+                    admitted.add(w)
+                    queue.append(w)
     return admitted
 
 
@@ -602,16 +652,19 @@ def sectors(member_rdvs: set, rdvs, top: int, j: int, error: type) -> dict:
     """Partition the member right degree vectors of left node j into its
     combinatorial sectors, one per right node i swept from the seed top * e_i
     (``sector_sweep``): {rdv: i}.  Raises ``error`` when a seed is not among
-    rdvs, a member is admitted to two sectors, or the sectors miss one."""
+    rdvs, a member is admitted to two sectors (the least such one of the
+    first sector meeting an earlier one is named), or the sectors miss one."""
     d = len(next(iter(rdvs)))
     sector: dict = {}
     for i in range(1, d + 1):
         seed = tuple(top if t == i else 0 for t in range(1, d + 1))
         if seed not in rdvs:
             raise error(f"no member with extreme rdv {seed}")
-        for rdv in sector_sweep(member_rdvs, i, seed):
+        admitted = sector_sweep(member_rdvs, i, seed)
+        for rdv in admitted:
             if rdv in sector:
-                raise error(f"rdv {rdv} admitted to two sectors of {j}")
+                twice = min(v for v in admitted if sector.get(v, i) != i)
+                raise error(f"rdv {twice} admitted to two sectors of {j}")
             sector[rdv] = i
     if sector.keys() != member_rdvs:
         raise error(f"sectors do not cover all pairs through {j}")

@@ -213,7 +213,7 @@ def _failing_covectors(field: TopeField) -> Iterator[CovectorResult]:
     """The non-tree covectors in `core.subsets` order; none when k >= n (no
     (k+1)-subsets, so vacuously linkage)."""
     for tau, union in _covector_unions(field):
-        if not _is_tree(union, tau, field.d):
+        if not core._rows_form_tree(union, tau, field.d):
             res = linkage_covector(field, tau)
             if not res.ok:
                 yield res
@@ -233,34 +233,16 @@ def _covector_unions(field: TopeField) -> Iterator[tuple[tuple, int]]:
 
 
 def covector_graph(n: int, d: int, tau: tuple, union: int) -> BipartiteGraph:
-    """The covector of tau from its edge mask.  Only a mask failing `_is_tree`
-    goes through `core.find_cycle`: a cycle raises NotLinkageError with tau
-    and the cycle, and a forest is returned as it is."""
+    """The covector of tau from its edge mask.  Only a mask failing
+    `core._rows_form_tree` goes through `core.find_cycle`: a cycle raises
+    NotLinkageError with tau and the cycle, and a forest is returned as it
+    is."""
     graph = BipartiteGraph.from_mask(n, d, union)
-    if not _is_tree(union, tau, d):
+    if not core._rows_form_tree(union, tau, d):
         cycle = core.find_cycle(graph)
         if cycle:
             raise NotLinkageError(tau, tuple(cycle))
     return graph
-
-
-def _is_tree(union: int, tau: tuple, d: int) -> bool:
-    """Whether an edge mask on the rows of tau is a tree on tau ⊔ [d]: it has
-    |tau| + d - 1 edges, and a breadth-first walk over the row bitmasks
-    joins them up through shared right nodes and reaches all d of them."""
-    if union.bit_count() != len(tau) + d - 1:
-        return False
-    rows = [union >> ((j - 1) * d) & ((1 << d) - 1) for j in tau]
-    reached, pending = rows[0], rows[1:]
-    while pending:
-        rest = [r for r in pending if not r & reached]
-        if len(rest) == len(pending):
-            return False
-        for r in pending:
-            if r & reached:
-                reached |= r
-        pending = rest
-    return reached == (1 << d) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -539,19 +521,20 @@ def tope_arrangement(field: MatchingField) -> TopeArrangement:
 
 
 def field_from_graphs(graphs: Iterable[BipartiteGraph], n: int, d: int) -> MatchingField:
-    """Collect the perfect matchings on d-subset ⊔ R inside the graphs, the
-    trees of a triangulation or the maximal topes of an arrangement.  Partial
-    graph sets work as long as they cover every d-subset and agree."""
-    full = (1 << d) - 1
+    """Collect the perfect matchings on d-subset ⊔ R inside the graphs
+    (``core.right_perfect_matchings``), trees or maximal topes.  Partial
+    graph sets work as long as they cover every d-subset and agree; a clash
+    names the J of the graph's first clashing matching in edge order."""
     masks: dict = {}  # J mask -> edge mask of the matching on J ⊔ R
     for g in graphs:
         if (g.n, g.d) != (n, d):
             raise MatchfieldError(f"a tree on ({g.n}, {g.d}) among trees on ({n}, {d})")
-        for (J, I), m in core.matching_masks(g).items():
-            if I == full and masks.setdefault(J, m) != m:
-                raise MatchfieldError(
-                    f"trees disagree on the matching of {core.mask_subset(J)}"
-                )
+        found = core.right_perfect_matchings(g)
+        clashes = [(core.mask_subset(m), J) for J, m in found.items() if masks.get(J, m) != m]
+        if clashes:
+            J = min(clashes)[1]
+            raise MatchfieldError(f"trees disagree on the matching of {core.mask_subset(J)}")
+        masks.update(found)
     assignment = {
         core.mask_subset(J): BipartiteGraph.from_mask(n, d, m) for J, m in masks.items()
     }

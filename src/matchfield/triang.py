@@ -9,8 +9,8 @@ The last axiom is checked by containment (not the symmetric-difference cycle
 criterion): a shared edge can sit on an alternating cycle that the
 orientation test cannot see.  It is one pass over the contained matchings
 keyed by (J, I), ``core.agreed_matchings``, which also builds the ensemble
-of ``stacks.stack_from_trees``.  The flip axiom is a lookup too: another
-spanning tree containing a tree minus one edge is that forest plus one edge.
+of ``stacks.stack_from_trees``.  The flip axiom is a count: every tree minus
+each edge is tallied once, and a forest tallied twice lies in another tree.
 
 The degree-pair map sends each tree to its left and right degree vectors,
 normalised by subtracting the all-ones vectors.  The pair set determines the
@@ -25,6 +25,7 @@ reproduce the pairs and satisfy the axioms.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, factorial
@@ -84,17 +85,16 @@ def find_agreement_violation(trees: Sequence[BipartiteGraph]):
 
 def find_flip_violation(trees: Sequence[BipartiteGraph]):
     """Tree and non-leaf edge whose removal is contained in no other tree.
-    For spanning trees on one node set, such another tree is g minus the
-    edge plus one edge outside g: a lookup in the set of tree masks."""
-    masks = {g.mask for g in trees}
+    For spanning trees on one node set, such another tree is a distinct tree
+    mask that drops to the same forest by one bit: g minus e lies in another
+    tree exactly when at least two distinct masks minus a bit give it."""
+    forests = Counter(m ^ 1 << b for m in {g.mask for g in trees} for b in core._bits(m))
     for g in trees:
         left, right = core.degree_vectors(g)
-        outside = [1 << b for b in core._bits(~g.mask & ((1 << (g.n * g.d)) - 1))]
         for j, i in g.edges:
             if left[j - 1] == 1 or right[i - 1] == 1:
                 continue
-            reduced = g.mask & ~(1 << ((j - 1) * g.d + i - 1))
-            if not any(reduced | bit in masks for bit in outside):
+            if forests[g.mask & ~(1 << ((j - 1) * g.d + i - 1))] < 2:
                 return (g, (j, i))
     return None
 

@@ -17,7 +17,8 @@ descriptions kept as test oracles.
   cell's vertex set checked to be a product skeleton, and the flip edge
   count of a linkage field.
 - Graph classification and connected components by breadth-first search,
-  the oracle for ``core.is_spanning_tree``.
+  and the forest and spanning-tree tests by a cycle search: the oracles for
+  the row walk of ``core.is_spanning_tree``.
 - Constructions that only theorem checks run: the increasing splitting of a
   tope field into a matching field and its inverse on one graph, the
   induced field on L minus lj, the exact cover of the flip graph by the
@@ -33,7 +34,11 @@ descriptions kept as test oracles.
   oracle for left linkage of the transposed stack.
 - Contained matchings as edge tuples in the preorder of the lexicographic
   edge list, and the containment agreement pass over them: the oracles for
-  ``core.matching_masks`` and ``core.agreed_matchings``.
+  ``core.matching_masks`` and ``core.agreed_matchings``.  The field read
+  off a graph list by filtering all its partial matchings, the oracle for
+  ``core.right_perfect_matchings`` in ``fields.field_from_graphs``.
+- Combinatorial sectors swept level by level in coordinate i, the oracle
+  for the breadth-first ``core.sector_sweep``.
 - The right-submatching check that rescans every field matching for each
   (J, I') and runs ``is_compatible`` on every contained matching, the
   oracle for the table-driven ``right_submatching_check``.
@@ -48,7 +53,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from matchfield import core, fields
 from matchfield.chow import ChowCollection
-from matchfield.core import BipartiteGraph, degree_vectors, is_forest, is_spanning_tree
+from matchfield.core import BipartiteGraph, degree_vectors
 from matchfield.errors import (
     InconsistentCollectionError,
     InconsistentPairsError,
@@ -112,6 +117,16 @@ def connected_components(g: BipartiteGraph) -> list[set]:
     return comps
 
 
+def is_forest(g: BipartiteGraph) -> bool:
+    return core.find_cycle(g) is None
+
+
+def is_spanning_tree_by_cycles(g: BipartiteGraph) -> bool:
+    """Connected and acyclic on all n + d nodes: an acyclic graph with
+    n + d - 1 edges has exactly one component."""
+    return len(g) == g.n + g.d - 1 and is_forest(g)
+
+
 def classify(g: BipartiteGraph) -> GraphClass:
     """Classify with priority matching > tope > spanning tree > forest > other."""
     left, right = degree_vectors(g)
@@ -119,7 +134,7 @@ def classify(g: BipartiteGraph) -> GraphClass:
         if all(deg == 1 for deg in right):
             return GraphClass("matching", right)
         return GraphClass("tope", right)
-    if is_spanning_tree(g):
+    if is_spanning_tree_by_cycles(g):
         return GraphClass("spanning-tree")
     if is_forest(g):
         return GraphClass("forest")
@@ -213,6 +228,30 @@ def sector(collection: dict, j: int, i: int) -> SectorImage:
         if (j, i) in g and g.left_degrees()[j - 1] == 1:
             members.append((g.left_degrees(), g.right_degrees()))
     return SectorImage(j, i, frozenset(members))
+
+
+def sector_sweep_by_levels(member_rdvs: set, i: int, seed: tuple) -> set:
+    """Oracle for ``core.sector_sweep``: from the seed at the top level of
+    coordinate i downwards, a member joins when an admitted member sits at
+    v + e_i - e_k (k != i, v_k > 0).  Empty when the seed is not a member."""
+    if seed not in member_rdvs:
+        return set()
+    admitted = {seed}
+    by_level: dict[int, list[tuple]] = {}
+    for rdv in member_rdvs:
+        by_level.setdefault(rdv[i - 1], []).append(rdv)
+    for h in range(seed[i - 1] - 1, -1, -1):
+        for rdv in by_level.get(h, []):
+            for k in range(len(rdv)):
+                if k == i - 1 or rdv[k] == 0:
+                    continue
+                up = list(rdv)
+                up[i - 1] += 1
+                up[k] -= 1
+                if tuple(up) in admitted:
+                    admitted.add(rdv)
+                    break
+    return admitted
 
 
 def field_from_chow_by_topes(cc: ChowCollection) -> fields.MatchingField:
@@ -440,7 +479,7 @@ def reconstruct_by_every_leaf(pairs, left_labels, right_labels, memo):
             seed = tuple((n - 1) if t == ipos else 0 for t in range(d))
             if seed not in by_rdv:
                 raise InconsistentPairsError(f"no tree with extreme rdv {seed}")
-            for rdv in core.sector_sweep(member_rdvs, ipos + 1, seed):
+            for rdv in sector_sweep_by_levels(member_rdvs, ipos + 1, seed):
                 if rdv in assigned:
                     raise InconsistentPairsError(
                         f"rdv {rdv} admitted to two sectors of {j}"
@@ -762,6 +801,28 @@ def agreed_matchings_by_edges(graphs: Sequence[BipartiteGraph]) -> tuple[dict, O
         return agreed, None
     a, b, _, (J, I) = min(clashes)
     return agreed, (graphs[a], graphs[b], J, I)
+
+
+def field_from_graphs_by_partial_matchings(
+    graphs: Iterable[BipartiteGraph], n: int, d: int
+) -> fields.MatchingField:
+    """Oracle for ``fields.field_from_graphs``: every partial matching of
+    each graph from ``core.matching_masks``, filtered to those covering
+    every right node; the first disagreement in preorder is reported."""
+    full = (1 << d) - 1
+    masks: dict = {}
+    for g in graphs:
+        if (g.n, g.d) != (n, d):
+            raise MatchfieldError(f"a tree on ({g.n}, {g.d}) among trees on ({n}, {d})")
+        for (J, I), m in core.matching_masks(g).items():
+            if I == full and masks.setdefault(J, m) != m:
+                raise MatchfieldError(
+                    f"trees disagree on the matching of {core.mask_subset(J)}"
+                )
+    assignment = {
+        core.mask_subset(J): BipartiteGraph.from_mask(n, d, m) for J, m in masks.items()
+    }
+    return fields.validate_matching_field(n, d, assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,17 @@ class TestSubsetsAndLatticePoints:
         assert all(sum(p) == 4 for p in simplex_lattice_points(4, 3))
 
 
+class TestSectors:
+    def test_collision_names_the_least_twice_admitted_member(self):
+        # sectors 2 and 3 both admit all three members; the message names
+        # the least of them, whatever order the sweep admits them in
+        members = {(0, 2, 0), (0, 1, 1), (0, 0, 2)}
+        rdvs = members | {(2, 0, 0)}
+        with pytest.raises(MatchfieldError) as info:
+            core.sectors(members, rdvs, 2, 5, MatchfieldError)
+        assert str(info.value) == "rdv (0, 0, 2) admitted to two sectors of 5"
+
+
 class TestGraphBasics:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 6), st.integers(1, 6), st.data())
@@ -318,6 +329,26 @@ class TestMatchingMasks:
     def test_agreement_witness_over_many_trees(self):
         trees = core.all_spanning_trees(2, 4)[::3]
         assert core.agreed_matchings(trees)[1] == agreed_matchings_by_edges(trees)[1]
+
+    def test_two_matchings_on_one_key_hand_over_to_the_preorder_pass(self, monkeypatch):
+        # a 4-cycle holds both perfect matchings on ({1, 2}, {1, 2}); the row
+        # pass meets the second inside the square itself and hands over, and
+        # the preorder pass, which keeps the square's last one, decides
+        square = graph(2, 2, [(1, 1), (1, 2), (2, 1), (2, 2)])
+        diagonal = graph(2, 2, [(1, 1), (2, 2)])
+        preorder = core._agreed_in_preorder
+        calls = []
+        monkeypatch.setattr(core, "_agreed_in_preorder", lambda gs: calls.append(gs) or preorder(gs))
+        cases = {
+            (square,): None,
+            (square, diagonal): (square, diagonal, (1, 2), (1, 2)),
+            (diagonal, square): (diagonal, square, (1, 2), (1, 2)),
+        }
+        for graphs, witness in cases.items():
+            agreed, clash = core.agreed_matchings(graphs)
+            assert (agreed, clash) == preorder(graphs)
+            assert clash == witness == agreed_matchings_by_edges(graphs)[1]
+        assert calls == list(cases)
 
 
 def maximal_topes(n, d):

@@ -19,9 +19,11 @@ from matchfield import (
     subsets,
     tope_arrangement,
 )
+from matchfield import core
 from matchfield.chow import chow_by_definition, chow_collection
 from matchfield.core import contained_matchings, is_spanning_tree
-from matchfield.fields import check_sector_monotonicity
+from matchfield.errors import MatchfieldError
+from matchfield.fields import check_sector_monotonicity, field_from_graphs
 from matchfield.randgen import random_weight_matrix, seeded_coherent_field, splitmix64
 from matchfield.stacks import transversal_matroid
 from matchfield.triang import (
@@ -42,7 +44,11 @@ from oracles import (
     check_basis_exchange,
     chow_by_intersection,
     column_functions,
+    field_from_graphs_by_partial_matchings,
+    is_forest,
+    is_spanning_tree_by_cycles,
     reconstruct_triangulation_by_every_leaf,
+    sector_sweep_by_levels,
 )
 from test_fields import arrangement_by_amalgamation, outcome
 from test_flip import flip_graph_by_pairs
@@ -87,6 +93,102 @@ class TestTriangulationAxiomOracles:
     def test_keyed_pass_and_mask_lookup(self, trees):
         assert find_agreement_violation(trees) == agreement_by_pairs(trees)
         assert find_flip_violation(trees) == flip_violation_by_scan(trees)
+
+
+@st.composite
+def member_sets(draw):
+    """A random set of lattice points of m * Delta_{d-1}, a right node i and
+    a seed: the top point m * e_i or a drawn lattice point."""
+    d, m = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    points = simplex_lattice_points(m, d)
+    members = draw(st.sets(st.sampled_from(points)))
+    i = draw(st.integers(1, d))
+    top = tuple(m if t == i else 0 for t in range(1, d + 1))
+    seed = draw(st.sampled_from([top, top] + points))
+    return members | draw(st.sampled_from([set(), {top}])), i, seed
+
+
+@st.composite
+def forests(draw, n, d):
+    """A random forest on (n, d): edges in a drawn order, each kept unless
+    it closes a cycle, up to a drawn edge count."""
+    every = draw(st.permutations(range(n * d)))
+    limit = draw(st.integers(0, n + d - 1))
+    mask = 0
+    for b in every:
+        if mask.bit_count() == limit:
+            break
+        if is_forest(BipartiteGraph.from_mask(n, d, mask | 1 << b)):
+            mask |= 1 << b
+    return BipartiteGraph.from_mask(n, d, mask)
+
+
+@st.composite
+def maximal_topes(draw, n, d):
+    """A random graph with left degrees 1 covering every right node."""
+    f = draw(st.lists(st.integers(1, d), min_size=n, max_size=n).filter(
+        lambda f: len(set(f)) == d))
+    return BipartiteGraph(n, d, list(zip(range(1, n + 1), f)))
+
+
+@st.composite
+def collectible_graph_lists(draw):
+    """Graphs to read a field off: the trees of a relabelled staircase or
+    the maximal topes of a random field's arrangement, in a drawn order,
+    with up to three replaced by random forests or maximal topes."""
+    n, d = draw(st.sampled_from([(2, 2), (3, 2), (4, 2), (3, 3), (4, 3), (5, 3)]))
+    if draw(st.booleans()):
+        left = draw(st.permutations(range(1, n + 1)))
+        right = draw(st.permutations(range(1, d + 1)))
+        graphs = staircase_triangulation(n, d, left, right).sorted_trees()
+    else:
+        field = random_matching_field(n, d, draw(st.integers(0, 1 << 32)))
+        try:
+            graphs = [tope for _, tope in tope_arrangement(field).items()]
+        except MatchfieldError:
+            graphs = [m for _, m in field.items()]
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(graphs) - 1))
+        graphs[pos] = draw(st.one_of(forests(n, d), maximal_topes(n, d)))
+    return n, d, draw(st.permutations(graphs))
+
+
+class TestMaskKernelOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(member_sets())
+    def test_breadth_first_sector_sweep(self, case):
+        members, i, seed = case
+        assert core.sector_sweep(members, i, seed) == sector_sweep_by_levels(members, i, seed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 4), st.data())
+    def test_row_walk_spanning_test(self, n, d, data):
+        # edge counts near n + d - 1, where the two tests can disagree
+        bits = data.draw(st.sets(
+            st.integers(0, max(n * d - 1, 0)),
+            min_size=max(min(n * d, n + d - 2), 0),
+            max_size=min(n * d, n + d),
+        ))
+        g = BipartiteGraph.from_mask(n, d, sum(1 << b for b in bits))
+        assert is_spanning_tree(g) == is_spanning_tree_by_cycles(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([(2, 2), (3, 2), (4, 3), (5, 3), (4, 4)]), st.data())
+    def test_right_perfect_matchings(self, size, data):
+        n, d = size
+        g = data.draw(st.one_of(forests(n, d), maximal_topes(n, d)))
+        full = (1 << d) - 1
+        expected = {J: m for (J, I), m in core.matching_masks(g).items() if I == full}
+        assert core.right_perfect_matchings(g) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(collectible_graph_lists())
+    def test_field_from_graphs(self, case):
+        # the same field, or the same error and message
+        n, d, graphs = case
+        assert outcome(lambda gs: field_from_graphs(gs, n, d), graphs) == outcome(
+            lambda gs: field_from_graphs_by_partial_matchings(gs, n, d), graphs
+        )
 
 
 @st.composite

@@ -476,7 +476,7 @@ class TestReconstruction:
             (
                 [((0, 0, 2), (0, 2, 0)), ((0, 1, 1), (1, 0, 1)), ((0, 2, 0), (2, 0, 0)),
                  ((1, 0, 1), (0, 0, 2)), ((1, 1, 0), (1, 1, 0)), ((2, 0, 0), (0, 1, 1))],
-                "rdv (0, 2, 0) admitted to two sectors of 2",
+                "rdv (0, 0, 2) admitted to two sectors of 2",
             ),
             (
                 [((0, 0, 2), (0, 1, 1)), ((0, 1, 1), (2, 0, 0)), ((0, 2, 0), (0, 2, 0)),
