@@ -23,9 +23,8 @@ I mask); only a clash goes to the depth-first ``matching_masks`` preorder,
 which names the witness.  ``right_perfect_matchings`` builds only the
 matchings that cover R, column by column; ``_rows_form_tree`` tests a tree
 by a walk over row masks; ``sector_sweep`` is a breadth-first search over
-lattice points.  For graphs whose left degrees are at most 1,
-``functions_compatible`` decides compatibility from the two partial maps
-(``tope_function``): the arcs f2(j) -> f1(j) must form an acyclic digraph.
+lattice points.  ``incompatible_partners`` tests a partial map
+(``tope_function``) against all its partners in one closure over bitsets.
 
 Every JSON format is read strictly by ``read_table``, which raises
 ValueError on a value of the wrong shape or on a subset key that is not
@@ -386,28 +385,33 @@ def tope_function(g: BipartiteGraph) -> tuple[int, ...]:
     return tuple(row.bit_length() - 1 if row else d for row in rows)
 
 
-def functions_compatible(f1: Sequence[int], f2: Sequence[int], d: int) -> bool:
-    """is_compatible for two graphs with left degrees at most 1, from their
-    tope_function values.  A left node j with f1[j] != f2[j] carries the
-    arcs r_f2[j] -> lj -> r_f1[j]; contracted, they form a digraph on the d
-    right nodes, acyclic exactly when the graphs are compatible.  The value
-    d of a node one graph leaves out puts its one arc at an extra node d,
-    never peeled or alive, so it closes no cycle.  Sinks are peeled from the
-    out-neighbour masks until nothing is left (acyclic) or none remains."""
-    out = [0] * (d + 1)
-    for a, b in zip(f1, f2):
-        if a != b:
-            out[b] |= 1 << a
-    live = [u for u in range(d) if out[u]]  # nodes without out-arcs are sinks
-    while live:
-        alive = 0
-        for u in live:
-            alive |= 1 << u
-        rest = [u for u in live if out[u] & alive]
-        if len(rest) == len(live):
-            return False
-        live = rest
-    return True
+def partner_index(functions: Sequence[Sequence[int]], n: int, d: int) -> list[list[int]]:
+    """index[j][b]: bitset of the partners k with functions[k][j] == b (d: undefined)."""
+    index = [[0] * (d + 1) for _ in range(n)]
+    for k, f in enumerate(functions):
+        for row, b in zip(index, f):
+            row[b] |= 1 << k
+    return index
+
+
+def incompatible_partners(f: Sequence[int], index: list[list[int]], d: int) -> int:
+    """Bitset of the partners in ``partner_index`` incompatible with f.  Bit k
+    of reach[b][a] is an arc b -> a (f(j) = a != f_k(j) = b, both < d); Warshall
+    step m finds the cycles whose largest node is m, so it joins larger nodes only."""
+    reach = [[0] * d for _ in range(d)]
+    for row, a in zip(index, f):
+        if a < d:
+            for b in range(d):
+                reach[b][a] |= row[b]
+            reach[a][a] = 0  # partners that agree with f at j
+    cyclic = 0
+    for m, via in enumerate(reach):
+        cyclic |= via[m]
+        for r in reach[m + 1:]:
+            if into := r[m]:
+                for i in range(m + 1, d):
+                    r[i] |= into & via[i]
+    return cyclic
 
 
 def matching_masks(g: BipartiteGraph) -> dict[tuple[int, int], int]:

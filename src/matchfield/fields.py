@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -421,11 +421,14 @@ class TopeArrangement:
                 raise MatchfieldError(f"tope at {point} has wrong right degrees")
             if tope.left_degrees() != core.all_ones(self.n):
                 raise MatchfieldError(f"tope at {point} is not maximal")
-        # maximal topes are functions [n] -> [d]; compare them pairwise
-        functions = [(p, core.tope_function(t)) for p, t in sorted(self.topes.items())]
-        for (p1, f1), (p2, f2) in combinations(functions, 2):
-            if not core.functions_compatible(f1, f2, self.d):
-                raise MatchfieldError(f"topes at {p1} and {p2} are incompatible")
+        # maximal topes are functions [n] -> [d]; each meets its later partners
+        points = sorted(self.topes)
+        functions = [core.tope_function(self.topes[p]) for p in points]
+        index = core.partner_index(functions, self.n, self.d)
+        for k, f in enumerate(functions):
+            if later := core.incompatible_partners(f, index, self.d) >> (k + 1):
+                p2 = points[k + (later & -later).bit_length()]
+                raise MatchfieldError(f"topes at {points[k]} and {p2} are incompatible")
         check_sector_monotonicity(self.topes)
 
     def tope(self, point: Sequence[int]) -> BipartiteGraph:

@@ -51,13 +51,10 @@ class FlipGraph:
 
 def _flip_label(m1: BipartiteGraph, m2: BipartiteGraph):
     """Deviating right node if the matchings differ in exactly one edge."""
-    diff1 = m1.difference(m2)
-    diff2 = m2.difference(m1)
-    if len(diff1) == 1 and len(diff2) == 1:
-        ((_, i1),) = diff1.edges
-        ((_, i2),) = diff2.edges
-        if i1 == i2:
-            return i1
+    only1, only2 = m1.mask & ~m2.mask, m2.mask & ~m1.mask
+    b1, b2 = only1.bit_length() - 1, only2.bit_length() - 1
+    if only1.bit_count() == only2.bit_count() == 1 and b1 % m1.d == b2 % m1.d:
+        return b1 % m1.d + 1
     return None
 
 
@@ -137,10 +134,10 @@ class ProdsimplicialCell:
 def cell_of_tope(field: fields.MatchingField, tope: BipartiteGraph) -> ProdsimplicialCell:
     neighbor_sets = tuple(tope.right_neighbors(i) for i in range(1, field.d + 1))
     verts = set()
-    for choice in product(*neighbor_sets):
+    column_bits = [[1 << (j - 1) * field.d + i for j in ns] for i, ns in enumerate(neighbor_sets)]
+    for choice, bits in zip(product(*neighbor_sets), product(*column_bits)):
         sigma = tuple(sorted(choice))
-        expected = BipartiteGraph(field.n, field.d, list(zip(choice, range(1, field.d + 1))))
-        if field.matching(sigma) != expected:
+        if field.matching(sigma).mask != sum(bits):
             raise MatchfieldError(f"tope matching on {sigma} is not in the field")
         verts.add(sigma)
     return ProdsimplicialCell(neighbor_sets, frozenset(verts))

@@ -362,13 +362,12 @@ def right_submatching_check(field: fields.MatchingField) -> SubmatchingReport:
     The submatchings come from one table built from ``core.matching_masks``
     of every field matching: (J mask, I' mask) -> edge mask, or None where
     two field matchings differ; reaching such a key raises MatchfieldError.
-    Each distinct |J|-matching is tested once, by ``core.functions_compatible``
-    on partial maps; it joins ``passed`` only once every field matching
-    accepts it, so the first failure and its witness are a full rescan's.
+    Each distinct |J|-matching meets every field matching in one call of
+    ``core.incompatible_partners``; its lowest bit is a full rescan's witness.
     """
     n, d = field.n, field.d
     all_matchings = [m for _, m in field.items()]
-    functions = [core.tope_function(m) for m in all_matchings]
+    index = core.partner_index([core.tope_function(m) for m in all_matchings], n, d)
     submatchings: dict[tuple[int, int], Optional[int]] = {}
     for m in all_matchings:
         for key, sub in core.matching_masks(m).items():
@@ -397,12 +396,9 @@ def right_submatching_check(field: fields.MatchingField) -> SubmatchingReport:
                     if left.bit_count() != size or mask in passed:
                         continue
                     m = BipartiteGraph.from_mask(n, d, mask)
-                    f = core.tope_function(m)
-                    for other, g in zip(all_matchings, functions):
-                        if not core.functions_compatible(f, g, d):
-                            return SubmatchingReport(
-                                False, (J, I, "incompatible", (m, other))
-                            )
+                    if bad := core.incompatible_partners(core.tope_function(m), index, d):
+                        other = all_matchings[(bad & -bad).bit_length() - 1]
+                        return SubmatchingReport(False, (J, I, "incompatible", (m, other)))
                     passed.add(mask)
     return SubmatchingReport(True)
 

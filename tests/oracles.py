@@ -42,6 +42,9 @@ descriptions kept as test oracles.
 - The right-submatching check that rescans every field matching for each
   (J, I') and runs ``is_compatible`` on every contained matching, the
   oracle for the table-driven ``right_submatching_check``.
+- Compatibility of two partial maps by peeling sinks, and the pairwise scan
+  of a tope arrangement with it: the oracles for the closure over all
+  partners of ``core.incompatible_partners``.
 """
 
 from __future__ import annotations
@@ -883,3 +886,41 @@ def _field_submatching(field, J, I_sub):
             raise MatchfieldError(f"field matchings disagree on ({J}, {I_sub})")
         found = sub
     return found
+
+
+# ---------------------------------------------------------------------------
+# compatibility of partial maps, one pair at a time
+
+
+def functions_compatible(f1: Sequence[int], f2: Sequence[int], d: int) -> bool:
+    """is_compatible for two graphs with left degrees at most 1, from their
+    tope_function values.  A left node j with f1[j] != f2[j] carries the
+    arcs r_f2[j] -> lj -> r_f1[j]; contracted, they form a digraph on the d
+    right nodes, acyclic exactly when the graphs are compatible.  The value
+    d of a node one graph leaves out puts its one arc at an extra node d,
+    never peeled or alive, so it closes no cycle.  Sinks are peeled from the
+    out-neighbour masks until nothing is left (acyclic) or none remains."""
+    out = [0] * (d + 1)
+    for a, b in zip(f1, f2):
+        if a != b:
+            out[b] |= 1 << a
+    live = [u for u in range(d) if out[u]]  # nodes without out-arcs are sinks
+    while live:
+        alive = 0
+        for u in live:
+            alive |= 1 << u
+        rest = [u for u in live if out[u] & alive]
+        if len(rest) == len(live):
+            return False
+        live = rest
+    return True
+
+
+def arrangement_pair_by_scan(d: int, topes: dict) -> None:
+    """The compatibility step of ``TopeArrangement.validate`` as a scan of
+    all pairs of maximal topes in sorted order: raises the message that
+    names the first incompatible pair."""
+    functions = [(p, core.tope_function(t)) for p, t in sorted(topes.items())]
+    for (p1, f1), (p2, f2) in combinations(functions, 2):
+        if not functions_compatible(f1, f2, d):
+            raise MatchfieldError(f"topes at {p1} and {p2} are incompatible")

@@ -25,6 +25,7 @@ from oracles import (
     classify,
     connected_components,
     contained_matchings_by_edges,
+    functions_compatible,
     subsets_by_recursion,
 )
 
@@ -386,8 +387,8 @@ class TestTopeFunctions:
             for b in perfect:
                 expected = is_compatible(a, b)[0]
                 fa, fb = core.tope_function(a), core.tope_function(b)
-                assert core.functions_compatible(fa, fb, d) == expected
-                assert core.functions_compatible(fb, fa, d) == expected
+                assert functions_compatible(fa, fb, d) == expected
+                assert functions_compatible(fb, fa, d) == expected
                 verdicts.add(expected)
         assert verdicts == {True, False}
 
@@ -404,8 +405,8 @@ class TestTopeFunctions:
         b = BipartiteGraph(n, d, list(zip(sigma, rights)))
         fa, fb = core.tope_function(a), core.tope_function(b)
         expected = is_compatible(a, b)[0]
-        assert core.functions_compatible(fa, fb, d) == expected
-        assert core.functions_compatible(fb, fa, d) == expected
+        assert functions_compatible(fa, fb, d) == expected
+        assert functions_compatible(fb, fa, d) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 6), st.data())
@@ -415,7 +416,7 @@ class TestTopeFunctions:
         f1, f2 = data.draw(fs), data.draw(fs)
         a = BipartiteGraph(n, d, [(j, i) for j, i in zip(range(1, n + 1), f1) if i])
         b = BipartiteGraph(n, d, [(j, i) for j, i in zip(range(1, n + 1), f2) if i])
-        got = core.functions_compatible(core.tope_function(a), core.tope_function(b), d)
+        got = functions_compatible(core.tope_function(a), core.tope_function(b), d)
         assert got == is_compatible(a, b)[0]
 
     @pytest.mark.parametrize("n, d", [(4, 2), (5, 2), (4, 3), (5, 3)])
@@ -425,8 +426,8 @@ class TestTopeFunctions:
         for a, b in combinations(topes, 2):
             fa, fb = core.tope_function(a), core.tope_function(b)
             expected = is_compatible(a, b)[0]
-            assert core.functions_compatible(fa, fb, d) == expected
-            assert core.functions_compatible(fb, fa, d) == expected
+            assert functions_compatible(fa, fb, d) == expected
+            assert functions_compatible(fb, fa, d) == expected
             verdicts.add(expected)
         assert verdicts == {True, False}
 
@@ -437,5 +438,21 @@ class TestTopeFunctions:
         f1, f2 = data.draw(fs), data.draw(fs)
         a = BipartiteGraph(n, d, list(zip(range(1, n + 1), f1)))
         b = BipartiteGraph(n, d, list(zip(range(1, n + 1), f2)))
-        got = core.functions_compatible(core.tope_function(a), core.tope_function(b), d)
+        got = functions_compatible(core.tope_function(a), core.tope_function(b), d)
         assert got == is_compatible(a, b)[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 6), st.data())
+    def test_kernel_marks_exactly_the_incompatible_partners(self, n, d, data):
+        # value d leaves a left node undefined; each side draws total maps
+        # (values below d) or partial ones
+        def maps():
+            top = data.draw(st.sampled_from((d - 1, d)))
+            return st.lists(st.integers(0, top), min_size=n, max_size=n)
+
+        f = data.draw(maps())
+        partners = data.draw(st.lists(maps(), max_size=40))
+        bad = core.incompatible_partners(f, core.partner_index(partners, n, d), d)
+        assert bad >> len(partners) == 0
+        for k, g in enumerate(partners):
+            assert bool(bad >> k & 1) == (not functions_compatible(f, g, d))

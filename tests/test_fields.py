@@ -57,6 +57,7 @@ from conftest import (
     random_matching_field,
 )
 from oracles import (
+    arrangement_pair_by_scan,
     coherent_tope_field,
     collapse_split_graph,
     column_functions,
@@ -794,6 +795,41 @@ class TestArrangement:
                     fields_mod.TopeArrangement(5, 3, topes)
                 assert str(err.value) == first
         assert refused > 10
+
+    @pytest.mark.parametrize("n, d", [(6, 3), (8, 4), (9, 3), (10, 5)])
+    def test_swapped_tope_values_name_the_pair_of_the_scan(self, n, d):
+        # swapping the values of two left nodes inside maximal topes keeps
+        # their right degrees and maximality, so validation reaches the
+        # compatibility step, and its message is the pairwise scan's.  The
+        # swap goes into a few topes (mostly refused) or into all but a few
+        # (in all of them it relabels the field, which is accepted); a tope
+        # giving both nodes one value is left as it is
+        def outcome(check, topes):
+            try:
+                check(topes)
+            except MatchfieldError as exc:
+                return str(exc)
+            return None
+
+        rng = random.Random(100 * n + d)
+        scan_verdicts = set()
+        for seed in range(4):
+            ta = tope_arrangement(seeded_coherent_field(n, d, seed)[0])
+            points = sorted(ta.topes)
+            for _ in range(10):
+                topes = dict(ta.topes)
+                j, k = rng.sample(range(n), 2)
+                r = rng.randint(0, 2)
+                few = rng.random() < 0.5
+                for point in rng.sample(points, r + 1 if few else len(points) - r):
+                    f = list(core.tope_function(topes[point]))
+                    f[j], f[k] = f[k], f[j]
+                    topes[point] = graph(n, d, [(x + 1, i + 1) for x, i in enumerate(f)])
+                scan = outcome(lambda t: arrangement_pair_by_scan(d, t), topes)
+                expected = scan or outcome(check_sector_monotonicity, topes)
+                assert outcome(lambda t: fields_mod.TopeArrangement(n, d, t), topes) == expected
+                scan_verdicts.add(scan is None)
+        assert scan_verdicts == {True, False}
 
 
 class TestAgainstAmalgamation:
