@@ -3,26 +3,25 @@
 For every (n-d+1)-subset rho of the left nodes, the Chow covector is the
 graph of the map sending j in rho to the right partner of lj in the matching
 on (L minus rho) union {j}.  For linkage fields the right degree vectors of
-the covectors hit every lattice point of (n-d+1)*Delta_{d-1} exactly once;
-the resulting bijection phi: rho -> lattice point determines the field.
-One pass over the matchings builds every covector: the edge (lj, ri) of the
-matching on sigma belongs to the covector of rho = (L minus sigma) + j.  As
-then sigma = (L minus rho) + j, the same pass run on the covectors reads the
-field back (``fields.chow_masks``).
+the covectors hit every lattice point of (n-d+1)*Delta_{d-1} exactly once,
+and the bijection phi: rho -> lattice point determines the field.  There are
+C(n, n-d+1) = C(n, d-1) subsets, as many as lattice points, so a bijection
+is recognised by counting (``core.is_simplex_lattice``).  The layer runs on
+mask tables, {left-subset bitmask: edge mask}: the edge (lj, ri) of the
+matching on sigma is the lj-edge of the covector of rho = (L minus sigma) + j,
+and as then sigma = (L minus rho) + j, one pass builds the covectors from the
+field and the field from the covectors (``fields.chow_masks``).
 
 Reconstruction inverts phi with one sweep per left node.  For fixed j and
 i, the covectors containing the edge (lj, ri) form a *combinatorial sector*,
-swept over the levels of the i-th right coordinate: the unique pair at the
-top level (v_i = n-d+1) seeds it, and a pair at level h joins when an
-admitted pair sits at rdv v + e_i - e_k.  The d sectors of j partition the
-covectors through j and give each its edge at lj: ``core.sectors``, the same
-partition that rebuilds triangulations from degree pairs.  A certificate
-rebuilds the field and re-derives the covectors.  The paper's induction on
-deleting lj is kept in the tests as an oracle, and so are the two other
-descriptions of the covectors: as intersections of maximal topes, and as the
-minimal transversals to the field (graphs meeting every matching, minimal
-under inclusion) by a Berge-style blocker computation; and so is the field
-read back through the maximal topes, unions of covectors.
+swept from the pair at the top level (v_i = n-d+1): a pair at level h joins
+when an admitted pair sits at rdv v + e_i - e_k.  The d sectors of j
+partition the covectors through j (``core.sectors``, shared with the
+triangulations), and each ORs its edge at lj into the mask of its rho.  The
+certificate rebuilds the field, checks that it is linkage and that its
+covector table equals the rebuilt one, mask for mask.  The tests keep the
+paper's induction on deleting lj, and the covectors as intersections of
+maximal topes and as minimal transversals, as oracles.
 """
 
 from __future__ import annotations
@@ -60,46 +59,41 @@ def chow_by_definition(field: fields.MatchingField, rho: Iterable[int]) -> Bipar
 
 
 class ChowCollection:
-    """All covectors of a linkage field, with the degree-vector bijection."""
+    """All covectors of a linkage field, with the degree-vector bijection;
+    validated, also as a mask table and as {rho: rdv}."""
 
     def __init__(self, n: int, d: int, covectors: dict):
         self.n = n
         self.d = d
         self.covectors = {tuple(sorted(r)): g for r, g in covectors.items()}
-        self._validate()
+        self.mask_table, self.rdvs = self._validate()
 
-    def _validate(self) -> None:
+    def _validate(self) -> tuple[dict, dict]:
         n, d = self.n, self.d
-        expected = list(core.subsets(n, n - d + 1))
-        if sorted(self.covectors) != sorted(expected):
+        if self.covectors.keys() != set(core.subsets(n, n - d + 1)):
             raise InconsistentCollectionError("keys must be the (n-d+1)-subsets")
+        table, rdvs = {}, {}
         for rho, g in self.covectors.items():
-            # its left rows, read once: nonzero exactly on rho, one bit at most each
-            rows = [g.mask >> (j * g.d) & ((1 << g.d) - 1) for j in range(g.n)]
-            support = tuple(j for j, row in enumerate(rows, start=1) if row)
-            if support != rho or any(row & (row - 1) for row in rows):
+            if (g.n, g.d) != (n, d):
+                raise InconsistentCollectionError(f"covector at {rho} has wrong ambient size")
+            rows = core.read_rows(g)  # at most one edge per row, nonzero exactly on rho
+            if rows is None or rows[0] != rho:
                 raise InconsistentCollectionError(f"covector at {rho} has wrong support")
-        rdvs = sorted(g.right_degrees() for g in self.covectors.values())
-        if rdvs != core.simplex_lattice_points(n - d + 1, d):
+            table[rows[1]], rdvs[rho] = g.mask, rows[2]
+        if not core.is_simplex_lattice(rdvs.values(), n - d + 1, d):
             raise InconsistentCollectionError(
                 "right degree vectors do not biject onto the lattice points"
             )
-
-    def covector(self, rho: Iterable[int]) -> BipartiteGraph:
-        return self.covectors[tuple(sorted(rho))]
+        return table, rdvs
 
     def items(self):
         return sorted(self.covectors.items())
 
     def by_rdv(self) -> dict[tuple, BipartiteGraph]:
-        return {g.right_degrees(): g for g in self.covectors.values()}
+        return {v: self.covectors[rho] for rho, v in self.rdvs.items()}
 
     def phi(self) -> "PhiMap":
-        return PhiMap(
-            self.n,
-            self.d,
-            {rho: g.right_degrees() for rho, g in self.covectors.items()},
-        )
+        return PhiMap(self.n, self.d, self.rdvs)
 
     def __eq__(self, other):
         return (
@@ -125,11 +119,10 @@ class PhiMap:
             raise InconsistentPhiError(f"phi for ({self.n}, {self.d}) needs 1 <= d <= n")
         k = self.n - self.d + 1
         # count first, so that a huge (n, d) never lists its subsets
-        if len(self.mapping) != comb(self.n, k):
+        keys = self.mapping.keys()
+        if len(keys) != comb(self.n, k) or keys != set(core.subsets(self.n, k)):
             raise InconsistentPhiError("phi keys must be the (n-d+1)-subsets")
-        if sorted(self.mapping) != sorted(core.subsets(self.n, k)):
-            raise InconsistentPhiError("phi keys must be the (n-d+1)-subsets")
-        if sorted(self.mapping.values()) != core.simplex_lattice_points(k, self.d):
+        if not core.is_simplex_lattice(self.mapping.values(), k, self.d):
             raise InconsistentPhiError("phi values must biject onto the lattice points")
 
     def items(self):
@@ -149,24 +142,17 @@ class PhiMap:
 def chow_collection(field: fields.MatchingField) -> ChowCollection:
     """All covectors of a linkage field; the rdv bijection is certified."""
     fields.require_linkage(field)
-    table = {core.subset_mask(sigma): m.mask for sigma, m in field.items()}
-    return ChowCollection(field.n, field.d, _chow_pass(field.n, field.d, table))
+    n, d = field.n, field.d
+    return ChowCollection(n, d, core.graph_table(n, d, fields.chow_masks(n, d, field.mask_table)))
 
 
 def field_from_chow(cc: ChowCollection) -> fields.MatchingField:
     """Rebuild the field by the pass that built the covectors, run on them.
     A collection that belongs to no field gives some d-subset a graph that is
     not a perfect matching, and the validator raises NotAMatchingError."""
-    table = {core.subset_mask(rho): g.mask for rho, g in cc.covectors.items()}
-    return fields.validate_matching_field(cc.n, cc.d, _chow_pass(cc.n, cc.d, table))
-
-
-def _chow_pass(n: int, d: int, table: dict) -> dict:
-    """``fields.chow_masks`` of the table, keyed by subsets and with graphs."""
-    return {
-        core.mask_subset(key): BipartiteGraph.from_mask(n, d, mask)
-        for key, mask in fields.chow_masks(n, d, table).items()
-    }
+    n, d = cc.n, cc.d
+    assignment = core.graph_table(n, d, fields.chow_masks(n, d, cc.mask_table))
+    return fields.validate_matching_field(n, d, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -178,27 +164,28 @@ def reconstruct_chow_from_phi(phi: PhiMap, n: int, d: int) -> ChowCollection:
     bijection of a linkage field.
 
     Raises InconsistentPhiError when the input comes from no linkage field:
-    the result is certified by rebuilding the field from the covectors and
-    checking that its collection reproduces the input exactly.
+    the result is certified by rebuilding the field from the covectors,
+    checking that it is linkage and that its covectors are the rebuilt
+    ones, mask for mask.
     """
     if (phi.n, phi.d) != (n, d):
         raise MatchfieldError("phi dimensions disagree")
     phi.validate_bijective()
-    by_rdv = {v: rho for rho, v in phi.mapping.items()}
-    edges: dict = {rho: [] for rho in phi.mapping}
-    for j in range(1, n + 1):
-        member_rdvs = {v for rho, v in phi.mapping.items() if j in rho}
-        sector = core.sectors(member_rdvs, by_rdv, n - d + 1, j, InconsistentPhiError)
+    by_rdv = {v: core.subset_mask(rho) for rho, v in phi.mapping.items()}
+    table = dict.fromkeys(by_rdv.values(), 0)
+    for j in range(n):
+        member_rdvs = {v for v, rho in by_rdv.items() if rho >> j & 1}
+        sector = core.sectors(member_rdvs, by_rdv, n - d + 1, j + 1, InconsistentPhiError)
         for rdv, i in sector.items():
-            edges[by_rdv[rdv]].append((j, i))
-    out = {rho: BipartiteGraph(n, d, e) for rho, e in edges.items()}
+            table[by_rdv[rdv]] |= 1 << (j * d + i - 1)
     try:
-        collection = ChowCollection(n, d, out)
-        if collection.phi().mapping != phi.mapping:
+        collection = ChowCollection(n, d, core.graph_table(n, d, table))
+        if collection.rdvs != phi.mapping:
             raise InconsistentPhiError("reconstruction does not reproduce phi")
-        # certificate: the collection must belong to an actual linkage field
+        # certificate: the covectors must be those of an actual linkage field
         field = field_from_chow(collection)
-        if chow_collection(field) != collection:
+        fields.require_linkage(field)
+        if fields.chow_masks(n, d, field.mask_table) != collection.mask_table:
             raise InconsistentPhiError("covectors do not belong to any field")
     except (FieldValidationError, InconsistentCollectionError, NotLinkageError) as exc:
         raise InconsistentPhiError(str(exc)) from exc

@@ -220,11 +220,8 @@ def cmd_roundtrip(args) -> tuple[dict, bool]:
         field = _load_matching_field(args.input)
         cc = chow.chow_collection(field)
         rebuilt = chow.reconstruct_chow_from_phi(cc.phi(), field.n, field.d)
-        diff = sorted(
-            core.subset_key(rho)
-            for rho in set(cc.covectors) | set(rebuilt.covectors)
-            if cc.covectors.get(rho) != rebuilt.covectors.get(rho)
-        )
+        # both hold every (n-d+1)-subset
+        diff = sorted(core.subset_key(rho) for rho, g in cc.items() if rebuilt.covectors[rho] != g)
     else:
         t = triang.triangulation_from_json_dict(_load(args.input))
         rebuilt = triang.reconstruct_triangulation(triang.phi(t), t.n, t.d)

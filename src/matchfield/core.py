@@ -37,8 +37,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import chain, combinations
+from math import comb
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import MatchfieldError, NotASpanningTreeError, SizeCapError
 
@@ -385,6 +386,22 @@ def tope_function(g: BipartiteGraph) -> tuple[int, ...]:
     return tuple(row.bit_length() - 1 if row else d for row in rows)
 
 
+def read_rows(g: BipartiteGraph) -> Optional[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """g's left rows, read once: None when a row holds two edges, else the
+    nonzero rows as a subset and as a bitmask, and the right degree vector."""
+    d, full, mask = g.d, (1 << g.d) - 1, g.mask
+    support, key, rdv = [], 0, [0] * d
+    for j in range(g.n):
+        if row := mask & full:
+            if row & (row - 1):
+                return None
+            support.append(j + 1)
+            key |= 1 << j
+            rdv[row.bit_length() - 1] += 1
+        mask >>= d
+    return tuple(support), key, tuple(rdv)
+
+
 def partner_index(functions: Sequence[Sequence[int]], n: int, d: int) -> list[list[int]]:
     """index[j][b]: bitset of the partners k with functions[k][j] == b (d: undefined)."""
     index = [[0] * (d + 1) for _ in range(n)]
@@ -464,6 +481,11 @@ def right_perfect_matchings(g: BipartiteGraph) -> dict[int, int]:
 def mask_subset(mask: int) -> tuple[int, ...]:
     """The 1-based subset whose members are the set bits of mask."""
     return tuple(b + 1 for b in _bits(mask))
+
+
+def graph_table(n: int, d: int, table: dict[int, int]) -> dict:
+    """A table {left-subset bitmask: edge mask} as {subset: graph}."""
+    return {mask_subset(key): BipartiteGraph.from_mask(n, d, m) for key, m in table.items()}
 
 
 def subset_mask(subset: Iterable[int]) -> int:
@@ -615,6 +637,20 @@ def simplex_lattice_points(m: int, dim: int) -> list[tuple[int, ...]]:
     for first in range(m + 1):
         out.extend((first,) + rest for rest in simplex_lattice_points(m - first, dim - 1))
     return out
+
+
+def is_simplex_lattice(vectors: Collection, m: int, dim: int) -> bool:
+    """Whether the vectors are the lattice points of m * Delta_{dim-1}, each
+    once, decided by counting and never listing them: C(m + dim - 1, dim - 1)
+    distinct vectors of dim nonnegative ints summing to m are all of them.
+    Invalid (m, dim) raise as in simplex_lattice_points."""
+    if dim < 1 or m < 0:
+        raise MatchfieldError(f"invalid lattice point parameters ({m}, {dim})")
+    return (
+        len(vectors) == comb(m + dim - 1, dim - 1) == len(set(vectors))
+        and set(map(type, chain.from_iterable(vectors))) <= {int}
+        and all(len(v) == dim and sum(v) == m and min(v) >= 0 for v in vectors)
+    )
 
 
 def vector_sum(a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:

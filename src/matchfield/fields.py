@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
@@ -72,6 +73,11 @@ class TopeField:
 
     def items(self):
         return self.assignment.items()
+
+    @cached_property
+    def mask_table(self) -> dict[int, int]:
+        """The topes as {left-subset bitmask: edge mask}, built once."""
+        return {core.subset_mask(sigma): g.mask for sigma, g in self.assignment.items()}
 
     def __eq__(self, other):
         return (
@@ -136,12 +142,11 @@ def _validated_field(n: int, d: int, v: tuple, assignment: dict) -> TopeField:
             raise MissingSubsetError(sigma)
         if graph.n != n or graph.d != d:
             raise NotAMatchingError(sigma, f"graph for {sigma} has wrong ambient size")
-        left = graph.left_degrees()
-        if graph.right_degrees() != v or any(deg > 1 for deg in left):
+        rows = core.read_rows(graph)
+        if rows is None or rows[2] != v:
             raise NotAMatchingError(sigma, f"value for {sigma} is not a {what}")
-        support = tuple(j for j, deg in enumerate(left, start=1) if deg)
-        if support != sigma:
-            raise WrongSupportError(sigma, support)
+        if rows[0] != sigma:
+            raise WrongSupportError(sigma, rows[0])
     # every subset is present by now, so a surplus key means an extra one
     if len(cleaned) > comb(n, sum(v)):
         extra = set(cleaned).difference(core.subsets(n, sum(v)))
@@ -222,8 +227,7 @@ def _failing_covectors(field: TopeField) -> Iterator[CovectorResult]:
 def _covector_unions(field: TopeField) -> Iterator[tuple[tuple, int]]:
     """(tau, edge mask of its covector) for every (k+1)-subset tau in
     `core.subsets` order, from the tope masks keyed by left-subset bitmask."""
-    n, k = field.n, field.thickness
-    topes = {core.subset_mask(sigma): g.mask for sigma, g in field.items()}
+    n, k, topes = field.n, field.thickness, field.mask_table
     for tau in core.subsets(n, k + 1) if k < n else ():
         everyone = core.subset_mask(tau)
         union = 0
@@ -410,10 +414,7 @@ class TopeArrangement:
         self.validate()
 
     def validate(self) -> None:
-        m = self.n - self.d
-        # count first, so that a huge (n, d) never lists its lattice points
-        wrong_count = min(m, self.d - 1) >= 0 and len(self.topes) != comb(self.n - 1, self.d - 1)
-        if wrong_count or sorted(self.topes) != core.simplex_lattice_points(m, self.d):
+        if not core.is_simplex_lattice(self.topes, self.n - self.d, self.d):
             raise MatchfieldError("arrangement keys are not the lattice points")
         ones = core.all_ones(self.d)
         for point, tope in self.topes.items():
@@ -503,9 +504,11 @@ def chow_masks(n: int, d: int, table: dict[int, int]) -> dict[int, int]:
     out: dict[int, int] = {}
     for subset, mask in table.items():
         rest = everyone ^ subset
-        for b in core._bits(mask):
-            key = rest | 1 << (b // d)
-            out[key] = out.get(key, 0) | 1 << b
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            key = rest | 1 << ((low.bit_length() - 1) // d)
+            out[key] = out.get(key, 0) | low
     return out
 
 
@@ -518,8 +521,8 @@ def tope_arrangement(field: MatchingField) -> TopeArrangement:
     """
     require_linkage(field)
     n, d = field.n, field.d
-    table = {core.subset_mask(sigma): m.mask for sigma, m in field.items()}
-    covectors = [BipartiteGraph.from_mask(n, d, mask) for mask in chow_masks(n, d, table).values()]
+    table = chow_masks(n, d, field.mask_table)
+    covectors = [BipartiteGraph.from_mask(n, d, mask) for mask in table.values()]
     return TopeArrangement(n, d, topes_from_covectors(n, d, covectors))
 
 
@@ -538,10 +541,7 @@ def field_from_graphs(graphs: Iterable[BipartiteGraph], n: int, d: int) -> Match
             J = min(clashes)[1]
             raise MatchfieldError(f"trees disagree on the matching of {core.mask_subset(J)}")
         masks.update(found)
-    assignment = {
-        core.mask_subset(J): BipartiteGraph.from_mask(n, d, m) for J, m in masks.items()
-    }
-    return validate_matching_field(n, d, assignment)
+    return validate_matching_field(n, d, core.graph_table(n, d, masks))
 
 
 def field_from_arrangement(ta: TopeArrangement) -> MatchingField:
@@ -584,9 +584,7 @@ class ExtendedTopeArrangement:
         self.n = n
         self.d = d
         self.graphs = {tuple(p): g for p, g in graphs.items()}
-        # count first, so that a huge (n, d) never lists its lattice points
-        size_ok = min(n, d - 1) >= 0 and len(self.graphs) == comb(n + d - 1, d - 1)
-        if not size_ok or sorted(self.graphs) != core.simplex_lattice_points(n, d):
+        if min(n, d - 1) < 0 or not core.is_simplex_lattice(self.graphs, n, d):
             raise MatchfieldError("extended arrangement must cover all lattice points")
 
     def graph(self, point: Sequence[int]) -> BipartiteGraph:

@@ -198,16 +198,13 @@ def reconstruct_triangulation(pairs: Iterable, n: int, d: int) -> Triangulation:
 
 
 def _check_pair_shape(pairs, n, d):
-    # count first, so that a huge (n, d) never lists its lattice points
     if min(n, d) < 1 or len(pairs) != tree_count(n, d):
         raise InconsistentPairsError(
             f"{len(pairs)} pairs do not fit a triangulation of size ({n}, {d})"
         )
-    lefts = sorted(u for u, _ in pairs)
-    rights = sorted(v for _, v in pairs)
-    if lefts != core.simplex_lattice_points(d - 1, n) or rights != core.simplex_lattice_points(
-        n - 1, d
-    ):
+    lefts, rights = zip(*pairs)  # u and v of every pair
+    if not (core.is_simplex_lattice(lefts, d - 1, n)
+            and core.is_simplex_lattice(rights, n - 1, d)):
         raise InconsistentPairsError("projections are not bijections onto lattice points")
 
 

@@ -7,7 +7,9 @@ descriptions kept as test oracles.
   through the maximal topes, unions of its covectors: the oracle for the
   keyed pass of ``chow.field_from_chow``.
 - Colexicographic subsets by recursion on the top member, the oracle for
-  the iterative ``core.subsets``.
+  the iterative ``core.subsets``, and a vector set compared sorted with the
+  listed lattice points, the oracle for the counting test of
+  ``core.is_simplex_lattice``.
 - Necessary conditions on a degree-pair set, screened before a certified
   reconstruction.
 - Degree-pair reconstruction that deletes every left leaf at every level
@@ -288,6 +290,12 @@ def subsets_by_recursion(n: int, k: int) -> Iterator[tuple[int, ...]]:
     for top in range(k, n + 1):
         for rest in subsets_by_recursion(top - 1, k - 1):
             yield rest + (top,)
+
+
+def is_simplex_lattice_by_listing(vectors, m: int, dim: int) -> bool:
+    """Oracle for ``core.is_simplex_lattice``: the sorted vectors equal the
+    listed lattice points of m * Delta_{dim-1}."""
+    return sorted(vectors) == core.simplex_lattice_points(m, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from matchfield.chow import (
     phi_from_json_dict,
     phi_to_json_dict,
 )
+from matchfield import chow as chow_mod
 from matchfield import core, fields
 from matchfield.core import sector_sweep
 from matchfield.errors import InconsistentCollectionError
@@ -216,6 +217,38 @@ class TestCollection:
             chow_collection(field_43)
 
 
+class TestCollectionValidation:
+    def test_covector_of_another_size_is_refused(self, field_42):
+        # the same edges on (6, 2) or (4, 3) once passed the row reading,
+        # wrote the same JSON and yet compared unequal to the true collection
+        for n, d in [(6, 2), (4, 3)]:
+            covectors = dict(chow_collection(field_42).covectors)
+            covectors[(1, 2, 4)] = BipartiteGraph(n, d, covectors[(1, 2, 4)].edges)
+            message = r"^covector at \(1, 2, 4\) has wrong ambient size$"
+            with pytest.raises(InconsistentCollectionError, match=message):
+                ChowCollection(4, 2, covectors)
+
+    def test_repeated_degree_vector_is_refused(self, field_42):
+        # the rows of a covector on rho give its rdv the sum |rho| and no
+        # negative entry, so only a repeat leaves the lattice points: (3, 0)
+        # at (1, 3, 4), as at (1, 2, 4)
+        covectors = dict(chow_collection(field_42).covectors)
+        covectors[(1, 3, 4)] = graph(4, 2, [(1, 1), (3, 1), (4, 1)])
+        message = "^right degree vectors do not biject onto the lattice points$"
+        with pytest.raises(InconsistentCollectionError, match=message):
+            ChowCollection(4, 2, covectors)
+
+    def test_degree_vectors_are_read_once(self, field_42, monkeypatch):
+        cc = chow_collection(field_42)
+        monkeypatch.setattr(BipartiteGraph, "right_degrees", None)
+        assert cc.phi().mapping == REFERENCE_PHI
+        assert cc.by_rdv() == {v: cc.covectors[rho] for rho, v in REFERENCE_PHI.items()}
+
+    def test_mask_table_is_the_covectors(self, field_63):
+        cc = chow_collection(field_63)
+        assert cc.mask_table == {core.subset_mask(rho): g.mask for rho, g in cc.covectors.items()}
+
+
 class TestFieldFromChow:
     def test_union_gives_tope(self, field_42):
         cc = chow_collection(field_42)
@@ -324,6 +357,16 @@ class TestReconstruction:
         mapping = dict(chow_collection(field_42).phi().mapping)
         mapping[(1, 2, 3)] = mapping[(1, 2, 4)]
         with pytest.raises(InconsistentPhiError):
+            reconstruct_chow_from_phi(PhiMap(4, 2, mapping), 4, 2)
+
+    def test_value_off_the_simplex_is_refused(self):
+        # right count, distinct values, one of them (-1, 4) off 3 * Delta_1
+        mapping = dict(REFERENCE_PHI)
+        mapping[(1, 2, 4)] = (-1, 4)
+        message = "^phi values must biject onto the lattice points$"
+        with pytest.raises(InconsistentPhiError, match=message):
+            PhiMap(4, 2, mapping).validate_bijective()
+        with pytest.raises(InconsistentPhiError, match=message):
             reconstruct_chow_from_phi(PhiMap(4, 2, mapping), 4, 2)
 
     def test_d_above_n_is_refused_as_phi_fault(self):
@@ -454,6 +497,32 @@ class TestReconstruction:
             }
             sub = chow_collection(subfield_delete_left(field_42, j))
             assert expected == dict(sub.covectors)
+
+
+class TestCertificate:
+    """No input tried reaches the certificate's own checks first
+    (test_each_rejection_check), so stand-ins show that both still run."""
+
+    def test_rebuilt_field_must_be_linkage(self, field_42, monkeypatch):
+        phi = chow_collection(field_42).phi()
+
+        def refuse(field):
+            raise NotLinkageError((1, 2, 3))
+
+        monkeypatch.setattr(fields, "require_linkage", refuse)
+        with pytest.raises(InconsistentPhiError, match=r"^union over \(1, 2, 3\) is not a tree$"):
+            reconstruct_chow_from_phi(phi, 4, 2)
+
+    def test_rebuilt_field_must_give_the_covectors_back(self, field_42, monkeypatch):
+        # another linkage (4,2) field: the one of two swapped phi values
+        mapping = dict(chow_collection(field_42).phi().mapping)
+        mapping[(1, 2, 3)], mapping[(1, 2, 4)] = mapping[(1, 2, 4)], mapping[(1, 2, 3)]
+        other = field_from_chow(reconstruct_chow_from_phi(PhiMap(4, 2, mapping), 4, 2))
+        assert other != field_42 and is_linkage(other).ok
+        phi = chow_collection(field_42).phi()
+        monkeypatch.setattr(chow_mod, "field_from_chow", lambda cc: other)
+        with pytest.raises(InconsistentPhiError, match="^covectors do not belong to any field$"):
+            reconstruct_chow_from_phi(phi, 4, 2)
 
 
 class TestPhiJson:

@@ -26,6 +26,7 @@ from oracles import (
     connected_components,
     contained_matchings_by_edges,
     functions_compatible,
+    is_simplex_lattice_by_listing,
     subsets_by_recursion,
 )
 
@@ -193,6 +194,44 @@ class TestSubsetsAndLatticePoints:
         assert simplex_lattice_points(2, 2) == [(0, 2), (1, 1), (2, 0)]
         assert len(simplex_lattice_points(4, 3)) == 15
         assert all(sum(p) == 4 for p in simplex_lattice_points(4, 3))
+
+    @pytest.mark.parametrize("m, dim", [(-1, 2), (2, 0)])
+    def test_invalid_lattice_parameters(self, m, dim):
+        # the counting test refuses them as the listing does
+        message = rf"^invalid lattice point parameters \({m}, {dim}\)$"
+        for check in (simplex_lattice_points, lambda m, dim: core.is_simplex_lattice([], m, dim)):
+            with pytest.raises(MatchfieldError, match=message):
+                check(m, dim)
+
+    @pytest.mark.parametrize(
+        "vectors, verdict",
+        [
+            ([(0, 3), (1, 2), (2, 1), (3, 0)], True),
+            ([(3, 0), (1, 2), (0, 3), (2, 1)], True),  # in any order
+            ([(0, 3), (1, 2), (2, 1)], False),  # a point missing
+            ([(0, 3), (1, 2), (2, 1), (2, 1)], False),  # a point twice
+            ([(0, 3), (1, 2), (2, 1), (-1, 4)], False),  # an entry below 0
+            ([(0, 3), (1, 2), (2, 1), (2, 2)], False),  # a sum above m
+            ([(0, 3), (1, 2), (2, 1), (3, 0, 0)], False),  # a vector too long
+        ],
+    )
+    def test_counting_test(self, vectors, verdict):
+        assert core.is_simplex_lattice(vectors, 3, 2) is verdict
+        assert is_simplex_lattice_by_listing(vectors, 3, 2) is verdict
+
+    def test_counting_test_takes_ints_only(self):
+        # the listing finds 3.0 == 3 and True == 1; the counting test
+        # admits int entries alone
+        for vectors in [[(0, 3), (1, 2), (2, 1), (3.0, 0)], [(0, 3), (True, 2), (2, 1), (3, 0)]]:
+            assert is_simplex_lattice_by_listing(vectors, 3, 2)
+            assert not core.is_simplex_lattice(vectors, 3, 2)
+
+    def test_counting_test_lists_no_point(self, monkeypatch):
+        # (10^6) * Delta_499 has more than 10^1800 points: the count decides
+        assert not core.is_simplex_lattice([(10**6,) + (0,) * 499], 10**6, 500)
+        points = simplex_lattice_points(4, 3)
+        monkeypatch.setattr(core, "simplex_lattice_points", None)
+        assert core.is_simplex_lattice(points, 4, 3)
 
 
 class TestSectors:

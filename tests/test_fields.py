@@ -252,6 +252,17 @@ class TestValidation:
 
 
 class TestLinkage:
+    def test_one_mask_table_per_field(self, field_63):
+        # built on first use, then read by the linkage test, the Chow pass
+        # and the arrangement
+        field = fields_mod.validate_matching_field(6, 3, field_63.assignment)
+        assert "mask_table" not in vars(field)
+        fields_mod.require_linkage(field)
+        table = vars(field)["mask_table"]
+        assert table == {core.subset_mask(sigma): m.mask for sigma, m in field.items()}
+        tope_arrangement(field)
+        assert field.mask_table is table
+
     def test_covectors_match_reference(self, field_42):
         for tau, expected in COVECTORS_42.items():
             res = linkage_covector(field_42, tau)
@@ -714,6 +725,13 @@ class TestArrangement:
         with pytest.raises(MatchfieldError, match=r"trees disagree on the matching of \(1, 2\)$"):
             field_from_arrangement(ta)
 
+    def test_key_off_the_simplex_is_refused(self, field_42):
+        # right count, distinct keys, one of them (-1, 3) off 2 * Delta_1
+        topes = dict(tope_arrangement(field_42).topes)
+        topes[(-1, 3)] = topes.pop((0, 2))
+        with pytest.raises(MatchfieldError, match="^arrangement keys are not the lattice points$"):
+            fields_mod.TopeArrangement(4, 2, topes)
+
     def test_key_count_checked_before_lattice_points(self):
         # 40 * Delta_19 has C(39, 19), about 6.9e10, lattice points
         with pytest.raises(MatchfieldError, match="arrangement keys are not the lattice points"):
@@ -869,6 +887,14 @@ class TestTrianguloid:
         assert not report.hexagon.ok
         c, triple = report.hexagon.witness
         assert c == (0, 0, 0, 0) and triple == frozenset({1, 2, 3})
+
+    def test_key_off_the_simplex_is_refused(self, extended_24):
+        # right count, distinct keys, one of them (-1, 3, 0, 0) off the simplex
+        graphs = dict(extended_24.graphs)
+        graphs[(-1, 3, 0, 0)] = graphs.pop((0, 2, 0, 0))
+        message = "^extended arrangement must cover all lattice points$"
+        with pytest.raises(MatchfieldError, match=message):
+            fields_mod.ExtendedTopeArrangement(2, 4, graphs)
 
     def test_wrong_degree_fails_t1(self, extended_24):
         graphs = dict(extended_24.graphs)

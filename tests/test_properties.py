@@ -46,6 +46,7 @@ from oracles import (
     column_functions,
     field_from_graphs_by_partial_matchings,
     is_forest,
+    is_simplex_lattice_by_listing,
     is_spanning_tree_by_cycles,
     reconstruct_triangulation_by_every_leaf,
     sector_sweep_by_levels,
@@ -93,6 +94,44 @@ class TestTriangulationAxiomOracles:
     def test_keyed_pass_and_mask_lookup(self, trees):
         assert find_agreement_violation(trees) == agreement_by_pairs(trees)
         assert find_flip_violation(trees) == flip_violation_by_scan(trees)
+
+
+@st.composite
+def lattice_candidates(draw):
+    """m, dim and C(m + dim - 1, dim - 1) vectors, the count of the lattice
+    points of m * Delta_{dim-1}: those points in a drawn order with up to
+    three of them replaced by a repeat of another, by a vector of the right
+    sum with an entry below 0, by one of the wrong sum, or by one of the
+    wrong length."""
+    m, dim = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    vectors = draw(st.permutations(simplex_lattice_points(m, dim)))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(vectors) - 1))
+        v = list(vectors[pos])
+        fault = draw(st.sampled_from(["repeat", "negative", "sum", "length"]))
+        if fault == "repeat":
+            v = list(draw(st.sampled_from(vectors)))
+        elif fault == "negative" and len(v) > 1:
+            a, b = draw(st.permutations(range(len(v))))[:2]
+            shift = v[a] + draw(st.integers(1, 2))
+            v[a], v[b] = v[a] - shift, v[b] + shift
+        elif fault == "sum" and v:
+            v[draw(st.integers(0, len(v) - 1))] += draw(st.sampled_from([-1, 1]))
+        elif fault == "length":
+            v = v[:-1] if len(v) > 1 and draw(st.booleans()) else v + [0]
+        vectors[pos] = tuple(v)
+    return m, dim, vectors
+
+
+class TestLatticeCountingOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_candidates())
+    def test_counting_agrees_with_listing(self, candidate):
+        # the count is always right, so only the entries decide
+        m, dim, vectors = candidate
+        assert core.is_simplex_lattice(vectors, m, dim) == is_simplex_lattice_by_listing(
+            vectors, m, dim
+        )
 
 
 @st.composite

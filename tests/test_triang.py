@@ -415,6 +415,17 @@ class TestReconstruction:
         t = staircase_triangulation(3, 3, left_order=(2, 3, 1), right_order=(3, 1, 2))
         assert reconstruct_triangulation(phi(t), 3, 3) == t
 
+    def test_pair_off_the_simplex_is_refused(self):
+        # right count, distinct left vectors, one of them (-1, 2, 0) with the
+        # right sum but off the lattice points of 1 * Delta_2
+        pairs = sorted(phi(staircase_triangulation(3, 2)))
+        u, v = pairs[0]
+        pairs[0] = ((-1, 2, 0), v)
+        assert len({u for u, _ in pairs}) == len(pairs) == tree_count(3, 2)
+        message = "^projections are not bijections onto lattice points$"
+        with pytest.raises(InconsistentPairsError, match=message):
+            reconstruct_triangulation(pairs, 3, 2)
+
     def test_all_3x3_triangulations_round_trip(self):
         found = enumerate_triangulations(3, 3)
         assert len(found) == 108
