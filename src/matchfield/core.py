@@ -284,12 +284,6 @@ def _rows_form_tree(mask: int, rows: Sequence[int], d: int) -> bool:
     return reached == full
 
 
-def is_matching(g: BipartiteGraph) -> bool:
-    return all(deg <= 1 for deg in g.left_degrees()) and all(
-        deg <= 1 for deg in g.right_degrees()
-    )
-
-
 # ---------------------------------------------------------------------------
 # compatibility
 

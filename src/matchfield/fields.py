@@ -178,10 +178,7 @@ def linkage_covector(field: TopeField, tau: Iterable[int]) -> CovectorResult:
         raise MatchfieldError(
             f"tau must have size {field.thickness + 1}, got {len(tau)}"
         )
-    union = BipartiteGraph.from_mask(field.n, field.d, 0)
-    for drop in tau:
-        sigma = tuple(x for x in tau if x != drop)
-        union = union.union(field.tope(sigma))
+    union = BipartiteGraph.from_mask(field.n, field.d, covector_mask(field.mask_table, tau))
     cycle = core.find_cycle(union)
     return CovectorResult(tau, union, tuple(cycle) if cycle else None)
 
@@ -229,11 +226,16 @@ def _covector_unions(field: TopeField) -> Iterator[tuple[tuple, int]]:
     `core.subsets` order, from the tope masks keyed by left-subset bitmask."""
     n, k, topes = field.n, field.thickness, field.mask_table
     for tau in core.subsets(n, k + 1) if k < n else ():
-        everyone = core.subset_mask(tau)
-        union = 0
-        for j in tau:
-            union |= topes[everyone ^ 1 << (j - 1)]
-        yield tau, union
+        yield tau, covector_mask(topes, tau)
+
+
+def covector_mask(topes: dict[int, int], tau: tuple) -> int:
+    """Edge mask of the covector of tau: the OR of topes[tau - j], j in tau."""
+    everyone = core.subset_mask(tau)
+    union = 0
+    for j in tau:
+        union |= topes[everyone ^ 1 << (j - 1)]
+    return union
 
 
 def covector_graph(n: int, d: int, tau: tuple, union: int) -> BipartiteGraph:

@@ -5,14 +5,18 @@ when they differ in exactly one edge, necessarily at the same right node,
 which labels the edge.  The graph is built by bucketing the matchings on
 what they keep when their ri-edge is removed.  For a linkage field it has
 binom(n, d+1) * d edges and decomposes edge-exactly into the linkage trees,
-one per (d+1)-subset of left nodes.
+one per (d+1)-subset of left nodes: a flip between a and b lies in the tree
+of a ∪ b.  A linkage tree is the same bucket pass run on the d+1 matchings
+of its tau, and the DOT export colours each flip by the rank of a ∪ b.
 
 The matchings contained in a maximal tope with right degree vector v induce a
 subgraph isomorphic to the vertex-edge graph of the product of simplices
 Delta_{v1-1} x ... x Delta_{vd-1}: a matching corresponds to its tuple of
 neighbour choices, and flips change exactly one coordinate.  These product
 skeleta are the maximal cells of the prodsimplicial flag complex of the flip
-graph, in bijection with the lattice points of (n-d)*Delta_{d-1}.
+graph, in bijection with the lattice points of (n-d)*Delta_{d-1}, and never
+nested: cell(T1) ⊆ cell(T2) puts every edge of T1 in T2, and maximal topes
+have n edges each, so T1 = T2.
 """
 
 from __future__ import annotations
@@ -34,10 +38,6 @@ class FlipGraph:
     vertices: tuple  # d-subsets, sorted
     edges: frozenset  # (sigma1, sigma2, label) with sigma1 < sigma2
 
-    def degree(self, sigma) -> int:
-        sigma = tuple(sorted(sigma))
-        return sum(1 for a, b, _ in self.edges if sigma in (a, b))
-
     def neighbors(self, sigma):
         sigma = tuple(sorted(sigma))
         out = []
@@ -49,28 +49,24 @@ class FlipGraph:
         return sorted(out)
 
 
-def _flip_label(m1: BipartiteGraph, m2: BipartiteGraph):
-    """Deviating right node if the matchings differ in exactly one edge."""
-    only1, only2 = m1.mask & ~m2.mask, m2.mask & ~m1.mask
-    b1, b2 = only1.bit_length() - 1, only2.bit_length() - 1
-    if only1.bit_count() == only2.bit_count() == 1 and b1 % m1.d == b2 % m1.d:
-        return b1 % m1.d + 1
-    return None
-
-
-def flip_graph(field: fields.MatchingField) -> FlipGraph:
-    """All flips in one keyed pass: matchings that differ only at ri share the
-    key (matching minus its ri-edge, i), so every pair inside one bucket is an
-    edge labelled i.  Needs no linkage."""
+def _flips(d: int, matchings: Iterable) -> frozenset:
+    """All flips among (sigma, matching) pairs in one keyed pass: matchings
+    that differ only at ri share the key (matching minus its ri-edge, i), so
+    every pair inside one bucket is an edge labelled i."""
     buckets: dict = {}
-    for sigma, m in field.items():
+    for sigma, m in matchings:
         for b in core._bits(m.mask):
-            buckets.setdefault((m.mask ^ 1 << b, b % field.d + 1), []).append(sigma)
-    edges = frozenset(
+            buckets.setdefault((m.mask ^ 1 << b, b % d + 1), []).append(sigma)
+    return frozenset(
         (a, b, i)
         for (_, i), group in buckets.items()
         for a, b in combinations(sorted(group), 2)
     )
+
+
+def flip_graph(field: fields.MatchingField) -> FlipGraph:
+    """The flip graph of any field, linkage or not."""
+    edges = _flips(field.d, field.items())
     return FlipGraph(field.n, field.d, tuple(core.subsets(field.n, field.d)), edges)
 
 
@@ -86,33 +82,20 @@ class LinkageTree:
 
 
 def linkage_tree(field: fields.MatchingField, tau: Iterable[int]) -> LinkageTree:
-    """Induced flip subgraph on the d+1 matchings of tau: a tree with d edges
-    whose labels reproduce the linkage covector (the two endpoints of an
-    i-labelled edge are the matchings exchanging the partner of ri)."""
+    """Induced flip subgraph on the d+1 matchings of tau: a tree with d edges.
+    Its labels reproduce the linkage covector: an i-flip between M_{tau-j}
+    and M_{tau-j'} consists of their edges (lj', ri) and (lj, ri), so both
+    lie in the covector, the union over tau.  A covector with a cycle raises
+    NotLinkageError."""
     tau = tuple(sorted(tau))
     if len(tau) != field.d + 1:
         raise MatchfieldError(f"tau must have size {field.d + 1}")
-    verts = [tuple(x for x in tau if x != drop) for drop in tau]
-    union = 0
-    for sigma in verts:
-        union |= field.matching(sigma).mask
-    covector = fields.covector_graph(field.n, field.d, tau, union)
-    edges = set()
-    for s1, s2 in combinations(verts, 2):
-        label = _flip_label(field.matching(s1), field.matching(s2))
-        if label is not None:
-            a, b = sorted((s1, s2))
-            edges.add((a, b, label))
+    fields.covector_graph(field.n, field.d, tau, fields.covector_mask(field.mask_table, tau))
+    verts = sorted(tuple(x for x in tau if x != drop) for drop in tau)
+    edges = _flips(field.d, ((sigma, field.matching(sigma)) for sigma in verts))
     if len(edges) != field.d:
         raise MatchfieldError(f"induced subgraph on {tau} is not a linkage tree")
-    # labels must mirror the covector: an i-edge joins M_{tau-j} and M_{tau-j'}
-    # with (lj, ri) and (lj', ri) both covector edges
-    for a, b, i in edges:
-        (j,) = set(tau) - set(a)
-        (j_p,) = set(tau) - set(b)
-        if (j, i) not in covector or (j_p, i) not in covector:
-            raise MatchfieldError(f"edge labels disagree with the covector on {tau}")
-    return LinkageTree(tau, tuple(sorted(verts)), frozenset(edges))
+    return LinkageTree(tau, tuple(verts), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +127,12 @@ def cell_of_tope(field: fields.MatchingField, tope: BipartiteGraph) -> Prodsimpl
 
 
 def maximal_cells(field: fields.MatchingField) -> dict:
-    """One cell per lattice point of (n-d)*Delta_{d-1}; vertex sets certified
-    inclusion-maximal among each other."""
+    """One cell per lattice point of (n-d)*Delta_{d-1}.  They are never
+    nested: if cell(T1) ⊆ cell(T2), every edge of the maximal tope T1 lies in
+    a matching of the field that T2 contains, so T1 ⊆ T2; both have exactly
+    n edges, so T1 = T2 and the two lattice points are the same."""
     ta = fields.tope_arrangement(field)
-    cells = {
-        point: cell_of_tope(field, tope) for point, tope in ta.items()
-    }
-    items = sorted(cells.items())
-    for (p1, c1), (p2, c2) in combinations(items, 2):
-        if c1.vertices < c2.vertices or c2.vertices < c1.vertices:
-            raise MatchfieldError(f"cells at {p1} and {p2} are nested")
-    return cells
+    return {point: cell_of_tope(field, tope) for point, tope in ta.items()}
 
 
 def matching_word(m: BipartiteGraph) -> str:
@@ -163,16 +141,14 @@ def matching_word(m: BipartiteGraph) -> str:
 
 
 def flip_graph_to_dot(field: fields.MatchingField, color: bool = True) -> str:
-    """DOT export with edge labels; with color, each linkage tree gets one of
-    a cycling palette."""
+    """DOT export with edge labels; with color (linkage fields only), each
+    linkage tree gets one of a cycling palette by the rank of its tau in
+    `core.subsets`, and a flip between a and b lies in the tree of a ∪ b."""
     fg = flip_graph(field)
     palette = ["red", "blue", "green", "orange", "magenta", "cyan", "brown", "black"]
-    tree_of_edge = {}
     if color:
-        for idx, tau in enumerate(core.subsets(field.n, field.d + 1)):
-            tree = linkage_tree(field, tau)
-            for edge in tree.edges:
-                tree_of_edge[edge] = palette[idx % len(palette)]
+        fields.require_linkage(field)
+        rank = {tau: idx for idx, tau in enumerate(core.subsets(field.n, field.d + 1))}
     lines = ["graph flips {"]
 
     def vertex_name(sigma):
@@ -184,8 +160,9 @@ def flip_graph_to_dot(field: fields.MatchingField, color: bool = True) -> str:
         lines.append(f'  "{vertex_name(sigma)}";')
     for a, b, label in sorted(fg.edges):
         attrs = [f'label="{label}"']
-        if color and (a, b, label) in tree_of_edge:
-            attrs.append(f"color={tree_of_edge[(a, b, label)]}")
+        if color:
+            tau = tuple(sorted(set(a) | set(b)))
+            attrs.append(f"color={palette[rank[tau] % len(palette)]}")
         lines.append(
             f'  "{vertex_name(a)}" -- "{vertex_name(b)}" [{", ".join(attrs)}];'
         )

@@ -173,8 +173,9 @@ def validate_ensemble(stack: MatchingStack) -> EnsembleReport:
     support failed is reported false."""
     for J, I in stack.pairs():
         try:
-            m = stack.matching(J, I)
-            ok = m.left_support() == J and m.right_support() == I and core.is_matching(m)
+            rows = core.read_rows(stack.matching(J, I))
+            rdv = tuple(int(i in I) for i in range(1, stack.d + 1))
+            ok = rows is not None and rows[0] == J and rows[2] == rdv
         except MatchfieldError:
             ok = False
         if not ok:

@@ -17,7 +17,10 @@ descriptions kept as test oracles.
   per tree of ``reconstruct_triangulation``.
 - Prodsimplicial cells by amalgamating to the maximal tope, the tope of a
   cell's vertex set checked to be a product skeleton, and the flip edge
-  count of a linkage field.
+  count of a linkage field.  Flips by testing every pair of matchings, the
+  oracle for the keyed pass that builds a linkage tree, and the scan of all
+  pairs of cells for a nested one, which the proof in ``flip.maximal_cells``
+  says never finds any.
 - Graph classification and connected components by breadth-first search,
   and the forest and spanning-tree tests by a cycle search: the oracles for
   the row walk of ``core.is_spanning_tree``.
@@ -70,7 +73,6 @@ from matchfield.errors import (
 )
 from matchfield.flip import (
     ProdsimplicialCell,
-    _flip_label,
     cell_of_tope,
     expected_edge_count,
     flip_graph,
@@ -300,6 +302,36 @@ def is_simplex_lattice_by_listing(vectors, m: int, dim: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # flip graphs and cells
+
+
+def _flip_label(m1: BipartiteGraph, m2: BipartiteGraph):
+    """Deviating right node if the matchings differ in exactly one edge."""
+    only1, only2 = m1.mask & ~m2.mask, m2.mask & ~m1.mask
+    b1, b2 = only1.bit_length() - 1, only2.bit_length() - 1
+    if only1.bit_count() == only2.bit_count() == 1 and b1 % m1.d == b2 % m1.d:
+        return b1 % m1.d + 1
+    return None
+
+
+def linkage_tree_edges_by_scan(field: fields.MatchingField, tau: Sequence[int]) -> frozenset:
+    """The flips among the d+1 matchings of tau, pair by pair."""
+    verts = [tuple(x for x in sorted(tau) if x != drop) for drop in sorted(tau)]
+    edges = set()
+    for s1, s2 in combinations(verts, 2):
+        label = _flip_label(field.matching(s1), field.matching(s2))
+        if label is not None:
+            a, b = sorted((s1, s2))
+            edges.add((a, b, label))
+    return frozenset(edges)
+
+
+def nested_cells_by_scan(cells: dict) -> list[tuple]:
+    """Every pair of lattice points whose cells' vertex sets are nested."""
+    return [
+        (p1, p2)
+        for (p1, c1), (p2, c2) in combinations(sorted(cells.items()), 2)
+        if c1.vertices < c2.vertices or c2.vertices < c1.vertices
+    ]
 
 
 def tope_to_cell(field: fields.MatchingField, v: Sequence[int]) -> ProdsimplicialCell:

@@ -1,5 +1,6 @@
 """Flip graphs, linkage trees, and prodsimplicial cells."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -22,7 +23,15 @@ from matchfield.flip import (
 )
 
 from conftest import field_from_words, graph, random_matching_field
-from oracles import cell_to_tope, edge_count_check, linkage_tree_decomposition, tope_to_cell
+from matchfield.fields import is_linkage
+from oracles import (
+    cell_to_tope,
+    edge_count_check,
+    linkage_tree_decomposition,
+    linkage_tree_edges_by_scan,
+    nested_cells_by_scan,
+    tope_to_cell,
+)
 
 
 def flip_label(m1, m2):
@@ -146,6 +155,20 @@ class TestLinkageTrees:
                 raised += got is not None
         assert raised > 20
 
+    def test_agrees_with_pairwise_scan(self, differential_fields, field_43, field_63, field_64):
+        # wherever linkage_tree returns, its keyed pass finds the flips of
+        # the pairwise scan over tau's matchings
+        returned = 0
+        for field in differential_fields + [field_43, field_63, field_64]:
+            for tau in subsets(field.n, field.d + 1):
+                try:
+                    tree = linkage_tree(field, tau)
+                except MatchfieldError:
+                    continue
+                assert tree.edges == linkage_tree_edges_by_scan(field, tau)
+                returned += 1
+        assert returned > 100
+
     def test_decomposition_covers_exactly(self, field_42, field_53):
         for field in (field_42, field_53):
             trees = linkage_tree_decomposition(field)
@@ -185,6 +208,12 @@ class TestCells:
         ]
         cells53 = maximal_cells(field_53)
         assert len(cells53) == 6  # lattice points of 2*Delta_2
+
+    def test_cells_are_never_nested(self, differential_fields, field_42, field_53, field_63, field_64):
+        linkage = [f for f in differential_fields if is_linkage(f).ok]
+        assert len(linkage) >= 7
+        for field in [field_42, field_53, field_63, field_64] + linkage:
+            assert nested_cells_by_scan(maximal_cells(field)) == []
 
     def test_single_matching_trivial_cell(self):
         f = field_from_words(2, 2, {(1, 2): "21"})
@@ -229,6 +258,31 @@ class TestDot:
         assert '"321"' in dot and '"543"' in dot
         assert "color=red" in dot
         assert 'label="1"' in dot
+
+    # sha256 of flip_graph_to_dot(field, color), pinned so that the DOT text
+    # stays byte-identical whichever route picks the colours
+    DIGESTS = {
+        ("field_42", True): "fd9f39f5c7111f5705cc171d8d4c29f3cf56884a3490ec2224a86e124b7296de",
+        ("field_42", False): "0ebb817bd936d4d02ceeb6de8942be2529b4dc1f82dbc7b1571504c08a7e1ba2",
+        ("field_53", True): "257febd4111fd210cace423d10b70d3056bd59c40de8892db0ef707a7d0c6583",
+        ("field_53", False): "26ff5bb3c1da90acb1519c3645e70ad1d8d784130496dac0aefe6b1423d4ff7b",
+        ("field_63", True): "80c89157d737b7b530a647c1b62d7a994ef6f31807fd2f8b1a60bb9d7a54ad1a",
+        ("field_63", False): "f563c00e06a361e09c5ab41c3ba0e4503a3030328199b89da619b6a1fd1a126e",
+        ("field_64", True): "f23be9774c5007d204fc5548599028cddc5e5b639471200bf8764b38869334d8",
+        ("field_64", False): "e17a928c7f0c4de2c9f1fc10a5b7facb6e4326d5ecc05149b5adb5ea71884553",
+        ("field_43", False): "556ba893c339d5ed2fc2cd88f1de62a19a0e9037626beb6176d589aa1abff0da",
+    }
+
+    @pytest.mark.parametrize("name, color", sorted(DIGESTS))
+    def test_dot_matches_its_pinned_digest(self, request, name, color):
+        dot = flip_graph_to_dot(request.getfixturevalue(name), color=color)
+        assert hashlib.sha256(dot.encode()).hexdigest() == self.DIGESTS[(name, color)]
+
+    def test_colours_need_linkage(self, field_43):
+        with pytest.raises(NotLinkageError) as err:
+            flip_graph_to_dot(field_43, color=True)
+        assert err.value.tau == (1, 2, 3, 4)
+        assert err.value.cycle == ((2, 1), (1, 1), (1, 2), (2, 2))
 
     def test_word_encoding(self):
         assert matching_word(graph(4, 2, [(4, 1), (2, 2)])) == "42"

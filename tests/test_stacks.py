@@ -22,7 +22,7 @@ from matchfield import (
     transversal_matroid,
     validate_ensemble,
 )
-from matchfield import randgen
+from matchfield import core, randgen
 from matchfield import stacks as stacks_mod
 from matchfield.stacks import (
     _transpose,
@@ -353,6 +353,16 @@ class TestRightSubmatching:
     def test_square_vacuous(self):
         f = field_from_words(2, 2, {(1, 2): "12"})
         assert right_submatching_check(f).ok
+
+    def test_witness_names_the_lowest_incompatible_partner(self, monkeypatch, field_42):
+        # no real field yet reaches a submatching with two incompatible
+        # partners, so the kernel reports partners 1 and 3: the witness must
+        # name the field matching at the lowest set bit
+        monkeypatch.setattr(core, "incompatible_partners", lambda f, index, d: 0b1010)
+        report = right_submatching_check(field_42)
+        assert not report.ok and report.witness[2] == "incompatible"
+        all_matchings = [m for _, m in field_42.items()]
+        assert report.witness[3][1] == all_matchings[1] != all_matchings[3]
 
     def test_agrees_with_the_rescan_oracle(self, field_64):
         # coherent fields, seeded random fields and the failing (6,4) fixture:
