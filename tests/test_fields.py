@@ -284,6 +284,13 @@ class TestLinkage:
         with pytest.raises(MatchfieldError):
             linkage_covector(field_43, (1, 3, 4))
 
+    @pytest.mark.parametrize("tau", [(1, 1, 2), (0, 1, 2), (1, 2, 5)])
+    def test_tau_must_be_left_nodes(self, field_42, tau):
+        # a repeated node would otherwise land on the covector of another
+        # subset, and 0 or 5 name no left node of a (4,2) field
+        with pytest.raises(MatchfieldError, match="distinct left nodes in 1..4"):
+            linkage_covector(field_42, tau)
+
     def test_is_linkage(self, field_42, field_43, field_53):
         assert is_linkage(field_42).ok
         report = is_linkage(field_43)

@@ -135,6 +135,11 @@ class TestLinkageTrees:
         with pytest.raises(NotLinkageError):
             linkage_tree(field_43, (1, 2, 3, 4))
 
+    @pytest.mark.parametrize("tau", [(1, 1, 2), (0, 1, 2), (1, 2, 5)])
+    def test_tau_must_be_left_nodes(self, field_42, tau):
+        with pytest.raises(MatchfieldError, match="distinct left nodes in 1..4"):
+            linkage_tree(field_42, tau)
+
     def test_rejects_the_taus_of_the_cycle_search(self, field_43):
         # exactly the taus whose covector has a cycle raise NotLinkageError,
         # with the cycle that linkage_covector finds
