@@ -178,7 +178,8 @@ def linkage_covector(field: TopeField, tau: Iterable[int]) -> CovectorResult:
         raise MatchfieldError(
             f"tau must have size {field.thickness + 1}, got {len(tau)}"
         )
-    _check_left_nodes(field.n, tau)
+    if len(set(tau) & set(range(1, field.n + 1))) != len(tau):
+        raise MatchfieldError(f"tau must hold distinct left nodes in 1..{field.n}, got {tau}")
     union = BipartiteGraph.from_mask(field.n, field.d, covector_mask(field.mask_table, tau))
     cycle = core.find_cycle(union)
     return CovectorResult(tau, union, tuple(cycle) if cycle else None)
@@ -228,12 +229,6 @@ def _covector_unions(field: TopeField) -> Iterator[tuple[tuple, int]]:
     n, k, topes = field.n, field.thickness, field.mask_table
     for tau in core.subsets(n, k + 1) if k < n else ():
         yield tau, covector_mask(topes, tau)
-
-
-def _check_left_nodes(n: int, tau: tuple) -> None:
-    """Raise MatchfieldError unless tau holds distinct left nodes in 1..n."""
-    if len(set(tau)) != len(tau) or not set(tau) <= set(range(1, n + 1)):
-        raise MatchfieldError(f"tau must hold distinct left nodes in 1..{n}, got {tau}")
 
 
 def covector_mask(topes: dict[int, int], tau: tuple) -> int:

@@ -90,7 +90,8 @@ def linkage_tree(field: fields.MatchingField, tau: Iterable[int]) -> LinkageTree
     tau = tuple(sorted(tau))
     if len(tau) != field.d + 1:
         raise MatchfieldError(f"tau must have size {field.d + 1}")
-    fields._check_left_nodes(field.n, tau)
+    if len(set(tau) & set(range(1, field.n + 1))) != len(tau):
+        raise MatchfieldError(f"tau must hold distinct left nodes in 1..{field.n}, got {tau}")
     fields.covector_graph(field.n, field.d, tau, fields.covector_mask(field.mask_table, tau))
     verts = sorted(tuple(x for x in tau if x != drop) for drop in tau)
     edges = _flips(field.d, ((sigma, field.matching(sigma)) for sigma in verts))
