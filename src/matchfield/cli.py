@@ -162,8 +162,7 @@ def cmd_flipgraph(args) -> tuple[dict, bool]:
     field = _load_matching_field(args.input)
     fg = flip.flip_graph(field)
     if args.dot:
-        colored = fields.is_linkage(field).ok  # tree coloring needs linkage
-        _write(flip.flip_graph_to_dot(field, color=colored), args.dot)
+        _write(flip.flip_graph_to_dot(field, fg), args.dot)
     out = {
         "vertices": [list(s) for s in fg.vertices],
         "edges": sorted(

@@ -409,7 +409,15 @@ def maximal_tope(
 
 
 class TopeArrangement:
-    """Compatible maximal topes keyed by lattice points of (n-d)*Delta_{d-1}."""
+    """Compatible maximal topes keyed by lattice points of (n-d)*Delta_{d-1}.
+
+    Compatibility implies the sector condition of axiom T3, so it is not
+    checked: for topes G at a and H at a + e_p - e_q, the arcs
+    f_G(j) -> f_H(j), j where they differ, are acyclic, with out-degree minus
+    in-degree +1 at q, -1 at p and 0 elsewhere.  So they form one simple path
+    from q to p (an arc off it would close a cycle): no arc enters q or
+    leaves p, that is, every rq-edge of H lies in G and every rp-edge of G in
+    H."""
 
     def __init__(self, n: int, d: int, topes: dict):
         self.n = n
@@ -434,7 +442,6 @@ class TopeArrangement:
             if later := core.incompatible_partners(f, index, self.d) >> (k + 1):
                 p2 = points[k + (later & -later).bit_length()]
                 raise MatchfieldError(f"topes at {points[k]} and {p2} are incompatible")
-        check_sector_monotonicity(self.topes)
 
     def tope(self, point: Sequence[int]) -> BipartiteGraph:
         return self.topes[tuple(point)]

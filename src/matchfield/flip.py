@@ -7,7 +7,7 @@ what they keep when their ri-edge is removed.  For a linkage field it has
 binom(n, d+1) * d edges and decomposes edge-exactly into the linkage trees,
 one per (d+1)-subset of left nodes: a flip between a and b lies in the tree
 of a ∪ b.  A linkage tree is the same bucket pass run on the d+1 matchings
-of its tau, and the DOT export colours each flip by the rank of a ∪ b.
+of its tau; the DOT export of a linkage field colours a flip by a ∪ b.
 
 The matchings contained in a maximal tope with right degree vector v induce a
 subgraph isomorphic to the vertex-edge graph of the product of simplices
@@ -142,15 +142,13 @@ def matching_word(m: BipartiteGraph) -> str:
     return "".join(str(m.right_neighbors(i)[0]) for i in range(1, m.d + 1))
 
 
-def flip_graph_to_dot(field: fields.MatchingField, color: bool = True) -> str:
-    """DOT export with edge labels; with color (linkage fields only), each
-    linkage tree gets one of a cycling palette by the rank of its tau in
-    `core.subsets`, and a flip between a and b lies in the tree of a ∪ b."""
-    fg = flip_graph(field)
+def flip_graph_to_dot(field: fields.MatchingField, fg: FlipGraph) -> str:
+    """DOT export of the field's flip graph fg, edges labelled; on a linkage
+    field each linkage tree takes a cycling palette colour by the colex rank
+    of its tau (its place in `core.subsets`), and a flip between a and b lies
+    in the tree of a ∪ b."""
     palette = ["red", "blue", "green", "orange", "magenta", "cyan", "brown", "black"]
-    if color:
-        fields.require_linkage(field)
-        rank = {tau: idx for idx, tau in enumerate(core.subsets(field.n, field.d + 1))}
+    color = fields.is_linkage(field).ok
     lines = ["graph flips {"]
 
     def vertex_name(sigma):
@@ -163,8 +161,8 @@ def flip_graph_to_dot(field: fields.MatchingField, color: bool = True) -> str:
     for a, b, label in sorted(fg.edges):
         attrs = [f'label="{label}"']
         if color:
-            tau = tuple(sorted(set(a) | set(b)))
-            attrs.append(f"color={palette[rank[tau] % len(palette)]}")
+            rank = sum(comb(x - 1, r) for r, x in enumerate(sorted(set(a) | set(b)), start=1))
+            attrs.append(f"color={palette[rank % len(palette)]}")
         lines.append(
             f'  "{vertex_name(a)}" -- "{vertex_name(b)}" [{", ".join(attrs)}];'
         )

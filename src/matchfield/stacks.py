@@ -4,8 +4,9 @@ A matching stack assigns a perfect matching to every pair (J, I) of
 equal-sized subsets of the two node sets.  An ensemble additionally
 satisfies closure (submatchings are again assigned values) and linkage
 (every fixed-I layer is a left-linkage field, every fixed-J layer a
-right-linkage field).  Triangulations induce ensembles: collect every
-partial matching occurring in the trees.
+right-linkage field), both decided by edge counts on one mask table.
+Triangulations induce ensembles: collect every partial matching occurring
+in the trees.
 
 Completion embeds an (m, d)-stack into an (m+d, d)-matching field by
 appending d dummy left nodes; the matching for a d-subset sigma matches
@@ -125,64 +126,25 @@ class EnsembleReport:
         }
 
 
-def _layer_field(stack: MatchingStack, I: tuple) -> fields.MatchingField:
-    """Fixed-I layer as a matching field on L ⊔ I (right nodes relabelled)."""
-    k = len(I)
-    relabel = {i: t for t, i in enumerate(I, start=1)}
-    assignment = {}
-    for J in core.subsets(stack.n, k):
-        m = stack.matching(J, I)
-        assignment[J] = BipartiteGraph(
-            stack.n, k, [(j, relabel[i]) for j, i in m.edges]
-        )
-    return fields.MatchingField(stack.n, k, assignment)
-
-
-def _transpose(stack: MatchingStack) -> MatchingStack:
-    """The stack with its sides swapped: (I, J) holds the matching of (J, I)
-    with every edge reversed.  Every nonempty pair must have a matching; the
-    empty pair is left out, since the swapped sides may have no right node."""
-    return MatchingStack(
-        stack.d,
-        stack.n,
-        {
-            (I, J): BipartiteGraph(
-                stack.d, stack.n, [(i, j) for j, i in stack.matching(J, I).edges]
-            )
-            for J, I in stack.pairs()
-            if J
-        },
-    )
-
-
-def stack_left_linkage(stack: MatchingStack) -> tuple[bool, Optional[tuple]]:
-    """Left linkage of every fixed-I layer."""
-    for k in range(1, min(stack.n, stack.d) + 1):
-        if k + 1 > stack.n:
-            continue
-        for I in core.subsets(stack.d, k):
-            report = fields.is_linkage(_layer_field(stack, I))
-            if not report.ok:
-                return False, (I, report.failures[0].tau)
-    return True, None
-
-
 def validate_ensemble(stack: MatchingStack) -> EnsembleReport:
     """Support, closure and both linkage axioms, with the first witness.  A
     pair without a matching fails support; an axiom left unchecked because
-    support failed is reported false."""
+    support failed is reported false.  Linkage reads the table {(J mask,
+    I mask): edge mask} built by the support check."""
+    table = {}
     for J, I in stack.pairs():
         try:
-            rows = core.read_rows(stack.matching(J, I))
+            m = stack.matching(J, I)
+            rows = core.read_rows(m)
             rdv = tuple(int(i in I) for i in range(1, stack.d + 1))
             ok = rows is not None and rows[0] == J and rows[2] == rdv
         except MatchfieldError:
             ok = False
         if not ok:
             return EnsembleReport(False, False, False, False, ("support", J, I))
-    left_ok, lw = stack_left_linkage(stack)
-    # every fixed-J layer is right linkage when the transposed stack is left linkage
-    right_ok, rw = stack_left_linkage(_transpose(stack))
+        table[rows[1], core.subset_mask(I)] = m.mask
+    lw = _unlinked_layer(table, stack.n, stack.d, fix_left=False)
+    rw = _unlinked_layer(table, stack.n, stack.d, fix_left=True)
     for J, I in stack.pairs():
         m = stack.matching(J, I)
         for r in range(1, len(J)):
@@ -191,11 +153,30 @@ def validate_ensemble(stack: MatchingStack) -> EnsembleReport:
                 key = (sub.left_support(), sub.right_support())
                 if stack.matching(*key) != sub:
                     witness = ("closure", J, I, key)
-                    return EnsembleReport(True, False, left_ok, right_ok, witness)
-    witness = (("left-linkage",) + lw if lw else None) or (
-        ("right-linkage",) + rw if rw else None
-    )
-    return EnsembleReport(True, True, left_ok, right_ok, witness)
+                    return EnsembleReport(True, False, lw is None, rw is None, witness)
+    witness = ("left-linkage",) + lw if lw else ("right-linkage",) + rw if rw else None
+    return EnsembleReport(True, True, lw is None, rw is None, witness)
+
+
+def _unlinked_layer(table: dict, n: int, d: int, fix_left: bool) -> Optional[tuple]:
+    """First (fixed subset, tau) whose layer union over tau has other than
+    2k edges: fixed-I layers and left taus, or with fix_left fixed-J layers
+    and right taus.  On a supported stack the union is connected: for a
+    component C and each x in tau, the matching on tau - x pairs C minus x
+    with C's fixed nodes, which forces C to hold all of tau (the argument of
+    `fields.is_linkage`).  On 2k + 1 nodes it is a tree exactly with 2k edges."""
+    fixed_side, tau_side = (n, d) if fix_left else (d, n)
+    for k in range(1, min(fixed_side, tau_side - 1) + 1):
+        for fixed in core.subsets(fixed_side, k):
+            f = core.subset_mask(fixed)
+            for tau in core.subsets(tau_side, k + 1):
+                everyone, union = core.subset_mask(tau), 0
+                for t in tau:
+                    rest = everyone ^ 1 << (t - 1)
+                    union |= table[(f, rest) if fix_left else (rest, f)]
+                if union.bit_count() != 2 * k:
+                    return fixed, tau
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +185,8 @@ def validate_ensemble(stack: MatchingStack) -> EnsembleReport:
 
 def completion(stack: MatchingStack) -> fields.MatchingField:
     """Matching field of the stack on m + d left nodes: dummy node l_{m+h}
-    pairs with r_h whenever it lies in the subset."""
+    pairs with r_h whenever it lies in the subset, its bit ORed onto the
+    stack matching's mask (the top m rows of an (m + d, d) mask)."""
     m, d = stack.n, stack.d
     n = m + d
     assignment = {}
@@ -213,8 +195,10 @@ def completion(stack: MatchingStack) -> fields.MatchingField:
         dummy_rights = tuple(x - m for x in sigma if x > m)
         I = tuple(i for i in range(1, d + 1) if i not in dummy_rights)
         base = stack.matching(J, I)
-        edges = list(base.edges) + [(m + h, h) for h in dummy_rights]
-        assignment[sigma] = BipartiteGraph(n, d, edges)
+        if (base.n, base.d) != (m, d):
+            raise MatchfieldError(f"a matching on ({base.n}, {base.d}) in a stack on ({m}, {d})")
+        dummies = sum(1 << (m + h - 1) * d + h - 1 for h in dummy_rights)
+        assignment[sigma] = BipartiteGraph.from_mask(n, d, base.mask | dummies)
     return fields.validate_matching_field(n, d, assignment)
 
 

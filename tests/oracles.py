@@ -35,8 +35,13 @@ descriptions kept as test oracles.
   for a cycle, the oracle for the edge-count test of ``fields.is_linkage``,
   and the i-amalgamation step built the same way, the oracle for the mask
   test of ``fields.i_amalgamation``.
-- Right linkage of a stack, layer by layer with the sides swapped, the
-  oracle for left linkage of the transposed stack.
+- Left linkage of a stack by ``fields.is_linkage`` on every fixed-I layer
+  field, right linkage as left linkage of the transposed stack, and the
+  ensemble check built on them: the oracles for the one edge-count table of
+  ``stacks.validate_ensemble``.  Right linkage layer by layer with the sides
+  swapped, the oracle for left linkage of the transposed stack.
+- The triangulation axioms with the flip pass after agreement, the oracle
+  for ``triang.check_triangulation``, which stops after agreement.
 - Contained matchings as edge tuples in the preorder of the lexicographic
   edge list, and the containment agreement pass over them: the oracles for
   ``core.matching_masks`` and ``core.agreed_matchings``.  The field read
@@ -79,17 +84,20 @@ from matchfield.flip import (
     linkage_tree,
 )
 from matchfield.stacks import (
+    EnsembleReport,
     MatchingStack,
     SubmatchingReport,
     TransversalMatroid,
     completion,
-    stack_left_linkage,
     transversal_matroid,
 )
 from matchfield.triang import (
     Triangulation,
+    TriangulationReport,
     _check_pair_shape,
-    check_triangulation,
+    find_agreement_violation,
+    find_flip_violation,
+    tree_count,
     tree_degree_pair,
 )
 
@@ -570,9 +578,30 @@ def reconstruct_triangulation_by_every_leaf(pairs: Iterable, n: int, d: int):
     t = Triangulation(n, d, [BipartiteGraph(n, d, edges) for edges in trees.values()])
     if frozenset(tree_degree_pair(g) for g in t.trees) != pairs:
         raise InconsistentPairsError("reconstruction does not reproduce the pairs")
-    if not check_triangulation(t.trees, n, d).ok:
+    if not check_triangulation_with_flip(t.trees, n, d).ok:
         raise InconsistentPairsError("rebuilt trees violate an axiom")
     return t
+
+
+def check_triangulation_with_flip(
+    trees: Iterable[BipartiteGraph], n: int, d: int
+) -> TriangulationReport:
+    """Count, spanning, agreement and then the flip axiom, the first failing
+    check reported with its witness: the oracle for ``check_triangulation``,
+    which stops after agreement because the flip axiom follows from it."""
+    trees = sorted(set(trees), key=lambda g: g.mask)
+    if len(trees) != tree_count(n, d):
+        return TriangulationReport(False, "count", (len(trees), tree_count(n, d)))
+    for g in trees:
+        if g.n != n or g.d != d or not core.is_spanning_tree(g):
+            return TriangulationReport(False, "spanning", (g,))
+    witness = find_agreement_violation(trees)
+    if witness is not None:
+        return TriangulationReport(False, "agreement", witness)
+    witness = find_flip_violation(trees)
+    if witness is not None:
+        return TriangulationReport(False, "flip", witness)
+    return TriangulationReport(True)
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +798,84 @@ def i_amalgamation_by_cycles(tf: fields.TopeField, i: int) -> fields.TopeField:
         assignment[tau] = core.contained_tope(res.graph, i)
     new_type = core.vector_sum(tf.type_vector, core.unit_vector(tf.d, i))
     return fields.TopeField(tf.n, tf.d, new_type, assignment)
+
+
+# ---------------------------------------------------------------------------
+# stack linkage, layer by layer
+
+
+def _layer_field(stack: MatchingStack, I: tuple) -> fields.MatchingField:
+    """Fixed-I layer as a matching field on L ⊔ I (right nodes relabelled)."""
+    k = len(I)
+    relabel = {i: t for t, i in enumerate(I, start=1)}
+    assignment = {}
+    for J in core.subsets(stack.n, k):
+        m = stack.matching(J, I)
+        assignment[J] = BipartiteGraph(
+            stack.n, k, [(j, relabel[i]) for j, i in m.edges]
+        )
+    return fields.MatchingField(stack.n, k, assignment)
+
+
+def _transpose(stack: MatchingStack) -> MatchingStack:
+    """The stack with its sides swapped: (I, J) holds the matching of (J, I)
+    with every edge reversed.  Every nonempty pair must have a matching; the
+    empty pair is left out, since the swapped sides may have no right node."""
+    return MatchingStack(
+        stack.d,
+        stack.n,
+        {
+            (I, J): BipartiteGraph(
+                stack.d, stack.n, [(i, j) for j, i in stack.matching(J, I).edges]
+            )
+            for J, I in stack.pairs()
+            if J
+        },
+    )
+
+
+def stack_left_linkage(stack: MatchingStack) -> tuple[bool, Optional[tuple]]:
+    """Left linkage of every fixed-I layer, by `fields.is_linkage` on the
+    layer field, with the first witness (I, tau)."""
+    for k in range(1, min(stack.n, stack.d) + 1):
+        if k + 1 > stack.n:
+            continue
+        for I in core.subsets(stack.d, k):
+            report = fields.is_linkage(_layer_field(stack, I))
+            if not report.ok:
+                return False, (I, report.failures[0].tau)
+    return True, None
+
+
+def validate_ensemble_by_layer_fields(stack: MatchingStack) -> EnsembleReport:
+    """The oracle for the edge-count table of ``stacks.validate_ensemble``:
+    support pair by pair, left linkage of the layer fields, right linkage as
+    left linkage of the transposed stack, then closure, with the same
+    witnesses."""
+    for J, I in stack.pairs():
+        try:
+            m = stack.matching(J, I)
+            rdv = tuple(int(i in I) for i in range(1, stack.d + 1))
+            ok = len(m) == len(J) and m.left_support() == J and m.right_degrees() == rdv
+        except MatchfieldError:
+            ok = False
+        if not ok:
+            return EnsembleReport(False, False, False, False, ("support", J, I))
+    left_ok, lw = stack_left_linkage(stack)
+    right_ok, rw = stack_left_linkage(_transpose(stack))
+    for J, I in stack.pairs():
+        m = stack.matching(J, I)
+        for r in range(1, len(J)):
+            for sub_edges in combinations(m.edges, r):
+                sub = BipartiteGraph(stack.n, stack.d, sub_edges)
+                key = (sub.left_support(), sub.right_support())
+                if stack.matching(*key) != sub:
+                    witness = ("closure", J, I, key)
+                    return EnsembleReport(True, False, left_ok, right_ok, witness)
+    witness = (("left-linkage",) + lw if lw else None) or (
+        ("right-linkage",) + rw if rw else None
+    )
+    return EnsembleReport(True, True, left_ok, right_ok, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,12 @@ from conftest import (
     TOPE_COVECTOR_42,
     exhaustive_compatibility,
 )
-from oracles import completion_linkage_check, linkage_tree_decomposition, minimal_transversals
+from oracles import (
+    completion_linkage_check,
+    linkage_tree_decomposition,
+    minimal_transversals,
+    stack_left_linkage,
+)
 
 
 def criterion(number, summary):
@@ -201,8 +206,6 @@ def test_stacks_and_submatchings(field_64):
         perm = perms[next(stream) % len(perms)]
         entries[key] = BipartiteGraph(n, d, list(zip(J, perm)))
         perturbed = MatchingStack(n, d, entries)
-        from matchfield.stacks import stack_left_linkage
-
         if stack_left_linkage(perturbed)[0]:
             continue  # this swap left every layer linkage; draw again
         res = completion_linkage_check(perturbed)

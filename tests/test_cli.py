@@ -143,6 +143,16 @@ def test_flipgraph_with_dot(capsys, field_file, tmp_path):
     assert "color=" in dot.read_text()
 
 
+def test_flipgraph_dot_of_a_square_field(capsys, tmp_path):
+    # n = d: one matching and no flip; the field is linkage with no tau of
+    # size d + 1, and the DOT file holds its one vertex
+    src, dot = tmp_path / "field.json", tmp_path / "flip.dot"
+    src.write_text('{"n":3,"d":3,"matchings":{"1,2,3":[[1,3],[2,1],[3,2]]}}')
+    assert run(["flipgraph", str(src), "--dot", str(dot)]) == 0
+    assert json.loads(capsys.readouterr().out)["edge_count"] == 0
+    assert dot.read_text() == 'graph flips {\n  "231";\n}\n'
+
+
 def test_stack_commands(capsys, tmp_path):
     t = staircase_triangulation(2, 2)
     stack = stack_from_trees(t.sorted_trees(), 2, 2)

@@ -857,6 +857,33 @@ class TestArrangement:
         assert scan_verdicts == {True, False}
 
 
+    @pytest.mark.parametrize("n, d, count", [(3, 2, 6), (4, 2, 24), (5, 2, 120), (4, 3, 96)])
+    def test_every_compatible_assignment_is_sector_monotone(self, n, d, count):
+        # every choice of a maximal tope with rdv p + 1 at each lattice point
+        # p: the ones validation accepts (compatibility, no sector pass) all
+        # pass the sector check, and some refused ones fail it
+        points = simplex_lattice_points(n - d, d)
+        choices = [
+            [
+                graph(n, d, list(zip(range(1, n + 1), f)))
+                for f in itertools.product(range(1, d + 1), repeat=n)
+                if tuple(f.count(i) - 1 for i in range(1, d + 1)) == p
+            ]
+            for p in points
+        ]
+        accepted = sector_refused = 0
+        for pick in itertools.product(*choices):
+            topes = dict(zip(points, pick))
+            try:
+                fields_mod.TopeArrangement(n, d, topes)
+            except MatchfieldError:
+                sector_refused += outcome(check_sector_monotonicity, topes) is not None
+                continue
+            check_sector_monotonicity(topes)
+            accepted += 1
+        assert accepted == count and sector_refused > 0
+
+
 class TestAgainstAmalgamation:
     def test_arrangement(self, differential_fields, field_42, field_43, field_63, field_64):
         inputs = differential_fields + [field_42, field_43, field_63, field_64]

@@ -25,9 +25,7 @@ from matchfield import (
 from matchfield import core, randgen
 from matchfield import stacks as stacks_mod
 from matchfield.stacks import (
-    _transpose,
     stack_from_json_dict,
-    stack_left_linkage,
     stack_to_json_dict,
     stiefel_image_of_field,
 )
@@ -35,11 +33,14 @@ from matchfield.fields import maximal_tope_covectors
 
 from conftest import field_from_words, graph, random_matching_field
 from oracles import (
+    _transpose,
     check_basis_exchange,
     completion_linkage_check,
     right_submatching_check_by_rescan,
+    stack_left_linkage,
     stack_right_linkage,
     stiefel_image,
+    validate_ensemble_by_layer_fields,
 )
 
 
@@ -146,6 +147,58 @@ class TestRightLinkage:
         assert report.ok and stack_right_linkage(stack) == (True, None)
 
 
+def ensemble_oracle_cases():
+    """Stacks on which validate_ensemble meets its layer-field oracle:
+    relabelled staircase ensembles, extensions of seeded coherent fields
+    (weight-minimal and lexicographic), seeded random stacks, ensembles with
+    one entry replaced by another matching on its pair, and ensembles with
+    one entry dropped or off its pair."""
+    rng = random.Random(2019)
+    sizes = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (4, 3), (3, 4)]
+    ensembles = []
+    for n, d in sizes:
+        for _ in range(3):
+            left, right = rng.sample(range(1, n + 1), n), rng.sample(range(1, d + 1), d)
+            ensembles.append(stack_from_trees(
+                staircase_triangulation(n, d, left, right).sorted_trees(), n, d))
+    extended = []
+    for n, d in [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3)]:
+        for seed in range(3):
+            field, weights, _ = randgen.seeded_coherent_field(n, d, seed)
+            extended += [extend(field, weights), extend(field)]
+    randoms = [random_stack(n, d, 100 * n + 10 * d + seed) for n, d in sizes for seed in range(8)]
+    perturbed = []
+    for _ in range(300):
+        stack = rng.choice(ensembles + extended)
+        entries = dict(stack.entries)
+        J, I = rng.choice(sorted(key for key in entries if len(key[0]) >= 2))
+        old = entries[(J, I)]
+        perm = rng.choice([p for p in itertools.permutations(I) if graph(stack.n, stack.d, zip(J, p)) != old])
+        entries[(J, I)] = graph(stack.n, stack.d, list(zip(J, perm)))
+        perturbed.append(MatchingStack(stack.n, stack.d, entries))
+    unsupported = []
+    for stack in ensembles[::4]:
+        key = rng.choice(sorted(stack.entries))
+        entries = dict(stack.entries)
+        del entries[key]
+        unsupported.append(MatchingStack(stack.n, stack.d, entries))
+        entries[key] = graph(stack.n, stack.d, [(1, 1)])
+        unsupported.append(MatchingStack(stack.n, stack.d, entries))
+    return ensembles + extended + randoms + perturbed + unsupported
+
+
+class TestEnsembleByEdgeCounts:
+    def test_reports_match_the_layer_field_oracle(self):
+        cases = ensemble_oracle_cases()
+        outcomes = set()
+        for stack in cases:
+            report = validate_ensemble(stack)
+            assert report == validate_ensemble_by_layer_fields(stack)
+            outcomes.add(report.witness[0] if report.witness else "ok")
+        assert len(cases) >= 400
+        assert outcomes == {"ok", "support", "closure", "left-linkage", "right-linkage"}
+
+
 class TestCompletion:
     def test_one_two_stack(self):
         entries = {
@@ -158,6 +211,17 @@ class TestCompletion:
         assert field.matching((1, 3)).edges == ((1, 1), (3, 2))
         assert field.matching((2, 3)).edges == ((2, 1), (3, 2))
         assert is_linkage(field).ok
+
+    def test_matching_on_other_sides_is_refused(self):
+        # an entry's mask is read in rows of d bits: the edge (1, 3) of a
+        # graph on (1, 3) is bit 2, which rows of 2 bits read as (2, 1)
+        entries = {
+            ((), ()): graph(1, 2, []),
+            ((1,), (1,)): graph(1, 2, [(1, 1)]),
+            ((1,), (2,)): graph(1, 3, [(1, 3)]),
+        }
+        with pytest.raises(MatchfieldError, match=r"^a matching on \(1, 3\) in a stack on \(1, 2\)$"):
+            completion(MatchingStack(1, 2, entries))
 
     def test_empty_stack(self):
         stack = MatchingStack(0, 2, {((), ()): BipartiteGraph(0, 2, [])})

@@ -39,6 +39,7 @@ from matchfield import trianguloid_check
 
 from conftest import graph, matchings_agree
 from oracles import (
+    check_triangulation_with_flip,
     necessary_conditions,
     reconstruct_by_every_leaf,
     reconstruct_triangulation_by_every_leaf,
@@ -268,9 +269,10 @@ class TestValidation:
 
     def test_flip_violation_detected(self):
         # l3's non-leaf edge (3,1) of the third tree is in no other tree;
-        # the predicate is exercised directly because sets passing the
-        # agreement axiom and failing only the flip axiom do not occur at
-        # desk scale
+        # the predicate is exercised directly because K spanning trees that
+        # agree pairwise are a triangulation (Postnikov 2009, Lemma 12.6), in
+        # which the flip axiom holds, so no set passing the agreement axiom
+        # fails it
         from matchfield.triang import find_flip_violation
 
         trees = [
@@ -288,6 +290,57 @@ class TestValidation:
 
         t = staircase_triangulation(3, 2)
         assert find_flip_violation(t.sorted_trees()) is None
+
+
+class TestFlipFollowsFromAgreement:
+    """check_triangulation stops after agreement; the flip pass it dropped
+    never fires on a set that gets that far."""
+
+    ENUMERABLE = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (2, 5), (5, 2)]
+
+    def test_reports_match_the_flip_oracle(self):
+        cases = list(TestKeyedAxioms.CASES)
+        for n, d in self.ENUMERABLE:
+            for t in enumerate_triangulations(n, d):
+                trees = t.sorted_trees()
+                cases.append((n, d, trees))
+                cases.append((n, d, trees[1:]))
+                cases.append((n, d, trees[1:] + [trees[0].without_edges(trees[0].edges[:1])]))
+        kinds = set()
+        for n, d, trees in cases:
+            report = check_triangulation(trees, n, d)
+            assert report == check_triangulation_with_flip(trees, n, d)
+            kinds.add(report.kind)
+        assert kinds == {None, "count", "spanning", "agreement"}
+
+    @pytest.mark.parametrize(
+        "n, d, count", [(2, 3, 6), (3, 2, 6), (2, 4, 24), (4, 2, 24), (3, 3, 108)]
+    )
+    def test_every_agreeing_tree_set_passes_the_flip_axiom(self, n, d, count):
+        # every K-set of spanning trees that agree pairwise, as the K-cliques
+        # of the agreement graph taken in increasing index order
+        trees = core.all_spanning_trees(n, d)
+        maps = [core.matching_masks(g) for g in trees]
+        agree = [
+            sum(1 << b for b, mh in enumerate(maps) if all(mh.get(k, m) == m for k, m in mg.items()))
+            for mg in maps
+        ]
+        found = []
+
+        def grow(chosen, candidates):
+            if len(chosen) == tree_count(n, d):
+                found.append([trees[b] for b in chosen])
+                return
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                b = low.bit_length() - 1
+                grow(chosen + [b], candidates & agree[b])
+
+        grow([], (1 << len(trees)) - 1)
+        assert len(found) == count
+        for chosen in found:
+            assert find_flip_violation(chosen) is None
 
 
 class TestKeyedAxioms:
