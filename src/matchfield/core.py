@@ -21,8 +21,9 @@ The certificate kernels work on integer masks alone.  ``agreed_matchings``
 lists each graph's matchings row by row into one dict keyed by (J mask,
 I mask); only a clash goes to the depth-first ``matching_masks`` preorder,
 which names the witness.  ``right_perfect_matchings`` builds only the
-matchings that cover R, column by column; ``_rows_form_tree`` tests a tree
-by a walk over row masks; ``sector_sweep`` is a breadth-first search over
+matchings that cover R, column by column; ``tree_tope`` walks a tree over
+its row masks, deciding spanning trees and linkage covectors and reading
+off the tope inside; ``sector_sweep`` is a breadth-first search over
 lattice points.  ``incompatible_partners`` tests a partial map
 (``tope_function``) against all its partners in one closure over bitsets.
 
@@ -193,18 +194,6 @@ def degree_vectors(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]
     return g.left_degrees(), g.right_degrees()
 
 
-def _adjacency(g: BipartiteGraph) -> dict[tuple[str, int], list[tuple[str, int]]]:
-    adj: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for j in range(1, g.n + 1):
-        adj[("L", j)] = []
-    for i in range(1, g.d + 1):
-        adj[("R", i)] = []
-    for j, i in g.edges:
-        adj[("L", j)].append(("R", i))
-        adj[("R", i)].append(("L", j))
-    return adj
-
-
 def find_cycle(g: BipartiteGraph) -> Optional[list[tuple[int, int]]]:
     """Some cycle of g as an edge list, or None if g is a forest.
 
@@ -262,26 +251,32 @@ def _forest_path(adj, start, goal):
 
 def is_spanning_tree(g: BipartiteGraph) -> bool:
     """Connected on all n + d nodes with n + d - 1 edges, so acyclic."""
-    return _rows_form_tree(g.mask, range(1, g.n + 1), g.d)
+    return tree_tope(g.mask, range(1, g.n + 1), g.d, 1) is not None
 
 
-def _rows_form_tree(mask: int, rows: Sequence[int], d: int) -> bool:
-    """Whether an edge mask on the given left rows is a tree on rows ⊔ [d]:
-    len(rows) + d - 1 edges, all joined up by a walk over the row masks."""
+def tree_tope(mask: int, rows: Sequence[int], d: int, k: int) -> Optional[int]:
+    """The tope inside a tree on rows ⊔ [d] in which rk keeps its edges and
+    every other right node loses one, as an edge mask; None unless the mask
+    is such a tree: len(rows) + d - 1 edges, all joined up by a walk from
+    rk that joins rows level by level over their row masks.  A row keeps
+    its edges to the columns reached before its level, in a tree just one."""
     if mask.bit_count() != len(rows) + d - 1:
-        return False
+        return None
     full = (1 << d) - 1
-    pending = [mask >> ((j - 1) * d) & full for j in rows]
-    reached = pending.pop() if pending else full
-    while pending:
-        rest = [r for r in pending if not r & reached]
-        if len(rest) == len(pending):
-            return False
-        for r in pending:
-            if r & reached:
-                reached |= r
-        pending = rest
-    return reached == full
+    shifts = [(j - 1) * d for j in rows]
+    reached, tope = 1 << (k - 1), 0
+    while shifts:
+        joined, rest = reached, []
+        for s in shifts:
+            if (row := mask >> s & full) & joined:
+                reached |= row
+                tope |= (row & joined) << s
+            else:
+                rest.append(s)
+        if len(rest) == len(shifts):
+            return None
+        shifts = rest
+    return tope if reached == full else None
 
 
 # ---------------------------------------------------------------------------
@@ -557,38 +552,18 @@ def contained_tope(tree: BipartiteGraph, k: int) -> BipartiteGraph:
 
     The tree must cover every right node and be a tree on its support
     (isolated left nodes are ignored, so linkage covectors on a subset of L
-    qualify): it has one edge fewer than nodes and the search from rk
-    reaches them all, so no cycle search is needed.  Rooting the tree at rk,
-    the last edge of the path from rk to every other right node is removed;
-    that edge is the one joining the other right node to its parent.
+    qualify).  Rooting the tree at rk, the last edge of the path from rk to
+    every other right node is removed: each left node keeps only its edge
+    towards rk, which ``tree_tope`` reads off its walk from rk.
     """
     if not (1 <= k <= tree.d):
         raise MatchfieldError(f"right index {k} out of range")
-    right = tree.right_degrees()
-    if any(deg == 0 for deg in right):
+    if any(deg == 0 for deg in tree.right_degrees()):
         raise NotASpanningTreeError("tree must cover every right node")
-    nodes = len(tree.left_support()) + tree.d
-    if len(tree) != nodes - 1:
+    tope = tree_tope(tree.mask, tree.left_support(), tree.d, k)
+    if tope is None:
         raise NotASpanningTreeError("input is not a tree on its support")
-    # BFS from rk; drop the parent edge of every other right node
-    adj = _adjacency(tree)
-    parent: dict = {("R", k): None}
-    frontier = [("R", k)]
-    drop = []
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for nb in adj[node]:
-                if nb in parent:
-                    continue
-                parent[nb] = node
-                if nb[0] == "R":
-                    drop.append((node[1], nb[1]))
-                nxt.append(nb)
-        frontier = nxt
-    if len(parent) != nodes:  # nodes - 1 edges: disconnected exactly when cyclic
-        raise NotASpanningTreeError("input is not a tree on its support")
-    return tree.without_edges(drop)
+    return BipartiteGraph.from_mask(tree.n, tree.d, tope)
 
 
 # ---------------------------------------------------------------------------

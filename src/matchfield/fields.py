@@ -194,8 +194,9 @@ class LinkageReport:
 def is_linkage(field: TopeField) -> LinkageReport:
     """Check the tree condition for every (k+1)-subset; collect all failures.
 
-    A union is a tree when it has k + d edges and a walk over the rows of tau
-    reaches all d right nodes.  On a validated field the walk always does:
+    A union is a tree when it has k + d edges and the walk of
+    `core.tree_tope` over the rows of tau reaches all d right nodes.  On a
+    validated field the walk always does:
     for a component C of the union and any x in tau, the tope on tau - x
     pairs C_L - x with C_R, so |C_L - x| = sum of v_i over C_R.  That is
     |C_L| - 1 for x in C_L and |C_L| otherwise, and v > 0, so C_L = tau and
@@ -217,7 +218,7 @@ def _failing_covectors(field: TopeField) -> Iterator[CovectorResult]:
     """The non-tree covectors in `core.subsets` order; none when k >= n (no
     (k+1)-subsets, so vacuously linkage)."""
     for tau, union in _covector_unions(field):
-        if not core._rows_form_tree(union, tau, field.d):
+        if core.tree_tope(union, tau, field.d, 1) is None:
             res = linkage_covector(field, tau)
             if not res.ok:
                 yield res
@@ -241,12 +242,12 @@ def covector_mask(topes: dict[int, int], tau: tuple) -> int:
 
 
 def covector_graph(n: int, d: int, tau: tuple, union: int) -> BipartiteGraph:
-    """The covector of tau from its edge mask.  Only a mask failing
-    `core._rows_form_tree` goes through `core.find_cycle`: a cycle raises
-    NotLinkageError with tau and the cycle, and a forest is returned as it
-    is."""
+    """The covector of tau from its edge mask.  Only a mask that is no tree
+    to the walk of `core.tree_tope` goes through `core.find_cycle`: a cycle
+    raises NotLinkageError with tau and the cycle, and a forest is returned
+    as it is."""
     graph = BipartiteGraph.from_mask(n, d, union)
-    if not core._rows_form_tree(union, tau, d):
+    if core.tree_tope(union, tau, d, 1) is None:
         cycle = core.find_cycle(graph)
         if cycle:
             raise NotLinkageError(tau, tuple(cycle))

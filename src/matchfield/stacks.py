@@ -129,9 +129,12 @@ class EnsembleReport:
 def validate_ensemble(stack: MatchingStack) -> EnsembleReport:
     """Support, closure and both linkage axioms, with the first witness.  A
     pair without a matching fails support; an axiom left unchecked because
-    support failed is reported false.  Linkage reads the table {(J mask,
-    I mask): edge mask} built by the support check."""
-    table = {}
+    support failed is reported false.  Linkage and closure read the table
+    {(J mask, I mask): edge mask} built by the support check.  Closure looks
+    up each entry minus one edge, by size: by induction every entry passing
+    that is closed, so the first to fail is the first entry holding a wrong
+    submatching, and only it is scanned by (size, combination) for the witness."""
+    table, foreign = {}, set()
     for J, I in stack.pairs():
         try:
             m = stack.matching(J, I)
@@ -142,10 +145,17 @@ def validate_ensemble(stack: MatchingStack) -> EnsembleReport:
             ok = False
         if not ok:
             return EnsembleReport(False, False, False, False, ("support", J, I))
-        table[rows[1], core.subset_mask(I)] = m.mask
+        table[key := (rows[1], core.subset_mask(I))] = m.mask
+        if m.n != stack.n and J:  # a graph on other sides equals no submatching
+            foreign.add(key)
     lw = _unlinked_layer(table, stack.n, stack.d, fix_left=False)
     rw = _unlinked_layer(table, stack.n, stack.d, fix_left=True)
-    for J, I in stack.pairs():
+    d = stack.d
+    for (jm, im), mask in table.items():
+        subs = (((jm ^ 1 << b // d, im ^ 1 << b % d), mask ^ 1 << b) for b in core._bits(mask))
+        if all(table[key] == sub and key not in foreign for key, sub in subs):
+            continue
+        J, I = core.mask_subset(jm), core.mask_subset(im)
         m = stack.matching(J, I)
         for r in range(1, len(J)):
             for sub_edges in combinations(m.edges, r):

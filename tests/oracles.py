@@ -23,7 +23,10 @@ descriptions kept as test oracles.
   says never finds any.
 - Graph classification and connected components by breadth-first search,
   and the forest and spanning-tree tests by a cycle search: the oracles for
-  the row walk of ``core.is_spanning_tree``.
+  the row walk of ``core.is_spanning_tree``.  The tope inside a tree by a
+  breadth-first search from rk over tagged ("L", j) / ("R", i) neighbour
+  lists, the oracle for the row-mask walk of ``core.tree_tope`` behind
+  ``core.contained_tope``.
 - Constructions that only theorem checks run: the increasing splitting of a
   tope field into a matching field and its inverse on one graph, the
   induced field on L minus lj, the exact cover of the flip graph by the
@@ -33,8 +36,9 @@ descriptions kept as test oracles.
   over the column assignments.
 - Linkage by building every (k+1)-subset union as a graph and searching it
   for a cycle, the oracle for the edge-count test of ``fields.is_linkage``,
-  and the i-amalgamation step built the same way, the oracle for the mask
-  test of ``fields.i_amalgamation``.
+  and the i-amalgamation step built the same way, with its topes read off
+  by that breadth-first search, the oracle for the mask test and the walk
+  of ``fields.i_amalgamation``.
 - Left linkage of a stack by ``fields.is_linkage`` on every fixed-I layer
   field, right linkage as left linkage of the transposed stack, and the
   ensemble check built on them: the oracles for the one edge-count table of
@@ -72,6 +76,7 @@ from matchfield.errors import (
     InconsistentPairsError,
     MatchfieldError,
     NotAProductSkeletonError,
+    NotASpanningTreeError,
     NotLinkageError,
     SizeCapError,
     TiedMinimumError,
@@ -112,8 +117,21 @@ class GraphClass:
     type_vector: Optional[tuple[int, ...]] = None
 
 
+def adjacency(g: BipartiteGraph) -> dict[tuple[str, int], list[tuple[str, int]]]:
+    """Neighbour lists of the nodes ("L", j) and ("R", i), isolated ones included."""
+    adj: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    for j in range(1, g.n + 1):
+        adj[("L", j)] = []
+    for i in range(1, g.d + 1):
+        adj[("R", i)] = []
+    for j, i in g.edges:
+        adj[("L", j)].append(("R", i))
+        adj[("R", i)].append(("L", j))
+    return adj
+
+
 def connected_components(g: BipartiteGraph) -> list[set]:
-    adj = core._adjacency(g)
+    adj = adjacency(g)
     seen: set = set()
     comps = []
     for root in adj:
@@ -130,6 +148,45 @@ def connected_components(g: BipartiteGraph) -> list[set]:
         seen |= comp
         comps.append(comp)
     return comps
+
+
+def contained_tope_by_search(tree: BipartiteGraph, k: int) -> BipartiteGraph:
+    """The unique tope with right degree vector v - 1_{[d] minus k} inside a tree.
+
+    The tree must cover every right node and be a tree on its support
+    (isolated left nodes are ignored, so linkage covectors on a subset of L
+    qualify): it has one edge fewer than nodes and the search from rk
+    reaches them all, so no cycle search is needed.  Rooting the tree at rk,
+    the last edge of the path from rk to every other right node is removed;
+    that edge is the one joining the other right node to its parent.
+    """
+    if not (1 <= k <= tree.d):
+        raise MatchfieldError(f"right index {k} out of range")
+    right = tree.right_degrees()
+    if any(deg == 0 for deg in right):
+        raise NotASpanningTreeError("tree must cover every right node")
+    nodes = len(tree.left_support()) + tree.d
+    if len(tree) != nodes - 1:
+        raise NotASpanningTreeError("input is not a tree on its support")
+    # BFS from rk; drop the parent edge of every other right node
+    adj = adjacency(tree)
+    parent: dict = {("R", k): None}
+    frontier = [("R", k)]
+    drop = []
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for nb in adj[node]:
+                if nb in parent:
+                    continue
+                parent[nb] = node
+                if nb[0] == "R":
+                    drop.append((node[1], nb[1]))
+                nxt.append(nb)
+        frontier = nxt
+    if len(parent) != nodes:  # nodes - 1 edges: disconnected exactly when cyclic
+        raise NotASpanningTreeError("input is not a tree on its support")
+    return tree.without_edges(drop)
 
 
 def is_forest(g: BipartiteGraph) -> bool:
@@ -795,7 +852,7 @@ def i_amalgamation_by_cycles(tf: fields.TopeField, i: int) -> fields.TopeField:
         res = fields.linkage_covector(tf, tau)
         if not res.ok:
             raise NotLinkageError(tau, res.cycle)
-        assignment[tau] = core.contained_tope(res.graph, i)
+        assignment[tau] = contained_tope_by_search(res.graph, i)
     new_type = core.vector_sum(tf.type_vector, core.unit_vector(tf.d, i))
     return fields.TopeField(tf.n, tf.d, new_type, assignment)
 

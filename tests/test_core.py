@@ -25,6 +25,7 @@ from oracles import (
     classify,
     connected_components,
     contained_matchings_by_edges,
+    contained_tope_by_search,
     functions_compatible,
     is_simplex_lattice_by_listing,
     subsets_by_recursion,
@@ -167,6 +168,18 @@ class TestContainedTope:
             tope = contained_tope(tree, k)
             assert tope.is_subgraph(tree)
             assert classify(tope).kind == "tope"
+
+    def test_walk_reads_the_searched_tope_off_every_spanning_tree(self):
+        # every spanning tree with n * d <= 12 and every root rk
+        sizes = [(n, d) for n in range(1, 13) for d in range(1, 13) if n * d <= 12]
+        trees = 0
+        for n, d in sizes:
+            for g in core.all_spanning_trees(n, d):
+                trees += 1
+                for k in range(1, d + 1):
+                    expected = contained_tope_by_search(g, k).mask
+                    assert core.tree_tope(g.mask, range(1, n + 1), d, k) == expected
+        assert trees == sum(n ** (d - 1) * d ** (n - 1) for n, d in sizes)
 
 
 class TestSubsetsAndLatticePoints:

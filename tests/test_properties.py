@@ -4,7 +4,7 @@ checks, order independence."""
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from matchfield import (
     BipartiteGraph,
@@ -44,6 +44,7 @@ from oracles import (
     check_basis_exchange,
     chow_by_intersection,
     column_functions,
+    contained_tope_by_search,
     field_from_graphs_by_partial_matchings,
     is_forest,
     is_simplex_lattice_by_listing,
@@ -192,7 +193,48 @@ def collectible_graph_lists(draw):
     return n, d, draw(st.permutations(graphs))
 
 
+@st.composite
+def tope_search_cases(draw):
+    """A graph near a tree and a right index k in 0..d + 1: a spanning tree
+    on some left rows (the others isolated), maybe with one bit flipped, or
+    a sparse random mask."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    k = draw(st.integers(0, d + 1))
+    if draw(st.booleans()):
+        rows = sorted(draw(st.sets(st.integers(1, n), min_size=1)))
+        every = [(j, i) for j in rows for i in range(1, d + 1)]
+        mask = spanning_tree_of_order(n, d, draw(st.permutations(every))).mask
+        if draw(st.booleans()):
+            mask ^= 1 << draw(st.integers(0, n * d - 1))
+    else:
+        bits = draw(st.sets(st.integers(0, n * d - 1), max_size=n + d))
+        mask = sum(1 << b for b in bits)
+    return BipartiteGraph.from_mask(n, d, mask), k
+
+
+def tope_outcome(search, case):
+    """The tope's edge mask, or the type and message of the error."""
+    try:
+        return search(*case).mask
+    except MatchfieldError as exc:
+        return type(exc), str(exc)
+
+
 class TestMaskKernelOracles:
+    @settings(max_examples=500, deadline=None)
+    @given(tope_search_cases())
+    def test_row_walk_contained_tope(self, case):
+        assert tope_outcome(core.contained_tope, case) == tope_outcome(contained_tope_by_search, case)
+
+    @pytest.mark.parametrize("prefix", ["ok", "right index", "tree must cover", "input is not a tree"])
+    def test_tope_search_cases_reach_every_outcome(self, prefix):
+        # a tope and each of the three errors occur among the cases above
+        def reaches(case):
+            got = tope_outcome(contained_tope_by_search, case)
+            return (got[1] if isinstance(got, tuple) else "ok").startswith(prefix)
+
+        find(tope_search_cases(), reaches, settings=settings(database=None, derandomize=True))
+
     @settings(max_examples=300, deadline=None)
     @given(member_sets())
     def test_breadth_first_sector_sweep(self, case):

@@ -89,6 +89,24 @@ class TestEnsemble:
         # the full matching is the first pair with a reassigned submatching
         assert report.witness == ("closure", (1, 2, 3), (1, 2, 3), key)
 
+    def test_closure_witness_is_the_first_of_the_scan(self):
+        # two 2-submatchings of the full 3-matching reassigned: deleting the
+        # lowest edge first reaches {e2, e3}, but the (size, combination)
+        # scan reaches {e1, e3} first, and that is the witness
+        t = staircase_triangulation(3, 3)
+        stack = stack_from_trees(t.sorted_trees(), 3, 3)
+        entries = dict(stack.entries)
+        e1, e2, e3 = stack.matching((1, 2, 3), (1, 2, 3)).edges
+        keys = []
+        for (j1, i1), (j2, i2) in [(e1, e3), (e2, e3)]:
+            key = (tuple(sorted((j1, j2))), tuple(sorted((i1, i2))))
+            entries[key] = graph(3, 3, [(j1, i2), (j2, i1)])
+            keys.append(key)
+        broken = MatchingStack(3, 3, entries)
+        report = validate_ensemble(broken)
+        assert report == validate_ensemble_by_layer_fields(broken)
+        assert report.witness == ("closure", (1, 2, 3), (1, 2, 3), keys[0])
+
     def test_non_linkage_layer(self, field_43):
         # stack whose full layer is the compatible-but-not-linkage field
         report = validate_ensemble(extend(field_43))
@@ -151,8 +169,9 @@ def ensemble_oracle_cases():
     """Stacks on which validate_ensemble meets its layer-field oracle:
     relabelled staircase ensembles, extensions of seeded coherent fields
     (weight-minimal and lexicographic), seeded random stacks, ensembles with
-    one entry replaced by another matching on its pair, and ensembles with
-    one entry dropped or off its pair."""
+    one entry replaced by another matching on its pair, ensembles with
+    one entry dropped or off its pair, and ensembles with one entry on
+    other sides."""
     rng = random.Random(2019)
     sizes = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (4, 3), (3, 4)]
     ensembles = []
@@ -184,7 +203,13 @@ def ensemble_oracle_cases():
         unsupported.append(MatchingStack(stack.n, stack.d, entries))
         entries[key] = graph(stack.n, stack.d, [(1, 1)])
         unsupported.append(MatchingStack(stack.n, stack.d, entries))
-    return ensembles + extended + randoms + perturbed + unsupported
+    foreign = []  # an entry's edges on one more left node: equal masks, unequal graphs
+    for stack in ensembles[1::4]:
+        key = rng.choice(sorted(key for key in stack.entries if key[0]))
+        entries = dict(stack.entries)
+        entries[key] = BipartiteGraph(stack.n + 1, stack.d, entries[key].edges)
+        foreign.append(MatchingStack(stack.n, stack.d, entries))
+    return ensembles + extended + randoms + perturbed + unsupported + foreign
 
 
 class TestEnsembleByEdgeCounts:

@@ -303,6 +303,8 @@ class TestFlipFollowsFromAgreement:
         for n, d in self.ENUMERABLE:
             for t in enumerate_triangulations(n, d):
                 trees = t.sorted_trees()
+                # enumeration runs no check_triangulation of its own
+                assert check_triangulation_with_flip(trees, n, d).ok
                 cases.append((n, d, trees))
                 cases.append((n, d, trees[1:]))
                 cases.append((n, d, trees[1:] + [trees[0].without_edges(trees[0].edges[:1])]))
