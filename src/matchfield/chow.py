@@ -12,16 +12,17 @@ matching on sigma is the lj-edge of the covector of rho = (L minus sigma) + j,
 and as then sigma = (L minus rho) + j, one pass builds the covectors from the
 field and the field from the covectors (``fields.chow_masks``).
 
-Reconstruction inverts phi with one sweep per left node.  For fixed j and
-i, the covectors containing the edge (lj, ri) form a *combinatorial sector*,
-swept from the pair at the top level (v_i = n-d+1): a pair at level h joins
-when an admitted pair sits at rdv v + e_i - e_k.  The d sectors of j
-partition the covectors through j (``core.sectors``, shared with the
-triangulations), and each ORs its edge at lj into the mask of its rho.  The
-certificate rebuilds the field, checks that it is linkage and that its
-covector table equals the rebuilt one, mask for mask.  The tests keep the
-paper's induction on deleting lj, and the covectors as intersections of
-maximal topes and as minimal transversals, as oracles.
+Reconstruction inverts phi with one sweep per left node over the lattice
+points coded in base n-d+2 (``core.encode_point``).  For fixed j and i, the
+covectors containing the edge (lj, ri) form a *combinatorial sector*, swept
+from the pair at the top level (v_i = n-d+1): a pair joins when an admitted
+pair sits at rdv v + e_i - e_k.  The d sectors of j partition the covectors
+through j (``core.sectors``, shared with the triangulations), and each ORs
+its edge at lj into the mask of its rho.  The certificate rebuilds the
+field, checks that it is linkage and that its covector table equals the
+rebuilt one, mask for mask.  The tests keep the paper's induction on
+deleting lj, and the covectors as intersections of maximal topes and as
+minimal transversals, as oracles.
 """
 
 from __future__ import annotations
@@ -171,13 +172,14 @@ def reconstruct_chow_from_phi(phi: PhiMap, n: int, d: int) -> ChowCollection:
     if (phi.n, phi.d) != (n, d):
         raise MatchfieldError("phi dimensions disagree")
     phi.validate_bijective()
-    by_rdv = {v: core.subset_mask(rho) for rho, v in phi.mapping.items()}
-    table = dict.fromkeys(by_rdv.values(), 0)
+    base = n - d + 2  # above every coordinate
+    by_code = {core.encode_point(v, base): core.subset_mask(rho) for rho, v in phi.mapping.items()}
+    table = dict.fromkeys(by_code.values(), 0)
     for j in range(n):
-        member_rdvs = {v for v, rho in by_rdv.items() if rho >> j & 1}
-        sector = core.sectors(member_rdvs, by_rdv, n - d + 1, j + 1, InconsistentPhiError)
-        for rdv, i in sector.items():
-            table[by_rdv[rdv]] |= 1 << (j * d + i - 1)
+        members = {x for x, rho in by_code.items() if rho >> j & 1}
+        sector = core.sectors(members, by_code, n - d + 1, j + 1, InconsistentPhiError, d, base)
+        for x, i in sector.items():
+            table[by_code[x]] |= 1 << (j * d + i - 1)
     try:
         collection = ChowCollection(n, d, core.graph_table(n, d, table))
         if collection.rdvs != phi.mapping:

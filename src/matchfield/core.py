@@ -24,7 +24,9 @@ which names the witness.  ``right_perfect_matchings`` builds only the
 matchings that cover R, column by column; ``tree_tope`` walks a tree over
 its row masks, deciding spanning trees and linkage covectors and reading
 off the tope inside; ``sector_sweep`` is a breadth-first search over
-lattice points.  ``incompatible_partners`` tests a partial map
+lattice points coded as integers, sum v_k * B^(dim-k) with every digit
+below B, so that a move is integer arithmetic and code order is tuple
+order.  ``incompatible_partners`` tests a partial map
 (``tope_function``) against all its partners in one closure over bitsets.
 
 Every JSON format is read strictly by ``read_table``, which raises
@@ -634,48 +636,54 @@ def all_ones(dim: int) -> tuple[int, ...]:
     return (1,) * dim
 
 
-def sector_sweep(member_rdvs: set, i: int, seed: tuple) -> set:
-    """Combinatorial sector of ri among the member right degree vectors: the
+def encode_point(v: Sequence[int], base: int) -> int:
+    """Code sum v_k * base^(dim-k) of a lattice point, the first coordinate
+    most significant: for digits below base, code order is tuple order."""
+    return sum(c * base**k for k, c in enumerate(reversed(v)))
+
+
+def decode_point(x: int, dim: int, base: int) -> tuple[int, ...]:
+    """The lattice point of length dim with code x (``encode_point``)."""
+    return tuple(x // base**k % base for k in range(dim - 1, -1, -1))
+
+
+def sector_sweep(members: set, i: int, seed: int, dim: int, base: int) -> set:
+    """Combinatorial sector of ri among the member codes of length dim: the
     members reached from the seed by the moves v -> v - e_i + e_k (v_i > 0),
-    breadth first, so a member joins when an admitted one sits at
-    v + e_i - e_k.  Empty when the seed is not a member."""
-    if seed not in member_rdvs:
+    adding base^(dim-k) - base^(dim-i), breadth first, so a member joins when
+    an admitted one sits at v + e_i - e_k.  Empty if the seed is no member."""
+    if seed not in members:
         return set()
     admitted, queue = {seed}, [seed]
-    i -= 1
-    for v in queue:  # grows while it is read, first in first out
-        if v[i]:
-            down = list(v)
-            down[i] -= 1
-            for k in range(len(v)):  # k = i gives v back, already admitted
-                down[k] += 1
-                w = tuple(down)
-                down[k] -= 1
-                if w in member_rdvs and w not in admitted:
+    unit, units = base ** (dim - i), [base**k for k in range(dim)]
+    for x in queue:  # grows while it is read, first in first out
+        if x // unit % base:  # v_i > 0
+            for e in units:  # e = unit gives x back, already admitted
+                w = x - unit + e
+                if w in members and w not in admitted:
                     admitted.add(w)
                     queue.append(w)
     return admitted
 
 
-def sectors(member_rdvs: set, rdvs, top: int, j: int, error: type) -> dict:
-    """Partition the member right degree vectors of left node j into its
-    combinatorial sectors, one per right node i swept from the seed top * e_i
-    (``sector_sweep``): {rdv: i}.  Raises ``error`` when a seed is not among
-    rdvs, a member is admitted to two sectors (the least such one of the
-    first sector meeting an earlier one is named), or the sectors miss one."""
-    d = len(next(iter(rdvs)))
+def sectors(members: set, codes, top: int, j: int, error: type, dim: int, base: int) -> dict:
+    """Partition the member rdv codes of left node j into its combinatorial
+    sectors, one per right node i swept from the seed top * e_i
+    (``sector_sweep``): {code: i}.  Raises ``error``, naming decoded points,
+    when a seed is not among codes, a member is admitted to two sectors (the
+    least one of the first sector meeting an earlier one), or one is missed."""
     sector: dict = {}
-    for i in range(1, d + 1):
-        seed = tuple(top if t == i else 0 for t in range(1, d + 1))
-        if seed not in rdvs:
-            raise error(f"no member with extreme rdv {seed}")
-        admitted = sector_sweep(member_rdvs, i, seed)
-        for rdv in admitted:
-            if rdv in sector:
-                twice = min(v for v in admitted if sector.get(v, i) != i)
-                raise error(f"rdv {twice} admitted to two sectors of {j}")
-            sector[rdv] = i
-    if sector.keys() != member_rdvs:
+    for i in range(1, dim + 1):
+        seed = top * base ** (dim - i)
+        if seed not in codes:
+            raise error(f"no member with extreme rdv {decode_point(seed, dim, base)}")
+        admitted = sector_sweep(members, i, seed, dim, base)
+        for x in admitted:
+            if x in sector:
+                twice = min(w for w in admitted if sector.get(w, i) != i)
+                raise error(f"rdv {decode_point(twice, dim, base)} admitted to two sectors of {j}")
+            sector[x] = i
+    if sector.keys() != members:
         raise error(f"sectors do not cover all pairs through {j}")
     return sector
 

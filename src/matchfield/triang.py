@@ -13,13 +13,13 @@ of ``stacks.stack_from_trees``.
 
 The degree-pair map sends each tree to its left and right degree vectors,
 normalised by subtracting the all-ones vectors.  The pair set determines the
-triangulation; reconstruction rebuilds each tree along one chain of
-deletions: take the tree's first left leaf j, find its edge from the
-combinatorial sector of j that holds the tree's right degree vector
-(``core.sectors``, shared with Chow reconstruction), delete it, and go on in
-the facet triangulation without j.  Each deletion step is computed once for
-all trees that take it.  The rebuilt trees are certified: they must
-reproduce the pairs and satisfy the axioms.
+triangulation; reconstruction codes each pair (u, v) as u * B^d + v, B =
+max(n, d) (``core.encode_point``), and rebuilds each tree along one chain of
+deletions: find the edge (lj, ri) of its first left leaf, a zero digit of u,
+from the sector of j that holds v (``core.sectors``), drop the digit,
+subtract B^(d-i) from v and go on without j; a transposed step swaps the
+halves of the code.  Each step is computed once for all trees that take it.
+The rebuilt trees must reproduce the pairs and satisfy the axioms.
 """
 
 from __future__ import annotations
@@ -157,10 +157,7 @@ def extract_field(t: Triangulation) -> fields.MatchingField:
 def tree_degree_pair(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Normalised (left, right) degree pair of a spanning tree."""
     left, right = core.degree_vectors(g)
-    return (
-        tuple(x - 1 for x in left),
-        tuple(x - 1 for x in right),
-    )
+    return tuple(x - 1 for x in left), tuple(x - 1 for x in right)
 
 
 def phi(t: Triangulation) -> frozenset:
@@ -182,20 +179,28 @@ def reconstruct_triangulation(pairs: Iterable, n: int, d: int) -> Triangulation:
     pairs.  Raises InconsistentPairsError if none exists: the rebuilt trees
     must reproduce the pairs and satisfy the axioms, so that every accepted
     input is a triangulation's pair set and every other one is refused."""
+    return _certified(_rebuild(pairs, n, d))
+
+
+def _rebuild(pairs: Iterable, n: int, d: int) -> Triangulation:
+    """The trees of the deletion chains, once they reproduce the pairs."""
     pairs = frozenset((tuple(u), tuple(v)) for u, v in pairs)
     _check_pair_shape(pairs, n, d)
-    left, right = tuple(range(1, n + 1)), tuple(range(1, d + 1))
-    memo: dict = {}
-    out = [BipartiteGraph(n, d, _tree(pair, pairs, left, right, memo)) for pair in sorted(pairs)]
+    base = max(n, d)
+    codes = frozenset(core.encode_point(u + v, base) for u, v in pairs)
+    left, right, memo = tuple(range(1, n + 1)), tuple(range(1, d + 1)), {}
+    out = [BipartiteGraph(n, d, _tree(x, codes, left, right, base, memo)) for x in sorted(codes)]
     t = Triangulation(n, d, out)
     if frozenset(tree_degree_pair(g) for g in t.trees) != pairs:
         raise InconsistentPairsError("reconstruction does not reproduce the pairs")
-    # certificate: the rebuilt trees must satisfy the axioms themselves
-    report = check_triangulation(out, n, d)
+    return t
+
+
+def _certified(t: Triangulation) -> Triangulation:
+    """The rebuilt trees, once they satisfy the axioms themselves."""
+    report = check_triangulation(t.trees, t.n, t.d)
     if not report.ok:
-        raise InconsistentPairsError(
-            f"rebuilt trees violate the {report.kind} axiom"
-        )
+        raise InconsistentPairsError(f"rebuilt trees violate the {report.kind} axiom")
     return t
 
 
@@ -210,9 +215,9 @@ def _check_pair_shape(pairs, n, d):
         raise InconsistentPairsError("projections are not bijections onto lattice points")
 
 
-def _tree(pair, pairs, left_labels, right_labels, memo):
-    """Edges, in original labels, of the tree at `pair` among the normalised
-    degree pairs `pairs` over the given label tuples.
+def _tree(code, codes, left_labels, right_labels, base, memo):
+    """Edges, in original labels, of the tree at the pair `code` among the
+    coded normalised degree pairs `codes` over the given label tuples.
 
     With n >= d the tree's first left leaf lj (u_j = 0) exists, since
     sum(u) = d - 1 < n.  Its edge is (lj, ri) for the sector of j that holds
@@ -225,40 +230,43 @@ def _tree(pair, pairs, left_labels, right_labels, memo):
         return tuple((left_labels[0], i) for i in right_labels)
     if d == 1:
         return tuple((j, right_labels[0]) for j in left_labels)
-    u, v = pair
-    if n < d:
-        key = (left_labels, right_labels, pairs)
+    if n < d:  # with the sides swapped, the pair u * B^d + v is v * B^n + u
+        key, low, high = (left_labels, right_labels, codes), base**d, base**n
         if key not in memo:
-            memo[key] = frozenset((b, a) for a, b in pairs)
-        sub = _tree((v, u), memo[key], right_labels, left_labels, memo)
+            memo[key] = frozenset(x % low * high + x // low for x in codes)
+        code = code % low * high + code // low
+        sub = _tree(code, memo[key], right_labels, left_labels, base, memo)
         return tuple((j, i) for i, j in sub)
-    pos = u.index(0)
-    key = (left_labels, right_labels, pairs, pos)
+    pos = core.decode_point(code // base**d, n, base).index(0)
+    key = (left_labels, right_labels, codes, pos)
     if key not in memo:
-        memo[key] = _deletion(pairs, pos, n, left_labels[pos])
+        memo[key] = _deletion(codes, pos, n, d, left_labels[pos], base)
     down, facet = memo[key]
-    i, sub_pair = down[pair]
+    i, sub_code = down[code]
     sub_left = left_labels[:pos] + left_labels[pos + 1 :]
-    sub = _tree(sub_pair, facet, sub_left, right_labels, memo)
+    sub = _tree(sub_code, facet, sub_left, right_labels, base, memo)
     return sub + ((left_labels[pos], right_labels[i - 1]),)
 
 
-def _deletion(pairs, pos, n, j):
+def _deletion(codes, pos, n, d, j, base):
     """Delete left node j at position pos from the trees having it as a leaf:
-    ({pair: (i, facet pair)}, facet pairs), where ri is j's neighbour.
+    ({code: (i, facet code)}, facet codes), where ri is j's neighbour.
 
     Both projections of the facet pairs stay injective: the lefts lose a
     common zero, and members v in sector i and v - e_i + e_k in sector k,
     which would meet, are refused as one member admitted to two sectors."""
-    rdvs = {v for _, v in pairs}
-    members = [(u, v) for u, v in pairs if u[pos] == 0]
-    sector = core.sectors({v for _, v in members}, rdvs, n - 1, j, InconsistentPairsError)
+    low, digit = base**d, base ** (n - 1 - pos)
+    members = [x for x in codes if not x // (low * digit) % base]
+    rdvs, member_rdvs = {x % low for x in codes}, {x % low for x in members}
+    sector = core.sectors(member_rdvs, rdvs, n - 1, j, InconsistentPairsError, d, base)
     down = {}
-    for u, v in members:
+    for x in members:
+        u, v = divmod(x, low)
         i = sector[v]
-        if v[i - 1] == 0:
+        unit = base ** (d - i)
+        if not v // unit % base:
             raise InconsistentPairsError("deletion leaves a negative degree")
-        down[(u, v)] = (i, (u[:pos] + u[pos + 1 :], v[: i - 1] + (v[i - 1] - 1,) + v[i:]))
+        down[x] = (i, (u // digit // base * digit + u % digit) * low + v - unit)
     return down, frozenset(facet for _, facet in down.values())
 
 

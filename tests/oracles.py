@@ -52,7 +52,10 @@ descriptions kept as test oracles.
   off a graph list by filtering all its partial matchings, the oracle for
   ``core.right_perfect_matchings`` in ``fields.field_from_graphs``.
 - Combinatorial sectors swept level by level in coordinate i, the oracle
-  for the breadth-first ``core.sector_sweep``.
+  for the breadth-first ``core.sector_sweep``.  Both sector
+  reconstructions, degree pairs and phi maps, with every lattice point a
+  tuple: the oracles for the integer codes of ``core.sectors``,
+  ``triang._tree``, ``triang._deletion`` and ``reconstruct_chow_from_phi``.
 - The right-submatching check that rescans every field matching for each
   (J, I') and runs ``is_compatible`` on every contained matching, the
   oracle for the table-driven ``right_submatching_check``.
@@ -69,11 +72,13 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from matchfield import core, fields
-from matchfield.chow import ChowCollection
+from matchfield.chow import ChowCollection, PhiMap, field_from_chow
 from matchfield.core import BipartiteGraph, degree_vectors
 from matchfield.errors import (
+    FieldValidationError,
     InconsistentCollectionError,
     InconsistentPairsError,
+    InconsistentPhiError,
     MatchfieldError,
     NotAProductSkeletonError,
     NotASpanningTreeError,
@@ -100,6 +105,7 @@ from matchfield.triang import (
     Triangulation,
     TriangulationReport,
     _check_pair_shape,
+    check_triangulation,
     find_agreement_violation,
     find_flip_violation,
     tree_count,
@@ -659,6 +665,138 @@ def check_triangulation_with_flip(
     if witness is not None:
         return TriangulationReport(False, "flip", witness)
     return TriangulationReport(True)
+
+
+# ---------------------------------------------------------------------------
+# both sector reconstructions on tuples
+
+
+def sector_sweep(member_rdvs: set, i: int, seed: tuple) -> set:
+    """Oracle for the coded ``core.sector_sweep``: the same breadth-first
+    search with the moves v -> v - e_i + e_k made on tuples."""
+    if seed not in member_rdvs:
+        return set()
+    admitted, queue = {seed}, [seed]
+    i -= 1
+    for v in queue:  # grows while it is read, first in first out
+        if v[i]:
+            down = list(v)
+            down[i] -= 1
+            for k in range(len(v)):  # k = i gives v back, already admitted
+                down[k] += 1
+                w = tuple(down)
+                down[k] -= 1
+                if w in member_rdvs and w not in admitted:
+                    admitted.add(w)
+                    queue.append(w)
+    return admitted
+
+
+def sectors(member_rdvs: set, rdvs, top: int, j: int, error: type) -> dict:
+    """Oracle for the coded ``core.sectors``: {rdv: i} over tuples, with
+    the same checks, witnesses and messages."""
+    d = len(next(iter(rdvs)))
+    sector: dict = {}
+    for i in range(1, d + 1):
+        seed = tuple(top if t == i else 0 for t in range(1, d + 1))
+        if seed not in rdvs:
+            raise error(f"no member with extreme rdv {seed}")
+        admitted = sector_sweep(member_rdvs, i, seed)
+        for rdv in admitted:
+            if rdv in sector:
+                twice = min(v for v in admitted if sector.get(v, i) != i)
+                raise error(f"rdv {twice} admitted to two sectors of {j}")
+            sector[rdv] = i
+    if sector.keys() != member_rdvs:
+        raise error(f"sectors do not cover all pairs through {j}")
+    return sector
+
+
+def tuple_tree(pair, pairs, left_labels, right_labels, memo):
+    """Oracle for the coded ``triang._tree``: the same deletion chain with
+    each degree pair a pair of tuples; memo holds each deletion step and
+    each transposed pair set."""
+    n, d = len(left_labels), len(right_labels)
+    if n == 1:
+        return tuple((left_labels[0], i) for i in right_labels)
+    if d == 1:
+        return tuple((j, right_labels[0]) for j in left_labels)
+    u, v = pair
+    if n < d:
+        key = (left_labels, right_labels, pairs)
+        if key not in memo:
+            memo[key] = frozenset((b, a) for a, b in pairs)
+        sub = tuple_tree((v, u), memo[key], right_labels, left_labels, memo)
+        return tuple((j, i) for i, j in sub)
+    pos = u.index(0)
+    key = (left_labels, right_labels, pairs, pos)
+    if key not in memo:
+        memo[key] = tuple_deletion(pairs, pos, n, left_labels[pos])
+    down, facet = memo[key]
+    i, sub_pair = down[pair]
+    sub_left = left_labels[:pos] + left_labels[pos + 1 :]
+    sub = tuple_tree(sub_pair, facet, sub_left, right_labels, memo)
+    return sub + ((left_labels[pos], right_labels[i - 1]),)
+
+
+def tuple_deletion(pairs, pos, n, j):
+    """Oracle for the coded ``triang._deletion``: ({pair: (i, facet pair)},
+    facet pairs) over tuples."""
+    rdvs = {v for _, v in pairs}
+    members = [(u, v) for u, v in pairs if u[pos] == 0]
+    sector = sectors({v for _, v in members}, rdvs, n - 1, j, InconsistentPairsError)
+    down = {}
+    for u, v in members:
+        i = sector[v]
+        if v[i - 1] == 0:
+            raise InconsistentPairsError("deletion leaves a negative degree")
+        down[(u, v)] = (i, (u[:pos] + u[pos + 1 :], v[: i - 1] + (v[i - 1] - 1,) + v[i:]))
+    return down, frozenset(facet for _, facet in down.values())
+
+
+def reconstruct_triangulation_on_tuples(pairs: Iterable, n: int, d: int, memo=None):
+    """``tuple_tree`` under the shape check, the pair recount and the
+    certificate of ``reconstruct_triangulation``, with its messages; memo,
+    when given, keeps the deletion steps for inspection."""
+    pairs = frozenset((tuple(u), tuple(v)) for u, v in pairs)
+    _check_pair_shape(pairs, n, d)
+    left, right = tuple(range(1, n + 1)), tuple(range(1, d + 1))
+    memo = {} if memo is None else memo
+    t = Triangulation(n, d, [
+        BipartiteGraph(n, d, tuple_tree(pair, pairs, left, right, memo)) for pair in sorted(pairs)
+    ])
+    if frozenset(tree_degree_pair(g) for g in t.trees) != pairs:
+        raise InconsistentPairsError("reconstruction does not reproduce the pairs")
+    report = check_triangulation(t.trees, n, d)
+    if not report.ok:
+        raise InconsistentPairsError(f"rebuilt trees violate the {report.kind} axiom")
+    return t
+
+
+def reconstruct_chow_on_tuples(phi: PhiMap, n: int, d: int) -> ChowCollection:
+    """Oracle for the coded ``chow.reconstruct_chow_from_phi``: the sectors
+    of every left node on tuples, then the same certificate."""
+    if (phi.n, phi.d) != (n, d):
+        raise MatchfieldError("phi dimensions disagree")
+    phi.validate_bijective()
+    by_rdv = {v: core.subset_mask(rho) for rho, v in phi.mapping.items()}
+    table = dict.fromkeys(by_rdv.values(), 0)
+    for j in range(n):
+        member_rdvs = {v for v, rho in by_rdv.items() if rho >> j & 1}
+        sector = sectors(member_rdvs, by_rdv, n - d + 1, j + 1, InconsistentPhiError)
+        for rdv, i in sector.items():
+            table[by_rdv[rdv]] |= 1 << (j * d + i - 1)
+    try:
+        collection = ChowCollection(n, d, core.graph_table(n, d, table))
+        if collection.rdvs != phi.mapping:
+            raise InconsistentPhiError("reconstruction does not reproduce phi")
+        field = field_from_chow(collection)
+        fields.require_linkage(field)
+        if fields.chow_masks(n, d, field.mask_table) != collection.mask_table:
+            raise InconsistentPhiError("covectors do not belong to any field")
+    except (FieldValidationError, InconsistentCollectionError, NotLinkageError) as exc:
+        raise InconsistentPhiError(str(exc)) from exc
+    return collection
 
 
 # ---------------------------------------------------------------------------

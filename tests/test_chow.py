@@ -28,7 +28,6 @@ from matchfield.chow import (
 )
 from matchfield import chow as chow_mod
 from matchfield import core, fields
-from matchfield.core import sector_sweep
 from matchfield.errors import InconsistentCollectionError
 from matchfield.randgen import seeded_coherent_field
 
@@ -39,6 +38,7 @@ from oracles import (
     is_transversal,
     minimal_transversals,
     sector,
+    sector_sweep,
 )
 
 

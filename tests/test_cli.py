@@ -15,13 +15,15 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from matchfield import core
+from matchfield import core, triang
 from matchfield.chow import chow_collection, phi_to_json_dict
 from matchfield.cli import build_parser, run
 from matchfield.fields import extended_to_json_dict, field_to_json_dict
 from matchfield.stacks import stack_to_json_dict, stack_from_trees
 from matchfield.triang import (
     STAIRCASE_MAX_TREES,
+    Triangulation,
+    enumerate_triangulations,
     extended_tope_arrangement,
     pairs_to_json_dict,
     phi,
@@ -104,6 +106,48 @@ def test_roundtrip_commands(capsys, field_file, triangulation_file):
     assert json.loads(capsys.readouterr().out)["match"] is True
     assert run(["roundtrip", "--kind", "triangulation", triangulation_file]) == 0
     assert json.loads(capsys.readouterr().out)["match"] is True
+
+
+def count_certificates(monkeypatch):
+    """A list that grows by one for every check_triangulation call."""
+    calls, check = [], triang.check_triangulation
+    monkeypatch.setattr(triang, "check_triangulation", lambda *a: calls.append(a) or check(*a))
+    return calls
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (2, 4), (4, 3), (5, 4)])
+def test_triangulation_round_trip_runs_one_certificate(capsys, monkeypatch, tmp_path, n, d):
+    # the input is validated by check_triangulation; a rebuild equal to it
+    # is not certified a second time
+    t = staircase_triangulation(n, d, tuple(range(n, 0, -1)), None)
+    path = tmp_path / "t.json"
+    path.write_text(core.canonical_json(triangulation_to_json_dict(t)))
+    calls = count_certificates(monkeypatch)
+    assert run(["roundtrip", "--kind", "triangulation", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["match"] is True
+    assert len(calls) == 1
+
+
+def test_differing_rebuild_reaches_the_certificate(capsys, monkeypatch, tmp_path):
+    # the two triangulations of the square, and a tree of each: a rebuild
+    # that differs from the input is certified, and refused when it fails
+    (a, b) = enumerate_triangulations(2, 2)
+    path = tmp_path / "t.json"
+    path.write_text(core.canonical_json(triangulation_to_json_dict(a)))
+    mixed = Triangulation(2, 2, [a.sorted_trees()[0], b.sorted_trees()[0]])
+    for rebuilt, code in [(mixed, 1), (b, 1), (a, 0)]:
+        monkeypatch.setattr(triang, "_rebuild", lambda pairs, n, d: rebuilt)
+        calls = count_certificates(monkeypatch)
+        assert run(["roundtrip", "--kind", "triangulation", str(path)]) == code
+        out, err = capsys.readouterr()
+        assert len(calls) == (1 if rebuilt == a else 2)
+        if rebuilt is mixed:
+            assert json.loads(err) == {
+                "error": "InconsistentPairsError",
+                "message": "rebuilt trees violate the agreement axiom",
+            }
+        else:
+            assert json.loads(out)["match"] is (rebuilt == a)
 
 
 def test_validate_extract_phi_triangulation(capsys, triangulation_file):

@@ -28,6 +28,7 @@ from oracles import (
     contained_tope_by_search,
     functions_compatible,
     is_simplex_lattice_by_listing,
+    sectors,
     subsets_by_recursion,
 )
 
@@ -247,6 +248,33 @@ class TestSubsetsAndLatticePoints:
         assert core.is_simplex_lattice(points, 4, 3)
 
 
+class TestPointCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 6), st.data())
+    def test_codes_decode_and_keep_tuple_order(self, base, dim, data):
+        digits = st.lists(st.integers(0, base - 1), min_size=dim, max_size=dim).map(tuple)
+        v, w = data.draw(digits), data.draw(digits)
+        x, y = core.encode_point(v, base), core.encode_point(w, base)
+        assert core.decode_point(x, dim, base) == v
+        assert 0 <= x < base**dim
+        assert (x < y) == (v < w) and (x == y) == (v == w)
+
+    def test_move_is_the_coordinate_move(self):
+        # v -> v - e_i + e_k is x - B^(d-i) + B^(d-k), allowed on digit i > 0
+        base, dim = 4, 3
+        for v in simplex_lattice_points(3, dim):
+            x = core.encode_point(v, base)
+            for i in range(1, dim + 1):
+                assert (x // base ** (dim - i) % base > 0) == (v[i - 1] > 0)
+                if not v[i - 1]:
+                    continue
+                for k in range(1, dim + 1):
+                    w = list(v)
+                    w[i - 1] -= 1
+                    w[k - 1] += 1
+                    assert x - base ** (dim - i) + base ** (dim - k) == core.encode_point(w, base)
+
+
 class TestSectors:
     def test_collision_names_the_least_twice_admitted_member(self):
         # sectors 2 and 3 both admit all three members; the message names
@@ -254,8 +282,14 @@ class TestSectors:
         members = {(0, 2, 0), (0, 1, 1), (0, 0, 2)}
         rdvs = members | {(2, 0, 0)}
         with pytest.raises(MatchfieldError) as info:
-            core.sectors(members, rdvs, 2, 5, MatchfieldError)
+            sectors(members, rdvs, 2, 5, MatchfieldError)
         assert str(info.value) == "rdv (0, 0, 2) admitted to two sectors of 5"
+        for base in (3, 4, 7):
+            codes = {core.encode_point(v, base) for v in members}
+            every = codes | {core.encode_point((2, 0, 0), base)}
+            with pytest.raises(MatchfieldError) as coded:
+                core.sectors(codes, every, 2, 5, MatchfieldError, 3, base)
+            assert str(coded.value) == str(info.value)
 
 
 class TestGraphBasics:

@@ -4,7 +4,7 @@ checks, order independence."""
 import itertools
 
 import pytest
-from hypothesis import find, given, settings, strategies as st
+from hypothesis import example, find, given, settings, strategies as st
 
 from matchfield import (
     BipartiteGraph,
@@ -14,13 +14,14 @@ from matchfield import (
     is_linkage,
     maximal_tope,
     phi,
+    reconstruct_chow_from_phi,
     reconstruct_triangulation,
     simplex_lattice_points,
     subsets,
     tope_arrangement,
 )
 from matchfield import core
-from matchfield.chow import chow_by_definition, chow_collection
+from matchfield.chow import PhiMap, chow_by_definition, chow_collection
 from matchfield.core import contained_matchings, is_spanning_tree
 from matchfield.errors import MatchfieldError
 from matchfield.fields import check_sector_monotonicity, field_from_graphs
@@ -28,9 +29,11 @@ from matchfield.randgen import random_weight_matrix, seeded_coherent_field, spli
 from matchfield.stacks import transversal_matroid
 from matchfield.triang import (
     check_triangulation,
+    enumerate_triangulations,
     find_agreement_violation,
     find_flip_violation,
     staircase_triangulation,
+    tree_count,
 )
 
 from conftest import (
@@ -49,7 +52,9 @@ from oracles import (
     is_forest,
     is_simplex_lattice_by_listing,
     is_spanning_tree_by_cycles,
+    reconstruct_chow_on_tuples,
     reconstruct_triangulation_by_every_leaf,
+    reconstruct_triangulation_on_tuples,
     sector_sweep_by_levels,
 )
 from test_fields import arrangement_by_amalgamation, outcome
@@ -236,10 +241,16 @@ class TestMaskKernelOracles:
         find(tope_search_cases(), reaches, settings=settings(database=None, derandomize=True))
 
     @settings(max_examples=300, deadline=None)
-    @given(member_sets())
-    def test_breadth_first_sector_sweep(self, case):
+    @given(member_sets(), st.integers(1, 3))
+    def test_breadth_first_sector_sweep(self, case, spare):
+        # the coded sweep in any base above the top digit, decoded
         members, i, seed = case
-        assert core.sector_sweep(members, i, seed) == sector_sweep_by_levels(members, i, seed)
+        dim, base = len(seed), sum(seed) + spare
+        codes = {core.encode_point(v, base) for v in members}
+        swept = core.sector_sweep(codes, i, core.encode_point(seed, base), dim, base)
+        assert {core.decode_point(x, dim, base) for x in swept} == sector_sweep_by_levels(
+            members, i, seed
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 4), st.integers(1, 4), st.data())
@@ -296,6 +307,133 @@ class TestDegreePairReconstruction:
         assert phi(t) == pairs
         assert check_triangulation(t.sorted_trees(), n, d).ok
         assert reconstruct_triangulation_by_every_leaf(pairs, n, d) == t
+
+
+def route_outcome(route, *args):
+    """A route's result, or the type and message of the error it raised."""
+    try:
+        return route(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def relabelled_staircases(draw, max_n=6, max_d=5):
+    """A staircase of size up to (max_n, max_d), either way round, with its
+    rows and columns in drawn orders."""
+    n, d = draw(st.integers(1, max_n)), draw(st.integers(1, max_d))
+    if draw(st.booleans()):
+        n, d = d, n
+    left = draw(st.permutations(range(1, n + 1)))
+    right = draw(st.permutations(range(1, d + 1)))
+    return staircase_triangulation(n, d, left, right)
+
+
+def moved_unit(draw, vector):
+    """The vector with one unit moved between two drawn coordinates, or the
+    vector itself when the drawn source coordinate is zero."""
+    a, b = draw(st.integers(0, len(vector) - 1)), draw(st.integers(0, len(vector) - 1))
+    if not vector[a]:
+        return vector
+    moved = list(vector)
+    moved[a] -= 1
+    moved[b] += 1
+    return tuple(moved)
+
+
+@st.composite
+def mutated_pair_sets(draw):
+    """The pairs of a relabelled staircase up to (5,4) after one or two
+    mutations: two right vectors swapped, or one unit moved between two
+    coordinates of one vector."""
+    t = draw(relabelled_staircases(5, 4))
+    pairs = sorted(phi(t))
+    for _ in range(draw(st.integers(1, 2))):
+        a, b = draw(st.integers(0, len(pairs) - 1)), draw(st.integers(0, len(pairs) - 1))
+        (u, v), (w, x) = pairs[a], pairs[b]
+        if draw(st.booleans()):
+            pairs[a], pairs[b] = (u, x), (w, v)
+        elif draw(st.booleans()):
+            pairs[a] = (moved_unit(draw, u), v)
+        else:
+            pairs[a] = (u, moved_unit(draw, v))
+    return t.n, t.d, pairs
+
+
+@st.composite
+def mutated_phi_maps(draw):
+    """The phi map of a seeded coherent field up to (7,4) after one or two
+    mutations: two values swapped, or one unit moved within one value."""
+    n, d = draw(st.sampled_from([(3, 2), (4, 2), (4, 3), (5, 3), (6, 3), (6, 4), (7, 4)]))
+    field, _, _ = seeded_coherent_field(n, d, draw(st.integers(0, 50)))
+    mapping = dict(chow_collection(field).phi().mapping)
+    keys = sorted(mapping)
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(keys)), draw(st.sampled_from(keys))
+        if draw(st.booleans()):
+            mapping[a], mapping[b] = mapping[b], mapping[a]
+        else:
+            mapping[a] = moved_unit(draw, mapping[a])
+    return n, d, mapping
+
+
+class TestCodedReconstructions:
+    """Both sector reconstructions on integer codes against the same routes
+    on tuples: the same result, or the same error type and message."""
+
+    def test_every_enumerated_triangulation(self):
+        sizes = [(n, d) for n in range(1, 7) for d in range(1, 7) if tree_count(n, d) <= 6]
+        rebuilt = 0
+        for n, d in sizes:
+            for t in enumerate_triangulations(n, d):
+                pairs = phi(t)
+                assert reconstruct_triangulation(pairs, n, d) == t
+                assert reconstruct_triangulation_on_tuples(pairs, n, d) == t
+                rebuilt += 1
+        # eleven sizes with one tree, d! at (2, d), n! at (n, 2), 108 at (3, 3)
+        assert rebuilt == 11 + (2 + 6 + 24 + 120 + 720) + (6 + 24 + 120 + 720) + 108
+
+    @settings(max_examples=60, deadline=None)
+    @given(relabelled_staircases())
+    @example(staircase_triangulation(6, 5, (4, 1, 6, 2, 5, 3), (5, 3, 1, 4, 2)))
+    @example(staircase_triangulation(5, 6, (2, 5, 1, 4, 3), (6, 1, 5, 2, 4, 3)))
+    def test_relabelled_staircases(self, t):
+        pairs = phi(t)
+        assert reconstruct_triangulation(pairs, t.n, t.d) == t
+        assert reconstruct_triangulation_on_tuples(pairs, t.n, t.d) == t
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(mutated_pair_sets(), bijective_pairings()))
+    def test_mutated_pair_sets(self, case):
+        n, d, pairs = case
+        assert route_outcome(reconstruct_triangulation, pairs, n, d) == route_outcome(
+            reconstruct_triangulation_on_tuples, pairs, n, d
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_phi_maps())
+    def test_mutated_phi_maps(self, case):
+        n, d, mapping = case
+        assert route_outcome(reconstruct_chow_from_phi, PhiMap(n, d, mapping), n, d) == (
+            route_outcome(reconstruct_chow_on_tuples, PhiMap(n, d, mapping), n, d)
+        )
+
+    @pytest.mark.parametrize("strategy", [mutated_pair_sets(), mutated_phi_maps()])
+    def test_mutations_reach_a_deep_refusal(self, strategy):
+        # some mutated input passes the shape checks and is refused by the
+        # sectors or the certificate
+        deep = ("admitted to two sectors", "sectors do not cover", "negative degree",
+                "rebuilt trees violate", "does not reproduce", "not a perfect matching")
+
+        def refused_deep(case):
+            n, d, data = case
+            if isinstance(data, dict):
+                got = route_outcome(reconstruct_chow_from_phi, PhiMap(n, d, data), n, d)
+            else:
+                got = route_outcome(reconstruct_triangulation, data, n, d)
+            return isinstance(got, tuple) and any(text in got[1] for text in deep)
+
+        find(strategy, refused_deep, settings=settings(database=None, derandomize=True))
 
 
 class TestCompatibilityOracle:

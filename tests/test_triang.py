@@ -19,7 +19,7 @@ from matchfield import (
     staircase_triangulation,
     validate_triangulation,
 )
-from matchfield import core, simplex_lattice_points
+from matchfield import core, simplex_lattice_points, triang
 from matchfield.core import BipartiteGraph, agreed_matchings, contained_matchings
 from matchfield.fields import field_from_graphs
 from matchfield.stacks import stack_from_trees
@@ -43,6 +43,8 @@ from oracles import (
     necessary_conditions,
     reconstruct_by_every_leaf,
     reconstruct_triangulation_by_every_leaf,
+    reconstruct_triangulation_on_tuples,
+    sector_sweep,
 )
 
 
@@ -147,7 +149,7 @@ def reconstruct_by_degree_recount(pairs, left_labels, right_labels, memo):
             seed = tuple((n - 1) if t == ipos else 0 for t in range(d))
             if seed not in by_rdv:
                 raise InconsistentPairsError(f"no tree with extreme rdv {seed}")
-            for rdv in core.sector_sweep(member_rdvs, ipos + 1, seed):
+            for rdv in sector_sweep(member_rdvs, ipos + 1, seed):
                 if rdv in assigned:
                     raise InconsistentPairsError(
                         f"rdv {rdv} admitted to two sectors of {j}"
@@ -563,6 +565,42 @@ class TestReconstruction:
         with pytest.raises(InconsistentPairsError) as info:
             reconstruct_triangulation(pairs, 3, 3)
         assert str(info.value) == message
+
+    def test_coded_steps_are_the_tuple_steps_of_a_65_staircase(self):
+        # every deletion step and transposed pair set of the coded recursion
+        # is the encoding of the tuple one, and no degree along the way
+        # reaches the base B = max(n, d), so no digit carries
+        n, d = 6, 5
+        t = staircase_triangulation(n, d, (3, 6, 1, 5, 2, 4), (2, 5, 3, 1, 4))
+        pairs, base = phi(t), max(n, d)
+
+        def code(pair):
+            return core.encode_point(pair[0] + pair[1], base)
+
+        def codes(pair_set):
+            return frozenset(map(code, pair_set))
+
+        expected: dict = {}
+        assert reconstruct_triangulation_on_tuples(pairs, n, d, expected) == t
+        memo: dict = {}
+        left, right = tuple(range(1, n + 1)), tuple(range(1, d + 1))
+        for x in sorted(codes(pairs)):
+            triang._tree(x, codes(pairs), left, right, base, memo)
+        coded = {}
+        for key, value in expected.items():
+            assert max(max(u + v) for u, v in key[2]) < base
+            if len(key) == 4:  # (left labels, right labels, pairs, pos): a deletion
+                down, facet = value
+                assert max(max(u + v) for u, v in facet) < base
+                value = (
+                    {code(pair): (i, code(sub)) for pair, (i, sub) in down.items()},
+                    codes(facet),
+                )
+            else:  # (left labels, right labels, pairs): the transposed pairs
+                value = codes(value)
+            coded[key[:2] + (codes(key[2]),) + key[3:]] = value
+        assert coded == memo
+        assert sum(len(key) == 4 for key in memo) > 20
 
     def test_phi_injective_on_enumerable_cases(self):
         for n, d in [(2, 2), (2, 3), (2, 4), (3, 3)]:
