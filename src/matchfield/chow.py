@@ -6,11 +6,14 @@ on (L minus rho) union {j}.  For linkage fields the right degree vectors of
 the covectors hit every lattice point of (n-d+1)*Delta_{d-1} exactly once,
 and the bijection phi: rho -> lattice point determines the field.  There are
 C(n, n-d+1) = C(n, d-1) subsets, as many as lattice points, so a bijection
-is recognised by counting (``core.is_simplex_lattice``).  The layer runs on
-mask tables, {left-subset bitmask: edge mask}: the edge (lj, ri) of the
-matching on sigma is the lj-edge of the covector of rho = (L minus sigma) + j,
-and as then sigma = (L minus rho) + j, one pass builds the covectors from the
-field and the field from the covectors (``fields.chow_masks``).
+is recognised by counting (``core.is_simplex_lattice``).  A collection, like
+a field, is its mask table {left-subset bitmask: edge mask}, validated in
+one pass (``ChowCollection.from_masks``), and its graphs are a view built
+only for a caller that asks for them; the graph-keyed constructor turns its
+graphs into a table first.  The edge (lj, ri) of the matching on sigma is the
+lj-edge of the covector of rho = (L minus sigma) + j, and as then
+sigma = (L minus rho) + j, one pass builds the covectors from the field and
+the field from the covectors (``fields.chow_masks``), table to table.
 
 Reconstruction inverts phi with one sweep per left node over the lattice
 points coded in base n-d+2 (``core.encode_point``).  For fixed j and i, the
@@ -27,6 +30,7 @@ minimal transversals, as oracles.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import comb
 from typing import Iterable
 
@@ -60,32 +64,35 @@ def chow_by_definition(field: fields.MatchingField, rho: Iterable[int]) -> Bipar
 
 
 class ChowCollection:
-    """All covectors of a linkage field, with the degree-vector bijection;
-    validated, also as a mask table and as {rho: rdv}."""
+    """All covectors of a linkage field, with the degree-vector bijection,
+    held as the validated mask table {rho bitmask: edge mask} and as
+    {rho: rdv}; the graphs, `covectors`, are a view built on first use."""
 
     def __init__(self, n: int, d: int, covectors: dict):
+        """A collection from a {rho: graph} map, validated on its mask table."""
+        self._hold(n, d, core.graph_masks(n, d, covectors))
+
+    @classmethod
+    def from_masks(cls, n: int, d: int, table: dict) -> "ChowCollection":
+        """A collection holding the mask table itself, once validated."""
+        cc = cls.__new__(cls)
+        cc._hold(n, d, table)
+        return cc
+
+    def _hold(self, n: int, d: int, table: dict) -> None:
         self.n = n
         self.d = d
-        self.covectors = {tuple(sorted(r)): g for r, g in covectors.items()}
-        self.mask_table, self.rdvs = self._validate()
-
-    def _validate(self) -> tuple[dict, dict]:
-        n, d = self.n, self.d
-        if self.covectors.keys() != set(core.subsets(n, n - d + 1)):
-            raise InconsistentCollectionError("keys must be the (n-d+1)-subsets")
-        table, rdvs = {}, {}
-        for rho, g in self.covectors.items():
-            if (g.n, g.d) != (n, d):
-                raise InconsistentCollectionError(f"covector at {rho} has wrong ambient size")
-            rows = core.read_rows(g)  # at most one edge per row, nonzero exactly on rho
-            if rows is None or rows[0] != rho:
-                raise InconsistentCollectionError(f"covector at {rho} has wrong support")
-            table[rows[1]], rdvs[rho] = g.mask, rows[2]
-        if not core.is_simplex_lattice(rdvs.values(), n - d + 1, d):
+        self.rdvs = _covector_rdvs(n, d, table)
+        if not core.is_simplex_lattice(self.rdvs.values(), n - d + 1, d):
             raise InconsistentCollectionError(
                 "right degree vectors do not biject onto the lattice points"
             )
-        return table, rdvs
+        self.mask_table = table
+
+    @cached_property
+    def covectors(self) -> dict:
+        """The covectors as {rho: graph}, built on first use."""
+        return core.graph_table(self.n, self.d, self.mask_table)
 
     def items(self):
         return sorted(self.covectors.items())
@@ -100,11 +107,39 @@ class ChowCollection:
         return (
             isinstance(other, ChowCollection)
             and (self.n, self.d) == (other.n, other.d)
-            and self.covectors == other.covectors
+            and self.mask_table == other.mask_table
         )
 
     def __repr__(self):
-        return f"<ChowCollection ({self.n},{self.d}) with {len(self.covectors)} covectors>"
+        return f"<ChowCollection ({self.n},{self.d}) with {len(self.mask_table)} covectors>"
+
+
+def _covector_rdvs(n: int, d: int, table: dict) -> dict:
+    """{rho: rdv} of a covector mask table, in table order, from one pass:
+    the keys must be the (n-d+1)-subsets of [n], each holding an edge mask on
+    (n, d) with at most one edge per row and left support its key.  Only a
+    fault goes to the ordered checks, which raise InconsistentCollectionError
+    for the keys, or else for the first covector in table order."""
+    k = n - d + 1
+    rdvs = {}
+    if 0 <= k <= n <= core.MAX_SIDE and len(table) == comb(n, k):
+        for key, mask in table.items():
+            rows = core.read_rows(mask, n, d)
+            if rows is None or rows[1] != key or len(rows[0]) != k:
+                break
+            rdvs[rows[0]] = rows[2]
+        else:  # k-subsets of [n], as many as there are: all of them
+            return rdvs
+    # the pass stopped at a fault, so one of these checks raises
+    if table.keys() != set(map(core.subset_mask, core.subsets(n, k))):
+        raise InconsistentCollectionError("keys must be the (n-d+1)-subsets")
+    for key, mask in table.items():
+        rho = core.mask_subset(key)
+        if mask >> n * d:
+            raise InconsistentCollectionError(f"covector at {rho} has wrong ambient size")
+        rows = core.read_rows(mask, n, d)
+        if rows is None or rows[1] != key:
+            raise InconsistentCollectionError(f"covector at {rho} has wrong support")
 
 
 class PhiMap:
@@ -144,7 +179,7 @@ def chow_collection(field: fields.MatchingField) -> ChowCollection:
     """All covectors of a linkage field; the rdv bijection is certified."""
     fields.require_linkage(field)
     n, d = field.n, field.d
-    return ChowCollection(n, d, core.graph_table(n, d, fields.chow_masks(n, d, field.mask_table)))
+    return ChowCollection.from_masks(n, d, fields.chow_masks(n, d, field.mask_table))
 
 
 def field_from_chow(cc: ChowCollection) -> fields.MatchingField:
@@ -152,8 +187,7 @@ def field_from_chow(cc: ChowCollection) -> fields.MatchingField:
     A collection that belongs to no field gives some d-subset a graph that is
     not a perfect matching, and the validator raises NotAMatchingError."""
     n, d = cc.n, cc.d
-    assignment = core.graph_table(n, d, fields.chow_masks(n, d, cc.mask_table))
-    return fields.validate_matching_field(n, d, assignment)
+    return fields.field_from_masks(n, d, core.all_ones(d), fields.chow_masks(n, d, cc.mask_table))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +215,7 @@ def reconstruct_chow_from_phi(phi: PhiMap, n: int, d: int) -> ChowCollection:
         for x, i in sector.items():
             table[by_code[x]] |= 1 << (j * d + i - 1)
     try:
-        collection = ChowCollection(n, d, core.graph_table(n, d, table))
+        collection = ChowCollection.from_masks(n, d, table)
         if collection.rdvs != phi.mapping:
             raise InconsistentPhiError("reconstruction does not reproduce phi")
         # certificate: the covectors must be those of an actual linkage field
@@ -195,7 +229,7 @@ def reconstruct_chow_from_phi(phi: PhiMap, n: int, d: int) -> ChowCollection:
 
 
 def collection_to_json_dict(cc: ChowCollection) -> dict:
-    return core.write_table(cc.n, cc.d, "covectors", cc.items())
+    return core.write_masks(cc.n, cc.d, "covectors", cc.mask_table)
 
 
 def phi_to_json_dict(phi: PhiMap) -> dict:

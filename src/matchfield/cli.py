@@ -220,7 +220,11 @@ def cmd_roundtrip(args) -> tuple[dict, bool]:
         cc = chow.chow_collection(field)
         rebuilt = chow.reconstruct_chow_from_phi(cc.phi(), field.n, field.d)
         # both hold every (n-d+1)-subset
-        diff = sorted(core.subset_key(rho) for rho, g in cc.items() if rebuilt.covectors[rho] != g)
+        diff = sorted(
+            core.subset_key(core.mask_subset(rho))
+            for rho, m in cc.mask_table.items()
+            if rebuilt.mask_table[rho] != m
+        )
     else:
         t = triang.triangulation_from_json_dict(_load(args.input))
         rebuilt = triang._rebuild(triang.phi(t), t.n, t.d)

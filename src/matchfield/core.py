@@ -29,14 +29,21 @@ below B, so that a move is integer arithmetic and code order is tuple
 order.  ``incompatible_partners`` tests a partial map
 (``tope_function``) against all its partners in one closure over bitsets.
 
-Every JSON format is read strictly by ``read_table``, which raises
-ValueError on a value of the wrong shape or on a subset key that is not
-its subset's one spelling, and written by ``write_table``; graphs,
-triangulations and degree pairs are read with the same checks.
+A field or a set of Chow covectors is held as a mask table, {left-subset
+bitmask: edge mask}; its graphs, ``graph_table``, are a view built only for
+a caller that asks for them.  ``read_masks`` reads a JSON table of subsets
+and edge lists straight into one, each edge list into its mask in one loop
+(``edge_mask``), and ``write_masks`` writes one back through a table from
+bit to [j, i] per (n, d).  Every JSON format is read strictly: a value of
+the wrong shape or a subset key that is not its subset's one spelling
+raises ValueError.  Tables of graphs or vectors go through ``read_table``
+and ``write_table``, and graphs, triangulations and degree pairs are read
+with the same checks.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -92,11 +99,8 @@ class BipartiteGraph:
         """Edges in lexicographic order; computed once."""
         cached = self._edges
         if cached is None:
-            d = self.d
-            cached = tuple(
-                (b // d + 1, b % d + 1)
-                for b in _bits(self.mask)
-            )
+            pairs = _edge_pairs(self.n, self.d)
+            cached = tuple(pairs[b] for b in _bits(self.mask))
             object.__setattr__(self, "_edges", cached)
         return cached
 
@@ -377,12 +381,15 @@ def tope_function(g: BipartiteGraph) -> tuple[int, ...]:
     return tuple(row.bit_length() - 1 if row else d for row in rows)
 
 
-def read_rows(g: BipartiteGraph) -> Optional[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """g's left rows, read once: None when a row holds two edges, else the
-    nonzero rows as a subset and as a bitmask, and the right degree vector."""
-    d, full, mask = g.d, (1 << g.d) - 1, g.mask
+def read_rows(mask: int, n: int, d: int) -> Optional[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """The left rows of an n x d edge mask, read once: None when a row holds
+    two edges or a bit lies off the grid, else the nonzero rows as a subset
+    and as a bitmask, and the right degree vector."""
+    if mask >> n * d:
+        return None
+    full = (1 << d) - 1
     support, key, rdv = [], 0, [0] * d
-    for j in range(g.n):
+    for j in range(n):
         if row := mask & full:
             if row & (row - 1):
                 return None
@@ -479,10 +486,32 @@ def graph_table(n: int, d: int, table: dict[int, int]) -> dict:
     return {mask_subset(key): BipartiteGraph.from_mask(n, d, m) for key, m in table.items()}
 
 
+def graph_masks(n: int, d: int, graphs: dict) -> dict:
+    """A table {subset: graph} as {left-subset bitmask: edge mask}, keyed by
+    ``subset_bits`` of each sorted subset.  A graph on other sides than
+    (n, d) becomes -1, which has bits off every grid."""
+    return {
+        subset_bits(tuple(sorted(s)), n): g.mask if (g.n, g.d) == (n, d) else -1
+        for s, g in graphs.items()
+    }
+
+
 def subset_mask(subset: Iterable[int]) -> int:
     """The bitmask whose set bits are the members of a 1-based subset; the
     inverse of mask_subset."""
     return sum(1 << (j - 1) for j in subset)
+
+
+def subset_bits(subset: tuple[int, ...], n: int):
+    """The key of a subset in a mask table: its bitmask when its members
+    increase within [n] and n <= MAX_SIDE, else the tuple itself.  No
+    validator accepts a tuple key, and a huge member is never shifted."""
+    mask, top = 0, min(n, MAX_SIDE)
+    for j in subset:
+        if not 0 < j <= top or mask >> (j - 1):
+            return subset
+        mask |= 1 << (j - 1)
+    return mask
 
 
 def contained_matchings(g: BipartiteGraph) -> dict[tuple, BipartiteGraph]:
@@ -697,15 +726,36 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+_SUBSET_KEY = re.compile(r"[1-9][0-9]*(,[1-9][0-9]*)*")
+_JSON_LISTS = (list, tuple)
+
+
 def parse_subset_key(key: str) -> tuple[int, ...]:
     """The subset a key spells: positive integers in increasing order,
     comma-joined.  Any other key raises ValueError naming it, so no two keys
     of a table spell one subset."""
-    if re.fullmatch(r"[1-9][0-9]*(,[1-9][0-9]*)*", key):
+    if _SUBSET_KEY.fullmatch(key):
         subset = parse_point_key(key)
         if list(subset) == sorted(set(subset)):
             return subset
     raise ValueError(f"subset key {key!r} must list positive integers in increasing order")
+
+
+def read_subset_key(key: str, n: int):
+    """``subset_bits`` of ``parse_subset_key``, in one loop over the members:
+    the bitmask of the subset a key spells, or its tuple when a member lies
+    beyond min(n, MAX_SIDE), which is never shifted."""
+    if _SUBSET_KEY.fullmatch(key):
+        mask, last, top = 0, 0, min(n, MAX_SIDE)
+        for j in map(int, key.split(",")):
+            if j <= last:
+                break
+            if j <= top:
+                mask |= 1 << (j - 1)
+            last = j
+        else:
+            return mask if last <= top else parse_point_key(key)
+    return parse_subset_key(key)  # raises, naming the key
 
 
 def parse_point_key(key: str) -> tuple[int, ...]:
@@ -731,24 +781,71 @@ def _int_tuple(value, what: str, length: Optional[int] = None) -> tuple[int, ...
     return tuple(items)
 
 
-def _graph(n: int, d: int, edges) -> BipartiteGraph:
-    """A graph from its JSON edge list; ValueError unless that is a list of
-    integer pairs."""
-    if type(edges) not in (list, tuple):
+def edge_mask(n: int, d: int, edges) -> int:
+    """The edge mask of a JSON edge list, read in one loop.  Raises
+    ValueError unless it is a list of integer pairs, then SizeCapError
+    unless (n, d) is within the cap, then MatchfieldError naming its first
+    edge off the n x d grid; no bit is set before (n, d) is known good."""
+    if type(edges) not in _JSON_LISTS:
         raise ValueError(f"an edge list must be a list, got {edges!r}")
+    grid = 0 <= n <= MAX_SIDE and 1 <= d <= MAX_SIDE
+    mask, off = 0, None
     for e in edges:
-        if type(e) not in (list, tuple) or len(e) != 2 or {type(e[0]), type(e[1])} != {int}:
-            raise ValueError(f"an edge must be a pair of integers, got {e!r}")
-    return BipartiteGraph(n, d, edges)
+        if type(e) in _JSON_LISTS and len(e) == 2:
+            j, i = e
+            if type(j) is int and type(i) is int:
+                if grid and 0 < j <= n and 0 < i <= d:
+                    mask |= 1 << ((j - 1) * d + i - 1)
+                elif off is None:
+                    off = (j, i)
+                continue
+        raise ValueError(f"an edge must be a pair of integers, got {e!r}")
+    _check_sides(n, d)
+    if off is not None:
+        raise MatchfieldError(f"edge ({off[0]}, {off[1]}) out of range for ({n}, {d})")
+    return mask
 
 
-def _edge_list(g: BipartiteGraph) -> list:
-    return [list(e) for e in g.edges]
+def read_graph(n: int, d: int, edges) -> BipartiteGraph:
+    """A graph from its JSON edge list, read by ``edge_mask``."""
+    return BipartiteGraph.from_mask(n, d, edge_mask(n, d, edges))
+
+
+@functools.lru_cache(maxsize=64)
+def _edge_pairs(n: int, d: int) -> tuple[tuple[int, int], ...]:
+    """(j, i) of every bit b = (j - 1) * d + i - 1 of an n x d edge mask."""
+    return tuple((b // d + 1, b % d + 1) for b in range(n * d))
+
+
+def edge_list(n: int, d: int, mask: int) -> list:
+    """The JSON edge list [[j, i], ...] of an n x d edge mask, in bit order."""
+    pairs, out = _edge_pairs(n, d), []
+    while mask:
+        low = mask & -mask
+        out.append(list(pairs[low.bit_length() - 1]))
+        mask ^= low
+    return out
 
 
 def read_sides(data: dict) -> tuple[int, int]:
     """n and d of an input object; ValueError unless both are integers."""
     return _int_tuple([data["n"], data["d"]], "n and d")
+
+
+def _read_object(data: dict, name: str) -> tuple[int, int, dict]:
+    n, d = read_sides(data)
+    table = data[name]
+    if not isinstance(table, dict):
+        raise ValueError(f"{name} must be an object, got {table!r}")
+    return n, d, table
+
+
+def read_masks(data: dict, name: str) -> tuple[int, int, dict]:
+    """n, d and the table data[name] of subsets and edge lists as a mask
+    table: each entry's key read by ``read_subset_key``, then its edge list
+    by ``edge_mask``.  Raises as ``read_table``."""
+    n, d, table = _read_object(data, name)
+    return n, d, {read_subset_key(k, n): edge_mask(n, d, v) for k, v in table.items()}
 
 
 def read_table(
@@ -758,18 +855,24 @@ def read_table(
     read as graphs or, with vectors, integer tuples.  Raises ValueError on
     a value of the wrong JSON shape or a key parse_key refuses; nothing
     else is validated."""
-    n, d = read_sides(data)
-    table = data[name]
-    if not isinstance(table, dict):
-        raise ValueError(f"{name} must be an object, got {table!r}")
+    n, d, table = _read_object(data, name)
     if vectors:
         return n, d, {parse_key(k): _int_tuple(v, "a vector") for k, v in table.items()}
-    return n, d, {parse_key(k): _graph(n, d, v) for k, v in table.items()}
+    return n, d, {parse_key(k): read_graph(n, d, v) for k, v in table.items()}
+
+
+def write_masks(n: int, d: int, name: str, table: dict[int, int]) -> dict:
+    """The object read_masks reads."""
+    rows = {subset_key(mask_subset(k)): edge_list(n, d, m) for k, m in table.items()}
+    return {"n": n, "d": d, name: rows}
 
 
 def write_table(n: int, d: int, name: str, items: Iterable, key=subset_key) -> dict:
     """The object read_table reads: graphs become edge lists, vectors lists."""
-    table = {key(k): _edge_list(v) if isinstance(v, BipartiteGraph) else list(v) for k, v in items}
+    table = {
+        key(k): edge_list(v.n, v.d, v.mask) if isinstance(v, BipartiteGraph) else list(v)
+        for k, v in items
+    }
     return {"n": n, "d": d, name: table}
 
 

@@ -2,14 +2,21 @@
 
 An (n, d)-matching field assigns to every d-subset sigma of the left nodes a
 perfect matching on sigma ⊔ R.  A tope field of type v = (v1..vd) assigns to
-every k-subset (k = sum v) a tope whose right degree vector is v.  The field
-is *linkage* when the union of the assignments over every (k+1)-subset tau is
-a tree, the *linkage covector* of tau; inside it each right node ri has
-degree vi + 1.  On a validated field every such union is connected: for a
-component C and any x in tau, the tope on tau - x gives |C_L - x| = sum of
-v_i over C_R, which holds for x in C_L and for x outside C_L only when
-C_L = tau.  So the union is a tree exactly when it has k + d edges, and
-linkage is decided by OR-ing tope masks and one popcount per tau
+every k-subset (k = sum v) a tope whose right degree vector is v.
+
+A field is its mask table {left-subset bitmask: edge mask}.  The JSON reader
+builds it, one pass over it validates it (`field_from_masks`), and the
+linkage test, the Chow pass and the writer read it; the graphs are a view,
+built only for a caller that asks for them.  The graph-keyed constructors
+turn their graphs into a table first.
+
+The field is *linkage* when the union of the assignments over every
+(k+1)-subset tau is a tree, the *linkage covector* of tau; inside it each
+right node ri has degree vi + 1.  On a validated field every such union is
+connected: for a component C and any x in tau, the tope on tau - x gives
+|C_L - x| = sum of v_i over C_R, which holds for x in C_L and for x outside
+C_L only when C_L = tau.  So the union is a tree exactly when it has k + d
+edges, and linkage is decided by OR-ing tope masks and one popcount per tau
 (`is_linkage`).
 
 The i-amalgamation extracts from each covector the unique tope of type
@@ -59,35 +66,49 @@ from .errors import (
 
 
 class TopeField:
-    """Assignment of one tope of fixed type to every k-subset of left nodes."""
+    """Assignment of one tope of fixed type to every k-subset of left nodes,
+    held as the mask table {left-subset bitmask: edge mask}; the graphs,
+    `assignment` and `items`, are a view built on first use."""
 
     def __init__(self, n: int, d: int, type_vector: Sequence[int], assignment: dict):
+        """A field from a {subset: graph} map, unchecked."""
+        self._hold(n, d, type_vector, core.graph_masks(n, d, assignment))
+
+    @classmethod
+    def from_masks(cls, n: int, d: int, type_vector: Sequence[int], table: dict) -> "TopeField":
+        """A field holding the mask table itself, unchecked."""
+        field = cls.__new__(cls)
+        field._hold(n, d, type_vector, table)
+        return field
+
+    def _hold(self, n: int, d: int, type_vector: Sequence[int], table: dict) -> None:
         self.n = n
         self.d = d
         self.type_vector = tuple(type_vector)
         self.thickness = sum(self.type_vector)
-        self.assignment = {tuple(sorted(s)): g for s, g in assignment.items()}
+        self.mask_table = table
+
+    @cached_property
+    def assignment(self) -> dict:
+        """The topes as {subset: graph}, built on first use."""
+        return core.graph_table(self.n, self.d, self.mask_table)
 
     def tope(self, sigma: Iterable[int]) -> BipartiteGraph:
-        return self.assignment[tuple(sorted(sigma))]
+        key = core.subset_bits(tuple(sorted(sigma)), self.n)
+        return BipartiteGraph.from_mask(self.n, self.d, self.mask_table[key])
 
     def items(self):
         return self.assignment.items()
-
-    @cached_property
-    def mask_table(self) -> dict[int, int]:
-        """The topes as {left-subset bitmask: edge mask}, built once."""
-        return {core.subset_mask(sigma): g.mask for sigma, g in self.assignment.items()}
 
     def __eq__(self, other):
         return (
             isinstance(other, TopeField)
             and (self.n, self.d, self.type_vector) == (other.n, other.d, other.type_vector)
-            and self.assignment == other.assignment
+            and self.mask_table == other.mask_table
         )
 
     def __hash__(self):
-        return hash((self.n, self.d, self.type_vector, frozenset(self.assignment.items())))
+        return hash((self.n, self.d, self.type_vector, frozenset(self.mask_table.items())))
 
     def __repr__(self):
         return f"<TopeField ({self.n},{self.d}) type {self.type_vector}>"
@@ -108,50 +129,69 @@ class MatchingField(TopeField):
 
 def validate_matching_field(n: int, d: int, assignment: dict) -> MatchingField:
     """Check a raw subset -> graph map and wrap it as a MatchingField: the
-    type (1, ..., 1) call of the field validator."""
-    return _validated_field(n, d, core.all_ones(d), assignment)
+    type (1, ..., 1) call of the field validator, on its mask table."""
+    return field_from_masks(n, d, core.all_ones(d), core.graph_masks(n, d, assignment))
 
 
 def validate_tope_field(n: int, d: int, type_vector: Sequence[int], assignment: dict) -> TopeField:
     """Check a raw subset -> graph map against a type vector, which must be
     positive, of length d and of sum at most n, and wrap it as a TopeField."""
+    v = _type_vector(n, d, type_vector)
+    return field_from_masks(n, d, v, core.graph_masks(n, d, assignment))
+
+
+def _type_vector(n: int, d: int, type_vector: Sequence[int]) -> tuple:
     v = tuple(type_vector)
     if len(v) != d or any(x < 1 for x in v):
         raise MatchfieldError(f"invalid type vector {v} for ({n}, {d})")
-    return _validated_field(n, d, v, assignment)
+    return v
 
 
-def _validated_field(n: int, d: int, v: tuple, assignment: dict) -> TopeField:
-    """The one field validator: the keys must be exactly the sum(v)-subsets
-    of [n], each holding a graph on (n, d) with left degrees at most 1, right
-    degree vector v and left support its key.  Raises MatchfieldError naming
-    (n, d) when sum(v) > n, so a matching field with d > n, then
-    MissingSubsetError, NotAMatchingError or WrongSupportError with the
-    offending subset.  A MatchingField when v = (1, ..., 1), else a
-    TopeField."""
+def field_from_masks(n: int, d: int, v: tuple, table: dict) -> TopeField:
+    """The one field validator, on a mask table: the keys must be exactly
+    the sum(v)-subsets of [n] as bitmasks (a tuple key from
+    ``core.subset_bits`` never is), each holding an edge mask on (n, d) with
+    left degrees at most 1, right degree vector v and left support its key.
+    One pass over the table decides; only a fault goes to ``_refuse_field``.
+    A MatchingField when v = (1, ..., 1), else a TopeField, holding the
+    table itself."""
+    k = sum(v)
+    if 0 <= k <= n <= core.MAX_SIDE and len(table) == comb(n, k):
+        for key, mask in table.items():
+            rows = core.read_rows(mask, n, d)
+            if rows is None or rows[1] != key or rows[2] != v:
+                break
+        else:  # k-subsets of [n], as many as there are: all of them
+            cls = MatchingField if v == core.all_ones(d) else TopeField
+            return cls.from_masks(n, d, v, table)
+    _refuse_field(n, d, v, table)
+
+
+def _refuse_field(n: int, d: int, v: tuple, table: dict) -> None:
+    """Raise the fault of a table ``field_from_masks`` refused, scanning the
+    subsets in ``core.subsets`` order: MatchfieldError naming (n, d) when
+    sum(v) > n, so a matching field with d > n, then MissingSubsetError,
+    NotAMatchingError or WrongSupportError with the first bad subset."""
     if sum(v) > n:
         raise MatchfieldError(
             f"invalid type vector {v} for ({n}, {d}): its sum {sum(v)} exceeds n = {n}"
         )
-    matching = v == core.all_ones(d)
-    what = "perfect matching" if matching else f"tope of type {v}"
-    cleaned = {tuple(sorted(s)): g for s, g in assignment.items()}
+    what = "perfect matching" if v == core.all_ones(d) else f"tope of type {v}"
+    cleaned = {key if type(key) is tuple else core.mask_subset(key): m for key, m in table.items()}
     for sigma in core.subsets(n, sum(v)):
-        graph = cleaned.get(sigma)
-        if graph is None:
+        mask = cleaned.get(sigma)
+        if mask is None:
             raise MissingSubsetError(sigma)
-        if graph.n != n or graph.d != d:
+        if mask >> n * d:
             raise NotAMatchingError(sigma, f"graph for {sigma} has wrong ambient size")
-        rows = core.read_rows(graph)
+        rows = core.read_rows(mask, n, d)
         if rows is None or rows[2] != v:
             raise NotAMatchingError(sigma, f"value for {sigma} is not a {what}")
         if rows[0] != sigma:
             raise WrongSupportError(sigma, rows[0])
-    # every subset is present by now, so a surplus key means an extra one
-    if len(cleaned) > comb(n, sum(v)):
-        extra = set(cleaned).difference(core.subsets(n, sum(v)))
-        raise WrongSupportError(min(extra), None)
-    return MatchingField(n, d, cleaned) if matching else TopeField(n, d, v, cleaned)
+    # every subset is present and good by now, so a key is left over
+    extra = set(cleaned).difference(core.subsets(n, sum(v)))
+    raise WrongSupportError(min(extra), None)
 
 
 # ---------------------------------------------------------------------------
@@ -328,21 +368,21 @@ def coherent_field(weights: Sequence[Sequence]) -> MatchingField:
                     level[key] = (total, best[1] + count, best[2])
         levels.append(level)
     columns = tuple(range(1, d + 1))
-    assignment = {}
+    table = {}
     for sigma in core.subsets(n, d):
-        mask = core.subset_mask(sigma)
+        key = mask = core.subset_mask(sigma)
         if levels[d][mask][1] > 1:
             best, tied = _min_assignment(sigma, weights, columns)
             first = BipartiteGraph(n, d, list(zip(sigma, best)))
             second = BipartiteGraph(n, d, list(zip(sigma, tied)))
             raise TiedMinimumError(sigma, first, second)
-        edges = []
+        edges = 0
         for k in range(d, 0, -1):  # a unique optimum has count 1 at every state
             j = levels[k][mask][2]
-            edges.append((j + 1, k))
+            edges |= 1 << (j * d + k - 1)
             mask &= ~(1 << j)
-        assignment[sigma] = BipartiteGraph(n, d, edges)
-    return MatchingField(n, d, assignment)
+        table[key] = edges
+    return MatchingField.from_masks(n, d, core.all_ones(d), table)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +400,12 @@ def i_amalgamation(tf: TopeField, i: int) -> TopeField:
         raise MatchfieldError(f"right index {i} out of range")
     if tf.thickness >= tf.n:
         raise MatchfieldError("tope field already has maximal thickness")
-    assignment = {
-        tau: core.contained_tope(covector_graph(tf.n, tf.d, tau, union), i)
+    table = {
+        core.subset_mask(tau): core.contained_tope(covector_graph(tf.n, tf.d, tau, union), i).mask
         for tau, union in _covector_unions(tf)
     }
     new_type = core.vector_sum(tf.type_vector, core.unit_vector(tf.d, i))
-    return TopeField(tf.n, tf.d, new_type, assignment)
+    return TopeField.from_masks(tf.n, tf.d, new_type, table)
 
 
 def amalgamation_order(d: int, target: Sequence[int], start: Sequence[int]) -> list[int]:
@@ -543,7 +583,7 @@ def field_from_graphs(graphs: Iterable[BipartiteGraph], n: int, d: int) -> Match
     (``core.right_perfect_matchings``), trees or maximal topes.  Partial
     graph sets work as long as they cover every d-subset and agree; a clash
     names the J of the graph's first clashing matching in edge order."""
-    masks: dict = {}  # J mask -> edge mask of the matching on J ⊔ R
+    masks: dict = {}  # J mask -> edge mask of the matching on J ⊔ R, the field's table
     for g in graphs:
         if (g.n, g.d) != (n, d):
             raise MatchfieldError(f"a tree on ({g.n}, {g.d}) among trees on ({n}, {d})")
@@ -553,7 +593,7 @@ def field_from_graphs(graphs: Iterable[BipartiteGraph], n: int, d: int) -> Match
             J = min(clashes)[1]
             raise MatchfieldError(f"trees disagree on the matching of {core.mask_subset(J)}")
         masks.update(found)
-    return validate_matching_field(n, d, core.graph_table(n, d, masks))
+    return field_from_masks(n, d, core.all_ones(d), masks)
 
 
 def field_from_arrangement(ta: TopeArrangement) -> MatchingField:
@@ -735,18 +775,18 @@ def extended_arrangement_by_stripping(
 
 
 def field_to_json_dict(field: TopeField) -> dict:
-    data = core.write_table(field.n, field.d, "matchings", field.items())
+    data = core.write_masks(field.n, field.d, "matchings", field.mask_table)
     if field.type_vector != core.all_ones(field.d):
         data["type"] = list(field.type_vector)
     return data
 
 
 def field_from_json_dict(data: dict) -> TopeField:
-    n, d, assignment = core.read_table(data, "matchings")
+    n, d, table = core.read_masks(data, "matchings")
     v = core._int_tuple(data.get("type", core.all_ones(d)), "a type vector")
     if v != core.all_ones(d):
-        return validate_tope_field(n, d, v, assignment)
-    return validate_matching_field(n, d, assignment)
+        v = _type_vector(n, d, v)
+    return field_from_masks(n, d, v, table)
 
 
 def arrangement_to_json_dict(ta: TopeArrangement) -> dict:

@@ -50,13 +50,13 @@ class FlipGraph:
 
 
 def _flips(d: int, matchings: Iterable) -> frozenset:
-    """All flips among (sigma, matching) pairs in one keyed pass: matchings
+    """All flips among (sigma, edge mask) pairs in one keyed pass: matchings
     that differ only at ri share the key (matching minus its ri-edge, i), so
     every pair inside one bucket is an edge labelled i."""
     buckets: dict = {}
     for sigma, m in matchings:
-        for b in core._bits(m.mask):
-            buckets.setdefault((m.mask ^ 1 << b, b % d + 1), []).append(sigma)
+        for b in core._bits(m):
+            buckets.setdefault((m ^ 1 << b, b % d + 1), []).append(sigma)
     return frozenset(
         (a, b, i)
         for (_, i), group in buckets.items()
@@ -66,7 +66,7 @@ def _flips(d: int, matchings: Iterable) -> frozenset:
 
 def flip_graph(field: fields.MatchingField) -> FlipGraph:
     """The flip graph of any field, linkage or not."""
-    edges = _flips(field.d, field.items())
+    edges = _flips(field.d, ((core.mask_subset(k), m) for k, m in field.mask_table.items()))
     return FlipGraph(field.n, field.d, tuple(core.subsets(field.n, field.d)), edges)
 
 
@@ -94,7 +94,8 @@ def linkage_tree(field: fields.MatchingField, tau: Iterable[int]) -> LinkageTree
         raise MatchfieldError(f"tau must hold distinct left nodes in 1..{field.n}, got {tau}")
     fields.covector_graph(field.n, field.d, tau, fields.covector_mask(field.mask_table, tau))
     verts = sorted(tuple(x for x in tau if x != drop) for drop in tau)
-    edges = _flips(field.d, ((sigma, field.matching(sigma)) for sigma in verts))
+    table = field.mask_table
+    edges = _flips(field.d, ((sigma, table[core.subset_mask(sigma)]) for sigma in verts))
     if len(edges) != field.d:
         raise MatchfieldError(f"induced subgraph on {tau} is not a linkage tree")
     return LinkageTree(tau, tuple(verts), edges)
@@ -120,9 +121,10 @@ def cell_of_tope(field: fields.MatchingField, tope: BipartiteGraph) -> Prodsimpl
     neighbor_sets = tuple(tope.right_neighbors(i) for i in range(1, field.d + 1))
     verts = set()
     column_bits = [[1 << (j - 1) * field.d + i for j in ns] for i, ns in enumerate(neighbor_sets)]
+    table = field.mask_table
     for choice, bits in zip(product(*neighbor_sets), product(*column_bits)):
         sigma = tuple(sorted(choice))
-        if field.matching(sigma).mask != sum(bits):
+        if table[core.subset_mask(sigma)] != sum(bits):
             raise MatchfieldError(f"tope matching on {sigma} is not in the field")
         verts.add(sigma)
     return ProdsimplicialCell(neighbor_sets, frozenset(verts))

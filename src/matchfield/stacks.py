@@ -138,7 +138,7 @@ def validate_ensemble(stack: MatchingStack) -> EnsembleReport:
     for J, I in stack.pairs():
         try:
             m = stack.matching(J, I)
-            rows = core.read_rows(m)
+            rows = core.read_rows(m.mask, m.n, m.d)
             rdv = tuple(int(i in I) for i in range(1, stack.d + 1))
             ok = rows is not None and rows[0] == J and rows[2] == rdv
         except MatchfieldError:

@@ -237,7 +237,10 @@ def _tree(code, codes, left_labels, right_labels, base, memo):
         code = code % low * high + code // low
         sub = _tree(code, memo[key], right_labels, left_labels, base, memo)
         return tuple((j, i) for i, j in sub)
-    pos = core.decode_point(code // base**d, n, base).index(0)
+    u, unit, pos = code // base**d, base ** (n - 1), 0
+    while u // unit % base:  # the first zero digit of u, most significant first
+        unit //= base
+        pos += 1
     key = (left_labels, right_labels, codes, pos)
     if key not in memo:
         memo[key] = _deletion(codes, pos, n, d, left_labels[pos], base)
@@ -400,14 +403,15 @@ def extended_tope_arrangement(t: Triangulation) -> fields.ExtendedTopeArrangemen
 
 
 def triangulation_to_json_dict(t: Triangulation) -> dict:
-    return {"n": t.n, "d": t.d, "trees": [core._edge_list(g) for g in t.sorted_trees()]}
+    n, d = t.n, t.d
+    return {"n": n, "d": d, "trees": [core.edge_list(n, d, g.mask) for g in t.sorted_trees()]}
 
 
 def trees_from_json_dict(data: dict) -> tuple[int, int, list[BipartiteGraph]]:
     """n, d and the trees of a triangulation object.  Raises ValueError when
     a value has the wrong JSON shape; the trees are not validated."""
     n, d = core.read_sides(data)
-    return n, d, [core._graph(n, d, t) for t in core._json_list(data["trees"], "trees")]
+    return n, d, [core.read_graph(n, d, t) for t in core._json_list(data["trees"], "trees")]
 
 
 def triangulation_from_json_dict(data: dict) -> Triangulation:

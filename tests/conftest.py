@@ -24,7 +24,7 @@ def graph_from_json_dict(data):
     """A graph read with the strict checks of the table reader."""
     from matchfield import core
 
-    return core._graph(*core.read_sides(data), data["edges"])
+    return core.read_graph(*core.read_sides(data), data["edges"])
 
 
 def matching_from_word(n, d, word):

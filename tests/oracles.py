@@ -62,6 +62,11 @@ descriptions kept as test oracles.
 - Compatibility of two partial maps by peeling sinks, and the pairwise scan
   of a tope arrangement with it: the oracles for the closure over all
   partners of ``core.incompatible_partners``.
+- The JSON reader that builds a graph per edge list, the field validator
+  that scans a {subset: graph} map in ``core.subsets`` order, and the
+  collection validator that reads each covector graph: the oracles for
+  ``core.read_masks``, ``fields.field_from_masks`` and the one-pass check
+  of ``ChowCollection.from_masks``.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from matchfield import core, fields
@@ -80,11 +86,14 @@ from matchfield.errors import (
     InconsistentPairsError,
     InconsistentPhiError,
     MatchfieldError,
+    MissingSubsetError,
+    NotAMatchingError,
     NotAProductSkeletonError,
     NotASpanningTreeError,
     NotLinkageError,
     SizeCapError,
     TiedMinimumError,
+    WrongSupportError,
 )
 from matchfield.flip import (
     ProdsimplicialCell,
@@ -1266,3 +1275,100 @@ def arrangement_pair_by_scan(d: int, topes: dict) -> None:
     for (p1, f1), (p2, f2) in combinations(functions, 2):
         if not functions_compatible(f1, f2, d):
             raise MatchfieldError(f"topes at {p1} and {p2} are incompatible")
+
+
+# ---------------------------------------------------------------------------
+# graph-keyed JSON reading and validation
+
+
+def _graph(n: int, d: int, edges) -> BipartiteGraph:
+    """A graph from its JSON edge list; ValueError unless that is a list of
+    integer pairs."""
+    if type(edges) not in (list, tuple):
+        raise ValueError(f"an edge list must be a list, got {edges!r}")
+    for e in edges:
+        if type(e) not in (list, tuple) or len(e) != 2 or {type(e[0]), type(e[1])} != {int}:
+            raise ValueError(f"an edge must be a pair of integers, got {e!r}")
+    return BipartiteGraph(n, d, edges)
+
+
+def read_table(
+    data: dict, name: str, parse_key=core.parse_subset_key, vectors: bool = False
+) -> tuple[int, int, dict]:
+    """n, d and the table data[name], keys parsed by parse_key and values
+    read as graphs or, with vectors, integer tuples.  Raises ValueError on
+    a value of the wrong JSON shape or a key parse_key refuses; nothing
+    else is validated."""
+    n, d = core.read_sides(data)
+    table = data[name]
+    if not isinstance(table, dict):
+        raise ValueError(f"{name} must be an object, got {table!r}")
+    if vectors:
+        return n, d, {parse_key(k): core._int_tuple(v, "a vector") for k, v in table.items()}
+    return n, d, {parse_key(k): _graph(n, d, v) for k, v in table.items()}
+
+
+def _validated_field(n: int, d: int, v: tuple, assignment: dict) -> fields.TopeField:
+    """The one field validator: the keys must be exactly the sum(v)-subsets
+    of [n], each holding a graph on (n, d) with left degrees at most 1, right
+    degree vector v and left support its key.  Raises MatchfieldError naming
+    (n, d) when sum(v) > n, so a matching field with d > n, then
+    MissingSubsetError, NotAMatchingError or WrongSupportError with the
+    offending subset.  A MatchingField when v = (1, ..., 1), else a
+    TopeField."""
+    if sum(v) > n:
+        raise MatchfieldError(
+            f"invalid type vector {v} for ({n}, {d}): its sum {sum(v)} exceeds n = {n}"
+        )
+    matching = v == core.all_ones(d)
+    what = "perfect matching" if matching else f"tope of type {v}"
+    cleaned = {tuple(sorted(s)): g for s, g in assignment.items()}
+    for sigma in core.subsets(n, sum(v)):
+        graph = cleaned.get(sigma)
+        if graph is None:
+            raise MissingSubsetError(sigma)
+        if graph.n != n or graph.d != d:
+            raise NotAMatchingError(sigma, f"graph for {sigma} has wrong ambient size")
+        rows = core.read_rows(graph.mask, graph.n, graph.d)
+        if rows is None or rows[2] != v:
+            raise NotAMatchingError(sigma, f"value for {sigma} is not a {what}")
+        if rows[0] != sigma:
+            raise WrongSupportError(sigma, rows[0])
+    # every subset is present by now, so a surplus key means an extra one
+    if len(cleaned) > comb(n, sum(v)):
+        extra = set(cleaned).difference(core.subsets(n, sum(v)))
+        raise WrongSupportError(min(extra), None)
+    cls = fields.MatchingField if matching else fields.TopeField
+    return cls(n, d, cleaned) if matching else cls(n, d, v, cleaned)
+
+
+def field_from_json_dict_by_graphs(data: dict) -> fields.TopeField:
+    """A field read as a graph per subset and validated over that map."""
+    n, d, assignment = read_table(data, "matchings")
+    v = core._int_tuple(data.get("type", core.all_ones(d)), "a type vector")
+    if v != core.all_ones(d):
+        if len(v) != d or any(x < 1 for x in v):
+            raise MatchfieldError(f"invalid type vector {v} for ({n}, {d})")
+        return _validated_field(n, d, v, assignment)
+    return _validated_field(n, d, core.all_ones(d), assignment)
+
+
+def collection_rdvs_by_graphs(n: int, d: int, covectors: dict) -> tuple[dict, dict]:
+    """The covector checks of a collection read from its graphs, rho by rho:
+    its mask table and {rho: rdv}, or InconsistentCollectionError."""
+    covectors = {tuple(sorted(r)): g for r, g in covectors.items()}
+    if covectors.keys() != set(core.subsets(n, n - d + 1)):
+        raise InconsistentCollectionError("keys must be the (n-d+1)-subsets")
+    table, rdvs = {}, {}
+    for rho, g in covectors.items():
+        if (g.n, g.d) != (n, d):
+            raise InconsistentCollectionError(f"covector at {rho} has wrong ambient size")
+        rows = core.read_rows(g.mask, g.n, g.d)  # at most one edge per row, nonzero exactly on rho
+        if rows is None or rows[0] != rho:
+            raise InconsistentCollectionError(f"covector at {rho} has wrong support")
+        table[rows[1]], rdvs[rho] = g.mask, rows[2]
+    if not core.is_simplex_lattice(rdvs.values(), n - d + 1, d):
+        raise InconsistentCollectionError(
+            "right degree vectors do not biject onto the lattice points"
+        )
+    return table, rdvs

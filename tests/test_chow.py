@@ -4,6 +4,7 @@ sectors, and reconstruction from the phi map."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchfield import (
     BipartiteGraph,
@@ -28,12 +29,13 @@ from matchfield.chow import (
 )
 from matchfield import chow as chow_mod
 from matchfield import core, fields
-from matchfield.errors import InconsistentCollectionError
+from matchfield.errors import InconsistentCollectionError, MatchfieldError
 from matchfield.randgen import seeded_coherent_field
 
 from conftest import field_from_words, graph
 from oracles import (
     chow_by_intersection,
+    collection_rdvs_by_graphs,
     field_from_chow_by_topes,
     is_transversal,
     minimal_transversals,
@@ -247,6 +249,66 @@ class TestCollectionValidation:
     def test_mask_table_is_the_covectors(self, field_63):
         cc = chow_collection(field_63)
         assert cc.mask_table == {core.subset_mask(rho): g.mask for rho, g in cc.covectors.items()}
+
+
+def perturbed(covectors: dict, n: int, d: int, kind: str, rng: random.Random) -> dict:
+    """A copy of a {rho: graph} collection with one fault of the given kind."""
+    out = dict(covectors)
+    rho = rng.choice(sorted(out))
+    g = out[rho]
+    if kind == "second edge in a row":
+        j = rng.choice(rho)
+        i = rng.choice([i for i in range(1, d + 1) if i not in g.left_neighbors(j)] or [1])
+        out[rho] = BipartiteGraph(n, d, g.edges + ((j, i),))
+    elif kind == "edge off the support":
+        j = rng.choice([j for j in range(1, n + 1) if j not in rho])
+        out[rho] = BipartiteGraph(n, d, g.edges + ((j, rng.randint(1, d)),))
+    elif kind == "two covectors swapped":
+        other = rng.choice(sorted(out))
+        out[rho], out[other] = out[other], g
+    elif kind == "two columns swapped":  # swaps two entries of one rdv
+        a, b = rng.sample(range(1, d + 1), 2) if d > 1 else (1, 1)
+        swap = {a: b, b: a}
+        out[rho] = BipartiteGraph(n, d, [(j, swap.get(i, i)) for j, i in g.edges])
+    else:  # a missing key
+        del out[rho]
+    return out
+
+
+FAULTS = [
+    "second edge in a row", "edge off the support", "two covectors swapped",
+    "two columns swapped", "missing key",
+]
+
+
+def collection_outcome(build, n, d, covectors):
+    """A validator's mask table and rdvs, or the type and message it raises."""
+    try:
+        got = build(n, d, covectors)
+    except MatchfieldError as exc:
+        return type(exc), str(exc)
+    return got if isinstance(got, tuple) else (got.mask_table, got.rdvs)
+
+
+class TestCollectionOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([(3, 2), (4, 2), (5, 3), (6, 3), (6, 4), (7, 3)]),
+        st.integers(0, 10**6),
+        st.lists(st.sampled_from(FAULTS), max_size=2),
+    )
+    def test_mask_validator_agrees_with_the_graph_validator(self, size, seed, faults):
+        n, d = size
+        rng = random.Random(seed)
+        covectors = dict(chow_collection(seeded_coherent_field(n, d, seed)[0]).covectors)
+        for kind in faults:
+            covectors = perturbed(covectors, n, d, kind, rng)
+        expected = collection_outcome(collection_rdvs_by_graphs, n, d, covectors)
+        assert collection_outcome(ChowCollection, n, d, covectors) == expected
+        table = {core.subset_mask(rho): g.mask for rho, g in covectors.items()}
+        assert collection_outcome(ChowCollection.from_masks, n, d, table) == expected
+        if isinstance(expected[0], dict):  # accepted: the rdvs come in table order too
+            assert list(ChowCollection(n, d, covectors).rdvs.items()) == list(expected[1].items())
 
 
 class TestFieldFromChow:

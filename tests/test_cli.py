@@ -16,9 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from matchfield import core, triang
-from matchfield.chow import chow_collection, phi_to_json_dict
+from matchfield.chow import PhiMap, chow_collection, phi_from_json_dict, phi_to_json_dict
 from matchfield.cli import build_parser, run
-from matchfield.fields import extended_to_json_dict, field_to_json_dict
+from matchfield.errors import MatchfieldError
+from matchfield.fields import extended_to_json_dict, field_from_json_dict, field_to_json_dict
 from matchfield.stacks import stack_to_json_dict, stack_from_trees
 from matchfield.triang import (
     STAIRCASE_MAX_TREES,
@@ -30,6 +31,8 @@ from matchfield.triang import (
     staircase_triangulation,
     triangulation_to_json_dict,
 )
+
+import oracles
 
 
 @pytest.fixture()
@@ -749,6 +752,69 @@ def test_mutated_input_never_escapes_the_cli(tmp_path, fuzz_inputs, fmt, choice)
         if code:
             assert isinstance(json.loads(err), dict)
         assert run_quietly(command + [str(source)])[1] == out
+
+
+def read_outcome(read, data):
+    """What a reader makes of data: a field as its class, type vector and
+    mask table, a phi map as itself, or the type and message of its error."""
+    try:
+        got = read(data)
+    except (MatchfieldError, KeyError, ValueError) as exc:  # what run maps to exit 1 or 2
+        return type(exc), str(exc)
+    if isinstance(got, PhiMap):
+        return got
+    return type(got), got.n, got.d, got.type_vector, got.mask_table
+
+
+READERS = {  # the reader of each format and its oracle
+    "field": (field_from_json_dict, oracles.field_from_json_dict_by_graphs),
+    "tope-field": (field_from_json_dict, oracles.field_from_json_dict_by_graphs),
+    "phi": (phi_from_json_dict, lambda data: PhiMap(*oracles.read_table(data, "phi", vectors=True))),
+}
+
+
+@pytest.mark.parametrize("fmt", list(READERS))
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(choice=st.data())
+def test_mutated_input_reads_as_the_graph_reader_does(fuzz_inputs, fmt, choice):
+    # the mask reader and validator against the graph reader and the
+    # subset-by-subset validator: the same table, or the same error
+    data, _ = fuzz_inputs[fmt]
+    # below the root: run refuses an input that is no JSON object before reading it
+    path = choice.draw(st.sampled_from(list(node_paths(data))[1:]), label="path")
+    data = mutated(data, path, choice.draw(st.sampled_from(REPLACEMENTS), label="value"))
+    read, oracle = READERS[fmt]
+    assert read_outcome(read, data) == read_outcome(oracle, data)
+
+
+def reader_cases(field):
+    """Malformed field objects, each built from the valid one."""
+    good = field_to_json_dict(field)
+    table = good["matchings"]
+    yield {**good, "matchings": {**table, "1,2": [[1, 9], [2, "x"]]}}  # shape after range
+    yield {**good, "matchings": {**table, "1,2": [[1, 9], [2, 2]]}}
+    yield {"n": 100, "d": 2, "matchings": {"1,2": [[10**9, 1]]}}
+    yield {"n": 100, "d": 2, "matchings": {"1,1000000000": [[1, 1]]}}
+    yield {**good, "matchings": {**table, "1,1000000000": [[1, 1], [2, 2]]}}
+    for n, d in [(100, 2), (10**9, 2), (-1, 2), (4, 0)]:
+        yield {"n": n, "d": d, "matchings": {}}  # an empty table with bad n or d
+    yield {**good, "matchings": {**table, "1,2,3": [[1, 1], [2, 2]]}}  # keys of the wrong size
+    yield {**good, "matchings": {("1,2,3" if k == "1,2" else k): m for k, m in table.items()}}
+    yield {**good, "matchings": {**table, "2,1": table["1,2"]}}
+    yield {**good, "matchings": {**table, "1,2": [[1, 1], [2, 1]]}}
+    yield {**good, "type": [1]}
+
+
+def test_malformed_field_reads_as_the_graph_reader_does(field_42):
+    for data in reader_cases(field_42):
+        got = read_outcome(field_from_json_dict, data)
+        assert got == read_outcome(oracles.field_from_json_dict_by_graphs, data)
+        assert isinstance(got[0], type) and issubclass(got[0], Exception)
 
 
 # -- one output policy for every subcommand ------------------------------------

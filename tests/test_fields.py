@@ -252,16 +252,33 @@ class TestValidation:
 
 
 class TestLinkage:
-    def test_one_mask_table_per_field(self, field_63):
-        # built on first use, then read by the linkage test, the Chow pass
-        # and the arrangement
-        field = fields_mod.validate_matching_field(6, 3, field_63.assignment)
-        assert "mask_table" not in vars(field)
+    def test_one_mask_table_per_field(self, field_63, monkeypatch):
+        # the table the validator passes is the field, and the linkage test,
+        # the Chow pass and the arrangement read that very object without
+        # ever building the graphs
+        read = []
+
+        def spy(name):
+            real = getattr(fields_mod, name)
+
+            def reading(*args):
+                read.append((name, next(a for a in args if isinstance(a, dict))))
+                return real(*args)
+
+            monkeypatch.setattr(fields_mod, name, reading)
+
+        for name in ("field_from_masks", "covector_mask", "chow_masks"):
+            spy(name)
+        field = field_from_json_dict(field_to_json_dict(field_63))
+        (name, table), = read
+        assert name == "field_from_masks" and field.mask_table is table
+        assert table == {core.subset_mask(sigma): m.mask for sigma, m in field_63.items()}
         fields_mod.require_linkage(field)
-        table = vars(field)["mask_table"]
-        assert table == {core.subset_mask(sigma): m.mask for sigma, m in field.items()}
         tope_arrangement(field)
+        assert {name for name, _ in read} == {"field_from_masks", "covector_mask", "chow_masks"}
+        assert all(t is table for _, t in read)
         assert field.mask_table is table
+        assert "assignment" not in vars(field)
 
     def test_covectors_match_reference(self, field_42):
         for tau, expected in COVECTORS_42.items():
