@@ -18,9 +18,12 @@ containment-based agreement check used for triangulation axioms and stacks
 is ``agreed_matchings``, one pass over a dict keyed by (J, I).
 
 The certificate kernels work on integer masks alone.  ``agreed_matchings``
-lists each graph's matchings row by row into one dict keyed by (J mask,
-I mask); only a clash goes to the depth-first ``matching_masks`` preorder,
-which names the witness.  ``right_perfect_matchings`` builds only the
+builds each distinct matching of all the graphs once, into one dict keyed by
+(J mask, I mask): a depth-first pass over the rows carries the bitset of the
+graphs that hold the partial matching, so the work is about the distinct
+matchings times d, not the sum of the matchings per graph.  Only a clash
+goes to the ``matching_masks`` preorder of each graph, which names the
+witness.  ``right_perfect_matchings`` builds only the
 matchings that cover R, column by column; ``tree_tope`` walks a tree over
 its row masks, deciding spanning trees and linkage covectors and reading
 off the tope inside; ``sector_sweep`` is a breadth-first search over
@@ -531,29 +534,47 @@ def agreed_matchings(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[t
     then over g's keys; a key's clash is between its first holder and the
     first later graph that differs there.
 
-    Each graph's matchings go row by row into one shared dict: those on the
-    rows before lj, then each extended by a free bit of row j.  A key given
-    two matchings, even by one graph, hands over to the preorder pass.
+    One pass serves all the graphs.  Each edge carries the bitset of the
+    graphs that hold it.  A depth-first search extends a matching by an
+    edge of a later row, rows in increasing order, and carries the bitset
+    of the graphs that hold the matching; an edge extends it when the AND
+    of the two bitsets is nonzero.  So each distinct matching is built
+    once, at the cost of about d tries, and only the bitsets on the current
+    path are alive beside the dict; a triangulation holds C(n+d, n) - 1
+    distinct matchings.  A key given two matchings, even by one graph such
+    as a 4-cycle, hands over to the preorder pass, as do graphs on
+    differing sides.
 
     Stronger than is_compatible for trees: a shared edge may lie on an
     alternating cycle, which the symmetric-difference orientation cannot see.
     """
+    if not graphs:
+        return {}, None
+    n, d = graphs[0].n, graphs[0].d
+    if any((g.n, g.d) != (n, d) for g in graphs):
+        return _agreed_in_preorder(graphs)
+    holders = [0] * (n * d)  # bit t of holders[b]: graph t holds edge bit b
+    for t, g in enumerate(graphs):
+        for b in _bits(g.mask):
+            holders[b] |= 1 << t
+    rows = [(1 << j, [(1 << i, 1 << j * d + i, holders[j * d + i]) for i in range(d)])
+            for j in range(n)]
     agreed: dict[tuple, int] = {}
-    for g in graphs:
-        d, full = g.d, (1 << g.d) - 1
-        level = [(0, 0, 0)]  # (J, I, edge mask), the empty matching first
-        for j in range(g.n):
-            ends = [(1 << b, 1 << b + j * d) for b in _bits(g.mask >> (j * d) & full)]
-            grown = []
-            for J, I, m in level:
-                J |= 1 << j
-                for low, edge in ends:
-                    if not I & low:
-                        e = m | edge
-                        if agreed.setdefault((J, I | low), e) != e:
-                            return _agreed_in_preorder(graphs)
-                        grown.append((J, I | low, e))
-            level += grown
+
+    def clash(start: int, J: int, I: int, m: int, S: int) -> bool:
+        for t in range(start, len(rows)):
+            jbit, ends = rows[t]
+            J_t = J | jbit
+            for low, edge, h in ends:
+                if not I & low and (held := S & h):
+                    e = m | edge
+                    if (agreed.setdefault((J_t, I | low), e) != e
+                            or clash(t + 1, J_t, I | low, e, held)):
+                        return True
+        return False
+
+    if clash(0, 0, 0, 0, (1 << len(graphs)) - 1):
+        return _agreed_in_preorder(graphs)
     return agreed, None
 
 

@@ -130,12 +130,14 @@ class MatchingField(TopeField):
 def validate_matching_field(n: int, d: int, assignment: dict) -> MatchingField:
     """Check a raw subset -> graph map and wrap it as a MatchingField: the
     type (1, ..., 1) call of the field validator, on its mask table."""
+    core._check_sides(n, d)
     return field_from_masks(n, d, core.all_ones(d), core.graph_masks(n, d, assignment))
 
 
 def validate_tope_field(n: int, d: int, type_vector: Sequence[int], assignment: dict) -> TopeField:
     """Check a raw subset -> graph map against a type vector, which must be
     positive, of length d and of sum at most n, and wrap it as a TopeField."""
+    core._check_sides(n, d)
     v = _type_vector(n, d, type_vector)
     return field_from_masks(n, d, v, core.graph_masks(n, d, assignment))
 
@@ -783,6 +785,7 @@ def field_to_json_dict(field: TopeField) -> dict:
 
 def field_from_json_dict(data: dict) -> TopeField:
     n, d, table = core.read_masks(data, "matchings")
+    core._check_sides(n, d)  # before all_ones(d): an empty table checks no edge
     v = core._int_tuple(data.get("type", core.all_ones(d)), "a type vector")
     if v != core.all_ones(d):
         v = _type_vector(n, d, v)

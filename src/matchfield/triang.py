@@ -7,9 +7,11 @@ triangulation exactly when any two containing perfect matchings on the same
 node sets agree there; the flip axiom then follows and is not checked.
 Agreement is checked by containment (not the symmetric-difference cycle
 criterion): a shared edge can sit on an alternating cycle that the
-orientation test cannot see.  It is one pass over the contained matchings
-keyed by (J, I), ``core.agreed_matchings``, which also builds the ensemble
-of ``stacks.stack_from_trees``.
+orientation test cannot see.  It is one pass shared by all the trees,
+``core.agreed_matchings``: each distinct contained matching is built once,
+keyed by (J, I), with the bitset of the trees that hold it, so a
+triangulation costs about (C(n+d, n) - 1) * d steps.  The same pass builds
+the ensemble of ``stacks.stack_from_trees``.
 
 The degree-pair map sends each tree to its left and right degree vectors,
 normalised by subtracting the all-ones vectors.  The pair set determines the

@@ -48,7 +48,9 @@ descriptions kept as test oracles.
   for ``triang.check_triangulation``, which stops after agreement.
 - Contained matchings as edge tuples in the preorder of the lexicographic
   edge list, and the containment agreement pass over them: the oracles for
-  ``core.matching_masks`` and ``core.agreed_matchings``.  The field read
+  ``core.matching_masks`` and ``core.agreed_matchings``.  Each graph's
+  matchings listed row by row on its own, the oracle for the one pass of
+  ``core.agreed_matchings`` shared by all graphs.  The field read
   off a graph list by filtering all its partial matchings, the oracle for
   ``core.right_perfect_matchings`` in ``fields.field_from_graphs``.
 - Combinatorial sectors swept level by level in coordinate i, the oracle
@@ -1157,6 +1159,29 @@ def agreed_matchings_by_edges(graphs: Sequence[BipartiteGraph]) -> tuple[dict, O
     return agreed, (graphs[a], graphs[b], J, I)
 
 
+def agreed_matchings_per_graph(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[tuple]]:
+    """Oracle for the shared pass of core.agreed_matchings: each graph's
+    matchings listed separately, row by row, into one (J mask, I mask) dict,
+    with a clash handed to the same preorder pass."""
+    agreed: dict[tuple, int] = {}
+    for g in graphs:
+        d, full = g.d, (1 << g.d) - 1
+        level = [(0, 0, 0)]  # (J, I, edge mask), the empty matching first
+        for j in range(g.n):
+            ends = [(1 << b, 1 << b + j * d) for b in core._bits(g.mask >> (j * d) & full)]
+            grown = []
+            for J, I, m in level:
+                J |= 1 << j
+                for low, edge in ends:
+                    if not I & low:
+                        e = m | edge
+                        if agreed.setdefault((J, I | low), e) != e:
+                            return core._agreed_in_preorder(graphs)
+                        grown.append((J, I | low, e))
+            level += grown
+    return agreed, None
+
+
 def field_from_graphs_by_partial_matchings(
     graphs: Iterable[BipartiteGraph], n: int, d: int
 ) -> fields.MatchingField:
@@ -1345,6 +1370,7 @@ def _validated_field(n: int, d: int, v: tuple, assignment: dict) -> fields.TopeF
 def field_from_json_dict_by_graphs(data: dict) -> fields.TopeField:
     """A field read as a graph per subset and validated over that map."""
     n, d, assignment = read_table(data, "matchings")
+    core._check_sides(n, d)
     v = core._int_tuple(data.get("type", core.all_ones(d)), "a type vector")
     if v != core.all_ones(d):
         if len(v) != d or any(x < 1 for x in v):

@@ -817,6 +817,19 @@ def test_malformed_field_reads_as_the_graph_reader_does(field_42):
         assert isinstance(got[0], type) and issubclass(got[0], Exception)
 
 
+@pytest.mark.parametrize("n, d", [(10**9, 10**9), (3, 10**9)])
+def test_empty_field_with_huge_sides_exits_1(capsys, tmp_path, n, d):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": n, "d": d, "matchings": {}}))
+    assert run(["check-linkage", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "SizeCapError",
+        "message": f"node counts ({n}, {d}) outside [0, 64]",
+    }
+
+
 # -- one output policy for every subcommand ------------------------------------
 
 

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import re
+import time
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -249,6 +251,21 @@ class TestValidation:
     def test_all_ones_type_gives_a_matching_field(self, field_42):
         got = validate_tope_field(4, 2, (1, 1), dict(field_42.items()))
         assert isinstance(got, fields_mod.MatchingField) and got == field_42
+
+    @pytest.mark.parametrize("n, d", [(10**9, 10**9), (3, 10**9)])
+    def test_huge_sides_are_refused_before_the_type_vector(self, n, d):
+        # an empty table checks no edge, so the sides are checked before
+        # all_ones(d) would build d ones
+        message = f"node counts ({n}, {d}) outside [0, 64]"
+        start = time.perf_counter()
+        with pytest.raises(SizeCapError) as err:
+            field_from_json_dict({"n": n, "d": d, "matchings": {}})
+        assert str(err.value) == message
+        for validate in (lambda: validate_matching_field(n, d, {}),
+                         lambda: validate_tope_field(n, d, (1,), {})):
+            with pytest.raises(SizeCapError, match=re.escape(message)):
+                validate()
+        assert time.perf_counter() - start < 0.05
 
 
 class TestLinkage:

@@ -1,7 +1,9 @@
 """Cross-cutting invariants: oracle equivalences, randomized structure
 checks, order independence."""
 
+import functools
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import example, find, given, settings, strategies as st
@@ -44,6 +46,7 @@ from conftest import (
     random_matching_field,
 )
 from oracles import (
+    agreed_matchings_per_graph,
     check_basis_exchange,
     chow_by_intersection,
     column_functions,
@@ -434,6 +437,105 @@ class TestCodedReconstructions:
             return isinstance(got, tuple) and any(text in got[1] for text in deep)
 
         find(strategy, refused_deep, settings=settings(database=None, derandomize=True))
+
+
+@functools.lru_cache(maxsize=None)
+def every_spanning_tree(n, d):
+    """``core.all_spanning_trees``, built once per size."""
+    return core.all_spanning_trees(n, d)
+
+
+@st.composite
+def agreement_cases(draw):
+    """A graph sequence for the agreement pass, one of five kinds: a
+    relabelled staircase up to (6,5) or (5,6), maybe with one tree replaced
+    by a random spanning tree, dropped or duplicated; spanning trees drawn at
+    n * d <= 12; random graphs at up to (4,4) with one that holds a 4-cycle;
+    the empty sequence; spanning trees on two different sides."""
+    kind = draw(st.sampled_from(["staircase", "trees", "square", "empty", "mixed"]))
+    if kind == "empty":
+        return []
+    if kind == "staircase":
+        t = draw(relabelled_staircases())
+        n, d, trees = t.n, t.d, t.sorted_trees()
+        pos = draw(st.integers(0, len(trees) - 1))
+        change = draw(st.sampled_from(["none", "replace", "drop", "duplicate"]))
+        if change == "replace":
+            every = [(j, i) for j in range(1, n + 1) for i in range(1, d + 1)]
+            trees[pos] = spanning_tree_of_order(n, d, draw(st.permutations(every)))
+        elif change == "drop":
+            del trees[pos]
+        elif change == "duplicate":
+            trees.insert(draw(st.integers(0, len(trees))), trees[pos])
+        return trees if draw(st.booleans()) else draw(st.permutations(trees))
+    if kind == "trees":
+        n, d = draw(st.sampled_from([(n, d) for n in range(1, 13) for d in range(1, 13) if n * d <= 12]))
+        return draw(st.lists(st.sampled_from(every_spanning_tree(n, d)), min_size=1, max_size=8))
+    if kind == "square":
+        n, d = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+        graphs = draw(st.lists(graphs_strategy(n, d), max_size=4))
+        j, k = sorted(draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=2)))
+        i, h = sorted(draw(st.sets(st.integers(0, d - 1), min_size=2, max_size=2)))
+        square = sum(1 << (row * d + col) for row in (j, k) for col in (i, h))
+        extra = draw(st.integers(0, (1 << n * d) - 1))
+        graphs.insert(draw(st.integers(0, len(graphs))), BipartiteGraph.from_mask(n, d, square | extra))
+        return graphs
+    sizes = draw(st.lists(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]), min_size=2, max_size=2, unique=True))
+    graphs = [draw(st.sampled_from(every_spanning_tree(*size))) for size in sizes]
+    graphs += draw(st.lists(st.sampled_from(every_spanning_tree(*sizes[0])), max_size=4))
+    return draw(st.permutations(graphs))
+
+
+def agreement_and_handover(kernel, graphs):
+    """A kernel's (agreed, clash) and whether it handed over to the preorder
+    pass."""
+    with mock.patch.object(core, "_agreed_in_preorder", wraps=core._agreed_in_preorder) as preorder:
+        return kernel(graphs), preorder.called
+
+
+class TestSharedAgreementPass:
+    """The one pass of ``core.agreed_matchings`` shared by all graphs against
+    each graph's matchings listed on its own: the same agreed map, the same
+    witness tuple, and a hand-over to the preorder pass in the same cases
+    (always, for graphs on differing sides).  Since the preorder pass
+    decides alone, a pass that built matchings no graph holds would still
+    agree in its results; it shows as a hand-over the oracle does not make."""
+
+    def test_every_enumerated_triangulation(self):
+        sizes = [(n, d) for n in range(1, 7) for d in range(1, 7) if tree_count(n, d) <= 6]
+        checked = 0
+        for n, d in sizes:
+            for t in enumerate_triangulations(n, d):
+                trees = t.sorted_trees()
+                got, handed_over = agreement_and_handover(core.agreed_matchings, trees)
+                assert got == agreed_matchings_per_graph(trees)
+                assert got[1] is None and not handed_over
+                checked += 1
+        assert checked == 11 + (2 + 6 + 24 + 120 + 720) + (6 + 24 + 120 + 720) + 108
+
+    @settings(max_examples=300, deadline=None)
+    @given(agreement_cases())
+    @example(staircase_triangulation(6, 5, (4, 1, 6, 2, 5, 3), (5, 3, 1, 4, 2)).sorted_trees())
+    @example(staircase_triangulation(5, 6, (2, 5, 1, 4, 3), (6, 1, 5, 2, 4, 3)).sorted_trees())
+    @example([])
+    def test_same_map_and_witness_as_the_per_graph_pass(self, graphs):
+        (agreed, clash), handed_over = agreement_and_handover(core.agreed_matchings, graphs)
+        (expected_agreed, expected_clash), expected_handover = agreement_and_handover(
+            agreed_matchings_per_graph, graphs
+        )
+        assert agreed == expected_agreed
+        assert clash == expected_clash
+        mixed = len({(g.n, g.d) for g in graphs}) > 1
+        assert handed_over == (mixed or expected_handover)
+
+    @pytest.mark.parametrize("agree", [True, False])
+    def test_cases_reach_both_verdicts(self, agree):
+        # among sequences of two or more graphs, some agree and some clash,
+        # so the comparison above is not vacuous
+        def verdict(graphs):
+            return len(graphs) > 1 and (agreed_matchings_per_graph(graphs)[1] is None) == agree
+
+        find(agreement_cases(), verdict, settings=settings(database=None, derandomize=True))
 
 
 class TestCompatibilityOracle:

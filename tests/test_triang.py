@@ -25,6 +25,7 @@ from matchfield.fields import field_from_graphs
 from matchfield.stacks import stack_from_trees
 from matchfield.triang import (
     Triangulation,
+    TriangulationReport,
     check_triangulation,
     extended_tope_arrangement,
     find_agreement_violation,
@@ -39,6 +40,7 @@ from matchfield import trianguloid_check
 
 from conftest import graph, matchings_agree
 from oracles import (
+    agreed_matchings_per_graph,
     check_triangulation_with_flip,
     necessary_conditions,
     reconstruct_by_every_leaf,
@@ -364,6 +366,28 @@ class TestKeyedAxioms:
             flip += witness is not None
         # both verdicts occur, so neither comparison is vacuous
         assert 0 < agreement < len(self.CASES) and 0 < flip < len(self.CASES)
+
+    def test_relabelled_88_staircase_is_accepted(self, monkeypatch):
+        # 3432 trees holding C(16, 8) - 1 = 12869 distinct matchings, decided
+        # by the shared pass alone
+        monkeypatch.setattr(core, "_agreed_in_preorder", None)
+        t = staircase_triangulation(8, 8, (3, 7, 1, 8, 5, 2, 6, 4), (6, 2, 8, 4, 1, 7, 3, 5))
+        assert len(t.trees) == tree_count(8, 8) == 3432
+        assert check_triangulation(t.trees, 8, 8) == TriangulationReport(True)
+        assert len(agreed_matchings(t.sorted_trees())[0]) == 12869
+
+    def test_65_staircase_with_a_foreign_tree_is_refused_with_the_oracle_witness(self):
+        rng = random.Random(23)
+        t = staircase_triangulation(6, 5, (4, 1, 6, 2, 5, 3), (5, 3, 1, 4, 2))
+        foreign = random_spanning_tree(6, 5, rng)
+        while foreign in t.trees:
+            foreign = random_spanning_tree(6, 5, rng)
+        trees = t.sorted_trees()
+        trees[rng.randrange(len(trees))] = foreign
+        report = check_triangulation(trees, 6, 5)
+        witness = agreed_matchings_per_graph(sorted(trees, key=lambda g: g.mask))[1]
+        assert witness is not None and foreign in witness[:2]
+        assert report == TriangulationReport(False, "agreement", witness)
 
     def test_pair_verdicts_match_matchings_agree(self):
         for n, d, trees in self.CASES[::6]:
