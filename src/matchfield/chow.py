@@ -23,9 +23,11 @@ pair sits at rdv v + e_i - e_k.  The d sectors of j partition the covectors
 through j (``core.sectors``, shared with the triangulations), and each ORs
 its edge at lj into the mask of its rho.  The certificate rebuilds the
 field, checks that it is linkage and that its covector table equals the
-rebuilt one, mask for mask.  The tests keep the paper's induction on
-deleting lj, and the covectors as intersections of maximal topes and as
-minimal transversals, as oracles.
+rebuilt one, mask for mask.  ``roundtrip --kind chow`` certifies only a
+rebuild that differs from the table of its validated linkage input, as an
+equal one is what the certificate would confirm.  The tests keep the
+paper's induction on deleting lj, and the covectors as intersections of
+maximal topes and as minimal transversals, as oracles.
 """
 
 from __future__ import annotations
@@ -203,6 +205,11 @@ def reconstruct_chow_from_phi(phi: PhiMap, n: int, d: int) -> ChowCollection:
     checking that it is linkage and that its covectors are the rebuilt
     ones, mask for mask.
     """
+    return _certified(_rebuild(phi, n, d))
+
+
+def _rebuild(phi: PhiMap, n: int, d: int) -> ChowCollection:
+    """The covectors of the sector sweeps, once they reproduce phi."""
     if (phi.n, phi.d) != (n, d):
         raise MatchfieldError("phi dimensions disagree")
     phi.validate_bijective()
@@ -216,9 +223,17 @@ def reconstruct_chow_from_phi(phi: PhiMap, n: int, d: int) -> ChowCollection:
             table[by_code[x]] |= 1 << (j * d + i - 1)
     try:
         collection = ChowCollection.from_masks(n, d, table)
-        if collection.rdvs != phi.mapping:
-            raise InconsistentPhiError("reconstruction does not reproduce phi")
-        # certificate: the covectors must be those of an actual linkage field
+    except InconsistentCollectionError as exc:
+        raise InconsistentPhiError(str(exc)) from exc
+    if collection.rdvs != phi.mapping:
+        raise InconsistentPhiError("reconstruction does not reproduce phi")
+    return collection
+
+
+def _certified(collection: ChowCollection) -> ChowCollection:
+    """The rebuilt covectors, once they are those of an actual linkage field."""
+    n, d = collection.n, collection.d
+    try:
         field = field_from_chow(collection)
         fields.require_linkage(field)
         if fields.chow_masks(n, d, field.mask_table) != collection.mask_table:

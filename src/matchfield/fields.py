@@ -12,12 +12,14 @@ turn their graphs into a table first.
 
 The field is *linkage* when the union of the assignments over every
 (k+1)-subset tau is a tree, the *linkage covector* of tau; inside it each
-right node ri has degree vi + 1.  On a validated field every such union is
-connected: for a component C and any x in tau, the tope on tau - x gives
-|C_L - x| = sum of v_i over C_R, which holds for x in C_L and for x outside
-C_L only when C_L = tau.  So the union is a tree exactly when it has k + d
-edges, and linkage is decided by OR-ing tope masks and one popcount per tau
-(`is_linkage`).
+right node ri has degree vi + 1.  On a field that holds its type
+(`TopeField.holds_type`, the validator's one pass) with every v_i > 0 every
+such union is connected: for a component C and any x in tau, the tope on
+tau - x gives |C_L - x| = sum of v_i over C_R, which holds for x in C_L and
+for x outside C_L only when C_L = tau.  So there the union is a tree exactly
+when it has k + d edges, and linkage is decided by OR-ing tope masks and one
+popcount per tau (`is_linkage`); any other field takes the cycle search of
+`linkage_covector` on every tau.
 
 The i-amalgamation extracts from each covector the unique tope of type
 v + e_i, producing a tope field one thicker; iterating up to thickness n
@@ -89,6 +91,21 @@ class TopeField:
         self.mask_table = table
 
     @cached_property
+    def holds_type(self) -> bool:
+        """Whether the table is a field of its type: its keys are exactly the
+        k-subsets of [n] as bitmasks, each holding an edge mask on (n, d)
+        with left degrees at most 1, right degree vector v and left support
+        its key.  One pass, on first use; the validator reads it to accept."""
+        n, d, v, k, table = self.n, self.d, self.type_vector, self.thickness, self.mask_table
+        if not (0 <= k <= n <= core.MAX_SIDE and len(table) == comb(n, k)):
+            return False
+        for key, mask in table.items():
+            rows = core.read_rows(mask, n, d)
+            if rows is None or rows[1] != key or rows[2] != v:
+                return False
+        return True  # k-subsets of [n], as many as there are: all of them
+
+    @cached_property
     def assignment(self) -> dict:
         """The topes as {subset: graph}, built on first use."""
         return core.graph_table(self.n, self.d, self.mask_table)
@@ -154,18 +171,13 @@ def field_from_masks(n: int, d: int, v: tuple, table: dict) -> TopeField:
     the sum(v)-subsets of [n] as bitmasks (a tuple key from
     ``core.subset_bits`` never is), each holding an edge mask on (n, d) with
     left degrees at most 1, right degree vector v and left support its key.
-    One pass over the table decides; only a fault goes to ``_refuse_field``.
-    A MatchingField when v = (1, ..., 1), else a TopeField, holding the
-    table itself."""
-    k = sum(v)
-    if 0 <= k <= n <= core.MAX_SIDE and len(table) == comb(n, k):
-        for key, mask in table.items():
-            rows = core.read_rows(mask, n, d)
-            if rows is None or rows[1] != key or rows[2] != v:
-                break
-        else:  # k-subsets of [n], as many as there are: all of them
-            cls = MatchingField if v == core.all_ones(d) else TopeField
-            return cls.from_masks(n, d, v, table)
+    One pass over the table decides (``TopeField.holds_type``), and the
+    field keeps the verdict; only a fault goes to ``_refuse_field``.  A
+    MatchingField when v = (1, ..., 1), else a TopeField, holding the table
+    itself."""
+    field = (MatchingField if v == core.all_ones(d) else TopeField).from_masks(n, d, v, table)
+    if field.holds_type:
+        return field
     _refuse_field(n, d, v, table)
 
 
@@ -222,7 +234,8 @@ def linkage_covector(field: TopeField, tau: Iterable[int]) -> CovectorResult:
         )
     if len(set(tau) & set(range(1, field.n + 1))) != len(tau):
         raise MatchfieldError(f"tau must hold distinct left nodes in 1..{field.n}, got {tau}")
-    union = BipartiteGraph.from_mask(field.n, field.d, covector_mask(field.mask_table, tau))
+    mask = covector_mask(field.mask_table, core.subset_mask(tau))
+    union = BipartiteGraph.from_mask(field.n, field.d, mask)
     cycle = core.find_cycle(union)
     return CovectorResult(tau, union, tuple(cycle) if cycle else None)
 
@@ -236,15 +249,15 @@ class LinkageReport:
 def is_linkage(field: TopeField) -> LinkageReport:
     """Check the tree condition for every (k+1)-subset; collect all failures.
 
-    A union is a tree when it has k + d edges and the walk of
-    `core.tree_tope` over the rows of tau reaches all d right nodes.  On a
-    validated field the walk always does:
-    for a component C of the union and any x in tau, the tope on tau - x
-    pairs C_L - x with C_R, so |C_L - x| = sum of v_i over C_R.  That is
-    |C_L| - 1 for x in C_L and |C_L| otherwise, and v > 0, so C_L = tau and
-    the union is connected.  The walk guards raw TopeFields built without
-    validation.  Only a failing tau goes through `linkage_covector` and
-    `core.find_cycle`, which build its graph and cycle.
+    On a field that holds its type (``TopeField.holds_type``) with every
+    v_i > 0, the count decides: for a component C of the union and any x in
+    tau, the tope on tau - x pairs C_L - x with C_R, so
+    |C_L - x| = sum of v_i over C_R.  That is |C_L| - 1 for x in C_L and
+    |C_L| otherwise, and v > 0, so C_L = tau and the union is connected: a
+    tree with k + d edges, and a cycle with any other count.  Only a tau of
+    another count goes through `linkage_covector` and `core.find_cycle`,
+    which build its graph and cycle.  Any other field takes that cycle
+    search on every tau.
     """
     failures = tuple(_failing_covectors(field))
     return LinkageReport(not failures, failures)
@@ -259,27 +272,38 @@ def require_linkage(field: TopeField) -> None:
 def _failing_covectors(field: TopeField) -> Iterator[CovectorResult]:
     """The non-tree covectors in `core.subsets` order; none when k >= n (no
     (k+1)-subsets, so vacuously linkage)."""
+    counted = field.holds_type and all(x > 0 for x in field.type_vector)
+    tree = field.thickness + field.d
     for tau, union in _covector_unions(field):
-        if core.tree_tope(union, tau, field.d, 1) is None:
-            res = linkage_covector(field, tau)
+        if not counted or union.bit_count() != tree:
+            res = linkage_covector(field, core.mask_subset(tau))
             if not res.ok:
                 yield res
 
 
-def _covector_unions(field: TopeField) -> Iterator[tuple[tuple, int]]:
-    """(tau, edge mask of its covector) for every (k+1)-subset tau in
-    `core.subsets` order, from the tope masks keyed by left-subset bitmask."""
+def _covector_unions(field: TopeField) -> Iterator[tuple[int, int]]:
+    """(tau, edge mask of its covector) for every (k+1)-subset tau as a
+    bitmask, in increasing order, which is the `core.subsets` order, from
+    the tope masks keyed by left-subset bitmask."""
     n, k, topes = field.n, field.thickness, field.mask_table
-    for tau in core.subsets(n, k + 1) if k < n else ():
+    if k >= n:
+        return
+    tau, end = (1 << k + 1) - 1, 1 << n
+    while tau < end:
         yield tau, covector_mask(topes, tau)
+        low = tau & -tau  # Gosper: the next bitmask with as many set bits
+        step = tau + low
+        tau = step | ((step ^ tau) >> 2) // low
 
 
-def covector_mask(topes: dict[int, int], tau: tuple) -> int:
-    """Edge mask of the covector of tau: the OR of topes[tau - j], j in tau."""
-    everyone = core.subset_mask(tau)
-    union = 0
-    for j in tau:
-        union |= topes[everyone ^ 1 << (j - 1)]
+def covector_mask(topes: dict[int, int], tau: int) -> int:
+    """Edge mask of the covector of the bitmask tau: the OR of topes[tau - j],
+    j in tau."""
+    union, rest = 0, tau
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        union |= topes[tau ^ low]
     return union
 
 
@@ -403,7 +427,7 @@ def i_amalgamation(tf: TopeField, i: int) -> TopeField:
     if tf.thickness >= tf.n:
         raise MatchfieldError("tope field already has maximal thickness")
     table = {
-        core.subset_mask(tau): core.contained_tope(covector_graph(tf.n, tf.d, tau, union), i).mask
+        tau: core.contained_tope(covector_graph(tf.n, tf.d, core.mask_subset(tau), union), i).mask
         for tau, union in _covector_unions(tf)
     }
     new_type = core.vector_sum(tf.type_vector, core.unit_vector(tf.d, i))

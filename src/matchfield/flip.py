@@ -92,7 +92,8 @@ def linkage_tree(field: fields.MatchingField, tau: Iterable[int]) -> LinkageTree
         raise MatchfieldError(f"tau must have size {field.d + 1}")
     if len(set(tau) & set(range(1, field.n + 1))) != len(tau):
         raise MatchfieldError(f"tau must hold distinct left nodes in 1..{field.n}, got {tau}")
-    fields.covector_graph(field.n, field.d, tau, fields.covector_mask(field.mask_table, tau))
+    union = fields.covector_mask(field.mask_table, core.subset_mask(tau))
+    fields.covector_graph(field.n, field.d, tau, union)
     verts = sorted(tuple(x for x in tau if x != drop) for drop in tau)
     table = field.mask_table
     edges = _flips(field.d, ((sigma, table[core.subset_mask(sigma)]) for sigma in verts))

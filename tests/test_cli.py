@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from matchfield import core, triang
+from matchfield import chow, core, triang
 from matchfield.chow import PhiMap, chow_collection, phi_from_json_dict, phi_to_json_dict
 from matchfield.cli import build_parser, run
 from matchfield.errors import MatchfieldError
@@ -151,6 +151,57 @@ def test_differing_rebuild_reaches_the_certificate(capsys, monkeypatch, tmp_path
             }
         else:
             assert json.loads(out)["match"] is (rebuilt == a)
+
+
+def count_chow_certificates(monkeypatch):
+    """A list that grows by one for every Chow certificate, counted at its
+    first step, the field rebuilt from the covectors."""
+    calls, rebuild = [], chow.field_from_chow
+    monkeypatch.setattr(chow, "field_from_chow", lambda cc: calls.append(cc) or rebuild(cc))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["field_42", "field_53", "field_63"])
+def test_chow_round_trip_certifies_no_matching_rebuild(capsys, monkeypatch, tmp_path, request, name):
+    # the input passed the linkage test, and a rebuild equal to its Chow
+    # table is that table; reconstruct-chow, with no field, certifies once
+    path, phi_path = tmp_path / "f.json", tmp_path / "phi.json"
+    path.write_text(core.canonical_json(field_to_json_dict(request.getfixturevalue(name))))
+    calls = count_chow_certificates(monkeypatch)
+    assert run(["roundtrip", "--kind", "chow", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"kind": "chow", "diff": [], "match": True}
+    assert calls == []
+    assert run(["phi", str(path), "--json", str(phi_path)]) == 0
+    assert run(["reconstruct-chow", "--phi", str(phi_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_differing_chow_rebuild_reaches_the_certificate(capsys, monkeypatch, field_file, field_42):
+    # another linkage collection (two phi values of field_42 swapped) is
+    # certified and reported as a mismatch; a collection of no field fails
+    mapping = dict(chow_collection(field_42).phi().mapping)
+    mapping[(1, 2, 3)], mapping[(1, 2, 4)] = mapping[(1, 2, 4)], mapping[(1, 2, 3)]
+    other = chow.reconstruct_chow_from_phi(PhiMap(4, 2, mapping), 4, 2)
+    edges = {(1, 2, 3): [(1, 1), (2, 1), (3, 1)], (1, 2, 4): [(1, 1), (2, 1), (4, 2)],
+             (1, 3, 4): [(1, 2), (3, 2), (4, 1)], (2, 3, 4): [(2, 2), (3, 2), (4, 2)]}
+    broken = chow.ChowCollection(4, 2, {rho: core.BipartiteGraph(4, 2, e) for rho, e in edges.items()})
+    diff = sorted(core.subset_key(rho) for rho, g in chow_collection(field_42).covectors.items()
+                  if other.covectors[rho] != g)
+    assert diff
+    for rebuilt in (other, broken):
+        monkeypatch.setattr(chow, "_rebuild", lambda phi, n, d: rebuilt)
+        calls = count_chow_certificates(monkeypatch)
+        assert run(["roundtrip", "--kind", "chow", field_file]) == 1
+        out, err = capsys.readouterr()
+        assert calls == [rebuilt]
+        if rebuilt is broken:
+            assert out == "" and json.loads(err) == {
+                "error": "InconsistentPhiError",
+                "message": "value for (1, 2) is not a perfect matching",
+            }
+        else:
+            assert json.loads(out) == json.loads(err) == {
+                "kind": "chow", "diff": diff, "match": False}
 
 
 def test_validate_extract_phi_triangulation(capsys, triangulation_file):

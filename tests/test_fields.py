@@ -451,6 +451,64 @@ class TestLinkageAgainstCycles:
             assert len(searched) == (not report.ok)
 
 
+class TestLinkageByCount:
+    """A field that holds its type carries the verdict of its one validating
+    pass, so linkage is decided by the edge count of every covector."""
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        """A list that grows by one for every call of core.<name>."""
+        calls, real = [], getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    def test_validated_fields_walk_no_rows(self, monkeypatch, differential_fields, field_43):
+        verdicts = set()
+        for field in (*differential_fields, field_43):
+            validated = field_from_json_dict(field_to_json_dict(field))
+            walked = self.spy(monkeypatch, "tree_tope")
+            read = self.spy(monkeypatch, "read_rows")
+            report = is_linkage(validated)
+            if report.ok:
+                fields_mod.require_linkage(validated)
+            else:
+                with pytest.raises(NotLinkageError):
+                    fields_mod.require_linkage(validated)
+            assert walked == [] and read == []
+            assert report == is_linkage_by_cycles(field)
+            verdicts.add(report.ok)
+        assert verdicts == {True, False}
+
+    def test_unchecked_field_checks_its_type_once(self, monkeypatch, field_43, field_63):
+        for field in (field_43, field_63):
+            twin = field_from_json_dict(field_to_json_dict(field))
+            read = self.spy(monkeypatch, "read_rows")
+            raw = fields_mod.MatchingField(field.n, field.d, dict(field.items()))
+            assert [is_linkage(raw), is_linkage(raw)] == [is_linkage(twin)] * 2
+            assert len(read) == len(raw.mask_table) and raw.holds_type
+
+    def test_a_type_with_zeros_takes_the_cycle_search(self):
+        # topes of type (2, 1, 0) that hold it, whose union over [4] has
+        # k + d = 6 edges on the 6 nodes it meets: a cycle the count would
+        # take for a tree, as r3 stays out of it
+        edges = {(1, 2, 3): [(1, 2), (2, 1), (3, 1)], (1, 2, 4): [(1, 2), (2, 1), (4, 1)],
+                 (1, 3, 4): [(1, 1), (3, 2), (4, 1)], (2, 3, 4): [(2, 1), (3, 2), (4, 1)]}
+        field = fields_mod.TopeField(4, 3, (2, 1, 0), {s: graph(4, 3, e) for s, e in edges.items()})
+        assert field.holds_type
+        report = is_linkage(field)
+        assert report == is_linkage_by_cycles(field)
+        assert [res.tau for res in report.failures] == [(1, 2, 3, 4)]
+
+    def test_unions_run_through_the_subsets_in_order(self):
+        for n in range(1, 11):
+            for k in range(n + 1):
+                table = dict.fromkeys(map(core.subset_mask, subsets(n, k)), 0)
+                field = fields_mod.TopeField.from_masks(n, 1, (k,), table)
+                taus = [tau for tau, _ in fields_mod._covector_unions(field)]
+                expected = [core.subset_mask(t) for t in subsets(n, k + 1)] if k < n else []
+                assert taus == expected
+
+
 class TestCoherent:
     WEIGHTS = [(0, 1), (0, 0), (1, 0)]
 
