@@ -21,12 +21,11 @@ The certificate kernels work on integer masks alone.  ``agreed_matchings``
 builds each distinct matching of all the graphs once, into one dict keyed by
 (J mask, I mask): a depth-first pass over the rows carries the bitset of the
 graphs that hold the partial matching, so the work is about the distinct
-matchings times d, not the sum of the matchings per graph.  Only a clash
-goes to the ``matching_masks`` preorder of each graph, which names the
-witness.  ``right_perfect_matchings`` builds only the
-matchings that cover R, column by column; ``tree_tope`` walks a tree over
-its row masks, deciding spanning trees and linkage covectors and reading
-off the tope inside; ``sector_sweep`` is a breadth-first search over
+matchings times d, not the sum of the matchings per graph, and a refusal
+costs about what an acceptance does.  ``right_perfect_matchings`` builds
+only the matchings that cover R, column by column; ``tree_tope`` walks a
+tree over its row masks, deciding spanning trees and linkage covectors and
+reading off the tope inside; ``sector_sweep`` is a breadth-first search over
 lattice points coded as integers, sum v_k * B^(dim-k) with every digit
 below B, so that a move is integer arithmetic and code order is tuple
 order.  ``incompatible_partners`` tests a partial map
@@ -441,8 +440,8 @@ def matching_masks(g: BipartiteGraph) -> dict[tuple[int, int], int]:
     order; a matching is listed before its extensions, so the keys come in
     the preorder of the matchings over the lexicographic edge order.  A
     forest contains at most one matching per (J, I); for a graph with
-    several the last one found is kept, so agreement verdicts built on this
-    map (``agreed_matchings``) are exact only for forests.
+    several the last one found is kept, which is also the one
+    ``agreed_matchings`` compares.
     """
     d = g.d
     full = (1 << d) - 1
@@ -532,18 +531,20 @@ def agreed_matchings(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[t
     its key, and the first disagreement (g, h, J, I) or None, with J and I
     as tuples.  "First" is the order of a pairwise scan over g before h,
     then over g's keys; a key's clash is between its first holder and the
-    first later graph that differs there.
+    first later graph that differs there.  Graphs on differing sides raise
+    MatchfieldError.
 
-    One pass serves all the graphs.  Each edge carries the bitset of the
-    graphs that hold it.  A depth-first search extends a matching by an
-    edge of a later row, rows in increasing order, and carries the bitset
-    of the graphs that hold the matching; an edge extends it when the AND
-    of the two bitsets is nonzero.  So each distinct matching is built
-    once, at the cost of about d tries, and only the bitsets on the current
-    path are alive beside the dict; a triangulation holds C(n+d, n) - 1
-    distinct matchings.  A key given two matchings, even by one graph such
-    as a 4-cycle, hands over to the preorder pass, as do graphs on
-    differing sides.
+    Each edge carries the bitset of the graphs that hold it.  A depth-first
+    search extends a matching by an edge of a later row, rows in increasing
+    order, and carries the bitset of the graphs that hold the matching; an
+    edge extends it when the AND of the two bitsets is nonzero.  So each
+    distinct matching is built once, at the cost of about d tries, and a
+    refusal costs about what an acceptance does; a triangulation holds
+    C(n+d, n) - 1 distinct matchings.  The search meets each graph's
+    matchings in its ``matching_masks`` preorder, so at a key given several
+    matchings a graph owns the last one it holds.  The witness is the least
+    (lowest owner, lowest owner of another matching) over those keys, ties
+    going to the key first in ``matching_masks`` of the first graph.
 
     Stronger than is_compatible for trees: a shared edge may lie on an
     alternating cycle, which the symmetric-difference orientation cannot see.
@@ -552,7 +553,7 @@ def agreed_matchings(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[t
         return {}, None
     n, d = graphs[0].n, graphs[0].d
     if any((g.n, g.d) != (n, d) for g in graphs):
-        return _agreed_in_preorder(graphs)
+        raise MatchfieldError("agreement of graphs on differing sides")
     holders = [0] * (n * d)  # bit t of holders[b]: graph t holds edge bit b
     for t, g in enumerate(graphs):
         for b in _bits(g.mask):
@@ -560,38 +561,35 @@ def agreed_matchings(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[t
     rows = [(1 << j, [(1 << i, 1 << j * d + i, holders[j * d + i]) for i in range(d)])
             for j in range(n)]
     agreed: dict[tuple, int] = {}
+    found: dict[tuple, list] = {}  # a key with two or more matchings -> them in search order
 
-    def clash(start: int, J: int, I: int, m: int, S: int) -> bool:
+    def search(start: int, J: int, I: int, m: int, S: int) -> None:
         for t in range(start, len(rows)):
             jbit, ends = rows[t]
             J_t = J | jbit
             for low, edge, h in ends:
                 if not I & low and (held := S & h):
-                    e = m | edge
-                    if (agreed.setdefault((J_t, I | low), e) != e
-                            or clash(t + 1, J_t, I | low, e, held)):
-                        return True
-        return False
+                    e, I_t = m | edge, I | low
+                    if agreed.setdefault((J_t, I_t), e) != e:
+                        found.setdefault((J_t, I_t), [agreed[J_t, I_t]]).append(e)
+                    search(t + 1, J_t, I_t, e, held)
 
-    if clash(0, 0, 0, 0, (1 << len(graphs)) - 1):
-        return _agreed_in_preorder(graphs)
-    return agreed, None
-
-
-def _agreed_in_preorder(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[tuple]]:
-    """``agreed_matchings`` over each graph's ``matching_masks`` in turn."""
-    first: dict[tuple, tuple] = {}  # (J, I) -> (edge mask, graph index, key position)
-    clashes = []
-    for b, g in enumerate(graphs):
-        for pos, (key, m) in enumerate(matching_masks(g).items()):
-            m_a, a, pos_a = first.setdefault(key, (m, b, pos))
-            if m_a != m:
-                # (a, pos_a) names the key, so min never compares keys
-                clashes.append((a, b, pos_a, key))
-    agreed = {key: m for key, (m, _, _) in first.items()}
+    search(0, 0, 0, 0, (1 << len(graphs)) - 1)
+    clashes = set()  # (first holder, first graph to differ, key)
+    for key, masks in found.items():
+        owners, later = {}, 0
+        for m in reversed(masks):
+            held = functools.reduce(int.__and__, (holders[b] for b in _bits(m)))
+            owners[m] = held & ~later
+            later |= held
+        first = later & -later
+        agreed[key] = next(m for m, own in owners.items() if own & first)
+        if others := later & ~owners[agreed[key]]:
+            clashes.add((first.bit_length() - 1, (others & -others).bit_length() - 1, key))
     if not clashes:
         return agreed, None
-    a, b, _, (J, I) = min(clashes)
+    a, b, _ = min(clashes)
+    J, I = next(key for key in matching_masks(graphs[a]) if (a, b, key) in clashes)
     return agreed, (graphs[a], graphs[b], mask_subset(J), mask_subset(I))
 
 

@@ -50,9 +50,11 @@ descriptions kept as test oracles.
   edge list, and the containment agreement pass over them: the oracles for
   ``core.matching_masks`` and ``core.agreed_matchings``.  Each graph's
   matchings listed row by row on its own, the oracle for the one pass of
-  ``core.agreed_matchings`` shared by all graphs.  The field read
-  off a graph list by filtering all its partial matchings, the oracle for
-  ``core.right_perfect_matchings`` in ``fields.field_from_graphs``.
+  ``core.agreed_matchings`` shared by all graphs, and every graph's
+  ``core.matching_masks`` in turn, the oracle for its witness of a clash.
+  The field read off a graph list by filtering all its partial matchings,
+  the oracle for ``core.right_perfect_matchings`` in
+  ``fields.field_from_graphs``.
 - Combinatorial sectors swept level by level in coordinate i, the oracle
   for the breadth-first ``core.sector_sweep``.  Both sector
   reconstructions, degree pairs and phi maps, with every lattice point a
@@ -1162,7 +1164,7 @@ def agreed_matchings_by_edges(graphs: Sequence[BipartiteGraph]) -> tuple[dict, O
 def agreed_matchings_per_graph(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[tuple]]:
     """Oracle for the shared pass of core.agreed_matchings: each graph's
     matchings listed separately, row by row, into one (J mask, I mask) dict,
-    with a clash handed to the same preorder pass."""
+    with a clash handed to the preorder pass ``agreed_in_preorder``."""
     agreed: dict[tuple, int] = {}
     for g in graphs:
         d, full = g.d, (1 << g.d) - 1
@@ -1176,10 +1178,27 @@ def agreed_matchings_per_graph(graphs: Sequence[BipartiteGraph]) -> tuple[dict, 
                     if not I & low:
                         e = m | edge
                         if agreed.setdefault((J, I | low), e) != e:
-                            return core._agreed_in_preorder(graphs)
+                            return agreed_in_preorder(graphs)
                         grown.append((J, I | low, e))
             level += grown
     return agreed, None
+
+
+def agreed_in_preorder(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[tuple]]:
+    """``agreed_matchings`` over each graph's ``matching_masks`` in turn."""
+    first: dict[tuple, tuple] = {}  # (J, I) -> (edge mask, graph index, key position)
+    clashes = []
+    for b, g in enumerate(graphs):
+        for pos, (key, m) in enumerate(core.matching_masks(g).items()):
+            m_a, a, pos_a = first.setdefault(key, (m, b, pos))
+            if m_a != m:
+                # (a, pos_a) names the key, so min never compares keys
+                clashes.append((a, b, pos_a, key))
+    agreed = {key: m for key, (m, _, _) in first.items()}
+    if not clashes:
+        return agreed, None
+    a, b, _, (J, I) = min(clashes)
+    return agreed, (graphs[a], graphs[b], core.mask_subset(J), core.mask_subset(I))
 
 
 def field_from_graphs_by_partial_matchings(

@@ -17,10 +17,11 @@ from matchfield import (
     simplex_lattice_points,
     subsets,
 )
-from matchfield import core
+from matchfield import core, triang
 
 from conftest import exhaustive_compatibility, graph, graph_from_json_dict, graph_to_json_dict
 from oracles import (
+    agreed_in_preorder,
     agreed_matchings_by_edges,
     classify,
     connected_components,
@@ -417,15 +418,11 @@ class TestMatchingMasks:
         trees = core.all_spanning_trees(2, 4)[::3]
         assert core.agreed_matchings(trees)[1] == agreed_matchings_by_edges(trees)[1]
 
-    def test_two_matchings_on_one_key_hand_over_to_the_preorder_pass(self, monkeypatch):
-        # a 4-cycle holds both perfect matchings on ({1, 2}, {1, 2}); the row
-        # pass meets the second inside the square itself and hands over, and
-        # the preorder pass, which keeps the square's last one, decides
+    def test_two_matchings_on_one_key_keep_the_preorder_witness(self):
+        # a 4-cycle holds both perfect matchings on ({1, 2}, {1, 2}); the
+        # square owns the last one, as in its matching_masks preorder
         square = graph(2, 2, [(1, 1), (1, 2), (2, 1), (2, 2)])
         diagonal = graph(2, 2, [(1, 1), (2, 2)])
-        preorder = core._agreed_in_preorder
-        calls = []
-        monkeypatch.setattr(core, "_agreed_in_preorder", lambda gs: calls.append(gs) or preorder(gs))
         cases = {
             (square,): None,
             (square, diagonal): (square, diagonal, (1, 2), (1, 2)),
@@ -433,9 +430,15 @@ class TestMatchingMasks:
         }
         for graphs, witness in cases.items():
             agreed, clash = core.agreed_matchings(graphs)
-            assert (agreed, clash) == preorder(graphs)
+            assert (agreed, clash) == agreed_in_preorder(graphs)
             assert clash == witness == agreed_matchings_by_edges(graphs)[1]
-        assert calls == list(cases)
+
+    def test_graphs_on_differing_sides_are_refused(self):
+        # a matching's edge mask depends on d, so no comparison means anything
+        graphs = [BipartiteGraph(2, 2, [(2, 1)]), BipartiteGraph(2, 3, [(2, 1)])]
+        for check in (core.agreed_matchings, triang.find_agreement_violation):
+            with pytest.raises(MatchfieldError, match="differing sides"):
+                check(graphs)
 
 
 def maximal_topes(n, d):

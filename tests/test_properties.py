@@ -3,7 +3,6 @@ checks, order independence."""
 
 import functools
 import itertools
-from unittest import mock
 
 import pytest
 from hypothesis import example, find, given, settings, strategies as st
@@ -486,20 +485,11 @@ def agreement_cases(draw):
     return draw(st.permutations(graphs))
 
 
-def agreement_and_handover(kernel, graphs):
-    """A kernel's (agreed, clash) and whether it handed over to the preorder
-    pass."""
-    with mock.patch.object(core, "_agreed_in_preorder", wraps=core._agreed_in_preorder) as preorder:
-        return kernel(graphs), preorder.called
-
-
 class TestSharedAgreementPass:
     """The one pass of ``core.agreed_matchings`` shared by all graphs against
-    each graph's matchings listed on its own: the same agreed map, the same
-    witness tuple, and a hand-over to the preorder pass in the same cases
-    (always, for graphs on differing sides).  Since the preorder pass
-    decides alone, a pass that built matchings no graph holds would still
-    agree in its results; it shows as a hand-over the oracle does not make."""
+    each graph's matchings listed on its own, with a clash handed to the
+    preorder pass over each graph's ``matching_masks``: the same agreed map
+    and the same witness tuple.  Graphs on differing sides raise."""
 
     def test_every_enumerated_triangulation(self):
         sizes = [(n, d) for n in range(1, 7) for d in range(1, 7) if tree_count(n, d) <= 6]
@@ -507,9 +497,9 @@ class TestSharedAgreementPass:
         for n, d in sizes:
             for t in enumerate_triangulations(n, d):
                 trees = t.sorted_trees()
-                got, handed_over = agreement_and_handover(core.agreed_matchings, trees)
+                got = core.agreed_matchings(trees)
                 assert got == agreed_matchings_per_graph(trees)
-                assert got[1] is None and not handed_over
+                assert got[1] is None
                 checked += 1
         assert checked == 11 + (2 + 6 + 24 + 120 + 720) + (6 + 24 + 120 + 720) + 108
 
@@ -519,14 +509,11 @@ class TestSharedAgreementPass:
     @example(staircase_triangulation(5, 6, (2, 5, 1, 4, 3), (6, 1, 5, 2, 4, 3)).sorted_trees())
     @example([])
     def test_same_map_and_witness_as_the_per_graph_pass(self, graphs):
-        (agreed, clash), handed_over = agreement_and_handover(core.agreed_matchings, graphs)
-        (expected_agreed, expected_clash), expected_handover = agreement_and_handover(
-            agreed_matchings_per_graph, graphs
-        )
-        assert agreed == expected_agreed
-        assert clash == expected_clash
-        mixed = len({(g.n, g.d) for g in graphs}) > 1
-        assert handed_over == (mixed or expected_handover)
+        if len({(g.n, g.d) for g in graphs}) > 1:
+            with pytest.raises(MatchfieldError, match="differing sides"):
+                core.agreed_matchings(graphs)
+        else:
+            assert core.agreed_matchings(graphs) == agreed_matchings_per_graph(graphs)
 
     @pytest.mark.parametrize("agree", [True, False])
     def test_cases_reach_both_verdicts(self, agree):

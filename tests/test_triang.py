@@ -98,6 +98,13 @@ def spanning_tree_of_order(n, d, edges):
     return graph(n, d, chosen)
 
 
+def spy_on_matching_masks(monkeypatch):
+    """The graphs that ``core.matching_masks`` is called on from now on."""
+    listings, listing = [], core.matching_masks
+    monkeypatch.setattr(core, "matching_masks", lambda g: listings.append(g) or listing(g))
+    return listings
+
+
 def perturbed_staircases(sizes, per_size, seed):
     """Relabelled staircases with 0-3 trees replaced by random spanning
     trees, in shuffled order: (n, d, trees) triples."""
@@ -367,16 +374,15 @@ class TestKeyedAxioms:
         # both verdicts occur, so neither comparison is vacuous
         assert 0 < agreement < len(self.CASES) and 0 < flip < len(self.CASES)
 
-    def test_relabelled_88_staircase_is_accepted(self, monkeypatch):
+    def test_relabelled_88_staircase_is_accepted(self):
         # 3432 trees holding C(16, 8) - 1 = 12869 distinct matchings, decided
         # by the shared pass alone
-        monkeypatch.setattr(core, "_agreed_in_preorder", None)
         t = staircase_triangulation(8, 8, (3, 7, 1, 8, 5, 2, 6, 4), (6, 2, 8, 4, 1, 7, 3, 5))
         assert len(t.trees) == tree_count(8, 8) == 3432
         assert check_triangulation(t.trees, 8, 8) == TriangulationReport(True)
         assert len(agreed_matchings(t.sorted_trees())[0]) == 12869
 
-    def test_65_staircase_with_a_foreign_tree_is_refused_with_the_oracle_witness(self):
+    def test_65_staircase_with_a_foreign_tree_is_refused_with_the_oracle_witness(self, monkeypatch):
         rng = random.Random(23)
         t = staircase_triangulation(6, 5, (4, 1, 6, 2, 5, 3), (5, 3, 1, 4, 2))
         foreign = random_spanning_tree(6, 5, rng)
@@ -384,10 +390,28 @@ class TestKeyedAxioms:
             foreign = random_spanning_tree(6, 5, rng)
         trees = t.sorted_trees()
         trees[rng.randrange(len(trees))] = foreign
+        listings = spy_on_matching_masks(monkeypatch)
         report = check_triangulation(trees, 6, 5)
+        # a refusal lists the matchings of one tree, the witness's first
+        assert listings == [report.witness[0]]
         witness = agreed_matchings_per_graph(sorted(trees, key=lambda g: g.mask))[1]
         assert witness is not None and foreign in witness[:2]
         assert report == TriangulationReport(False, "agreement", witness)
+
+    def test_88_staircase_with_a_relabelled_tree_is_refused(self, monkeypatch):
+        # the identity staircase with its first tree replaced by the first
+        # tree it lacks of the staircase with l1 and l2 swapped; the preorder
+        # oracle would list 2,400,402 matchings, so the witness is pinned
+        trees = staircase_triangulation(8, 8).sorted_trees()
+        swapped = staircase_triangulation(8, 8, (2, 1, 3, 4, 5, 6, 7, 8)).sorted_trees()
+        held = set(trees)
+        trees[0] = next(g for g in swapped if g not in held)
+        listings = spy_on_matching_masks(monkeypatch)
+        report = check_triangulation(trees, 8, 8)
+        first = graph(8, 8, [(1, i) for i in range(1, 9)] + [(2, 1)] + [(j, 8) for j in range(3, 9)])
+        second = graph(8, 8, [(1, i) for i in range(1, 8)] + [(2, 7), (2, 8)] + [(j, 8) for j in range(3, 9)])
+        assert report == TriangulationReport(False, "agreement", (first, second, (1, 2), (1, 7)))
+        assert listings == [first]
 
     def test_pair_verdicts_match_matchings_agree(self):
         for n, d, trees in self.CASES[::6]:
