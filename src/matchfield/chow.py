@@ -248,8 +248,10 @@ def collection_to_json_dict(cc: ChowCollection) -> dict:
 
 
 def phi_to_json_dict(phi: PhiMap) -> dict:
-    return core.write_table(phi.n, phi.d, "phi", phi.items())
+    return {"n": phi.n, "d": phi.d, "phi": {core.subset_key(r): list(v) for r, v in phi.items()}}
 
 
 def phi_from_json_dict(data: dict) -> PhiMap:
-    return PhiMap(*core.read_table(data, "phi", vectors=True))
+    n, d, table = core.read_object(data, "phi")
+    vectors = {core.parse_subset_key(k): core._int_tuple(v, "a vector") for k, v in table.items()}
+    return PhiMap(n, d, vectors)

@@ -26,10 +26,21 @@ def _not_an_integer(token: str):
     raise ValueError(f"expected an integer, got {token}")
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object from its pairs; ValueError naming a repeated key."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen: set = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"key {key!r} is repeated in one JSON object")
+    return data
+
+
 def _load(path: str) -> dict:
     with open(path) as fh:
         text = fh.read()
-    data = json.loads(text, parse_float=_not_an_integer, parse_constant=_not_an_integer)
+    data = json.loads(text, object_pairs_hook=_object,
+                      parse_float=_not_an_integer, parse_constant=_not_an_integer)
     if not isinstance(data, dict):
         raise ValueError("input must be a JSON object")
     for literal in ("true", "false"):  # no input format has them in its string keys

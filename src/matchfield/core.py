@@ -31,16 +31,17 @@ below B, so that a move is integer arithmetic and code order is tuple
 order.  ``incompatible_partners`` tests a partial map
 (``tope_function``) against all its partners in one closure over bitsets.
 
-A field or a set of Chow covectors is held as a mask table, {left-subset
-bitmask: edge mask}; its graphs, ``graph_table``, are a view built only for
-a caller that asks for them.  ``read_masks`` reads a JSON table of subsets
-and edge lists straight into one, each edge list into its mask in one loop
-(``edge_mask``), and ``write_masks`` writes one back through a table from
-bit to [j, i] per (n, d).  Every JSON format is read strictly: a value of
-the wrong shape or a subset key that is not its subset's one spelling
-raises ValueError.  Tables of graphs or vectors go through ``read_table``
-and ``write_table``, and graphs, triangulations and degree pairs are read
-with the same checks.
+Every keyed container is a mask table, {key: edge mask}: a field or a set
+of Chow covectors keyed by left-subset bitmasks, a tope arrangement or an
+extended arrangement by lattice points, a matching stack by (J mask, I mask).
+Its graphs, such as ``graph_table``, are a view built only for a caller that
+asks for them.  ``read_masks`` reads every JSON table of keys and edge lists
+straight into one, each edge list into its mask in one loop (``edge_mask``),
+and ``write_masks`` writes one back through a table from bit to [j, i] per
+(n, d).  Every JSON format is read strictly: a value of the wrong shape, a
+subset key that is not its subset's one spelling or a point key that is not
+its point's one spelling raises ValueError.  Graphs, triangulations and
+degree pairs are read with the same checks.
 """
 
 from __future__ import annotations
@@ -149,10 +150,6 @@ class BipartiteGraph:
         self._same_sides(other)
         return self.mask & ~other.mask == 0
 
-    def without_edges(self, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
-        drop = BipartiteGraph(self.n, self.d, edges)
-        return self.difference(drop)
-
     def left_degrees(self) -> tuple[int, ...]:
         row = (1 << self.d) - 1
         return tuple(
@@ -160,8 +157,7 @@ class BipartiteGraph:
         )
 
     def right_degrees(self) -> tuple[int, ...]:
-        mask, column = self.mask, column_mask(self.n, self.d)
-        return tuple([(mask >> i & column).bit_count() for i in range(self.d)])
+        return right_degrees(self.mask, self.n, self.d)
 
     def left_neighbors(self, j: int) -> tuple[int, ...]:
         row = self.mask >> ((j - 1) * self.d) & ((1 << self.d) - 1)
@@ -176,14 +172,17 @@ class BipartiteGraph:
     def right_support(self) -> tuple[int, ...]:
         return tuple(i for i, deg in enumerate(self.right_degrees(), start=1) if deg)
 
-    def relabel_left(self, new_n: int, label_map: dict[int, int]) -> "BipartiteGraph":
-        return BipartiteGraph(new_n, self.d, [(label_map[j], i) for j, i in self.edges])
-
 
 def column_mask(n: int, d: int) -> int:
     """Bit j * d of every row j < n: the r1 column of an n x d edge mask,
     and shifted left by i - 1 the ri column."""
     return ((1 << n * d) - 1) // ((1 << d) - 1)
+
+
+def right_degrees(mask: int, n: int, d: int) -> tuple[int, ...]:
+    """The right degree vector of an n x d edge mask: its column popcounts."""
+    column = column_mask(n, d)
+    return tuple([(mask >> i & column).bit_count() for i in range(d)])
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -374,12 +373,11 @@ def _directed_cycle_through(j0, i0, fwd, bwd):
     return None
 
 
-def tope_function(g: BipartiteGraph) -> tuple[int, ...]:
-    """The map f of a graph whose left degrees are at most 1, 0-based:
+def tope_function(mask: int, n: int, d: int) -> tuple[int, ...]:
+    """The 0-based map f of an n x d edge mask with left degrees at most 1:
     f[j - 1] = i - 1 for its edge (lj, ri), and d where lj has no edge."""
-    d = g.d
     full = (1 << d) - 1
-    rows = (g.mask >> (j * d) & full for j in range(g.n))
+    rows = (mask >> (j * d) & full for j in range(n))
     return tuple(row.bit_length() - 1 if row else d for row in rows)
 
 
@@ -746,6 +744,7 @@ def canonical_json(data) -> str:
 
 
 _SUBSET_KEY = re.compile(r"[1-9][0-9]*(,[1-9][0-9]*)*")
+_POINT_KEY = re.compile(r"(-?[1-9][0-9]*|0)(,(-?[1-9][0-9]*|0))*")
 _JSON_LISTS = (list, tuple)
 
 
@@ -778,7 +777,10 @@ def read_subset_key(key: str, n: int):
 
 
 def parse_point_key(key: str) -> tuple[int, ...]:
-    """A lattice point, or any integer vector, from its comma-joined key."""
+    """An integer vector from the one key ``subset_key`` writes for it; any
+    other spelling raises ValueError naming it, so none spells it twice."""
+    if not _POINT_KEY.fullmatch(key):
+        raise ValueError(f"point key {key!r} must be integers in plain decimal, comma-joined")
     return tuple(map(int, key.split(",")))
 
 
@@ -851,7 +853,8 @@ def read_sides(data: dict) -> tuple[int, int]:
     return _int_tuple([data["n"], data["d"]], "n and d")
 
 
-def _read_object(data: dict, name: str) -> tuple[int, int, dict]:
+def read_object(data: dict, name: str) -> tuple[int, int, dict]:
+    """n, d and the JSON object data[name]; ValueError unless it is one."""
     n, d = read_sides(data)
     table = data[name]
     if not isinstance(table, dict):
@@ -859,40 +862,22 @@ def _read_object(data: dict, name: str) -> tuple[int, int, dict]:
     return n, d, table
 
 
-def read_masks(data: dict, name: str) -> tuple[int, int, dict]:
-    """n, d and the table data[name] of subsets and edge lists as a mask
-    table: each entry's key read by ``read_subset_key``, then its edge list
-    by ``edge_mask``.  Raises as ``read_table``."""
-    n, d, table = _read_object(data, name)
-    return n, d, {read_subset_key(k, n): edge_mask(n, d, v) for k, v in table.items()}
+def read_masks(data: dict, name: str, parse_key=None) -> tuple[int, int, dict]:
+    """n, d and the table data[name] of keys and edge lists as a mask table:
+    each entry's key read by parse_key, by default as a left subset of [n]
+    (``read_subset_key``), then its edge list by ``edge_mask``.  Raises
+    ValueError on a value of the wrong JSON shape or a key parse_key
+    refuses; nothing else is validated."""
+    n, d, table = read_object(data, name)
+    parse_key = parse_key or (lambda key: read_subset_key(key, n))
+    return n, d, {parse_key(k): edge_mask(n, d, v) for k, v in table.items()}
 
 
-def read_table(
-    data: dict, name: str, parse_key=parse_subset_key, vectors: bool = False
-) -> tuple[int, int, dict]:
-    """n, d and the table data[name], keys parsed by parse_key and values
-    read as graphs or, with vectors, integer tuples.  Raises ValueError on
-    a value of the wrong JSON shape or a key parse_key refuses; nothing
-    else is validated."""
-    n, d, table = _read_object(data, name)
-    if vectors:
-        return n, d, {parse_key(k): _int_tuple(v, "a vector") for k, v in table.items()}
-    return n, d, {parse_key(k): read_graph(n, d, v) for k, v in table.items()}
-
-
-def write_masks(n: int, d: int, name: str, table: dict[int, int]) -> dict:
-    """The object read_masks reads."""
-    rows = {subset_key(mask_subset(k)): edge_list(n, d, m) for k, m in table.items()}
-    return {"n": n, "d": d, name: rows}
-
-
-def write_table(n: int, d: int, name: str, items: Iterable, key=subset_key) -> dict:
-    """The object read_table reads: graphs become edge lists, vectors lists."""
-    table = {
-        key(k): edge_list(v.n, v.d, v.mask) if isinstance(v, BipartiteGraph) else list(v)
-        for k, v in items
-    }
-    return {"n": n, "d": d, name: table}
+def write_masks(n: int, d: int, name: str, table: dict, key=None) -> dict:
+    """The object read_masks reads, each key written by key(k), by default
+    as the left subset of its bitmask."""
+    key = key or (lambda k: subset_key(mask_subset(k)))
+    return {"n": n, "d": d, name: {key(k): edge_list(n, d, m) for k, m in table.items()}}
 
 
 def all_spanning_trees(n: int, d: int) -> list[BipartiteGraph]:

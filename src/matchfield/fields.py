@@ -35,9 +35,10 @@ v - 1_{[d] minus i}, i = 1..d, and one keyed pass over the matchings yields
 every Chow covector (`chow_masks`).  The pass is its own inverse: run on the
 covectors it reads the field back.
 
-Extended arrangements additionally carry a graph for every lattice point of
-n*Delta_{d-1} (isolated right nodes allowed at the boundary) and are where
-the trianguloid axioms T1-T4 are checked.
+An arrangement, like a field, is its mask table {lattice point: edge mask},
+and so is an extended arrangement, which carries a graph for every lattice
+point of n*Delta_{d-1} (isolated right nodes allowed at the boundary) and is
+where the trianguloid axioms T1-T4 are checked, on column masks.
 
 Coherent fields, the weight-minimal matchings of a generic matrix, come from
 one exact dynamic program over the left subsets of size at most d; a subset
@@ -476,7 +477,8 @@ def maximal_tope(
 
 
 class TopeArrangement:
-    """Compatible maximal topes keyed by lattice points of (n-d)*Delta_{d-1}.
+    """Compatible maximal topes keyed by lattice points of (n-d)*Delta_{d-1},
+    held as a mask table; the graphs, `topes`, `tope` and `items`, a view.
 
     Compatibility implies the sector condition of axiom T3, so it is not
     checked: for topes G at a and H at a + e_p - e_q, the arcs
@@ -486,32 +488,40 @@ class TopeArrangement:
     leaves p, that is, every rq-edge of H lies in G and every rp-edge of G in
     H."""
 
-    def __init__(self, n: int, d: int, topes: dict):
+    def __init__(self, n: int, d: int, table: dict):
         self.n = n
         self.d = d
-        self.topes = {tuple(p): g for p, g in topes.items()}
+        self.mask_table = table
         self.validate()
 
     def validate(self) -> None:
-        if not core.is_simplex_lattice(self.topes, self.n - self.d, self.d):
+        n, d, table = self.n, self.d, self.mask_table
+        if not core.is_simplex_lattice(table, n - d, d):
             raise MatchfieldError("arrangement keys are not the lattice points")
-        ones = core.all_ones(self.d)
-        for point, tope in self.topes.items():
-            if tope.right_degrees() != core.vector_sum(point, ones):
-                raise MatchfieldError(f"tope at {point} has wrong right degrees")
-            if tope.left_degrees() != core.all_ones(self.n):
+        everyone = (1 << n) - 1
+        for point, mask in table.items():  # one pass; a fault is then told apart
+            rows = core.read_rows(mask, n, d)
+            rdv = tuple(x + 1 for x in point)
+            if rows is None or rows[1] != everyone or rows[2] != rdv:
+                if core.right_degrees(mask, n, d) != rdv:
+                    raise MatchfieldError(f"tope at {point} has wrong right degrees")
                 raise MatchfieldError(f"tope at {point} is not maximal")
         # maximal topes are functions [n] -> [d]; each meets its later partners
-        points = sorted(self.topes)
-        functions = [core.tope_function(self.topes[p]) for p in points]
-        index = core.partner_index(functions, self.n, self.d)
+        points = sorted(table)
+        functions = [core.tope_function(table[p], n, d) for p in points]
+        index = core.partner_index(functions, n, d)
         for k, f in enumerate(functions):
-            if later := core.incompatible_partners(f, index, self.d) >> (k + 1):
+            if later := core.incompatible_partners(f, index, d) >> (k + 1):
                 p2 = points[k + (later & -later).bit_length()]
                 raise MatchfieldError(f"topes at {points[k]} and {p2} are incompatible")
 
+    @cached_property
+    def topes(self) -> dict:
+        """The topes as {lattice point: graph}, built on first use."""
+        return {p: BipartiteGraph.from_mask(self.n, self.d, m) for p, m in self.mask_table.items()}
+
     def tope(self, point: Sequence[int]) -> BipartiteGraph:
-        return self.topes[tuple(point)]
+        return BipartiteGraph.from_mask(self.n, self.d, self.mask_table[tuple(point)])
 
     def items(self):
         return sorted(self.topes.items())
@@ -520,56 +530,36 @@ class TopeArrangement:
         return (
             isinstance(other, TopeArrangement)
             and (self.n, self.d) == (other.n, other.d)
-            and self.topes == other.topes
+            and self.mask_table == other.mask_table
         )
 
     def __repr__(self):
-        return f"<TopeArrangement ({self.n},{self.d}) with {len(self.topes)} topes>"
+        return f"<TopeArrangement ({self.n},{self.d}) with {len(self.mask_table)} topes>"
 
 
-def check_sector_monotonicity(graphs: dict) -> None:
-    """For rdv-adjacent members G at a and H at a + e_p - e_q, the rq-edges of
-    H must lie in G and the rp-edges of G must lie in H.  Compared as column
-    masks; a violation names the missing edge with the least j."""
-    if not graphs:
+def check_sector_monotonicity(table: dict) -> None:
+    """For rdv-adjacent members G at a and H at a + e_p - e_q of a table
+    {lattice point: edge mask}, the rq-edges of H must lie in G and the
+    rp-edges of G in H, compared as column masks; a violation names the
+    missing edge with the least j."""
+    if not table:
         return
-    d = len(next(iter(graphs)))
+    d = len(next(iter(table)))
     column = core.column_mask(core.MAX_SIDE, d)
-    for point, g in graphs.items():
+    for point, g in table.items():
         for p, q in permutations(range(1, d + 1), 2):
             if point[q - 1] == 0:
                 continue
             shifted = tuple(x + (i == p) - (i == q) for i, x in enumerate(point, start=1))
-            h = graphs.get(shifted)
+            h = table.get(shifted)
             if h is None:
                 continue
             for i, have, lack, at, to in ((q, h, g, shifted, point), (p, g, h, point, shifted)):
-                extra = have.mask & column << (i - 1) & ~lack.mask
+                extra = have & column << (i - 1) & ~lack
                 if extra:
                     j = ((extra & -extra).bit_length() - 1) // d + 1
                     raise MatchfieldError(
                         f"sector violation: edge ({j},{i}) of {at} missing at {to}")
-
-
-def topes_from_covectors(n: int, d: int, covectors: Iterable[BipartiteGraph]) -> dict:
-    """Maximal topes keyed by the lattice points p of (n-d)*Delta_{d-1}: the
-    tope at p has right degree vector p + 1 and is the union of the Chow
-    covectors with right degree vectors p + e_i, i = 1..d."""
-    by_rdv = {g.right_degrees(): g.mask for g in covectors}
-    topes = {}
-    for point in core.simplex_lattice_points(n - d, d):
-        mask = 0
-        for i in range(1, d + 1):
-            rdv = core.vector_sum(point, core.unit_vector(d, i))
-            if rdv not in by_rdv:
-                raise InconsistentCollectionError(f"no covector with rdv {rdv}")
-            mask |= by_rdv[rdv]
-        tope = BipartiteGraph.from_mask(n, d, mask)
-        if tope.left_degrees() != core.all_ones(n):
-            v = core.vector_sum(point, core.all_ones(d))
-            raise InconsistentCollectionError(f"union at {v} is not a maximal tope")
-        topes[point] = tope
-    return topes
 
 
 def chow_masks(n: int, d: int, table: dict[int, int]) -> dict[int, int]:
@@ -591,17 +581,26 @@ def chow_masks(n: int, d: int, table: dict[int, int]) -> dict[int, int]:
 
 
 def tope_arrangement(field: MatchingField) -> TopeArrangement:
-    """Maximal tope for every lattice point of (n-d)*Delta_{d-1}, built as
-    unions of the Chow covectors of `chow_masks` (topes_from_covectors).
+    """Maximal tope for every lattice point p of (n-d)*Delta_{d-1}: the union
+    of the Chow covectors of `chow_masks` with right degree vectors p + e_i,
+    i = 1..d, each keyed by its column popcounts.
 
     A non-linkage field raises NotLinkageError with the first failing tau,
     the one the amalgamation chain (maximal_tope) would stop at.
     """
     require_linkage(field)
     n, d = field.n, field.d
-    table = chow_masks(n, d, field.mask_table)
-    covectors = [BipartiteGraph.from_mask(n, d, mask) for mask in table.values()]
-    return TopeArrangement(n, d, topes_from_covectors(n, d, covectors))
+    by_rdv = {core.right_degrees(m, n, d): m for m in chow_masks(n, d, field.mask_table).values()}
+    topes = {}
+    for point in core.simplex_lattice_points(n - d, d):
+        mask = 0
+        for i in range(1, d + 1):
+            rdv = core.vector_sum(point, core.unit_vector(d, i))
+            if rdv not in by_rdv:
+                raise InconsistentCollectionError(f"no covector with rdv {rdv}")
+            mask |= by_rdv[rdv]
+        topes[point] = mask
+    return TopeArrangement(n, d, topes)
 
 
 def field_from_graphs(graphs: Iterable[BipartiteGraph], n: int, d: int) -> MatchingField:
@@ -640,12 +639,12 @@ def maximal_tope_covectors(field: MatchingField) -> dict[tuple, BipartiteGraph]:
     out = {}
     if n - 1 < d:
         return out
-    ta = tope_arrangement(field)
+    topes = tope_arrangement(field).mask_table
     tau = tuple(range(1, n + 1))
     for point in core.simplex_lattice_points(n - 1 - d, d):
         mask = 0
         for i in range(1, d + 1):
-            mask |= ta.tope(core.vector_sum(point, core.unit_vector(d, i))).mask
+            mask |= topes[core.vector_sum(point, core.unit_vector(d, i))]
         out[core.vector_sum(point, core.all_ones(d))] = covector_graph(n, d, tau, mask)
     return out
 
@@ -655,21 +654,22 @@ def maximal_tope_covectors(field: MatchingField) -> dict[tuple, BipartiteGraph]:
 
 
 class ExtendedTopeArrangement:
-    """One graph per lattice point of n*Delta_{d-1}; boundary points carry
-    isolated right nodes."""
+    """One graph per lattice point of n*Delta_{d-1}, held as the mask table
+    {lattice point: edge mask}; boundary points carry isolated right nodes.
+    The graphs, `graph` and `items`, are a view."""
 
-    def __init__(self, n: int, d: int, graphs: dict):
+    def __init__(self, n: int, d: int, table: dict):
         self.n = n
         self.d = d
-        self.graphs = {tuple(p): g for p, g in graphs.items()}
-        if min(n, d - 1) < 0 or not core.is_simplex_lattice(self.graphs, n, d):
+        self.mask_table = table
+        if min(n, d - 1) < 0 or not core.is_simplex_lattice(table, n, d):
             raise MatchfieldError("extended arrangement must cover all lattice points")
 
     def graph(self, point: Sequence[int]) -> BipartiteGraph:
-        return self.graphs[tuple(point)]
+        return BipartiteGraph.from_mask(self.n, self.d, self.mask_table[tuple(point)])
 
     def items(self):
-        return sorted(self.graphs.items())
+        return [(p, self.graph(p)) for p in sorted(self.mask_table)]
 
 
 @dataclass(frozen=True)
@@ -722,32 +722,28 @@ def trianguloid_check(eta: ExtendedTopeArrangement) -> TrianguloidReport:
     each.  T4 (hexagon): whenever the graphs at c+ei+ej and c+ej+ek disagree
     on the neighbourhood of rj, the graphs at c+ei+ej and c+ei+ek must agree
     on ri and those at c+ei+ek and c+ej+ek must agree on rk."""
-    n, d = eta.n, eta.d
+    n, d, table = eta.n, eta.d, eta.mask_table
+    points, full = sorted(table), (1 << d) - 1
 
-    t1 = AxiomResult(True)
-    for point, g in eta.items():
-        if g.right_degrees() != point:
-            t1 = AxiomResult(False, (point, g))
-            break
+    def first(bad):  # the first failing point in sorted order, with its graph
+        p = next((p for p in points if bad(p, table[p])), None)
+        return AxiomResult(True) if p is None else AxiomResult(False, (p, eta.graph(p)))
 
-    t2 = AxiomResult(True)
-    for point, g in eta.items():
-        if any(deg == 0 for deg in g.left_degrees()):
-            t2 = AxiomResult(False, (point, g))
-            break
+    t1 = first(lambda p, m: core.right_degrees(m, n, d) != p)
+    t2 = first(lambda p, m: any(not m >> j * d & full for j in range(n)))
 
     t3 = AxiomResult(True)
     try:
-        check_sector_monotonicity(eta.graphs)
+        check_sector_monotonicity(table)
     except MatchfieldError as exc:
         t3 = AxiomResult(False, (str(exc),))
 
     t4 = AxiomResult(True)
-    ones = core.all_ones(d)
     units = [core.unit_vector(d, i) for i in range(1, d + 1)]
+    column = core.column_mask(n, d)
 
-    def nb(point, r):
-        return set(eta.graph(point).right_neighbors(r))
+    def nb(point, r):  # the left neighbours of the right node r, as a column mask
+        return table[point] >> (r - 1) & column
 
     for c in core.simplex_lattice_points(n - 2, d) if n >= 2 else []:
         for i, j, k in permutations(range(1, d + 1), 3):
@@ -780,20 +776,21 @@ def extended_arrangement_by_stripping(
     dummy_left = {j for j, _ in dummy}
     if len(dummy_left) != field.d:
         raise MatchfieldError("dummy left nodes must be distinct")
-    keep = [j for j in range(1, field.n + 1) if j not in dummy_left]
-    label_map = {old: new for new, old in enumerate(keep, start=1)}
-    m = field.n - field.d
-    graphs = {}
-    for point, tope in tope_arrangement(field).items():
-        stripped = tope.without_edges(dummy)
-        if len(stripped) != len(tope) - field.d:
+    n, d = field.n, field.d
+    topes = tope_arrangement(field).mask_table
+    drop, row = BipartiteGraph(n, d, dummy).mask, (1 << d) - 1
+    shifts = [(j - 1) * d for j in range(1, n + 1) if j not in dummy_left]
+    table = {}
+    for point, tope in sorted(topes.items()):
+        if tope & drop != drop:
             raise MatchfieldError(
                 f"maximal tope at {point} does not contain the dummy matching"
             )
-        if set(stripped.left_support()) - set(keep):
+        # the kept rows, moved up in order: the tope but the dummy matching
+        table[point] = sum((tope >> s & row) << t * d for t, s in enumerate(shifts))
+        if table[point].bit_count() != tope.bit_count() - d:
             raise MatchfieldError("dummy left nodes carry extra edges")
-        graphs[point] = stripped.relabel_left(m, label_map)
-    return ExtendedTopeArrangement(m, field.d, graphs)
+    return ExtendedTopeArrangement(n - d, d, table)
 
 
 # ---------------------------------------------------------------------------
@@ -817,16 +814,16 @@ def field_from_json_dict(data: dict) -> TopeField:
 
 
 def arrangement_to_json_dict(ta: TopeArrangement) -> dict:
-    return core.write_table(ta.n, ta.d, "topes", ta.items())
+    return core.write_masks(ta.n, ta.d, "topes", ta.mask_table, core.subset_key)
 
 
 def arrangement_from_json_dict(data: dict) -> TopeArrangement:
-    return TopeArrangement(*core.read_table(data, "topes", core.parse_point_key))
+    return TopeArrangement(*core.read_masks(data, "topes", core.parse_point_key))
 
 
 def extended_to_json_dict(eta: ExtendedTopeArrangement) -> dict:
-    return core.write_table(eta.n, eta.d, "graphs", eta.items())
+    return core.write_masks(eta.n, eta.d, "graphs", eta.mask_table, core.subset_key)
 
 
 def extended_from_json_dict(data: dict) -> ExtendedTopeArrangement:
-    return ExtendedTopeArrangement(*core.read_table(data, "graphs", core.parse_point_key))
+    return ExtendedTopeArrangement(*core.read_masks(data, "graphs", core.parse_point_key))

@@ -34,26 +34,27 @@ from .errors import MatchfieldError, SizeCapError, TiedMinimumError
 
 
 class MatchingStack:
-    """Map (J, I) -> perfect matching on J ⊔ I, stored as a plain table.
+    """Map (J, I) -> perfect matching on J ⊔ I, held as the mask table
+    {(J mask, I mask): edge mask}; `matching` is a graph view of one entry.
 
     Entries may be sparse: a pair without an entry has no matching, and
     asking for it raises MatchfieldError.
     """
 
-    def __init__(self, n: int, d: int, entries: dict):
+    def __init__(self, n: int, d: int, table: dict):
         self.n = n
         self.d = d
-        self.entries = {
-            (tuple(sorted(J)), tuple(sorted(I))): g for (J, I), g in entries.items()
-        }
+        self.mask_table = table
 
     def matching(self, J: Iterable[int], I: Iterable[int]) -> BipartiteGraph:
         key = (tuple(sorted(J)), tuple(sorted(I)))
         if len(key[0]) != len(key[1]):
             raise MatchfieldError("|J| and |I| must agree")
-        if key not in self.entries:
+        mask = self.mask_table.get(
+            (core.subset_bits(key[0], self.n), core.subset_bits(key[1], self.d)))
+        if mask is None:
             raise MatchfieldError(f"no matching assigned to {key}")
-        return self.entries[key]
+        return BipartiteGraph.from_mask(self.n, self.d, mask)
 
     def pairs(self):
         for k in range(min(self.n, self.d) + 1):
@@ -64,7 +65,7 @@ class MatchingStack:
     def __eq__(self, other):
         if not isinstance(other, MatchingStack):
             return False
-        return (self.n, self.d, self.entries) == (other.n, other.d, other.entries)
+        return (self.n, self.d, self.mask_table) == (other.n, other.d, other.mask_table)
 
     def __repr__(self):
         return f"<MatchingStack ({self.n},{self.d})>"
@@ -74,7 +75,8 @@ def stack_from_trees(trees: Iterable[BipartiteGraph], n: int, d: int) -> Matchin
     """Ensemble of a triangulation: every partial matching of the trees.
 
     The trees must cover all (J, I) pairs and agree; both hold for valid
-    triangulations.
+    triangulations.  The agreed keys are pairs: they cover all C(n + d, d)
+    exactly when there are as many.
     """
     trees = list(trees)
     for g in trees:
@@ -83,15 +85,11 @@ def stack_from_trees(trees: Iterable[BipartiteGraph], n: int, d: int) -> Matchin
     agreed, clash = core.agreed_matchings(trees)
     if clash is not None:
         raise MatchfieldError(f"trees disagree on the matching of {clash[2:]}")
-    entries = {
-        (core.mask_subset(J), core.mask_subset(I)): BipartiteGraph.from_mask(n, d, m)
-        for (J, I), m in agreed.items()
-    }
-    entries[((), ())] = BipartiteGraph(n, d, [])
-    stack = MatchingStack(n, d, entries)
-    missing = [pair for pair in stack.pairs() if pair not in stack.entries]
-    if missing:
-        raise MatchfieldError(f"trees do not cover the pair {missing[0]}")
+    agreed[(0, 0)] = 0
+    stack = MatchingStack(n, d, agreed)
+    if len(agreed) != comb(n + d, d):
+        missing = next(p for p in stack.pairs() if tuple(map(core.subset_mask, p)) not in agreed)
+        raise MatchfieldError(f"trees do not cover the pair {missing}")
     return stack
 
 
@@ -129,37 +127,31 @@ class EnsembleReport:
 def validate_ensemble(stack: MatchingStack) -> EnsembleReport:
     """Support, closure and both linkage axioms, with the first witness.  A
     pair without a matching fails support; an axiom left unchecked because
-    support failed is reported false.  Linkage and closure read the table
-    {(J mask, I mask): edge mask} built by the support check.  Closure looks
+    support failed is reported false.  Linkage and closure read the stored
+    table at the pairs the support check passed.  Closure looks
     up each entry minus one edge, by size: by induction every entry passing
     that is closed, so the first to fail is the first entry holding a wrong
     submatching, and only it is scanned by (size, combination) for the witness."""
-    table, foreign = {}, set()
+    n, d, table = stack.n, stack.d, {}
     for J, I in stack.pairs():
-        try:
-            m = stack.matching(J, I)
-            rows = core.read_rows(m.mask, m.n, m.d)
-            rdv = tuple(int(i in I) for i in range(1, stack.d + 1))
-            ok = rows is not None and rows[0] == J and rows[2] == rdv
-        except MatchfieldError:
-            ok = False
-        if not ok:
+        key = (core.subset_mask(J), core.subset_mask(I))
+        m = stack.mask_table.get(key)
+        rows = None if m is None else core.read_rows(m, n, d)
+        rdv = tuple(key[1] >> i & 1 for i in range(d))
+        if rows is None or rows[1] != key[0] or rows[2] != rdv:
             return EnsembleReport(False, False, False, False, ("support", J, I))
-        table[key := (rows[1], core.subset_mask(I))] = m.mask
-        if m.n != stack.n and J:  # a graph on other sides equals no submatching
-            foreign.add(key)
-    lw = _unlinked_layer(table, stack.n, stack.d, fix_left=False)
-    rw = _unlinked_layer(table, stack.n, stack.d, fix_left=True)
-    d = stack.d
+        table[key] = m
+    lw = _unlinked_layer(table, n, d, fix_left=False)
+    rw = _unlinked_layer(table, n, d, fix_left=True)
     for (jm, im), mask in table.items():
         subs = (((jm ^ 1 << b // d, im ^ 1 << b % d), mask ^ 1 << b) for b in core._bits(mask))
-        if all(table[key] == sub and key not in foreign for key, sub in subs):
+        if all(table[key] == sub for key, sub in subs):
             continue
         J, I = core.mask_subset(jm), core.mask_subset(im)
         m = stack.matching(J, I)
         for r in range(1, len(J)):
             for sub_edges in combinations(m.edges, r):
-                sub = BipartiteGraph(stack.n, stack.d, sub_edges)
+                sub = BipartiteGraph(n, d, sub_edges)
                 key = (sub.left_support(), sub.right_support())
                 if stack.matching(*key) != sub:
                     witness = ("closure", J, I, key)
@@ -199,17 +191,17 @@ def completion(stack: MatchingStack) -> fields.MatchingField:
     stack matching's mask (the top m rows of an (m + d, d) mask)."""
     m, d = stack.n, stack.d
     n = m + d
-    assignment = {}
+    table = {}
     for sigma in core.subsets(n, d):
         J = tuple(x for x in sigma if x <= m)
         dummy_rights = tuple(x - m for x in sigma if x > m)
         I = tuple(i for i in range(1, d + 1) if i not in dummy_rights)
-        base = stack.matching(J, I)
-        if (base.n, base.d) != (m, d):
-            raise MatchfieldError(f"a matching on ({base.n}, {base.d}) in a stack on ({m}, {d})")
+        base = stack.mask_table.get((core.subset_mask(J), core.subset_mask(I)))
+        if base is None:
+            raise MatchfieldError(f"no matching assigned to {(J, I)}")
         dummies = sum(1 << (m + h - 1) * d + h - 1 for h in dummy_rights)
-        assignment[sigma] = BipartiteGraph.from_mask(n, d, base.mask | dummies)
-    return fields.validate_matching_field(n, d, assignment)
+        table[core.subset_mask(sigma)] = base | dummies
+    return fields.field_from_masks(n, d, core.all_ones(d), table)
 
 
 def extraction(stack: MatchingStack) -> fields.MatchingField:
@@ -255,10 +247,11 @@ def extend(
                 f"weights with row lengths {shape} are not a {n} x {d} matrix"
             )
         rat = [[Fraction(x) for x in row] for row in weights]
-    full = tuple(range(1, d + 1))
-    stack = MatchingStack(n, d, {(sigma, full): m for sigma, m in field.items()})
+    table = {(key, (1 << d) - 1): m for key, m in field.mask_table.items()}
+    stack = MatchingStack(n, d, table)
     for J, I in stack.pairs():
-        if (J, I) in stack.entries:
+        key = (core.subset_mask(J), core.subset_mask(I))
+        if key in table:
             continue
         best = I
         if weights is not None:
@@ -269,7 +262,7 @@ def extend(
                     BipartiteGraph(n, d, list(zip(J, best))),
                     BipartiteGraph(n, d, list(zip(J, tied))),
                 )
-        stack.entries[(J, I)] = BipartiteGraph(n, d, list(zip(J, best)))
+        table[key] = sum(1 << (j - 1) * d + i - 1 for j, i in zip(J, best))
     return stack
 
 
@@ -362,7 +355,7 @@ def right_submatching_check(field: fields.MatchingField) -> SubmatchingReport:
     """
     n, d = field.n, field.d
     all_matchings = [m for _, m in field.items()]
-    index = core.partner_index([core.tope_function(m) for m in all_matchings], n, d)
+    index = core.partner_index([core.tope_function(m.mask, n, d) for m in all_matchings], n, d)
     submatchings: dict[tuple[int, int], Optional[int]] = {}
     for m in all_matchings:
         for key, sub in core.matching_masks(m).items():
@@ -390,8 +383,8 @@ def right_submatching_check(field: fields.MatchingField) -> SubmatchingReport:
                 for (left, _), mask in core.matching_masks(union).items():
                     if left.bit_count() != size or mask in passed:
                         continue
-                    m = BipartiteGraph.from_mask(n, d, mask)
-                    if bad := core.incompatible_partners(core.tope_function(m), index, d):
+                    if bad := core.incompatible_partners(core.tope_function(mask, n, d), index, d):
+                        m = BipartiteGraph.from_mask(n, d, mask)
                         other = all_matchings[(bad & -bad).bit_length() - 1]
                         return SubmatchingReport(False, (J, I, "incompatible", (m, other)))
                     passed.add(mask)
@@ -402,26 +395,29 @@ def right_submatching_check(field: fields.MatchingField) -> SubmatchingReport:
 # serialization
 
 
-def stack_key(J, I) -> str:
-    return f"J:{core.subset_key(J)}|I:{core.subset_key(I)}"
+def stack_key(key: tuple[int, int]) -> str:
+    J, I = (core.subset_key(core.mask_subset(m)) for m in key)
+    return f"J:{J}|I:{I}"
 
 
-def parse_stack_key(key: str):
+def read_stack_key(key: str, n: int, d: int) -> tuple:
     """(J, I) from the key J:<subset>|I:<subset>, either subset possibly
-    empty; any other key raises ValueError naming it."""
+    empty, each read by ``core.read_subset_key`` against its side; any
+    other key raises ValueError naming it."""
     j_part, _, i_part = key.partition("|")
     if j_part[:2] == "J:" and i_part[:2] == "I:":
         try:
-            return tuple(core.parse_subset_key(h[2:]) if h[2:] else () for h in (j_part, i_part))
+            parts = ((j_part[2:], n), (i_part[2:], d))
+            return tuple(core.read_subset_key(h, side) if h else 0 for h, side in parts)
         except ValueError:
             pass
     raise ValueError(f"stack key {key!r} must read J:<subset>|I:<subset>")
 
 
 def stack_to_json_dict(stack: MatchingStack) -> dict:
-    entries = sorted(stack.entries.items())
-    return core.write_table(stack.n, stack.d, "matchings", entries, key=lambda JI: stack_key(*JI))
+    return core.write_masks(stack.n, stack.d, "matchings", stack.mask_table, stack_key)
 
 
 def stack_from_json_dict(data: dict) -> MatchingStack:
-    return MatchingStack(*core.read_table(data, "matchings", parse_stack_key))
+    n, d = core.read_sides(data)
+    return MatchingStack(*core.read_masks(data, "matchings", lambda k: read_stack_key(k, n, d)))

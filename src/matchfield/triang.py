@@ -387,17 +387,17 @@ def enumerate_triangulations(n: int, d: int) -> list[Triangulation]:
 
 def extended_tope_arrangement(t: Triangulation) -> fields.ExtendedTopeArrangement:
     """The cells of a triangulation with all left degrees 1, one per right
-    degree vector in n*Delta_{d-1}; boundary cells have isolated right nodes."""
-    graphs: dict = {}
+    degree vector in n*Delta_{d-1}; boundary cells have isolated right nodes.
+    A cell is the OR of one edge bit from each row of its tree's mask."""
+    n, d, row = t.n, t.d, (1 << t.d) - 1
+    table: dict = {}
     for g in t.sorted_trees():
-        for choice in product(*(g.left_neighbors(j) for j in range(1, t.n + 1))):
-            cell = BipartiteGraph(t.n, t.d, list(zip(range(1, t.n + 1), choice)))
-            rdv = cell.right_degrees()
-            old = graphs.get(rdv)
-            if old is not None and old != cell:
+        rows = ([1 << b for b in core._bits(g.mask & row << j * d)] for j in range(n))
+        for cell in map(sum, product(*rows)):
+            rdv = core.right_degrees(cell, n, d)
+            if table.setdefault(rdv, cell) != cell:
                 raise MatchfieldError(f"two cells share the right degree vector {rdv}")
-            graphs[rdv] = cell
-    return fields.ExtendedTopeArrangement(t.n, t.d, graphs)
+    return fields.ExtendedTopeArrangement(n, d, table)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,18 @@ def graph(n, d, edges):
     return BipartiteGraph(n, d, edges)
 
 
+def mask_table(graphs):
+    """A table {key: graph} as the {key: edge mask} table that tope
+    arrangements, extended arrangements and matching stacks are built from;
+    a stack key (J, I) of subsets becomes (J mask, I mask)."""
+    from matchfield import core
+
+    def key(k):
+        return tuple(map(core.subset_mask, k)) if k and type(k[0]) is tuple else k
+
+    return {key(k): g.mask for k, g in graphs.items()}
+
+
 def graph_to_json_dict(g):
     return {"n": g.n, "d": g.d, "edges": [list(e) for e in g.edges]}
 

@@ -70,7 +70,13 @@ descriptions kept as test oracles.
   that scans a {subset: graph} map in ``core.subsets`` order, and the
   collection validator that reads each covector graph: the oracles for
   ``core.read_masks``, ``fields.field_from_masks`` and the one-pass check
-  of ``ChowCollection.from_masks``.
+  of ``ChowCollection.from_masks``.  The tope arrangement, extended
+  arrangement and matching stack held as {key: graph} maps, with the
+  arrangement validated graph by graph, and their readers through that
+  JSON reader: the oracles for the mask tables of ``TopeArrangement``,
+  ``ExtendedTopeArrangement`` and ``MatchingStack`` and their readers.
+  The maximal topes as unions of covector graphs, the route
+  ``field_from_chow_by_topes`` takes.
 """
 
 from __future__ import annotations
@@ -205,7 +211,7 @@ def contained_tope_by_search(tree: BipartiteGraph, k: int) -> BipartiteGraph:
         frontier = nxt
     if len(parent) != nodes:  # nodes - 1 edges: disconnected exactly when cyclic
         raise NotASpanningTreeError("input is not a tree on its support")
-    return tree.without_edges(drop)
+    return tree.difference(BipartiteGraph(tree.n, tree.d, drop))
 
 
 def is_forest(g: BipartiteGraph) -> bool:
@@ -261,7 +267,7 @@ def chow_by_intersection(
     for i in range(1, d + 1):
         if v[i - 1] == 0:
             drop.extend((j, i) for j in current.right_neighbors(i))
-    return current.without_edges(drop)
+    return current.difference(BipartiteGraph(n, d, drop))
 
 
 def is_transversal(g: BipartiteGraph, field: fields.MatchingField) -> bool:
@@ -352,7 +358,7 @@ def field_from_chow_by_topes(cc: ChowCollection) -> fields.MatchingField:
     the field.  A union that is not a maximal tope, or two topes holding
     different matchings on one d-subset, raise InconsistentCollectionError."""
     n, d = cc.n, cc.d
-    topes = fields.topes_from_covectors(n, d, cc.covectors.values())
+    topes = topes_from_covectors(n, d, cc.covectors.values())
     assignment: dict = {}
     for tope in topes.values():
         for choice in product(*(tope.right_neighbors(i) for i in range(1, d + 1))):
@@ -856,8 +862,8 @@ def subfield_delete_left(field: fields.MatchingField, j: int) -> fields.Matching
     for sigma, m in field.items():
         if j in sigma:
             continue
-        assignment[tuple(label_map[x] for x in sigma)] = m.relabel_left(
-            field.n - 1, label_map
+        assignment[tuple(label_map[x] for x in sigma)] = BipartiteGraph(
+            field.n - 1, field.d, [(label_map[x], i) for x, i in m.edges]
         )
     return fields.MatchingField(field.n - 1, field.d, assignment)
 
@@ -1025,11 +1031,11 @@ def _layer_field(stack: MatchingStack, I: tuple) -> fields.MatchingField:
     return fields.MatchingField(stack.n, k, assignment)
 
 
-def _transpose(stack: MatchingStack) -> MatchingStack:
+def _transpose(stack: MatchingStack) -> "GraphMatchingStack":
     """The stack with its sides swapped: (I, J) holds the matching of (J, I)
     with every edge reversed.  Every nonempty pair must have a matching; the
     empty pair is left out, since the swapped sides may have no right node."""
-    return MatchingStack(
+    return GraphMatchingStack(
         stack.d,
         stack.n,
         {
@@ -1311,11 +1317,11 @@ def functions_compatible(f1: Sequence[int], f2: Sequence[int], d: int) -> bool:
     return True
 
 
-def arrangement_pair_by_scan(d: int, topes: dict) -> None:
+def arrangement_pair_by_scan(n: int, d: int, table: dict) -> None:
     """The compatibility step of ``TopeArrangement.validate`` as a scan of
-    all pairs of maximal topes in sorted order: raises the message that
-    names the first incompatible pair."""
-    functions = [(p, core.tope_function(t)) for p, t in sorted(topes.items())]
+    all pairs of maximal topes, a mask table, in sorted order: raises the
+    message that names the first incompatible pair."""
+    functions = [(p, core.tope_function(t, n, d)) for p, t in sorted(table.items())]
     for (p1, f1), (p2, f2) in combinations(functions, 2):
         if not functions_compatible(f1, f2, d):
             raise MatchfieldError(f"topes at {p1} and {p2} are incompatible")
@@ -1417,3 +1423,136 @@ def collection_rdvs_by_graphs(n: int, d: int, covectors: dict) -> tuple[dict, di
             "right degree vectors do not biject onto the lattice points"
         )
     return table, rdvs
+
+
+# ---------------------------------------------------------------------------
+# graph-keyed containers and their JSON readers
+
+
+class GraphTopeArrangement:
+    """Compatible maximal topes keyed by lattice points of (n-d)*Delta_{d-1}:
+    the arrangement held as {lattice point: graph}, the oracle for the mask
+    table and one-pass validation of ``fields.TopeArrangement``."""
+
+    def __init__(self, n: int, d: int, topes: dict):
+        self.n = n
+        self.d = d
+        self.topes = {tuple(p): g for p, g in topes.items()}
+        self.validate()
+
+    def validate(self) -> None:
+        if not core.is_simplex_lattice(self.topes, self.n - self.d, self.d):
+            raise MatchfieldError("arrangement keys are not the lattice points")
+        ones = core.all_ones(self.d)
+        for point, tope in self.topes.items():
+            if tope.right_degrees() != core.vector_sum(point, ones):
+                raise MatchfieldError(f"tope at {point} has wrong right degrees")
+            if tope.left_degrees() != core.all_ones(self.n):
+                raise MatchfieldError(f"tope at {point} is not maximal")
+        # maximal topes are functions [n] -> [d]; each meets its later partners
+        points = sorted(self.topes)
+        functions = [core.tope_function(self.topes[p].mask, self.n, self.d) for p in points]
+        index = core.partner_index(functions, self.n, self.d)
+        for k, f in enumerate(functions):
+            if later := core.incompatible_partners(f, index, self.d) >> (k + 1):
+                p2 = points[k + (later & -later).bit_length()]
+                raise MatchfieldError(f"topes at {points[k]} and {p2} are incompatible")
+
+
+class GraphExtendedTopeArrangement:
+    """One graph per lattice point of n*Delta_{d-1}, held as {lattice point:
+    graph}: the oracle for the mask table of ``fields.ExtendedTopeArrangement``."""
+
+    def __init__(self, n: int, d: int, graphs: dict):
+        self.n = n
+        self.d = d
+        self.graphs = {tuple(p): g for p, g in graphs.items()}
+        if min(n, d - 1) < 0 or not core.is_simplex_lattice(self.graphs, n, d):
+            raise MatchfieldError("extended arrangement must cover all lattice points")
+
+
+class GraphMatchingStack:
+    """Map (J, I) -> perfect matching on J ⊔ I, held as {(J, I): graph}: the
+    oracle for the mask table of ``stacks.MatchingStack``.  Entries may be
+    sparse: a pair without an entry has no matching, and asking for it
+    raises MatchfieldError."""
+
+    def __init__(self, n: int, d: int, entries: dict):
+        self.n = n
+        self.d = d
+        self.entries = {
+            (tuple(sorted(J)), tuple(sorted(I))): g for (J, I), g in entries.items()
+        }
+
+    def matching(self, J: Iterable[int], I: Iterable[int]) -> BipartiteGraph:
+        key = (tuple(sorted(J)), tuple(sorted(I)))
+        if len(key[0]) != len(key[1]):
+            raise MatchfieldError("|J| and |I| must agree")
+        if key not in self.entries:
+            raise MatchfieldError(f"no matching assigned to {key}")
+        return self.entries[key]
+
+    def pairs(self):
+        for k in range(min(self.n, self.d) + 1):
+            for J in core.subsets(self.n, k):
+                for I in core.subsets(self.d, k):
+                    yield (J, I)
+
+
+def topes_from_covectors(n: int, d: int, covectors: Iterable[BipartiteGraph]) -> dict:
+    """Maximal topes keyed by the lattice points p of (n-d)*Delta_{d-1}: the
+    tope at p has right degree vector p + 1 and is the union of the Chow
+    covectors with right degree vectors p + e_i, i = 1..d."""
+    by_rdv = {g.right_degrees(): g.mask for g in covectors}
+    topes = {}
+    for point in core.simplex_lattice_points(n - d, d):
+        mask = 0
+        for i in range(1, d + 1):
+            rdv = core.vector_sum(point, core.unit_vector(d, i))
+            if rdv not in by_rdv:
+                raise InconsistentCollectionError(f"no covector with rdv {rdv}")
+            mask |= by_rdv[rdv]
+        tope = BipartiteGraph.from_mask(n, d, mask)
+        if tope.left_degrees() != core.all_ones(n):
+            v = core.vector_sum(point, core.all_ones(d))
+            raise InconsistentCollectionError(f"union at {v} is not a maximal tope")
+        topes[point] = tope
+    return topes
+
+
+def parse_stack_key(key: str):
+    """(J, I) from the key J:<subset>|I:<subset>, either subset possibly
+    empty; any other key raises ValueError naming it."""
+    j_part, _, i_part = key.partition("|")
+    if j_part[:2] == "J:" and i_part[:2] == "I:":
+        try:
+            return tuple(core.parse_subset_key(h[2:]) if h[2:] else () for h in (j_part, i_part))
+        except ValueError:
+            pass
+    raise ValueError(f"stack key {key!r} must read J:<subset>|I:<subset>")
+
+
+def arrangement_by_graphs(data: dict) -> tuple[int, int, dict]:
+    """An arrangement object read as a graph per point and validated over
+    that map: its sides and the edge masks of its topes."""
+    ta = GraphTopeArrangement(*read_table(data, "topes", core.parse_point_key))
+    return ta.n, ta.d, {p: g.mask for p, g in ta.topes.items()}
+
+
+def extended_by_graphs(data: dict) -> tuple[int, int, dict]:
+    """An extended arrangement object read as a graph per point: its sides
+    and the edge masks of its graphs."""
+    eta = GraphExtendedTopeArrangement(*read_table(data, "graphs", core.parse_point_key))
+    return eta.n, eta.d, {p: g.mask for p, g in eta.graphs.items()}
+
+
+def stack_by_graphs(data: dict) -> tuple[int, int, dict]:
+    """A stack object read as a graph per pair: its sides and its edge masks,
+    each pair keyed as the mask reader keys it (a subset with a member
+    beyond its side stays a tuple)."""
+    stack = GraphMatchingStack(*read_table(data, "matchings", parse_stack_key))
+    n, d = stack.n, stack.d
+    return n, d, {
+        (core.subset_bits(J, n), core.subset_bits(I, d)): g.mask
+        for (J, I), g in stack.entries.items()
+    }

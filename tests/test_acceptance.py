@@ -49,6 +49,7 @@ from conftest import (
     TOPES_42,
     TOPE_COVECTOR_42,
     exhaustive_compatibility,
+    mask_table,
 )
 from oracles import (
     completion_linkage_check,
@@ -162,7 +163,7 @@ def test_cryptomorphism(field_42, field_53, field_63, field_64):
     fixtures = [field_42, field_53, field_63, field_64]
     for field in itertools.chain(fixtures, coherent_sample(25)):
         ta = tope_arrangement(field)
-        check_sector_monotonicity(ta.topes)
+        check_sector_monotonicity(ta.mask_table)
         assert field_from_arrangement(ta) == field
 
 
@@ -196,7 +197,7 @@ def test_stacks_and_submatchings(field_64):
         n, d = sources[next(stream) % len(sources)]
         t = staircase_triangulation(n, d)
         stack = stack_from_trees(t.sorted_trees(), n, d)
-        entries = dict(stack.entries)
+        entries = {pair: stack.matching(*pair) for pair in stack.pairs()}
         keys = sorted(k for k in entries if len(k[0]) >= 2)
         key = keys[next(stream) % len(keys)]
         J, I = key
@@ -205,7 +206,7 @@ def test_stacks_and_submatchings(field_64):
         ]]
         perm = perms[next(stream) % len(perms)]
         entries[key] = BipartiteGraph(n, d, list(zip(J, perm)))
-        perturbed = MatchingStack(n, d, entries)
+        perturbed = MatchingStack(n, d, mask_table(entries))
         if stack_left_linkage(perturbed)[0]:
             continue  # this swap left every layer linkage; draw again
         res = completion_linkage_check(perturbed)

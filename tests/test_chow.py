@@ -551,9 +551,9 @@ class TestReconstruction:
         for j in range(1, 5):
             label_map = {x: (x if x < j else x - 1) for x in range(1, 5) if x != j}
             expected = {
-                tuple(sorted(label_map[x] for x in rho if x != j)): g.without_edges(
-                    [(j, i) for i in (1, 2)]
-                ).relabel_left(3, label_map)
+                tuple(sorted(label_map[x] for x in rho if x != j)): graph(
+                    3, 2, [(label_map[x], i) for x, i in g.edges if x != j]
+                )
                 for rho, g in cc.items()
                 if j in rho
             }

@@ -19,8 +19,16 @@ from matchfield import chow, core, triang
 from matchfield.chow import PhiMap, chow_collection, phi_from_json_dict, phi_to_json_dict
 from matchfield.cli import build_parser, run
 from matchfield.errors import MatchfieldError
-from matchfield.fields import extended_to_json_dict, field_from_json_dict, field_to_json_dict
-from matchfield.stacks import stack_to_json_dict, stack_from_trees
+from matchfield.fields import (
+    arrangement_from_json_dict,
+    arrangement_to_json_dict,
+    extended_from_json_dict,
+    extended_to_json_dict,
+    field_from_json_dict,
+    field_to_json_dict,
+    tope_arrangement,
+)
+from matchfield.stacks import stack_from_json_dict, stack_to_json_dict, stack_from_trees
 from matchfield.triang import (
     STAIRCASE_MAX_TREES,
     Triangulation,
@@ -593,6 +601,59 @@ def test_field_subset_keys_have_one_spelling(capsys, tmp_path, field_42, bad):
     assert_usage_error_naming(capsys, ["check-linkage", str(path)], bad)
 
 
+def test_extended_point_keys_have_one_spelling(capsys, tmp_path):
+    # three entries for the two lattice points of 1 * Delta_1: "01,0" spells
+    # (1, 0) a second time, and would otherwise win over "1,0" by file order
+    data = {"n": 1, "d": 2, "graphs": {"1,0": [[1, 1]], "0,1": [[1, 2]], "01,0": [[1, 1]]}}
+    path = tmp_path / "extended.json"
+    path.write_text(json.dumps(data))
+    assert_usage_error_naming(capsys, ["trianguloid-check", str(path)], "01,0")
+
+
+@pytest.mark.parametrize("bad", [" 0,+2", "01,0", "\u0660,\u0662", "0, 2", "+0,2", "-0,2", "0,2,", ""])
+def test_arrangement_point_keys_have_one_spelling(field_42, bad):
+    # each of them spells (0, 2) to int(), or nothing at all
+    data = arrangement_to_json_dict(tope_arrangement(field_42))
+    data["topes"][bad] = data["topes"].pop("0,2")
+    with pytest.raises(ValueError) as err:
+        arrangement_from_json_dict(data)
+    assert str(err.value) == f"point key {bad!r} must be integers in plain decimal, comma-joined"
+
+
+def with_repeated_key(data):
+    """The JSON text of data with one key written twice, the first time
+    with a value that is not valid there: the first key of its table, or
+    else its "n"."""
+    name = next((k for k, v in data.items() if isinstance(v, dict)), None)
+    if name is None:
+        return '{"n": "x", ' + json.dumps(data)[1:], "n"
+    table = data[name]
+    key = next(iter(table))
+    text = json.dumps({**data, name: "TABLE"})
+    first = "{" + json.dumps(key) + ": [[1, 1], [1, 2]], " + json.dumps(table)[1:]
+    return text.replace('"TABLE"', first), key
+
+
+@pytest.mark.parametrize(
+    "fmt", ["field", "tope-field", "extended", "phi", "triangulation", "pairs", "stack"]
+)
+def test_repeated_json_key_is_refused(capsys, tmp_path, fuzz_inputs, fmt):
+    # json.loads alone would keep the last value of a repeated key, so the
+    # first one would never be read
+    data, commands = fuzz_inputs[fmt]
+    text, key = with_repeated_key(data)
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    for command in commands:
+        assert run(command + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError",
+            "message": f"key {key!r} is repeated in one JSON object",
+        }
+
+
 def test_phi_subset_keys_have_one_spelling(capsys, tmp_path, field_42):
     data = phi_to_json_dict(chow_collection(field_42).phi())
     data["phi"]["4,2,1"] = data["phi"].pop("1,2,4")
@@ -743,6 +804,7 @@ def fuzz_inputs(field_42, tope_field_42, extended_24):
             stack_to_json_dict(stack_from_trees(t22.sorted_trees(), 2, 2)),
             [["ensemble-check"], ["complete"]],
         ),
+        "arrangement": (arrangement_to_json_dict(tope_arrangement(field_42)), []),
     }
 
 
@@ -807,20 +869,33 @@ def test_mutated_input_never_escapes_the_cli(tmp_path, fuzz_inputs, fmt, choice)
 
 def read_outcome(read, data):
     """What a reader makes of data: a field as its class, type vector and
-    mask table, a phi map as itself, or the type and message of its error."""
+    mask table, a phi map or (n, d, mask table) as itself, or the type and
+    message of its error."""
     try:
         got = read(data)
     except (MatchfieldError, KeyError, ValueError) as exc:  # what run maps to exit 1 or 2
         return type(exc), str(exc)
-    if isinstance(got, PhiMap):
+    if isinstance(got, (PhiMap, tuple)):
         return got
     return type(got), got.n, got.d, got.type_vector, got.mask_table
+
+
+def sides_and_table(read):
+    """A reader of a mask-table container as one giving (n, d, mask table)."""
+    def table(data):
+        got = read(data)
+        return got.n, got.d, got.mask_table
+
+    return table
 
 
 READERS = {  # the reader of each format and its oracle
     "field": (field_from_json_dict, oracles.field_from_json_dict_by_graphs),
     "tope-field": (field_from_json_dict, oracles.field_from_json_dict_by_graphs),
     "phi": (phi_from_json_dict, lambda data: PhiMap(*oracles.read_table(data, "phi", vectors=True))),
+    "extended": (sides_and_table(extended_from_json_dict), oracles.extended_by_graphs),
+    "stack": (sides_and_table(stack_from_json_dict), oracles.stack_by_graphs),
+    "arrangement": (sides_and_table(arrangement_from_json_dict), oracles.arrangement_by_graphs),
 }
 
 

@@ -17,7 +17,7 @@ from matchfield import (
     simplex_lattice_points,
     subsets,
 )
-from matchfield import core, triang
+from matchfield import chow, core, triang
 
 from conftest import exhaustive_compatibility, graph, graph_from_json_dict, graph_to_json_dict
 from oracles import (
@@ -334,12 +334,15 @@ class TestGraphBasics:
 
     def test_table_round_trip(self):
         g = graph(4, 2, [(1, 1), (2, 2)])
-        data = core.write_table(4, 2, "graphs", [((1, 2), g)])
+        data = core.write_masks(4, 2, "graphs", {0b11: g.mask})
         assert data == {"n": 4, "d": 2, "graphs": {"1,2": [[1, 1], [2, 2]]}}
-        assert core.read_table(data, "graphs") == (4, 2, {(1, 2): g})
-        data = core.write_table(4, 2, "phi", [((1, 2, 3), (3, 0))])
+        assert core.read_masks(data, "graphs") == (4, 2, {0b11: g.mask})
+        data = core.write_masks(4, 2, "topes", {(1, 0): g.mask}, core.subset_key)
+        assert data == {"n": 4, "d": 2, "topes": {"1,0": [[1, 1], [2, 2]]}}
+        assert core.read_masks(data, "topes", core.parse_point_key) == (4, 2, {(1, 0): g.mask})
+        data = chow.phi_to_json_dict(chow.PhiMap(4, 2, {(1, 2, 3): (3, 0)}))
         assert data == {"n": 4, "d": 2, "phi": {"1,2,3": [3, 0]}}
-        assert core.read_table(data, "phi", vectors=True) == (4, 2, {(1, 2, 3): (3, 0)})
+        assert chow.phi_from_json_dict(data).mapping == {(1, 2, 3): (3, 0)}
 
     @pytest.mark.parametrize(
         "data, vectors",
@@ -359,8 +362,12 @@ class TestGraphBasics:
         ],
     )
     def test_table_of_the_wrong_shape(self, data, vectors):
+        # the table t read as edge lists, or as the vectors of a phi map
         with pytest.raises(ValueError):
-            core.read_table(data, "t", vectors=vectors)
+            if vectors:
+                chow.phi_from_json_dict({"n": data["n"], "d": data["d"], "phi": data["t"]})
+            else:
+                core.read_masks(data, "t")
 
     def test_graph_of_the_wrong_shape(self):
         with pytest.raises(ValueError, match="pair of integers"):
@@ -450,15 +457,19 @@ def maximal_topes(n, d):
     return out
 
 
+def tope_function(g):
+    return core.tope_function(g.mask, g.n, g.d)
+
+
 class TestTopeFunctions:
     def test_function_of_a_tope(self):
         g = graph(4, 3, [(1, 2), (2, 1), (3, 3), (4, 2)])
-        assert core.tope_function(g) == (1, 0, 2, 1)
+        assert tope_function(g) == (1, 0, 2, 1)
 
     def test_function_of_a_partial_matching(self):
         # a left node without an edge takes the value d
-        assert core.tope_function(graph(4, 3, [(1, 2), (3, 3)])) == (1, 3, 2, 3)
-        assert core.tope_function(graph(2, 2, [])) == (2, 2)
+        assert tope_function(graph(4, 3, [(1, 2), (3, 3)])) == (1, 3, 2, 3)
+        assert tope_function(graph(2, 2, [])) == (2, 2)
 
     def test_all_partial_against_perfect_matchings(self):
         # every partial matching of K_{4,3} against every perfect matching
@@ -475,7 +486,7 @@ class TestTopeFunctions:
         for a in partial:
             for b in perfect:
                 expected = is_compatible(a, b)[0]
-                fa, fb = core.tope_function(a), core.tope_function(b)
+                fa, fb = tope_function(a), tope_function(b)
                 assert functions_compatible(fa, fb, d) == expected
                 assert functions_compatible(fb, fa, d) == expected
                 verdicts.add(expected)
@@ -492,7 +503,7 @@ class TestTopeFunctions:
         I = data.draw(st.lists(st.integers(1, d), min_size=k, max_size=k, unique=True))
         a = BipartiteGraph(n, d, list(zip(J, I)))
         b = BipartiteGraph(n, d, list(zip(sigma, rights)))
-        fa, fb = core.tope_function(a), core.tope_function(b)
+        fa, fb = tope_function(a), tope_function(b)
         expected = is_compatible(a, b)[0]
         assert functions_compatible(fa, fb, d) == expected
         assert functions_compatible(fb, fa, d) == expected
@@ -505,7 +516,7 @@ class TestTopeFunctions:
         f1, f2 = data.draw(fs), data.draw(fs)
         a = BipartiteGraph(n, d, [(j, i) for j, i in zip(range(1, n + 1), f1) if i])
         b = BipartiteGraph(n, d, [(j, i) for j, i in zip(range(1, n + 1), f2) if i])
-        got = functions_compatible(core.tope_function(a), core.tope_function(b), d)
+        got = functions_compatible(tope_function(a), tope_function(b), d)
         assert got == is_compatible(a, b)[0]
 
     @pytest.mark.parametrize("n, d", [(4, 2), (5, 2), (4, 3), (5, 3)])
@@ -513,7 +524,7 @@ class TestTopeFunctions:
         topes = maximal_topes(n, d)
         verdicts = set()
         for a, b in combinations(topes, 2):
-            fa, fb = core.tope_function(a), core.tope_function(b)
+            fa, fb = tope_function(a), tope_function(b)
             expected = is_compatible(a, b)[0]
             assert functions_compatible(fa, fb, d) == expected
             assert functions_compatible(fb, fa, d) == expected
@@ -527,7 +538,7 @@ class TestTopeFunctions:
         f1, f2 = data.draw(fs), data.draw(fs)
         a = BipartiteGraph(n, d, list(zip(range(1, n + 1), f1)))
         b = BipartiteGraph(n, d, list(zip(range(1, n + 1), f2)))
-        got = functions_compatible(core.tope_function(a), core.tope_function(b), d)
+        got = functions_compatible(tope_function(a), tope_function(b), d)
         assert got == is_compatible(a, b)[0]
 
     @settings(max_examples=300, deadline=None)

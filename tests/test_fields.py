@@ -55,6 +55,7 @@ from conftest import (
     TOPE_COVECTOR_42,
     field_from_words,
     graph,
+    mask_table,
     matching_from_word,
     random_matching_field,
 )
@@ -123,7 +124,7 @@ def arrangement_by_amalgamation(field):
     topes = {}
     for point in simplex_lattice_points(n - d, d):
         topes[point] = field_for(vector_sum(point, ones)).tope(range(1, n + 1))
-    return fields_mod.TopeArrangement(n, d, topes)
+    return fields_mod.TopeArrangement(n, d, mask_table(topes))
 
 
 def covectors_by_amalgamation(field):
@@ -819,14 +820,14 @@ class TestArrangement:
         # collector names the d-subset on which two topes disagree
         ta = object.__new__(fields_mod.TopeArrangement)
         ta.n, ta.d = 4, 2
-        ta.topes = dict(tope_arrangement(field_42).topes)
-        ta.topes[(1, 1)] = graph(4, 2, [(1, 2), (2, 1), (3, 1), (4, 2)])
+        ta.mask_table = dict(tope_arrangement(field_42).mask_table)
+        ta.mask_table[(1, 1)] = graph(4, 2, [(1, 2), (2, 1), (3, 1), (4, 2)]).mask
         with pytest.raises(MatchfieldError, match=r"trees disagree on the matching of \(1, 2\)$"):
             field_from_arrangement(ta)
 
     def test_key_off_the_simplex_is_refused(self, field_42):
         # right count, distinct keys, one of them (-1, 3) off 2 * Delta_1
-        topes = dict(tope_arrangement(field_42).topes)
+        topes = dict(tope_arrangement(field_42).mask_table)
         topes[(-1, 3)] = topes.pop((0, 2))
         with pytest.raises(MatchfieldError, match="^arrangement keys are not the lattice points$"):
             fields_mod.TopeArrangement(4, 2, topes)
@@ -838,9 +839,9 @@ class TestArrangement:
 
     def test_sector_monotonicity_enforced(self, field_42):
         ta = tope_arrangement(field_42)
-        check_sector_monotonicity(ta.topes)
-        broken = dict(ta.topes)
-        broken[(2, 0)] = graph(4, 2, [(1, 1), (2, 1), (3, 1), (4, 2)])
+        check_sector_monotonicity(ta.mask_table)
+        broken = dict(ta.mask_table)
+        broken[(2, 0)] = graph(4, 2, [(1, 1), (2, 1), (3, 1), (4, 2)]).mask
         with pytest.raises(MatchfieldError):
             fields_mod.TopeArrangement(4, 2, broken)
 
@@ -852,7 +853,7 @@ class TestArrangement:
             (1, 0): graph(3, 2, [(1, 1), (2, 2), (3, 2)]),
         }
         with pytest.raises(MatchfieldError) as err:
-            check_sector_monotonicity(graphs)
+            check_sector_monotonicity(mask_table(graphs))
         assert str(err.value) == "sector violation: edge (2,2) of (1, 0) missing at (0, 1)"
 
     def test_sector_violation_names_least_rp_edge_of_g(self):
@@ -863,7 +864,7 @@ class TestArrangement:
             (0, 1): graph(3, 2, [(1, 1)]),
         }
         with pytest.raises(MatchfieldError) as err:
-            check_sector_monotonicity(graphs)
+            check_sector_monotonicity(mask_table(graphs))
         assert str(err.value) == "sector violation: edge (2,2) of (1, 0) missing at (0, 1)"
 
     def test_sector_violation_in_a_middle_column(self):
@@ -874,13 +875,13 @@ class TestArrangement:
             (0, 0, 1): graph(4, 3, [(1, 1), (3, 2), (4, 2)]),
         }
         with pytest.raises(MatchfieldError) as err:
-            check_sector_monotonicity(graphs)
+            check_sector_monotonicity(mask_table(graphs))
         assert str(err.value) == "sector violation: edge (3,2) of (0, 0, 1) missing at (0, 1, 0)"
 
 
     def test_planted_incompatible_pair(self, field_42):
-        topes = dict(tope_arrangement(field_42).topes)
-        topes[(1, 1)] = graph(4, 2, [(1, 1), (2, 2), (3, 1), (4, 2)])
+        topes = dict(tope_arrangement(field_42).mask_table)
+        topes[(1, 1)] = graph(4, 2, [(1, 1), (2, 2), (3, 1), (4, 2)]).mask
         # the tope clashes with (2, 0) only, so the first pair is not reported
         with pytest.raises(MatchfieldError) as err:
             fields_mod.TopeArrangement(4, 2, topes)
@@ -909,7 +910,7 @@ class TestArrangement:
                     continue
                 refused += 1
                 with pytest.raises(MatchfieldError) as err:
-                    fields_mod.TopeArrangement(5, 3, topes)
+                    fields_mod.TopeArrangement(5, 3, mask_table(topes))
                 assert str(err.value) == first
         assert refused > 10
 
@@ -932,17 +933,17 @@ class TestArrangement:
         scan_verdicts = set()
         for seed in range(4):
             ta = tope_arrangement(seeded_coherent_field(n, d, seed)[0])
-            points = sorted(ta.topes)
+            points = sorted(ta.mask_table)
             for _ in range(10):
-                topes = dict(ta.topes)
+                topes = dict(ta.mask_table)
                 j, k = rng.sample(range(n), 2)
                 r = rng.randint(0, 2)
                 few = rng.random() < 0.5
                 for point in rng.sample(points, r + 1 if few else len(points) - r):
-                    f = list(core.tope_function(topes[point]))
+                    f = list(core.tope_function(topes[point], n, d))
                     f[j], f[k] = f[k], f[j]
-                    topes[point] = graph(n, d, [(x + 1, i + 1) for x, i in enumerate(f)])
-                scan = outcome(lambda t: arrangement_pair_by_scan(d, t), topes)
+                    topes[point] = graph(n, d, [(x + 1, i + 1) for x, i in enumerate(f)]).mask
+                scan = outcome(lambda t: arrangement_pair_by_scan(n, d, t), topes)
                 expected = scan or outcome(check_sector_monotonicity, topes)
                 assert outcome(lambda t: fields_mod.TopeArrangement(n, d, t), topes) == expected
                 scan_verdicts.add(scan is None)
@@ -957,7 +958,7 @@ class TestArrangement:
         points = simplex_lattice_points(n - d, d)
         choices = [
             [
-                graph(n, d, list(zip(range(1, n + 1), f)))
+                graph(n, d, list(zip(range(1, n + 1), f))).mask
                 for f in itertools.product(range(1, d + 1), repeat=n)
                 if tuple(f.count(i) - 1 for i in range(1, d + 1)) == p
             ]
@@ -1016,22 +1017,22 @@ class TestTrianguloid:
 
     def test_key_off_the_simplex_is_refused(self, extended_24):
         # right count, distinct keys, one of them (-1, 3, 0, 0) off the simplex
-        graphs = dict(extended_24.graphs)
+        graphs = dict(extended_24.mask_table)
         graphs[(-1, 3, 0, 0)] = graphs.pop((0, 2, 0, 0))
         message = "^extended arrangement must cover all lattice points$"
         with pytest.raises(MatchfieldError, match=message):
             fields_mod.ExtendedTopeArrangement(2, 4, graphs)
 
     def test_wrong_degree_fails_t1(self, extended_24):
-        graphs = dict(extended_24.graphs)
-        graphs[(2, 0, 0, 0)] = graph(2, 4, [(1, 2), (2, 2)])
+        graphs = dict(extended_24.mask_table)
+        graphs[(2, 0, 0, 0)] = graph(2, 4, [(1, 2), (2, 2)]).mask
         eta = fields_mod.ExtendedTopeArrangement(2, 4, graphs)
         report = trianguloid_check(eta)
         assert not report.right_degrees.ok
 
     def test_isolated_left_fails_t2(self, extended_24):
-        graphs = dict(extended_24.graphs)
-        graphs[(1, 1, 0, 0)] = graph(2, 4, [(1, 1), (1, 2)])  # l2 isolated
+        graphs = dict(extended_24.mask_table)
+        graphs[(1, 1, 0, 0)] = graph(2, 4, [(1, 1), (1, 2)]).mask  # l2 isolated
         eta = fields_mod.ExtendedTopeArrangement(2, 4, graphs)
         report = trianguloid_check(eta)
         assert report.right_degrees.ok

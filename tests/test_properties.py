@@ -42,6 +42,7 @@ from conftest import (
     graph,
     graph_from_json_dict,
     graph_to_json_dict,
+    mask_table,
     random_matching_field,
 )
 from oracles import (
@@ -618,12 +619,12 @@ class TestArrangementInvariants:
         for n, d, seed in [(5, 2, 3), (5, 3, 4), (6, 3, 5)]:
             field, _, _ = seeded_coherent_field(n, d, seed)
             ta = tope_arrangement(field)
-            check_sector_monotonicity(ta.topes)
+            check_sector_monotonicity(ta.mask_table)
 
     def test_neighbour_chow_containment(self, field_63):
         # rq-edges of the covector at v + ep - eq are contained at v
         cc = chow_collection(field_63)
-        check_sector_monotonicity(cc.by_rdv())
+        check_sector_monotonicity(mask_table(cc.by_rdv()))
 
     def test_covectors_match_intersections_on_samples(self):
         for n, d, seed in [(5, 2, 21), (5, 3, 22), (6, 3, 23), (7, 3, 24)]:

@@ -31,7 +31,7 @@ from matchfield.stacks import (
 )
 from matchfield.fields import maximal_tope_covectors
 
-from conftest import field_from_words, graph, random_matching_field
+from conftest import field_from_words, graph, mask_table, random_matching_field
 from oracles import (
     _transpose,
     check_basis_exchange,
@@ -53,7 +53,12 @@ def random_stack(n, d, seed):
         rights = list(I)
         rng.shuffle(rights)
         entries[(J, I)] = BipartiteGraph(n, d, list(zip(J, rights)))
-    return MatchingStack(n, d, entries)
+    return MatchingStack(n, d, mask_table(entries))
+
+
+def graph_entries(stack):
+    """The matching of every pair of a stack that has them all, as graphs."""
+    return {pair: stack.matching(*pair) for pair in stack.pairs()}
 
 
 @pytest.fixture(scope="module")
@@ -77,12 +82,12 @@ class TestEnsemble:
         # min(n, d) <= 2 every small entry is forced and closure cannot break
         t = staircase_triangulation(3, 3)
         stack = stack_from_trees(t.sorted_trees(), 3, 3)
-        entries = dict(stack.entries)
+        entries = graph_entries(stack)
         full = stack.matching((1, 2, 3), (1, 2, 3))
         (j1, i1), (j2, i2) = full.edges[0], full.edges[1]
         key = (tuple(sorted((j1, j2))), tuple(sorted((i1, i2))))
         entries[key] = graph(3, 3, [(j1, i2), (j2, i1)])
-        broken = MatchingStack(3, 3, entries)
+        broken = MatchingStack(3, 3, mask_table(entries))
         report = validate_ensemble(broken)
         assert report.support_ok
         assert not report.closure_ok
@@ -95,14 +100,14 @@ class TestEnsemble:
         # scan reaches {e1, e3} first, and that is the witness
         t = staircase_triangulation(3, 3)
         stack = stack_from_trees(t.sorted_trees(), 3, 3)
-        entries = dict(stack.entries)
+        entries = graph_entries(stack)
         e1, e2, e3 = stack.matching((1, 2, 3), (1, 2, 3)).edges
         keys = []
         for (j1, i1), (j2, i2) in [(e1, e3), (e2, e3)]:
             key = (tuple(sorted((j1, j2))), tuple(sorted((i1, i2))))
             entries[key] = graph(3, 3, [(j1, i2), (j2, i1)])
             keys.append(key)
-        broken = MatchingStack(3, 3, entries)
+        broken = MatchingStack(3, 3, mask_table(entries))
         report = validate_ensemble(broken)
         assert report == validate_ensemble_by_layer_fields(broken)
         assert report.witness == ("closure", (1, 2, 3), (1, 2, 3), keys[0])
@@ -113,7 +118,7 @@ class TestEnsemble:
         assert not report.left_linkage_ok
 
     def test_support_violation(self):
-        stack = MatchingStack(2, 2, {((1,), (1,)): graph(2, 2, [(1, 2)])})
+        stack = MatchingStack(2, 2, mask_table({((1,), (1,)): graph(2, 2, [(1, 2)])}))
         report = validate_ensemble(stack)
         assert not report.support_ok
 
@@ -122,16 +127,16 @@ class TestEnsemble:
         # linkage axioms go unchecked and are reported false
         empty = graph(2, 2, [])
         for entries, missing in [({}, ((), ())), ({((), ()): empty}, ((1,), (1,)))]:
-            report = validate_ensemble(MatchingStack(2, 2, entries))
+            report = validate_ensemble(MatchingStack(2, 2, mask_table(entries)))
             assert report.witness == ("support",) + missing
             assert not (report.support_ok or report.closure_ok)
             assert not (report.left_linkage_ok or report.right_linkage_ok)
 
     def test_missing_pair_raises_and_stores_nothing(self):
-        stack = MatchingStack(2, 2, {((), ()): graph(2, 2, [])})
+        stack = MatchingStack(2, 2, {(0, 0): 0})
         with pytest.raises(MatchfieldError, match=r"no matching assigned to \(\(1,\), \(2,\)\)"):
             stack.matching((1,), (2,))
-        assert list(stack.entries) == [((), ())]
+        assert list(stack.mask_table) == [(0, 0)]
 
 
 class TestRightLinkage:
@@ -160,7 +165,7 @@ class TestRightLinkage:
         assert False in verdicts
 
     def test_degenerate_stack_is_right_linkage(self):
-        stack = MatchingStack(0, 2, {((), ()): BipartiteGraph(0, 2, [])})
+        stack = MatchingStack(0, 2, {(0, 0): 0})
         report = validate_ensemble(stack)
         assert report.ok and stack_right_linkage(stack) == (True, None)
 
@@ -170,8 +175,7 @@ def ensemble_oracle_cases():
     relabelled staircase ensembles, extensions of seeded coherent fields
     (weight-minimal and lexicographic), seeded random stacks, ensembles with
     one entry replaced by another matching on its pair, ensembles with
-    one entry dropped or off its pair, and ensembles with one entry on
-    other sides."""
+    one entry dropped or off its pair."""
     rng = random.Random(2019)
     sizes = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (4, 3), (3, 4)]
     ensembles = []
@@ -189,27 +193,21 @@ def ensemble_oracle_cases():
     perturbed = []
     for _ in range(300):
         stack = rng.choice(ensembles + extended)
-        entries = dict(stack.entries)
+        entries = graph_entries(stack)
         J, I = rng.choice(sorted(key for key in entries if len(key[0]) >= 2))
         old = entries[(J, I)]
         perm = rng.choice([p for p in itertools.permutations(I) if graph(stack.n, stack.d, zip(J, p)) != old])
         entries[(J, I)] = graph(stack.n, stack.d, list(zip(J, perm)))
-        perturbed.append(MatchingStack(stack.n, stack.d, entries))
+        perturbed.append(MatchingStack(stack.n, stack.d, mask_table(entries)))
     unsupported = []
     for stack in ensembles[::4]:
-        key = rng.choice(sorted(stack.entries))
-        entries = dict(stack.entries)
+        entries = graph_entries(stack)
+        key = rng.choice(sorted(entries))
         del entries[key]
-        unsupported.append(MatchingStack(stack.n, stack.d, entries))
+        unsupported.append(MatchingStack(stack.n, stack.d, mask_table(entries)))
         entries[key] = graph(stack.n, stack.d, [(1, 1)])
-        unsupported.append(MatchingStack(stack.n, stack.d, entries))
-    foreign = []  # an entry's edges on one more left node: equal masks, unequal graphs
-    for stack in ensembles[1::4]:
-        key = rng.choice(sorted(key for key in stack.entries if key[0]))
-        entries = dict(stack.entries)
-        entries[key] = BipartiteGraph(stack.n + 1, stack.d, entries[key].edges)
-        foreign.append(MatchingStack(stack.n, stack.d, entries))
-    return ensembles + extended + randoms + perturbed + unsupported + foreign
+        unsupported.append(MatchingStack(stack.n, stack.d, mask_table(entries)))
+    return ensembles + extended + randoms + perturbed + unsupported
 
 
 class TestEnsembleByEdgeCounts:
@@ -231,25 +229,14 @@ class TestCompletion:
             ((1,), (1,)): graph(1, 2, [(1, 1)]),
             ((1,), (2,)): graph(1, 2, [(1, 2)]),
         }
-        field = completion(MatchingStack(1, 2, entries))
+        field = completion(MatchingStack(1, 2, mask_table(entries)))
         assert field.matching((1, 2)).edges == ((1, 2), (2, 1))
         assert field.matching((1, 3)).edges == ((1, 1), (3, 2))
         assert field.matching((2, 3)).edges == ((2, 1), (3, 2))
         assert is_linkage(field).ok
 
-    def test_matching_on_other_sides_is_refused(self):
-        # an entry's mask is read in rows of d bits: the edge (1, 3) of a
-        # graph on (1, 3) is bit 2, which rows of 2 bits read as (2, 1)
-        entries = {
-            ((), ()): graph(1, 2, []),
-            ((1,), (1,)): graph(1, 2, [(1, 1)]),
-            ((1,), (2,)): graph(1, 3, [(1, 3)]),
-        }
-        with pytest.raises(MatchfieldError, match=r"^a matching on \(1, 3\) in a stack on \(1, 2\)$"):
-            completion(MatchingStack(1, 2, entries))
-
     def test_empty_stack(self):
-        stack = MatchingStack(0, 2, {((), ()): BipartiteGraph(0, 2, [])})
+        stack = MatchingStack(0, 2, {(0, 0): 0})
         field = completion(stack)
         assert field.matching((1, 2)).edges == ((1, 1), (2, 2))
 
@@ -263,11 +250,11 @@ class TestCompletion:
             assert completion_linkage_check(stack) == (True, True)
 
     def test_linkage_agreement_trivial_stack(self):
-        stack = MatchingStack(0, 2, {((), ()): BipartiteGraph(0, 2, [])})
+        stack = MatchingStack(0, 2, {(0, 0): 0})
         assert completion_linkage_check(stack) == (True, True)
 
     def test_linkage_agreement_on_perturbed(self, stack_42):
-        base = dict(stack_42.entries)
+        base = graph_entries(stack_42)
         seen_false = 0
         for key in [k for k in base if len(k[0]) == 2 and k[1] == (1, 2)]:
             J, I = key
@@ -277,7 +264,7 @@ class TestCompletion:
                     continue
                 entries = dict(base)
                 entries[key] = cand
-                res = completion_linkage_check(MatchingStack(4, 2, entries))
+                res = completion_linkage_check(MatchingStack(4, 2, mask_table(entries)))
                 assert res[0] == res[1]
                 seen_false += res == (False, False)
         assert seen_false > 0
@@ -320,12 +307,12 @@ class TestExtendExtract:
     def test_stacks_differing_in_one_entry_are_unequal(self, field_42):
         stack = extend(field_42)
         assert stack == extend(field_42)
-        entries = dict(stack.entries)
-        entries[((1, 2), (1, 2))] = graph(4, 2, [(1, 2), (2, 1)])
+        entries = dict(stack.mask_table)
+        entries[(0b11, 0b11)] = graph(4, 2, [(1, 2), (2, 1)]).mask
         assert stack != MatchingStack(4, 2, entries)
-        del entries[((1, 2), (1, 2))]
+        del entries[(0b11, 0b11)]
         assert stack != MatchingStack(4, 2, entries)
-        assert stack != MatchingStack(4, 3, stack.entries)
+        assert stack != MatchingStack(4, 3, stack.mask_table)
 
     def test_lexicographic_bytes(self, field_42):
         assert core.canonical_json(stack_to_json_dict(extend(field_42))) == (
@@ -358,7 +345,7 @@ class TestExtendExtract:
     def test_size_cap(self, field_42, monkeypatch):
         # C(4 + 2, 2) = 15 pairs
         monkeypatch.setattr(stacks_mod, "EXTEND_MAX_PAIRS", 15)
-        assert len(extend(field_42).entries) == 15
+        assert len(extend(field_42).mask_table) == 15
         monkeypatch.setattr(stacks_mod, "EXTEND_MAX_PAIRS", 14)
         with pytest.raises(SizeCapError) as err:
             extend(field_42, weights=[[0]])

@@ -38,7 +38,7 @@ from matchfield.triang import (
 )
 from matchfield import trianguloid_check
 
-from conftest import graph, matchings_agree
+from conftest import graph, mask_table, matchings_agree
 from oracles import (
     agreed_matchings_per_graph,
     check_triangulation_with_flip,
@@ -68,7 +68,7 @@ def flip_violation_by_scan(trees):
         for j, i in g.edges:
             if left[j - 1] == 1 or right[i - 1] == 1:
                 continue
-            reduced = g.without_edges([(j, i)])
+            reduced = g.difference(graph(g.n, g.d, [(j, i)]))
             if not any(h != g and reduced.is_subgraph(h) for h in trees):
                 return (g, (j, i))
     return None
@@ -318,7 +318,8 @@ class TestFlipFollowsFromAgreement:
                 assert check_triangulation_with_flip(trees, n, d).ok
                 cases.append((n, d, trees))
                 cases.append((n, d, trees[1:]))
-                cases.append((n, d, trees[1:] + [trees[0].without_edges(trees[0].edges[:1])]))
+                cut = trees[0].difference(graph(n, d, trees[0].edges[:1]))
+                cases.append((n, d, trees[1:] + [cut]))
         kinds = set()
         for n, d, trees in cases:
             report = check_triangulation(trees, n, d)
@@ -429,7 +430,7 @@ class TestKeyedAxioms:
             for g in trees:
                 for key, m in contained_matchings(g).items():
                     assert entries.setdefault(key, m) == m
-            assert stack_from_trees(trees, n, d).entries == entries
+            assert stack_from_trees(trees, n, d).mask_table == mask_table(entries)
 
     def test_trees_on_other_sides_are_refused(self):
         # masks of graphs on other node sets would be read as other edges
