@@ -175,10 +175,8 @@ def cmd_flipgraph(args) -> tuple[dict, bool]:
     if args.dot:
         _write(flip.flip_graph_to_dot(field, fg), args.dot)
     out = {
-        "vertices": [list(s) for s in fg.vertices],
-        "edges": sorted(
-            [list(a), list(b), label] for a, b, label in fg.edges
-        ),
+        "vertices": fg.vertices,  # tuples are written as arrays
+        "edges": sorted(fg.edges),
         "edge_count": len(fg.edges),
         "expected_for_linkage": flip.expected_edge_count(field.n, field.d),
     }
@@ -191,8 +189,8 @@ def cmd_cells(args) -> tuple[dict, bool]:
     out = {
         "cells": {
             core.subset_key(point): {
-                "factors": [list(ns) for ns in cell.neighbor_sets],
-                "vertices": sorted(list(s) for s in cell.vertices),
+                "factors": cell.neighbor_sets,  # tuples are written as arrays
+                "vertices": sorted(cell.vertices),
             }
             for point, cell in sorted(cells.items())
         }

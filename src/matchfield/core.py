@@ -462,15 +462,16 @@ def matching_masks(g: BipartiteGraph) -> dict[tuple[int, int], int]:
     return out
 
 
-def right_perfect_matchings(g: BipartiteGraph) -> dict[int, int]:
-    """The matchings inside g that cover every right node, as {J mask: edge
-    mask}, built column by column: each matching of r1..r(i-1) is extended
-    by an unused left node of column i.  A forest holds at most one
-    matching per J; for a graph with several the last one found is kept."""
-    d, column = g.d, column_mask(g.n, g.d)
+def right_perfect_matchings(mask: int, n: int, d: int) -> dict[int, int]:
+    """The matchings inside an n x d edge mask that cover every right node,
+    as {J mask: edge mask}, built column by column: each matching of
+    r1..r(i-1) is extended by an unused left node of column i.  A forest or
+    a tope holds at most one matching per J; for a graph with several the
+    last one found is kept."""
+    column = column_mask(n, d)
     level = {0: 0}
     for i in range(d):
-        ends = [(1 << b // d, 1 << b + i) for b in _bits(g.mask >> i & column)]
+        ends = [(1 << b // d, 1 << b + i) for b in _bits(mask >> i & column)]
         level = {J | jbit: m | edge for J, m in level.items()
                  for jbit, edge in ends if not J & jbit}
     return level
@@ -739,8 +740,10 @@ def sectors(members: set, codes, top: int, j: int, error: type, dim: int, base: 
 
 
 def canonical_json(data) -> str:
-    """Canonical JSON: sorted keys, no floats, newline-terminated."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical JSON: sorted keys, no floats, newline-terminated.  Tuples
+    are written as arrays; every caller passes a fresh tree of dicts, lists
+    and tuples, so the encoder skips its check for circular references."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 _SUBSET_KEY = re.compile(r"[1-9][0-9]*(,[1-9][0-9]*)*")

@@ -27,9 +27,9 @@ yields one maximal tope per positive right degree vector of sum n.  Keyed by
 right degree vector minus the all-ones vector, these form the tope
 arrangement of the field, a bijection onto the lattice points of
 (n-d)*Delta_{d-1}, and the field is recovered from the arrangement by
-collecting the maximal matchings of its topes with `field_from_graphs`, the
-collector that also reads the field off the trees of a triangulation.  The
-arrangement is built without amalgamating: the maximal tope of type v is the
+collecting the maximal matchings of its tope masks with the collector that
+also reads the field off the trees of a triangulation (`field_from_graphs`).
+The arrangement is built without amalgamating: the maximal tope of type v is the
 union of the Chow covectors whose right degree vectors are
 v - 1_{[d] minus i}, i = 1..d, and one keyed pass over the matchings yields
 every Chow covector (`chow_masks`).  The pass is its own inverse: run on the
@@ -489,6 +489,7 @@ class TopeArrangement:
     H."""
 
     def __init__(self, n: int, d: int, table: dict):
+        core._check_sides(n, d)  # before the binomial of is_simplex_lattice
         self.n = n
         self.d = d
         self.mask_table = table
@@ -498,17 +499,17 @@ class TopeArrangement:
         n, d, table = self.n, self.d, self.mask_table
         if not core.is_simplex_lattice(table, n - d, d):
             raise MatchfieldError("arrangement keys are not the lattice points")
-        everyone = (1 << n) - 1
-        for point, mask in table.items():  # one pass; a fault is then told apart
-            rows = core.read_rows(mask, n, d)
-            rdv = tuple(x + 1 for x in point)
-            if rows is None or rows[1] != everyone or rows[2] != rdv:
-                if core.right_degrees(mask, n, d) != rdv:
-                    raise MatchfieldError(f"tope at {point} has wrong right degrees")
+        maps = {}
+        for point, mask in table.items():  # each tope's rows read once
+            if core.right_degrees(mask, n, d) != tuple(x + 1 for x in point):
+                raise MatchfieldError(f"tope at {point} has wrong right degrees")
+            # on the grid, every row defined and n edges: one edge per row
+            f = maps[point] = core.tope_function(mask, n, d)
+            if mask >> n * d or d in f or mask.bit_count() != n:
                 raise MatchfieldError(f"tope at {point} is not maximal")
         # maximal topes are functions [n] -> [d]; each meets its later partners
         points = sorted(table)
-        functions = [core.tope_function(table[p], n, d) for p in points]
+        functions = [maps[p] for p in points]
         index = core.partner_index(functions, n, d)
         for k, f in enumerate(functions):
             if later := core.incompatible_partners(f, index, d) >> (k + 1):
@@ -583,47 +584,70 @@ def chow_masks(n: int, d: int, table: dict[int, int]) -> dict[int, int]:
 def tope_arrangement(field: MatchingField) -> TopeArrangement:
     """Maximal tope for every lattice point p of (n-d)*Delta_{d-1}: the union
     of the Chow covectors of `chow_masks` with right degree vectors p + e_i,
-    i = 1..d, each keyed by its column popcounts.
+    i = 1..d, each keyed by the integer code of its column popcounts
+    (`core.encode_point`, base n + 1), so that p + e_i is a code plus
+    (n + 1)^(d - i).
 
     A non-linkage field raises NotLinkageError with the first failing tau,
     the one the amalgamation chain (maximal_tope) would stop at.
     """
     require_linkage(field)
     n, d = field.n, field.d
-    by_rdv = {core.right_degrees(m, n, d): m for m in chow_masks(n, d, field.mask_table).values()}
+    base, column = n + 1, core.column_mask(n, d)  # a column popcount is at most n
+    by_code = {}
+    for m in chow_masks(n, d, field.mask_table).values():
+        code = 0
+        for i in range(d):  # encode_point of the column popcounts, r1 first
+            code = code * base + (m >> i & column).bit_count()
+        by_code[code] = m
+    units = [base ** (d - i) for i in range(1, d + 1)]  # the code of e_i
     topes = {}
     for point in core.simplex_lattice_points(n - d, d):
-        mask = 0
-        for i in range(1, d + 1):
-            rdv = core.vector_sum(point, core.unit_vector(d, i))
-            if rdv not in by_rdv:
+        code, mask = core.encode_point(point, base), 0
+        for unit in units:
+            covector = by_code.get(code + unit)
+            if covector is None:
+                rdv = core.decode_point(code + unit, d, base)
                 raise InconsistentCollectionError(f"no covector with rdv {rdv}")
-            mask |= by_rdv[rdv]
+            mask |= covector
         topes[point] = mask
     return TopeArrangement(n, d, topes)
 
 
 def field_from_graphs(graphs: Iterable[BipartiteGraph], n: int, d: int) -> MatchingField:
-    """Collect the perfect matchings on d-subset ⊔ R inside the graphs
-    (``core.right_perfect_matchings``), trees or maximal topes.  Partial
-    graph sets work as long as they cover every d-subset and agree; a clash
-    names the J of the graph's first clashing matching in edge order."""
-    masks: dict = {}  # J mask -> edge mask of the matching on J ⊔ R, the field's table
-    for g in graphs:
-        if (g.n, g.d) != (n, d):
-            raise MatchfieldError(f"a tree on ({g.n}, {g.d}) among trees on ({n}, {d})")
-        found = core.right_perfect_matchings(g)
-        clashes = [(core.mask_subset(m), J) for J, m in found.items() if masks.get(J, m) != m]
+    """Collect the perfect matchings on d-subset ⊔ R inside the graphs,
+    trees or maximal topes (`_collect_matchings`); a graph on other sides
+    is refused when the collection reaches it."""
+    def masks():
+        for g in graphs:
+            if (g.n, g.d) != (n, d):
+                raise MatchfieldError(f"a tree on ({g.n}, {g.d}) among trees on ({n}, {d})")
+            yield g.mask
+
+    return _collect_matchings(masks(), n, d)
+
+
+def _collect_matchings(masks: Iterable[int], n: int, d: int) -> MatchingField:
+    """The perfect matchings on d-subset ⊔ R inside n x d edge masks
+    (``core.right_perfect_matchings``).  Partial mask sets work as long as
+    they cover every d-subset and agree; a clash names the J of the mask's
+    first clashing matching in edge order."""
+    table: dict = {}  # J mask -> edge mask of the matching on J ⊔ R, the field's table
+    for mask in masks:
+        found = core.right_perfect_matchings(mask, n, d)
+        clashes = [(core.mask_subset(m), J) for J, m in found.items() if table.get(J, m) != m]
         if clashes:
             J = min(clashes)[1]
             raise MatchfieldError(f"trees disagree on the matching of {core.mask_subset(J)}")
-        masks.update(found)
-    return field_from_masks(n, d, core.all_ones(d), masks)
+        table.update(found)
+    return field_from_masks(n, d, core.all_ones(d), table)
 
 
 def field_from_arrangement(ta: TopeArrangement) -> MatchingField:
-    """The field whose maximal matchings the topes contain; it must be linkage."""
-    field = field_from_graphs((tope for _, tope in ta.items()), ta.n, ta.d)
+    """The field whose maximal matchings the topes contain, read off the
+    mask table in sorted point order; it must be linkage."""
+    table = ta.mask_table
+    field = _collect_matchings((table[p] for p in sorted(table)), ta.n, ta.d)
     require_linkage(field)
     return field
 
@@ -659,10 +683,11 @@ class ExtendedTopeArrangement:
     The graphs, `graph` and `items`, are a view."""
 
     def __init__(self, n: int, d: int, table: dict):
+        core._check_sides(n, d)  # before the binomial of is_simplex_lattice
         self.n = n
         self.d = d
         self.mask_table = table
-        if min(n, d - 1) < 0 or not core.is_simplex_lattice(table, n, d):
+        if not core.is_simplex_lattice(table, n, d):
             raise MatchfieldError("extended arrangement must cover all lattice points")
 
     def graph(self, point: Sequence[int]) -> BipartiteGraph:

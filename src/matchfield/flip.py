@@ -17,13 +17,26 @@ skeleta are the maximal cells of the prodsimplicial flag complex of the flip
 graph, in bijection with the lattice points of (n-d)*Delta_{d-1}, and never
 nested: cell(T1) ⊆ cell(T2) puts every edge of T1 in T2, and maximal topes
 have n edges each, so T1 = T2.
+
+`maximal_cells` finds every cell in one keyed containment pass.  The
+field's matchings are numbered in lexicographic order of sigma, and two
+lists of bitsets over them are built once: holders[b], the matchings that
+hold edge bit b, and users[j], those whose sigma holds lj.  A matching lies
+in the maximal tope with map f when each of its left nodes j takes the edge
+(lj, r f(j)), so the matchings inside the tope are every & ~OR_j (users[j] ^
+holders[j, f(j)]), and the cell's vertices are the sigmas of the set bits,
+already sorted.  The check that the field holds every product choice is a
+count.  The tope is a function, so it holds exactly |N_1| * ... * |N_d|
+matchings covering R, at most one per sigma, and each field matching inside
+it is one of them: the counts agree exactly when every product choice is
+the field's matching on its sigma.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from typing import Iterable
 
 from . import core, fields
@@ -37,16 +50,6 @@ class FlipGraph:
     d: int
     vertices: tuple  # d-subsets, sorted
     edges: frozenset  # (sigma1, sigma2, label) with sigma1 < sigma2
-
-    def neighbors(self, sigma):
-        sigma = tuple(sorted(sigma))
-        out = []
-        for a, b, label in self.edges:
-            if a == sigma:
-                out.append((b, label))
-            elif b == sigma:
-                out.append((a, label))
-        return sorted(out)
 
 
 def _flips(d: int, matchings: Iterable) -> frozenset:
@@ -113,12 +116,11 @@ class ProdsimplicialCell:
     neighbor_sets: tuple  # tuple of sorted tuples N_1..N_d
     vertices: frozenset  # the d-subsets of the contained matchings
 
-    @property
-    def factor_dims(self) -> tuple:
-        return tuple(len(ns) - 1 for ns in self.neighbor_sets)
-
 
 def cell_of_tope(field: fields.MatchingField, tope: BipartiteGraph) -> ProdsimplicialCell:
+    """The cell of one maximal tope by scanning its product choices, each
+    checked against the field: the per-tope route that `maximal_cells`
+    replaces with one containment pass, kept as its oracle."""
     neighbor_sets = tuple(tope.right_neighbors(i) for i in range(1, field.d + 1))
     verts = set()
     column_bits = [[1 << (j - 1) * field.d + i for j in ns] for i, ns in enumerate(neighbor_sets)]
@@ -132,12 +134,41 @@ def cell_of_tope(field: fields.MatchingField, tope: BipartiteGraph) -> Prodsimpl
 
 
 def maximal_cells(field: fields.MatchingField) -> dict:
-    """One cell per lattice point of (n-d)*Delta_{d-1}.  They are never
-    nested: if cell(T1) ⊆ cell(T2), every edge of the maximal tope T1 lies in
-    a matching of the field that T2 contains, so T1 ⊆ T2; both have exactly
-    n edges, so T1 = T2 and the two lattice points are the same."""
+    """One cell per lattice point of (n-d)*Delta_{d-1}, in sorted point
+    order, from one containment pass over the field's matchings (see the
+    module docstring for the pass and its count check).  A tope that holds
+    fewer field matchings than its product choices raises MatchfieldError
+    naming the least sigma whose matching in the tope is not the field's.
+
+    The cells are never nested: if cell(T1) ⊆ cell(T2), every edge of the
+    maximal tope T1 lies in a matching of the field that T2 contains, so
+    T1 ⊆ T2; both have exactly n edges, so T1 = T2 and the two lattice
+    points are the same."""
     ta = fields.tope_arrangement(field)
-    return {point: cell_of_tope(field, tope) for point, tope in ta.items()}
+    n, d, table = field.n, field.d, field.mask_table
+    sigmas = list(combinations(range(1, n + 1), d))
+    holders, users = [0] * (n * d), [0] * n
+    for k, sigma in enumerate(sigmas):
+        for b in core._bits(table[core.subset_mask(sigma)]):
+            holders[b] |= 1 << k
+            users[b // d] |= 1 << k
+    # the matchings that use lj by another edge than bit b = (lj, ri)
+    elsewhere = [users[b // d] ^ holders[b] for b in range(n * d)]
+    every = (1 << len(sigmas)) - 1
+    cells = {}
+    for point, mask in sorted(ta.mask_table.items()):
+        outside, factors = 0, [[] for _ in range(d)]
+        for b in core._bits(mask):
+            outside |= elsewhere[b]
+            factors[b % d].append(b // d + 1)
+        held = every ^ outside
+        if held.bit_count() != prod(map(len, factors)):
+            found = core.right_perfect_matchings(mask, n, d)
+            sigma = min(core.mask_subset(J) for J, m in found.items() if table[J] != m)
+            raise MatchfieldError(f"tope matching on {sigma} is not in the field")
+        vertices = frozenset([sigmas[b] for b in core._bits(held)])
+        cells[point] = ProdsimplicialCell(tuple(map(tuple, factors)), vertices)
+    return cells
 
 
 def matching_word(m: BipartiteGraph) -> str:

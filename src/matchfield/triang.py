@@ -207,6 +207,8 @@ def _certified(t: Triangulation) -> Triangulation:
 
 
 def _check_pair_shape(pairs, n, d):
+    if min(n, d) >= 1:  # an empty side keeps its InconsistentPairsError
+        core._check_sides(n, d)  # before the binomial of tree_count
     if min(n, d) < 1 or len(pairs) != tree_count(n, d):
         raise InconsistentPairsError(
             f"{len(pairs)} pairs do not fit a triangulation of size ({n}, {d})"

@@ -15,9 +15,12 @@ descriptions kept as test oracles.
 - Degree-pair reconstruction that deletes every left leaf at every level
   and checks that the branches agree, the oracle for the one deletion chain
   per tree of ``reconstruct_triangulation``.
-- Prodsimplicial cells by amalgamating to the maximal tope, the tope of a
-  cell's vertex set checked to be a product skeleton, and the flip edge
-  count of a linkage field.  Flips by testing every pair of matchings, the
+- Prodsimplicial cells by amalgamating to the maximal tope and scanning its
+  product choices (``flip.cell_of_tope``), the oracle for the containment
+  pass of ``flip.maximal_cells``; the tope of a cell's vertex set checked to
+  be a product skeleton, a cell's factor dimensions, a vertex's flip
+  neighbours by a scan of every edge, and the flip edge count of a linkage
+  field.  Flips by testing every pair of matchings, the
   oracle for the keyed pass that builds a linkage tree, and the scan of all
   pairs of cells for a nested one, which the proof in ``flip.maximal_cells``
   says never finds any.
@@ -106,6 +109,7 @@ from matchfield.errors import (
     WrongSupportError,
 )
 from matchfield.flip import (
+    FlipGraph,
     ProdsimplicialCell,
     cell_of_tope,
     expected_edge_count,
@@ -413,6 +417,24 @@ def linkage_tree_edges_by_scan(field: fields.MatchingField, tau: Sequence[int]) 
             a, b = sorted((s1, s2))
             edges.add((a, b, label))
     return frozenset(edges)
+
+
+def flip_neighbors(fg: FlipGraph, sigma: Iterable[int]) -> list[tuple]:
+    """The (neighbour, label) pairs of sigma in the flip graph, sorted, by a
+    scan over every edge."""
+    sigma = tuple(sorted(sigma))
+    out = []
+    for a, b, label in fg.edges:
+        if a == sigma:
+            out.append((b, label))
+        elif b == sigma:
+            out.append((a, label))
+    return sorted(out)
+
+
+def factor_dims(cell: ProdsimplicialCell) -> tuple:
+    """The dimensions of the simplices whose product the cell is."""
+    return tuple(len(ns) - 1 for ns in cell.neighbor_sets)
 
 
 def nested_cells_by_scan(cells: dict) -> list[tuple]:
@@ -1435,6 +1457,7 @@ class GraphTopeArrangement:
     table and one-pass validation of ``fields.TopeArrangement``."""
 
     def __init__(self, n: int, d: int, topes: dict):
+        core._check_sides(n, d)
         self.n = n
         self.d = d
         self.topes = {tuple(p): g for p, g in topes.items()}
@@ -1464,10 +1487,11 @@ class GraphExtendedTopeArrangement:
     graph}: the oracle for the mask table of ``fields.ExtendedTopeArrangement``."""
 
     def __init__(self, n: int, d: int, graphs: dict):
+        core._check_sides(n, d)
         self.n = n
         self.d = d
         self.graphs = {tuple(p): g for p, g in graphs.items()}
-        if min(n, d - 1) < 0 or not core.is_simplex_lattice(self.graphs, n, d):
+        if not core.is_simplex_lattice(self.graphs, n, d):
             raise MatchfieldError("extended arrangement must cover all lattice points")
 
 

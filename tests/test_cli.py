@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -480,6 +481,44 @@ def test_pair_set_of_the_wrong_size_is_refused_before_any_work(capsys, tmp_path)
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InconsistentPairsError"
     assert err["message"] == "0 pairs do not fit a triangulation of size (30, 30)"
+
+
+HUGE = 3_000_000
+
+
+@pytest.mark.parametrize(
+    "command, data, error, message",
+    [
+        (
+            ["trianguloid-check"],
+            {"n": HUGE, "d": HUGE, "graphs": {}},
+            "SizeCapError",
+            f"node counts ({HUGE}, {HUGE}) outside [0, 64]",
+        ),
+        (
+            ["reconstruct-triangulation"],
+            {"n": HUGE, "d": HUGE, "pairs": []},
+            "SizeCapError",
+            f"node counts ({HUGE}, {HUGE}) outside [0, 64]",
+        ),
+        (
+            ["reconstruct-chow", "--phi"],
+            {"n": HUGE, "d": HUGE, "phi": {}},
+            "InconsistentPhiError",
+            "phi keys must be the (n-d+1)-subsets",
+        ),
+    ],
+    ids=["extended", "pairs", "phi"],
+)
+def test_huge_sides_are_refused_at_once(capsys, tmp_path, command, data, error, message):
+    # the lattice-point and tree counts of these sides are binomials with
+    # millions of digits; the sides are refused before either is computed
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert run(command + [str(path)]) == 1
+    assert time.perf_counter() - start < 0.05
+    assert json.loads(capsys.readouterr().err) == {"error": error, "message": message}
 
 
 @pytest.mark.parametrize(
@@ -1070,7 +1109,9 @@ PINNED_RUNS = [argv for argv, _ in OUTPUT_CASES] + [
         ["reconstruct-chow", "--phi", "PHI-" + name],
         ["roundtrip", "--kind", "chow", name],
     )
-] + [["extract", "STAIRCASE-6-5"], ["roundtrip", "--kind", "triangulation", "STAIRCASE-6-5"]]
+] + [["extract", "STAIRCASE-6-5"], ["roundtrip", "--kind", "triangulation", "STAIRCASE-6-5"]] + [
+    [command, "COHERENT-10-4"] for command in ("arrangement", "flipgraph", "cells")
+]
 
 # sha256 of the stdout of every run in PINNED_RUNS, recorded at a known-good
 # revision: a change that alters canonical output for valid inputs fails here
@@ -1133,6 +1174,11 @@ STDOUT_SHA256 = {
     "extract STAIRCASE-6-5": "7a1bc0677bce3254ac9c44ba8d1c8d0edb0cf7bc04ff901d88b2f4b2ea402dfb",
     "roundtrip --kind triangulation STAIRCASE-6-5":
         "791f7db196140e618af5a5dfc9b9cac00e1ed333fee4cbab91e78c6b978e495d",
+    # the field-pipeline steps on a (10,4) field, recorded before cells moved
+    # to the containment pass and the writer took tuples
+    "arrangement COHERENT-10-4": "98aef8c3884608b617ff67625dda7212a170b0647398ae0899b1693e133e84dd",
+    "flipgraph COHERENT-10-4": "2726c31013c432c0b72e32c0da19e0bd33a44ef9002881f961de2dc3c0d127cf",
+    "cells COHERENT-10-4": "76596ff96fefd990a1f55084b2fcb9f426dce4a0441d6d0aa8aa50f7ccbe2919",
 }
 
 
@@ -1146,6 +1192,7 @@ def pinned_inputs(tmp_path_factory):
         field, _, _ = seeded_coherent_field(n, d, seed)
         data[name] = field_to_json_dict(field)
         data["PHI-" + name] = phi_to_json_dict(chow_collection(field).phi())
+    data["COHERENT-10-4"] = field_to_json_dict(seeded_coherent_field(10, 4, 104)[0])
     t = staircase_triangulation(6, 5, [3, 6, 1, 5, 2, 4], [2, 5, 1, 4, 3])
     data["STAIRCASE-6-5"] = triangulation_to_json_dict(t)
     paths = {}

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchfield import (
+    InconsistentCollectionError,
     MatchfieldError,
     MissingSubsetError,
     NotAMatchingError,
@@ -836,6 +837,50 @@ class TestArrangement:
         # 40 * Delta_19 has C(39, 19), about 6.9e10, lattice points
         with pytest.raises(MatchfieldError, match="arrangement keys are not the lattice points"):
             fields_mod.arrangement_from_json_dict({"n": 40, "d": 20, "topes": {}})
+
+    def test_wrong_right_degrees_are_refused(self, field_42):
+        topes = dict(tope_arrangement(field_42).mask_table)
+        topes[(1, 1)] = topes[(2, 0)]
+        with pytest.raises(MatchfieldError, match=r"^tope at \(1, 1\) has wrong right degrees$"):
+            fields_mod.TopeArrangement(4, 2, topes)
+
+    @pytest.mark.parametrize(
+        "n, d, point, mask",
+        [
+            # right degrees (2, 2) with l1 holding two edges and l2 none
+            (4, 2, (1, 1), graph(4, 2, [(1, 1), (1, 2), (3, 1), (4, 2)]).mask),
+            # the tope at (1, 1) of field_42 plus an edge bit off the 4 x 2 grid
+            (4, 2, (1, 1), 105 | 1 << 8),
+            # every bit set: its one column on the grid has the right degree
+            (1, 1, (0,), -1),
+        ],
+        ids=["row-twice", "off-grid", "negative"],
+    )
+    def test_a_tope_that_is_not_maximal_is_refused(self, field_42, n, d, point, mask):
+        topes = dict(tope_arrangement(field_42).mask_table) if n == 4 else {}
+        topes[point] = mask
+        with pytest.raises(MatchfieldError) as err:
+            fields_mod.TopeArrangement(n, d, topes)
+        assert str(err.value) == f"tope at {point} is not maximal"
+
+    def test_a_missing_covector_is_named_by_its_right_degrees(self, field_42, monkeypatch):
+        # the covector of rdv (2, 1) dropped: the tope at (1, 1) is the first to need it
+        def chow_masks(n, d, table):
+            covectors = real(n, d, table).items()
+            return {k: m for k, m in covectors if core.right_degrees(m, n, d) != (2, 1)}
+
+        real = fields_mod.chow_masks
+        monkeypatch.setattr(fields_mod, "chow_masks", chow_masks)
+        with pytest.raises(InconsistentCollectionError, match=r"^no covector with rdv \(2, 1\)$"):
+            tope_arrangement(field_42)
+
+    def test_huge_sides_are_refused_before_the_lattice_count(self):
+        # C(5999999, 2999999) lattice points would be counted first
+        data = {"n": 6_000_000, "d": 3_000_000, "topes": {}}
+        start = time.perf_counter()
+        with pytest.raises(SizeCapError, match=r"^node counts \(6000000, 3000000\) outside"):
+            fields_mod.arrangement_from_json_dict(data)
+        assert time.perf_counter() - start < 0.05
 
     def test_sector_monotonicity_enforced(self, field_42):
         ta = tope_arrangement(field_42)

@@ -1,9 +1,10 @@
 """Flip graphs, linkage trees, and prodsimplicial cells."""
 
 import hashlib
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchfield import (
     MatchfieldError,
@@ -23,10 +24,16 @@ from matchfield.flip import (
 )
 
 from conftest import field_from_words, graph, random_matching_field
-from matchfield.fields import is_linkage
+from matchfield import core, fields as fields_mod
+from matchfield.core import BipartiteGraph
+from matchfield.fields import MatchingField, is_linkage, tope_arrangement
+from matchfield.flip import cell_of_tope
+from matchfield.randgen import seeded_coherent_field
 from oracles import (
     cell_to_tope,
     edge_count_check,
+    factor_dims,
+    flip_neighbors,
     linkage_tree_decomposition,
     linkage_tree_edges_by_scan,
     nested_cells_by_scan,
@@ -89,7 +96,7 @@ class TestFlipGraph:
             edge_set = {(a, b): lab for a, b, lab in fg.edges}
             for sigma in fg.vertices:
                 by_label = {}
-                for other, lab in fg.neighbors(sigma):
+                for other, lab in flip_neighbors(fg, sigma):
                     by_label.setdefault(lab, []).append(other)
                 for lab, others in by_label.items():
                     for x in others:
@@ -184,12 +191,12 @@ class TestLinkageTrees:
 class TestCells:
     def test_square_cell(self, field_42):
         cell = tope_to_cell(field_42, (2, 2))
-        assert cell.factor_dims == (1, 1)
+        assert factor_dims(cell) == (1, 1)
         assert cell.vertices == {(1, 2), (1, 3), (2, 4), (3, 4)}
 
     def test_triangle_cell(self, field_42):
         cell = tope_to_cell(field_42, (3, 1))
-        assert cell.factor_dims == (2, 0)
+        assert factor_dims(cell) == (2, 0)
         assert cell.vertices == {(1, 3), (2, 3), (3, 4)}
 
     def test_cell_to_tope_round_trip(self, field_42):
@@ -206,7 +213,7 @@ class TestCells:
 
     def test_maximal_cells(self, field_42, field_53):
         cells42 = maximal_cells(field_42)
-        assert sorted(c.factor_dims for c in cells42.values()) == [
+        assert sorted(factor_dims(c) for c in cells42.values()) == [
             (0, 2),
             (1, 1),
             (2, 0),
@@ -255,6 +262,86 @@ class TestCells:
                         for i in range(1, field.d + 1)
                     )
                     assert got == tuple(chosen)
+
+
+def every_linkage_field(n, d):
+    """Every (n, d) linkage field: all choices of a bijection sigma -> R per
+    d-subset sigma, kept when is_linkage accepts them."""
+    choices = [
+        [sum(1 << (j - 1) * d + i for j, i in zip(sigma, p)) for p in permutations(range(d))]
+        for sigma in subsets(n, d)
+    ]
+    keys = [core.subset_mask(sigma) for sigma in subsets(n, d)]
+    every = (MatchingField.from_masks(n, d, (1,) * d, dict(zip(keys, masks)))
+             for masks in product(*choices))
+    return [field for field in every if is_linkage(field).ok]
+
+
+def cells_by_product_scan(field):
+    """The oracle for maximal_cells: cell_of_tope on every maximal tope."""
+    ta = tope_arrangement(field)
+    return {
+        point: cell_of_tope(field, BipartiteGraph.from_mask(field.n, field.d, mask))
+        for point, mask in ta.mask_table.items()
+    }
+
+
+class TestCellsByContainment:
+    """The containment pass of maximal_cells against the product scan of
+    cell_of_tope, and its count check."""
+
+    @pytest.mark.parametrize("n, d, count", [(4, 2, 24), (5, 2, 120), (4, 3, 96)])
+    def test_every_small_linkage_field(self, n, d, count):
+        linkage = every_linkage_field(n, d)
+        assert len(linkage) == count
+        for field in linkage:
+            cells = maximal_cells(field)
+            assert list(cells) == sorted(cells)
+            assert cells == cells_by_product_scan(field)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([(3, 2), (5, 3), (6, 3), (6, 4), (7, 3), (8, 4)]),
+        st.integers(0, 10**6),
+    )
+    def test_coherent_fields(self, size, seed):
+        field, _, _ = seeded_coherent_field(*size, seed)
+        assert maximal_cells(field) == cells_by_product_scan(field)
+
+    def test_a_field_that_is_not_linkage_is_refused(self, field_43):
+        with pytest.raises(NotLinkageError):
+            maximal_cells(field_43)
+
+    def test_count_check_names_a_matching_the_tope_lacks(self, monkeypatch):
+        # another linkage field's arrangement: the first tope in point order
+        # holding a product choice that is not the field's matching fails the
+        # count, which names the least such sigma
+        linkage = every_linkage_field(4, 3)
+        arrangements = [tope_arrangement(f) for f in linkage]
+        n, d = 4, 3
+        fired = 0
+        for field in linkage[:12]:
+            for ta in arrangements:
+                monkeypatch.setattr(fields_mod, "tope_arrangement", lambda _, ta=ta: ta)
+                lacking = [
+                    (point, sigma)
+                    for point, tope in sorted(ta.mask_table.items())
+                    for J, m in core.right_perfect_matchings(tope, n, d).items()
+                    if field.mask_table[J] != m
+                    for sigma in [core.mask_subset(J)]
+                ]
+                if not lacking:
+                    assert maximal_cells(field) == cells_by_product_scan(field)
+                    continue
+                with pytest.raises(MatchfieldError) as err:
+                    maximal_cells(field)
+                point = lacking[0][0]
+                sigma = min(s for p, s in lacking if p == point)
+                assert str(err.value) == f"tope matching on {sigma} is not in the field"
+                # re-checked: the field's matching on sigma is not in the tope
+                assert field.mask_table[core.subset_mask(sigma)] & ~ta.mask_table[point]
+                fired += 1
+        assert fired > 100
 
 
 class TestDot:

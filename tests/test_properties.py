@@ -274,7 +274,7 @@ class TestMaskKernelOracles:
         g = data.draw(st.one_of(forests(n, d), maximal_topes(n, d)))
         full = (1 << d) - 1
         expected = {J: m for (J, I), m in core.matching_masks(g).items() if I == full}
-        assert core.right_perfect_matchings(g) == expected
+        assert core.right_perfect_matchings(g.mask, n, d) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(collectible_graph_lists())
