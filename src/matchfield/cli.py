@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 
 from . import chow, core, fields, flip, stacks, triang
@@ -57,12 +59,23 @@ def _load_matching_field(path: str) -> fields.MatchingField:
 
 
 def _write(text: str, path: str | None) -> None:
-    """Write text to the file at path, or to stdout without one."""
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
+    """Write text to the file at path, or to stdout when path is None.
+
+    An existing regular file is overwritten in place and cut to the text's
+    length, because truncating it to zero first is costly on ext4; devices
+    are not cut.  The write is neither atomic nor synced: a crash or a
+    write cut short can leave the new bytes followed by the old file's
+    tail, or the new length holding old bytes.
+    """
+    if path is None:
         sys.stdout.write(text)
+        return
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.flush()
+            os.ftruncate(fd, fh.tell())
 
 
 def _cycle_json(cycle):
@@ -172,7 +185,7 @@ def cmd_enumerate_triangulations(args) -> tuple[dict, bool]:
 def cmd_flipgraph(args) -> tuple[dict, bool]:
     field = _load_matching_field(args.input)
     fg = flip.flip_graph(field)
-    if args.dot:
+    if args.dot is not None:
         _write(flip.flip_graph_to_dot(field, fg), args.dot)
     out = {
         "vertices": fg.vertices,  # tuples are written as arrays

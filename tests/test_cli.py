@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import copy
+import errno
 import hashlib
 import io
 import json
@@ -1091,6 +1092,109 @@ def test_unwritable_json_path_is_a_usage_error(tmp_path, inputs, argv):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+# -- results written in place ---------------------------------------------------
+
+
+def old_file_bytes(kind, inputs, new):
+    """What OUT holds before a run: 64 KiB of another case's output, or one
+    byte less than the new result, of other bytes."""
+    if kind == "longer":
+        other = run_quietly(["cells", inputs["FIELD"]])[1].encode()
+        return (other * (65536 // len(other) + 1))[:65536]
+    return b"#" * (len(new) - 1)
+
+
+@pytest.mark.parametrize("kind", ["longer", "shorter"])
+@pytest.mark.parametrize("argv, code", OUTPUT_CASES, ids=[" ".join(a) for a, _ in OUTPUT_CASES])
+def test_json_over_an_existing_file_holds_exactly_the_result(tmp_path, inputs, argv, code, kind):
+    argv = [inputs.get(a, a) for a in argv]
+    plain = run_quietly(argv)
+    target = tmp_path / "existing.json"
+    target.write_bytes(old_file_bytes(kind, inputs, plain[1].encode()))
+    assert run_quietly(argv + ["--json", str(target)]) == (code, "", plain[2])
+    assert target.read_bytes() == plain[1].encode()
+
+
+@pytest.mark.parametrize("kind", ["longer", "shorter"])
+def test_dot_over_an_existing_file_holds_exactly_the_graph(tmp_path, inputs, kind):
+    fresh, target = tmp_path / "fresh.dot", tmp_path / "existing.dot"
+    assert run_quietly(["flipgraph", inputs["FIELD"], "--dot", str(fresh)])[0] == 0
+    dot = fresh.read_bytes()
+    target.write_bytes(old_file_bytes(kind, inputs, dot))
+    assert run_quietly(["flipgraph", inputs["FIELD"], "--dot", str(target)])[0] == 0
+    assert target.read_bytes() == dot
+
+
+def test_json_to_dev_null_is_written_and_not_cut():
+    assert run_quietly(["staircase", "--n", "2", "--d", "2", "--json", os.devnull]) == (0, "", "")
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_unwritable_out_reports_the_open_error_exactly(tmp_path, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+    error = IsADirectoryError if where == "directory" else FileNotFoundError
+    number = errno.EISDIR if where == "directory" else errno.ENOENT
+    expected = core.canonical_json(
+        {"error": error.__name__, "message": f"[Errno {number}] {os.strerror(number)}: {str(target)!r}"}
+    )
+    code, out, err = run_quietly(["staircase", "--n", "2", "--d", "2", "--json", str(target)])
+    assert (code, out, err) == (2, "", expected)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["staircase", "--n", "2", "--d", "2", "--json", ""], ["flipgraph", "FIELD", "--dot", ""]],
+    ids=["json", "dot"],
+)
+def test_empty_out_is_a_usage_error(inputs, argv):
+    code, out, err = run_quietly([inputs.get(a, a) for a in argv])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+_audit_logs = []  # one list per open recorded_opens_and_cuts block
+
+
+def _audit(event, args):
+    if _audit_logs and event in ("open", "os.truncate"):
+        _audit_logs[-1].append((event, args))
+
+
+sys.addaudithook(_audit)
+
+
+@contextlib.contextmanager
+def recorded_opens_and_cuts():
+    """Record every open and every os.truncate / os.ftruncate the block makes,
+    through whichever module: each raises an audit event with its flags or
+    length."""
+    _audit_logs.append([])
+    try:
+        yield _audit_logs[-1]
+    finally:
+        _audit_logs.pop()
+
+
+@pytest.mark.parametrize("option", ["--json", "--dot"])
+def test_result_write_never_truncates_to_zero(tmp_path, inputs, option):
+    # truncating OUT to zero is costly on ext4, so OUT is opened without
+    # O_TRUNC and cut once, at the result's length.  A file object's own
+    # truncate() raises no audit event, so the writer cuts with os.ftruncate.
+    argv = ["flipgraph", inputs["FIELD"]]
+    fresh, target = tmp_path / "fresh", tmp_path / "existing"
+    assert run_quietly(argv + [option, str(fresh)])[0] == 0
+    target.write_bytes(b"#" * 65536)
+    with recorded_opens_and_cuts() as events:
+        assert run_quietly(argv + [option, str(target)])[0] == 0
+    result = fresh.read_bytes()
+    assert target.read_bytes() == result
+    # opening a descriptor reports the mode's flags but applies none of them
+    truncating = [args for event, args in events
+                  if event == "open" and not isinstance(args[0], int) and args[2] & os.O_TRUNC]
+    assert truncating == []
+    assert [args[1] for event, args in events if event == "os.truncate"] == [len(result)]
 
 
 # -- canonical stdout pinned across changes -------------------------------------
