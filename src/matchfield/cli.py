@@ -4,11 +4,14 @@ Every subcommand maps to one library operation or a short pipeline; input
 and output are canonical JSON (sorted keys, integers only, newline
 terminated), so runs are byte-stable.  Each handler loads its input,
 computes, and returns ``(result, verdict)``: the JSON dict and whether the
-check it runs passed (always true for a subcommand with no verdict).  ``run``
-writes them in one place: it adds ``--seed`` to the result, writes it to
-stdout or the ``--json`` file, and writes it to stderr as well when the
-verdict fails.  Exit codes: 0 success, 1 validation failure (the report goes
-to stderr as JSON), 2 usage error.
+check it runs passed (always true for a subcommand with no verdict),
+then the ``(text, path)`` of any further file it writes, such as the
+``--dot`` file of ``flipgraph``.  ``run`` writes them in one place: it adds
+``--seed`` to the result, writes the further files and the result to stdout
+or the ``--json`` file, opening every file before it writes any, and writes
+the result to stderr as well when the verdict fails.  Exit codes: 0
+success, 1 validation failure (the report goes to stderr as JSON), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -58,24 +61,38 @@ def _load_matching_field(path: str) -> fields.MatchingField:
     return field
 
 
-def _write(text: str, path: str | None) -> None:
-    """Write text to the file at path, or to stdout when path is None.
-
+def _write(outputs: list) -> None:
+    """Write each (text, path) pair to the file at path, or to stdout when
+    path is None, the files first.  Every file is opened before any is
+    written, so a path that cannot be opened leaves no output: the files
+    opened before it stay unwritten, and one its open created is removed.
     An existing regular file is overwritten in place and cut to the text's
     length, because truncating it to zero first is costly on ext4; devices
-    are not cut.  The write is neither atomic nor synced: a crash or a
-    write cut short can leave the new bytes followed by the old file's
-    tail, or the new length holding old bytes.
+    are not cut.  The write is neither atomic nor synced: a crash or a write
+    cut short can leave the new bytes followed by the old file's tail, or
+    the new length holding old bytes.
     """
-    if path is None:
-        sys.stdout.write(text)
-        return
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w") as fh:
-        fh.write(text)
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            fh.flush()
-            os.ftruncate(fd, fh.tell())
+    opened = []
+    try:
+        for text, path in outputs:
+            if path is not None:
+                created = not os.path.lexists(path)
+                opened.append((os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), text, path, created))
+    except OSError:
+        for fd, _, path, created in opened:
+            os.close(fd)
+            if created:
+                os.unlink(path)
+        raise
+    for fd, text, _, _ in opened:
+        with open(fd, "w") as fh:
+            fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.flush()
+                os.ftruncate(fd, fh.tell())
+    for text, path in outputs:
+        if path is None:
+            sys.stdout.write(text)
 
 
 def _cycle_json(cycle):
@@ -185,15 +202,15 @@ def cmd_enumerate_triangulations(args) -> tuple[dict, bool]:
 def cmd_flipgraph(args) -> tuple[dict, bool]:
     field = _load_matching_field(args.input)
     fg = flip.flip_graph(field)
-    if args.dot is not None:
-        _write(flip.flip_graph_to_dot(field, fg), args.dot)
     out = {
         "vertices": fg.vertices,  # tuples are written as arrays
         "edges": sorted(fg.edges),
         "edge_count": len(fg.edges),
         "expected_for_linkage": flip.expected_edge_count(field.n, field.d),
     }
-    return out, True
+    if args.dot is None:
+        return out, True
+    return out, True, (flip.flip_graph_to_dot(field, fg), args.dot)
 
 
 def cmd_cells(args) -> tuple[dict, bool]:
@@ -375,11 +392,11 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        out, ok = args.handler(args)
+        out, ok, *files = args.handler(args)
         if args.seed is not None:
             out["seed"] = args.seed
         text = core.canonical_json(out)
-        _write(text, args.json)
+        _write([*files, (text, args.json)])
         if not ok:
             sys.stderr.write(text)
         return 0 if ok else 1

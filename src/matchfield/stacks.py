@@ -17,7 +17,9 @@ cohere (closure), since completion covectors mix adjacent layers.
 
 The combinatorial Stiefel map sends a graph to its transversal matroid,
 whose bases are the maximum-size left subsets matchable into the right
-side; for a tope this is the partition matroid of the neighbour sets.
+side; for a tope this is the partition matroid of the neighbour sets.  It
+and the compatible right submatching check work on row and edge bitmasks,
+building graphs only for a witness.
 """
 
 from __future__ import annotations
@@ -284,44 +286,52 @@ class TransversalMatroid:
         }
 
 
-def _has_perfect_left_matching(g: BipartiteGraph, J: Sequence[int]) -> bool:
-    """Augmenting-path search: can J be matched injectively into R?"""
-    match_r: dict[int, int] = {}
-
-    def augment(j, seen):
-        for i in g.left_neighbors(j):
-            if i in seen:
-                continue
-            seen.add(i)
-            if i not in match_r or augment(match_r[i], seen):
-                match_r[i] = j
-                return True
-        return False
-
-    return all(augment(j, set()) for j in J)
-
-
-# left subsets are tested one by one for a matching: 2^12 = 4,096 at n = 12
+# left subsets are tested one by one, each by an augmenting search over row
+# bitmasks: 2^12 = 4,096 at n = 12
 TRANSVERSAL_MAX_LEFT = 12
 
 
 def transversal_matroid(g: BipartiteGraph) -> TransversalMatroid:
     """Matroid on the left nodes whose independent sets are the matchable
-    subsets; bases are stored explicitly (desk scale).  Raises SizeCapError
+    subsets; the bases, stored explicitly (desk scale), are those of the
+    largest size from min(n, d) down that has one.  Raises SizeCapError
     beyond TRANSVERSAL_MAX_LEFT left nodes, before any work."""
     if g.n > TRANSVERSAL_MAX_LEFT:
         raise SizeCapError(f"transversal_matroid capped at n <= {TRANSVERSAL_MAX_LEFT}")
-    rank = 0
-    for size in range(min(g.n, g.d), -1, -1):
-        if any(
-            _has_perfect_left_matching(g, J) for J in core.subsets(g.n, size)
-        ):
-            rank = size
-            break
-    bases = frozenset(
-        J for J in core.subsets(g.n, rank) if _has_perfect_left_matching(g, J)
-    )
-    return TransversalMatroid(g.n, rank, bases)
+    full = (1 << g.d) - 1
+    rows = [g.mask >> j * g.d & full for j in range(g.n)]
+    for rank in range(min(g.n, g.d), -1, -1):
+        if bases := frozenset(J for J in core.subsets(g.n, rank) if _matchable(rows, J)):
+            return TransversalMatroid(g.n, rank, bases)
+
+
+def _matchable(rows: Sequence[int], J: Sequence[int]) -> bool:
+    """Whether the rows J match injectively into R: Hall's count on all of
+    J, then an augmenting search per row; `seen` holds the right bits tried
+    and owner the row matched to each right bit."""
+    neighbours = 0
+    for j in J:
+        neighbours |= rows[j - 1]
+    if neighbours.bit_count() < len(J):
+        return False
+    owner: dict[int, int] = {}
+    seen = 0
+
+    def augment(j: int) -> bool:
+        nonlocal seen
+        while free := rows[j] & ~seen:
+            low = free & -free
+            seen |= low
+            if low not in owner or augment(owner[low]):
+                owner[low] = j
+                return True
+        return False
+
+    for j in J:
+        seen = 0
+        if not augment(j - 1):
+            return False
+    return True
 
 
 def stiefel_image_of_field(field: fields.MatchingField) -> list[TransversalMatroid]:
@@ -347,48 +357,81 @@ def right_submatching_check(field: fields.MatchingField) -> SubmatchingReport:
     ranging over the |J|-subsets of I) must be a forest whose contained
     |J|-matchings are all compatible with the field.
 
-    The submatchings come from one table built from ``core.matching_masks``
-    of every field matching: (J mask, I' mask) -> edge mask, or None where
-    two field matchings differ; reaching such a key raises MatchfieldError.
-    Each distinct |J|-matching meets every field matching in one call of
-    ``core.incompatible_partners``; its lowest bit is a full rescan's witness.
+    One table holds every field matching's 2^d - 1 edge subsets, which for
+    a validated field are the matchings ``core.matching_masks`` finds in it:
+    J mask -> {I' mask: edge mask}, or None where two differ; reaching None
+    raises MatchfieldError.  A union-find decides each union, and only one that is
+    no forest goes to ``core.find_cycle``.  Each distinct |J|-matching of a
+    forest meets every field matching in one ``core.incompatible_partners``
+    call; its lowest bit, in mask table order, is a full rescan's witness.
     """
     n, d = field.n, field.d
-    all_matchings = [m for _, m in field.items()]
-    index = core.partner_index([core.tope_function(m.mask, n, d) for m in all_matchings], n, d)
-    submatchings: dict[tuple[int, int], Optional[int]] = {}
-    for m in all_matchings:
-        for key, sub in core.matching_masks(m).items():
-            if submatchings.setdefault(key, sub) != sub:
-                submatchings[key] = None
+    matchings = list(field.mask_table.values())
+    index = core.partner_index([core.tope_function(m, n, d) for m in matchings], n, d)
+    table: dict[int, dict[int, Optional[int]]] = {}
+    for m in matchings:
+        entries = [(0, 0, 0)]
+        for b in core._bits(m):
+            entries += [(J | 1 << b // d, I | 1 << b % d, e | 1 << b) for J, I, e in entries]
+        for J, I, e in entries[1:]:
+            row = table.setdefault(J, {})
+            if row.setdefault(I, e) != e:
+                row[I] = None
     passed: set[int] = set()
     for size in range(1, d):
+        rights = [
+            (I, [(I_sub, core.subset_mask(I_sub)) for I_sub in combinations(I, size)])
+            for I in core.subsets(d, size + 1)
+        ]
         for J in core.subsets(n, size):
-            J_mask = core.subset_mask(J)
-            for I in core.subsets(d, size + 1):
-                union_mask = 0
-                for I_sub in combinations(I, size):
-                    key = (J_mask, core.subset_mask(I_sub))
-                    if key not in submatchings:
-                        continue
-                    if submatchings[key] is None:
+            row = table.get(core.subset_mask(J), {})
+            for I, subs in rights:
+                union = 0
+                for I_sub, I_mask in subs:
+                    if (sub := row.get(I_mask, 0)) is None:
                         raise MatchfieldError(f"field matchings disagree on ({J}, {I_sub})")
-                    union_mask |= submatchings[key]
-                if not union_mask:
+                    union |= sub
+                if not union:
                     continue
-                union = BipartiteGraph.from_mask(n, d, union_mask)
-                cycle = core.find_cycle(union)
-                if cycle is not None:
+                if not _is_forest(union, n, d):
+                    cycle = core.find_cycle(BipartiteGraph.from_mask(n, d, union))
                     return SubmatchingReport(False, (J, I, "cycle", tuple(cycle)))
-                for (left, _), mask in core.matching_masks(union).items():
-                    if left.bit_count() != size or mask in passed:
+                for mask in _perfect_matchings(union, J, d):
+                    if mask in passed:
                         continue
                     if bad := core.incompatible_partners(core.tope_function(mask, n, d), index, d):
                         m = BipartiteGraph.from_mask(n, d, mask)
-                        other = all_matchings[(bad & -bad).bit_length() - 1]
-                        return SubmatchingReport(False, (J, I, "incompatible", (m, other)))
+                        other = matchings[(bad & -bad).bit_length() - 1]
+                        witness = (m, BipartiteGraph.from_mask(n, d, other))
+                        return SubmatchingReport(False, (J, I, "incompatible", witness))
                     passed.add(mask)
     return SubmatchingReport(True)
+
+
+def _is_forest(mask: int, n: int, d: int) -> bool:
+    """Whether an n x d edge mask is a forest, by a union-find over its
+    edge bits (lj is node j - 1, ri node n + i - 1)."""
+    parent = list(range(n + d))
+    for b in core._bits(mask):
+        x, y = b // d, n + b % d
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if x == y:
+            return False
+        parent[x] = y
+    return True
+
+
+def _perfect_matchings(mask: int, J: Sequence[int], d: int) -> list[int]:
+    """The matchings in an edge mask that cover J, row by row over J and
+    free right bits in increasing order: ``core.matching_masks`` order."""
+    level = [(0, 0)]
+    for shift in ((j - 1) * d for j in J):
+        row = mask >> shift & (1 << d) - 1
+        level = [(I | 1 << b, m | 1 << shift + b) for I, m in level for b in core._bits(row & ~I)]
+    return [m for _, m in level]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,10 @@ descriptions kept as test oracles.
   breadth-first search from rk over tagged ("L", j) / ("R", i) neighbour
   lists, the oracle for the row-mask walk of ``core.tree_tope`` behind
   ``core.contained_tope``.
+- The transversal matroid by an augmenting search over neighbour tuples
+  and sets, with the rank found first and the subsets of that size tested
+  again: the oracle for the row bitmask search of
+  ``stacks.transversal_matroid``.
 - Constructions that only theorem checks run: the increasing splitting of a
   tope field into a matching field and its inverse on one graph, the
   induced field on L minus lj, the exact cover of the flip graph by the
@@ -911,6 +915,40 @@ def linkage_tree_decomposition(field: fields.MatchingField) -> dict:
 def stiefel_image(graphs: Iterable[BipartiteGraph]) -> list[TransversalMatroid]:
     """Transversal matroid of every graph in the collection, in order."""
     return [transversal_matroid(g) for g in graphs]
+
+
+def _has_perfect_left_matching(g: BipartiteGraph, J: Sequence[int]) -> bool:
+    """Augmenting-path search: can J be matched injectively into R?"""
+    match_r: dict[int, int] = {}
+
+    def augment(j, seen):
+        for i in g.left_neighbors(j):
+            if i in seen:
+                continue
+            seen.add(i)
+            if i not in match_r or augment(match_r[i], seen):
+                match_r[i] = j
+                return True
+        return False
+
+    return all(augment(j, set()) for j in J)
+
+
+def transversal_matroid_by_augmenting(g: BipartiteGraph) -> TransversalMatroid:
+    """Oracle for ``stacks.transversal_matroid``: the rank found by testing
+    every subset from size min(n, d) down with an augmenting search over
+    neighbour tuples and sets, then every subset of that size again."""
+    rank = 0
+    for size in range(min(g.n, g.d), -1, -1):
+        if any(
+            _has_perfect_left_matching(g, J) for J in core.subsets(g.n, size)
+        ):
+            rank = size
+            break
+    bases = frozenset(
+        J for J in core.subsets(g.n, rank) if _has_perfect_left_matching(g, J)
+    )
+    return TransversalMatroid(g.n, rank, bases)
 
 
 def completion_linkage_check(stack: MatchingStack) -> tuple[bool, bool]:

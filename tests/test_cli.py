@@ -1143,6 +1143,28 @@ def test_unwritable_out_reports_the_open_error_exactly(tmp_path, where):
     assert (code, out, err) == (2, "", expected)
 
 
+@pytest.mark.parametrize("unwritable", ["--json", "--dot"])
+@pytest.mark.parametrize("before", ["fresh", "existing"])
+def test_an_unwritable_out_leaves_the_other_file_as_it_was(tmp_path, inputs, unwritable, before):
+    # both files are opened before either is written: the one that opened
+    # is left as it was, so a fresh path is left with no file at all
+    work = tmp_path / "work"
+    work.mkdir()
+    missing, other = work / "missing" / "out", work / "other"
+    if before == "existing":
+        other.write_bytes(b"old bytes")
+    paths = {"--json": other, "--dot": other, unwritable: missing}
+    expected = core.canonical_json({
+        "error": "FileNotFoundError",
+        "message": f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(missing)!r}",
+    })
+    argv = ["flipgraph", inputs["FIELD"], "--dot", str(paths["--dot"]), "--json", str(paths["--json"])]
+    assert run_quietly(argv) == (2, "", expected)
+    assert list(work.iterdir()) == ([other] if before == "existing" else [])
+    if before == "existing":
+        assert other.read_bytes() == b"old bytes"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["staircase", "--n", "2", "--d", "2", "--json", ""], ["flipgraph", "FIELD", "--dot", ""]],

@@ -59,6 +59,7 @@ from oracles import (
     reconstruct_triangulation_by_every_leaf,
     reconstruct_triangulation_on_tuples,
     sector_sweep_by_levels,
+    transversal_matroid_by_augmenting,
 )
 from test_fields import arrangement_by_amalgamation, outcome
 from test_flip import flip_graph_by_pairs
@@ -724,6 +725,14 @@ class TestNeighbourTrees:
 
 
 class TestMatroidInvariants:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 7), st.integers(1, 6), st.integers(0, (1 << 42) - 1),
+           st.integers(0, (1 << 42) - 1))
+    def test_row_bitmask_search_equals_the_augmenting_oracle(self, n, d, a, b):
+        # an edge in a quarter of the places: many graphs below full rank
+        g = BipartiteGraph.from_mask(n, d, a & b & (1 << n * d) - 1)
+        assert transversal_matroid(g) == transversal_matroid_by_augmenting(g)
+
     def test_basis_exchange_on_samples(self):
         stream = splitmix64(777)
         checked = 0

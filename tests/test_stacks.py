@@ -22,7 +22,7 @@ from matchfield import (
     transversal_matroid,
     validate_ensemble,
 )
-from matchfield import core, randgen
+from matchfield import core, fields, randgen
 from matchfield import stacks as stacks_mod
 from matchfield.stacks import (
     stack_from_json_dict,
@@ -40,6 +40,7 @@ from oracles import (
     stack_left_linkage,
     stack_right_linkage,
     stiefel_image,
+    transversal_matroid_by_augmenting,
     validate_ensemble_by_layer_fields,
 )
 
@@ -54,6 +55,30 @@ def random_stack(n, d, seed):
         rng.shuffle(rights)
         entries[(J, I)] = BipartiteGraph(n, d, list(zip(J, rights)))
     return MatchingStack(n, d, mask_table(entries))
+
+
+def agreeing_field(n, d, seed):
+    """A seeded matching field whose every d-subset takes the first of its
+    shuffled bijections whose submatchings agree with those of the subsets
+    before it, or the first one where none does; its mask table is in a
+    shuffled order."""
+    rng = random.Random(seed)
+    chosen, table = {}, {}
+    for sigma in core.subsets(n, d):
+        options = list(itertools.permutations(range(1, d + 1)))
+        rng.shuffle(options)
+        matchings = [graph(n, d, list(zip(sigma, rights))) for rights in options]
+        agrees = (
+            g for g in matchings
+            if all(chosen.get(key, sub) == sub for key, sub in core.matching_masks(g).items())
+        )
+        g = next(agrees, matchings[0])
+        for key, sub in core.matching_masks(g).items():
+            chosen.setdefault(key, sub)
+        table[core.subset_mask(sigma)] = g.mask
+    items = list(table.items())
+    rng.shuffle(items)
+    return fields.field_from_masks(n, d, core.all_ones(d), dict(items))
 
 
 def graph_entries(stack):
@@ -396,6 +421,23 @@ class TestMatroids:
         assert m.bases == expected
         assert check_basis_exchange(m)
 
+    @pytest.mark.parametrize(
+        "n, d, edges",
+        [
+            (12, 12, None),
+            (12, 64, None),
+            (12, 6, None),
+            (12, 12, [(j, 1) for j in range(1, 13)]),
+        ],
+        ids=["K12,12", "K12,64", "K12,6", "star-on-r1"],
+    )
+    def test_row_bitmask_search_at_the_cap_equals_the_augmenting_oracle(self, n, d, edges):
+        # complete graphs of full rank, a complete graph with all C(12, 6)
+        # subsets as bases, and a star whose rank search tests every subset
+        # of every size above 1
+        g = BipartiteGraph.from_mask(n, d, (1 << n * d) - 1) if edges is None else graph(n, d, edges)
+        assert transversal_matroid(g) == transversal_matroid_by_augmenting(g)
+
     def test_stiefel_image_of_field(self, field_42):
         matroids = stiefel_image_of_field(field_42)
         assert len(matroids) == 2  # thickness-3 types (2,1) and (1,2)
@@ -467,6 +509,27 @@ class TestRightSubmatching:
                 witnesses.add(expected[1][2])
         assert kinds == {"ok", "witness", "error"}
         assert witnesses == {"cycle", "incompatible"}
+
+    def test_agrees_with_the_rescan_oracle_on_agreeing_fields(self):
+        # fields whose matchings mostly agree on their submatchings reach
+        # every outcome: a pass, a cycle, an incompatible |J|-matching and a
+        # disagreement; the table order, which picks the witness partner,
+        # is shuffled
+        def outcome(check, field):
+            try:
+                report = check(field)
+            except MatchfieldError as exc:
+                return "error", str(exc)
+            return report.witness[2] if report.witness else "ok", repr(report)
+
+        kinds = set()
+        sizes = [(n, d) for n in range(2, 7) for d in range(2, 5) if d <= n]
+        for seed in range(600):
+            field = agreeing_field(*sizes[seed % len(sizes)], seed)
+            expected = outcome(right_submatching_check_by_rescan, field)
+            assert outcome(right_submatching_check, field) == expected
+            kinds.add(expected[0])
+        assert kinds == {"ok", "cycle", "incompatible", "error"}
 
     def test_accepting_field_makes_no_is_compatible_call(self, monkeypatch):
         calls = []
