@@ -153,8 +153,8 @@ def cmd_reconstruct_chow(args) -> tuple[dict, bool]:
 
 
 def cmd_validate_triangulation(args) -> tuple[dict, bool]:
-    n, d, trees = triang.trees_from_json_dict(_load(args.input))
-    report = triang.check_triangulation(trees, n, d)
+    n, d, masks = triang.trees_from_json_dict(_load(args.input))
+    report = triang.check_triangulation(masks, n, d)
     out = {"valid": report.ok, "violation": report.kind, "witness": repr(report.witness)}
     return out, report.ok
 
@@ -272,8 +272,8 @@ def cmd_roundtrip(args) -> tuple[dict, bool]:
         if rebuilt != t:  # t holds the axioms, so only a differing rebuild is certified
             triang._certified(rebuilt)
         diff = sorted(
-            str([list(e) for e in g.edges])
-            for g in t.trees.symmetric_difference(rebuilt.trees)
+            str(core.edge_list(t.n, t.d, m))
+            for m in set(t.masks).symmetric_difference(rebuilt.masks)
         )
     return {"kind": args.kind, "diff": diff, "match": not diff}, not diff
 

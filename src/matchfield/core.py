@@ -17,19 +17,20 @@ Note the criterion ignores edges present in both graphs.  The stronger,
 containment-based agreement check used for triangulation axioms and stacks
 is ``agreed_matchings``, one pass over a dict keyed by (J, I).
 
-The certificate kernels work on integer masks alone.  ``agreed_matchings``
-builds each distinct matching of all the graphs once, into one dict keyed by
-(J mask, I mask): a depth-first pass over the rows carries the bitset of the
-graphs that hold the partial matching, so the work is about the distinct
-matchings times d, not the sum of the matchings per graph, and a refusal
-costs about what an acceptance does.  ``right_perfect_matchings`` builds
-only the matchings that cover R, column by column; ``tree_tope`` walks a
-tree over its row masks, deciding spanning trees and linkage covectors and
-reading off the tope inside; ``sector_sweep`` is a breadth-first search over
-lattice points coded as integers, sum v_k * B^(dim-k) with every digit
-below B, so that a move is integer arithmetic and code order is tuple
-order.  ``incompatible_partners`` tests a partial map
-(``tope_function``) against all its partners in one closure over bitsets.
+The certificate kernels work on integer masks alone.  ``agreed_masks``, the
+pass behind ``agreed_matchings``, builds each distinct matching of all the
+edge masks once, into one dict keyed by (J mask, I mask): a depth-first pass
+over the rows carries the bitset of the masks that hold the partial
+matching, so the work is about the distinct matchings times d, not the sum
+of the matchings per graph, and a refusal costs about what an acceptance
+does.  ``right_perfect_matchings`` builds only the matchings that cover R,
+column by column; ``tree_tope`` walks a tree over its row masks, deciding
+spanning trees and linkage covectors and reading off the tope inside;
+``sector_sweep`` is a breadth-first search over lattice points coded as
+integers, sum v_k * B^(dim-k) with every digit below B, so that a move is
+integer arithmetic and code order is tuple order.  ``incompatible_partners``
+tests a partial map (``tope_function``) against all its partners in one
+closure over bitsets.
 
 Every keyed container is a mask table, {key: edge mask}: a field or a set
 of Chow covectors keyed by left-subset bitmasks, a tope arrangement or an
@@ -553,10 +554,23 @@ def agreed_matchings(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[t
     n, d = graphs[0].n, graphs[0].d
     if any((g.n, g.d) != (n, d) for g in graphs):
         raise MatchfieldError("agreement of graphs on differing sides")
-    holders = [0] * (n * d)  # bit t of holders[b]: graph t holds edge bit b
-    for t, g in enumerate(graphs):
-        for b in _bits(g.mask):
-            holders[b] |= 1 << t
+    agreed, clash = agreed_masks([g.mask for g in graphs], n, d)
+    if clash is None:
+        return agreed, None
+    a, b, J, I = clash
+    return agreed, (graphs[a], graphs[b], mask_subset(J), mask_subset(I))
+
+
+def agreed_masks(masks: Sequence[int], n: int, d: int) -> tuple[dict, Optional[tuple]]:
+    """``agreed_matchings`` of n x d edge masks, the first disagreement as
+    (index of g, index of h, J mask, I mask).  Only a refusal builds a graph:
+    the first holder's, whose ``matching_masks`` order names the key."""
+    holders = [0] * (n * d)  # bit t of holders[b]: mask t holds edge bit b
+    for t, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            holders[low.bit_length() - 1] |= 1 << t
+            mask ^= low
     rows = [(1 << j, [(1 << i, 1 << j * d + i, holders[j * d + i]) for i in range(d)])
             for j in range(n)]
     agreed: dict[tuple, int] = {}
@@ -573,11 +587,11 @@ def agreed_matchings(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[t
                         found.setdefault((J_t, I_t), [agreed[J_t, I_t]]).append(e)
                     search(t + 1, J_t, I_t, e, held)
 
-    search(0, 0, 0, 0, (1 << len(graphs)) - 1)
+    search(0, 0, 0, 0, (1 << len(masks)) - 1)
     clashes = set()  # (first holder, first graph to differ, key)
-    for key, masks in found.items():
+    for key, matchings in found.items():
         owners, later = {}, 0
-        for m in reversed(masks):
+        for m in reversed(matchings):
             held = functools.reduce(int.__and__, (holders[b] for b in _bits(m)))
             owners[m] = held & ~later
             later |= held
@@ -588,8 +602,8 @@ def agreed_matchings(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[t
     if not clashes:
         return agreed, None
     a, b, _ = min(clashes)
-    J, I = next(key for key in matching_masks(graphs[a]) if (a, b, key) in clashes)
-    return agreed, (graphs[a], graphs[b], mask_subset(J), mask_subset(I))
+    holder = BipartiteGraph.from_mask(n, d, masks[a])
+    return agreed, next((a, b, *key) for key in matching_masks(holder) if (a, b, key) in clashes)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +700,10 @@ def all_ones(dim: int) -> tuple[int, ...]:
 def encode_point(v: Sequence[int], base: int) -> int:
     """Code sum v_k * base^(dim-k) of a lattice point, the first coordinate
     most significant: for digits below base, code order is tuple order."""
-    return sum(c * base**k for k, c in enumerate(reversed(v)))
+    code = 0
+    for c in v:
+        code = code * base + c
+    return code
 
 
 def decode_point(x: int, dim: int, base: int) -> tuple[int, ...]:
@@ -701,12 +718,13 @@ def sector_sweep(members: set, i: int, seed: int, dim: int, base: int) -> set:
     an admitted one sits at v + e_i - e_k.  Empty if the seed is no member."""
     if seed not in members:
         return set()
+    unit = base ** (dim - i)
+    moves = [base**k - unit for k in range(dim) if k != dim - i]
     admitted, queue = {seed}, [seed]
-    unit, units = base ** (dim - i), [base**k for k in range(dim)]
     for x in queue:  # grows while it is read, first in first out
         if x // unit % base:  # v_i > 0
-            for e in units:  # e = unit gives x back, already admitted
-                w = x - unit + e
+            for move in moves:
+                w = x + move
                 if w in members and w not in admitted:
                     admitted.add(w)
                     queue.append(w)
@@ -718,19 +736,23 @@ def sectors(members: set, codes, top: int, j: int, error: type, dim: int, base: 
     sectors, one per right node i swept from the seed top * e_i
     (``sector_sweep``): {code: i}.  Raises ``error``, naming decoded points,
     when a seed is not among codes, a member is admitted to two sectors (the
-    least one of the first sector meeting an earlier one), or one is missed."""
+    least one of the first sector meeting an earlier one), or one is missed.
+    A seed that is no member sweeps nothing, so only its presence is
+    checked."""
     sector: dict = {}
     for i in range(1, dim + 1):
         seed = top * base ** (dim - i)
-        if seed not in codes:
-            raise error(f"no member with extreme rdv {decode_point(seed, dim, base)}")
+        if seed not in members:
+            if seed not in codes:
+                raise error(f"no member with extreme rdv {decode_point(seed, dim, base)}")
+            continue
         admitted = sector_sweep(members, i, seed, dim, base)
+        if not admitted.isdisjoint(sector):
+            twice = min(admitted & sector.keys())
+            raise error(f"rdv {decode_point(twice, dim, base)} admitted to two sectors of {j}")
         for x in admitted:
-            if x in sector:
-                twice = min(w for w in admitted if sector.get(w, i) != i)
-                raise error(f"rdv {decode_point(twice, dim, base)} admitted to two sectors of {j}")
             sector[x] = i
-    if sector.keys() != members:
+    if len(sector) != len(members):  # every admitted code is a member
         raise error(f"sectors do not cover all pairs through {j}")
     return sector
 
@@ -828,11 +850,6 @@ def edge_mask(n: int, d: int, edges) -> int:
     if off is not None:
         raise MatchfieldError(f"edge ({off[0]}, {off[1]}) out of range for ({n}, {d})")
     return mask
-
-
-def read_graph(n: int, d: int, edges) -> BipartiteGraph:
-    """A graph from its JSON edge list, read by ``edge_mask``."""
-    return BipartiteGraph.from_mask(n, d, edge_mask(n, d, edges))
 
 
 @functools.lru_cache(maxsize=64)

@@ -2,26 +2,34 @@
 
 A triangulation of Delta_{n-1} x Delta_{d-1} is encoded by its set of
 K = binom(n+d-2, n-1) full-dimensional cells, spanning trees on the bipartite
-node set.  By Postnikov (2009, Lemma 12.6), K distinct spanning trees are a
+node set.  A ``Triangulation`` holds the sorted tuple of their n x d edge
+masks (``masks``); its trees as graphs, ``trees`` and ``sorted_trees()``, are
+a view built on request.  The JSON reader reads each tree into its mask
+(``core.edge_mask``) and the writer writes it back (``core.edge_list``).
+
+By Postnikov (2009, Lemma 12.6), K distinct spanning trees are a
 triangulation exactly when any two containing perfect matchings on the same
 node sets agree there; the flip axiom then follows and is not checked.
-Agreement is checked by containment (not the symmetric-difference cycle
-criterion): a shared edge can sit on an alternating cycle that the
-orientation test cannot see.  It is one pass shared by all the trees,
-``core.agreed_matchings``: each distinct contained matching is built once,
-keyed by (J, I), with the bitset of the trees that hold it, so a
-triangulation costs about (C(n+d, n) - 1) * d steps.  The same pass builds
-the ensemble of ``stacks.stack_from_trees``.
+``check_triangulation`` takes the tree masks: spanning is the row walk of
+``core.tree_tope``, and agreement is checked by containment (not the
+symmetric-difference cycle criterion, since a shared edge can sit on an
+alternating cycle that the orientation test cannot see) in one pass shared
+by all the trees, ``core.agreed_masks``: each distinct contained matching
+is built once, keyed by (J, I), with the bitset of the trees that hold it,
+so a triangulation costs about (C(n+d, n) - 1) * d steps.  A graph is built
+only for the witness of a refusal.  The same pass builds the ensemble of
+``stacks.stack_from_trees``.
 
 The degree-pair map sends each tree to its left and right degree vectors,
-normalised by subtracting the all-ones vectors.  The pair set determines the
-triangulation; reconstruction codes each pair (u, v) as u * B^d + v, B =
-max(n, d) (``core.encode_point``), and rebuilds each tree along one chain of
-deletions: find the edge (lj, ri) of its first left leaf, a zero digit of u,
-from the sector of j that holds v (``core.sectors``), drop the digit,
-subtract B^(d-i) from v and go on without j; a transposed step swaps the
-halves of the code.  Each step is computed once for all trees that take it.
-The rebuilt trees must reproduce the pairs and satisfy the axioms.
+its row and column popcounts, normalised by subtracting the all-ones
+vectors.  The pair set determines the triangulation; reconstruction codes
+each pair (u, v) as u * B^d + v, B = max(n, d) (``core.encode_point``), and
+walks each tree's chain of deletions in one loop (``_tree``): find the edge
+(lj, ri) of its first left leaf, a zero digit of u, from the sector of j
+that holds v (``core.sectors``), OR its bit into the tree's mask, drop the
+digit, subtract B^(d-i) from v and go on without j; a transposed step swaps
+the halves of the code.  Each step is computed once for all trees that take
+it.  The rebuilt masks must reproduce the pairs and satisfy the axioms.
 """
 
 from __future__ import annotations
@@ -54,28 +62,32 @@ class TriangulationReport:
 
 
 class Triangulation:
-    """Validated set of spanning trees encoding the maximal cells."""
+    """Validated set of spanning trees encoding the maximal cells, held as
+    the sorted tuple of their distinct edge masks."""
 
-    def __init__(self, n: int, d: int, trees: Iterable[BipartiteGraph]):
+    def __init__(self, n: int, d: int, masks: Iterable[int]):
         self.n = n
         self.d = d
-        self.trees = frozenset(trees)
+        self.masks = tuple(sorted(set(masks)))
+
+    @property
+    def trees(self) -> frozenset:
+        return frozenset(self.sorted_trees())
 
     def sorted_trees(self) -> list[BipartiteGraph]:
-        return sorted(self.trees, key=lambda g: g.mask)
+        return [BipartiteGraph.from_mask(self.n, self.d, m) for m in self.masks]
 
     def __eq__(self, other):
         return (
             isinstance(other, Triangulation)
-            and (self.n, self.d) == (other.n, other.d)
-            and self.trees == other.trees
+            and (self.n, self.d, self.masks) == (other.n, other.d, other.masks)
         )
 
     def __hash__(self):
-        return hash((self.n, self.d, self.trees))
+        return hash((self.n, self.d, self.masks))
 
     def __repr__(self):
-        return f"<Triangulation ({self.n},{self.d}) with {len(self.trees)} trees>"
+        return f"<Triangulation ({self.n},{self.d}) with {len(self.masks)} trees>"
 
 
 def find_agreement_violation(trees: Sequence[BipartiteGraph]):
@@ -101,35 +113,40 @@ def find_flip_violation(trees: Sequence[BipartiteGraph]):
     return None
 
 
-def check_triangulation(
-    trees: Iterable[BipartiteGraph], n: int, d: int
-) -> TriangulationReport:
-    """Count, spanning and agreement, the first failure with a witness: by
-    Postnikov ("Permutohedra, associahedra, and beyond", Lemma 12.6) the
-    triangulations.  Trees T, T' disagree on some (J, I) exactly when
-    U(T, T'), T directed left to right and T' back, has a directed cycle of
-    length >= 4: an alternating cycle of the two matchings.  The flip axiom
-    follows: a tree minus a non-leaf edge is a facet on all nodes, so off the
-    boundary of the product, and an interior facet lies in two cells."""
-    trees = sorted(set(trees), key=lambda g: g.mask)
-    if len(trees) != tree_count(n, d):
-        return TriangulationReport(False, "count", (len(trees), tree_count(n, d)))
-    for g in trees:
-        if g.n != n or g.d != d or not core.is_spanning_tree(g):
-            return TriangulationReport(False, "spanning", (g,))
-    witness = find_agreement_violation(trees)
-    if witness is not None:
+def check_triangulation(masks: Iterable[int], n: int, d: int) -> TriangulationReport:
+    """Count, spanning and agreement of n x d tree masks, the first failure
+    with a witness: by Postnikov ("Permutohedra, associahedra, and beyond",
+    Lemma 12.6) the triangulations.  Trees T, T' disagree on some (J, I)
+    exactly when U(T, T'), T directed left to right and T' back, has a
+    directed cycle of length >= 4: an alternating cycle of the two
+    matchings.  The flip axiom follows: a tree minus a non-leaf edge is a
+    facet on all nodes, so off the boundary of the product, and an interior
+    facet lies in two cells.  Only a witness is built as graphs; a side over
+    MAX_SIDE raises SizeCapError before the trees are counted."""
+    masks = sorted(set(masks))
+    if min(n, d) >= 1:  # an empty side keeps its verdict
+        core._check_sides(n, d)  # before the binomial of tree_count
+    if len(masks) != tree_count(n, d):
+        return TriangulationReport(False, "count", (len(masks), tree_count(n, d)))
+    rows = range(1, n + 1)
+    for m in masks:
+        if core.tree_tope(m, rows, d, 1) is None:
+            return TriangulationReport(False, "spanning", (BipartiteGraph.from_mask(n, d, m),))
+    clash = core.agreed_masks(masks, n, d)[1]
+    if clash is not None:
+        a, b, J, I = clash
+        g, h = (BipartiteGraph.from_mask(n, d, masks[t]) for t in (a, b))
+        witness = (g, h, core.mask_subset(J), core.mask_subset(I))
         return TriangulationReport(False, "agreement", witness)
     return TriangulationReport(True)
 
 
-def validate_triangulation(
-    trees: Iterable[BipartiteGraph], n: int, d: int
-) -> Triangulation:
-    report = check_triangulation(trees, n, d)
+def validate_triangulation(masks: Iterable[int], n: int, d: int) -> Triangulation:
+    masks = list(masks)
+    report = check_triangulation(masks, n, d)
     if not report.ok:
         raise MatchfieldError(f"not a triangulation: {report.kind} {report.witness}")
-    return Triangulation(n, d, trees)
+    return Triangulation(n, d, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +164,7 @@ def extract_field(t: Triangulation) -> fields.MatchingField:
     """
     if t.n < t.d:
         raise MatchfieldError("extraction needs n >= d; transpose first")
-    field = fields.field_from_graphs(t.sorted_trees(), t.n, t.d)
+    field = fields._collect_matchings(t.masks, t.n, t.d)
     fields.require_linkage(field)
     return field
 
@@ -156,17 +173,21 @@ def extract_field(t: Triangulation) -> fields.MatchingField:
 # the degree-pair map
 
 
-def tree_degree_pair(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Normalised (left, right) degree pair of a spanning tree."""
-    left, right = core.degree_vectors(g)
-    return tuple(x - 1 for x in left), tuple(x - 1 for x in right)
+def degree_pair(mask: int, n: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Normalised (left, right) degree pair of an n x d tree mask: its row
+    and column popcounts less one."""
+    row, column = (1 << d) - 1, core.column_mask(n, d)
+    return (
+        tuple([(mask >> j * d & row).bit_count() - 1 for j in range(n)]),
+        tuple([(mask >> i & column).bit_count() - 1 for i in range(d)]),
+    )
 
 
 def phi(t: Triangulation) -> frozenset:
     """Degree pairs of all trees; both projections biject onto their lattice
     point sets."""
-    pairs = frozenset(tree_degree_pair(g) for g in t.trees)
-    if len(pairs) != len(t.trees):
+    pairs = frozenset(degree_pair(m, t.n, t.d) for m in t.masks)
+    if len(pairs) != len(t.masks):
         raise MatchfieldError("degree pairs are not distinct")
     _check_pair_shape(pairs, t.n, t.d)
     return pairs
@@ -191,16 +212,15 @@ def _rebuild(pairs: Iterable, n: int, d: int) -> Triangulation:
     base = max(n, d)
     codes = frozenset(core.encode_point(u + v, base) for u, v in pairs)
     left, right, memo = tuple(range(1, n + 1)), tuple(range(1, d + 1)), {}
-    out = [BipartiteGraph(n, d, _tree(x, codes, left, right, base, memo)) for x in sorted(codes)]
-    t = Triangulation(n, d, out)
-    if frozenset(tree_degree_pair(g) for g in t.trees) != pairs:
+    t = Triangulation(n, d, [_tree(x, codes, left, right, base, memo) for x in sorted(codes)])
+    if frozenset(degree_pair(m, n, d) for m in t.masks) != pairs:
         raise InconsistentPairsError("reconstruction does not reproduce the pairs")
     return t
 
 
 def _certified(t: Triangulation) -> Triangulation:
     """The rebuilt trees, once they satisfy the axioms themselves."""
-    report = check_triangulation(t.trees, t.n, t.d)
+    report = check_triangulation(t.masks, t.n, t.d)
     if not report.ok:
         raise InconsistentPairsError(f"rebuilt trees violate the {report.kind} axiom")
     return t
@@ -220,39 +240,49 @@ def _check_pair_shape(pairs, n, d):
 
 
 def _tree(code, codes, left_labels, right_labels, base, memo):
-    """Edges, in original labels, of the tree at the pair `code` among the
-    coded normalised degree pairs `codes` over the given label tuples.
+    """The edge mask, on the grid of the given label tuples, of the tree at
+    the pair `code` among the coded normalised degree pairs `codes` over
+    those labels.
 
     With n >= d the tree's first left leaf lj (u_j = 0) exists, since
     sum(u) = d - 1 < n.  Its edge is (lj, ri) for the sector of j that holds
     v, and the rest of the tree is the tree at the deleted pair of the facet
-    without lj.  memo holds each deletion step, shared by the trees that take
-    it, and each transposed pair set.
+    without lj; with n < d the sides swap.  One loop walks this chain,
+    ORing each edge's bit into the mask in the original orientation, down
+    to one node on a side, which joins every node of the other.  memo holds
+    each deletion step, shared by the trees that take it, and each
+    transposed pair set.
     """
+    # bit (j - 1) * jw + (i - 1) * iw of the edge (lj, ri) in the labels of
+    # the step, the weights swapping with the sides
+    jw, iw, mask = len(right_labels), 1, 0
     n, d = len(left_labels), len(right_labels)
-    if n == 1:
-        return tuple((left_labels[0], i) for i in right_labels)
-    if d == 1:
-        return tuple((j, right_labels[0]) for j in left_labels)
-    if n < d:  # with the sides swapped, the pair u * B^d + v is v * B^n + u
-        key, low, high = (left_labels, right_labels, codes), base**d, base**n
-        if key not in memo:
-            memo[key] = frozenset(x % low * high + x // low for x in codes)
-        code = code % low * high + code // low
-        sub = _tree(code, memo[key], right_labels, left_labels, base, memo)
-        return tuple((j, i) for i, j in sub)
-    u, unit, pos = code // base**d, base ** (n - 1), 0
-    while u // unit % base:  # the first zero digit of u, most significant first
-        unit //= base
-        pos += 1
-    key = (left_labels, right_labels, codes, pos)
-    if key not in memo:
-        memo[key] = _deletion(codes, pos, n, d, left_labels[pos], base)
-    down, facet = memo[key]
-    i, sub_code = down[code]
-    sub_left = left_labels[:pos] + left_labels[pos + 1 :]
-    sub = _tree(sub_code, facet, sub_left, right_labels, base, memo)
-    return sub + ((left_labels[pos], right_labels[i - 1]),)
+    while n > 1 and d > 1:
+        if n < d:  # with the sides swapped, the pair u * B^d + v is v * B^n + u
+            key, low, high = (left_labels, right_labels, codes), base**d, base**n
+            if key not in memo:
+                memo[key] = frozenset(x % low * high + x // low for x in codes)
+            code, codes = code % low * high + code // low, memo[key]
+            left_labels, right_labels, n, d = right_labels, left_labels, d, n
+            jw, iw = iw, jw
+            continue
+        u, unit, pos = code // base**d, base ** (n - 1), 0
+        while u // unit % base:  # the first zero digit of u, most significant first
+            unit //= base
+            pos += 1
+        key = (left_labels, right_labels, codes, pos)
+        step = memo.get(key)
+        if step is None:
+            step = memo[key] = _deletion(codes, pos, n, d, left_labels[pos], base)
+        down, codes = step
+        i, code = down[code]
+        mask |= 1 << (left_labels[pos] - 1) * jw + (right_labels[i - 1] - 1) * iw
+        left_labels = left_labels[:pos] + left_labels[pos + 1 :]
+        n -= 1
+    for j in left_labels:
+        for i in right_labels:
+            mask |= 1 << (j - 1) * jw + (i - 1) * iw
+    return mask
 
 
 def _deletion(codes, pos, n, d, j, base):
@@ -281,7 +311,8 @@ def _deletion(codes, pos, n, d, j, base):
 # generators
 
 
-# a (10, 10) staircase has 48,620 trees and takes about 3 s to build and print
+# a (10, 10) staircase has 48,620 trees; the CLI builds and prints it in
+# about 1.5 s (2-core x86-64, Python 3.11)
 STAIRCASE_MAX_TREES = 10**5
 
 
@@ -312,18 +343,18 @@ def staircase_triangulation(
         range(1, d + 1)
     ):
         raise MatchfieldError("orders must be permutations")
-    trees = []
+    bits = [[1 << (j - 1) * d + i - 1 for i in right_order] for j in left_order]
+    masks = []
     for rises in combinations(range(1, n + d - 1), d - 1):
-        row, col = 0, 0
-        cells = [(left_order[0], right_order[0])]
+        row, col, mask = 0, 0, bits[0][0]
         for step in range(1, n + d - 1):
             if step in rises:
                 col += 1
             else:
                 row += 1
-            cells.append((left_order[row], right_order[col]))
-        trees.append(BipartiteGraph(n, d, cells))
-    return Triangulation(n, d, trees)
+            mask |= bits[row][col]
+        masks.append(mask)
+    return Triangulation(n, d, masks)
 
 
 def count_bound(n: int, d: int) -> int:
@@ -344,6 +375,7 @@ def enumerate_triangulations(n: int, d: int) -> list[Triangulation]:
     """
     if min(n, d) < 1:
         raise MatchfieldError(f"enumerate_triangulations ({n}, {d}) needs a node on each side")
+    core._check_sides(n, d)  # before the binomial of tree_count
     K = tree_count(n, d)
     if K > 6:
         raise SizeCapError(f"enumerate_triangulations capped at K <= 6, got K = {K}")
@@ -369,7 +401,7 @@ def enumerate_triangulations(n: int, d: int) -> list[Triangulation]:
 
     def extend(idx, chosen, used_ldv):
         if idx == len(rdvs):
-            found.append(Triangulation(n, d, chosen))
+            found.append(Triangulation(n, d, [g.mask for g in chosen]))
             return
         for g in sorted(classes[rdvs[idx]], key=lambda x: x.mask):
             ldv = g.left_degrees()
@@ -379,7 +411,7 @@ def enumerate_triangulations(n: int, d: int) -> list[Triangulation]:
                 extend(idx + 1, chosen + [g], used_ldv | {ldv})
 
     extend(0, [], frozenset())
-    found.sort(key=lambda t: sorted(g.mask for g in t.trees))
+    found.sort(key=lambda t: t.masks)
     return found
 
 
@@ -393,8 +425,8 @@ def extended_tope_arrangement(t: Triangulation) -> fields.ExtendedTopeArrangemen
     A cell is the OR of one edge bit from each row of its tree's mask."""
     n, d, row = t.n, t.d, (1 << t.d) - 1
     table: dict = {}
-    for g in t.sorted_trees():
-        rows = ([1 << b for b in core._bits(g.mask & row << j * d)] for j in range(n))
+    for mask in t.masks:
+        rows = ([1 << b for b in core._bits(mask & row << j * d)] for j in range(n))
         for cell in map(sum, product(*rows)):
             rdv = core.right_degrees(cell, n, d)
             if table.setdefault(rdv, cell) != cell:
@@ -408,14 +440,15 @@ def extended_tope_arrangement(t: Triangulation) -> fields.ExtendedTopeArrangemen
 
 def triangulation_to_json_dict(t: Triangulation) -> dict:
     n, d = t.n, t.d
-    return {"n": n, "d": d, "trees": [core.edge_list(n, d, g.mask) for g in t.sorted_trees()]}
+    return {"n": n, "d": d, "trees": [core.edge_list(n, d, m) for m in t.masks]}
 
 
-def trees_from_json_dict(data: dict) -> tuple[int, int, list[BipartiteGraph]]:
-    """n, d and the trees of a triangulation object.  Raises ValueError when
-    a value has the wrong JSON shape; the trees are not validated."""
+def trees_from_json_dict(data: dict) -> tuple[int, int, list[int]]:
+    """n, d and the tree masks of a triangulation object (``core.edge_mask``).
+    Raises ValueError when a value has the wrong JSON shape; the trees are
+    not validated."""
     n, d = core.read_sides(data)
-    return n, d, [core.read_graph(n, d, t) for t in core._json_list(data["trees"], "trees")]
+    return n, d, [core.edge_mask(n, d, t) for t in core._json_list(data["trees"], "trees")]
 
 
 def triangulation_from_json_dict(data: dict) -> Triangulation:

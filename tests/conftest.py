@@ -35,8 +35,9 @@ def graph_to_json_dict(g):
 def graph_from_json_dict(data):
     """A graph read with the strict checks of the table reader."""
     from matchfield import core
+    from oracles import read_graph
 
-    return core.read_graph(*core.read_sides(data), data["edges"])
+    return read_graph(*core.read_sides(data), data["edges"])
 
 
 def matching_from_word(n, d, word):

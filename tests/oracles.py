@@ -51,8 +51,11 @@ descriptions kept as test oracles.
   ensemble check built on them: the oracles for the one edge-count table of
   ``stacks.validate_ensemble``.  Right linkage layer by layer with the sides
   swapped, the oracle for left linkage of the transposed stack.
-- The triangulation axioms with the flip pass after agreement, the oracle
-  for ``triang.check_triangulation``, which stops after agreement.
+- The triangulation axioms on graphs with the flip pass after agreement,
+  the oracle for ``triang.check_triangulation``, which takes tree masks and
+  stops after agreement.  The graph reader of a JSON edge list and the
+  degree pair of a tree through its degree vectors: the oracles for the
+  masks of ``triang.trees_from_json_dict`` and ``triang.degree_pair``.
 - Contained matchings as edge tuples in the preorder of the lexicographic
   edge list, and the containment agreement pass over them: the oracles for
   ``core.matching_masks`` and ``core.agreed_matchings``.  Each graph's
@@ -136,7 +139,6 @@ from matchfield.triang import (
     find_agreement_violation,
     find_flip_violation,
     tree_count,
-    tree_degree_pair,
 )
 
 
@@ -230,6 +232,19 @@ def is_spanning_tree_by_cycles(g: BipartiteGraph) -> bool:
     """Connected and acyclic on all n + d nodes: an acyclic graph with
     n + d - 1 edges has exactly one component."""
     return len(g) == g.n + g.d - 1 and is_forest(g)
+
+
+def read_graph(n: int, d: int, edges) -> BipartiteGraph:
+    """A graph from its JSON edge list, read by ``core.edge_mask``: the
+    graph route of the triangulation reader, which keeps the masks."""
+    return BipartiteGraph.from_mask(n, d, core.edge_mask(n, d, edges))
+
+
+def tree_degree_pair(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Normalised (left, right) degree pair of a spanning tree through its
+    degree vectors: the oracle for the popcounts of ``triang.degree_pair``."""
+    left, right = degree_vectors(g)
+    return tuple(x - 1 for x in left), tuple(x - 1 for x in right)
 
 
 def classify(g: BipartiteGraph) -> GraphClass:
@@ -683,7 +698,7 @@ def reconstruct_triangulation_by_every_leaf(pairs: Iterable, n: int, d: int):
     pairs = frozenset((tuple(u), tuple(v)) for u, v in pairs)
     _check_pair_shape(pairs, n, d)
     trees = reconstruct_by_every_leaf(pairs, tuple(range(1, n + 1)), tuple(range(1, d + 1)), {})
-    t = Triangulation(n, d, [BipartiteGraph(n, d, edges) for edges in trees.values()])
+    t = Triangulation(n, d, [BipartiteGraph(n, d, edges).mask for edges in trees.values()])
     if frozenset(tree_degree_pair(g) for g in t.trees) != pairs:
         raise InconsistentPairsError("reconstruction does not reproduce the pairs")
     if not check_triangulation_with_flip(t.trees, n, d).ok:
@@ -808,11 +823,12 @@ def reconstruct_triangulation_on_tuples(pairs: Iterable, n: int, d: int, memo=No
     left, right = tuple(range(1, n + 1)), tuple(range(1, d + 1))
     memo = {} if memo is None else memo
     t = Triangulation(n, d, [
-        BipartiteGraph(n, d, tuple_tree(pair, pairs, left, right, memo)) for pair in sorted(pairs)
+        BipartiteGraph(n, d, tuple_tree(pair, pairs, left, right, memo)).mask
+        for pair in sorted(pairs)
     ])
     if frozenset(tree_degree_pair(g) for g in t.trees) != pairs:
         raise InconsistentPairsError("reconstruction does not reproduce the pairs")
-    report = check_triangulation(t.trees, n, d)
+    report = check_triangulation(t.masks, n, d)
     if not report.ok:
         raise InconsistentPairsError(f"rebuilt trees violate the {report.kind} axiom")
     return t

@@ -147,7 +147,7 @@ def test_differing_rebuild_reaches_the_certificate(capsys, monkeypatch, tmp_path
     (a, b) = enumerate_triangulations(2, 2)
     path = tmp_path / "t.json"
     path.write_text(core.canonical_json(triangulation_to_json_dict(a)))
-    mixed = Triangulation(2, 2, [a.sorted_trees()[0], b.sorted_trees()[0]])
+    mixed = Triangulation(2, 2, [a.masks[0], b.masks[0]])
     for rebuilt, code in [(mixed, 1), (b, 1), (a, 0)]:
         monkeypatch.setattr(triang, "_rebuild", lambda pairs, n, d: rebuilt)
         calls = count_certificates(monkeypatch)
@@ -508,8 +508,14 @@ HUGE = 3_000_000
             "InconsistentPhiError",
             "phi keys must be the (n-d+1)-subsets",
         ),
+        (
+            ["validate-triangulation"],
+            {"n": HUGE, "d": HUGE, "trees": []},
+            "SizeCapError",
+            f"node counts ({HUGE}, {HUGE}) outside [0, 64]",
+        ),
     ],
-    ids=["extended", "pairs", "phi"],
+    ids=["extended", "pairs", "phi", "trees"],
 )
 def test_huge_sides_are_refused_at_once(capsys, tmp_path, command, data, error, message):
     # the lattice-point and tree counts of these sides are binomials with
@@ -765,6 +771,21 @@ def test_staircase_with_an_empty_side_is_refused(capsys, command, routine, n, d)
     assert json.loads(captured.err) == {
         "error": "MatchfieldError",
         "message": f"{routine} ({n}, {d}) needs a node on each side",
+    }
+
+
+@pytest.mark.parametrize("side", ["99999999999999999999", "100000", "1000000"])
+def test_enumeration_over_the_side_cap_is_refused_at_once(capsys, side):
+    # the sides are capped before the binomial of the tree count, which
+    # would overflow, print more than 4300 digits or run for minutes
+    start = time.perf_counter()
+    assert run(["enumerate-triangulations", "--n", side, "--d", side]) == 1
+    assert time.perf_counter() - start < 0.05
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "SizeCapError",
+        "message": f"node counts ({side}, {side}) outside [0, 64]",
     }
 
 

@@ -30,11 +30,13 @@ from matchfield.randgen import random_weight_matrix, seeded_coherent_field, spli
 from matchfield.stacks import transversal_matroid
 from matchfield.triang import (
     check_triangulation,
+    degree_pair,
     enumerate_triangulations,
     find_agreement_violation,
     find_flip_violation,
     staircase_triangulation,
     tree_count,
+    trees_from_json_dict,
 )
 
 from conftest import (
@@ -48,6 +50,7 @@ from conftest import (
 from oracles import (
     agreed_matchings_per_graph,
     check_basis_exchange,
+    check_triangulation_with_flip,
     chow_by_intersection,
     column_functions,
     contained_tope_by_search,
@@ -55,11 +58,13 @@ from oracles import (
     is_forest,
     is_simplex_lattice_by_listing,
     is_spanning_tree_by_cycles,
+    read_graph,
     reconstruct_chow_on_tuples,
     reconstruct_triangulation_by_every_leaf,
     reconstruct_triangulation_on_tuples,
     sector_sweep_by_levels,
     transversal_matroid_by_augmenting,
+    tree_degree_pair,
 )
 from test_fields import arrangement_by_amalgamation, outcome
 from test_flip import flip_graph_by_pairs
@@ -309,7 +314,7 @@ class TestDegreePairReconstruction:
                 reconstruct_triangulation_by_every_leaf(pairs, n, d)
             return
         assert phi(t) == pairs
-        assert check_triangulation(t.sorted_trees(), n, d).ok
+        assert check_triangulation(t.masks, n, d).ok
         assert reconstruct_triangulation_by_every_leaf(pairs, n, d) == t
 
 
@@ -438,6 +443,65 @@ class TestCodedReconstructions:
             return isinstance(got, tuple) and any(text in got[1] for text in deep)
 
         find(strategy, refused_deep, settings=settings(database=None, derandomize=True))
+
+
+@st.composite
+def mutated_tree_sets(draw):
+    """n, d and the trees of a relabelled staircase up to (6,5) or (5,6) in
+    a drawn order, with one tree kept, replaced by a spanning tree of a
+    random edge order or by as many edges in a random order, dropped, or
+    replaced by a copy of another tree."""
+    t = draw(relabelled_staircases())
+    n, d, trees = t.n, t.d, t.sorted_trees()
+    every = [(j, i) for j in range(1, n + 1) for i in range(1, d + 1)]
+    pos = draw(st.integers(0, len(trees) - 1))
+    change = draw(st.sampled_from(["keep", "spanning", "edges", "drop", "copy"]))
+    if change == "spanning":
+        trees[pos] = spanning_tree_of_order(n, d, draw(st.permutations(every)))
+    elif change == "edges":
+        trees[pos] = graph(n, d, draw(st.permutations(every))[: n + d - 1])
+    elif change == "drop":
+        del trees[pos]
+    elif change == "copy":
+        trees[pos] = trees[draw(st.integers(0, len(trees) - 1))]
+    return n, d, draw(st.permutations(trees))
+
+
+class TestTriangulationMaskRoutes:
+    """The triangulation layer on edge masks against the graph routes of
+    ``tests/oracles.py``: the same reader, degree pairs, report kind and
+    witness repr, and rebuild."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_tree_sets())
+    @example((2, 2, [graph(2, 2, [(1, 1), (2, 1), (2, 2)]), graph(2, 2, [(1, 2), (2, 1), (2, 2)])]))
+    def test_reader_pairs_and_report(self, case):
+        n, d, trees = case
+        data = {"n": n, "d": d, "trees": [list(map(list, g.edges)) for g in trees]}
+        masks = trees_from_json_dict(data)[2]
+        assert masks == [read_graph(n, d, edges).mask for edges in data["trees"]]
+        assert [degree_pair(m, n, d) for m in masks] == list(map(tree_degree_pair, trees))
+        report, expected = check_triangulation(masks, n, d), check_triangulation_with_flip(trees, n, d)
+        assert report == expected and repr(report.witness) == repr(expected.witness)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mutated_tree_sets())
+    def test_rebuild_of_the_pairs(self, case):
+        # the pair set of the trees, a triangulation's or not, is rebuilt or
+        # refused by both routes alike
+        n, d, trees = case
+        pairs = {tree_degree_pair(g) for g in trees}
+        assert route_outcome(reconstruct_triangulation, pairs, n, d) == route_outcome(
+            reconstruct_triangulation_on_tuples, pairs, n, d
+        )
+
+    @pytest.mark.parametrize("kind", [None, "count", "spanning", "agreement"])
+    def test_the_strategy_reaches_every_report_kind(self, kind):
+        def reported(case):
+            n, d, trees = case
+            return check_triangulation([g.mask for g in trees], n, d).kind == kind
+
+        find(mutated_tree_sets(), reported, settings=settings(database=None, derandomize=True))
 
 
 @functools.lru_cache(maxsize=None)

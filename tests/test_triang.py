@@ -256,7 +256,7 @@ SQUARE_TREES = [
 class TestValidation:
     def test_square(self):
         trees = [graph(2, 2, t) for t in SQUARE_TREES]
-        t = validate_triangulation(trees, 2, 2)
+        t = validate_triangulation([g.mask for g in trees], 2, 2)
         assert len(t.trees) == 2
 
     def test_agreement_violation(self):
@@ -264,18 +264,18 @@ class TestValidation:
             graph(2, 2, SQUARE_TREES[0]),
             graph(2, 2, [(1, 2), (2, 1), (2, 2)]),
         ]
-        report = check_triangulation(trees, 2, 2)
+        report = check_triangulation([g.mask for g in trees], 2, 2)
         assert not report.ok and report.kind == "agreement"
         assert report.witness[2] == (1, 2) and report.witness[3] == (1, 2)
 
     def test_count_violation(self, trees_63):
-        report = check_triangulation(trees_63, 6, 3)
+        report = check_triangulation([g.mask for g in trees_63], 6, 3)
         assert not report.ok and report.kind == "count"
         assert report.witness == (6, 21)
 
     def test_spanning_violation(self):
         trees = [graph(2, 2, SQUARE_TREES[0]), graph(2, 2, [(1, 1), (1, 2)])]
-        report = check_triangulation(trees, 2, 2)
+        report = check_triangulation([g.mask for g in trees], 2, 2)
         assert not report.ok and report.kind == "spanning"
 
     def test_flip_violation_detected(self):
@@ -322,7 +322,7 @@ class TestFlipFollowsFromAgreement:
                 cases.append((n, d, trees[1:] + [cut]))
         kinds = set()
         for n, d, trees in cases:
-            report = check_triangulation(trees, n, d)
+            report = check_triangulation([g.mask for g in trees], n, d)
             assert report == check_triangulation_with_flip(trees, n, d)
             kinds.add(report.kind)
         assert kinds == {None, "count", "spanning", "agreement"}
@@ -380,7 +380,7 @@ class TestKeyedAxioms:
         # by the shared pass alone
         t = staircase_triangulation(8, 8, (3, 7, 1, 8, 5, 2, 6, 4), (6, 2, 8, 4, 1, 7, 3, 5))
         assert len(t.trees) == tree_count(8, 8) == 3432
-        assert check_triangulation(t.trees, 8, 8) == TriangulationReport(True)
+        assert check_triangulation(t.masks, 8, 8) == TriangulationReport(True)
         assert len(agreed_matchings(t.sorted_trees())[0]) == 12869
 
     def test_65_staircase_with_a_foreign_tree_is_refused_with_the_oracle_witness(self, monkeypatch):
@@ -392,7 +392,7 @@ class TestKeyedAxioms:
         trees = t.sorted_trees()
         trees[rng.randrange(len(trees))] = foreign
         listings = spy_on_matching_masks(monkeypatch)
-        report = check_triangulation(trees, 6, 5)
+        report = check_triangulation([g.mask for g in trees], 6, 5)
         # a refusal lists the matchings of one tree, the witness's first
         assert listings == [report.witness[0]]
         witness = agreed_matchings_per_graph(sorted(trees, key=lambda g: g.mask))[1]
@@ -408,7 +408,7 @@ class TestKeyedAxioms:
         held = set(trees)
         trees[0] = next(g for g in swapped if g not in held)
         listings = spy_on_matching_masks(monkeypatch)
-        report = check_triangulation(trees, 8, 8)
+        report = check_triangulation([g.mask for g in trees], 8, 8)
         first = graph(8, 8, [(1, i) for i in range(1, 9)] + [(2, 1)] + [(j, 8) for j in range(3, 9)])
         second = graph(8, 8, [(1, i) for i in range(1, 8)] + [(2, 7), (2, 8)] + [(j, 8) for j in range(3, 9)])
         assert report == TriangulationReport(False, "agreement", (first, second, (1, 2), (1, 7)))
@@ -448,7 +448,7 @@ class TestKeyedAxioms:
 
 class TestExtraction:
     def test_square(self):
-        t = validate_triangulation([graph(2, 2, t) for t in SQUARE_TREES], 2, 2)
+        t = validate_triangulation([graph(2, 2, t).mask for t in SQUARE_TREES], 2, 2)
         field = extract_field(t)
         assert field.matching((1, 2)).edges == ((1, 1), (2, 2))
 
@@ -480,7 +480,7 @@ class TestExtraction:
 
 class TestPhi:
     def test_square(self):
-        t = validate_triangulation([graph(2, 2, tr) for tr in SQUARE_TREES], 2, 2)
+        t = validate_triangulation([graph(2, 2, tr).mask for tr in SQUARE_TREES], 2, 2)
         assert phi(t) == {((0, 1), (1, 0)), ((1, 0), (0, 1))}
 
     def test_staircase_23_identity_display(self):
@@ -727,7 +727,7 @@ class TestGenerators:
     def test_staircase_valid(self):
         for n, d in [(2, 3), (3, 3), (4, 2), (2, 5)]:
             t = staircase_triangulation(n, d)
-            assert check_triangulation(t.sorted_trees(), n, d).ok
+            assert check_triangulation(t.masks, n, d).ok
 
     def test_bad_order(self):
         with pytest.raises(MatchfieldError):
