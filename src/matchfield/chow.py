@@ -21,13 +21,16 @@ covectors containing the edge (lj, ri) form a *combinatorial sector*, swept
 from the pair at the top level (v_i = n-d+1): a pair joins when an admitted
 pair sits at rdv v + e_i - e_k.  The d sectors of j partition the covectors
 through j (``core.sectors``, shared with the triangulations), and each ORs
-its edge at lj into the mask of its rho.  The certificate rebuilds the
-field, checks that it is linkage and that its covector table equals the
-rebuilt one, mask for mask.  ``roundtrip --kind chow`` certifies only a
-rebuild that differs from the table of its validated linkage input, as an
-equal one is what the certificate would confirm.  The tests keep the
-paper's induction on deleting lj, and the covectors as intersections of
-maximal topes and as minimal transversals, as oracles.
+its edge at lj into the mask of its rho.  The shape of phi is checked once:
+by ``reconstruct_chow_from_phi`` (``PhiMap.validate_bijective``), or in
+``roundtrip`` by the ``ChowCollection`` it is read off; so every seed is a
+value and the sweep tests none.  The certificate rebuilds the field,
+checks that it is linkage and that its covector table equals the rebuilt
+one, mask for mask.  ``roundtrip --kind chow`` certifies only a rebuild
+that differs from the table of its validated linkage input, as an equal one
+is what the certificate would confirm.  The tests keep the paper's
+induction on deleting lj, and the covectors as intersections of maximal
+topes and as minimal transversals, as oracles.
 """
 
 from __future__ import annotations
@@ -205,20 +208,21 @@ def reconstruct_chow_from_phi(phi: PhiMap, n: int, d: int) -> ChowCollection:
     checking that it is linkage and that its covectors are the rebuilt
     ones, mask for mask.
     """
+    if (phi.n, phi.d) != (n, d):
+        raise MatchfieldError("phi dimensions disagree")
+    phi.validate_bijective()
     return _certified(_rebuild(phi, n, d))
 
 
 def _rebuild(phi: PhiMap, n: int, d: int) -> ChowCollection:
-    """The covectors of the sector sweeps, once they reproduce phi."""
-    if (phi.n, phi.d) != (n, d):
-        raise MatchfieldError("phi dimensions disagree")
-    phi.validate_bijective()
+    """The covectors of the sector sweeps of a bijective phi, once they
+    reproduce phi."""
     base = n - d + 2  # above every coordinate
     by_code = {core.encode_point(v, base): core.subset_mask(rho) for rho, v in phi.mapping.items()}
     table = dict.fromkeys(by_code.values(), 0)
     for j in range(n):
         members = {x for x, rho in by_code.items() if rho >> j & 1}
-        sector = core.sectors(members, by_code, n - d + 1, j + 1, InconsistentPhiError, d, base)
+        sector = core.sectors(members, n - d + 1, j + 1, InconsistentPhiError, d, base)
         for x, i in sector.items():
             table[by_code[x]] |= 1 << (j * d + i - 1)
     try:

@@ -256,7 +256,7 @@ def cmd_right_submatching_check(args) -> tuple[dict, bool]:
 def cmd_roundtrip(args) -> tuple[dict, bool]:
     if args.kind == "chow":
         field = _load_matching_field(args.input)
-        cc = chow.chow_collection(field)
+        cc = chow.chow_collection(field)  # validates the bijection that phi reads off
         rebuilt = chow._rebuild(cc.phi(), field.n, field.d)
         if rebuilt != cc:  # cc is the input's, so only a differing rebuild is certified
             chow._certified(rebuilt)
@@ -268,7 +268,7 @@ def cmd_roundtrip(args) -> tuple[dict, bool]:
         )
     else:
         t = triang.triangulation_from_json_dict(_load(args.input))
-        rebuilt = triang._rebuild(triang.phi(t), t.n, t.d)
+        rebuilt = triang._rebuild(triang.phi(t), t.n, t.d)  # phi checks the pairs' shape
         if rebuilt != t:  # t holds the axioms, so only a differing rebuild is certified
             triang._certified(rebuilt)
         diff = sorted(

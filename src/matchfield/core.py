@@ -28,7 +28,9 @@ column by column; ``tree_tope`` walks a tree over its row masks, deciding
 spanning trees and linkage covectors and reading off the tope inside;
 ``sector_sweep`` is a breadth-first search over lattice points coded as
 integers, sum v_k * B^(dim-k) with every digit below B, so that a move is
-integer arithmetic and code order is tuple order.  ``incompatible_partners``
+integer arithmetic and code order is tuple order; ``sectors`` tests no seed
+for presence, since each caller's entry point checks that its codes biject
+onto the lattice points.  ``incompatible_partners``
 tests a partial map (``tope_function``) against all its partners in one
 closure over bitsets.
 
@@ -135,21 +137,9 @@ class BipartiteGraph:
         if self.n != other.n or self.d != other.d:
             raise MatchfieldError("graphs live on different node sets")
 
-    def union(self, other: "BipartiteGraph") -> "BipartiteGraph":
-        self._same_sides(other)
-        return BipartiteGraph.from_mask(self.n, self.d, self.mask | other.mask)
-
-    def intersection(self, other: "BipartiteGraph") -> "BipartiteGraph":
-        self._same_sides(other)
-        return BipartiteGraph.from_mask(self.n, self.d, self.mask & other.mask)
-
     def difference(self, other: "BipartiteGraph") -> "BipartiteGraph":
         self._same_sides(other)
         return BipartiteGraph.from_mask(self.n, self.d, self.mask & ~other.mask)
-
-    def is_subgraph(self, other: "BipartiteGraph") -> bool:
-        self._same_sides(other)
-        return self.mask & ~other.mask == 0
 
     def left_degrees(self) -> tuple[int, ...]:
         row = (1 << self.d) - 1
@@ -731,22 +721,17 @@ def sector_sweep(members: set, i: int, seed: int, dim: int, base: int) -> set:
     return admitted
 
 
-def sectors(members: set, codes, top: int, j: int, error: type, dim: int, base: int) -> dict:
+def sectors(members: set, top: int, j: int, error: type, dim: int, base: int) -> dict:
     """Partition the member rdv codes of left node j into its combinatorial
     sectors, one per right node i swept from the seed top * e_i
     (``sector_sweep``): {code: i}.  Raises ``error``, naming decoded points,
-    when a seed is not among codes, a member is admitted to two sectors (the
-    least one of the first sector meeting an earlier one), or one is missed.
-    A seed that is no member sweeps nothing, so only its presence is
-    checked."""
+    when a member is admitted to two sectors (the least one of the first
+    sector meeting an earlier one) or one is missed.  A seed that is no
+    member sweeps nothing; every seed is a code of the caller's level,
+    whose codes biject onto the lattice points."""
     sector: dict = {}
     for i in range(1, dim + 1):
-        seed = top * base ** (dim - i)
-        if seed not in members:
-            if seed not in codes:
-                raise error(f"no member with extreme rdv {decode_point(seed, dim, base)}")
-            continue
-        admitted = sector_sweep(members, i, seed, dim, base)
+        admitted = sector_sweep(members, i, top * base ** (dim - i), dim, base)
         if not admitted.isdisjoint(sector):
             twice = min(admitted & sector.keys())
             raise error(f"rdv {decode_point(twice, dim, base)} admitted to two sectors of {j}")

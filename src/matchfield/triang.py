@@ -29,7 +29,12 @@ walks each tree's chain of deletions in one loop (``_tree``): find the edge
 that holds v (``core.sectors``), OR its bit into the tree's mask, drop the
 digit, subtract B^(d-i) from v and go on without j; a transposed step swaps
 the halves of the code.  Each step is computed once for all trees that take
-it.  The rebuilt masks must reproduce the pairs and satisfy the axioms.
+it.  The shape of the pairs, K of them with both projections bijective
+onto lattice points, is checked once: by ``reconstruct_triangulation``, or
+by ``phi`` in ``roundtrip``.  Each deletion keeps it, so no sweep lacks its
+seed (``_deletion``).  Each step adds a leaf lj (u_j = 0) on the ri whose
+v_i it lowers, and the base star carries the pair left, so each tree
+carries its own pair and none is recounted; the masks must pass the axioms.
 """
 
 from __future__ import annotations
@@ -52,6 +57,14 @@ from .errors import (
 def tree_count(n: int, d: int) -> int:
     """Number of full-dimensional cells in any triangulation."""
     return comb(n + d - 2, n - 1)
+
+
+def _check_sides(n: int, d: int, what: str) -> None:
+    """Refuse an empty side by name with MatchfieldError, then a side over
+    MAX_SIDE with SizeCapError, before any binomial of tree_count."""
+    if min(n, d) < 1:
+        raise MatchfieldError(f"{what} ({n}, {d}) needs a node on each side")
+    core._check_sides(n, d)
 
 
 @dataclass(frozen=True)
@@ -121,11 +134,10 @@ def check_triangulation(masks: Iterable[int], n: int, d: int) -> TriangulationRe
     directed cycle of length >= 4: an alternating cycle of the two
     matchings.  The flip axiom follows: a tree minus a non-leaf edge is a
     facet on all nodes, so off the boundary of the product, and an interior
-    facet lies in two cells.  Only a witness is built as graphs; a side over
-    MAX_SIDE raises SizeCapError before the trees are counted."""
+    facet lies in two cells.  Only a witness is built as graphs; the sides
+    are refused (``_check_sides``) before the trees are counted."""
     masks = sorted(set(masks))
-    if min(n, d) >= 1:  # an empty side keeps its verdict
-        core._check_sides(n, d)  # before the binomial of tree_count
+    _check_sides(n, d, "triangulation")
     if len(masks) != tree_count(n, d):
         return TriangulationReport(False, "count", (len(masks), tree_count(n, d)))
     rows = range(1, n + 1)
@@ -199,23 +211,20 @@ def phi(t: Triangulation) -> frozenset:
 
 def reconstruct_triangulation(pairs: Iterable, n: int, d: int) -> Triangulation:
     """Rebuild the unique triangulation with the given normalised degree
-    pairs.  Raises InconsistentPairsError if none exists: the rebuilt trees
-    must reproduce the pairs and satisfy the axioms, so that every accepted
-    input is a triangulation's pair set and every other one is refused."""
+    pairs.  Raises InconsistentPairsError if none exists: the pairs must have
+    the shape of a pair set and the rebuilt trees satisfy the axioms, so that
+    every accepted input is a triangulation's pair set."""
+    pairs = frozenset((tuple(u), tuple(v)) for u, v in pairs)
+    _check_pair_shape(pairs, n, d)
     return _certified(_rebuild(pairs, n, d))
 
 
-def _rebuild(pairs: Iterable, n: int, d: int) -> Triangulation:
-    """The trees of the deletion chains, once they reproduce the pairs."""
-    pairs = frozenset((tuple(u), tuple(v)) for u, v in pairs)
-    _check_pair_shape(pairs, n, d)
+def _rebuild(pairs: frozenset, n: int, d: int) -> Triangulation:
+    """The trees of the deletion chains of a pair set of checked shape."""
     base = max(n, d)
     codes = frozenset(core.encode_point(u + v, base) for u, v in pairs)
     left, right, memo = tuple(range(1, n + 1)), tuple(range(1, d + 1)), {}
-    t = Triangulation(n, d, [_tree(x, codes, left, right, base, memo) for x in sorted(codes)])
-    if frozenset(degree_pair(m, n, d) for m in t.masks) != pairs:
-        raise InconsistentPairsError("reconstruction does not reproduce the pairs")
-    return t
+    return Triangulation(n, d, [_tree(x, codes, left, right, base, memo) for x in sorted(codes)])
 
 
 def _certified(t: Triangulation) -> Triangulation:
@@ -289,13 +298,15 @@ def _deletion(codes, pos, n, d, j, base):
     """Delete left node j at position pos from the trees having it as a leaf:
     ({code: (i, facet code)}, facet codes), where ri is j's neighbour.
 
-    Both projections of the facet pairs stay injective: the lefts lose a
-    common zero, and members v in sector i and v - e_i + e_k in sector k,
-    which would meet, are refused as one member admitted to two sectors."""
+    Both projections of the facet pairs stay bijective: the lefts lose a
+    common zero; the rights, one per left with a zero at pos and so as many
+    as the points of (n-2) * Delta_{d-1}, are nonnegative (no negative
+    degree) and injective (members v in sector i and v - e_i + e_k in sector
+    k, which would meet, are one member admitted to two sectors).  So every
+    seed (n-1) * e_i of ``core.sectors`` is an rdv of the level."""
     low, digit = base**d, base ** (n - 1 - pos)
     members = [x for x in codes if not x // (low * digit) % base]
-    rdvs, member_rdvs = {x % low for x in codes}, {x % low for x in members}
-    sector = core.sectors(member_rdvs, rdvs, n - 1, j, InconsistentPairsError, d, base)
+    sector = core.sectors({x % low for x in members}, n - 1, j, InconsistentPairsError, d, base)
     down = {}
     for x in members:
         u, v = divmod(x, low)
@@ -329,9 +340,7 @@ def staircase_triangulation(
     Raises MatchfieldError on an empty side, and SizeCapError beyond
     MAX_SIDE nodes a side or STAIRCASE_MAX_TREES trees, before any tree is
     built."""
-    if min(n, d) < 1:
-        raise MatchfieldError(f"staircase ({n}, {d}) needs a node on each side")
-    core._check_sides(n, d)
+    _check_sides(n, d, "staircase")
     if tree_count(n, d) > STAIRCASE_MAX_TREES:
         raise SizeCapError(
             f"staircase ({n}, {d}) has {tree_count(n, d)} trees, "
@@ -373,9 +382,7 @@ def enumerate_triangulations(n: int, d: int) -> list[Triangulation]:
     class, every pair passing the clash test of ``core.agreed_matchings``.
     Raises MatchfieldError on an empty side, like staircase_triangulation.
     """
-    if min(n, d) < 1:
-        raise MatchfieldError(f"enumerate_triangulations ({n}, {d}) needs a node on each side")
-    core._check_sides(n, d)  # before the binomial of tree_count
+    _check_sides(n, d, "enumerate_triangulations")
     K = tree_count(n, d)
     if K > 6:
         raise SizeCapError(f"enumerate_triangulations capped at K <= 6, got K = {K}")
@@ -383,9 +390,7 @@ def enumerate_triangulations(n: int, d: int) -> list[Triangulation]:
     classes: dict[tuple, list[BipartiteGraph]] = {}
     for g in trees:
         classes.setdefault(g.right_degrees(), []).append(g)
-    rdvs = sorted(classes)
-    if len(rdvs) != K:
-        raise MatchfieldError("unexpected degree class count")
+    rdvs = sorted(classes)  # the positive vectors of sum n + d - 1, K of them
     maps = {g: core.matching_masks(g) for g in trees}
 
     found: list[Triangulation] = []
@@ -445,9 +450,11 @@ def triangulation_to_json_dict(t: Triangulation) -> dict:
 
 def trees_from_json_dict(data: dict) -> tuple[int, int, list[int]]:
     """n, d and the tree masks of a triangulation object (``core.edge_mask``).
-    Raises ValueError when a value has the wrong JSON shape; the trees are
-    not validated."""
+    Raises ValueError when a value has the wrong JSON shape, or an empty
+    side before any tree is read; the trees are not validated."""
     n, d = core.read_sides(data)
+    if min(n, d) < 1:
+        _check_sides(n, d, "triangulation")
     return n, d, [core.edge_mask(n, d, t) for t in core._json_list(data["trees"], "trees")]
 
 

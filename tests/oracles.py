@@ -277,15 +277,16 @@ def chow_by_intersection(
     n, d = ta.n, ta.d
     if len(v) != d or sum(v) != n - d + 1 or any(x < 0 for x in v):
         raise MatchfieldError(f"{v} is not a lattice point of {n - d + 1}Δ_{d - 1}")
-    current: Optional[BipartiteGraph] = None
+    mask: Optional[int] = None
     for i in range(1, d + 1):
         if v[i - 1] == 0:
             continue
         # tope rdv v + 1_{[d] minus i} is keyed by the lattice point v - e_i
         point = tuple(x - (1 if t == i else 0) for t, x in enumerate(v, start=1))
-        tope = ta.tope(point)
-        current = tope if current is None else current.intersection(tope)
-    assert current is not None  # sum v = n - d + 1 >= 1 forces a positive entry
+        tope = ta.tope(point).mask
+        mask = tope if mask is None else mask & tope
+    assert mask is not None  # sum v = n - d + 1 >= 1 forces a positive entry
+    current = BipartiteGraph.from_mask(n, d, mask)
     drop = []
     for i in range(1, d + 1):
         if v[i - 1] == 0:
@@ -476,9 +477,10 @@ def cell_to_tope(field: fields.MatchingField, vertices: Iterable) -> BipartiteGr
     """Union of the matchings of a cell's vertex set, verified to be a product
     skeleton via the neighbour-choice coordinatisation."""
     verts = sorted(tuple(sorted(s)) for s in vertices)
-    union = BipartiteGraph.from_mask(field.n, field.d, 0)
+    mask = 0
     for sigma in verts:
-        union = union.union(field.matching(sigma))
+        mask |= field.matching(sigma).mask
+    union = BipartiteGraph.from_mask(field.n, field.d, mask)
     left, right = degree_vectors(union)
     if any(deg > 1 for deg in left) or any(deg < 1 for deg in right):
         raise NotAProductSkeletonError("union of the matchings is not a tope")
@@ -1063,9 +1065,10 @@ def is_linkage_by_cycles(field: fields.TopeField) -> fields.LinkageReport:
     n, d, k = field.n, field.d, field.thickness
     failures = []
     for tau in core.subsets(n, k + 1) if k < n else ():
-        union = BipartiteGraph.from_mask(n, d, 0)
+        mask = 0
         for drop in tau:
-            union = union.union(field.tope(tuple(x for x in tau if x != drop)))
+            mask |= field.tope(tuple(x for x in tau if x != drop)).mask
+        union = BipartiteGraph.from_mask(n, d, mask)
         cycle = core.find_cycle(union)
         if cycle:
             failures.append(fields.CovectorResult(tau, union, tuple(cycle)))
@@ -1325,15 +1328,15 @@ def right_submatching_check_by_rescan(
     for size in range(1, cap + 1):
         for J in core.subsets(n, size):
             for I in core.subsets(d, size + 1):
-                union = BipartiteGraph.from_mask(n, d, 0)
-                pieces = {}
+                mask, pieces = 0, {}
                 for I_sub in combinations(I, size):
                     sub = _field_submatching(field, J, I_sub)
                     if sub is not None:
                         pieces[I_sub] = sub
-                        union = union.union(sub)
+                        mask |= sub.mask
                 if not pieces:
                     continue
+                union = BipartiteGraph.from_mask(n, d, mask)
                 cycle = core.find_cycle(union)
                 if cycle is not None:
                     return SubmatchingReport(False, (J, I, "cycle", tuple(cycle)))

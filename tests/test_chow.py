@@ -315,7 +315,7 @@ class TestFieldFromChow:
     def test_union_gives_tope(self, field_42):
         cc = chow_collection(field_42)
         by_rdv = cc.by_rdv()
-        union = by_rdv[(2, 1)].union(by_rdv[(1, 2)])
+        union = BipartiteGraph.from_mask(4, 2, by_rdv[(2, 1)].mask | by_rdv[(1, 2)].mask)
         assert set(union.edges) == {(1, 1), (4, 1), (2, 2), (3, 2)}
 
     def test_round_trip(self, field_42, field_53, field_63):

@@ -163,6 +163,68 @@ def test_differing_rebuild_reaches_the_certificate(capsys, monkeypatch, tmp_path
             assert json.loads(out)["match"] is (rebuilt == a)
 
 
+def count_shape_checks(monkeypatch):
+    """A list that grows by the name of every shape check of a reconstruction
+    input: of a pair set, of a phi map, or of the Chow collection a round
+    trip reads its phi map off."""
+    calls = []
+    pairs, bijective, collection = (
+        triang._check_pair_shape, PhiMap.validate_bijective, chow.chow_collection)
+    monkeypatch.setattr(triang, "_check_pair_shape", lambda *a: calls.append("pairs") or pairs(*a))
+    monkeypatch.setattr(PhiMap, "validate_bijective", lambda p: calls.append("phi") or bijective(p))
+    monkeypatch.setattr(chow, "chow_collection", lambda f: calls.append("collection") or collection(f))
+    return calls
+
+
+def test_each_reconstruction_checks_its_input_shape_once(capsys, monkeypatch, tmp_path):
+    t = staircase_triangulation(4, 3, (2, 4, 1, 3), (3, 1, 2))
+    field = triang.extract_field(t)
+    data = {
+        "t.json": triangulation_to_json_dict(t),
+        "pairs.json": pairs_to_json_dict(phi(t), 4, 3),
+        "field.json": field_to_json_dict(field),
+        "phi.json": phi_to_json_dict(chow_collection(field).phi()),
+    }
+    for name, value in data.items():
+        (tmp_path / name).write_text(core.canonical_json(value))
+    for argv, expected in [
+        (["reconstruct-triangulation", "pairs.json"], ["pairs"]),
+        (["roundtrip", "--kind", "triangulation", "t.json"], ["pairs"]),
+        (["reconstruct-chow", "--phi", "phi.json"], ["phi"]),
+        (["roundtrip", "--kind", "chow", "field.json"], ["collection"]),
+    ]:
+        calls = count_shape_checks(monkeypatch)
+        argv[-1] = str(tmp_path / argv[-1])
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert calls == expected, argv
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"n": 2, "d": 0, "trees": []}, {"n": 0, "d": 3, "trees": []}, {"n": 1, "d": 0, "trees": [[]]}],
+    ids=["d0", "n0", "d0-one-tree"],
+)
+@pytest.mark.parametrize("command", [
+    ["validate-triangulation"],
+    ["extract"],
+    ["phi-triangulation"],
+    ["roundtrip", "--kind", "triangulation"],
+], ids=lambda c: c[0])
+def test_empty_side_triangulation_is_refused_by_name(capsys, tmp_path, command, data):
+    # an empty side holds no edge; the reader refuses it by name before it
+    # reads a tree, and check_triangulation before it counts them
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(data))
+    assert run(command + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "MatchfieldError",
+        "message": f"triangulation ({data['n']}, {data['d']}) needs a node on each side",
+    }
+
+
 def count_chow_certificates(monkeypatch):
     """A list that grows by one for every Chow certificate, counted at its
     first step, the field rebuilt from the covectors."""

@@ -96,7 +96,7 @@ class TestCompatibility:
         ok, witness = is_compatible(g1, g2)
         assert not ok
         assert witness.left == (1, 2) and witness.right == (1, 2)
-        assert witness.first.is_subgraph(g1) and witness.second.is_subgraph(g2)
+        assert witness.first.mask & ~g1.mask == 0 and witness.second.mask & ~g2.mask == 0
 
     def test_compatible_field_pair(self, field_43):
         ok, _ = is_compatible(field_43.matching((1, 2, 3)), field_43.matching((1, 2, 4)))
@@ -168,7 +168,7 @@ class TestContainedTope:
         tree = graph(4, 2, self.TREE)
         for k in (1, 2):
             tope = contained_tope(tree, k)
-            assert tope.is_subgraph(tree)
+            assert tope.mask & ~tree.mask == 0
             assert classify(tope).kind == "tope"
 
     def test_walk_reads_the_searched_tope_off_every_spanning_tree(self):
@@ -287,9 +287,8 @@ class TestSectors:
         assert str(info.value) == "rdv (0, 0, 2) admitted to two sectors of 5"
         for base in (3, 4, 7):
             codes = {core.encode_point(v, base) for v in members}
-            every = codes | {core.encode_point((2, 0, 0), base)}
             with pytest.raises(MatchfieldError) as coded:
-                core.sectors(codes, every, 2, 5, MatchfieldError, 3, base)
+                core.sectors(codes, 2, 5, MatchfieldError, 3, base)
             assert str(coded.value) == str(info.value)
 
 
@@ -324,8 +323,8 @@ class TestGraphBasics:
     def test_set_ops(self):
         a = graph(2, 2, [(1, 1), (2, 2)])
         b = graph(2, 2, [(2, 2), (2, 1)])
-        assert a.union(b).edges == ((1, 1), (2, 1), (2, 2))
-        assert a.intersection(b).edges == ((2, 2),)
+        assert BipartiteGraph.from_mask(2, 2, a.mask | b.mask).edges == ((1, 1), (2, 1), (2, 2))
+        assert BipartiteGraph.from_mask(2, 2, a.mask & b.mask).edges == ((2, 2),)
         assert a.difference(b).edges == ((1, 1),)
 
     def test_json_round_trip(self):

@@ -314,7 +314,7 @@ class TestLinkage:
         res = linkage_covector(field_43, (1, 2, 3, 4))
         assert not res.ok and res.cycle is not None
         cycle_graph = graph(4, 3, res.cycle)
-        assert cycle_graph.is_subgraph(res.graph)
+        assert cycle_graph.mask & ~res.graph.mask == 0
 
     def test_wrong_tau_size(self, field_43):
         with pytest.raises(MatchfieldError):

@@ -2,7 +2,7 @@
 necessary conditions, generators, enumeration."""
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -69,7 +69,7 @@ def flip_violation_by_scan(trees):
             if left[j - 1] == 1 or right[i - 1] == 1:
                 continue
             reduced = g.difference(graph(g.n, g.d, [(j, i)]))
-            if not any(h != g and reduced.is_subgraph(h) for h in trees):
+            if not any(h != g and reduced.mask & ~h.mask == 0 for h in trees):
                 return (g, (j, i))
     return None
 
@@ -272,6 +272,15 @@ class TestValidation:
         report = check_triangulation([g.mask for g in trees_63], 6, 3)
         assert not report.ok and report.kind == "count"
         assert report.witness == (6, 21)
+
+    @pytest.mark.parametrize("n,d", [(2, 0), (0, 3), (1, 0), (-1, 3), (0, 0)])
+    def test_empty_side_is_refused_by_name(self, n, d):
+        # as staircase_triangulation and enumerate_triangulations refuse it
+        for masks in ([], [0]):
+            with pytest.raises(MatchfieldError) as info:
+                check_triangulation(masks, n, d)
+            assert type(info.value) is MatchfieldError
+            assert str(info.value) == f"triangulation ({n}, {d}) needs a node on each side"
 
     def test_spanning_violation(self):
         trees = [graph(2, 2, SQUARE_TREES[0]), graph(2, 2, [(1, 1), (1, 2)])]
@@ -750,6 +759,27 @@ class TestGenerators:
     def test_enumeration_cap(self):
         with pytest.raises(SizeCapError):
             enumerate_triangulations(4, 4)
+
+    def test_degree_classes_at_every_admitted_size(self):
+        # the right degree vectors of the spanning trees of K_{n,d} are all
+        # the positive vectors of sum n + d - 1, K of them, and each
+        # triangulation takes one tree of each class
+        admitted = []
+        for n in range(1, core.MAX_SIDE + 1):
+            for d in range(1, core.MAX_SIDE + 1):
+                try:
+                    found = enumerate_triangulations(n, d)
+                except SizeCapError:
+                    continue
+                classes = {g.right_degrees() for g in core.all_spanning_trees(n, d)}
+                positive = {v for v in product(range(1, n + 1), repeat=d) if sum(v) == n + d - 1}
+                assert classes == positive and len(classes) == tree_count(n, d)
+                for t in found:
+                    assert sorted(core.right_degrees(m, n, d) for m in t.masks) == sorted(classes)
+                admitted.append((n, d))
+        # (1, d) and (d, 1) up to the 24 edges of all_spanning_trees, and
+        # the ten sizes with K from 2 to 6
+        assert len(admitted) == 24 + 23 + 10
 
 
 class TestExtendedArrangement:
