@@ -252,10 +252,18 @@ def collection_to_json_dict(cc: ChowCollection) -> dict:
 
 
 def phi_to_json_dict(phi: PhiMap) -> dict:
-    return {"n": phi.n, "d": phi.d, "phi": {core.subset_key(r): list(v) for r, v in phi.items()}}
+    """The phi object, each key looked up in ``core.subset_codec``."""
+    k = len(next(iter(phi.mapping), ()))
+    keys = {rho: key for key, _, rho in core.subset_codec(phi.n, k, len(phi.mapping))}
+    table = {keys[r] if r in keys else core.subset_key(r): list(v) for r, v in phi.items()}
+    return {"n": phi.n, "d": phi.d, "phi": table}
 
 
 def phi_from_json_dict(data: dict) -> PhiMap:
+    """The phi map of a phi object, each key looked up in ``core.key_codec``,
+    else read by ``core.parse_subset_key``, which names a refused key."""
     n, d, table = core.read_object(data, "phi")
-    vectors = {core.parse_subset_key(k): core._int_tuple(v, "a vector") for k, v in table.items()}
+    rhos = {key: rho for key, _, rho in core.key_codec(n, table)}
+    vectors = {rhos[k] if k in rhos else core.parse_subset_key(k): core._int_tuple(v, "a vector")
+               for k, v in table.items()}
     return PhiMap(n, d, vectors)

@@ -41,10 +41,16 @@ Its graphs, such as ``graph_table``, are a view built only for a caller that
 asks for them.  ``read_masks`` reads every JSON table of keys and edge lists
 straight into one, each edge list into its mask in one loop (``edge_mask``),
 and ``write_masks`` writes one back through a table from bit to [j, i] per
-(n, d).  Every JSON format is read strictly: a value of the wrong shape, a
-subset key that is not its subset's one spelling or a point key that is not
-its point's one spelling raises ValueError.  Graphs, triangulations and
-degree pairs are read with the same checks.
+(n, d).  Subset keys cross that boundary through one codec per call,
+``subset_codec``: every k-subset of [n] as (key, bitmask, subset) in colex
+order, built for a table only when it has no more entries than the table,
+k taken from the table's first key.  Readers and writers look keys up in
+it; a key it lacks goes to the per-key parser (``read_subset_key``, or
+``parse_subset_key`` for phi), which refuses it by name or reads a subset
+of another size.  Every JSON format is read strictly: a value of the wrong
+shape, a subset key that is not its subset's one spelling or a point key
+that is not its point's one spelling raises ValueError.  Graphs,
+triangulations and degree pairs are read with the same checks.
 """
 
 from __future__ import annotations
@@ -63,8 +69,12 @@ MAX_SIDE = 64
 
 
 def _check_sides(n: int, d: int) -> None:
-    # n = 0 is allowed for the degenerate stacks that complete to n = d fields
+    """MatchfieldError naming an empty right side or a negative left one,
+    then SizeCapError for a side over MAX_SIDE.  n = 0 is allowed for the
+    degenerate stacks that complete to n = d fields."""
     if not (0 <= n <= MAX_SIDE and 1 <= d <= MAX_SIDE):
+        if n < 0 or d < 1:
+            raise MatchfieldError(f"node counts ({n}, {d}) need n >= 0 and d >= 1")
         raise SizeCapError(f"node counts ({n}, {d}) outside [0, {MAX_SIDE}]")
 
 
@@ -798,6 +808,33 @@ def subset_key(subset: Iterable[int]) -> str:
     return ",".join(str(x) for x in subset)
 
 
+def subset_codec(n: int, k: int, size: int) -> list[tuple[str, int, tuple[int, ...]]]:
+    """Every k-subset of [n] once, as (key, bitmask, subset), in ``subsets``
+    order, which is colex, that is, increasing bitmask; empty unless
+    0 <= k <= n <= MAX_SIDE and C(n, k) <= size, the entries of the table
+    whose keys it serves, so it never costs more than the table does.  The
+    t-subsets whose largest member is m are the first C(m - 1, t - 1)
+    (t - 1)-subsets, each extended by m; level t keeps the largest members
+    that level k can still extend."""
+    if not (0 <= k <= n <= MAX_SIDE and comb(n, k) <= size):
+        return []
+    level = [("", 0, ())]
+    for t in range(1, k + 1):
+        grown, sep = [], "," if t > 1 else ""
+        for m in range(t, n - k + t + 1):
+            tail, bit, last = sep + str(m), 1 << (m - 1), (m,)
+            grown += [(key + tail, mask | bit, subset + last)
+                      for key, mask, subset in level[:comb(m - 1, t - 1)]]
+        level = grown
+    return level
+
+
+def key_codec(n: int, table: dict) -> list[tuple[str, int, tuple[int, ...]]]:
+    """``subset_codec`` for the string keys of a JSON table: k is the member
+    count its first key spells, and the table's size is the guard."""
+    return subset_codec(n, next(iter(table), "").count(",") + 1, len(table))
+
+
 def _json_list(value, what: str, length: Optional[int] = None) -> list:
     if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
         size = "a list" if length is None else f"a list of length {length}"
@@ -870,18 +907,23 @@ def read_object(data: dict, name: str) -> tuple[int, int, dict]:
 def read_masks(data: dict, name: str, parse_key=None) -> tuple[int, int, dict]:
     """n, d and the table data[name] of keys and edge lists as a mask table:
     each entry's key read by parse_key, by default as a left subset of [n]
-    (``read_subset_key``), then its edge list by ``edge_mask``.  Raises
-    ValueError on a value of the wrong JSON shape or a key parse_key
-    refuses; nothing else is validated."""
+    (looked up in ``key_codec``, else ``read_subset_key``), then its edge
+    list by ``edge_mask``.  Raises ValueError on a value of the wrong JSON
+    shape or a key parse_key refuses; nothing else is validated."""
     n, d, table = read_object(data, name)
-    parse_key = parse_key or (lambda key: read_subset_key(key, n))
+    if parse_key is None:
+        masks = {key: mask for key, mask, _ in key_codec(n, table)}
+        parse_key = lambda key: masks[key] if key in masks else read_subset_key(key, n)
     return n, d, {parse_key(k): edge_mask(n, d, v) for k, v in table.items()}
 
 
 def write_masks(n: int, d: int, name: str, table: dict, key=None) -> dict:
     """The object read_masks reads, each key written by key(k), by default
-    as the left subset of its bitmask."""
-    key = key or (lambda k: subset_key(mask_subset(k)))
+    as the left subset of its bitmask, looked up in ``subset_codec``."""
+    if key is None:
+        members = next(iter(table), 0).bit_count()
+        keys = {mask: text for text, mask, _ in subset_codec(n, members, len(table))}
+        key = lambda m: keys[m] if m in keys else subset_key(mask_subset(m))
     return {"n": n, "d": d, name: {key(k): edge_list(n, d, m) for k, m in table.items()}}
 
 

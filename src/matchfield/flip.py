@@ -68,9 +68,12 @@ def _flips(d: int, matchings: Iterable) -> frozenset:
 
 
 def flip_graph(field: fields.MatchingField) -> FlipGraph:
-    """The flip graph of any field, linkage or not."""
-    edges = _flips(field.d, ((core.mask_subset(k), m) for k, m in field.mask_table.items()))
-    return FlipGraph(field.n, field.d, tuple(core.subsets(field.n, field.d)), edges)
+    """The flip graph of any field, linkage or not; its vertices are the
+    d-subsets of ``core.subset_codec``, in ``core.subsets`` order."""
+    table = field.mask_table
+    vertices = {mask: sigma for _, mask, sigma in core.subset_codec(field.n, field.d, len(table))}
+    edges = _flips(field.d, ((vertices[k], m) for k, m in table.items()))
+    return FlipGraph(field.n, field.d, tuple(vertices.values()), edges)
 
 
 def expected_edge_count(n: int, d: int) -> int:

@@ -336,7 +336,11 @@ def _matchable(rows: Sequence[int], J: Sequence[int]) -> bool:
 
 def stiefel_image_of_field(field: fields.MatchingField) -> list[TransversalMatroid]:
     """Stiefel image of the maximal tope linkage covectors (the covectors on
-    tau = [n] of the thickness n-1 tope fields), keyed order: by type."""
+    tau = [n] of the thickness n-1 tope fields), keyed order: by type.
+
+    At n = d the list is empty: no positive type vector of length d sums to
+    n - 1, so there is no such covector, though Delta(d, d) is the single
+    point U(d, d)."""
     covectors = fields.maximal_tope_covectors(field)
     return [transversal_matroid(covectors[v]) for v in sorted(covectors)]
 

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from matchfield import chow, core, triang
 from matchfield.chow import PhiMap, chow_collection, phi_from_json_dict, phi_to_json_dict
@@ -1077,6 +1077,149 @@ def test_empty_field_with_huge_sides_exits_1(capsys, tmp_path, n, d):
         "error": "SizeCapError",
         "message": f"node counts ({n}, {d}) outside [0, 64]",
     }
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [(["check-linkage"], {"n": 2, "d": 0, "matchings": {}}),
+     (["trianguloid-check"], {"n": 2, "d": 0, "graphs": {}})],
+    ids=["field", "extended"],
+)
+def test_empty_right_side_is_refused_by_name(capsys, tmp_path, command, data):
+    # (2, 0) lies within the side cap, so the refusal names the empty side
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(data))
+    assert run(command + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "MatchfieldError",
+        "message": "node counts (2, 0) need n >= 0 and d >= 1",
+    }
+
+
+# -- subset keys through the codec ---------------------------------------------
+
+
+def read_masks_by_key(data, name):
+    """``core.read_masks`` with every key read by the per-key parser."""
+    n, d, table = core.read_object(data, name)
+    return n, d, {core.subset_bits(core.parse_subset_key(k), n): core.edge_mask(n, d, v)
+                  for k, v in table.items()}
+
+
+@st.composite
+def mutated_keys(draw, table, n):
+    """The table with one to three of its keys respelled, reordered, given a
+    repeated member or a member out of range; a key that lands on another
+    key's spelling takes its place."""
+    keys = list(table)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(keys) - 1))
+        members = keys[at].split(",")
+        t = draw(st.integers(0, len(members) - 1))
+        fault = draw(st.sampled_from(["respell", "reorder", "repeat", "range"]))
+        if fault == "respell":
+            members[t] = draw(st.sampled_from(["0{}", "+{}", " {}", "{} "])).format(members[t])
+        elif fault == "reorder":
+            members[t - 1], members[t] = members[t], members[t - 1]
+        elif fault == "repeat":
+            members[t] = members[t - 1]
+        else:
+            members[t] = str(draw(st.sampled_from([0, -1, n + 1, 64, 65, 10**9])))
+        keys[at] = ",".join(members)
+    return dict(zip(keys, table.values()))
+
+
+@pytest.mark.parametrize("fmt", ["field", "tope-field", "phi"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(choice=st.data())
+def test_codec_reads_keys_as_the_per_key_parser_does(fuzz_inputs, fmt, choice):
+    # a key the codec holds reads as its parse; any other goes to the parser,
+    # so the same table or the same refusal
+    data, _ = fuzz_inputs[fmt]
+    name = "phi" if fmt == "phi" else "matchings"
+    data = {**data, name: choice.draw(mutated_keys(data[name], data["n"]), label="table")}
+    if fmt == "phi":
+        expected = read_outcome(lambda data: PhiMap(*oracles.read_table(data, "phi", vectors=True)), data)
+        assert read_outcome(phi_from_json_dict, data) == expected
+    else:
+        expected = read_outcome(lambda data: read_masks_by_key(data, name), data)
+        assert read_outcome(lambda data: core.read_masks(data, name), data) == expected
+        expected = read_outcome(oracles.field_from_json_dict_by_graphs, data)
+        assert read_outcome(field_from_json_dict, data) == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 32, 63, 64])
+def test_single_key_at_n_64_builds_no_large_codec(monkeypatch, k):
+    # C(64, 32) subsets would never be listed; the codec serves a table only
+    # when it is no larger than the table
+    built = []
+    codec = core.subset_codec
+    monkeypatch.setattr(core, "subset_codec", lambda *args: built.append(codec(*args)) or built[-1])
+    key = core.subset_key(range(1, k + 1))
+    start = time.perf_counter()
+    assert core.read_masks({"n": 64, "d": 2, "t": {key: [[1, 1]]}}, "t") == (64, 2, {(1 << k) - 1: 1})
+    assert phi_from_json_dict({"n": 64, "d": 2, "phi": {key: [1, 0]}}).mapping == {
+        tuple(range(1, k + 1)): (1, 0)
+    }
+    assert time.perf_counter() - start < 0.05
+    assert len(built) == 2 and all(len(entries) <= 1 for entries in built)
+
+
+# -- fuzzing the integer options -----------------------------------------------
+
+OPTION_VALUES = [str(x) for x in [0, -1, 1, 2, 3, 4, 5, 6, 64, 65, 10**20, 10**40]] + ["", "1,1", "0"]
+
+
+@st.composite
+def integer_option_argv(draw, field_path):
+    """An argv of staircase, enumerate-triangulations or amalgamate whose
+    integer options are drawn from OPTION_VALUES; sides both within 1..64
+    stay at most 6, or are both 64, which every command refuses at once."""
+    value = st.sampled_from(OPTION_VALUES)
+    command = draw(st.sampled_from(["staircase", "enumerate-triangulations", "amalgamate"]))
+    if command == "amalgamate":
+        argv = [command, field_path, "--target", draw(value)]
+        if draw(st.booleans()):
+            argv[-1] += "," + draw(value)
+    else:
+        n, d = draw(value), draw(value)
+        sides = [int(x) for x in (n, d) if re.fullmatch(r"-?[0-9]+", x)]
+        if len(sides) == 2 and all(1 <= x <= 64 for x in sides):
+            assume(max(sides) <= 6 or min(sides) == 64)
+        argv = [command, "--n", n, "--d", d]
+        if command == "staircase":
+            for option in ("--left-order", "--right-order"):
+                if draw(st.booleans()):
+                    argv += [option, draw(value)]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(value)]
+    return argv
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(choice=st.data())
+def test_integer_options_never_escape_the_cli(tmp_path, field_42, choice):
+    path = tmp_path / "field.json"
+    path.write_text(core.canonical_json(field_to_json_dict(field_42)))
+    argv = choice.draw(integer_option_argv(str(path)), label="argv")
+    start = time.perf_counter()
+    code, out, err = run_quietly(argv)
+    elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 1:
+        assert isinstance(json.loads(err), dict) and out == ""
+    if code == 2:
+        assert err.startswith("usage: matchfield") or isinstance(json.loads(err), dict)
+    if code:
+        assert elapsed < 0.05, (argv, elapsed)
 
 
 # -- one output policy for every subcommand ------------------------------------

@@ -2,6 +2,7 @@
 and the mask kernels against their edge-list oracles."""
 
 from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,6 +206,19 @@ class TestSubsetsAndLatticePoints:
                 mask = core.subset_mask(subset)
                 assert mask.bit_count() == k and core.mask_subset(mask) == subset
 
+    def test_subset_codec_lists_every_subset_once_in_colex_order(self):
+        for n in range(13):
+            for k in range(n + 1):
+                expected = [(core.subset_key(s), core.subset_mask(s), s) for s in subsets(n, k)]
+                assert core.subset_codec(n, k, comb(n, k)) == expected
+
+    @pytest.mark.parametrize("n, k, size", [(5, 2, 9), (5, 6, 10**9), (-1, 0, 10**9),
+                                            (65, 1, 10**9), (4, -1, 10**9)])
+    def test_subset_codec_is_empty_beyond_its_guard(self, n, k, size):
+        # C(5, 2) = 10 entries would outgrow a table of 9, and the rest
+        # name no k-subsets of [n] within MAX_SIDE
+        assert core.subset_codec(n, k, size) == []
+
     def test_lattice_points(self):
         assert simplex_lattice_points(2, 2) == [(0, 2), (1, 1), (2, 0)]
         assert len(simplex_lattice_points(4, 3)) == 15
@@ -336,6 +350,12 @@ class TestGraphBasics:
         data = core.write_masks(4, 2, "graphs", {0b11: g.mask})
         assert data == {"n": 4, "d": 2, "graphs": {"1,2": [[1, 1], [2, 2]]}}
         assert core.read_masks(data, "graphs") == (4, 2, {0b11: g.mask})
+        # a key of another size than the first misses the codec of the
+        # 2-subsets and is written and read by the per-key path
+        table = {core.subset_mask(s): g.mask for s in subsets(4, 2)} | {0b111: g.mask}
+        data = core.write_masks(4, 2, "graphs", table)
+        assert list(data["graphs"]) == ["1,2", "1,3", "2,3", "1,4", "2,4", "3,4", "1,2,3"]
+        assert core.read_masks(data, "graphs") == (4, 2, table)
         data = core.write_masks(4, 2, "topes", {(1, 0): g.mask}, core.subset_key)
         assert data == {"n": 4, "d": 2, "topes": {"1,0": [[1, 1], [2, 2]]}}
         assert core.read_masks(data, "topes", core.parse_point_key) == (4, 2, {(1, 0): g.mask})
