@@ -1463,6 +1463,8 @@ PINNED_RUNS = [argv for argv, _ in OUTPUT_CASES] + [
     )
 ] + [["extract", "STAIRCASE-6-5"], ["roundtrip", "--kind", "triangulation", "STAIRCASE-6-5"]] + [
     [command, "COHERENT-10-4"] for command in ("arrangement", "flipgraph", "cells")
+] + [["stiefel", name] for name in ("COHERENT-9-4", "COHERENT-10-5", "COHERENT-10-4")] + [
+    [command, name] for name in ("SQUARE-2-2", "LINE-3-1") for command in ("arrangement", "cells")
 ]
 
 # sha256 of the stdout of every run in PINNED_RUNS, recorded at a known-good
@@ -1531,6 +1533,14 @@ STDOUT_SHA256 = {
     "arrangement COHERENT-10-4": "98aef8c3884608b617ff67625dda7212a170b0647398ae0899b1693e133e84dd",
     "flipgraph COHERENT-10-4": "2726c31013c432c0b72e32c0da19e0bd33a44ef9002881f961de2dc3c0d127cf",
     "cells COHERENT-10-4": "76596ff96fefd990a1f55084b2fcb9f426dce4a0441d6d0aa8aa50f7ccbe2919",
+    # recorded while the tope arrangement was still re-validated as built
+    "stiefel COHERENT-9-4": "e695b4604f7c244e6f8d668b4fcc616739e47155b879a343041f446f9a66da08",
+    "stiefel COHERENT-10-5": "c49ae8c15ef788105cd2434f14e6cbc008777be6964400b12cbfd6c1529fecab",
+    "stiefel COHERENT-10-4": "5574aea1f933437590cd06a87ac8da40deeb5a477aa2638f0df3986e9881fb80",
+    "arrangement SQUARE-2-2": "bf385cf4b7cf2f57c85bb40afb066b5b83e45aaf3dedeba9bb7f3b9677d1afef",
+    "cells SQUARE-2-2": "1a4ca43085450843527d65216040e73256369a95f616608fd42d6a80fb8086cc",
+    "arrangement LINE-3-1": "fe300201135e8e8c1039e1ec56d72e7491024a5c348545b9a06efc350c2876ad",
+    "cells LINE-3-1": "4d9698b91da90e36d9c9ed257b8e6ab40b37c8e5ab972bb709ca4576ef874f15",
 }
 
 
@@ -1545,6 +1555,9 @@ def pinned_inputs(tmp_path_factory):
         data[name] = field_to_json_dict(field)
         data["PHI-" + name] = phi_to_json_dict(chow_collection(field).phi())
     data["COHERENT-10-4"] = field_to_json_dict(seeded_coherent_field(10, 4, 104)[0])
+    # the edge sizes n = d and d = 1
+    data["SQUARE-2-2"] = {"n": 2, "d": 2, "matchings": {"1,2": [[1, 2], [2, 1]]}}
+    data["LINE-3-1"] = {"n": 3, "d": 1, "matchings": {str(j): [[j, 1]] for j in (1, 2, 3)}}
     t = staircase_triangulation(6, 5, [3, 6, 1, 5, 2, 4], [2, 5, 1, 4, 3])
     data["STAIRCASE-6-5"] = triangulation_to_json_dict(t)
     paths = {}
