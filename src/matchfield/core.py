@@ -771,29 +771,27 @@ _JSON_LISTS = (list, tuple)
 def parse_subset_key(key: str) -> tuple[int, ...]:
     """The subset a key spells: positive integers in increasing order,
     comma-joined.  Any other key raises ValueError naming it, so no two keys
-    of a table spell one subset."""
-    if _SUBSET_KEY.fullmatch(key):
-        subset = parse_point_key(key)
-        if list(subset) == sorted(set(subset)):
-            return subset
-    raise ValueError(f"subset key {key!r} must list positive integers in increasing order")
+    of a table spell one subset.  It is ``read_subset_key`` on [0], beyond
+    which every member lies."""
+    return read_subset_key(key, 0)
 
 
 def read_subset_key(key: str, n: int):
-    """``subset_bits`` of ``parse_subset_key``, in one loop over the members:
-    the bitmask of the subset a key spells, or its tuple when a member lies
-    beyond min(n, MAX_SIDE), which is never shifted."""
+    """``subset_bits`` of ``parse_subset_key``, from one fullmatch and one
+    loop over the increasing members: the bitmask of the subset a key
+    spells, or its tuple when a member lies beyond min(n, MAX_SIDE), which
+    is never shifted."""
     if _SUBSET_KEY.fullmatch(key):
-        mask, last, top = 0, 0, min(n, MAX_SIDE)
-        for j in map(int, key.split(",")):
+        members, mask, last, top = tuple(map(int, key.split(","))), 0, 0, min(n, MAX_SIDE)
+        for j in members:
             if j <= last:
                 break
             if j <= top:
                 mask |= 1 << (j - 1)
             last = j
         else:
-            return mask if last <= top else parse_point_key(key)
-    return parse_subset_key(key)  # raises, naming the key
+            return mask if last <= top else members
+    raise ValueError(f"subset key {key!r} must list positive integers in increasing order")
 
 
 def parse_point_key(key: str) -> tuple[int, ...]:

@@ -490,10 +490,15 @@ class TopeArrangement:
 
     def __init__(self, n: int, d: int, table: dict):
         core._check_sides(n, d)  # before the binomial of is_simplex_lattice
-        self.n = n
-        self.d = d
-        self.mask_table = table
+        self.n, self.d, self.mask_table = n, d, table
         self.validate()
+
+    @classmethod
+    def from_masks(cls, n: int, d: int, table: dict) -> "TopeArrangement":
+        """An arrangement holding the mask table itself, unchecked."""
+        ta = cls.__new__(cls)
+        ta.n, ta.d, ta.mask_table = n, d, table
+        return ta
 
     def validate(self) -> None:
         n, d, table = self.n, self.d, self.mask_table
@@ -589,7 +594,19 @@ def tope_arrangement(field: MatchingField) -> TopeArrangement:
     (n + 1)^(d - i).
 
     A non-linkage field raises NotLinkageError with the first failing tau,
-    the one the amalgamation chain (maximal_tope) would stop at.
+    the one the amalgamation chain (maximal_tope) would stop at.  The
+    arrangement of a field that holds its type is held unchecked
+    (`TopeArrangement.from_masks`), as each check of `validate` holds by a
+    result on the linkage field certified first (Loho & Smith, "Matching
+    fields and lattice points of simplices", arXiv:1804.01595):
+    - keys: the loop runs over `core.simplex_lattice_points`;
+    - right degrees p + 1 and maximality: the union of the covectors with
+      right degree vectors p + e_i is the maximal tope at p;
+    - pairwise compatibility: the maximal topes of a linkage field form a
+      tope arrangement.
+    A table that does not hold its type is no field, so no theorem covers
+    it and its arrangement is validated.  The tests run the skipped checks
+    on every linkage field at desk scale and on coherent fields.
     """
     require_linkage(field)
     n, d = field.n, field.d
@@ -611,7 +628,7 @@ def tope_arrangement(field: MatchingField) -> TopeArrangement:
                 raise InconsistentCollectionError(f"no covector with rdv {rdv}")
             mask |= covector
         topes[point] = mask
-    return TopeArrangement(n, d, topes)
+    return (TopeArrangement.from_masks if field.holds_type else TopeArrangement)(n, d, topes)
 
 
 def field_from_graphs(graphs: Iterable[BipartiteGraph], n: int, d: int) -> MatchingField:

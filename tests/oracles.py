@@ -87,13 +87,18 @@ descriptions kept as test oracles.
   ``ExtendedTopeArrangement`` and ``MatchingStack`` and their readers.
   The maximal topes as unions of covector graphs, the route
   ``field_from_chow_by_topes`` takes.
+- Every linkage field at desk scale, by trying every bijection per
+  d-subset: the fields on which the checks that ``fields.tope_arrangement``
+  leaves to theorems are run after all.
+- The subset key read by a second regular expression and a sorted copy of
+  its members, the oracle for the one-pass ``core.parse_subset_key``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -1637,3 +1642,26 @@ def stack_by_graphs(data: dict) -> tuple[int, int, dict]:
         (core.subset_bits(J, n), core.subset_bits(I, d)): g.mask
         for (J, I), g in stack.entries.items()
     }
+
+
+def every_linkage_field(n: int, d: int) -> list[fields.MatchingField]:
+    """Every (n, d) linkage field: all choices of a bijection sigma -> R per
+    d-subset sigma, kept when is_linkage accepts them."""
+    choices = [
+        [sum(1 << (j - 1) * d + i for j, i in zip(sigma, p)) for p in permutations(range(d))]
+        for sigma in core.subsets(n, d)
+    ]
+    keys = [core.subset_mask(sigma) for sigma in core.subsets(n, d)]
+    every = (fields.MatchingField.from_masks(n, d, (1,) * d, dict(zip(keys, masks)))
+             for masks in product(*choices))
+    return [field for field in every if fields.is_linkage(field).ok]
+
+
+def parse_subset_key_by_sorting(key: str) -> tuple[int, ...]:
+    """A subset key matched as a subset spelling, read as a point key and
+    compared with the sorted set of its members."""
+    if core._SUBSET_KEY.fullmatch(key):
+        subset = core.parse_point_key(key)
+        if list(subset) == sorted(set(subset)):
+            return subset
+    raise ValueError(f"subset key {key!r} must list positive integers in increasing order")

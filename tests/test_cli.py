@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from matchfield import chow, core, triang
+from matchfield import chow, core, fields, triang
 from matchfield.chow import PhiMap, chow_collection, phi_from_json_dict, phi_to_json_dict
 from matchfield.cli import build_parser, run
 from matchfield.errors import MatchfieldError
@@ -1574,3 +1574,43 @@ def test_stdout_matches_its_pinned_digest(inputs, pinned_inputs, argv):
     _, out, _ = run_quietly([paths.get(a, a) for a in argv])
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == STDOUT_SHA256.get(" ".join(argv)), f"{' '.join(argv)!r}: {digest!r},"
+
+
+# -- where validation runs ------------------------------------------------------
+
+# the tope arrangement of a validated linkage field is held unchecked
+FORWARD_RUNS = [
+    [command, name]
+    for name in ("FIELD", "COHERENT-10-5", "COHERENT-10-4", "SQUARE-2-2", "LINE-3-1")
+    for command in ("arrangement", "cells", "stiefel")
+]
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The names of the arrangement and collection validators, one per call."""
+    seen = []
+    validate, covector_rdvs = fields.TopeArrangement.validate, chow._covector_rdvs
+    monkeypatch.setattr(fields.TopeArrangement, "validate",
+                        lambda ta: seen.append("validate") or validate(ta))
+    monkeypatch.setattr(chow, "_covector_rdvs",
+                        lambda *args: seen.append("_covector_rdvs") or covector_rdvs(*args))
+    return seen
+
+
+@pytest.mark.parametrize("argv", FORWARD_RUNS, ids=[" ".join(a) for a in FORWARD_RUNS])
+def test_a_valid_field_is_not_validated_again(inputs, pinned_inputs, validations, argv):
+    paths = {**inputs, **pinned_inputs}
+    assert run_quietly([paths.get(a, a) for a in argv])[0] == 0
+    assert validations == []
+
+
+def test_untrusted_routes_keep_their_validators(inputs, pinned_inputs, validations):
+    code, out, _ = run_quietly(["arrangement", pinned_inputs["COHERENT-10-5"]])
+    assert code == 0 and validations == []
+    ta = arrangement_from_json_dict(json.loads(out))
+    assert validations == ["validate"]
+    assert fields.TopeArrangement(ta.n, ta.d, ta.mask_table) == ta
+    assert validations == ["validate"] * 2
+    assert run_quietly(["reconstruct-chow", "--phi", pinned_inputs["PHI-COHERENT-10-5"]])[0] == 0
+    assert validations == ["validate"] * 2 + ["_covector_rdvs"]

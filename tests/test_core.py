@@ -30,6 +30,7 @@ from oracles import (
     contained_tope_by_search,
     functions_compatible,
     is_simplex_lattice_by_listing,
+    parse_subset_key_by_sorting,
     sectors,
     subsets_by_recursion,
 )
@@ -288,6 +289,46 @@ class TestPointCodes:
                     w[i - 1] -= 1
                     w[k - 1] += 1
                     assert x - base ** (dim - i) + base ** (dim - k) == core.encode_point(w, base)
+
+
+@st.composite
+def subset_key_spellings(draw):
+    """Keys near the spelling of a subset: members respelled (leading zero,
+    sign, blank, hex, a non-ASCII digit), reordered, repeated or dropped to
+    an empty key, joined by a comma or another separator."""
+    members = draw(st.lists(st.integers(0, 70), max_size=6))
+    if draw(st.booleans()):
+        members.sort()
+    if members and draw(st.booleans()):
+        members.insert(draw(st.integers(0, len(members))), draw(st.sampled_from(members)))
+    words = [draw(st.sampled_from([str(x), str(x), "0" + str(x), "+" + str(x), " " + str(x),
+                                   str(-x), hex(x), "\u0663", ""])) for x in members]
+    return draw(st.sampled_from([",", ",", ", ", ";"])).join(words)
+
+
+def key_outcome(parse, key):
+    try:
+        return parse(key)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestSubsetKeys:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(subset_key_spellings(), st.text("0123456789,+- x\u0663", max_size=12)))
+    def test_one_pass_parse_matches_the_sorting_oracle(self, key):
+        expected = key_outcome(parse_subset_key_by_sorting, key)
+        assert key_outcome(core.parse_subset_key, key) == expected
+        for n in (0, 3, 70):
+            bits = expected if isinstance(expected, str) else core.subset_bits(expected, n)
+            assert key_outcome(lambda k: core.read_subset_key(k, n), key) == bits
+
+    @pytest.mark.parametrize("key", ["", "0", "2,1", "1,1", "01,2", "1,", "1\n", "\u0663"])
+    def test_refusal_names_the_key(self, key):
+        with pytest.raises(ValueError) as err:
+            core.parse_subset_key(key)
+        assert str(err.value) == (
+            f"subset key {key!r} must list positive integers in increasing order")
 
 
 class TestSectors:

@@ -65,6 +65,7 @@ from oracles import (
     coherent_tope_field,
     collapse_split_graph,
     column_functions,
+    every_linkage_field,
     i_amalgamation_by_cycles,
     increasing_splitting,
     is_linkage_by_cycles,
@@ -819,10 +820,9 @@ class TestArrangement:
     def test_conflicting_topes_name_the_subset(self, field_42):
         # built past the validator, which refuses such topes first: the
         # collector names the d-subset on which two topes disagree
-        ta = object.__new__(fields_mod.TopeArrangement)
-        ta.n, ta.d = 4, 2
-        ta.mask_table = dict(tope_arrangement(field_42).mask_table)
-        ta.mask_table[(1, 1)] = graph(4, 2, [(1, 2), (2, 1), (3, 1), (4, 2)]).mask
+        topes = dict(tope_arrangement(field_42).mask_table)
+        topes[(1, 1)] = graph(4, 2, [(1, 2), (2, 1), (3, 1), (4, 2)]).mask
+        ta = fields_mod.TopeArrangement.from_masks(4, 2, topes)
         with pytest.raises(MatchfieldError, match=r"trees disagree on the matching of \(1, 2\)$"):
             field_from_arrangement(ta)
 
@@ -1020,6 +1020,58 @@ class TestArrangement:
             check_sector_monotonicity(topes)
             accepted += 1
         assert accepted == count and sector_refused > 0
+
+
+# the edge sizes n = d and d = 1, both linkage
+EDGE_FIELDS = {
+    "n=d": {"n": 2, "d": 2, "matchings": {"1,2": [[1, 2], [2, 1]]}},
+    "d=1": {"n": 3, "d": 1, "matchings": {str(j): [[j, 1]] for j in (1, 2, 3)}},
+}
+
+
+@st.composite
+def coherent_fields_to_50(draw):
+    """A seeded coherent field with n * d <= 50."""
+    d = draw(st.integers(1, 7))
+    n = draw(st.integers(d, 50 // d))
+    return seeded_coherent_field(n, d, draw(st.integers(0, 10**6)))[0]
+
+
+class TestArrangementTrustsTheorems:
+    """``tope_arrangement`` holds what it builds unchecked, as the paper's
+    theorems imply every check of ``TopeArrangement.validate``: run, the
+    checks pass on every linkage field at desk scale and on coherent
+    fields."""
+
+    @staticmethod
+    def assert_checks_pass(field):
+        ta = tope_arrangement(field)
+        assert fields_mod.TopeArrangement(field.n, field.d, ta.mask_table) == ta
+
+    @pytest.mark.parametrize(
+        "n, d, count", [(3, 2, 6), (4, 2, 24), (5, 2, 120), (3, 3, 6), (4, 3, 96)])
+    def test_every_small_linkage_field(self, n, d, count):
+        linkage = every_linkage_field(n, d)
+        assert len(linkage) == count
+        for field in linkage:
+            self.assert_checks_pass(field)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coherent_fields_to_50())
+    def test_coherent_fields(self, field):
+        self.assert_checks_pass(field)
+
+    @pytest.mark.parametrize("data", EDGE_FIELDS.values(), ids=EDGE_FIELDS.keys())
+    def test_edge_sizes(self, data):
+        self.assert_checks_pass(field_from_json_dict(data))
+
+    def test_an_unchecked_table_that_is_no_field_is_validated(self):
+        # linkage, but no field: the value on (2, 3) has four edges, two at
+        # l1, and no theorem covers what is built from it
+        field = fields_mod.MatchingField.from_masks(3, 2, (1, 1), {3: 9, 5: 18, 6: 27})
+        assert is_linkage(field).ok and not field.holds_type
+        with pytest.raises(MatchfieldError, match=r"^tope at \(0, 1\) is not maximal$"):
+            tope_arrangement(field)
 
 
 class TestAgainstAmalgamation:

@@ -1,7 +1,7 @@
 """Flip graphs, linkage trees, and prodsimplicial cells."""
 
 import hashlib
-from itertools import combinations, permutations, product
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,12 +26,13 @@ from matchfield.flip import (
 from conftest import field_from_words, graph, random_matching_field
 from matchfield import core, fields as fields_mod
 from matchfield.core import BipartiteGraph
-from matchfield.fields import MatchingField, is_linkage, tope_arrangement
+from matchfield.fields import is_linkage, tope_arrangement
 from matchfield.flip import cell_of_tope
 from matchfield.randgen import seeded_coherent_field
 from oracles import (
     cell_to_tope,
     edge_count_check,
+    every_linkage_field,
     factor_dims,
     flip_neighbors,
     linkage_tree_decomposition,
@@ -262,19 +263,6 @@ class TestCells:
                         for i in range(1, field.d + 1)
                     )
                     assert got == tuple(chosen)
-
-
-def every_linkage_field(n, d):
-    """Every (n, d) linkage field: all choices of a bijection sigma -> R per
-    d-subset sigma, kept when is_linkage accepts them."""
-    choices = [
-        [sum(1 << (j - 1) * d + i for j, i in zip(sigma, p)) for p in permutations(range(d))]
-        for sigma in subsets(n, d)
-    ]
-    keys = [core.subset_mask(sigma) for sigma in subsets(n, d)]
-    every = (MatchingField.from_masks(n, d, (1,) * d, dict(zip(keys, masks)))
-             for masks in product(*choices))
-    return [field for field in every if is_linkage(field).ok]
 
 
 def cells_by_product_scan(field):
