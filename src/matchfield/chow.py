@@ -158,6 +158,7 @@ class PhiMap:
     def validate_bijective(self) -> None:
         if not 1 <= self.d <= self.n:
             raise InconsistentPhiError(f"phi for ({self.n}, {self.d}) needs 1 <= d <= n")
+        core._check_sides(self.n, self.d)  # before the binomial of the key count
         k = self.n - self.d + 1
         # count first, so that a huge (n, d) never lists its subsets
         keys = self.mapping.keys()

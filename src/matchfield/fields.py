@@ -308,19 +308,6 @@ def covector_mask(topes: dict[int, int], tau: int) -> int:
     return union
 
 
-def covector_graph(n: int, d: int, tau: tuple, union: int) -> BipartiteGraph:
-    """The covector of tau from its edge mask.  Only a mask that is no tree
-    to the walk of `core.tree_tope` goes through `core.find_cycle`: a cycle
-    raises NotLinkageError with tau and the cycle, and a forest is returned
-    as it is."""
-    graph = BipartiteGraph.from_mask(n, d, union)
-    if core.tree_tope(union, tau, d, 1) is None:
-        cycle = core.find_cycle(graph)
-        if cycle:
-            raise NotLinkageError(tau, tuple(cycle))
-    return graph
-
-
 # ---------------------------------------------------------------------------
 # coherent fields from exact rational weights
 
@@ -419,18 +406,23 @@ def coherent_field(weights: Sequence[Sequence]) -> MatchingField:
 def i_amalgamation(tf: TopeField, i: int) -> TopeField:
     """Tope field of type v + e_i extracted from the linkage covectors.
 
-    Each (k+1)-subset must produce a tree; failures raise NotLinkageError with
-    the offending tau and a cycle, so non-linkage inputs fail on the first
-    union actually touched rather than after a global check.
+    Each tope is one walk of `core.tree_tope` from ri over its covector; a
+    covector the walk finds no tree goes through `linkage_covector`, whose
+    cycle raises NotLinkageError with tau, and then `core.contained_tope`.
     """
     if not (1 <= i <= tf.d):
         raise MatchfieldError(f"right index {i} out of range")
     if tf.thickness >= tf.n:
         raise MatchfieldError("tope field already has maximal thickness")
-    table = {
-        tau: core.contained_tope(covector_graph(tf.n, tf.d, core.mask_subset(tau), union), i).mask
-        for tau, union in _covector_unions(tf)
-    }
+    table = {}
+    for tau, union in _covector_unions(tf):
+        tope = core.tree_tope(union, core.mask_subset(tau), tf.d, i)
+        if tope is None:
+            res = linkage_covector(tf, core.mask_subset(tau))
+            if not res.ok:
+                raise NotLinkageError(res.tau, res.cycle)
+            tope = core.contained_tope(res.graph, i).mask
+        table[tau] = tope
     new_type = core.vector_sum(tf.type_vector, core.unit_vector(tf.d, i))
     return TopeField.from_masks(tf.n, tf.d, new_type, table)
 
@@ -674,19 +666,20 @@ def maximal_tope_covectors(field: MatchingField) -> dict[tuple, BipartiteGraph]:
 
     These are the trees the maximal topes are extracted from: one covector on
     tau = [n] for every positive type vector v of sum n - 1, the union of the
-    maximal topes of types v + e_i, i = 1..d.
+    maximal topes of types v + e_i, i = 1..d.  No union is walked: it is the
+    covector on [n] of the tope field of type v amalgamated from the field,
+    a tree as amalgamation keeps a field linkage (Loho & Smith, arXiv:1804.01595).
     """
     n, d = field.n, field.d
     out = {}
     if n - 1 < d:
         return out
     topes = tope_arrangement(field).mask_table
-    tau = tuple(range(1, n + 1))
     for point in core.simplex_lattice_points(n - 1 - d, d):
         mask = 0
         for i in range(1, d + 1):
             mask |= topes[core.vector_sum(point, core.unit_vector(d, i))]
-        out[core.vector_sum(point, core.all_ones(d))] = covector_graph(n, d, tau, mask)
+        out[core.vector_sum(point, core.all_ones(d))] = BipartiteGraph.from_mask(n, d, mask)
     return out
 
 

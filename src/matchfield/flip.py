@@ -41,7 +41,7 @@ from typing import Iterable
 
 from . import core, fields
 from .core import BipartiteGraph
-from .errors import MatchfieldError
+from .errors import MatchfieldError, NotLinkageError
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,10 @@ def linkage_tree(field: fields.MatchingField, tau: Iterable[int]) -> LinkageTree
     and M_{tau-j'} consists of their edges (lj', ri) and (lj, ri), so both
     lie in the covector, the union over tau.  A covector with a cycle raises
     NotLinkageError."""
-    tau = tuple(sorted(tau))
-    if len(tau) != field.d + 1:
-        raise MatchfieldError(f"tau must have size {field.d + 1}")
-    if len(set(tau) & set(range(1, field.n + 1))) != len(tau):
-        raise MatchfieldError(f"tau must hold distinct left nodes in 1..{field.n}, got {tau}")
-    union = fields.covector_mask(field.mask_table, core.subset_mask(tau))
-    fields.covector_graph(field.n, field.d, tau, union)
+    res = fields.linkage_covector(field, tau)
+    if not res.ok:
+        raise NotLinkageError(res.tau, res.cycle)
+    tau = res.tau
     verts = sorted(tuple(x for x in tau if x != drop) for drop in tau)
     table = field.mask_table
     edges = _flips(field.d, ((sigma, table[core.subset_mask(sigma)]) for sigma in verts))

@@ -467,4 +467,5 @@ def stack_to_json_dict(stack: MatchingStack) -> dict:
 
 def stack_from_json_dict(data: dict) -> MatchingStack:
     n, d = core.read_sides(data)
+    core._check_sides(n, d)  # an empty table checks no edge list's sides
     return MatchingStack(*core.read_masks(data, "matchings", lambda k: read_stack_key(k, n, d)))

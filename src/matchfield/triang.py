@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, factorial
 from typing import Iterable, Optional, Sequence
 
@@ -427,12 +427,15 @@ def enumerate_triangulations(n: int, d: int) -> list[Triangulation]:
 def extended_tope_arrangement(t: Triangulation) -> fields.ExtendedTopeArrangement:
     """The cells of a triangulation with all left degrees 1, one per right
     degree vector in n*Delta_{d-1}; boundary cells have isolated right nodes.
-    A cell is the OR of one edge bit from each row of its tree's mask."""
-    n, d, row = t.n, t.d, (1 << t.d) - 1
+    The cell at b + e_k is the walk of `core.tree_tope` from rk over the tree
+    of right degree vector b + 1, so K*d walks reach every lattice point."""
+    n, d, rows = t.n, t.d, range(1, t.n + 1)
     table: dict = {}
     for mask in t.masks:
-        rows = ([1 << b for b in core._bits(mask & row << j * d)] for j in range(n))
-        for cell in map(sum, product(*rows)):
+        for k in range(1, d + 1):
+            cell = core.tree_tope(mask, rows, d, k)
+            if cell is None:
+                raise MatchfieldError(f"{core.edge_list(n, d, mask)} is not a spanning tree")
             rdv = core.right_degrees(cell, n, d)
             if table.setdefault(rdv, cell) != cell:
                 raise MatchfieldError(f"two cells share the right degree vector {rdv}")

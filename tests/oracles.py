@@ -56,6 +56,9 @@ descriptions kept as test oracles.
   stops after agreement.  The graph reader of a JSON edge list and the
   degree pair of a tree through its degree vectors: the oracles for the
   masks of ``triang.trees_from_json_dict`` and ``triang.degree_pair``.
+- The extended arrangement of a triangulation as every product choice of
+  one edge per row of every tree, the oracle for the one walk per tree and
+  right node of ``triang.extended_tope_arrangement``.
 - Contained matchings as edge tuples in the preorder of the lexicographic
   edge list, and the containment agreement pass over them: the oracles for
   ``core.matching_masks`` and ``core.agreed_matchings``.  Each graph's
@@ -1507,6 +1510,25 @@ def collection_rdvs_by_graphs(n: int, d: int, covectors: dict) -> tuple[dict, di
             "right degree vectors do not biject onto the lattice points"
         )
     return table, rdvs
+
+
+# ---------------------------------------------------------------------------
+# extended arrangements by product choices
+
+
+def extended_tope_arrangement_by_products(t: Triangulation) -> fields.ExtendedTopeArrangement:
+    """Oracle for ``triang.extended_tope_arrangement``: every subgraph of
+    every tree that keeps one edge of each row, keyed by its right degree
+    vector; two that differ at one vector raise MatchfieldError."""
+    n, d, row = t.n, t.d, (1 << t.d) - 1
+    table: dict = {}
+    for mask in t.masks:
+        rows = ([1 << b for b in core._bits(mask & row << j * d)] for j in range(n))
+        for cell in map(sum, product(*rows)):
+            rdv = core.right_degrees(cell, n, d)
+            if table.setdefault(rdv, cell) != cell:
+                raise MatchfieldError(f"two cells share the right degree vector {rdv}")
+    return fields.ExtendedTopeArrangement(n, d, table)
 
 
 # ---------------------------------------------------------------------------

@@ -567,8 +567,8 @@ HUGE = 3_000_000
         (
             ["reconstruct-chow", "--phi"],
             {"n": HUGE, "d": HUGE, "phi": {}},
-            "InconsistentPhiError",
-            "phi keys must be the (n-d+1)-subsets",
+            "SizeCapError",
+            f"node counts ({HUGE}, {HUGE}) outside [0, 64]",
         ),
         (
             ["validate-triangulation"],
@@ -1220,6 +1220,34 @@ def test_integer_options_never_escape_the_cli(tmp_path, field_42, choice):
         assert err.startswith("usage: matchfield") or isinstance(json.loads(err), dict)
     if code:
         assert elapsed < 0.05, (argv, elapsed)
+
+
+# -- fuzzing the sides of JSON inputs -------------------------------------------
+
+JSON_SIDE_FORMS = (  # every argv that reads a JSON input, with its empty table
+    [(command, "matchings", {}) for command in FIELD_COMMANDS]
+    + [(command, "trees", []) for command in TREE_COMMANDS]
+    + [(["trianguloid-check"], "graphs", {}), (["reconstruct-chow", "--phi"], "phi", {}),
+       (["reconstruct-triangulation"], "pairs", []),
+       (["ensemble-check"], "matchings", {}), (["complete"], "matchings", {})]
+)
+BAD_SIDES = [(-1, 2), (2, -1), (3, 0), (0, 3), (0, 0), (65, 3), (3, 65), (10**6, 5 * 10**5),
+             (2 * 10**7, 10**7), (10**20, 5 * 10**19), (10**40, 10**40)]
+
+
+@pytest.mark.parametrize(
+    "command, name, empty", JSON_SIDE_FORMS, ids=["-".join(c) for c, _, _ in JSON_SIDE_FORMS])
+def test_json_sides_never_escape_the_cli(tmp_path, command, name, empty):
+    # an empty table reads no edge list, so the sides are refused on their own
+    path = tmp_path / "sides.json"
+    for n, d in BAD_SIDES:
+        path.write_text(json.dumps({"n": n, "d": d, name: empty}))
+        start = time.perf_counter()
+        code, out, err = run_quietly(command + [str(path)])
+        elapsed = time.perf_counter() - start
+        assert code in (1, 2), (n, d, code)
+        assert "Traceback" not in out + err and isinstance(json.loads(err), dict), (n, d)
+        assert elapsed < 0.05, (n, d, elapsed)
 
 
 # -- one output policy for every subcommand ------------------------------------

@@ -69,6 +69,7 @@ from oracles import (
     i_amalgamation_by_cycles,
     increasing_splitting,
     is_linkage_by_cycles,
+    is_spanning_tree_by_cycles,
     subfield_delete_left,
 )
 
@@ -481,6 +482,26 @@ class TestLinkageByCount:
             assert report == is_linkage_by_cycles(field)
             verdicts.add(report.ok)
         assert verdicts == {True, False}
+
+    def test_amalgamation_walks_each_covector_once(self, monkeypatch, differential_fields):
+        # the covectors of a linkage field are trees, so one walk from ri
+        # reads each tope and no graph or cycle is built
+        linkage = [field for field in differential_fields if is_linkage(field).ok]
+        assert len(linkage) >= 7
+        for field in linkage:
+            n, d = field.n, field.d
+            validated = field_from_json_dict(field_to_json_dict(field))
+            target = vector_sum(all_ones(d), max(simplex_lattice_points(n - d, d)))
+            order = fields_mod.amalgamation_order(d, target, all_ones(d))
+            walked = self.spy(monkeypatch, "tree_tope")
+            others = [self.spy(monkeypatch, name) for name in ("contained_tope", "find_cycle")]
+            covectors = []
+            monkeypatch.setattr(fields_mod, "linkage_covector", lambda *a: covectors.append(a))
+            assert tope_field_of_type(validated, target).type_vector == target
+            assert [call[3] for call in walked] == [
+                i for k, i in enumerate(order, start=d) for _ in range(comb(n, k + 1))]
+            assert others == [[], []] and covectors == []
+            monkeypatch.undo()
 
     def test_unchecked_field_checks_its_type_once(self, monkeypatch, field_43, field_63):
         for field in (field_43, field_63):
@@ -1039,14 +1060,17 @@ def coherent_fields_to_50(draw):
 
 class TestArrangementTrustsTheorems:
     """``tope_arrangement`` holds what it builds unchecked, as the paper's
-    theorems imply every check of ``TopeArrangement.validate``: run, the
-    checks pass on every linkage field at desk scale and on coherent
-    fields."""
+    theorems imply every check of ``TopeArrangement.validate``, and
+    ``maximal_tope_covectors`` returns its unions unwalked, as amalgamation
+    keeps a field linkage: run, the checks pass on every linkage field at
+    desk scale and on coherent fields."""
 
     @staticmethod
     def assert_checks_pass(field):
         ta = tope_arrangement(field)
         assert fields_mod.TopeArrangement(field.n, field.d, ta.mask_table) == ta
+        for covector in maximal_tope_covectors(field).values():
+            assert is_spanning_tree_by_cycles(covector)
 
     @pytest.mark.parametrize(
         "n, d, count", [(3, 2, 6), (4, 2, 24), (5, 2, 120), (3, 3, 6), (4, 3, 96)])

@@ -54,6 +54,7 @@ from oracles import (
     chow_by_intersection,
     column_functions,
     contained_tope_by_search,
+    extended_tope_arrangement_by_products,
     field_from_graphs_by_partial_matchings,
     is_forest,
     is_simplex_lattice_by_listing,
@@ -525,7 +526,7 @@ def mutated_tree_sets(draw):
 class TestTriangulationMaskRoutes:
     """The triangulation layer on edge masks against the graph routes of
     ``tests/oracles.py``: the same reader, degree pairs, report kind and
-    witness repr, and rebuild."""
+    witness repr, rebuild, and extended arrangement."""
 
     @settings(max_examples=200, deadline=None)
     @given(mutated_tree_sets())
@@ -549,6 +550,13 @@ class TestTriangulationMaskRoutes:
         assert route_outcome(reconstruct_triangulation, pairs, n, d) == route_outcome(
             reconstruct_triangulation_on_tuples, pairs, n, d
         )
+
+    @settings(max_examples=30, deadline=None)
+    @given(relabelled_staircases(max_n=8, max_d=8))
+    @example(staircase_triangulation(8, 8, (3, 8, 1, 6, 2, 7, 5, 4), (6, 2, 8, 4, 1, 7, 3, 5)))
+    def test_extended_arrangement_of_a_staircase(self, t):
+        expected = extended_tope_arrangement_by_products(t).mask_table
+        assert triang.extended_tope_arrangement(t).mask_table == expected
 
     @pytest.mark.parametrize("kind", [None, "count", "spanning", "agreement"])
     def test_the_strategy_reaches_every_report_kind(self, kind):

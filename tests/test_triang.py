@@ -42,6 +42,7 @@ from conftest import graph, mask_table, matchings_agree
 from oracles import (
     agreed_matchings_per_graph,
     check_triangulation_with_flip,
+    extended_tope_arrangement_by_products,
     necessary_conditions,
     reconstruct_by_every_leaf,
     reconstruct_triangulation_by_every_leaf,
@@ -793,6 +794,19 @@ class TestExtendedArrangement:
         for n, d in [(2, 2), (2, 3)]:
             for t in enumerate_triangulations(n, d):
                 assert trianguloid_check(extended_tope_arrangement(t)).trianguloid
+
+    @pytest.mark.parametrize(
+        "n, d", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (2, 5), (5, 2)])
+    def test_enumerated_arrangements_match_every_product_choice(self, n, d):
+        for t in enumerate_triangulations(n, d):
+            expected = extended_tope_arrangement_by_products(t).mask_table
+            assert extended_tope_arrangement(t).mask_table == expected
+
+    def test_a_tree_mask_that_is_no_tree_is_refused(self):
+        t = triang.Triangulation(2, 2, [graph(2, 2, [(1, 1), (1, 2), (2, 1), (2, 2)]).mask])
+        with pytest.raises(MatchfieldError) as err:
+            extended_tope_arrangement(t)
+        assert str(err.value) == "[[1, 1], [1, 2], [2, 1], [2, 2]] is not a spanning tree"
 
 
 class TestSerialization:
