@@ -38,19 +38,23 @@ Every keyed container is a mask table, {key: edge mask}: a field or a set
 of Chow covectors keyed by left-subset bitmasks, a tope arrangement or an
 extended arrangement by lattice points, a matching stack by (J mask, I mask).
 Its graphs, such as ``graph_table``, are a view built only for a caller that
-asks for them.  ``read_masks`` reads every JSON table of keys and edge lists
-straight into one, each edge list into its mask in one loop (``edge_mask``),
-and ``write_masks`` writes one back through a table from bit to [j, i] per
-(n, d).  Subset keys cross that boundary through one codec per call,
-``subset_codec``: every k-subset of [n] as (key, bitmask, subset) in colex
-order, built for a table only when it has no more entries than the table,
-k taken from the table's first key.  Readers and writers look keys up in
-it; a key it lacks goes to the per-key parser (``read_subset_key``, or
-``parse_subset_key`` for phi), which refuses it by name or reads a subset
-of another size.  Every JSON format is read strictly: a value of the wrong
-shape, a subset key that is not its subset's one spelling or a point key
-that is not its point's one spelling raises ValueError.  Graphs,
-triangulations and degree pairs are read with the same checks.
+asks for them.  A JSON table of keys and edge lists is read straight into
+one, each edge list by one accepting loop (``edge_mask``) that gathers
+the bitmask of its rows beside its mask; any other edge list goes to one
+refusal routine.  ``read_masks`` reads every table so but a field's, whose
+reader keeps the rows to decide the field's type while it parses
+(``fields.field_from_json_dict``).  ``write_masks`` writes a table back
+through a table from bit to [j, i] per (n, d).  Subset keys cross that
+boundary through one codec per call, ``subset_codec``: every k-subset of
+[n] as (key, bitmask, subset) in colex order, built for a table only when
+it has no more entries than the table, k taken from the table's first
+key.  Readers and writers look keys up in it; a key it lacks goes to the
+per-key parser (``read_subset_key``, or ``parse_subset_key`` for phi),
+which refuses it by name or reads a subset of another size.  Every JSON
+format is read strictly: a value of the wrong shape, a subset key that is
+not its subset's one spelling or a point key that is not its point's one
+spelling raises ValueError.  Graphs, triangulations and degree pairs are
+read with the same checks.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .errors import MatchfieldError, NotASpanningTreeError, SizeCapError
 
@@ -182,8 +186,14 @@ def column_mask(n: int, d: int) -> int:
 
 def right_degrees(mask: int, n: int, d: int) -> tuple[int, ...]:
     """The right degree vector of an n x d edge mask: its column popcounts."""
+    return tuple([(mask & column).bit_count() for column in _columns(n, d)])
+
+
+@functools.lru_cache(maxsize=64)
+def _columns(n: int, d: int) -> tuple[int, ...]:
+    """The ri column of an n x d edge mask, for i = 1..d."""
     column = column_mask(n, d)
-    return tuple([(mask >> i & column).bit_count() for i in range(d)])
+    return tuple(column << i for i in range(d))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -847,29 +857,44 @@ def _int_tuple(value, what: str, length: Optional[int] = None) -> tuple[int, ...
     return tuple(items)
 
 
-def edge_mask(n: int, d: int, edges) -> int:
-    """The edge mask of a JSON edge list, read in one loop.  Raises
-    ValueError unless it is a list of integer pairs, then SizeCapError
-    unless (n, d) is within the cap, then MatchfieldError naming its first
-    edge off the n x d grid; no bit is set before (n, d) is known good."""
+def edge_mask(n: int, d: int, edges) -> tuple[int, int]:
+    """The edge mask of a JSON edge list and the bitmask of its rows, the
+    left nodes it meets, read in one loop over its pairs of integers on the
+    n x d grid.  Anything else goes to ``_refuse_edges``.  Each edge is
+    unpacked as (j, i), so in process any two-item iterable of integers
+    passes where JSON gives a list."""
+    mask = rows = 0
+    if type(edges) in _JSON_LISTS and 0 <= n <= MAX_SIDE and 1 <= d <= MAX_SIDE:
+        try:
+            for j, i in edges:
+                if type(j) is int and type(i) is int and 0 < j <= n and 0 < i <= d:
+                    mask |= 1 << ((j - 1) * d + i - 1)
+                    rows |= 1 << (j - 1)
+                else:
+                    break
+            else:
+                return mask, rows
+        except (TypeError, ValueError):  # an edge that is no pair
+            pass
+    _refuse_edges(n, d, edges)
+
+
+def _refuse_edges(n: int, d: int, edges) -> NoReturn:
+    """Raise the fault of an edge list ``edge_mask`` refused: ValueError
+    unless it is a list of integer pairs, then SizeCapError unless (n, d) is
+    within the cap, then MatchfieldError naming its first edge off the
+    n x d grid."""
     if type(edges) not in _JSON_LISTS:
         raise ValueError(f"an edge list must be a list, got {edges!r}")
-    grid = 0 <= n <= MAX_SIDE and 1 <= d <= MAX_SIDE
-    mask, off = 0, None
+    off = None
     for e in edges:
-        if type(e) in _JSON_LISTS and len(e) == 2:
-            j, i = e
-            if type(j) is int and type(i) is int:
-                if grid and 0 < j <= n and 0 < i <= d:
-                    mask |= 1 << ((j - 1) * d + i - 1)
-                elif off is None:
-                    off = (j, i)
-                continue
-        raise ValueError(f"an edge must be a pair of integers, got {e!r}")
+        if type(e) not in _JSON_LISTS or len(e) != 2 or {type(e[0]), type(e[1])} != {int}:
+            raise ValueError(f"an edge must be a pair of integers, got {e!r}")
+        if off is None and not (0 < e[0] <= n and 0 < e[1] <= d):
+            off = e
     _check_sides(n, d)
-    if off is not None:
-        raise MatchfieldError(f"edge ({off[0]}, {off[1]}) out of range for ({n}, {d})")
-    return mask
+    # every edge is a pair and the sides are good, so the loop stopped off the grid
+    raise MatchfieldError(f"edge ({off[0]}, {off[1]}) out of range for ({n}, {d})")
 
 
 @functools.lru_cache(maxsize=64)
@@ -904,15 +929,19 @@ def read_object(data: dict, name: str) -> tuple[int, int, dict]:
 
 def read_masks(data: dict, name: str, parse_key=None) -> tuple[int, int, dict]:
     """n, d and the table data[name] of keys and edge lists as a mask table:
-    each entry's key read by parse_key, by default as a left subset of [n]
-    (looked up in ``key_codec``, else ``read_subset_key``), then its edge
-    list by ``edge_mask``.  Raises ValueError on a value of the wrong JSON
-    shape or a key parse_key refuses; nothing else is validated."""
+    each entry's key read by parse_key, by default ``subset_reader``'s, then
+    its edge list by ``edge_mask``.  Raises ValueError on a value of the
+    wrong JSON shape or a key parse_key refuses; nothing else is validated."""
     n, d, table = read_object(data, name)
-    if parse_key is None:
-        masks = {key: mask for key, mask, _ in key_codec(n, table)}
-        parse_key = lambda key: masks[key] if key in masks else read_subset_key(key, n)
-    return n, d, {parse_key(k): edge_mask(n, d, v) for k, v in table.items()}
+    parse_key = parse_key or subset_reader(n, table)
+    return n, d, {parse_key(k): edge_mask(n, d, v)[0] for k, v in table.items()}
+
+
+def subset_reader(n: int, table: dict):
+    """The reader of a JSON table's keys as left subsets of [n]: each looked
+    up in ``key_codec``, else read by ``read_subset_key``."""
+    masks = {key: mask for key, mask, _ in key_codec(n, table)}
+    return lambda key: masks[key] if key in masks else read_subset_key(key, n)
 
 
 def write_masks(n: int, d: int, name: str, table: dict, key=None) -> dict:

@@ -5,21 +5,22 @@ perfect matching on sigma ⊔ R.  A tope field of type v = (v1..vd) assigns to
 every k-subset (k = sum v) a tope whose right degree vector is v.
 
 A field is its mask table {left-subset bitmask: edge mask}.  The JSON reader
-builds it, one pass over it validates it (`field_from_masks`), and the
-linkage test, the Chow pass and the writer read it; the graphs are a view,
-built only for a caller that asks for them.  The graph-keyed constructors
-turn their graphs into a table first.
+builds it and decides its type while it parses (`field_from_json_dict`);
+a table built in process is validated by one pass over it
+(`field_from_masks`).  The linkage test, the Chow pass and the writer read
+the table; the graphs are a view, built only for a caller that asks for
+them.  The graph-keyed constructors turn their graphs into a table first.
 
 The field is *linkage* when the union of the assignments over every
 (k+1)-subset tau is a tree, the *linkage covector* of tau; inside it each
 right node ri has degree vi + 1.  On a field that holds its type
-(`TopeField.holds_type`, the validator's one pass) with every v_i > 0 every
-such union is connected: for a component C and any x in tau, the tope on
-tau - x gives |C_L - x| = sum of v_i over C_R, which holds for x in C_L and
-for x outside C_L only when C_L = tau.  So there the union is a tree exactly
-when it has k + d edges, and linkage is decided by OR-ing tope masks and one
-popcount per tau (`is_linkage`); any other field takes the cycle search of
-`linkage_covector` on every tau.
+(`TopeField.holds_type`, decided by the reader or the validator) with
+every v_i > 0 every such union is connected: for a component C and any x
+in tau, the tope on tau - x gives |C_L - x| = sum of v_i over C_R, which
+holds for x in C_L and for x outside C_L only when C_L = tau.  So there
+the union is a tree exactly when it has k + d edges, and linkage is decided
+by OR-ing tope masks and one popcount per tau (`is_linkage`); any other
+field takes the cycle search of `linkage_covector` on every tau.
 
 The i-amalgamation extracts from each covector the unique tope of type
 v + e_i, producing a tope field one thicker; iterating up to thickness n
@@ -96,7 +97,9 @@ class TopeField:
         """Whether the table is a field of its type: its keys are exactly the
         k-subsets of [n] as bitmasks, each holding an edge mask on (n, d)
         with left degrees at most 1, right degree vector v and left support
-        its key.  One pass, on first use; the validator reads it to accept."""
+        its key.  The JSON reader sets it from what it parsed; on any other
+        field it is one pass over the rows, on first use, which the
+        validator reads to accept."""
         n, d, v, k, table = self.n, self.d, self.type_vector, self.thickness, self.mask_table
         if not (0 <= k <= n <= core.MAX_SIDE and len(table) == comb(n, k)):
             return False
@@ -176,10 +179,16 @@ def field_from_masks(n: int, d: int, v: tuple, table: dict) -> TopeField:
     field keeps the verdict; only a fault goes to ``_refuse_field``.  A
     MatchingField when v = (1, ..., 1), else a TopeField, holding the table
     itself."""
-    field = (MatchingField if v == core.all_ones(d) else TopeField).from_masks(n, d, v, table)
+    field = _held(n, d, v, table)
     if field.holds_type:
         return field
     _refuse_field(n, d, v, table)
+
+
+def _held(n: int, d: int, v: tuple, table: dict) -> TopeField:
+    """A MatchingField when v = (1, ..., 1), else a TopeField, holding the
+    table unchecked."""
+    return (MatchingField if v == core.all_ones(d) else TopeField).from_masks(n, d, v, table)
 
 
 def _refuse_field(n: int, d: int, v: tuple, table: dict) -> None:
@@ -840,12 +849,32 @@ def field_to_json_dict(field: TopeField) -> dict:
 
 
 def field_from_json_dict(data: dict) -> TopeField:
-    n, d, table = core.read_masks(data, "matchings")
+    """The field of a JSON object, its type decided while it parses.  Each
+    entry's key is read by ``core.subset_reader`` and its edge list into its
+    mask and rows by ``core.edge_mask``; when every entry's rows are its key
+    with one edge each and its right degree vector is v, over C(n, k)
+    entries with 0 <= k <= n <= MAX_SIDE, which are the conditions of
+    ``TopeField.holds_type``, the field holds the verdict and no row is read
+    again.  Any other table goes to ``field_from_masks``."""
+    n, d, entries = core.read_object(data, "matchings")
+    read_key, table, parsed = core.subset_reader(n, entries), {}, True
+    for text, edges in entries.items():
+        key = read_key(text)
+        mask, rows = core.edge_mask(n, d, edges)
+        table[key] = mask
+        if rows != key or mask.bit_count() != rows.bit_count():
+            parsed = False
     core._check_sides(n, d)  # before all_ones(d): an empty table checks no edge
     v = core._int_tuple(data.get("type", core.all_ones(d)), "a type vector")
     if v != core.all_ones(d):
         v = _type_vector(n, d, v)
-    return field_from_masks(n, d, v, table)
+    k = sum(v)
+    if not (parsed and 0 <= k <= n <= core.MAX_SIDE and len(table) == comb(n, k)
+            and all(core.right_degrees(mask, n, d) == v for mask in table.values())):
+        return field_from_masks(n, d, v, table)
+    field = _held(n, d, v, table)
+    field.holds_type = True
+    return field
 
 
 def arrangement_to_json_dict(ta: TopeArrangement) -> dict:

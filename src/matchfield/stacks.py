@@ -371,17 +371,19 @@ def right_submatching_check(field: fields.MatchingField) -> SubmatchingReport:
     """
     n, d = field.n, field.d
     matchings = list(field.mask_table.values())
-    index = core.partner_index([core.tope_function(m, n, d) for m in matchings], n, d)
     table: dict[int, dict[int, Optional[int]]] = {}
+    functions = []  # core.tope_function of each field matching
     for m in matchings:
-        entries = [(0, 0, 0)]
+        entries, f = [(0, 0, 0)], [d] * n
         for b in core._bits(m):
+            f[b // d] = b % d
             entries += [(J | 1 << b // d, I | 1 << b % d, e | 1 << b) for J, I, e in entries]
+        functions.append(f)
         for J, I, e in entries[1:]:
             row = table.setdefault(J, {})
             if row.setdefault(I, e) != e:
                 row[I] = None
-    passed: set[int] = set()
+    index, passed = core.partner_index(functions, n, d), set()
     for size in range(1, d):
         rights = [
             (I, [(I_sub, core.subset_mask(I_sub)) for I_sub in combinations(I, size)])
@@ -400,10 +402,10 @@ def right_submatching_check(field: fields.MatchingField) -> SubmatchingReport:
                 if not _is_forest(union, n, d):
                     cycle = core.find_cycle(BipartiteGraph.from_mask(n, d, union))
                     return SubmatchingReport(False, (J, I, "cycle", tuple(cycle)))
-                for mask in _perfect_matchings(union, J, d):
+                for mask, f in _perfect_matchings(union, J, n, d):
                     if mask in passed:
                         continue
-                    if bad := core.incompatible_partners(core.tope_function(mask, n, d), index, d):
+                    if bad := core.incompatible_partners(f, index, d):
                         m = BipartiteGraph.from_mask(n, d, mask)
                         other = matchings[(bad & -bad).bit_length() - 1]
                         witness = (m, BipartiteGraph.from_mask(n, d, other))
@@ -428,14 +430,20 @@ def _is_forest(mask: int, n: int, d: int) -> bool:
     return True
 
 
-def _perfect_matchings(mask: int, J: Sequence[int], d: int) -> list[int]:
-    """The matchings in an edge mask that cover J, row by row over J and
-    free right bits in increasing order: ``core.matching_masks`` order."""
-    level = [(0, 0)]
-    for shift in ((j - 1) * d for j in J):
+def _perfect_matchings(mask: int, J: Sequence[int], n: int, d: int) -> list[tuple[int, tuple]]:
+    """The matchings in an n x d edge mask that cover J, row by row over J
+    and free right bits in increasing order (``core.matching_masks``
+    order), each with its ``core.tope_function``, whose entry for a row of
+    J is the right bit the row picks and d elsewhere."""
+    level, last = [(0, 0, ())], 0
+    for j in J:
+        shift, skipped = (j - 1) * d, (d,) * (j - 1 - last)
         row = mask >> shift & (1 << d) - 1
-        level = [(I | 1 << b, m | 1 << shift + b) for I, m in level for b in core._bits(row & ~I)]
-    return [m for _, m in level]
+        level = [(I | 1 << b, m | 1 << shift + b, f + skipped + (b,))
+                 for I, m, f in level for b in core._bits(row & ~I)]
+        last = j
+    rest = (d,) * (n - last)
+    return [(m, f + rest) for _, m, f in level]
 
 
 # ---------------------------------------------------------------------------

@@ -458,7 +458,7 @@ def trees_from_json_dict(data: dict) -> tuple[int, int, list[int]]:
     n, d = core.read_sides(data)
     if min(n, d) < 1:
         _check_sides(n, d, "triangulation")
-    return n, d, [core.edge_mask(n, d, t) for t in core._json_list(data["trees"], "trees")]
+    return n, d, [core.edge_mask(n, d, t)[0] for t in core._json_list(data["trees"], "trees")]
 
 
 def triangulation_from_json_dict(data: dict) -> Triangulation:

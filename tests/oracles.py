@@ -83,11 +83,15 @@ descriptions kept as test oracles.
   that scans a {subset: graph} map in ``core.subsets`` order, and the
   collection validator that reads each covector graph: the oracles for
   ``core.read_masks``, ``fields.field_from_masks`` and the one-pass check
-  of ``ChowCollection.from_masks``.  The tope arrangement, extended
-  arrangement and matching stack held as {key: graph} maps, with the
-  arrangement validated graph by graph, and their readers through that
-  JSON reader: the oracles for the mask tables of ``TopeArrangement``,
-  ``ExtendedTopeArrangement`` and ``MatchingStack`` and their readers.
+  of ``ChowCollection.from_masks``.  The edge list read by one loop that
+  tests each edge's shape before its place, and the field read through it
+  and then validated by the row pass: the oracles for the accepting loop of
+  ``core.edge_mask`` and the type ``fields.field_from_json_dict`` decides
+  while it parses.  The tope arrangement, extended arrangement and
+  matching stack held as {key: graph} maps, with the arrangement validated
+  graph by graph, and their readers through that JSON reader: the oracles
+  for the mask tables of ``TopeArrangement``, ``ExtendedTopeArrangement``
+  and ``MatchingStack`` and their readers.
   The maximal topes as unions of covector graphs, the route
   ``field_from_chow_by_topes`` takes.
 - Every linkage field at desk scale, by trying every bijection per
@@ -245,7 +249,7 @@ def is_spanning_tree_by_cycles(g: BipartiteGraph) -> bool:
 def read_graph(n: int, d: int, edges) -> BipartiteGraph:
     """A graph from its JSON edge list, read by ``core.edge_mask``: the
     graph route of the triangulation reader, which keeps the masks."""
-    return BipartiteGraph.from_mask(n, d, core.edge_mask(n, d, edges))
+    return BipartiteGraph.from_mask(n, d, core.edge_mask(n, d, edges)[0])
 
 
 def tree_degree_pair(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -1443,6 +1447,46 @@ def read_table(
     if vectors:
         return n, d, {parse_key(k): core._int_tuple(v, "a vector") for k, v in table.items()}
     return n, d, {parse_key(k): _graph(n, d, v) for k, v in table.items()}
+
+
+def edge_mask_by_shapes(n: int, d: int, edges) -> int:
+    """The edge mask of a JSON edge list by one loop that tests each edge's
+    shape before its place, the oracle for the accepting loop and refusal
+    routine of ``core.edge_mask``.  Raises ValueError unless it is a list of
+    integer pairs, then SizeCapError unless (n, d) is within the cap, then
+    MatchfieldError naming its first edge off the n x d grid."""
+    if type(edges) not in (list, tuple):
+        raise ValueError(f"an edge list must be a list, got {edges!r}")
+    grid = 0 <= n <= core.MAX_SIDE and 1 <= d <= core.MAX_SIDE
+    mask, off = 0, None
+    for e in edges:
+        if type(e) in (list, tuple) and len(e) == 2:
+            j, i = e
+            if type(j) is int and type(i) is int:
+                if grid and 0 < j <= n and 0 < i <= d:
+                    mask |= 1 << ((j - 1) * d + i - 1)
+                elif off is None:
+                    off = (j, i)
+                continue
+        raise ValueError(f"an edge must be a pair of integers, got {e!r}")
+    core._check_sides(n, d)
+    if off is not None:
+        raise MatchfieldError(f"edge ({off[0]}, {off[1]}) out of range for ({n}, {d})")
+    return mask
+
+
+def field_from_json_dict_by_rows(data: dict) -> fields.TopeField:
+    """A field read into its mask table by ``edge_mask_by_shapes`` and then
+    validated by the row pass of ``fields.field_from_masks``, the oracle for
+    the type that ``fields.field_from_json_dict`` decides while it parses."""
+    n, d, entries = core.read_object(data, "matchings")
+    read_key = core.subset_reader(n, entries)
+    table = {read_key(k): edge_mask_by_shapes(n, d, edges) for k, edges in entries.items()}
+    core._check_sides(n, d)
+    v = core._int_tuple(data.get("type", core.all_ones(d)), "a type vector")
+    if v != core.all_ones(d):
+        v = fields._type_vector(n, d, v)
+    return fields.field_from_masks(n, d, v, table)
 
 
 def _validated_field(n: int, d: int, v: tuple, assignment: dict) -> fields.TopeField:

@@ -30,6 +30,7 @@ from matchfield.fields import (
     field_to_json_dict,
     tope_arrangement,
 )
+from matchfield.randgen import seeded_coherent_field
 from matchfield.stacks import stack_from_json_dict, stack_to_json_dict, stack_from_trees
 from matchfield.triang import (
     STAIRCASE_MAX_TREES,
@@ -1066,6 +1067,130 @@ def test_malformed_field_reads_as_the_graph_reader_does(field_42):
         assert isinstance(got[0], type) and issubclass(got[0], Exception)
 
 
+# -- the field's type decided while it parses ----------------------------------
+
+EDGE_FAULTS = ["string", "one", "three", "object", "bool", "double", "row", "off-grid",
+               "list-object", "tuple", "missing", "extra", "squeeze", "type"]
+
+
+@st.composite
+def mutated_edges(draw, data):
+    """A copy of a field object with one edge list, entry or type turned
+    toward a fallback of the accepting loop of ``core.edge_mask`` or of the
+    verdict the reader draws from it."""
+    data = copy.deepcopy(data)
+    n, d, table = data["n"], data["d"], data["matchings"]
+    key = draw(st.sampled_from(sorted(table)), label="key")
+    edges = table[key]
+    t = draw(st.integers(0, len(edges) - 1), label="edge")
+    j, i = edges[t]
+    fault = draw(st.sampled_from(EDGE_FAULTS), label="fault")
+    if fault == "string":
+        edges[t] = draw(st.sampled_from(["ab", f"{j}{i}"]))
+    elif fault == "one":
+        edges[t] = [j]
+    elif fault == "three":
+        edges[t] = [j, i, i]
+    elif fault == "object":
+        edges[t] = draw(st.sampled_from([{}, {"j": j, "i": i}, {str(j): j, "x": i}]))
+    elif fault == "bool":
+        edges[t] = draw(st.sampled_from([[True, i], [j, True], [j, False], [j, float(i)]]))
+    elif fault == "double":
+        edges.insert(t, [j, i])
+    elif fault == "row":
+        edges.insert(t, [j, i % d + 1])
+    elif fault == "off-grid":
+        edges[t] = draw(st.sampled_from([[0, i], [n + 1, i], [j, 0], [j, d + 1], [-1, 1], [65, 1]]))
+        if draw(st.booleans()):  # a malformed edge after it is still a shape fault
+            edges.insert(draw(st.integers(t + 1, len(edges))), draw(st.sampled_from(["x", [1], [1, "2"]])))
+    elif fault == "list-object":
+        table[key] = {str(s): e for s, e in enumerate(edges)}
+    elif fault == "tuple":
+        table[key] = tuple(map(tuple, edges)) if draw(st.booleans()) else tuple(edges)
+    elif fault == "missing":
+        del table[key]
+    elif fault == "extra":
+        table[draw(st.sampled_from([f"{key},{n + 1}", f"{n + 1}", key.rpartition(",")[0] or "1,2"]))] = edges
+    elif fault == "squeeze":  # the key loses a member, whose edge moves to another row of it
+        del table[key]
+        rest = [e for e in edges if e != [j, i]]
+        table[",".join(sorted({str(e[0]) for e in rest}, key=int))] = [[rest[0][0], i]] + rest
+    else:
+        data["type"] = draw(st.lists(st.integers(0, 3), min_size=max(d - 1, 1), max_size=d + 1))
+    return data
+
+
+@pytest.fixture(scope="session")
+def parsed_fields(field_42, tope_field_42):
+    """Valid field objects to mutate: the matching and tope fields on (4, 2)
+    and a coherent matching field on (6, 3)."""
+    coherent = seeded_coherent_field(6, 3, 1)[0]
+    return [field_to_json_dict(f) for f in (field_42, tope_field_42, coherent)]
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(choice=st.data())
+def test_field_read_decides_its_type_as_the_row_pass_does(parsed_fields, choice):
+    # the same table, or the same error type and text, as the graph reader
+    # and as the parent route: each edge list by the oracle loop, then the
+    # row pass of field_from_masks; an accepted field's verdict is that pass's
+    data = choice.draw(st.sampled_from(parsed_fields), label="field")
+    data = choice.draw(mutated_edges(data), label="data")
+    got = read_outcome(field_from_json_dict, data)
+    assert got == read_outcome(oracles.field_from_json_dict_by_graphs, data)
+    assert got == read_outcome(oracles.field_from_json_dict_by_rows, data)
+    if not issubclass(got[0], Exception):
+        field = field_from_json_dict(data)
+        assert "holds_type" in vars(field)
+        rows = fields.TopeField.from_masks(field.n, field.d, field.type_vector, field.mask_table)
+        assert field.holds_type == rows.holds_type
+
+
+def edge_outcome(n, d, edges):
+    """What an edge list reads as by ``core.edge_mask`` and by the oracle
+    loop: each reader's mask or the type and text of its error."""
+    outcomes = []
+    for read in (lambda: core.edge_mask(n, d, edges)[0], lambda: oracles.edge_mask_by_shapes(n, d, edges)):
+        try:
+            outcomes.append(read())
+        except (MatchfieldError, ValueError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+JSON_EDGES = st.one_of(
+    st.lists(st.integers(-1, 66), min_size=2, max_size=2),
+    st.lists(st.integers(1, 4), min_size=2, max_size=2).map(tuple),
+    st.lists(st.one_of(st.booleans(), st.integers(0, 3), st.just("1"), st.just(1.0)), max_size=3),
+    st.sampled_from(["ab", "12", {}, {"1": 1, "2": 2}, None, 1]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([-1, 0, 1, 3, 4, 64, 65]),
+    d=st.sampled_from([-1, 0, 1, 2, 4, 64, 65]),
+    edges=st.one_of(
+        st.lists(JSON_EDGES, max_size=6),
+        st.lists(JSON_EDGES, max_size=6).map(tuple),
+        st.sampled_from(["", "11", {}, {"1": [1, 1]}, None, 7]),
+    ),
+)
+def test_edge_mask_reads_as_the_oracle_loop_does(n, d, edges):
+    # the accepting loop and its refusal routine against one loop that tests
+    # each edge's shape before its place: the same mask or the same error,
+    # an off-grid edge before a malformed one included
+    got, expected = edge_outcome(n, d, edges)
+    assert got == expected
+    if type(got) is int:
+        assert core.edge_mask(n, d, edges)[1] == sum({1 << (e[0] - 1) for e in edges})
+
+
 @pytest.mark.parametrize("n, d", [(10**9, 10**9), (3, 10**9)])
 def test_empty_field_with_huge_sides_exits_1(capsys, tmp_path, n, d):
     path = tmp_path / "huge.json"
@@ -1102,9 +1227,10 @@ def test_empty_right_side_is_refused_by_name(capsys, tmp_path, command, data):
 
 
 def read_masks_by_key(data, name):
-    """``core.read_masks`` with every key read by the per-key parser."""
+    """``core.read_masks`` with every key read by the per-key parser and
+    every edge list by the oracle loop."""
     n, d, table = core.read_object(data, name)
-    return n, d, {core.subset_bits(core.parse_subset_key(k), n): core.edge_mask(n, d, v)
+    return n, d, {core.subset_bits(core.parse_subset_key(k), n): oracles.edge_mask_by_shapes(n, d, v)
                   for k, v in table.items()}
 
 
@@ -1574,8 +1700,6 @@ STDOUT_SHA256 = {
 
 @pytest.fixture(scope="module")
 def pinned_inputs(tmp_path_factory):
-    from matchfield.randgen import seeded_coherent_field
-
     work = tmp_path_factory.mktemp("pinned")
     data = {}
     for name, (n, d, seed) in PINNED_FIELDS.items():

@@ -66,6 +66,7 @@ from oracles import (
     collapse_split_graph,
     column_functions,
     every_linkage_field,
+    field_from_json_dict_by_rows,
     i_amalgamation_by_cycles,
     increasing_splitting,
     is_linkage_by_cycles,
@@ -274,9 +275,9 @@ class TestValidation:
 
 class TestLinkage:
     def test_one_mask_table_per_field(self, field_63, monkeypatch):
-        # the table the validator passes is the field, and the linkage test,
-        # the Chow pass and the arrangement read that very object without
-        # ever building the graphs
+        # the table the reader parses is the field, held without the row
+        # pass of the validator, and the linkage test, the Chow pass and the
+        # arrangement read that very object without ever building the graphs
         read = []
 
         def spy(name):
@@ -288,15 +289,15 @@ class TestLinkage:
 
             monkeypatch.setattr(fields_mod, name, reading)
 
-        for name in ("field_from_masks", "covector_mask", "chow_masks"):
+        for name in ("field_from_masks", "_held", "covector_mask", "chow_masks"):
             spy(name)
         field = field_from_json_dict(field_to_json_dict(field_63))
         (name, table), = read
-        assert name == "field_from_masks" and field.mask_table is table
+        assert name == "_held" and field.mask_table is table
         assert table == {core.subset_mask(sigma): m.mask for sigma, m in field_63.items()}
         fields_mod.require_linkage(field)
         tope_arrangement(field)
-        assert {name for name, _ in read} == {"field_from_masks", "covector_mask", "chow_masks"}
+        assert {name for name, _ in read} == {"_held", "covector_mask", "chow_masks"}
         assert all(t is table for _, t in read)
         assert field.mask_table is table
         assert "assignment" not in vars(field)
@@ -502,6 +503,29 @@ class TestLinkageByCount:
                 i for k, i in enumerate(order, start=d) for _ in range(comb(n, k + 1))]
             assert others == [[], []] and covectors == []
             monkeypatch.undo()
+
+    def test_a_field_read_decides_its_type_while_it_parses(self, monkeypatch):
+        # a valid (10,4) field reads no row again; a field that fails its
+        # type still reaches the refusal of the validator, with its text
+        field = seeded_coherent_field(10, 4, 1)[0]
+        data = field_to_json_dict(field)
+        read = self.spy(monkeypatch, "read_rows")
+        refused = []
+        refuse = fields_mod._refuse_field
+        monkeypatch.setattr(fields_mod, "_refuse_field", lambda *a: refused.append(a) or refuse(*a))
+        validated = field_from_json_dict(data)
+        assert read == [] and refused == []
+        assert validated == field and "holds_type" in vars(validated) and validated.holds_type
+        edges = [[1, 1], [2, 2], [3, 3], [5, 3]]  # r3 twice, r4 never
+        bad = {**data, "matchings": {**data["matchings"], "1,2,3,5": edges}}
+        with pytest.raises(NotAMatchingError) as err:
+            field_from_json_dict(bad)
+        assert str(err.value) == "value for (1, 2, 3, 5) is not a perfect matching"
+        (n, d, v, table), = refused
+        assert table[0b10111] == graph(n, d, edges).mask
+        with pytest.raises(NotAMatchingError) as expected:
+            field_from_json_dict_by_rows(bad)
+        assert str(err.value) == str(expected.value)
 
     def test_unchecked_field_checks_its_type_once(self, monkeypatch, field_43, field_63):
         for field in (field_43, field_63):
