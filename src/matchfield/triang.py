@@ -28,8 +28,9 @@ walks each tree's chain of deletions in one loop (``_tree``): find the edge
 (lj, ri) of its first left leaf, a zero digit of u, from the sector of j
 that holds v (``core.sectors``), OR its bit into the tree's mask, drop the
 digit, subtract B^(d-i) from v and go on without j; a transposed step swaps
-the halves of the code.  Each step is computed once for all trees that take
-it.  The shape of the pairs, K of them with both projections bijective
+the halves of the code.  Each step is computed once per level, its sides
+and coded pair set, whatever labels reach it, and each level set is held
+once.  The shape of the pairs, K of them with both projections bijective
 onto lattice points, is checked once: by ``reconstruct_triangulation``, or
 by ``phi`` in ``roundtrip``.  Each deletion keeps it, so no sweep lacks its
 seed (``_deletion``).  Each step adds a leaf lj (u_j = 0) on the ri whose
@@ -259,8 +260,10 @@ def _tree(code, codes, left_labels, right_labels, base, memo):
     without lj; with n < d the sides swap.  One loop walks this chain,
     ORing each edge's bit into the mask in the original orientation, down
     to one node on a side, which joins every node of the other.  memo holds
-    each deletion step, shared by the trees that take it, and each
-    transposed pair set.
+    each deletion step under (n, d, codes, pos) and each transposed pair set
+    under (n, d, codes): a step reads no label but j, for its refusal text,
+    so it is computed once per level whatever labels reach it.  Each level
+    set is held once, as its own key, so a hit compares by identity.
     """
     # bit (j - 1) * jw + (i - 1) * iw of the edge (lj, ri) in the labels of
     # the step, the weights swapping with the sides
@@ -268,9 +271,10 @@ def _tree(code, codes, left_labels, right_labels, base, memo):
     n, d = len(left_labels), len(right_labels)
     while n > 1 and d > 1:
         if n < d:  # with the sides swapped, the pair u * B^d + v is v * B^n + u
-            key, low, high = (left_labels, right_labels, codes), base**d, base**n
+            key, low, high = (n, d, codes), base**d, base**n
             if key not in memo:
-                memo[key] = frozenset(x % low * high + x // low for x in codes)
+                swapped = frozenset(x % low * high + x // low for x in codes)
+                memo[key] = memo.setdefault(swapped, swapped)
             code, codes = code % low * high + code // low, memo[key]
             left_labels, right_labels, n, d = right_labels, left_labels, d, n
             jw, iw = iw, jw
@@ -279,10 +283,11 @@ def _tree(code, codes, left_labels, right_labels, base, memo):
         while u // unit % base:  # the first zero digit of u, most significant first
             unit //= base
             pos += 1
-        key = (left_labels, right_labels, codes, pos)
+        key = (n, d, codes, pos)
         step = memo.get(key)
         if step is None:
-            step = memo[key] = _deletion(codes, pos, n, d, left_labels[pos], base)
+            down, facets = _deletion(codes, pos, n, d, left_labels[pos], base)
+            step = memo[key] = down, memo.setdefault(facets, facets)
         down, codes = step
         i, code = down[code]
         mask |= 1 << (left_labels[pos] - 1) * jw + (right_labels[i - 1] - 1) * iw
@@ -305,16 +310,17 @@ def _deletion(codes, pos, n, d, j, base):
     k, which would meet, are one member admitted to two sectors).  So every
     seed (n-1) * e_i of ``core.sectors`` is an rdv of the level."""
     low, digit = base**d, base ** (n - 1 - pos)
-    members = [x for x in codes if not x // (low * digit) % base]
+    split, high, units = low * digit, digit * base, [base**k for k in range(d, -1, -1)]
+    members = [x for x in codes if not x // split % base]
     sector = core.sectors({x % low for x in members}, n - 1, j, InconsistentPairsError, d, base)
     down = {}
     for x in members:
         u, v = divmod(x, low)
         i = sector[v]
-        unit = base ** (d - i)
+        unit = units[i]
         if not v // unit % base:
             raise InconsistentPairsError("deletion leaves a negative degree")
-        down[x] = (i, (u // digit // base * digit + u % digit) * low + v - unit)
+        down[x] = (i, (u // high * digit + u % digit) * low + v - unit)
     return down, frozenset(facet for _, facet in down.values())
 
 

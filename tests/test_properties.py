@@ -452,12 +452,14 @@ def memo_levels(memo):
     its facets, and each pair set before and after its transposition."""
     levels = set()
     for key, value in memo.items():
-        if len(key) == 4:  # (left labels, right labels, codes, pos) of a deletion
-            left, right, codes, _ = key
-            levels |= {(len(left), len(right), codes), (len(left) - 1, len(right), value[1])}
-        else:  # (left labels, right labels, codes) of a transposition
-            left, right, codes = key
-            levels |= {(len(left), len(right), codes), (len(right), len(left), value)}
+        if isinstance(key, frozenset):  # an interned level set, held as its own key
+            continue
+        if len(key) == 4:  # (n, d, codes, pos) of a deletion
+            n, d, codes, _ = key
+            levels |= {(n, d, codes), (n - 1, d, value[1])}
+        else:  # (n, d, codes) of a transposition
+            n, d, codes = key
+            levels |= {(n, d, codes), (d, n, value)}
     return levels
 
 

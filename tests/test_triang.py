@@ -625,9 +625,10 @@ class TestReconstruction:
             reconstruct_triangulation(pairs, 3, 3)
         assert str(info.value) == message
 
-    def test_coded_steps_are_the_tuple_steps_of_a_65_staircase(self):
+    def test_coded_steps_are_the_tuple_steps_of_a_65_staircase(self, monkeypatch):
         # every deletion step and transposed pair set of the coded recursion
-        # is the encoding of the tuple one, and no degree along the way
+        # is the encoding of the tuple one under its level key (n, d, codes
+        # [, pos]), whatever labels reach it, and no degree along the way
         # reaches the base B = max(n, d), so no digit carries
         n, d = 6, 5
         t = staircase_triangulation(n, d, (3, 6, 1, 5, 2, 4), (2, 5, 3, 1, 4))
@@ -642,6 +643,14 @@ class TestReconstruction:
         expected: dict = {}
         assert reconstruct_triangulation_on_tuples(pairs, n, d, expected) == t
         memo: dict = {}
+        calls: list = []
+        deletion = triang._deletion
+
+        def spy(level, pos, m, k, j, b):
+            calls.append((m, k, level, pos))
+            return deletion(level, pos, m, k, j, b)
+
+        monkeypatch.setattr(triang, "_deletion", spy)
         left, right = tuple(range(1, n + 1)), tuple(range(1, d + 1))
         for x in sorted(codes(pairs)):
             triang._tree(x, codes(pairs), left, right, base, memo)
@@ -657,9 +666,37 @@ class TestReconstruction:
                 )
             else:  # (left labels, right labels, pairs): the transposed pairs
                 value = codes(value)
-            coded[key[:2] + (codes(key[2]),) + key[3:]] = value
-        assert coded == memo
-        assert sum(len(key) == 4 for key in memo) > 20
+            level = (len(key[0]), len(key[1]), codes(key[2])) + key[3:]
+            # label keys of one level carry one coded step
+            assert coded.setdefault(level, value) == value
+        assert coded == {key: value for key, value in memo.items() if isinstance(key, tuple)}
+        steps = [key for key in coded if len(key) == 4]
+        assert len(calls) == len(set(calls)) == len(steps) == 186
+        assert set(calls) == set(steps)
+        assert len(expected) > len(coded)
+
+    def test_rebuild_holds_each_level_set_once(self, monkeypatch):
+        # a relabelled (7,6) staircase: no two distinct objects among the
+        # memo's level sets are equal, and the rebuild is the input
+        t = staircase_triangulation(7, 6, (4, 7, 1, 6, 2, 5, 3), (3, 6, 1, 5, 2, 4))
+        memos: list = []
+        tree = triang._tree
+
+        def spy(code, codes, left, right, base, memo):
+            memos.append(memo)
+            return tree(code, codes, left, right, base, memo)
+
+        monkeypatch.setattr(triang, "_tree", spy)
+        assert reconstruct_triangulation(phi(t), 7, 6) == t
+        assert all(memo is memos[0] for memo in memos)
+        held = {id(level): level for level in memos[0] if isinstance(level, frozenset)}
+        for key, value in memos[0].items():
+            if isinstance(key, tuple):
+                held[id(key[2])] = key[2]
+                facets = value[1] if len(key) == 4 else value
+                held[id(facets)] = facets
+        assert len(held) > 100
+        assert len(set(held.values())) == len(held)
 
     def test_phi_injective_on_enumerable_cases(self):
         for n, d in [(2, 2), (2, 3), (2, 4), (3, 3)]:
