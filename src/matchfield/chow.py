@@ -21,22 +21,25 @@ covectors containing the edge (lj, ri) form a *combinatorial sector*, swept
 from the pair at the top level (v_i = n-d+1): a pair joins when an admitted
 pair sits at rdv v + e_i - e_k.  The d sectors of j partition the covectors
 through j (``core.sectors``, shared with the triangulations), and each ORs
-its edge at lj into the mask of its rho.  The shape of phi is checked once:
-by ``reconstruct_chow_from_phi`` (``PhiMap.validate_bijective``), or in
+its edge at lj into the mask of its rho.  The rebuild keeps the table its
+sweeps build; it checks only that their rdv codes are distinct, then that
+each is its phi value's.  The shape of phi is checked once: by
+``reconstruct_chow_from_phi`` (``PhiMap.validate_bijective``), or in
 ``roundtrip`` by the ``ChowCollection`` it is read off; so every seed is a
-value and the sweep tests none.  The certificate rebuilds the field,
-checks that it is linkage and that its covector table equals the rebuilt
-one, mask for mask.  ``roundtrip --kind chow`` certifies only a rebuild
-that differs from the table of its validated linkage input, as an equal one
-is what the certificate would confirm.  The tests keep the paper's
-induction on deleting lj, and the covectors as intersections of maximal
-topes and as minimal transversals, as oracles.
+value and the sweep tests none.  The certificate runs in full: it rebuilds
+the field, checks that it is linkage and that its covector table equals
+the rebuilt one, mask for mask.  ``roundtrip --kind chow`` certifies only a
+rebuild that differs from the table of its validated linkage input, as an
+equal one is what the certificate would confirm.  The tests keep the
+paper's induction on deleting lj, and the covectors as intersections of
+maximal topes and as minimal transversals, as oracles.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import comb
+from operator import mul, ne
 from typing import Iterable
 
 from . import core, fields
@@ -70,7 +73,7 @@ def chow_by_definition(field: fields.MatchingField, rho: Iterable[int]) -> Bipar
 
 class ChowCollection:
     """All covectors of a linkage field, with the degree-vector bijection,
-    held as the validated mask table {rho bitmask: edge mask} and as
+    held as the checked mask table {rho bitmask: edge mask} and as
     {rho: rdv}; the graphs, `covectors`, are a view built on first use."""
 
     def __init__(self, n: int, d: int, covectors: dict):
@@ -82,6 +85,13 @@ class ChowCollection:
         """A collection holding the mask table itself, once validated."""
         cc = cls.__new__(cls)
         cc._hold(n, d, table)
+        return cc
+
+    @classmethod
+    def _unchecked(cls, n: int, d: int, table: dict, rdvs: dict) -> "ChowCollection":
+        """A collection holding a table and rdvs its builder has checked."""
+        cc = cls.__new__(cls)
+        cc.n, cc.d, cc.mask_table, cc.rdvs = n, d, table, rdvs
         return cc
 
     def _hold(self, n: int, d: int, table: dict) -> None:
@@ -216,23 +226,30 @@ def reconstruct_chow_from_phi(phi: PhiMap, n: int, d: int) -> ChowCollection:
 
 
 def _rebuild(phi: PhiMap, n: int, d: int) -> ChowCollection:
-    """The covectors of the sector sweeps of a bijective phi, once they
-    reproduce phi."""
+    """The covectors of the sector sweeps of a bijective phi, held as built:
+    ``core.sectors`` puts each member through lj in one sector of j or
+    raises, so each rho gets one edge in each of its rows.  Their rdv codes
+    must be distinct, then each its phi value's; the certificate is the caller's."""
     base = n - d + 2  # above every coordinate
-    by_code = {core.encode_point(v, base): core.subset_mask(rho) for rho, v in phi.mapping.items()}
-    table = dict.fromkeys(by_code.values(), 0)
+    weights = [base ** (d - i) for i in range(1, d + 1)]  # of coordinate i, as core.encode_point
+    bits = [0] + [1 << j for j in range(n)]  # of member j, as core.subset_mask
+    by_code, members = {}, [set() for _ in range(n + 1)]  # members[j]: the codes through lj
+    for rho, v in phi.mapping.items():
+        x = sum(map(mul, v, weights))
+        by_code[x] = sum(map(bits.__getitem__, rho))
+        for j in rho:
+            members[j].add(x)
+    table, codes = dict.fromkeys(by_code.values(), 0), dict.fromkeys(by_code, 0)
     for j in range(n):
-        members = {x for x, rho in by_code.items() if rho >> j & 1}
-        sector = core.sectors(members, n - d + 1, j + 1, InconsistentPhiError, d, base)
+        sector = core.sectors(members[j + 1], base - 1, j + 1, InconsistentPhiError, d, base)
         for x, i in sector.items():
             table[by_code[x]] |= 1 << (j * d + i - 1)
-    try:
-        collection = ChowCollection.from_masks(n, d, table)
-    except InconsistentCollectionError as exc:
-        raise InconsistentPhiError(str(exc)) from exc
-    if collection.rdvs != phi.mapping:
+            codes[x] += weights[i - 1]
+    if len(set(codes.values())) < len(codes):
+        raise InconsistentPhiError("right degree vectors do not biject onto the lattice points")
+    if any(map(ne, codes, codes.values())):
         raise InconsistentPhiError("reconstruction does not reproduce phi")
-    return collection
+    return ChowCollection._unchecked(n, d, table, dict(phi.mapping))
 
 
 def _certified(collection: ChowCollection) -> ChowCollection:

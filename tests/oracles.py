@@ -73,6 +73,9 @@ descriptions kept as test oracles.
   reconstructions, degree pairs and phi maps, with every lattice point a
   tuple: the oracles for the integer codes of ``core.sectors``,
   ``triang._tree``, ``triang._deletion`` and ``reconstruct_chow_from_phi``.
+  The Chow sweeps with the table they build validated again by
+  ``ChowCollection.from_masks``, the oracle for the checks that
+  ``chow._rebuild`` makes while it builds.
 - The right-submatching check that rescans every field matching for each
   (J, I') and runs ``is_compatible`` on every contained matching, the
   oracle for the table-driven ``right_submatching_check``.
@@ -871,6 +874,28 @@ def reconstruct_chow_on_tuples(phi: PhiMap, n: int, d: int) -> ChowCollection:
             raise InconsistentPhiError("covectors do not belong to any field")
     except (FieldValidationError, InconsistentCollectionError, NotLinkageError) as exc:
         raise InconsistentPhiError(str(exc)) from exc
+    return collection
+
+
+def rebuild_by_validation(phi: PhiMap, n: int, d: int) -> ChowCollection:
+    """Oracle for ``chow._rebuild``: the same sector sweeps, with every
+    point coded by ``core.encode_point`` and every rho by
+    ``core.subset_mask``, and the table they build then validated by
+    ``ChowCollection.from_masks`` and compared with phi."""
+    base = n - d + 2  # above every coordinate
+    by_code = {core.encode_point(v, base): core.subset_mask(rho) for rho, v in phi.mapping.items()}
+    table = dict.fromkeys(by_code.values(), 0)
+    for j in range(n):
+        members = {x for x, rho in by_code.items() if rho >> j & 1}
+        sector = core.sectors(members, n - d + 1, j + 1, InconsistentPhiError, d, base)
+        for x, i in sector.items():
+            table[by_code[x]] |= 1 << (j * d + i - 1)
+    try:
+        collection = ChowCollection.from_masks(n, d, table)
+    except InconsistentCollectionError as exc:
+        raise InconsistentPhiError(str(exc)) from exc
+    if collection.rdvs != phi.mapping:
+        raise InconsistentPhiError("reconstruction does not reproduce phi")
     return collection
 
 

@@ -2,6 +2,7 @@
 sectors, and reconstruction from the phi map."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -391,6 +392,25 @@ class TestSector:
         assert not sector(collection, 2, 1).members
 
 
+SWAP_SIZES = [(4, 2), (5, 3), (6, 3), (7, 3), (8, 4)]
+
+
+def coherent_phi_and_swaps(n, d):
+    """The Chow collection of a seeded coherent (n, d) field, and its phi
+    map followed by four seeded two-value swaps of it."""
+    field, _, _ = seeded_coherent_field(n, d, 1000 * n + d)
+    cc = chow_collection(field)
+    keys = sorted(cc.phi().mapping)
+    rng = random.Random(n * d)
+    mappings = [cc.phi().mapping]
+    for _ in range(4):
+        a, b = rng.sample(keys, 2)
+        swapped = dict(cc.phi().mapping)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        mappings.append(swapped)
+    return cc, mappings
+
+
 class TestReconstruction:
     def test_reference(self, field_42):
         cc = chow_collection(field_42)
@@ -516,20 +536,11 @@ class TestReconstruction:
         with pytest.raises(InconsistentPhiError, match=message):
             reconstruct_chow_from_phi(PhiMap(4, 3, mapping), 4, 3)
 
-    @pytest.mark.parametrize("n,d", [(4, 2), (5, 3), (6, 3), (7, 3), (8, 4)])
+    @pytest.mark.parametrize("n,d", SWAP_SIZES)
     def test_agrees_with_deletion_oracle(self, n, d):
         # the true phi map of a coherent field and seeded two-value swaps of
         # it: both routes accept with equal covectors, or both reject
-        field, _, _ = seeded_coherent_field(n, d, 1000 * n + d)
-        cc = chow_collection(field)
-        keys = sorted(cc.phi().mapping)
-        rng = random.Random(n * d)
-        mappings = [cc.phi().mapping]
-        for _ in range(4):
-            a, b = rng.sample(keys, 2)
-            swapped = dict(cc.phi().mapping)
-            swapped[a], swapped[b] = swapped[b], swapped[a]
-            mappings.append(swapped)
+        cc, mappings = coherent_phi_and_swaps(n, d)
         verdicts = []
         for mapping in mappings:
             results = []
@@ -541,6 +552,34 @@ class TestReconstruction:
             assert results[0] == results[1]
             verdicts.append(results[0])
         assert verdicts[0] == cc.covectors
+
+    def test_rebuild_reads_no_covector_again(self, monkeypatch):
+        # the table the sweeps build is held as it is: no row of it is read
+        # again, as validating it would read every covector once
+        n, d = 10, 5
+        phi = chow_collection(seeded_coherent_field(n, d, 1)[0]).phi()
+        read_rows, calls = core.read_rows, []
+        monkeypatch.setattr(core, "read_rows", lambda *args: calls.append(args) or read_rows(*args))
+        rebuilt = chow_mod._rebuild(phi, n, d)
+        assert calls == []
+        ChowCollection.from_masks(n, d, rebuilt.mask_table)
+        assert len(calls) == comb(n, n - d + 1)
+
+    @pytest.mark.parametrize("n,d", SWAP_SIZES)
+    def test_held_rebuild_is_the_validated_collection(self, n, d):
+        # every phi map the reconstruction accepts is held with the table and
+        # rdvs that validating its table gives, in the same order
+        accepted = 0
+        for mapping in coherent_phi_and_swaps(n, d)[1]:
+            try:
+                held = reconstruct_chow_from_phi(PhiMap(n, d, mapping), n, d)
+            except InconsistentPhiError:
+                continue
+            validated = ChowCollection.from_masks(n, d, held.mask_table)
+            assert list(held.mask_table.items()) == list(validated.mask_table.items())
+            assert list(held.rdvs.items()) == list(validated.rdvs.items())
+            accepted += 1
+        assert accepted
 
     def test_deletion_restriction(self, field_42):
         # stripping lj from the covectors through lj gives the collection of

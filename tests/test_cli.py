@@ -1757,12 +1757,19 @@ def test_a_valid_field_is_not_validated_again(inputs, pinned_inputs, validations
     assert validations == []
 
 
-def test_untrusted_routes_keep_their_validators(inputs, pinned_inputs, validations):
+def test_untrusted_routes_keep_their_validators(inputs, pinned_inputs, validations, monkeypatch):
     code, out, _ = run_quietly(["arrangement", pinned_inputs["COHERENT-10-5"]])
     assert code == 0 and validations == []
     ta = arrangement_from_json_dict(json.loads(out))
     assert validations == ["validate"]
     assert fields.TopeArrangement(ta.n, ta.d, ta.mask_table) == ta
     assert validations == ["validate"] * 2
+    # an untrusted phi map is checked for its shape on entry and its rebuild
+    # certified; the table the sector sweeps build is not validated again
+    validate_bijective, certified = chow.PhiMap.validate_bijective, chow._certified
+    monkeypatch.setattr(chow.PhiMap, "validate_bijective",
+                        lambda phi: validations.append("validate_bijective") or validate_bijective(phi))
+    monkeypatch.setattr(chow, "_certified",
+                        lambda cc: validations.append("_certified") or certified(cc))
     assert run_quietly(["reconstruct-chow", "--phi", pinned_inputs["PHI-COHERENT-10-5"]])[0] == 0
-    assert validations == ["validate"] * 2 + ["_covector_rdvs"]
+    assert validations == ["validate"] * 2 + ["validate_bijective", "_certified"]

@@ -21,7 +21,7 @@ from matchfield import (
     subsets,
     tope_arrangement,
 )
-from matchfield import core, triang
+from matchfield import chow, core, triang
 from matchfield.chow import PhiMap, chow_by_definition, chow_collection
 from matchfield.core import contained_matchings, is_spanning_tree
 from matchfield.errors import MatchfieldError
@@ -60,6 +60,7 @@ from oracles import (
     is_simplex_lattice_by_listing,
     is_spanning_tree_by_cycles,
     read_graph,
+    rebuild_by_validation,
     reconstruct_chow_on_tuples,
     reconstruct_triangulation_by_every_leaf,
     reconstruct_triangulation_on_tuples,
@@ -426,6 +427,29 @@ class TestCodedReconstructions:
         n, d, mapping = case
         assert route_outcome(reconstruct_chow_from_phi, PhiMap(n, d, mapping), n, d) == (
             route_outcome(reconstruct_chow_on_tuples, PhiMap(n, d, mapping), n, d)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_phi_maps())
+    # the (4,3) maps of test_each_rejection_check refused by the two checks
+    @example((4, 3, {(1, 2): (0, 0, 2), (1, 3): (1, 0, 1), (1, 4): (0, 1, 1),
+                     (2, 3): (1, 1, 0), (2, 4): (2, 0, 0), (3, 4): (0, 2, 0)}))
+    @example((4, 3, {(1, 2): (0, 0, 2), (1, 3): (1, 0, 1), (1, 4): (0, 1, 1),
+                     (2, 3): (0, 2, 0), (2, 4): (2, 0, 0), (3, 4): (1, 1, 0)}))
+    def test_rebuild_keeps_the_verdict_of_validating_its_table(self, case):
+        # the rebuild, before any certificate, gives the collection or the
+        # refusal that validating the table of its sweeps gives; both run
+        # on a phi map whose shape the caller has checked, as
+        # reconstruct_chow_from_phi and roundtrip --kind chow both do
+        n, d, mapping = case
+
+        def checked_then(route, phi):
+            phi.validate_bijective()
+            cc = route(phi, n, d)
+            return list(cc.mask_table.items()), list(cc.rdvs.items())
+
+        assert route_outcome(checked_then, chow._rebuild, PhiMap(n, d, mapping)) == (
+            route_outcome(checked_then, rebuild_by_validation, PhiMap(n, d, mapping))
         )
 
     @pytest.mark.parametrize("strategy", [mutated_pair_sets(), mutated_phi_maps()])
