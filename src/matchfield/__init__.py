@@ -7,7 +7,6 @@ transversal matroids."""
 from .core import (
     BipartiteGraph,
     contained_tope,
-    degree_vectors,
     is_compatible,
     simplex_lattice_points,
     subsets,

@@ -15,17 +15,19 @@ right-to-left and searching for a directed cycle; such a cycle alternates
 between the two graphs and its two halves are the conflicting matchings.
 Note the criterion ignores edges present in both graphs.  The stronger,
 containment-based agreement check used for triangulation axioms and stacks
-is ``agreed_matchings``, one pass over a dict keyed by (J, I).
+is ``agreed_masks``, one pass over a dict keyed by (J, I).
 
-The certificate kernels work on integer masks alone.  ``agreed_masks``, the
-pass behind ``agreed_matchings``, builds each distinct matching of all the
-edge masks once, into one dict keyed by (J mask, I mask): a depth-first pass
-over the rows carries the bitset of the masks that hold the partial
-matching, so the work is about the distinct matchings times d, not the sum
-of the matchings per graph, and a refusal costs about what an acceptance
-does.  ``right_perfect_matchings`` builds only the matchings that cover R,
-column by column; ``tree_tope`` walks a tree over its row masks, deciding
-spanning trees and linkage covectors and reading off the tope inside;
+The certificate kernels work on integer masks alone, one kernel per fact.
+``agreed_masks`` builds each distinct matching of all the edge masks once,
+into one dict keyed by (J mask, I mask): a depth-first pass over the rows
+carries the bitset of the masks that hold the partial matching, so the work
+is about the distinct matchings times d, not the sum of the matchings per
+graph, and a refusal costs about what an acceptance does; on one mask it is
+the listing of the matchings inside it.  ``find_cycle`` is the forest or
+cycle test, a union-find over the edge bits.  ``right_perfect_matchings``
+builds only the matchings that cover R, column by column; ``tree_tope``
+walks a tree over its row masks, deciding spanning trees and linkage
+covectors and reading off the tope inside;
 ``sector_sweep`` is a breadth-first search over lattice points coded as
 integers, sum v_k * B^(dim-k) with every digit below B, so that a move is
 integer arithmetic and code order is tuple order; ``sectors`` tests no seed
@@ -204,72 +206,48 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 # ---------------------------------------------------------------------------
-# degree vectors, cycles and trees
+# cycles and trees
 
 
-def degree_vectors(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Left and right degree vectors; both sum to the edge count."""
-    return g.left_degrees(), g.right_degrees()
+def find_cycle(mask: int, n: int, d: int) -> Optional[list[tuple[int, int]]]:
+    """Some cycle of an n x d edge mask as an edge list, or None if it is a
+    forest: the one forest or cycle test.
 
-
-def find_cycle(g: BipartiteGraph) -> Optional[list[tuple[int, int]]]:
-    """Some cycle of g as an edge list, or None if g is a forest.
-
-    Edges are added in lexicographic order to a union-find forest; the first
-    edge closing a cycle determines it, so the result is deterministic.
+    A union-find (lj is node j - 1, ri node n + i - 1) takes the edge bits
+    in increasing order, which is lexicographic (j, i) order.  The first bit
+    closing a cycle determines it, so the result is deterministic: the path
+    between the bit's ends through the earlier bits, which form a forest,
+    then the bit itself.
     """
-    parent: dict = {}
-
-    def find(x):
+    parent = list(range(n + d))
+    for b in _bits(mask):
+        x, y = b // d, n + b % d
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
             x = parent[x]
-        return x
-
-    adj: dict = {}
-    for j, i in g.edges:
-        a, b = ("L", j), ("R", i)
-        for node in (a, b):
-            parent.setdefault(node, node)
-            adj.setdefault(node, [])
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            path = _forest_path(adj, a, b)
-            edges = []
-            for u, v in zip(path, path[1:]):
-                l, r = (u, v) if u[0] == "L" else (v, u)
-                edges.append((l[1], r[1]))
-            edges.append((j, i))
-            return edges
-        parent[ra] = rb
-        adj[a].append(b)
-        adj[b].append(a)
-    return None
-
-
-def _forest_path(adj, start, goal):
-    prev = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for nb in adj[node]:
-                if nb in prev:
-                    continue
-                prev[nb] = node
-                if nb == goal:
-                    path = [nb]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    return path[::-1]
-                nxt.append(nb)
-        frontier = nxt
-    raise MatchfieldError("no path in forest")  # unreachable for joined components
-
-
-def is_spanning_tree(g: BipartiteGraph) -> bool:
-    """Connected on all n + d nodes with n + d - 1 edges, so acyclic."""
-    return tree_tope(g.mask, range(1, g.n + 1), g.d, 1) is not None
+        while parent[y] != y:
+            y = parent[y]
+        if x == y:
+            break
+        parent[x] = y
+    else:
+        return None
+    j, i = b // d, b % d
+    earlier, full, column = mask & (1 << b) - 1, (1 << d) - 1, column_mask(n, d)
+    prev, todo = {j: j}, [j]
+    for u in todo:  # a walk from lj over the earlier bits, grown while it is read
+        ends = (n + c for c in _bits(earlier >> u * d & full)) if u < n else (
+            c // d for c in _bits(earlier >> u - n & column))
+        for v in ends:
+            if v not in prev:
+                prev[v] = u
+                todo.append(v)
+    cycle, v = [(j + 1, i + 1)], n + i  # back from ri to lj, then reversed
+    while v != j:
+        u = prev[v]
+        left, right = (u, v) if u < n else (v, u)
+        cycle.append((left + 1, right - n + 1))
+        v = u
+    return cycle[:0:-1] + cycle[:1]
 
 
 def tree_tope(mask: int, rows: Sequence[int], d: int, k: int) -> Optional[int]:
@@ -440,39 +418,6 @@ def incompatible_partners(f: Sequence[int], index: list[list[int]], d: int) -> i
     return cyclic
 
 
-def matching_masks(g: BipartiteGraph) -> dict[tuple[int, int], int]:
-    """All nonempty matchings inside g as {(J mask, I mask): edge mask}.
-
-    Bit j - 1 of J stands for lj, bit i - 1 of I for ri.  A depth-first
-    search extends a matching by one edge of a later nonempty left row, rows
-    in increasing order and the free right bits of a row in increasing
-    order; a matching is listed before its extensions, so the keys come in
-    the preorder of the matchings over the lexicographic edge order.  A
-    forest contains at most one matching per (J, I); for a graph with
-    several the last one found is kept, which is also the one
-    ``agreed_matchings`` compares.
-    """
-    d = g.d
-    full = (1 << d) - 1
-    rows = [(j, g.mask >> (j * d) & full) for j in range(g.n)]
-    rows = [(1 << j, j * d, row) for j, row in rows if row]
-    out: dict[tuple[int, int], int] = {}
-
-    def extend(start: int, J: int, I: int, m: int) -> None:
-        for t in range(start, len(rows)):
-            jbit, shift, row = rows[t]
-            free = row & ~I
-            while free:
-                low = free & -free
-                free ^= low
-                key = (J | jbit, I | low)
-                out[key] = m | low << shift
-                extend(t + 1, *key, out[key])
-
-    extend(0, 0, 0, 0)
-    return out
-
-
 def right_perfect_matchings(mask: int, n: int, d: int) -> dict[int, int]:
     """The matchings inside an n x d edge mask that cover every right node,
     as {J mask: edge mask}, built column by column: each matching of
@@ -527,54 +472,41 @@ def subset_bits(subset: tuple[int, ...], n: int):
 
 
 def contained_matchings(g: BipartiteGraph) -> dict[tuple, BipartiteGraph]:
-    """``matching_masks`` keyed by (left support, right support) tuples, each
-    matching as a graph."""
+    """The nonempty matchings inside g, ``agreed_masks`` of its one mask,
+    keyed by (left support, right support) tuples, each as a graph."""
     return {
         (mask_subset(J), mask_subset(I)): BipartiteGraph.from_mask(g.n, g.d, m)
-        for (J, I), m in matching_masks(g).items()
+        for (J, I), m in agreed_masks([g.mask], g.n, g.d)[0].items()
     }
 
 
-def agreed_matchings(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[tuple]]:
-    """Containment agreement in one keyed pass: the matchings inside the
-    graphs as ``matching_masks`` entries, each from the first graph holding
-    its key, and the first disagreement (g, h, J, I) or None, with J and I
-    as tuples.  "First" is the order of a pairwise scan over g before h,
-    then over g's keys; a key's clash is between its first holder and the
-    first later graph that differs there.  Graphs on differing sides raise
-    MatchfieldError.
+def agreed_masks(masks: Sequence[int], n: int, d: int) -> tuple[dict, Optional[tuple]]:
+    """Containment agreement of n x d edge masks in one keyed pass: the
+    matchings inside the masks as {(J mask, I mask): edge mask}, each from
+    the first mask holding its key, and the first disagreement as (index of
+    g, index of h, J mask, I mask), or None.  Bit j - 1 of J stands for lj,
+    bit i - 1 of I for ri.  "First" is the order of a pairwise scan over g
+    before h, then over g's keys; a key's clash is between its first holder
+    and the first later mask that differs there.
 
-    Each edge carries the bitset of the graphs that hold it.  A depth-first
+    Each edge carries the bitset of the masks that hold it.  A depth-first
     search extends a matching by an edge of a later row, rows in increasing
-    order, and carries the bitset of the graphs that hold the matching; an
-    edge extends it when the AND of the two bitsets is nonzero.  So each
-    distinct matching is built once, at the cost of about d tries, and a
-    refusal costs about what an acceptance does; a triangulation holds
-    C(n+d, n) - 1 distinct matchings.  The search meets each graph's
-    matchings in its ``matching_masks`` preorder, so at a key given several
-    matchings a graph owns the last one it holds.  The witness is the least
+    order and then right bits in increasing order, and carries the bitset of
+    the masks that hold the matching; an edge extends it when the AND of the
+    two bitsets is nonzero.  So each distinct matching is built once, at the
+    cost of about d tries, and a refusal costs about what an acceptance
+    does; a triangulation holds C(n+d, n) - 1 distinct matchings.  A
+    matching comes before its extensions, so the keys come in the preorder
+    of the matchings over the lexicographic edge order.  The search meets
+    each mask's matchings in that preorder, so at a key given several
+    matchings a mask owns the last one it holds.  The witness is the least
     (lowest owner, lowest owner of another matching) over those keys, ties
-    going to the key first in ``matching_masks`` of the first graph.
+    going to the key first in the listing of the first holder alone: this
+    pass on its one mask, which holds no clash.
 
     Stronger than is_compatible for trees: a shared edge may lie on an
     alternating cycle, which the symmetric-difference orientation cannot see.
     """
-    if not graphs:
-        return {}, None
-    n, d = graphs[0].n, graphs[0].d
-    if any((g.n, g.d) != (n, d) for g in graphs):
-        raise MatchfieldError("agreement of graphs on differing sides")
-    agreed, clash = agreed_masks([g.mask for g in graphs], n, d)
-    if clash is None:
-        return agreed, None
-    a, b, J, I = clash
-    return agreed, (graphs[a], graphs[b], mask_subset(J), mask_subset(I))
-
-
-def agreed_masks(masks: Sequence[int], n: int, d: int) -> tuple[dict, Optional[tuple]]:
-    """``agreed_matchings`` of n x d edge masks, the first disagreement as
-    (index of g, index of h, J mask, I mask).  Only a refusal builds a graph:
-    the first holder's, whose ``matching_masks`` order names the key."""
     holders = [0] * (n * d)  # bit t of holders[b]: mask t holds edge bit b
     for t, mask in enumerate(masks):
         while mask:
@@ -612,8 +544,8 @@ def agreed_masks(masks: Sequence[int], n: int, d: int) -> tuple[dict, Optional[t
     if not clashes:
         return agreed, None
     a, b, _ = min(clashes)
-    holder = BipartiteGraph.from_mask(n, d, masks[a])
-    return agreed, next((a, b, *key) for key in matching_masks(holder) if (a, b, key) in clashes)
+    return agreed, next((a, b, *key) for key in agreed_masks([masks[a]], n, d)[0]
+                        if (a, b, key) in clashes)
 
 
 # ---------------------------------------------------------------------------
@@ -965,6 +897,6 @@ def all_spanning_trees(n: int, d: int) -> list[BipartiteGraph]:
     out = []
     for chosen in combinations(every, n + d - 1):
         g = BipartiteGraph(n, d, chosen)
-        if is_spanning_tree(g):
+        if tree_tope(g.mask, range(1, n + 1), d, 1) is not None:
             out.append(g)
     return out

@@ -246,7 +246,7 @@ def linkage_covector(field: TopeField, tau: Iterable[int]) -> CovectorResult:
         raise MatchfieldError(f"tau must hold distinct left nodes in 1..{field.n}, got {tau}")
     mask = covector_mask(field.mask_table, core.subset_mask(tau))
     union = BipartiteGraph.from_mask(field.n, field.d, mask)
-    cycle = core.find_cycle(union)
+    cycle = core.find_cycle(mask, field.n, field.d)
     return CovectorResult(tau, union, tuple(cycle) if cycle else None)
 
 

@@ -84,9 +84,10 @@ def stack_from_trees(trees: Iterable[BipartiteGraph], n: int, d: int) -> Matchin
     for g in trees:
         if (g.n, g.d) != (n, d):
             raise MatchfieldError(f"a tree on ({g.n}, {g.d}) among trees on ({n}, {d})")
-    agreed, clash = core.agreed_matchings(trees)
+    agreed, clash = core.agreed_masks([g.mask for g in trees], n, d)
     if clash is not None:
-        raise MatchfieldError(f"trees disagree on the matching of {clash[2:]}")
+        raise MatchfieldError(
+            f"trees disagree on the matching of {tuple(map(core.mask_subset, clash[2:]))}")
     agreed[(0, 0)] = 0
     stack = MatchingStack(n, d, agreed)
     if len(agreed) != comb(n + d, d):
@@ -362,10 +363,10 @@ def right_submatching_check(field: fields.MatchingField) -> SubmatchingReport:
     |J|-matchings are all compatible with the field.
 
     One table holds every field matching's 2^d - 1 edge subsets, which for
-    a validated field are the matchings ``core.matching_masks`` finds in it:
+    a validated field are the matchings ``core.agreed_masks`` lists in it:
     J mask -> {I' mask: edge mask}, or None where two differ; reaching None
-    raises MatchfieldError.  A union-find decides each union, and only one that is
-    no forest goes to ``core.find_cycle``.  Each distinct |J|-matching of a
+    raises MatchfieldError.  ``core.find_cycle``, the one forest or cycle
+    test, takes each union's mask.  Each distinct |J|-matching of a
     forest meets every field matching in one ``core.incompatible_partners``
     call; its lowest bit, in mask table order, is a full rescan's witness.
     """
@@ -399,8 +400,7 @@ def right_submatching_check(field: fields.MatchingField) -> SubmatchingReport:
                     union |= sub
                 if not union:
                     continue
-                if not _is_forest(union, n, d):
-                    cycle = core.find_cycle(BipartiteGraph.from_mask(n, d, union))
+                if cycle := core.find_cycle(union, n, d):
                     return SubmatchingReport(False, (J, I, "cycle", tuple(cycle)))
                 for mask, f in _perfect_matchings(union, J, n, d):
                     if mask in passed:
@@ -414,25 +414,9 @@ def right_submatching_check(field: fields.MatchingField) -> SubmatchingReport:
     return SubmatchingReport(True)
 
 
-def _is_forest(mask: int, n: int, d: int) -> bool:
-    """Whether an n x d edge mask is a forest, by a union-find over its
-    edge bits (lj is node j - 1, ri node n + i - 1)."""
-    parent = list(range(n + d))
-    for b in core._bits(mask):
-        x, y = b // d, n + b % d
-        while parent[x] != x:
-            x = parent[x]
-        while parent[y] != y:
-            y = parent[y]
-        if x == y:
-            return False
-        parent[x] = y
-    return True
-
-
 def _perfect_matchings(mask: int, J: Sequence[int], n: int, d: int) -> list[tuple[int, tuple]]:
     """The matchings in an n x d edge mask that cover J, row by row over J
-    and free right bits in increasing order (``core.matching_masks``
+    and free right bits in increasing order (``core.agreed_masks``
     order), each with its ``core.tope_function``, whose entry for a row of
     J is the right bit the row picks and d elsewhere."""
     level, last = [(0, 0, ())], 0

@@ -17,8 +17,10 @@ alternating cycle that the orientation test cannot see) in one pass shared
 by all the trees, ``core.agreed_masks``: each distinct contained matching
 is built once, keyed by (J, I), with the bitset of the trees that hold it,
 so a triangulation costs about (C(n+d, n) - 1) * d steps.  A graph is built
-only for the witness of a refusal.  The same pass builds the ensemble of
-``stacks.stack_from_trees``.
+only for the witness of a refusal.  The same pass, the one kernel for
+agreement, builds the ensemble of ``stacks.stack_from_trees`` and the
+per-tree maps of ``enumerate_triangulations``; ``find_agreement_violation``
+is its one wrapper on graphs.
 
 The degree-pair map sends each tree to its left and right degree vectors,
 its row and column popcounts, normalised by subtracting the all-ones
@@ -106,8 +108,17 @@ class Triangulation:
 
 def find_agreement_violation(trees: Sequence[BipartiteGraph]):
     """First pair of trees (g, h, J, I) containing different matchings on the
-    same node sets J ⊔ I, in pairwise-scan order; None if all agree."""
-    return core.agreed_matchings(trees)[1]
+    same node sets J ⊔ I, in pairwise-scan order; None if all agree.  The
+    graph face of ``core.agreed_masks``; trees on differing sides raise
+    MatchfieldError."""
+    sides = {(g.n, g.d) for g in trees}
+    if len(sides) > 1:
+        raise MatchfieldError("agreement of graphs on differing sides")
+    clash = core.agreed_masks([g.mask for g in trees], *next(iter(sides), (0, 1)))[1]
+    if clash is None:
+        return None
+    a, b, J, I = clash
+    return trees[a], trees[b], core.mask_subset(J), core.mask_subset(I)
 
 
 def find_flip_violation(trees: Sequence[BipartiteGraph]):
@@ -118,7 +129,7 @@ def find_flip_violation(trees: Sequence[BipartiteGraph]):
     masks minus a bit give it."""
     forests = Counter(m ^ 1 << b for m in {g.mask for g in trees} for b in core._bits(m))
     for g in trees:
-        left, right = core.degree_vectors(g)
+        left, right = g.left_degrees(), g.right_degrees()
         for j, i in g.edges:
             if left[j - 1] == 1 or right[i - 1] == 1:
                 continue
@@ -385,7 +396,7 @@ def enumerate_triangulations(n: int, d: int) -> list[Triangulation]:
     partial selection class by class, pruning on containment-agreement and
     distinct left degree vectors.  A complete candidate is a triangulation
     without ``check_triangulation``: K distinct spanning trees, one per
-    class, every pair passing the clash test of ``core.agreed_matchings``.
+    class, every pair passing the clash test of ``core.agreed_masks``.
     Raises MatchfieldError on an empty side, like staircase_triangulation.
     """
     _check_sides(n, d, "enumerate_triangulations")
@@ -397,7 +408,7 @@ def enumerate_triangulations(n: int, d: int) -> list[Triangulation]:
     for g in trees:
         classes.setdefault(g.right_degrees(), []).append(g)
     rdvs = sorted(classes)  # the positive vectors of sum n + d - 1, K of them
-    maps = {g: core.matching_masks(g) for g in trees}
+    maps = {g: core.agreed_masks([g.mask], n, d)[0] for g in trees}
 
     found: list[Triangulation] = []
 

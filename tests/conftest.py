@@ -210,7 +210,7 @@ def exhaustive_compatibility(g1, g2):
 
 
 def matchings_agree(g1, g2):
-    """Oracle for core.agreed_matchings on two graphs: whenever both contain
+    """Oracle for core.agreed_masks on two graphs: whenever both contain
     perfect matchings on the same J ⊔ I, those matchings coincide."""
     from matchfield.core import CompatibilityWitness, contained_matchings
 
@@ -221,3 +221,12 @@ def matchings_agree(g1, g2):
         if m1 is not None and m1 != m2:
             return False, CompatibilityWitness(key[0], key[1], m1, m2)
     return True, None
+
+
+def agreed_graphs(graphs):
+    """``core.agreed_masks`` of the graphs' masks and the first clash as
+    ``triang.find_agreement_violation`` names it: (g, h, J, I) or None."""
+    from matchfield import core, triang
+
+    n, d = (graphs[0].n, graphs[0].d) if graphs else (0, 1)
+    return core.agreed_masks([g.mask for g in graphs], n, d)[0], triang.find_agreement_violation(graphs)

@@ -25,8 +25,11 @@ descriptions kept as test oracles.
   pairs of cells for a nested one, which the proof in ``flip.maximal_cells``
   says never finds any.
 - Graph classification and connected components by breadth-first search,
-  and the forest and spanning-tree tests by a cycle search: the oracles for
-  the row walk of ``core.is_spanning_tree``.  The tope inside a tree by a
+  degree vectors counted over the edge list, and the forest and
+  spanning-tree tests by a cycle search over tagged nodes, which walks the
+  closing edge's path by breadth first over neighbour lists: the oracles for
+  the degree popcounts, the mask union-find of ``core.find_cycle`` and the
+  row walk of ``core.tree_tope``.  The tope inside a tree by a
   breadth-first search from rk over tagged ("L", j) / ("R", i) neighbour
   lists, the oracle for the row-mask walk of ``core.tree_tope`` behind
   ``core.contained_tope``.
@@ -61,10 +64,12 @@ descriptions kept as test oracles.
   right node of ``triang.extended_tope_arrangement``.
 - Contained matchings as edge tuples in the preorder of the lexicographic
   edge list, and the containment agreement pass over them: the oracles for
-  ``core.matching_masks`` and ``core.agreed_matchings``.  Each graph's
+  ``core.contained_matchings`` and ``triang.find_agreement_violation``.
+  Each graph's matchings by a depth-first search over its nonempty rows,
+  the oracle for ``core.agreed_masks`` on one mask.  Each graph's
   matchings listed row by row on its own, the oracle for the one pass of
-  ``core.agreed_matchings`` shared by all graphs, and every graph's
-  ``core.matching_masks`` in turn, the oracle for its witness of a clash.
+  ``core.agreed_masks`` shared by all graphs, and every graph's listing by
+  that search in turn, the oracle for its witness of a clash.
   The field read off a graph list by filtering all its partial matchings,
   the oracle for ``core.right_perfect_matchings`` in
   ``fields.field_from_graphs``.
@@ -114,7 +119,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from matchfield import core, fields
 from matchfield.chow import ChowCollection, PhiMap, field_from_chow
-from matchfield.core import BipartiteGraph, degree_vectors
+from matchfield.core import BipartiteGraph
 from matchfield.errors import (
     FieldValidationError,
     InconsistentCollectionError,
@@ -239,8 +244,64 @@ def contained_tope_by_search(tree: BipartiteGraph, k: int) -> BipartiteGraph:
     return tree.difference(BipartiteGraph(tree.n, tree.d, drop))
 
 
+def find_cycle_by_graph(g: BipartiteGraph) -> Optional[list[tuple[int, int]]]:
+    """Oracle for the mask union-find of ``core.find_cycle``: some cycle of
+    g as an edge list, or None if g is a forest.  Edges join a union-find
+    over tagged ("L", j) / ("R", i) nodes in lexicographic order, and the
+    first edge closing a cycle determines it: the path between its ends by a
+    breadth-first search over the neighbour lists of the earlier edges, then
+    the edge."""
+    parent: dict = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    adj: dict = {}
+    for j, i in g.edges:
+        a, b = ("L", j), ("R", i)
+        for node in (a, b):
+            parent.setdefault(node, node)
+            adj.setdefault(node, [])
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            path = _forest_path(adj, a, b)
+            edges = []
+            for u, v in zip(path, path[1:]):
+                l, r = (u, v) if u[0] == "L" else (v, u)
+                edges.append((l[1], r[1]))
+            edges.append((j, i))
+            return edges
+        parent[ra] = rb
+        adj[a].append(b)
+        adj[b].append(a)
+    return None
+
+
+def _forest_path(adj, start, goal):
+    prev = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for nb in adj[node]:
+                if nb in prev:
+                    continue
+                prev[nb] = node
+                if nb == goal:
+                    path = [nb]
+                    while prev[path[-1]] is not None:
+                        path.append(prev[path[-1]])
+                    return path[::-1]
+                nxt.append(nb)
+        frontier = nxt
+    raise MatchfieldError("no path in forest")  # unreachable for joined components
+
+
 def is_forest(g: BipartiteGraph) -> bool:
-    return core.find_cycle(g) is None
+    return find_cycle_by_graph(g) is None
 
 
 def is_spanning_tree_by_cycles(g: BipartiteGraph) -> bool:
@@ -253,6 +314,17 @@ def read_graph(n: int, d: int, edges) -> BipartiteGraph:
     """A graph from its JSON edge list, read by ``core.edge_mask``: the
     graph route of the triangulation reader, which keeps the masks."""
     return BipartiteGraph.from_mask(n, d, core.edge_mask(n, d, edges)[0])
+
+
+def degree_vectors(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Left and right degree vectors counted over the edge list: the oracle
+    for the row and column popcounts of ``BipartiteGraph.left_degrees`` and
+    ``right_degrees``."""
+    left, right = [0] * g.n, [0] * g.d
+    for j, i in g.edges:
+        left[j - 1] += 1
+        right[i - 1] += 1
+    return tuple(left), tuple(right)
 
 
 def tree_degree_pair(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -733,7 +805,7 @@ def check_triangulation_with_flip(
     if len(trees) != tree_count(n, d):
         return TriangulationReport(False, "count", (len(trees), tree_count(n, d)))
     for g in trees:
-        if g.n != n or g.d != d or not core.is_spanning_tree(g):
+        if g.n != n or g.d != d or not is_spanning_tree_by_cycles(g):
             return TriangulationReport(False, "spanning", (g,))
     witness = find_agreement_violation(trees)
     if witness is not None:
@@ -1106,7 +1178,7 @@ def is_linkage_by_cycles(field: fields.TopeField) -> fields.LinkageReport:
         for drop in tau:
             mask |= field.tope(tuple(x for x in tau if x != drop)).mask
         union = BipartiteGraph.from_mask(n, d, mask)
-        cycle = core.find_cycle(union)
+        cycle = find_cycle_by_graph(union)
         if cycle:
             failures.append(fields.CovectorResult(tau, union, tuple(cycle)))
     return fields.LinkageReport(not failures, tuple(failures))
@@ -1241,8 +1313,40 @@ def stack_right_linkage(stack: MatchingStack) -> tuple[bool, Optional[tuple]]:
 # contained matchings over edge lists
 
 
+def matching_masks_by_graph(g: BipartiteGraph) -> dict[tuple[int, int], int]:
+    """All nonempty matchings inside g as {(J mask, I mask): edge mask}: the
+    oracle for ``core.agreed_masks`` on g's one mask.
+
+    A depth-first search extends a matching by one edge of a later nonempty
+    left row, rows in increasing order and the free right bits of a row in
+    increasing order; a matching is listed before its extensions, so the
+    keys come in the preorder of the matchings over the lexicographic edge
+    order.  For a graph with several matchings at a key the last one found
+    is kept.
+    """
+    d = g.d
+    full = (1 << d) - 1
+    rows = [(j, g.mask >> (j * d) & full) for j in range(g.n)]
+    rows = [(1 << j, j * d, row) for j, row in rows if row]
+    out: dict[tuple[int, int], int] = {}
+
+    def extend(start: int, J: int, I: int, m: int) -> None:
+        for t in range(start, len(rows)):
+            jbit, shift, row = rows[t]
+            free = row & ~I
+            while free:
+                low = free & -free
+                free ^= low
+                key = (J | jbit, I | low)
+                out[key] = m | low << shift
+                extend(t + 1, *key, out[key])
+
+    extend(0, 0, 0, 0)
+    return out
+
+
 def contained_matchings_by_edges(g: BipartiteGraph) -> dict[tuple, BipartiteGraph]:
-    """Oracle for core.matching_masks: every nonempty matching inside g,
+    """Oracle for ``core.contained_matchings``: every nonempty matching inside g,
     keyed by (left support, right support), in the preorder of the edge
     tuples."""
     out: dict[tuple, BipartiteGraph] = {}
@@ -1267,8 +1371,9 @@ def _enumerate_matchings(edges, start, current, n, d):
 
 
 def agreed_matchings_by_edges(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[tuple]]:
-    """Oracle for core.agreed_matchings over contained_matchings_by_edges:
-    the agreed graphs keyed by (J, I) tuples and the first clash."""
+    """Oracle for ``core.agreed_masks`` and ``triang.find_agreement_violation``
+    over contained_matchings_by_edges: the agreed graphs keyed by (J, I)
+    tuples and the first clash."""
     first: dict[tuple, tuple] = {}
     clashes = []
     for b, g in enumerate(graphs):
@@ -1284,7 +1389,7 @@ def agreed_matchings_by_edges(graphs: Sequence[BipartiteGraph]) -> tuple[dict, O
 
 
 def agreed_matchings_per_graph(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[tuple]]:
-    """Oracle for the shared pass of core.agreed_matchings: each graph's
+    """Oracle for the shared pass of ``core.agreed_masks``: each graph's
     matchings listed separately, row by row, into one (J mask, I mask) dict,
     with a clash handed to the preorder pass ``agreed_in_preorder``."""
     agreed: dict[tuple, int] = {}
@@ -1307,11 +1412,12 @@ def agreed_matchings_per_graph(graphs: Sequence[BipartiteGraph]) -> tuple[dict, 
 
 
 def agreed_in_preorder(graphs: Sequence[BipartiteGraph]) -> tuple[dict, Optional[tuple]]:
-    """``agreed_matchings`` over each graph's ``matching_masks`` in turn."""
+    """The agreed map and first clash over each graph's
+    ``matching_masks_by_graph`` in turn."""
     first: dict[tuple, tuple] = {}  # (J, I) -> (edge mask, graph index, key position)
     clashes = []
     for b, g in enumerate(graphs):
-        for pos, (key, m) in enumerate(core.matching_masks(g).items()):
+        for pos, (key, m) in enumerate(matching_masks_by_graph(g).items()):
             m_a, a, pos_a = first.setdefault(key, (m, b, pos))
             if m_a != m:
                 # (a, pos_a) names the key, so min never compares keys
@@ -1327,14 +1433,14 @@ def field_from_graphs_by_partial_matchings(
     graphs: Iterable[BipartiteGraph], n: int, d: int
 ) -> fields.MatchingField:
     """Oracle for ``fields.field_from_graphs``: every partial matching of
-    each graph from ``core.matching_masks``, filtered to those covering
+    each graph from ``matching_masks_by_graph``, filtered to those covering
     every right node; the first disagreement in preorder is reported."""
     full = (1 << d) - 1
     masks: dict = {}
     for g in graphs:
         if (g.n, g.d) != (n, d):
             raise MatchfieldError(f"a tree on ({g.n}, {g.d}) among trees on ({n}, {d})")
-        for (J, I), m in core.matching_masks(g).items():
+        for (J, I), m in matching_masks_by_graph(g).items():
             if I == full and masks.setdefault(J, m) != m:
                 raise MatchfieldError(
                     f"trees disagree on the matching of {core.mask_subset(J)}"
@@ -1374,7 +1480,7 @@ def right_submatching_check_by_rescan(
                 if not pieces:
                     continue
                 union = BipartiteGraph.from_mask(n, d, mask)
-                cycle = core.find_cycle(union)
+                cycle = find_cycle_by_graph(union)
                 if cycle is not None:
                     return SubmatchingReport(False, (J, I, "cycle", tuple(cycle)))
                 for key, m in core.contained_matchings(union).items():

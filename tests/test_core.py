@@ -13,20 +13,26 @@ from matchfield import (
     NotASpanningTreeError,
     SizeCapError,
     contained_tope,
-    degree_vectors,
     is_compatible,
     simplex_lattice_points,
     subsets,
 )
 from matchfield import chow, core, triang
 
-from conftest import exhaustive_compatibility, graph, graph_from_json_dict, graph_to_json_dict
+from conftest import (
+    agreed_graphs,
+    exhaustive_compatibility,
+    graph,
+    graph_from_json_dict,
+    graph_to_json_dict,
+)
 from oracles import (
     agreed_in_preorder,
     agreed_matchings_by_edges,
     classify,
     connected_components,
     contained_matchings_by_edges,
+    degree_vectors,
     contained_tope_by_search,
     functions_compatible,
     is_simplex_lattice_by_listing,
@@ -36,21 +42,29 @@ from oracles import (
 )
 
 
+def degree_vectors_read(g):
+    """The row and column popcounts that ``find_flip_violation`` reads,
+    checked against the edge-list count."""
+    vectors = g.left_degrees(), g.right_degrees()
+    assert vectors == degree_vectors(g)
+    return vectors
+
+
 class TestDegreeVectors:
     def test_matching(self):
         g = graph(4, 2, [(1, 1), (2, 2)])
-        assert degree_vectors(g) == ((1, 1, 0, 0), (1, 1))
+        assert degree_vectors_read(g) == ((1, 1, 0, 0), (1, 1))
 
     def test_empty(self):
-        assert degree_vectors(graph(4, 2, [])) == ((0, 0, 0, 0), (0, 0))
+        assert degree_vectors_read(graph(4, 2, [])) == ((0, 0, 0, 0), (0, 0))
 
     def test_tree(self):
         g = graph(4, 2, [(1, 1), (2, 1), (4, 1), (2, 2), (3, 2)])
-        assert degree_vectors(g) == ((1, 2, 1, 1), (3, 2))
+        assert degree_vectors_read(g) == ((1, 2, 1, 1), (3, 2))
 
     def test_sums_match_edge_count(self):
         g = graph(5, 3, [(1, 1), (2, 1), (3, 2), (4, 3), (5, 3)])
-        left, right = degree_vectors(g)
+        left, right = degree_vectors_read(g)
         assert sum(left) == sum(right) == len(g)
 
 
@@ -81,7 +95,7 @@ class TestSpanningTrees:
         for mask in range(1 << (n * d)):
             g = core.BipartiteGraph.from_mask(n, d, mask)
             expected = len(g) == n + d - 1 and len(connected_components(g)) == 1
-            assert core.is_spanning_tree(g) == expected, g
+            assert (core.tree_tope(g.mask, range(1, n + 1), d, 1) is not None) == expected, g
             found += expected
         assert found == n ** (d - 1) * d ** (n - 1)  # spanning trees of K_{n,d}
 
@@ -128,7 +142,7 @@ class TestCompatibility:
         g1 = graph(2, 2, [(1, 1), (2, 2)])
         g2 = graph(2, 2, [(1, 2), (2, 1), (1, 1)])
         assert is_compatible(g1, g2)[0]
-        _, clash = core.agreed_matchings([g1, g2])
+        clash = triang.find_agreement_violation([g1, g2])
         assert clash is not None and clash[:3] == (g1, g2, (1, 2))
 
 
@@ -439,7 +453,7 @@ class TestMatchingMasks:
     def as_tuples(g):
         return [
             ((core.mask_subset(J), core.mask_subset(I)), BipartiteGraph.from_mask(g.n, g.d, m))
-            for (J, I), m in core.matching_masks(g).items()
+            for (J, I), m in core.agreed_masks([g.mask], g.n, g.d)[0].items()
         ]
 
     @pytest.mark.parametrize("n, d", [(3, 3), (2, 4), (4, 4)])
@@ -470,7 +484,7 @@ class TestMatchingMasks:
         trees = core.all_spanning_trees(3, 3)
         clashes = 0
         for pair in combinations(trees, 2):
-            agreed, clash = core.agreed_matchings(pair)
+            agreed, clash = agreed_graphs(pair)
             old_agreed, old_clash = agreed_matchings_by_edges(pair)
             assert clash == old_clash
             assert {
@@ -483,11 +497,11 @@ class TestMatchingMasks:
 
     def test_agreement_witness_over_many_trees(self):
         trees = core.all_spanning_trees(2, 4)[::3]
-        assert core.agreed_matchings(trees)[1] == agreed_matchings_by_edges(trees)[1]
+        assert triang.find_agreement_violation(trees) == agreed_matchings_by_edges(trees)[1]
 
     def test_two_matchings_on_one_key_keep_the_preorder_witness(self):
         # a 4-cycle holds both perfect matchings on ({1, 2}, {1, 2}); the
-        # square owns the last one, as in its matching_masks preorder
+        # square owns the last one, as in the preorder of its own listing
         square = graph(2, 2, [(1, 1), (1, 2), (2, 1), (2, 2)])
         diagonal = graph(2, 2, [(1, 1), (2, 2)])
         cases = {
@@ -496,16 +510,15 @@ class TestMatchingMasks:
             (diagonal, square): (diagonal, square, (1, 2), (1, 2)),
         }
         for graphs, witness in cases.items():
-            agreed, clash = core.agreed_matchings(graphs)
+            agreed, clash = agreed_graphs(graphs)
             assert (agreed, clash) == agreed_in_preorder(graphs)
             assert clash == witness == agreed_matchings_by_edges(graphs)[1]
 
     def test_graphs_on_differing_sides_are_refused(self):
         # a matching's edge mask depends on d, so no comparison means anything
         graphs = [BipartiteGraph(2, 2, [(2, 1)]), BipartiteGraph(2, 3, [(2, 1)])]
-        for check in (core.agreed_matchings, triang.find_agreement_violation):
-            with pytest.raises(MatchfieldError, match="differing sides"):
-                check(graphs)
+        with pytest.raises(MatchfieldError, match="differing sides"):
+            triang.find_agreement_violation(graphs)
 
 
 def maximal_topes(n, d):

@@ -23,7 +23,7 @@ from matchfield import (
 )
 from matchfield import chow, core, triang
 from matchfield.chow import PhiMap, chow_by_definition, chow_collection
-from matchfield.core import contained_matchings, is_spanning_tree
+from matchfield.core import contained_matchings
 from matchfield.errors import MatchfieldError
 from matchfield.fields import check_sector_monotonicity, field_from_graphs
 from matchfield.randgen import random_weight_matrix, seeded_coherent_field, splitmix64
@@ -40,6 +40,7 @@ from matchfield.triang import (
 )
 
 from conftest import (
+    agreed_graphs,
     exhaustive_compatibility,
     graph,
     graph_from_json_dict,
@@ -56,9 +57,11 @@ from oracles import (
     contained_tope_by_search,
     extended_tope_arrangement_by_products,
     field_from_graphs_by_partial_matchings,
+    find_cycle_by_graph,
     is_forest,
     is_simplex_lattice_by_listing,
     is_spanning_tree_by_cycles,
+    matching_masks_by_graph,
     read_graph,
     rebuild_by_validation,
     reconstruct_chow_on_tuples,
@@ -236,7 +239,44 @@ def tope_outcome(search, case):
         return type(exc), str(exc)
 
 
+@st.composite
+def cycle_search_cases(draw):
+    """A graph up to 8 x 8: a forest, that forest with up to three edges
+    added, which mostly closes a cycle, or any edge set."""
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    forest = draw(forests(n, d)).mask
+    extra = sum(1 << b for b in draw(st.sets(st.integers(0, n * d - 1), min_size=1, max_size=3)))
+    any_edges = draw(st.integers(0, (1 << n * d) - 1))
+    return BipartiteGraph.from_mask(n, d, draw(st.sampled_from([forest, forest | extra, any_edges])))
+
+
 class TestMaskKernelOracles:
+    @settings(max_examples=500, deadline=None)
+    @given(cycle_search_cases())
+    @example(BipartiteGraph.from_mask(8, 8, (1 << 64) - 1))
+    @example(BipartiteGraph(8, 8, [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4),
+                                   (5, 4), (5, 5), (6, 5), (6, 6), (7, 6), (7, 7), (8, 7),
+                                   (8, 8), (1, 8)]))
+    def test_mask_cycle_search(self, g):
+        # the same cycle, edge for edge, as the union-find over tagged nodes
+        assert core.find_cycle(g.mask, g.n, g.d) == find_cycle_by_graph(g)
+
+    @pytest.mark.parametrize("forest", [True, False])
+    def test_cycle_search_cases_reach_both_verdicts(self, forest):
+        def reaches(g):
+            return g.n * g.d > 1 and (find_cycle_by_graph(g) is None) == forest
+
+        find(cycle_search_cases(), reaches, settings=settings(database=None, derandomize=True))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_one_mask_agreement_is_the_listing(self, n, d, data):
+        # the same items in the same key order, and no clash on one mask
+        mask = data.draw(st.integers(0, (1 << n * d) - 1))
+        agreed, clash = core.agreed_masks([mask], n, d)
+        expected = matching_masks_by_graph(BipartiteGraph.from_mask(n, d, mask))
+        assert list(agreed.items()) == list(expected.items()) and clash is None
+
     @settings(max_examples=500, deadline=None)
     @given(tope_search_cases())
     def test_row_walk_contained_tope(self, case):
@@ -273,7 +313,7 @@ class TestMaskKernelOracles:
             max_size=min(n * d, n + d),
         ))
         g = BipartiteGraph.from_mask(n, d, sum(1 << b for b in bits))
-        assert is_spanning_tree(g) == is_spanning_tree_by_cycles(g)
+        assert (core.tree_tope(g.mask, range(1, n + 1), d, 1) is not None) == is_spanning_tree_by_cycles(g)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([(2, 2), (3, 2), (4, 3), (5, 3), (4, 4)]), st.data())
@@ -281,7 +321,7 @@ class TestMaskKernelOracles:
         n, d = size
         g = data.draw(st.one_of(forests(n, d), maximal_topes(n, d)))
         full = (1 << d) - 1
-        expected = {J: m for (J, I), m in core.matching_masks(g).items() if I == full}
+        expected = {J: m for (J, I), m in matching_masks_by_graph(g).items() if I == full}
         assert core.right_perfect_matchings(g.mask, n, d) == expected
 
     @settings(max_examples=200, deadline=None)
@@ -640,11 +680,20 @@ def agreement_cases(draw):
     return draw(st.permutations(graphs))
 
 
+@st.composite
+def random_mask_lists(draw):
+    """Up to five arbitrary edge masks on one (n, d) up to (4, 4), as graphs."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    masks = draw(st.lists(st.integers(0, (1 << n * d) - 1), max_size=5))
+    return [BipartiteGraph.from_mask(n, d, m) for m in masks]
+
+
 class TestSharedAgreementPass:
-    """The one pass of ``core.agreed_matchings`` shared by all graphs against
-    each graph's matchings listed on its own, with a clash handed to the
-    preorder pass over each graph's ``matching_masks``: the same agreed map
-    and the same witness tuple.  Graphs on differing sides raise."""
+    """The one pass of ``core.agreed_masks`` shared by all graphs, with its
+    clash named by ``triang.find_agreement_violation``, against each graph's
+    matchings listed on its own, with a clash handed to the preorder pass
+    over each graph's listing: the same agreed map and the same witness
+    tuple.  Graphs on differing sides raise."""
 
     def test_every_enumerated_triangulation(self):
         sizes = [(n, d) for n in range(1, 7) for d in range(1, 7) if tree_count(n, d) <= 6]
@@ -652,7 +701,7 @@ class TestSharedAgreementPass:
         for n, d in sizes:
             for t in enumerate_triangulations(n, d):
                 trees = t.sorted_trees()
-                got = core.agreed_matchings(trees)
+                got = agreed_graphs(trees)
                 assert got == agreed_matchings_per_graph(trees)
                 assert got[1] is None
                 checked += 1
@@ -666,9 +715,15 @@ class TestSharedAgreementPass:
     def test_same_map_and_witness_as_the_per_graph_pass(self, graphs):
         if len({(g.n, g.d) for g in graphs}) > 1:
             with pytest.raises(MatchfieldError, match="differing sides"):
-                core.agreed_matchings(graphs)
+                find_agreement_violation(graphs)
         else:
-            assert core.agreed_matchings(graphs) == agreed_matchings_per_graph(graphs)
+            assert agreed_graphs(graphs) == agreed_matchings_per_graph(graphs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_mask_lists())
+    def test_random_mask_lists(self, graphs):
+        # any edge masks, not only trees: many keys hold several matchings
+        assert agreed_graphs(graphs) == agreed_matchings_per_graph(graphs)
 
     @pytest.mark.parametrize("agree", [True, False])
     def test_cases_reach_both_verdicts(self, agree):
@@ -678,6 +733,7 @@ class TestSharedAgreementPass:
             return len(graphs) > 1 and (agreed_matchings_per_graph(graphs)[1] is None) == agree
 
         find(agreement_cases(), verdict, settings=settings(database=None, derandomize=True))
+        find(random_mask_lists(), verdict, settings=settings(database=None, derandomize=True))
 
 
 class TestCompatibilityOracle:
@@ -729,7 +785,7 @@ class TestDegreeVectorRigidity:
         # the containment notion is the right one here: sharing only one of
         # the two degree vectors leaves the symmetric difference unbalanced,
         # so the cycle criterion can miss the conflicting matchings
-        from matchfield.core import agreed_matchings, all_spanning_trees
+        from matchfield.core import all_spanning_trees
 
         trees = all_spanning_trees(3, 3)
         for a, b in itertools.combinations(trees, 2):
@@ -737,7 +793,7 @@ class TestDegreeVectorRigidity:
                 a.left_degrees() == b.left_degrees()
                 or a.right_degrees() == b.right_degrees()
             ):
-                assert agreed_matchings([a, b])[1] is not None
+                assert find_agreement_violation([a, b]) is not None
 
 
 class TestCoherentFields:
@@ -920,7 +976,7 @@ class TestTreeMatchingCounts:
         from matchfield.core import all_spanning_trees
 
         for tree in all_spanning_trees(3, 2):
-            assert is_spanning_tree(tree)
+            assert is_spanning_tree_by_cycles(tree)
             seen = {}
             for key, m in contained_matchings(tree).items():
                 assert key not in seen or seen[key] == m

@@ -36,6 +36,7 @@ from oracles import (
     _transpose,
     check_basis_exchange,
     completion_linkage_check,
+    matching_masks_by_graph,
     right_submatching_check_by_rescan,
     stack_left_linkage,
     stack_right_linkage,
@@ -70,10 +71,10 @@ def agreeing_field(n, d, seed):
         matchings = [graph(n, d, list(zip(sigma, rights))) for rights in options]
         agrees = (
             g for g in matchings
-            if all(chosen.get(key, sub) == sub for key, sub in core.matching_masks(g).items())
+            if all(chosen.get(key, sub) == sub for key, sub in matching_masks_by_graph(g).items())
         )
         g = next(agrees, matchings[0])
-        for key, sub in core.matching_masks(g).items():
+        for key, sub in matching_masks_by_graph(g).items():
             chosen.setdefault(key, sub)
         table[core.subset_mask(sigma)] = g.mask
     items = list(table.items())

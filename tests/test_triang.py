@@ -20,7 +20,7 @@ from matchfield import (
     validate_triangulation,
 )
 from matchfield import core, simplex_lattice_points, triang
-from matchfield.core import BipartiteGraph, agreed_matchings, contained_matchings
+from matchfield.core import BipartiteGraph, contained_matchings
 from matchfield.fields import field_from_graphs
 from matchfield.stacks import stack_from_trees
 from matchfield.triang import (
@@ -99,10 +99,17 @@ def spanning_tree_of_order(n, d, edges):
     return graph(n, d, chosen)
 
 
-def spy_on_matching_masks(monkeypatch):
-    """The graphs that ``core.matching_masks`` is called on from now on."""
-    listings, listing = [], core.matching_masks
-    monkeypatch.setattr(core, "matching_masks", lambda g: listings.append(g) or listing(g))
+def spy_on_one_mask_listings(monkeypatch):
+    """The graphs whose matchings ``core.agreed_masks`` lists on their one
+    mask from now on."""
+    listings, agreed = [], core.agreed_masks
+
+    def spy(masks, n, d):
+        if len(masks) == 1:
+            listings.append(BipartiteGraph.from_mask(n, d, masks[0]))
+        return agreed(masks, n, d)
+
+    monkeypatch.setattr(core, "agreed_masks", spy)
     return listings
 
 
@@ -344,7 +351,7 @@ class TestFlipFollowsFromAgreement:
         # every K-set of spanning trees that agree pairwise, as the K-cliques
         # of the agreement graph taken in increasing index order
         trees = core.all_spanning_trees(n, d)
-        maps = [core.matching_masks(g) for g in trees]
+        maps = [core.agreed_masks([g.mask], n, d)[0] for g in trees]
         agree = [
             sum(1 << b for b, mh in enumerate(maps) if all(mh.get(k, m) == m for k, m in mg.items()))
             for mg in maps
@@ -391,7 +398,7 @@ class TestKeyedAxioms:
         t = staircase_triangulation(8, 8, (3, 7, 1, 8, 5, 2, 6, 4), (6, 2, 8, 4, 1, 7, 3, 5))
         assert len(t.trees) == tree_count(8, 8) == 3432
         assert check_triangulation(t.masks, 8, 8) == TriangulationReport(True)
-        assert len(agreed_matchings(t.sorted_trees())[0]) == 12869
+        assert len(core.agreed_masks(t.masks, 8, 8)[0]) == 12869
 
     def test_65_staircase_with_a_foreign_tree_is_refused_with_the_oracle_witness(self, monkeypatch):
         rng = random.Random(23)
@@ -401,7 +408,7 @@ class TestKeyedAxioms:
             foreign = random_spanning_tree(6, 5, rng)
         trees = t.sorted_trees()
         trees[rng.randrange(len(trees))] = foreign
-        listings = spy_on_matching_masks(monkeypatch)
+        listings = spy_on_one_mask_listings(monkeypatch)
         report = check_triangulation([g.mask for g in trees], 6, 5)
         # a refusal lists the matchings of one tree, the witness's first
         assert listings == [report.witness[0]]
@@ -417,7 +424,7 @@ class TestKeyedAxioms:
         swapped = staircase_triangulation(8, 8, (2, 1, 3, 4, 5, 6, 7, 8)).sorted_trees()
         held = set(trees)
         trees[0] = next(g for g in swapped if g not in held)
-        listings = spy_on_matching_masks(monkeypatch)
+        listings = spy_on_one_mask_listings(monkeypatch)
         report = check_triangulation([g.mask for g in trees], 8, 8)
         first = graph(8, 8, [(1, i) for i in range(1, 9)] + [(2, 1)] + [(j, 8) for j in range(3, 9)])
         second = graph(8, 8, [(1, i) for i in range(1, 8)] + [(2, 7), (2, 8)] + [(j, 8) for j in range(3, 9)])
@@ -427,7 +434,7 @@ class TestKeyedAxioms:
     def test_pair_verdicts_match_matchings_agree(self):
         for n, d, trees in self.CASES[::6]:
             for g, h in combinations(trees[:8], 2):
-                clash = agreed_matchings([g, h])[1]
+                clash = find_agreement_violation([g, h])
                 assert (clash is None) == matchings_agree(g, h)[0]
                 if clash is not None:
                     key = clash[2:]
