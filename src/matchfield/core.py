@@ -235,8 +235,10 @@ def find_cycle(mask: int, n: int, d: int) -> Optional[list[tuple[int, int]]]:
     earlier, full, column = mask & (1 << b) - 1, (1 << d) - 1, column_mask(n, d)
     prev, todo = {j: j}, [j]
     for u in todo:  # a walk from lj over the earlier bits, grown while it is read
-        ends = (n + c for c in _bits(earlier >> u * d & full)) if u < n else (
-            c // d for c in _bits(earlier >> u - n & column))
+        if u < n:
+            ends = [n + c for c in _bits(earlier >> u * d & full)]
+        else:
+            ends = [c // d for c in _bits(earlier >> u - n & column)]
         for v in ends:
             if v not in prev:
                 prev[v] = u
