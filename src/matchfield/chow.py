@@ -6,14 +6,18 @@ on (L minus rho) union {j}.  For linkage fields the right degree vectors of
 the covectors hit every lattice point of (n-d+1)*Delta_{d-1} exactly once,
 and the bijection phi: rho -> lattice point determines the field.  There are
 C(n, n-d+1) = C(n, d-1) subsets, as many as lattice points, so a bijection
-is recognised by counting (``core.is_simplex_lattice``).  A collection, like
-a field, is its mask table {left-subset bitmask: edge mask}, validated in
-one pass (``ChowCollection.from_masks``), and its graphs are a view built
-only for a caller that asks for them; the graph-keyed constructor turns its
-graphs into a table first.  The edge (lj, ri) of the matching on sigma is the
-lj-edge of the covector of rho = (L minus sigma) + j, and as then
-sigma = (L minus rho) + j, one pass builds the covectors from the field and
-the field from the covectors (``fields.chow_masks``), table to table.
+is recognised by counting (``core.is_simplex_lattice``), and so is its key
+set (``core.is_subset_keys``).  A collection, like a field, is its mask
+table {left-subset bitmask: edge mask}, validated in one pass
+(``ChowCollection.from_masks``); its rdvs and phi are keyed by the same
+bitmasks from the JSON reader to the writer, so phi is handed on as built.
+Subsets are tuples only in views built for a caller that asks for them (the
+graphs, ``PhiMap.items``), in witnesses and in error texts; the graph-keyed
+constructor turns its graphs into a table first.  The edge (lj, ri) of the
+matching on sigma is the lj-edge of the covector of rho = (L minus
+sigma) + j, and as then sigma = (L minus rho) + j, one pass builds the
+covectors from the field and the field from the covectors
+(``fields.chow_masks``), table to table.
 
 Reconstruction inverts phi with one sweep per left node over the lattice
 points coded in base n-d+2 (``core.encode_point``).  For fixed j and i, the
@@ -38,7 +42,6 @@ maximal topes and as minimal transversals, as oracles.
 from __future__ import annotations
 
 from functools import cached_property
-from math import comb
 from operator import mul, ne
 from typing import Iterable
 
@@ -58,15 +61,14 @@ def chow_by_definition(field: fields.MatchingField, rho: Iterable[int]) -> Bipar
     (L minus rho) + j.  Works for any matching field, linkage or not.  The
     library builds every covector in one keyed pass (`fields.chow_masks`);
     this per-rho definition is kept as the oracle the tests check it against."""
-    rho = tuple(sorted(rho))
+    rho = list(rho)
     n, d = field.n, field.d
     if len(rho) != n - d + 1:
         raise MatchfieldError(f"rho must have size {n - d + 1}, got {len(rho)}")
     complement = [x for x in range(1, n + 1) if x not in rho]
     edges = []
     for j in rho:
-        sigma = tuple(sorted(complement + [j]))
-        (i,) = field.matching(sigma).left_neighbors(j)
+        (i,) = field.matching(complement + [j]).left_neighbors(j)
         edges.append((j, i))
     return BipartiteGraph(n, d, edges)
 
@@ -74,18 +76,18 @@ def chow_by_definition(field: fields.MatchingField, rho: Iterable[int]) -> Bipar
 class ChowCollection:
     """All covectors of a linkage field, with the degree-vector bijection,
     held as the checked mask table {rho bitmask: edge mask} and as
-    {rho: rdv}; the graphs, `covectors`, are a view built on first use."""
+    {rho bitmask: rdv}; the graphs, `covectors`, are a view built on first
+    use."""
 
     def __init__(self, n: int, d: int, covectors: dict):
         """A collection from a {rho: graph} map, validated on its mask table."""
-        self._hold(n, d, core.graph_masks(n, d, covectors))
+        table = core.graph_masks(n, d, covectors)
+        self.n, self.d, self.mask_table, self.rdvs = n, d, table, _covector_rdvs(n, d, table)
 
     @classmethod
     def from_masks(cls, n: int, d: int, table: dict) -> "ChowCollection":
         """A collection holding the mask table itself, once validated."""
-        cc = cls.__new__(cls)
-        cc._hold(n, d, table)
-        return cc
+        return cls._unchecked(n, d, table, _covector_rdvs(n, d, table))
 
     @classmethod
     def _unchecked(cls, n: int, d: int, table: dict, rdvs: dict) -> "ChowCollection":
@@ -93,16 +95,6 @@ class ChowCollection:
         cc = cls.__new__(cls)
         cc.n, cc.d, cc.mask_table, cc.rdvs = n, d, table, rdvs
         return cc
-
-    def _hold(self, n: int, d: int, table: dict) -> None:
-        self.n = n
-        self.d = d
-        self.rdvs = _covector_rdvs(n, d, table)
-        if not core.is_simplex_lattice(self.rdvs.values(), n - d + 1, d):
-            raise InconsistentCollectionError(
-                "right degree vectors do not biject onto the lattice points"
-            )
-        self.mask_table = table
 
     @cached_property
     def covectors(self) -> dict:
@@ -113,7 +105,8 @@ class ChowCollection:
         return sorted(self.covectors.items())
 
     def by_rdv(self) -> dict[tuple, BipartiteGraph]:
-        return {v: self.covectors[rho] for rho, v in self.rdvs.items()}
+        n, d, table = self.n, self.d, self.mask_table
+        return {v: BipartiteGraph.from_mask(n, d, table[rho]) for rho, v in self.rdvs.items()}
 
     def phi(self) -> "PhiMap":
         return PhiMap(self.n, self.d, self.rdvs)
@@ -130,55 +123,49 @@ class ChowCollection:
 
 
 def _covector_rdvs(n: int, d: int, table: dict) -> dict:
-    """{rho: rdv} of a covector mask table, in table order, from one pass:
-    the keys must be the (n-d+1)-subsets of [n], each holding an edge mask on
-    (n, d) with at most one edge per row and left support its key.  Only a
-    fault goes to the ordered checks, which raise InconsistentCollectionError
-    for the keys, or else for the first covector in table order."""
-    k = n - d + 1
-    rdvs = {}
-    if 0 <= k <= n <= core.MAX_SIDE and len(table) == comb(n, k):
-        for key, mask in table.items():
-            rows = core.read_rows(mask, n, d)
-            if rows is None or rows[1] != key or len(rows[0]) != k:
-                break
-            rdvs[rows[0]] = rows[2]
-        else:  # k-subsets of [n], as many as there are: all of them
-            return rdvs
-    # the pass stopped at a fault, so one of these checks raises
-    if table.keys() != set(map(core.subset_mask, core.subsets(n, k))):
+    """{rho bitmask: rdv} of a covector mask table, in table order: its keys
+    must be the (n-d+1)-subsets of [n] as bitmasks (``core.is_subset_keys``),
+    each holding an edge mask on (n, d) with at most one edge per row and
+    left support its key, and its rdvs must biject onto the lattice points.
+    Raises InconsistentCollectionError for the keys, else for the first
+    covector in table order, else for the rdvs."""
+    if not core.is_subset_keys(table.keys(), n, n - d + 1):
         raise InconsistentCollectionError("keys must be the (n-d+1)-subsets")
+    rdvs = {}
     for key, mask in table.items():
-        rho = core.mask_subset(key)
-        if mask >> n * d:
-            raise InconsistentCollectionError(f"covector at {rho} has wrong ambient size")
         rows = core.read_rows(mask, n, d)
         if rows is None or rows[1] != key:
-            raise InconsistentCollectionError(f"covector at {rho} has wrong support")
+            fault = "wrong ambient size" if mask >> n * d else "wrong support"
+            raise InconsistentCollectionError(f"covector at {core.mask_subset(key)} has {fault}")
+        rdvs[key] = rows[2]
+    if not core.is_simplex_lattice(rdvs.values(), n - d + 1, d):
+        raise InconsistentCollectionError(
+            "right degree vectors do not biject onto the lattice points")
+    return rdvs
 
 
 class PhiMap:
-    """Bijection from (n-d+1)-subsets to lattice points of (n-d+1)*Delta."""
+    """Bijection from (n-d+1)-subsets to lattice points of (n-d+1)*Delta,
+    held as {rho bitmask: lattice point tuple}; `items` is the view keyed
+    by subsets."""
 
     def __init__(self, n: int, d: int, mapping: dict):
         self.n = n
         self.d = d
-        self.mapping = {tuple(sorted(r)): tuple(v) for r, v in mapping.items()}
+        self.mapping = {rho: tuple(v) for rho, v in mapping.items()}
 
     def validate_bijective(self) -> None:
         if not 1 <= self.d <= self.n:
             raise InconsistentPhiError(f"phi for ({self.n}, {self.d}) needs 1 <= d <= n")
         core._check_sides(self.n, self.d)  # before the binomial of the key count
         k = self.n - self.d + 1
-        # count first, so that a huge (n, d) never lists its subsets
-        keys = self.mapping.keys()
-        if len(keys) != comb(self.n, k) or keys != set(core.subsets(self.n, k)):
+        if not core.is_subset_keys(self.mapping.keys(), self.n, k):
             raise InconsistentPhiError("phi keys must be the (n-d+1)-subsets")
         if not core.is_simplex_lattice(self.mapping.values(), k, self.d):
             raise InconsistentPhiError("phi values must biject onto the lattice points")
 
     def items(self):
-        return sorted(self.mapping.items())
+        return sorted((core.mask_subset(rho), v) for rho, v in self.mapping.items())
 
     def __eq__(self, other):
         return (
@@ -232,16 +219,15 @@ def _rebuild(phi: PhiMap, n: int, d: int) -> ChowCollection:
     must be distinct, then each its phi value's; the certificate is the caller's."""
     base = n - d + 2  # above every coordinate
     weights = [base ** (d - i) for i in range(1, d + 1)]  # of coordinate i, as core.encode_point
-    bits = [0] + [1 << j for j in range(n)]  # of member j, as core.subset_mask
-    by_code, members = {}, [set() for _ in range(n + 1)]  # members[j]: the codes through lj
+    by_code, members = {}, [set() for _ in range(n)]  # members[j]: the codes through l(j+1)
     for rho, v in phi.mapping.items():
         x = sum(map(mul, v, weights))
-        by_code[x] = sum(map(bits.__getitem__, rho))
-        for j in rho:
+        by_code[x] = rho
+        for j in core._bits(rho):
             members[j].add(x)
     table, codes = dict.fromkeys(by_code.values(), 0), dict.fromkeys(by_code, 0)
     for j in range(n):
-        sector = core.sectors(members[j + 1], base - 1, j + 1, InconsistentPhiError, d, base)
+        sector = core.sectors(members[j], base - 1, j + 1, InconsistentPhiError, d, base)
         for x, i in sector.items():
             table[by_code[x]] |= 1 << (j * d + i - 1)
             codes[x] += weights[i - 1]
@@ -270,18 +256,15 @@ def collection_to_json_dict(cc: ChowCollection) -> dict:
 
 
 def phi_to_json_dict(phi: PhiMap) -> dict:
-    """The phi object, each key looked up in ``core.subset_codec``."""
-    k = len(next(iter(phi.mapping), ()))
-    keys = {rho: key for key, _, rho in core.subset_codec(phi.n, k, len(phi.mapping))}
-    table = {keys[r] if r in keys else core.subset_key(r): list(v) for r, v in phi.items()}
-    return {"n": phi.n, "d": phi.d, "phi": table}
+    """The phi object, each key written by ``core.subset_writer``."""
+    key = core.subset_writer(phi.n, phi.mapping)
+    return {"n": phi.n, "d": phi.d, "phi": {key(rho): list(v) for rho, v in phi.mapping.items()}}
 
 
 def phi_from_json_dict(data: dict) -> PhiMap:
-    """The phi map of a phi object, each key looked up in ``core.key_codec``,
-    else read by ``core.parse_subset_key``, which names a refused key."""
+    """The phi map of a phi object, each key read by ``core.subset_reader``,
+    which names a refused key and keeps one with a member beyond n a tuple,
+    for ``PhiMap.validate_bijective`` to refuse."""
     n, d, table = core.read_object(data, "phi")
-    rhos = {key: rho for key, _, rho in core.key_codec(n, table)}
-    vectors = {rhos[k] if k in rhos else core.parse_subset_key(k): core._int_tuple(v, "a vector")
-               for k, v in table.items()}
-    return PhiMap(n, d, vectors)
+    key = core.subset_reader(n, table)
+    return PhiMap(n, d, {key(k): core._int_tuple(v, "a vector") for k, v in table.items()})

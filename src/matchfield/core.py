@@ -36,27 +36,29 @@ onto the lattice points.  ``incompatible_partners``
 tests a partial map (``tope_function``) against all its partners in one
 closure over bitsets.
 
-Every keyed container is a mask table, {key: edge mask}: a field or a set
-of Chow covectors keyed by left-subset bitmasks, a tope arrangement or an
-extended arrangement by lattice points, a matching stack by (J mask, I mask).
-Its graphs, such as ``graph_table``, are a view built only for a caller that
-asks for them.  A JSON table of keys and edge lists is read straight into
-one, each edge list by one accepting loop (``edge_mask``) that gathers
-the bitmask of its rows beside its mask; any other edge list goes to one
-refusal routine.  ``read_masks`` reads every table so but a field's, whose
-reader keeps the rows to decide the field's type while it parses
-(``fields.field_from_json_dict``).  ``write_masks`` writes a table back
-through a table from bit to [j, i] per (n, d).  Subset keys cross that
-boundary through one codec per call, ``subset_codec``: every k-subset of
-[n] as (key, bitmask, subset) in colex order, built for a table only when
-it has no more entries than the table, k taken from the table's first
-key.  Readers and writers look keys up in it; a key it lacks goes to the
-per-key parser (``read_subset_key``, or ``parse_subset_key`` for phi),
-which refuses it by name or reads a subset of another size.  Every JSON
-format is read strictly: a value of the wrong shape, a subset key that is
-not its subset's one spelling or a point key that is not its point's one
-spelling raises ValueError.  Graphs, triangulations and degree pairs are
-read with the same checks.
+Every keyed container is a mask table, {key: edge mask}: a field, a set of
+Chow covectors or a phi map keyed by left-subset bitmasks, a tope
+arrangement or an extended arrangement by lattice points, a matching stack
+by (J mask, I mask).  Its graphs, such as ``graph_table``, are a view built
+only for a caller that asks for them.  In process a left subset is its
+bitmask, and ``subset_masks`` is the one colex walk over them; ``subsets``
+lists the tuples for callers that name subsets.  A JSON table of keys and
+edge lists is read straight into one, each edge list by one accepting loop
+(``edge_mask``) that gathers the bitmask of its rows beside its mask; any
+other edge list goes to one refusal routine.  ``read_masks`` reads every
+table so but a field's, whose reader keeps the rows to decide the field's
+type while it parses (``fields.field_from_json_dict``).  ``write_masks``
+writes a table back through a table from bit to [j, i] per (n, d).  Subset
+keys cross that boundary through one codec per call, ``subset_codec``: every
+k-subset of [n] as (key, bitmask, subset) in colex order, built for a table
+only when it has no more entries than the table, k taken from the table's
+first key.  Every subset-keyed table, phi's too, is read by
+``subset_reader`` and written by ``subset_writer``, which look keys up in
+it; a key it lacks goes to ``read_subset_key``, which refuses it by name or
+reads a subset of another size.  Every JSON format is read strictly: a value
+of the wrong shape, a subset key that is not its subset's one spelling or a
+point key that is not its point's one spelling raises ValueError.  Graphs,
+triangulations and degree pairs are read with the same checks.
 """
 
 from __future__ import annotations
@@ -74,10 +76,13 @@ from .errors import MatchfieldError, NotASpanningTreeError, SizeCapError
 MAX_SIDE = 64
 
 
-def _check_sides(n: int, d: int) -> None:
-    """MatchfieldError naming an empty right side or a negative left one,
-    then SizeCapError for a side over MAX_SIDE.  n = 0 is allowed for the
-    degenerate stacks that complete to n = d fields."""
+def _check_sides(n: int, d: int, empty: Optional[MatchfieldError] = None) -> None:
+    """The one side check: ``empty``, when given, for a side with no node;
+    then MatchfieldError naming an empty right side or a negative left one,
+    then SizeCapError for a side over MAX_SIDE.  Else n = 0 is allowed, for
+    the degenerate stacks that complete to n = d fields."""
+    if empty is not None and min(n, d) < 1:
+        raise empty
     if not (0 <= n <= MAX_SIDE and 1 <= d <= MAX_SIDE):
         if n < 0 or d < 1:
             raise MatchfieldError(f"node counts ({n}, {d}) need n >= 0 and d >= 1")
@@ -601,6 +606,32 @@ def subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
         c[:j] = range(1, j + 1)
 
 
+def subset_masks(n: int, k: int) -> Iterator[int]:
+    """The bitmasks of the k-subsets of [n] in increasing order, which is
+    the colex order of ``subsets``; none when k > n, and SizeCapError for
+    n over MAX_SIDE, as in ``subsets``.  The one colex bitmask walk:
+    Gosper's step gives the next bitmask with as many set bits."""
+    if n > MAX_SIDE:
+        raise SizeCapError(f"subsets({n}, {k}) out of range")
+    mask, end = (1 << k) - 1, 1 << n
+    while mask < end:
+        yield mask
+        if not (low := mask & -mask):  # the one 0-subset
+            return
+        step = mask + low
+        mask = step | ((step ^ mask) >> 2) // low
+
+
+def is_subset_keys(keys: Collection, n: int, k: int) -> bool:
+    """Whether a table's keys are the bitmasks of the k-subsets of [n], by
+    counting as ``is_simplex_lattice`` does: C(n, k) distinct ints of k bits
+    below 1 << n are all of them.  (n, k) out of range raise as in ``subsets``."""
+    if not (0 <= k <= n <= MAX_SIDE):
+        raise SizeCapError(f"subsets({n}, {k}) out of range")
+    return len(keys) == comb(n, k) and all(
+        type(x) is int and x.bit_count() == k and not x >> n for x in keys)
+
+
 def simplex_lattice_points(m: int, dim: int) -> list[tuple[int, ...]]:
     """Lattice points of the dilated simplex m * Delta_{dim-1}: nonnegative
     integer vectors of length dim with coordinate sum m, in lexicographic
@@ -712,19 +743,13 @@ _POINT_KEY = re.compile(r"(-?[1-9][0-9]*|0)(,(-?[1-9][0-9]*|0))*")
 _JSON_LISTS = (list, tuple)
 
 
-def parse_subset_key(key: str) -> tuple[int, ...]:
-    """The subset a key spells: positive integers in increasing order,
-    comma-joined.  Any other key raises ValueError naming it, so no two keys
-    of a table spell one subset.  It is ``read_subset_key`` on [0], beyond
-    which every member lies."""
-    return read_subset_key(key, 0)
-
-
 def read_subset_key(key: str, n: int):
-    """``subset_bits`` of ``parse_subset_key``, from one fullmatch and one
-    loop over the increasing members: the bitmask of the subset a key
-    spells, or its tuple when a member lies beyond min(n, MAX_SIDE), which
-    is never shifted."""
+    """The subset a key spells, positive integers in increasing order and
+    comma-joined, as ``subset_bits`` keys it, from one fullmatch and one
+    loop over the members: its bitmask, or its tuple when a member lies
+    beyond min(n, MAX_SIDE), which is never shifted; so on n = 0 the tuple.
+    Any other key raises ValueError naming it, so no two keys of a table
+    spell one subset."""
     if _SUBSET_KEY.fullmatch(key):
         members, mask, last, top = tuple(map(int, key.split(","))), 0, 0, min(n, MAX_SIDE)
         for j in members:
@@ -751,10 +776,11 @@ def subset_key(subset: Iterable[int]) -> str:
 
 
 def subset_codec(n: int, k: int, size: int) -> list[tuple[str, int, tuple[int, ...]]]:
-    """Every k-subset of [n] once, as (key, bitmask, subset), in ``subsets``
-    order, which is colex, that is, increasing bitmask; empty unless
-    0 <= k <= n <= MAX_SIDE and C(n, k) <= size, the entries of the table
-    whose keys it serves, so it never costs more than the table does.  The
+    """Every k-subset of [n] once, as (key, bitmask, subset), in the colex
+    order of ``subsets`` and ``subset_masks``, that is, increasing bitmask;
+    empty unless 0 <= k <= n <= MAX_SIDE and C(n, k) <= size, the entries
+    of the table whose keys it serves (through ``subset_reader`` and
+    ``subset_writer``), so it never costs more than the table does.  The
     t-subsets whose largest member is m are the first C(m - 1, t - 1)
     (t - 1)-subsets, each extended by m; level t keeps the largest members
     that level k can still extend."""
@@ -769,12 +795,6 @@ def subset_codec(n: int, k: int, size: int) -> list[tuple[str, int, tuple[int, .
                       for key, mask, subset in level[:comb(m - 1, t - 1)]]
         level = grown
     return level
-
-
-def key_codec(n: int, table: dict) -> list[tuple[str, int, tuple[int, ...]]]:
-    """``subset_codec`` for the string keys of a JSON table: k is the member
-    count its first key spells, and the table's size is the guard."""
-    return subset_codec(n, next(iter(table), "").count(",") + 1, len(table))
 
 
 def _json_list(value, what: str, length: Optional[int] = None) -> list:
@@ -873,18 +893,26 @@ def read_masks(data: dict, name: str, parse_key=None) -> tuple[int, int, dict]:
 
 def subset_reader(n: int, table: dict):
     """The reader of a JSON table's keys as left subsets of [n]: each looked
-    up in ``key_codec``, else read by ``read_subset_key``."""
-    masks = {key: mask for key, mask, _ in key_codec(n, table)}
+    up in ``subset_codec``, k the member count the first key spells, else
+    read by ``read_subset_key``."""
+    members = next(iter(table), "").count(",") + 1
+    masks = {key: mask for key, mask, _ in subset_codec(n, members, len(table))}
     return lambda key: masks[key] if key in masks else read_subset_key(key, n)
+
+
+def subset_writer(n: int, table: dict):
+    """The writer of a table's left-subset bitmask keys as JSON keys: each
+    looked up in ``subset_codec``, k taken from the first key, else spelled
+    by ``subset_key``."""
+    members = next(iter(table), 0).bit_count()
+    keys = {mask: text for text, mask, _ in subset_codec(n, members, len(table))}
+    return lambda m: keys[m] if m in keys else subset_key(mask_subset(m))
 
 
 def write_masks(n: int, d: int, name: str, table: dict, key=None) -> dict:
     """The object read_masks reads, each key written by key(k), by default
-    as the left subset of its bitmask, looked up in ``subset_codec``."""
-    if key is None:
-        members = next(iter(table), 0).bit_count()
-        keys = {mask: text for text, mask, _ in subset_codec(n, members, len(table))}
-        key = lambda m: keys[m] if m in keys else subset_key(mask_subset(m))
+    ``subset_writer``'s."""
+    key = key or subset_writer(n, table)
     return {"n": n, "d": d, name: {key(k): edge_list(n, d, m) for k, m in table.items()}}
 
 

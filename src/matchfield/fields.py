@@ -293,17 +293,11 @@ def _failing_covectors(field: TopeField) -> Iterator[CovectorResult]:
 
 def _covector_unions(field: TopeField) -> Iterator[tuple[int, int]]:
     """(tau, edge mask of its covector) for every (k+1)-subset tau as a
-    bitmask, in increasing order, which is the `core.subsets` order, from
-    the tope masks keyed by left-subset bitmask."""
-    n, k, topes = field.n, field.thickness, field.mask_table
-    if k >= n:
-        return
-    tau, end = (1 << k + 1) - 1, 1 << n
-    while tau < end:
+    bitmask, in `core.subset_masks` order, which is the `core.subsets`
+    order, from the tope masks keyed by left-subset bitmask."""
+    topes = field.mask_table
+    for tau in core.subset_masks(field.n, field.thickness + 1):
         yield tau, covector_mask(topes, tau)
-        low = tau & -tau  # Gosper: the next bitmask with as many set bits
-        step = tau + low
-        tau = step | ((step ^ tau) >> 2) // low
 
 
 def covector_mask(topes: dict[int, int], tau: int) -> int:
@@ -392,9 +386,10 @@ def coherent_field(weights: Sequence[Sequence]) -> MatchingField:
         levels.append(level)
     columns = tuple(range(1, d + 1))
     table = {}
-    for sigma in core.subsets(n, d):
-        key = mask = core.subset_mask(sigma)
+    for key in core.subset_masks(n, d):
+        mask = key
         if levels[d][mask][1] > 1:
+            sigma = core.mask_subset(key)
             best, tied = _min_assignment(sigma, weights, columns)
             first = BipartiteGraph(n, d, list(zip(sigma, best)))
             second = BipartiteGraph(n, d, list(zip(sigma, tied)))

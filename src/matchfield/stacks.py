@@ -172,15 +172,14 @@ def _unlinked_layer(table: dict, n: int, d: int, fix_left: bool) -> Optional[tup
     `fields.is_linkage`).  On 2k + 1 nodes it is a tree exactly with 2k edges."""
     fixed_side, tau_side = (n, d) if fix_left else (d, n)
     for k in range(1, min(fixed_side, tau_side - 1) + 1):
-        for fixed in core.subsets(fixed_side, k):
-            f = core.subset_mask(fixed)
-            for tau in core.subsets(tau_side, k + 1):
-                everyone, union = core.subset_mask(tau), 0
-                for t in tau:
-                    rest = everyone ^ 1 << (t - 1)
+        for f in core.subset_masks(fixed_side, k):
+            for tau in core.subset_masks(tau_side, k + 1):
+                union = 0
+                for t in core._bits(tau):
+                    rest = tau ^ 1 << t
                     union |= table[(f, rest) if fix_left else (rest, f)]
                 if union.bit_count() != 2 * k:
-                    return fixed, tau
+                    return core.mask_subset(f), core.mask_subset(tau)
     return None
 
 
@@ -193,18 +192,17 @@ def completion(stack: MatchingStack) -> fields.MatchingField:
     pairs with r_h whenever it lies in the subset, its bit ORed onto the
     stack matching's mask (the top m rows of an (m + d, d) mask)."""
     m, d = stack.n, stack.d
-    n = m + d
+    left, right = (1 << m) - 1, (1 << d) - 1
     table = {}
-    for sigma in core.subsets(n, d):
-        J = tuple(x for x in sigma if x <= m)
-        dummy_rights = tuple(x - m for x in sigma if x > m)
-        I = tuple(i for i in range(1, d + 1) if i not in dummy_rights)
-        base = stack.mask_table.get((core.subset_mask(J), core.subset_mask(I)))
+    for sigma in core.subset_masks(m + d, d):
+        J, dummy_rights = sigma & left, sigma >> m  # bit h - 1: the dummy paired with rh
+        I = right ^ dummy_rights
+        base = stack.mask_table.get((J, I))
         if base is None:
-            raise MatchfieldError(f"no matching assigned to {(J, I)}")
-        dummies = sum(1 << (m + h - 1) * d + h - 1 for h in dummy_rights)
-        table[core.subset_mask(sigma)] = base | dummies
-    return fields.field_from_masks(n, d, core.all_ones(d), table)
+            raise MatchfieldError(f"no matching assigned to {tuple(map(core.mask_subset, (J, I)))}")
+        dummies = sum(1 << (m + h) * d + h for h in core._bits(dummy_rights))
+        table[sigma] = base | dummies
+    return fields.field_from_masks(m + d, d, core.all_ones(d), table)
 
 
 def extraction(stack: MatchingStack) -> fields.MatchingField:

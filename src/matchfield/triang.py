@@ -62,14 +62,6 @@ def tree_count(n: int, d: int) -> int:
     return comb(n + d - 2, n - 1)
 
 
-def _check_sides(n: int, d: int, what: str) -> None:
-    """Refuse an empty side by name with MatchfieldError, then a side over
-    MAX_SIDE with SizeCapError, before any binomial of tree_count."""
-    if min(n, d) < 1:
-        raise MatchfieldError(f"{what} ({n}, {d}) needs a node on each side")
-    core._check_sides(n, d)
-
-
 @dataclass(frozen=True)
 class TriangulationReport:
     ok: bool
@@ -78,8 +70,9 @@ class TriangulationReport:
 
 
 class Triangulation:
-    """Validated set of spanning trees encoding the maximal cells, held as
-    the sorted tuple of their distinct edge masks."""
+    """Set of spanning trees encoding the maximal cells, held as the sorted
+    tuple of their distinct edge masks.  The constructor checks nothing;
+    ``validate_triangulation`` is the validating entry."""
 
     def __init__(self, n: int, d: int, masks: Iterable[int]):
         self.n = n
@@ -147,9 +140,9 @@ def check_triangulation(masks: Iterable[int], n: int, d: int) -> TriangulationRe
     matchings.  The flip axiom follows: a tree minus a non-leaf edge is a
     facet on all nodes, so off the boundary of the product, and an interior
     facet lies in two cells.  Only a witness is built as graphs; the sides
-    are refused (``_check_sides``) before the trees are counted."""
+    are refused (``core._check_sides``) before the trees are counted."""
     masks = sorted(set(masks))
-    _check_sides(n, d, "triangulation")
+    core._check_sides(n, d, MatchfieldError(f"triangulation ({n}, {d}) needs a node on each side"))
     if len(masks) != tree_count(n, d):
         return TriangulationReport(False, "count", (len(masks), tree_count(n, d)))
     rows = range(1, n + 1)
@@ -248,12 +241,11 @@ def _certified(t: Triangulation) -> Triangulation:
 
 
 def _check_pair_shape(pairs, n, d):
-    if min(n, d) >= 1:  # an empty side keeps its InconsistentPairsError
-        core._check_sides(n, d)  # before the binomial of tree_count
-    if min(n, d) < 1 or len(pairs) != tree_count(n, d):
-        raise InconsistentPairsError(
-            f"{len(pairs)} pairs do not fit a triangulation of size ({n}, {d})"
-        )
+    unfit = InconsistentPairsError(
+        f"{len(pairs)} pairs do not fit a triangulation of size ({n}, {d})")
+    core._check_sides(n, d, unfit)  # before the binomial of tree_count
+    if len(pairs) != tree_count(n, d):
+        raise unfit
     lefts, rights = zip(*pairs)  # u and v of every pair
     if not (core.is_simplex_lattice(lefts, d - 1, n)
             and core.is_simplex_lattice(rights, n - 1, d)):
@@ -357,7 +349,7 @@ def staircase_triangulation(
     Raises MatchfieldError on an empty side, and SizeCapError beyond
     MAX_SIDE nodes a side or STAIRCASE_MAX_TREES trees, before any tree is
     built."""
-    _check_sides(n, d, "staircase")
+    core._check_sides(n, d, MatchfieldError(f"staircase ({n}, {d}) needs a node on each side"))
     if tree_count(n, d) > STAIRCASE_MAX_TREES:
         raise SizeCapError(
             f"staircase ({n}, {d}) has {tree_count(n, d)} trees, "
@@ -399,7 +391,8 @@ def enumerate_triangulations(n: int, d: int) -> list[Triangulation]:
     class, every pair passing the clash test of ``core.agreed_masks``.
     Raises MatchfieldError on an empty side, like staircase_triangulation.
     """
-    _check_sides(n, d, "enumerate_triangulations")
+    core._check_sides(
+        n, d, MatchfieldError(f"enumerate_triangulations ({n}, {d}) needs a node on each side"))
     K = tree_count(n, d)
     if K > 6:
         raise SizeCapError(f"enumerate_triangulations capped at K <= 6, got K = {K}")
@@ -474,7 +467,7 @@ def trees_from_json_dict(data: dict) -> tuple[int, int, list[int]]:
     side before any tree is read; the trees are not validated."""
     n, d = core.read_sides(data)
     if min(n, d) < 1:
-        _check_sides(n, d, "triangulation")
+        raise MatchfieldError(f"triangulation ({n}, {d}) needs a node on each side")
     return n, d, [core.edge_mask(n, d, t)[0] for t in core._json_list(data["trees"], "trees")]
 
 

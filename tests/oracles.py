@@ -106,7 +106,7 @@ descriptions kept as test oracles.
   d-subset: the fields on which the checks that ``fields.tope_arrangement``
   leaves to theorems are run after all.
 - The subset key read by a second regular expression and a sorted copy of
-  its members, the oracle for the one-pass ``core.parse_subset_key``.
+  its members, the oracle for the one-pass ``core.read_subset_key``.
 """
 
 from __future__ import annotations
@@ -929,7 +929,7 @@ def reconstruct_chow_on_tuples(phi: PhiMap, n: int, d: int) -> ChowCollection:
     if (phi.n, phi.d) != (n, d):
         raise MatchfieldError("phi dimensions disagree")
     phi.validate_bijective()
-    by_rdv = {v: core.subset_mask(rho) for rho, v in phi.mapping.items()}
+    by_rdv = {v: rho for rho, v in phi.mapping.items()}
     table = dict.fromkeys(by_rdv.values(), 0)
     for j in range(n):
         member_rdvs = {v for v, rho in by_rdv.items() if rho >> j & 1}
@@ -951,11 +951,11 @@ def reconstruct_chow_on_tuples(phi: PhiMap, n: int, d: int) -> ChowCollection:
 
 def rebuild_by_validation(phi: PhiMap, n: int, d: int) -> ChowCollection:
     """Oracle for ``chow._rebuild``: the same sector sweeps, with every
-    point coded by ``core.encode_point`` and every rho by
-    ``core.subset_mask``, and the table they build then validated by
-    ``ChowCollection.from_masks`` and compared with phi."""
+    point coded by ``core.encode_point`` and every rho its bitmask key, and
+    the table they build then validated by ``ChowCollection.from_masks``
+    and compared with phi."""
     base = n - d + 2  # above every coordinate
-    by_code = {core.encode_point(v, base): core.subset_mask(rho) for rho, v in phi.mapping.items()}
+    by_code = {core.encode_point(v, base): rho for rho, v in phi.mapping.items()}
     table = dict.fromkeys(by_code.values(), 0)
     for j in range(n):
         members = {x for x, rho in by_code.items() if rho >> j & 1}
@@ -1565,7 +1565,7 @@ def _graph(n: int, d: int, edges) -> BipartiteGraph:
 
 
 def read_table(
-    data: dict, name: str, parse_key=core.parse_subset_key, vectors: bool = False
+    data: dict, name: str, parse_key=lambda key: core.read_subset_key(key, 0), vectors: bool = False
 ) -> tuple[int, int, dict]:
     """n, d and the table data[name], keys parsed by parse_key and values
     read as graphs or, with vectors, integer tuples.  Raises ValueError on
@@ -1578,6 +1578,14 @@ def read_table(
     if vectors:
         return n, d, {parse_key(k): core._int_tuple(v, "a vector") for k, v in table.items()}
     return n, d, {parse_key(k): _graph(n, d, v) for k, v in table.items()}
+
+
+def phi_by_key(data: dict) -> PhiMap:
+    """A phi object read by ``read_table``, each subset then keyed as the
+    mask reader keys it (``core.subset_bits``: a member beyond n keeps the
+    tuple): the oracle for the codec and reader of ``chow.phi_from_json_dict``."""
+    n, d, table = read_table(data, "phi", vectors=True)
+    return PhiMap(n, d, {core.subset_bits(rho, n): v for rho, v in table.items()})
 
 
 def edge_mask_by_shapes(n: int, d: int, edges) -> int:
@@ -1668,7 +1676,7 @@ def field_from_json_dict_by_graphs(data: dict) -> fields.TopeField:
 
 def collection_rdvs_by_graphs(n: int, d: int, covectors: dict) -> tuple[dict, dict]:
     """The covector checks of a collection read from its graphs, rho by rho:
-    its mask table and {rho: rdv}, or InconsistentCollectionError."""
+    its mask table and {rho bitmask: rdv}, or InconsistentCollectionError."""
     covectors = {tuple(sorted(r)): g for r, g in covectors.items()}
     if covectors.keys() != set(core.subsets(n, n - d + 1)):
         raise InconsistentCollectionError("keys must be the (n-d+1)-subsets")
@@ -1679,7 +1687,7 @@ def collection_rdvs_by_graphs(n: int, d: int, covectors: dict) -> tuple[dict, di
         rows = core.read_rows(g.mask, g.n, g.d)  # at most one edge per row, nonzero exactly on rho
         if rows is None or rows[0] != rho:
             raise InconsistentCollectionError(f"covector at {rho} has wrong support")
-        table[rows[1]], rdvs[rho] = g.mask, rows[2]
+        table[rows[1]], rdvs[rows[1]] = g.mask, rows[2]
     if not core.is_simplex_lattice(rdvs.values(), n - d + 1, d):
         raise InconsistentCollectionError(
             "right degree vectors do not biject onto the lattice points"
@@ -1809,7 +1817,7 @@ def parse_stack_key(key: str):
     j_part, _, i_part = key.partition("|")
     if j_part[:2] == "J:" and i_part[:2] == "I:":
         try:
-            return tuple(core.parse_subset_key(h[2:]) if h[2:] else () for h in (j_part, i_part))
+            return tuple(core.read_subset_key(h[2:], 0) if h[2:] else () for h in (j_part, i_part))
         except ValueError:
             pass
     raise ValueError(f"stack key {key!r} must read J:<subset>|I:<subset>")

@@ -46,18 +46,21 @@ from oracles import (
 
 
 REFERENCE_PHI = {
-    (1, 2, 4): (3, 0),
-    (1, 3, 4): (2, 1),
-    (1, 2, 3): (1, 2),
-    (2, 3, 4): (0, 3),
+    core.subset_mask(rho): v
+    for rho, v in [((1, 2, 4), (3, 0)), ((1, 3, 4), (2, 1)), ((1, 2, 3), (1, 2)), ((2, 3, 4), (0, 3))]
 }
+
+
+def phi_of(n, d, mapping):
+    """The PhiMap of a {subset: lattice point} map, each key as its bitmask."""
+    return PhiMap(n, d, {core.subset_mask(rho): v for rho, v in mapping.items()})
 
 
 def reconstruct_by_deletion(phi, n, d):
     """Oracle for reconstruct_chow_from_phi: the deletion induction of the
     paper's proof, followed by the same certificate."""
     phi.validate_bijective()
-    mapping = {frozenset(rho): v for rho, v in phi.mapping.items()}
+    mapping = {frozenset(core.mask_subset(rho)): v for rho, v in phi.mapping.items()}
     covectors = _reconstruct_chow(mapping, tuple(range(1, n + 1)), d, {})
     out = {
         tuple(sorted(rho)): BipartiteGraph(n, d, edges)
@@ -245,7 +248,8 @@ class TestCollectionValidation:
         cc = chow_collection(field_42)
         monkeypatch.setattr(BipartiteGraph, "right_degrees", None)
         assert cc.phi().mapping == REFERENCE_PHI
-        assert cc.by_rdv() == {v: cc.covectors[rho] for rho, v in REFERENCE_PHI.items()}
+        covectors = cc.covectors
+        assert cc.by_rdv() == {v: covectors[core.mask_subset(rho)] for rho, v in REFERENCE_PHI.items()}
 
     def test_mask_table_is_the_covectors(self, field_63):
         cc = chow_collection(field_63)
@@ -400,7 +404,7 @@ def coherent_phi_and_swaps(n, d):
     map followed by four seeded two-value swaps of it."""
     field, _, _ = seeded_coherent_field(n, d, 1000 * n + d)
     cc = chow_collection(field)
-    keys = sorted(cc.phi().mapping)
+    keys = sorted(cc.phi().mapping, key=core.mask_subset)
     rng = random.Random(n * d)
     mappings = [cc.phi().mapping]
     for _ in range(4):
@@ -437,14 +441,14 @@ class TestReconstruction:
 
     def test_non_bijective_phi_rejected(self, field_42):
         mapping = dict(chow_collection(field_42).phi().mapping)
-        mapping[(1, 2, 3)] = mapping[(1, 2, 4)]
+        mapping[core.subset_mask((1, 2, 3))] = mapping[core.subset_mask((1, 2, 4))]
         with pytest.raises(InconsistentPhiError):
             reconstruct_chow_from_phi(PhiMap(4, 2, mapping), 4, 2)
 
     def test_value_off_the_simplex_is_refused(self):
         # right count, distinct values, one of them (-1, 4) off 3 * Delta_1
         mapping = dict(REFERENCE_PHI)
-        mapping[(1, 2, 4)] = (-1, 4)
+        mapping[core.subset_mask((1, 2, 4))] = (-1, 4)
         message = "^phi values must biject onto the lattice points$"
         with pytest.raises(InconsistentPhiError, match=message):
             PhiMap(4, 2, mapping).validate_bijective()
@@ -454,17 +458,17 @@ class TestReconstruction:
     def test_d_above_n_is_refused_as_phi_fault(self):
         # its only key is the empty subset, and no matching field has d > n
         with pytest.raises(InconsistentPhiError, match=r"needs 1 <= d <= n$"):
-            reconstruct_chow_from_phi(PhiMap(2, 3, {(): (0, 0, 0)}), 2, 3)
+            reconstruct_chow_from_phi(phi_of(2, 3, {(): (0, 0, 0)}), 2, 3)
 
     def test_realizable_swap_finds_the_other_field(self, field_42):
         # swapping two values of this bijection lands on the phi map of a
         # different linkage field, which the reconstruction must find
-        mapping = dict(chow_collection(field_42).phi().mapping)
+        mapping = dict(chow_collection(field_42).phi().items())
         mapping[(1, 2, 3)], mapping[(1, 2, 4)] = (
             mapping[(1, 2, 4)],
             mapping[(1, 2, 3)],
         )
-        rebuilt = reconstruct_chow_from_phi(PhiMap(4, 2, mapping), 4, 2)
+        rebuilt = reconstruct_chow_from_phi(phi_of(4, 2, mapping), 4, 2)
         other = field_from_chow(rebuilt)
         assert other != field_42
         assert chow_collection(other) == rebuilt
@@ -472,7 +476,7 @@ class TestReconstruction:
     def test_scrambled_phi_detected(self, field_63):
         # swap two values: still bijective, but from no linkage field
         mapping = dict(chow_collection(field_63).phi().mapping)
-        keys = sorted(mapping)
+        keys = sorted(mapping, key=core.mask_subset)
         a, b = keys[0], keys[5]
         mapping[a], mapping[b] = mapping[b], mapping[a]
         with pytest.raises(InconsistentPhiError):
@@ -505,7 +509,7 @@ class TestReconstruction:
         rhos = list(subsets(n, n - 1))
         points = simplex_lattice_points(n - 1, 2)
         for perm in itertools.permutations(points):
-            mapping = dict(zip(rhos, perm))
+            mapping = dict(zip(map(core.subset_mask, rhos), perm))
             key = frozenset(mapping.items())
             rebuilt = reconstruct_chow_from_phi(PhiMap(n, 2, mapping), n, 2)
             assert key in linkage_phis and rebuilt == linkage_phis[key]
@@ -531,10 +535,10 @@ class TestReconstruction:
             (1, 2): (0, 0, 2), (1, 3): (1, 0, 1), (1, 4): (0, 1, 1),
             (2, 3): (1, 1, 0), (2, 4): (0, 2, 0), (3, 4): (2, 0, 0),
         }
-        assert reconstruct_chow_from_phi(PhiMap(4, 3, mapping), 4, 3)
+        assert reconstruct_chow_from_phi(phi_of(4, 3, mapping), 4, 3)
         mapping.update(values)
         with pytest.raises(InconsistentPhiError, match=message):
-            reconstruct_chow_from_phi(PhiMap(4, 3, mapping), 4, 3)
+            reconstruct_chow_from_phi(phi_of(4, 3, mapping), 4, 3)
 
     @pytest.mark.parametrize("n,d", SWAP_SIZES)
     def test_agrees_with_deletion_oracle(self, n, d):
@@ -564,6 +568,28 @@ class TestReconstruction:
         assert calls == []
         ChowCollection.from_masks(n, d, rebuilt.mask_table)
         assert len(calls) == comb(n, n - d + 1)
+
+    def test_reconstruction_lists_no_subset(self, monkeypatch):
+        # phi and the collections are keyed by bitmask from end to end: the
+        # key set is counted and every walk over subsets is over bitmasks
+        n, d = 10, 5
+        cc = chow_collection(seeded_coherent_field(n, d, 1)[0])
+        listing, calls = core.subsets, []
+        monkeypatch.setattr(core, "subsets", lambda *args: calls.append(args) or listing(*args))
+        assert reconstruct_chow_from_phi(cc.phi(), n, d) == cc
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "key", [0b1111, 0b11, 0b1_0000_0011, -5, (1, 2, 4), True],
+        ids=["four-members", "two-members", "member-beyond-n", "negative", "tuple", "bool"],
+    )
+    def test_phi_keys_are_counted(self, key):
+        # REFERENCE_PHI with its key (1, 2, 4) replaced: four keys, as many
+        # as the 3-subsets of [4], one of which is no 3-subset bitmask
+        mapping = dict(REFERENCE_PHI)
+        mapping[key] = mapping.pop(core.subset_mask((1, 2, 4)))
+        with pytest.raises(InconsistentPhiError, match=r"^phi keys must be the \(n-d\+1\)-subsets$"):
+            PhiMap(4, 2, mapping).validate_bijective()
 
     @pytest.mark.parametrize("n,d", SWAP_SIZES)
     def test_held_rebuild_is_the_validated_collection(self, n, d):
@@ -616,9 +642,9 @@ class TestCertificate:
 
     def test_rebuilt_field_must_give_the_covectors_back(self, field_42, monkeypatch):
         # another linkage (4,2) field: the one of two swapped phi values
-        mapping = dict(chow_collection(field_42).phi().mapping)
+        mapping = dict(chow_collection(field_42).phi().items())
         mapping[(1, 2, 3)], mapping[(1, 2, 4)] = mapping[(1, 2, 4)], mapping[(1, 2, 3)]
-        other = field_from_chow(reconstruct_chow_from_phi(PhiMap(4, 2, mapping), 4, 2))
+        other = field_from_chow(reconstruct_chow_from_phi(phi_of(4, 2, mapping), 4, 2))
         assert other != field_42 and is_linkage(other).ok
         phi = chow_collection(field_42).phi()
         monkeypatch.setattr(chow_mod, "field_from_chow", lambda cc: other)

@@ -254,7 +254,8 @@ def test_differing_chow_rebuild_reaches_the_certificate(capsys, monkeypatch, fie
     # another linkage collection (two phi values of field_42 swapped) is
     # certified and reported as a mismatch; a collection of no field fails
     mapping = dict(chow_collection(field_42).phi().mapping)
-    mapping[(1, 2, 3)], mapping[(1, 2, 4)] = mapping[(1, 2, 4)], mapping[(1, 2, 3)]
+    a, b = core.subset_mask((1, 2, 3)), core.subset_mask((1, 2, 4))
+    mapping[a], mapping[b] = mapping[b], mapping[a]
     other = chow.reconstruct_chow_from_phi(PhiMap(4, 2, mapping), 4, 2)
     edges = {(1, 2, 3): [(1, 1), (2, 1), (3, 1)], (1, 2, 4): [(1, 1), (2, 1), (4, 2)],
              (1, 3, 4): [(1, 2), (3, 2), (4, 1)], (2, 3, 4): [(2, 2), (3, 2), (4, 2)]}
@@ -538,14 +539,16 @@ def test_malformed_pairs_are_a_usage_error(capsys, tmp_path, data):
     assert json.loads(captured.err)["error"] == "ValueError"
 
 
-def test_pair_set_of_the_wrong_size_is_refused_before_any_work(capsys, tmp_path):
-    # listing the lattice points of 29 * Delta_29 would not finish
+@pytest.mark.parametrize("n, d", [(30, 30), (0, 3), (2, 0), (-1, 5), (0, 10**6)])
+def test_pair_set_of_the_wrong_size_is_refused_before_any_work(capsys, tmp_path, n, d):
+    # listing the lattice points of 29 * Delta_29 would not finish; an empty
+    # side is refused as a pair set of the wrong size before any side cap
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"n": 30, "d": 30, "pairs": []}))
+    path.write_text(json.dumps({"n": n, "d": d, "pairs": []}))
     assert run(["reconstruct-triangulation", str(path)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InconsistentPairsError"
-    assert err["message"] == "0 pairs do not fit a triangulation of size (30, 30)"
+    assert err["message"] == f"0 pairs do not fit a triangulation of size ({n}, {d})"
 
 
 HUGE = 3_000_000
@@ -586,9 +589,9 @@ def test_huge_sides_are_refused_at_once(capsys, tmp_path, command, data, error, 
     # millions of digits; the sides are refused before either is computed
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(data))
-    start = time.perf_counter()
-    assert run(command + [str(path)]) == 1
-    assert time.perf_counter() - start < 0.05
+    code, elapsed = cpu_timed(lambda: run(command + [str(path)]))
+    assert code == 1
+    assert elapsed < 0.05
     assert json.loads(capsys.readouterr().err) == {"error": error, "message": message}
 
 
@@ -628,45 +631,92 @@ def test_malformed_table_is_a_usage_error(capsys, tmp_path, command, data):
     assert json.loads(captured.err)["error"] == "ValueError"
 
 
+def phi_respelled(key):
+    """The phi object of a seeded coherent (6, 3) field with its key
+    "1,2,3,4" spelled as key: the right entry count, one key at fault."""
+    data = phi_to_json_dict(chow_collection(seeded_coherent_field(6, 3, 1)[0]).phi())
+    data["phi"][key] = data["phi"].pop("1,2,3,4")
+    return data
+
+
+def subset_key_refusal(key):
+    return f"subset key {key!r} must list positive integers in increasing order"
+
+
 @pytest.mark.parametrize(
-    "command, data, error, message",
+    "command, data, code, error, message",
     [
         (
             ["reconstruct-chow", "--phi"],
             {"n": 60, "d": 30, "phi": {}},
+            1,
             "InconsistentPhiError",
             "phi keys must be the (n-d+1)-subsets",
         ),
         (
             ["trianguloid-check"],
             {"n": 60, "d": 30, "graphs": {}},
+            1,
             "MatchfieldError",
             "extended arrangement must cover all lattice points",
         ),
         (
             ["reconstruct-chow", "--phi"],
             {"n": 3, "d": 5, "phi": {}},
+            1,
             "InconsistentPhiError",
             "phi for (3, 5) needs 1 <= d <= n",
         ),
         (
             ["reconstruct-chow", "--phi"],
             {"n": 2, "d": 0, "phi": {}},
+            1,
             "InconsistentPhiError",
             "phi for (2, 0) needs 1 <= d <= n",
         ),
+        (
+            ["reconstruct-chow", "--phi"],
+            phi_respelled("1,2,3,99"),
+            1,
+            "InconsistentPhiError",
+            "phi keys must be the (n-d+1)-subsets",
+        ),
+        (
+            ["reconstruct-chow", "--phi"],
+            phi_respelled("1,2,3"),
+            1,
+            "InconsistentPhiError",
+            "phi keys must be the (n-d+1)-subsets",
+        ),
+        (
+            ["reconstruct-chow", "--phi"],
+            phi_respelled("2,1,3,4"),
+            2,
+            "ValueError",
+            subset_key_refusal("2,1,3,4"),
+        ),
+        (
+            ["reconstruct-chow", "--phi"],
+            phi_respelled("0,1,2,3"),
+            2,
+            "ValueError",
+            subset_key_refusal("0,1,2,3"),
+        ),
     ],
-    ids=["phi", "extended", "phi-d-above-n-plus-1", "phi-d-zero"],
+    ids=["phi", "extended", "phi-d-above-n-plus-1", "phi-d-zero", "phi-member-above-n",
+         "phi-key-of-another-size", "phi-key-unordered", "phi-member-zero"],
 )
 def test_wrong_entry_count_is_refused_before_any_work(
-    capsys, tmp_path, command, data, error, message
+    capsys, tmp_path, command, data, code, error, message
 ):
     # C(60, 31) subsets and C(89, 29) lattice points would never be listed;
     # a phi whose d lies outside 1..n is refused by its size before its
-    # (n-d+1)-subsets, which do not exist, are asked for
+    # (n-d+1)-subsets, which do not exist, are asked for; a phi key is read
+    # by the shared subset reader, and a key at fault among the right
+    # number of entries keeps the refusal of the key set or of its spelling
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(data))
-    assert run(command + [str(path)]) == 1
+    assert run(command + [str(path)]) == code
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": error, "message": message}
 
@@ -842,9 +892,9 @@ def test_staircase_with_an_empty_side_is_refused(capsys, command, routine, n, d)
 def test_enumeration_over_the_side_cap_is_refused_at_once(capsys, side):
     # the sides are capped before the binomial of the tree count, which
     # would overflow, print more than 4300 digits or run for minutes
-    start = time.perf_counter()
-    assert run(["enumerate-triangulations", "--n", side, "--d", side]) == 1
-    assert time.perf_counter() - start < 0.05
+    code, elapsed = cpu_timed(lambda: run(["enumerate-triangulations", "--n", side, "--d", side]))
+    assert code == 1
+    assert elapsed < 0.05
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {
@@ -1017,7 +1067,7 @@ def sides_and_table(read):
 READERS = {  # the reader of each format and its oracle
     "field": (field_from_json_dict, oracles.field_from_json_dict_by_graphs),
     "tope-field": (field_from_json_dict, oracles.field_from_json_dict_by_graphs),
-    "phi": (phi_from_json_dict, lambda data: PhiMap(*oracles.read_table(data, "phi", vectors=True))),
+    "phi": (phi_from_json_dict, oracles.phi_by_key),
     "extended": (sides_and_table(extended_from_json_dict), oracles.extended_by_graphs),
     "stack": (sides_and_table(stack_from_json_dict), oracles.stack_by_graphs),
     "arrangement": (sides_and_table(arrangement_from_json_dict), oracles.arrangement_by_graphs),
@@ -1231,7 +1281,7 @@ def read_masks_by_key(data, name):
     """``core.read_masks`` with every key read by the per-key parser and
     every edge list by the oracle loop."""
     n, d, table = core.read_object(data, name)
-    return n, d, {core.subset_bits(core.parse_subset_key(k), n): oracles.edge_mask_by_shapes(n, d, v)
+    return n, d, {core.subset_bits(core.read_subset_key(k, 0), n): oracles.edge_mask_by_shapes(n, d, v)
                   for k, v in table.items()}
 
 
@@ -1268,7 +1318,7 @@ def test_codec_reads_keys_as_the_per_key_parser_does(fuzz_inputs, fmt, choice):
     name = "phi" if fmt == "phi" else "matchings"
     data = {**data, name: choice.draw(mutated_keys(data[name], data["n"]), label="table")}
     if fmt == "phi":
-        expected = read_outcome(lambda data: PhiMap(*oracles.read_table(data, "phi", vectors=True)), data)
+        expected = read_outcome(oracles.phi_by_key, data)
         assert read_outcome(phi_from_json_dict, data) == expected
     else:
         expected = read_outcome(lambda data: read_masks_by_key(data, name), data)
@@ -1285,12 +1335,12 @@ def test_single_key_at_n_64_builds_no_large_codec(monkeypatch, k):
     codec = core.subset_codec
     monkeypatch.setattr(core, "subset_codec", lambda *args: built.append(codec(*args)) or built[-1])
     key = core.subset_key(range(1, k + 1))
-    start = time.perf_counter()
-    assert core.read_masks({"n": 64, "d": 2, "t": {key: [[1, 1]]}}, "t") == (64, 2, {(1 << k) - 1: 1})
-    assert phi_from_json_dict({"n": 64, "d": 2, "phi": {key: [1, 0]}}).mapping == {
-        tuple(range(1, k + 1)): (1, 0)
-    }
-    assert time.perf_counter() - start < 0.05
+    (table, phi), elapsed = cpu_timed(lambda: (
+        core.read_masks({"n": 64, "d": 2, "t": {key: [[1, 1]]}}, "t"),
+        phi_from_json_dict({"n": 64, "d": 2, "phi": {key: [1, 0]}})))
+    assert table == (64, 2, {(1 << k) - 1: 1})
+    assert phi.mapping == {(1 << k) - 1: (1, 0)}
+    assert elapsed < 0.05
     assert len(built) == 2 and all(len(entries) <= 1 for entries in built)
 
 

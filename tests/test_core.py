@@ -221,6 +221,37 @@ class TestSubsetsAndLatticePoints:
                 mask = core.subset_mask(subset)
                 assert mask.bit_count() == k and core.mask_subset(mask) == subset
 
+    def test_colex_bitmask_walk_is_the_colex_listing(self):
+        for n in range(11):
+            for k in range(n + 1):
+                assert list(core.subset_masks(n, k)) == list(map(core.subset_mask, subsets(n, k)))
+            assert list(core.subset_masks(n, n + 1)) == []
+            assert list(core.subset_masks(n, n + 3)) == []
+
+    def test_colex_bitmask_walk_refuses_a_side_over_the_cap(self):
+        with pytest.raises(SizeCapError, match=r"^subsets\(70, 30\) out of range$"):
+            next(core.subset_masks(70, 30))
+
+    @pytest.mark.parametrize("fault", [None, "drop", "extra", "wide", "narrow", "tuple", "negative",
+                                       "beyond"])
+    def test_subset_keys_are_counted_as_they_would_be_listed(self, fault):
+        for n in range(1, 8):
+            for k in range(n + 1):
+                keys = list(core.subset_masks(n, k))
+                last = keys.pop()
+                keys += {None: [last], "drop": [], "extra": [last, 1 << n],
+                         "wide": [last | 1 << n] if k else [last, 1],
+                         "narrow": [last & last - 1] if k else [last, 1],
+                         "tuple": [core.mask_subset(last)], "negative": [-1 - last],
+                         "beyond": [last ^ (last & -last) | 1 << n] if k else [last, 1]}[fault]
+                listed = set(keys) == set(map(core.subset_mask, subsets(n, k)))
+                assert core.is_subset_keys(dict.fromkeys(keys).keys(), n, k) == listed
+
+    @pytest.mark.parametrize("n, k", [(65, 1), (3, 4), (3, -1)])
+    def test_subset_keys_out_of_range_raise_as_the_listing(self, n, k):
+        with pytest.raises(SizeCapError, match=rf"^subsets\({n}, {k}\) out of range$"):
+            core.is_subset_keys({}, n, k)
+
     def test_subset_codec_lists_every_subset_once_in_colex_order(self):
         for n in range(13):
             for k in range(n + 1):
@@ -332,7 +363,7 @@ class TestSubsetKeys:
     @given(st.one_of(subset_key_spellings(), st.text("0123456789,+- x\u0663", max_size=12)))
     def test_one_pass_parse_matches_the_sorting_oracle(self, key):
         expected = key_outcome(parse_subset_key_by_sorting, key)
-        assert key_outcome(core.parse_subset_key, key) == expected
+        assert key_outcome(lambda k: core.read_subset_key(k, 0), key) == expected
         for n in (0, 3, 70):
             bits = expected if isinstance(expected, str) else core.subset_bits(expected, n)
             assert key_outcome(lambda k: core.read_subset_key(k, n), key) == bits
@@ -340,7 +371,7 @@ class TestSubsetKeys:
     @pytest.mark.parametrize("key", ["", "0", "2,1", "1,1", "01,2", "1,", "1\n", "\u0663"])
     def test_refusal_names_the_key(self, key):
         with pytest.raises(ValueError) as err:
-            core.parse_subset_key(key)
+            core.read_subset_key(key, 0)
         assert str(err.value) == (
             f"subset key {key!r} must list positive integers in increasing order")
 
@@ -414,9 +445,9 @@ class TestGraphBasics:
         data = core.write_masks(4, 2, "topes", {(1, 0): g.mask}, core.subset_key)
         assert data == {"n": 4, "d": 2, "topes": {"1,0": [[1, 1], [2, 2]]}}
         assert core.read_masks(data, "topes", core.parse_point_key) == (4, 2, {(1, 0): g.mask})
-        data = chow.phi_to_json_dict(chow.PhiMap(4, 2, {(1, 2, 3): (3, 0)}))
+        data = chow.phi_to_json_dict(chow.PhiMap(4, 2, {0b111: (3, 0)}))
         assert data == {"n": 4, "d": 2, "phi": {"1,2,3": [3, 0]}}
-        assert chow.phi_from_json_dict(data).mapping == {(1, 2, 3): (3, 0)}
+        assert chow.phi_from_json_dict(data).mapping == {0b111: (3, 0)}
 
     @pytest.mark.parametrize(
         "data, vectors",
