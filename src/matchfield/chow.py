@@ -2,22 +2,23 @@
 
 For every (n-d+1)-subset rho of the left nodes, the Chow covector is the
 graph of the map sending j in rho to the right partner of lj in the matching
-on (L minus rho) union {j}.  For linkage fields the right degree vectors of
-the covectors hit every lattice point of (n-d+1)*Delta_{d-1} exactly once,
-and the bijection phi: rho -> lattice point determines the field.  There are
-C(n, n-d+1) = C(n, d-1) subsets, as many as lattice points, so a bijection
-is recognised by counting (``core.is_simplex_lattice``), and so is its key
-set (``core.is_subset_keys``).  A collection, like a field, is its mask
-table {left-subset bitmask: edge mask}, validated in one pass
-(``ChowCollection.from_masks``); its rdvs and phi are keyed by the same
+on (L minus rho) union {j}.  For linkage fields the right degree vectors
+(rdvs) of the covectors hit every lattice point of (n-d+1)*Delta_{d-1}
+exactly once, by the main theorem of Loho & Smith, and the bijection
+phi: rho -> lattice point determines the field.  There are C(n, d-1)
+subsets, as many as lattice points, so a bijection is recognised by
+counting (``core.is_simplex_lattice``), and so is its key set
+(``core.is_subset_keys``).  A collection, like a field, is its mask table
+{left-subset bitmask: edge mask}; its rdvs and phi are keyed by the same
 bitmasks from the JSON reader to the writer, so phi is handed on as built.
-Subsets are tuples only in views built for a caller that asks for them (the
-graphs, ``PhiMap.items``), in witnesses and in error texts; the graph-keyed
-constructor turns its graphs into a table first.  The edge (lj, ri) of the
-matching on sigma is the lj-edge of the covector of rho = (L minus
-sigma) + j, and as then sigma = (L minus rho) + j, one pass builds the
-covectors from the field and the field from the covectors
-(``fields.chow_masks``), table to table.
+Subsets are tuples only in views for a caller that asks for them (the
+graphs, ``PhiMap.items``), in witnesses and in error texts.  As the edge
+(lj, ri) of the matching on sigma is the lj-edge of the covector of
+rho = (L minus sigma) + j, and sigma = (L minus rho) + j, one pass builds
+the covectors from the field and back (``fields.chow_masks``).  From a
+linkage field that holds type (1, ..., 1) it also codes their rdvs, and
+only their distinctness is checked; any other table is validated in one
+pass (``ChowCollection.from_masks``).
 
 Reconstruction inverts phi with one sweep per left node over the lattice
 points coded in base n-d+2 (``core.encode_point``).  For fixed j and i, the
@@ -29,10 +30,10 @@ its edge at lj into the mask of its rho.  The rebuild keeps the table its
 sweeps build; it checks only that their rdv codes are distinct, then that
 each is its phi value's.  The shape of phi is checked once: by
 ``reconstruct_chow_from_phi`` (``PhiMap.validate_bijective``), or in
-``roundtrip`` by the ``ChowCollection`` it is read off; so every seed is a
-value and the sweep tests none.  The certificate runs in full: it rebuilds
-the field, checks that it is linkage and that its covector table equals
-the rebuilt one, mask for mask.  ``roundtrip --kind chow`` certifies only a
+``roundtrip`` by the collection it is read off; so every seed is a value
+and the sweep tests none.  The certificate runs in full: it rebuilds the
+field, checks that it is linkage and that its covector table equals the
+rebuilt one, mask for mask.  ``roundtrip --kind chow`` certifies only a
 rebuild that differs from the table of its validated linkage input, as an
 equal one is what the certificate would confirm.  The tests keep the
 paper's induction on deleting lj, and the covectors as intersections of
@@ -54,6 +55,8 @@ from .errors import (
     MatchfieldError,
     NotLinkageError,
 )
+
+BIJECTION = "right degree vectors do not biject onto the lattice points"
 
 
 def chow_by_definition(field: fields.MatchingField, rho: Iterable[int]) -> BipartiteGraph:
@@ -104,10 +107,6 @@ class ChowCollection:
     def items(self):
         return sorted(self.covectors.items())
 
-    def by_rdv(self) -> dict[tuple, BipartiteGraph]:
-        n, d, table = self.n, self.d, self.mask_table
-        return {v: BipartiteGraph.from_mask(n, d, table[rho]) for rho, v in self.rdvs.items()}
-
     def phi(self) -> "PhiMap":
         return PhiMap(self.n, self.d, self.rdvs)
 
@@ -139,8 +138,7 @@ def _covector_rdvs(n: int, d: int, table: dict) -> dict:
             raise InconsistentCollectionError(f"covector at {core.mask_subset(key)} has {fault}")
         rdvs[key] = rows[2]
     if not core.is_simplex_lattice(rdvs.values(), n - d + 1, d):
-        raise InconsistentCollectionError(
-            "right degree vectors do not biject onto the lattice points")
+        raise InconsistentCollectionError(BIJECTION)
     return rdvs
 
 
@@ -150,9 +148,7 @@ class PhiMap:
     by subsets."""
 
     def __init__(self, n: int, d: int, mapping: dict):
-        self.n = n
-        self.d = d
-        self.mapping = {rho: tuple(v) for rho, v in mapping.items()}
+        self.n, self.d, self.mapping = n, d, {rho: tuple(v) for rho, v in mapping.items()}
 
     def validate_bijective(self) -> None:
         if not 1 <= self.d <= self.n:
@@ -179,10 +175,19 @@ class PhiMap:
 
 
 def chow_collection(field: fields.MatchingField) -> ChowCollection:
-    """All covectors of a linkage field; the rdv bijection is certified."""
+    """All covectors of a linkage field with their rdvs, a bijection onto the
+    lattice points by Loho & Smith's main theorem, so that on a field holding
+    type (1, ..., 1) one coded pass checks only that they are distinct."""
     fields.require_linkage(field)
-    n, d = field.n, field.d
-    return ChowCollection.from_masks(n, d, fields.chow_masks(n, d, field.mask_table))
+    n, d, nd, base = field.n, field.d, field.n * field.d, field.n - field.d + 2
+    if not (field.holds_type and field.type_vector == core.all_ones(d)):
+        return ChowCollection.from_masks(n, d, fields.chow_masks(n, d, field.mask_table))
+    lifts = [base ** (d - i) << nd for i in range(1, d + 1)]  # code of e_i, above the edges
+    packed = fields.chow_masks(n, d, field.mask_table, lifts)
+    if len({x >> nd for x in packed.values()}) < len(packed):
+        raise InconsistentCollectionError(BIJECTION)
+    rdvs = {rho: tuple([x // lift % base for lift in lifts]) for rho, x in packed.items()}
+    return ChowCollection._unchecked(n, d, {rho: x % (1 << nd) for rho, x in packed.items()}, rdvs)
 
 
 def field_from_chow(cc: ChowCollection) -> fields.MatchingField:
@@ -232,7 +237,7 @@ def _rebuild(phi: PhiMap, n: int, d: int) -> ChowCollection:
             table[by_code[x]] |= 1 << (j * d + i - 1)
             codes[x] += weights[i - 1]
     if len(set(codes.values())) < len(codes):
-        raise InconsistentPhiError("right degree vectors do not biject onto the lattice points")
+        raise InconsistentPhiError(BIJECTION)
     if any(map(ne, codes, codes.values())):
         raise InconsistentPhiError("reconstruction does not reproduce phi")
     return ChowCollection._unchecked(n, d, table, dict(phi.mapping))

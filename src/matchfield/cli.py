@@ -256,7 +256,7 @@ def cmd_right_submatching_check(args) -> tuple[dict, bool]:
 def cmd_roundtrip(args) -> tuple[dict, bool]:
     if args.kind == "chow":
         field = _load_matching_field(args.input)
-        cc = chow.chow_collection(field)  # validates the bijection that phi reads off
+        cc = chow.chow_collection(field)  # the bijection that phi reads off
         rebuilt = chow._rebuild(cc.phi(), field.n, field.d)
         if rebuilt != cc:  # cc is the input's, so only a differing rebuild is certified
             chow._certified(rebuilt)

@@ -564,21 +564,25 @@ def check_sector_monotonicity(table: dict) -> None:
                         f"sector violation: edge ({j},{i}) of {at} missing at {to}")
 
 
-def chow_masks(n: int, d: int, table: dict[int, int]) -> dict[int, int]:
+def chow_masks(n: int, d: int, table: dict[int, int], lifts: Sequence[int] = ()) -> dict[int, int]:
     """The keyed pass between a matching field and its Chow covectors, both
     as {left-subset bitmask: edge mask}, linkage or not.  The edge (lj, ri) of
-    the matching on sigma is the lj-edge of the covector of
-    rho = (L minus sigma) + j; as then sigma = (L minus rho) + j, the pass is
-    its own inverse on tables whose entries lie in the rows of their keys."""
-    everyone = (1 << n) - 1
+    the matching on sigma is the lj-edge of the covector of rho = (L minus
+    sigma) + j; as then sigma = (L minus rho) + j, the pass is its own inverse
+    on tables whose entries lie in the rows of their keys.  There no bit comes
+    twice, so adding one ORs it; an edge at ri adds lifts[i - 1] above too."""
+    everyone, nd, lifts = (1 << n) - 1, n * d, lifts or [0] * d
+    if table and (min(table.values()) < 0 or max(table.values()) >> nd):
+        raise MatchfieldError(f"mask has bits outside the {n}x{d} grid")
+    rows, gains = [1 << p // d for p in range(nd)], [1 << p | lifts[p % d] for p in range(nd)]
     out: dict[int, int] = {}
     for subset, mask in table.items():
         rest = everyone ^ subset
         while mask:
-            low = mask & -mask
-            mask ^= low
-            key = rest | 1 << ((low.bit_length() - 1) // d)
-            out[key] = out.get(key, 0) | low
+            pos = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            key = rest | rows[pos]
+            out[key] = out.get(key, 0) + gains[pos]
     return out
 
 

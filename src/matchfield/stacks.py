@@ -192,6 +192,7 @@ def completion(stack: MatchingStack) -> fields.MatchingField:
     pairs with r_h whenever it lies in the subset, its bit ORed onto the
     stack matching's mask (the top m rows of an (m + d, d) mask)."""
     m, d = stack.n, stack.d
+    core._check_sides(m + d, d)  # the completed field's sides, before the subset walk
     left, right = (1 << m) - 1, (1 << d) - 1
     table = {}
     for sigma in core.subset_masks(m + d, d):

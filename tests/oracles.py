@@ -3,9 +3,9 @@ descriptions kept as test oracles.
 
 - Chow covectors as intersections of maximal topes and as the minimal
   transversals of the field (Berge multiplication, desk scale), the
-  combinatorial sectors of an rdv-keyed collection, and the field read back
-  through the maximal topes, unions of its covectors: the oracle for the
-  keyed pass of ``chow.field_from_chow``.
+  combinatorial sectors of an rdv-keyed collection (``covectors_by_rdv``),
+  and the field read back through the maximal topes, unions of its
+  covectors: the oracle for the keyed pass of ``chow.field_from_chow``.
 - Colexicographic subsets by recursion on the top member, the oracle for
   the iterative ``core.subsets``, and a vector set compared sorted with the
   listed lattice points, the oracle for the counting test of
@@ -80,7 +80,9 @@ descriptions kept as test oracles.
   ``triang._tree``, ``triang._deletion`` and ``reconstruct_chow_from_phi``.
   The Chow sweeps with the table they build validated again by
   ``ChowCollection.from_masks``, the oracle for the checks that
-  ``chow._rebuild`` makes while it builds.
+  ``chow._rebuild`` makes while it builds, and the covectors of a linkage
+  field validated the same way, the oracle for the coded pass of
+  ``chow.chow_collection``.
 - The right-submatching check that rescans every field matching for each
   (J, I') and runs ``is_compatible`` on every contained matching, the
   oracle for the table-driven ``right_submatching_check``.
@@ -426,6 +428,13 @@ class SectorImage:
     j: int
     i: int
     members: frozenset
+
+
+def covectors_by_rdv(cc: ChowCollection) -> dict[tuple, BipartiteGraph]:
+    """The covectors of a collection as {rdv: graph}, the form the sector
+    and tope oracles read."""
+    n, d, table = cc.n, cc.d, cc.mask_table
+    return {v: BipartiteGraph.from_mask(n, d, table[rho]) for rho, v in cc.rdvs.items()}
 
 
 def sector(collection: dict, j: int, i: int) -> SectorImage:
@@ -947,6 +956,16 @@ def reconstruct_chow_on_tuples(phi: PhiMap, n: int, d: int) -> ChowCollection:
     except (FieldValidationError, InconsistentCollectionError, NotLinkageError) as exc:
         raise InconsistentPhiError(str(exc)) from exc
     return collection
+
+
+def chow_collection_by_validation(field: fields.TopeField) -> ChowCollection:
+    """Oracle for the coded pass of ``chow.chow_collection``: linkage
+    required first, then the plain keyed pass, its table validated by
+    ``ChowCollection.from_masks`` (one ``core.read_rows`` per covector and
+    the lattice count)."""
+    fields.require_linkage(field)
+    n, d = field.n, field.d
+    return ChowCollection.from_masks(n, d, fields.chow_masks(n, d, field.mask_table))
 
 
 def rebuild_by_validation(phi: PhiMap, n: int, d: int) -> ChowCollection:

@@ -36,7 +36,9 @@ from matchfield.randgen import seeded_coherent_field
 from conftest import field_from_words, graph
 from oracles import (
     chow_by_intersection,
+    chow_collection_by_validation,
     collection_rdvs_by_graphs,
+    covectors_by_rdv,
     field_from_chow_by_topes,
     is_transversal,
     minimal_transversals,
@@ -179,12 +181,26 @@ class TestByDefinition:
                 for rho in subsets(field.n, field.n - field.d + 1)
             }
 
+    @pytest.mark.parametrize(
+        "extra", [1 << 8, 1 << 200_000, -1], ids=["off-grid", "far", "negative"]
+    )
+    def test_keyed_pass_refuses_bits_off_the_grid(self, field_42, extra):
+        # an unchecked table's key of the wrong size is read by no linkage
+        # test, so the pass refuses its mask itself, at once and in little
+        # memory; a negative mask would never run out of bits
+        table = {**field_42.mask_table, 0b1111: extra}
+        field = fields.MatchingField.from_masks(4, 2, core.all_ones(2), table)
+        for build in (lambda: fields.chow_masks(4, 2, table), lambda: chow_collection(field),
+                      lambda: tope_arrangement(field)):
+            with pytest.raises(MatchfieldError, match=r"^mask has bits outside the 4x2 grid$"):
+                build()
+
 
 class TestByIntersection:
     def test_matches_definition(self, field_42):
         ta = tope_arrangement(field_42)
         cc = chow_collection(field_42)
-        by_rdv = cc.by_rdv()
+        by_rdv = covectors_by_rdv(cc)
         for v in simplex_lattice_points(3, 2):
             assert chow_by_intersection(ta, v) == by_rdv[v]
 
@@ -249,7 +265,8 @@ class TestCollectionValidation:
         monkeypatch.setattr(BipartiteGraph, "right_degrees", None)
         assert cc.phi().mapping == REFERENCE_PHI
         covectors = cc.covectors
-        assert cc.by_rdv() == {v: covectors[core.mask_subset(rho)] for rho, v in REFERENCE_PHI.items()}
+        expected = {v: covectors[core.mask_subset(rho)] for rho, v in REFERENCE_PHI.items()}
+        assert covectors_by_rdv(cc) == expected
 
     def test_mask_table_is_the_covectors(self, field_63):
         cc = chow_collection(field_63)
@@ -316,10 +333,86 @@ class TestCollectionOracle:
             assert list(ChowCollection(n, d, covectors).rdvs.items()) == list(expected[1].items())
 
 
+def pass_outcome(build, field):
+    """A collection's table, rdvs and key order, or the type and message of
+    its refusal."""
+    try:
+        cc = build(field)
+    except MatchfieldError as exc:
+        return type(exc), str(exc)
+    return cc.mask_table, list(cc.rdvs.items()), list(cc.mask_table)
+
+
+# every (n, d) with 1 <= d <= n and n * d <= 30
+CODED_SIZES = [(n, d) for n in range(1, 31) for d in range(1, n + 1) if n * d <= 30]
+
+
+class TestCodedPass:
+    """``chow_collection`` codes the rdvs in the keyed pass on a field that
+    holds type (1, ..., 1) and checks only that they are distinct; the oracle
+    validates the plain pass's table."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CODED_SIZES), st.integers(0, 10**6))
+    def test_equals_the_validated_route_on_coherent_fields(self, size, seed):
+        field, _, _ = seeded_coherent_field(*size, seed)
+        assert field.holds_type
+        expected = pass_outcome(chow_collection_by_validation, field)
+        assert isinstance(expected[0], dict)
+        assert pass_outcome(chow_collection, field) == expected
+
+    def test_equals_the_validated_route_on_the_fixtures(
+        self, differential_fields, field_42, field_43, field_53, field_63, field_64
+    ):
+        # the non-linkage fields among them raise the same NotLinkageError,
+        # as linkage is required before the codes are compared; n = d and
+        # d = 1 take the coded pass too
+        squares = [
+            field_from_words(2, 2, {(1, 2): "21"}), field_from_words(3, 3, {(1, 2, 3): "312"})
+        ]
+        lines = [field_from_words(n, 1, {(j,): str(j) for j in range(1, n + 1)}) for n in (1, 3)]
+        fixtures = [field_42, field_43, field_53, field_63, field_64] + squares + lines
+        accepted = 0
+        for field in differential_fields + fixtures:
+            expected = pass_outcome(chow_collection_by_validation, field)
+            assert pass_outcome(chow_collection, field) == expected
+            accepted += isinstance(expected[0], dict)
+        assert accepted >= 16
+
+    def test_the_distinctness_check_refuses_a_non_linkage_field(
+        self, differential_fields, field_43, monkeypatch
+    ):
+        # with linkage not required, the rdvs of a non-linkage field that
+        # holds its type collide, and both routes refuse them with one text
+        monkeypatch.setattr(fields, "require_linkage", lambda field: None)
+        refused = 0
+        for field in differential_fields + [field_43]:
+            expected = pass_outcome(chow_collection_by_validation, field)
+            assert pass_outcome(chow_collection, field) == expected
+            refused += expected == (InconsistentCollectionError, chow_mod.BIJECTION)
+        assert refused >= 5
+
+    def test_a_field_that_does_not_hold_its_type_is_validated(self, field_42):
+        # one matching short of an edge is still linkage; its covector is not
+        table = dict(field_42.mask_table)
+        key = core.subset_mask((1, 3))
+        table[key] &= table[key] - 1
+        field = fields.MatchingField.from_masks(4, 2, core.all_ones(2), table)
+        expected = (InconsistentCollectionError, "covector at (1, 2, 4) has wrong support")
+        assert pass_outcome(chow_collection_by_validation, field) == expected
+        assert pass_outcome(chow_collection, field) == expected
+
+    def test_a_tope_field_is_validated(self, tope_field_42):
+        assert tope_field_42.holds_type and tope_field_42.type_vector == (2, 1)
+        expected = (InconsistentCollectionError, "keys must be the (n-d+1)-subsets")
+        assert pass_outcome(chow_collection_by_validation, tope_field_42) == expected
+        assert pass_outcome(chow_collection, tope_field_42) == expected
+
+
 class TestFieldFromChow:
     def test_union_gives_tope(self, field_42):
         cc = chow_collection(field_42)
-        by_rdv = cc.by_rdv()
+        by_rdv = covectors_by_rdv(cc)
         union = BipartiteGraph.from_mask(4, 2, by_rdv[(2, 1)].mask | by_rdv[(1, 2)].mask)
         assert set(union.edges) == {(1, 1), (4, 1), (2, 2), (3, 2)}
 
@@ -384,12 +477,12 @@ class TestTransversals:
 class TestSector:
     def test_reference(self, field_42):
         cc = chow_collection(field_42)
-        image = sector(cc.by_rdv(), 4, 2)
+        image = sector(covectors_by_rdv(cc), 4, 2)
         assert {v for _, v in image.members} == {(0, 3)}
 
     def test_empty_sector(self, field_63):
         cc = chow_collection(field_63)
-        assert not sector(cc.by_rdv(), 1, 2).members
+        assert not sector(covectors_by_rdv(cc), 1, 2).members
 
     def test_isolated_everywhere(self):
         collection = {(1, 0): graph(2, 2, [(1, 1)]), (0, 1): graph(2, 2, [(1, 2)])}

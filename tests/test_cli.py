@@ -581,12 +581,19 @@ HUGE = 3_000_000
             "SizeCapError",
             f"node counts ({HUGE}, {HUGE}) outside [0, 64]",
         ),
+        (
+            ["complete"],
+            {"n": 40, "d": 30, "matchings": {}},
+            "SizeCapError",
+            "node counts (70, 30) outside [0, 64]",
+        ),
     ],
-    ids=["extended", "pairs", "phi", "trees"],
+    ids=["extended", "pairs", "phi", "trees", "completed-stack"],
 )
 def test_huge_sides_are_refused_at_once(capsys, tmp_path, command, data, error, message):
     # the lattice-point and tree counts of these sides are binomials with
-    # millions of digits; the sides are refused before either is computed
+    # millions of digits; the sides are refused before either is computed,
+    # and a stack whose completed field is over the cap before its subset walk
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(data))
     code, elapsed = cpu_timed(lambda: run(command + [str(path)]))
@@ -1791,11 +1798,16 @@ def test_stdout_matches_its_pinned_digest(inputs, pinned_inputs, argv):
 
 # -- where validation runs ------------------------------------------------------
 
-# the tope arrangement of a validated linkage field is held unchecked
+# the tope arrangement and the Chow collection of a validated linkage field
+# are held unchecked
+FORWARD_NAMES = ("FIELD", "COHERENT-10-5", "COHERENT-10-4", "SQUARE-2-2", "LINE-3-1")
 FORWARD_RUNS = [
-    [command, name]
-    for name in ("FIELD", "COHERENT-10-5", "COHERENT-10-4", "SQUARE-2-2", "LINE-3-1")
-    for command in ("arrangement", "cells", "stiefel")
+    [command, name] for name in FORWARD_NAMES for command in ("arrangement", "cells", "stiefel")
+]
+CHOW_RUNS = [
+    argv + [name]
+    for name in FORWARD_NAMES
+    for argv in (["phi"], ["chow"], ["roundtrip", "--kind", "chow"])
 ]
 
 
@@ -1811,7 +1823,9 @@ def validations(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("argv", FORWARD_RUNS, ids=[" ".join(a) for a in FORWARD_RUNS])
+@pytest.mark.parametrize(
+    "argv", FORWARD_RUNS + CHOW_RUNS, ids=[" ".join(a) for a in FORWARD_RUNS + CHOW_RUNS]
+)
 def test_a_valid_field_is_not_validated_again(inputs, pinned_inputs, validations, argv):
     paths = {**inputs, **pinned_inputs}
     assert run_quietly([paths.get(a, a) for a in argv])[0] == 0

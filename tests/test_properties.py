@@ -55,6 +55,7 @@ from oracles import (
     chow_by_intersection,
     column_functions,
     contained_tope_by_search,
+    covectors_by_rdv,
     extended_tope_arrangement_by_products,
     field_from_graphs_by_partial_matchings,
     find_cycle_by_graph,
@@ -834,13 +835,13 @@ class TestArrangementInvariants:
     def test_neighbour_chow_containment(self, field_63):
         # rq-edges of the covector at v + ep - eq are contained at v
         cc = chow_collection(field_63)
-        check_sector_monotonicity(mask_table(cc.by_rdv()))
+        check_sector_monotonicity(mask_table(covectors_by_rdv(cc)))
 
     def test_covectors_match_intersections_on_samples(self):
         for n, d, seed in [(5, 2, 21), (5, 3, 22), (6, 3, 23), (7, 3, 24)]:
             field, _, _ = seeded_coherent_field(n, d, seed)
             ta = tope_arrangement(field)
-            by_rdv = chow_collection(field).by_rdv()
+            by_rdv = covectors_by_rdv(chow_collection(field))
             for v in simplex_lattice_points(n - d + 1, d):
                 assert chow_by_intersection(ta, v) == by_rdv[v]
                 assert chow_by_definition(field, by_rdv[v].left_support()) == by_rdv[v]
