@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import core
@@ -315,49 +315,64 @@ def covector_mask(topes: dict[int, int], tau: int) -> int:
 # coherent fields from exact rational weights
 
 
+def _integer_weights(weights: Sequence[Sequence]) -> list[list[int]]:
+    """Each entry read by Fraction, then all scaled to ints by the lcm of the
+    denominators, a positive factor that keeps every comparison and tie; an
+    entry that is no finite rational raises MatchfieldError naming it."""
+    rows = []
+    for j, row in enumerate(weights, 1):
+        rows.append([])
+        for i, x in enumerate(row, 1):
+            try:
+                rows[-1].append(Fraction(x))
+            except (TypeError, ValueError, ArithmeticError):
+                raise MatchfieldError(
+                    f"weight at row {j}, column {i} is {x!r}, not a finite rational"
+                ) from None
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+
+
 def _min_assignment(rows: Sequence[int], weights, columns: Sequence[int]):
-    """Minimal bijection rows -> columns under exact weights, and a second
-    one when two share the minimum (else None).
+    """Minimal bijection rows -> columns under exact weights (ints or
+    Fractions), and a second one when two share the minimum (else None).
 
     Exhaustive over |rows|! bijections: it names the witnesses of a tie in
     `coherent_field` and fills stacks from weights.
     """
-    best = None
-    best_cost = None
-    tied = None
+    best = best_cost = tied = None
     for perm in permutations(columns):
         cost = sum(weights[j - 1][i - 1] for j, i in zip(rows, perm))
         if best_cost is None or cost < best_cost:
             best, best_cost, tied = perm, cost, None
         elif cost == best_cost and perm != best:
             tied = perm
-    if tied is not None:
-        return best, tied
-    return best, None
+    return best, tied
 
 
 # the DP visits every left subset of size at most d: (14, 7) is 9,908 subsets,
-# about 0.2 s on a 2-core x86-64 machine; C(n, d) alone would let (30, 29) in
+# about 25 ms on a 2-core x86-64 machine; C(n, d) alone would let (30, 29) in
 COHERENT_MAX_SUBSETS = 10**5
 
 
 def coherent_field(weights: Sequence[Sequence]) -> MatchingField:
     """Matching field of the weight-minimal matchings of a generic matrix.
 
-    Weights are exact rationals (or ints).  One dynamic program over the left
-    subsets S with |S| <= d: the least weight of a bijection S -> columns
-    1..|S| is the least, over j in S, of that of S - j plus w[j][|S|], and
-    the number of optimal bijections is carried along.  A count above 1 on a
-    d-subset is a tie: the first tied subset in `core.subsets` order raises
-    TiedMinimumError with two optimal matchings found by `_min_assignment`.
+    Weights are exact rationals, made one int matrix by `_integer_weights`.
+    One dynamic program over the left subsets S with |S| <= d, on those ints:
+    the least weight of a bijection S -> columns 1..|S| is the least, over j
+    in S, of that of S - j plus w[j][|S|], and the number of optimal
+    bijections is carried along.  A count above 1 on a d-subset is a tie:
+    the first tied subset in `core.subsets` order raises TiedMinimumError
+    with two optimal matchings found by `_min_assignment` on the same ints.
     Raises MatchfieldError unless the weights form an n x d matrix with
-    1 <= d <= n, and SizeCapError when the DP would visit more than
-    COHERENT_MAX_SUBSETS subsets; both before any work.
+    1 <= d <= n (a row with no length reads None), then SizeCapError when
+    the DP would visit more than COHERENT_MAX_SUBSETS subsets; both before
+    any entry is read.
     """
-    n = len(weights)
-    d = len(weights[0]) if n else 0
-    if not 1 <= d <= n or any(len(row) != d for row in weights):
-        shape = [len(row) for row in weights]
+    shape = [len(row) if hasattr(row, "__len__") else None for row in weights]
+    n, d = len(weights), shape[0] if shape else 0
+    if not 1 <= (d or 0) <= n or shape.count(d) != n:
         raise MatchfieldError(
             f"weights with row lengths {shape} are not an n x d matrix with 1 <= d <= n"
         )
@@ -367,7 +382,7 @@ def coherent_field(weights: Sequence[Sequence]) -> MatchingField:
             f"coherent field on ({n}, {d}) visits {visited} left subsets, "
             f"over the cap of {COHERENT_MAX_SUBSETS}"
         )
-    weights = [[Fraction(x) for x in row] for row in weights]
+    weights = _integer_weights(weights)
     # levels[k][S] = (least weight of S -> 1..k, number of optimal bijections,
     # the row j matched to column k in one of them); S is a bitmask of rows
     levels = [{0: (0, 1, None)}]

@@ -25,7 +25,6 @@ building graphs only for a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Iterable, Optional, Sequence
@@ -230,8 +229,8 @@ def extend(
 
     Without weights the h-th smallest element of J is paired with the h-th
     smallest of I (lexicographic-min).  With weights each pair takes the
-    exact-rational minimal matching of the matrix (ties raise
-    TiedMinimumError), which must be n x d: another shape raises
+    minimal matching on the ints of `fields._integer_weights` (ties raise
+    TiedMinimumError); the matrix must be n x d: another shape raises
     MatchfieldError naming its row lengths before the stack is built.
     Raises SizeCapError beyond EXTEND_MAX_PAIRS pairs, before any work.
     """
@@ -243,12 +242,12 @@ def extend(
             f"over the cap of {EXTEND_MAX_PAIRS}"
         )
     if weights is not None:
-        if len(weights) != n or any(len(row) != d for row in weights):
-            shape = [len(row) for row in weights]
+        shape = [len(row) if hasattr(row, "__len__") else None for row in weights]
+        if len(weights) != n or shape != [d] * n:
             raise MatchfieldError(
                 f"weights with row lengths {shape} are not a {n} x {d} matrix"
             )
-        rat = [[Fraction(x) for x in row] for row in weights]
+        exact = fields._integer_weights(weights)
     table = {(key, (1 << d) - 1): m for key, m in field.mask_table.items()}
     stack = MatchingStack(n, d, table)
     for J, I in stack.pairs():
@@ -257,7 +256,7 @@ def extend(
             continue
         best = I
         if weights is not None:
-            best, tied = fields._min_assignment(J, rat, I)
+            best, tied = fields._min_assignment(J, exact, I)
             if tied is not None:
                 raise TiedMinimumError(
                     (J, I),

@@ -5,8 +5,10 @@ matched to ri.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from matchfield import BipartiteGraph, subsets, validate_matching_field
 from matchfield.fields import field_from_graphs
@@ -54,6 +56,29 @@ def random_matching_field(n, d, seed):
         rng.shuffle(rights)
         assignment[sigma] = BipartiteGraph(n, d, list(zip(sigma, rights)))
     return validate_matching_field(n, d, assignment)
+
+
+# weight entries of every accepted kind, with numerators small enough that
+# ties are common: Fractions with denominators 1..12, binary floats, ints
+RATIONAL_WEIGHTS = st.one_of(
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 12)),
+    st.integers(-6, 6).map(lambda k: k / 4),
+    st.integers(-3, 3),
+)
+
+# entries that are no finite rational, which every weight reader refuses
+BAD_WEIGHTS = pytest.mark.parametrize(
+    "bad",
+    ["x", None, 1j, float("nan"), float("inf"), "1/0"],
+    ids=["string", "none", "complex", "nan", "inf", "zero-denominator"],
+)
+
+
+def rescaled(weights, c, shifts):
+    """c * weights plus shifts[i] on column i, in exact arithmetic: a
+    perfect matching uses every column once, so its weight moves by the
+    same positive factor and the same constant as every other's."""
+    return [[c * Fraction(x) + s for x, s in zip(row, shifts)] for row in weights]
 
 
 def field_from_words(n, d, words):

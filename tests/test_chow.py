@@ -195,6 +195,23 @@ class TestByDefinition:
             with pytest.raises(MatchfieldError, match=r"^mask has bits outside the 4x2 grid$"):
                 build()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_keyed_pass_is_its_own_inverse(self, data):
+        # any keys, of any size, each entry on rows of its key: the pass run
+        # twice gives the table back, without the entries left empty
+        n = data.draw(st.integers(1, 7))
+        d = data.draw(st.integers(1, 4))
+        keys = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=12))
+        table = {}
+        for key in keys:
+            rows = [j for j in range(n) if key >> j & 1]
+            edges = data.draw(st.sets(st.tuples(st.sampled_from(rows), st.integers(0, d - 1)))
+                              if rows else st.just(set()))
+            table[key] = sum(1 << j * d + i for j, i in edges)
+        once = fields.chow_masks(n, d, table)
+        assert fields.chow_masks(n, d, once) == {k: m for k, m in table.items() if m}
+
 
 class TestByIntersection:
     def test_matches_definition(self, field_42):

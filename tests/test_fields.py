@@ -50,8 +50,10 @@ from matchfield.fields import (
 from matchfield.randgen import random_weight_matrix, seeded_coherent_field
 
 from conftest import (
+    BAD_WEIGHTS,
     COVECTORS_42,
     FIELD_42_WORDS,
+    RATIONAL_WEIGHTS,
     TOPES_42,
     TOPE_COVECTOR_42,
     field_from_words,
@@ -59,6 +61,7 @@ from conftest import (
     mask_table,
     matching_from_word,
     random_matching_field,
+    rescaled,
 )
 from oracles import (
     arrangement_pair_by_scan,
@@ -646,6 +649,55 @@ class TestCoherent:
         weights = data.draw(st.lists(row, min_size=n, max_size=n))
         got = coherent_outcome(coherent_field, weights)
         assert got == coherent_outcome(coherent_field_by_permutations, weights)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_dp_agrees_with_search_on_rational_weights(self, data):
+        # Fractions, binary floats and ints mixed, n·d <= 24: the DP on the
+        # scaled ints gives the Fraction search's field, or its tie and witnesses
+        n = data.draw(st.integers(1, 8))
+        d = data.draw(st.integers(1, min(n, 24 // n)))
+        row = st.lists(RATIONAL_WEIGHTS, min_size=d, max_size=d)
+        weights = data.draw(st.lists(row, min_size=n, max_size=n))
+        got = coherent_outcome(coherent_field, weights)
+        assert got == coherent_outcome(coherent_field_by_permutations, weights)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_positive_scaling_and_column_shifts_keep_the_outcome(self, data):
+        n = data.draw(st.integers(1, 7))
+        d = data.draw(st.integers(1, min(n, 4)))
+        row = st.lists(RATIONAL_WEIGHTS, min_size=d, max_size=d)
+        weights = data.draw(st.lists(row, min_size=n, max_size=n))
+        c = data.draw(st.builds(Fraction, st.integers(1, 30), st.integers(1, 12)))
+        shift = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+        shifts = data.draw(st.lists(shift, min_size=d, max_size=d))
+        got = coherent_outcome(coherent_field, rescaled(weights, c, shifts))
+        assert got == coherent_outcome(coherent_field, weights)
+
+    def test_every_accepted_kind_reads_as_its_fraction(self):
+        # bool, string, Fraction, float and int, scaled by lcm(3, 2, 4) = 12
+        weights = [[True, "1/3"], [Fraction(1, 2), 0.25], [2, "-1.5"]]
+        assert coherent_field(weights) == coherent_field(
+            [[Fraction(x) for x in row] for row in weights])
+        exact = fields_mod._integer_weights(weights)
+        assert exact == [[12, 4], [6, 3], [24, -18]]
+        assert {type(x) for row in exact for x in row} == {int}
+
+    @BAD_WEIGHTS
+    def test_an_entry_that_is_no_finite_rational_is_named(self, bad):
+        with pytest.raises(MatchfieldError) as err:
+            coherent_field([[0, 1], [bad, 2], [3, 4]])
+        assert type(err.value) is MatchfieldError
+        assert str(err.value) == f"weight at row 2, column 1 is {bad!r}, not a finite rational"
+
+    def test_rows_with_no_length_are_refused_by_the_shape_check(self):
+        with pytest.raises(MatchfieldError) as err:
+            coherent_field([1, 2])
+        assert type(err.value) is MatchfieldError
+        assert str(err.value) == (
+            "weights with row lengths [None, None] are not an n x d matrix with 1 <= d <= n"
+        )
 
     def test_oversized_input_refused_before_any_work(self):
         # (40, 20) has 1.4e11 twenty-subsets; (30, 29) has only 30, but the

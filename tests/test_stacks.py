@@ -3,14 +3,18 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchfield import (
     BipartiteGraph,
     MatchfieldError,
     MatchingStack,
     SizeCapError,
+    TiedMinimumError,
+    coherent_field,
     completion,
     core,
     extend,
@@ -31,7 +35,15 @@ from matchfield.stacks import (
 )
 from matchfield.fields import maximal_tope_covectors
 
-from conftest import field_from_words, graph, mask_table, random_matching_field
+from conftest import (
+    BAD_WEIGHTS,
+    RATIONAL_WEIGHTS,
+    field_from_words,
+    graph,
+    mask_table,
+    random_matching_field,
+    rescaled,
+)
 from oracles import (
     _transpose,
     check_basis_exchange,
@@ -319,8 +331,9 @@ class TestExtendExtract:
             ([[0, 1], [0, 0], [1]], "[2, 2, 1]"),
             ([[0, 1], [0, 0]], "[2, 2]"),
             ([[0, 1, 2], [0, 0, 1], [1, 0, 2]], "[3, 3, 3]"),
+            ([1, 2, 3], "[None, None, None]"),
         ],
-        ids=["ragged", "short-row", "too-few-rows", "too-many-columns"],
+        ids=["ragged", "short-row", "too-few-rows", "too-many-columns", "rows-with-no-length"],
     )
     def test_weights_of_the_wrong_shape(self, weights, shape):
         from matchfield import coherent_field
@@ -329,6 +342,40 @@ class TestExtendExtract:
         with pytest.raises(MatchfieldError) as err:
             extend(field, weights=weights)
         assert str(err.value) == f"weights with row lengths {shape} are not a 3 x 2 matrix"
+
+    @BAD_WEIGHTS
+    def test_an_entry_that_is_no_finite_rational_is_named(self, bad):
+        field = coherent_field([(0, 1), (0, 0), (1, 0)])
+        with pytest.raises(MatchfieldError) as err:
+            extend(field, weights=[[0, 1], [bad, 0], [1, 0]])
+        assert type(err.value) is MatchfieldError
+        assert str(err.value) == f"weight at row 2, column 1 is {bad!r}, not a finite rational"
+
+    def test_every_accepted_kind_reads_as_its_fraction(self):
+        weights = [[True, "1/3"], [Fraction(1, 2), 0.25], [2, "-1.5"]]
+        field = coherent_field(weights)
+        assert extend(field, weights) == extend(field, [[Fraction(x) for x in row] for row in weights])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_positive_scaling_and_column_shifts_keep_every_pair(self, data):
+        # every pair (J, I) takes the same matching, or the same tie
+        n = data.draw(st.integers(1, 5))
+        d = data.draw(st.integers(1, min(n, 3)))
+        field, _, _ = randgen.seeded_coherent_field(n, d, 10 * n + d)
+        row = st.lists(RATIONAL_WEIGHTS, min_size=d, max_size=d)
+        weights = data.draw(st.lists(row, min_size=n, max_size=n))
+        c = data.draw(st.builds(Fraction, st.integers(1, 30), st.integers(1, 12)))
+        shift = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+        shifts = data.draw(st.lists(shift, min_size=d, max_size=d))
+
+        def outcome(w):
+            try:
+                return extend(field, w).mask_table
+            except TiedMinimumError as exc:
+                return exc.sigma, exc.first, exc.second
+
+        assert outcome(rescaled(weights, c, shifts)) == outcome(weights)
 
     def test_stacks_differing_in_one_entry_are_unequal(self, field_42):
         stack = extend(field_42)
