@@ -19,7 +19,6 @@ from .errors import (
     MatchfieldError,
     MissingSubsetError,
     NotAMatchingError,
-    NotAProductSkeletonError,
     NotASpanningTreeError,
     NotLinkageError,
     SizeCapError,

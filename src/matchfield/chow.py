@@ -18,7 +18,7 @@ rho = (L minus sigma) + j, and sigma = (L minus rho) + j, one pass builds
 the covectors from the field and back (``fields.chow_masks``).  From a
 linkage field that holds type (1, ..., 1) it also codes their rdvs, and
 only their distinctness is checked; any other table is validated in one
-pass (``ChowCollection.from_masks``).
+pass (``ChowCollection(n, d, table)``).
 
 Reconstruction inverts phi with one sweep per left node over the lattice
 points coded in base n-d+2 (``core.encode_point``).  For fixed j and i, the
@@ -82,15 +82,9 @@ class ChowCollection:
     {rho bitmask: rdv}; the graphs, `covectors`, are a view built on first
     use."""
 
-    def __init__(self, n: int, d: int, covectors: dict):
-        """A collection from a {rho: graph} map, validated on its mask table."""
-        table = core.graph_masks(n, d, covectors)
-        self.n, self.d, self.mask_table, self.rdvs = n, d, table, _covector_rdvs(n, d, table)
-
-    @classmethod
-    def from_masks(cls, n: int, d: int, table: dict) -> "ChowCollection":
+    def __init__(self, n: int, d: int, table: dict):
         """A collection holding the mask table itself, once validated."""
-        return cls._unchecked(n, d, table, _covector_rdvs(n, d, table))
+        self.n, self.d, self.mask_table, self.rdvs = n, d, table, _covector_rdvs(n, d, table)
 
     @classmethod
     def _unchecked(cls, n: int, d: int, table: dict, rdvs: dict) -> "ChowCollection":
@@ -181,7 +175,7 @@ def chow_collection(field: fields.MatchingField) -> ChowCollection:
     fields.require_linkage(field)
     n, d, nd, base = field.n, field.d, field.n * field.d, field.n - field.d + 2
     if not (field.holds_type and field.type_vector == core.all_ones(d)):
-        return ChowCollection.from_masks(n, d, fields.chow_masks(n, d, field.mask_table))
+        return ChowCollection(n, d, fields.chow_masks(n, d, field.mask_table))
     lifts = [base ** (d - i) << nd for i in range(1, d + 1)]  # code of e_i, above the edges
     packed = fields.chow_masks(n, d, field.mask_table, lifts)
     if len({x >> nd for x in packed.values()}) < len(packed):

@@ -70,7 +70,3 @@ class InconsistentPairsError(MatchfieldError):
 
 class InconsistentCollectionError(MatchfieldError):
     """A candidate covector collection violates a structural invariant."""
-
-
-class NotAProductSkeletonError(MatchfieldError):
-    """A vertex set does not induce the 1-skeleton of a product of simplices."""

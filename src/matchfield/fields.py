@@ -4,12 +4,13 @@ An (n, d)-matching field assigns to every d-subset sigma of the left nodes a
 perfect matching on sigma ⊔ R.  A tope field of type v = (v1..vd) assigns to
 every k-subset (k = sum v) a tope whose right degree vector is v.
 
-A field is its mask table {left-subset bitmask: edge mask}.  The JSON reader
-builds it and decides its type while it parses (`field_from_json_dict`);
-a table built in process is validated by one pass over it
-(`field_from_masks`).  The linkage test, the Chow pass and the writer read
-the table; the graphs are a view, built only for a caller that asks for
-them.  The graph-keyed constructors turn their graphs into a table first.
+A field is its mask table {left-subset bitmask: edge mask}, which its
+constructor holds unchecked.  The JSON reader builds it and decides its type
+while it parses (`field_from_json_dict`); a table built in process is
+validated by one pass over it (`field_from_masks`), and a {subset: graph}
+map by `validate_matching_field` or `validate_tope_field`.  The linkage
+test, the Chow pass and the writer read the table; the graphs are a view,
+built only for a caller that asks for them.
 
 The field is *linkage* when the union of the assignments over every
 (k+1)-subset tau is a tree, the *linkage covector* of tau; inside it each
@@ -74,18 +75,8 @@ class TopeField:
     held as the mask table {left-subset bitmask: edge mask}; the graphs,
     `assignment` and `items`, are a view built on first use."""
 
-    def __init__(self, n: int, d: int, type_vector: Sequence[int], assignment: dict):
-        """A field from a {subset: graph} map, unchecked."""
-        self._hold(n, d, type_vector, core.graph_masks(n, d, assignment))
-
-    @classmethod
-    def from_masks(cls, n: int, d: int, type_vector: Sequence[int], table: dict) -> "TopeField":
+    def __init__(self, n: int, d: int, type_vector: Sequence[int], table: dict):
         """A field holding the mask table itself, unchecked."""
-        field = cls.__new__(cls)
-        field._hold(n, d, type_vector, table)
-        return field
-
-    def _hold(self, n: int, d: int, type_vector: Sequence[int], table: dict) -> None:
         self.n = n
         self.d = d
         self.type_vector = tuple(type_vector)
@@ -138,8 +129,8 @@ class TopeField:
 class MatchingField(TopeField):
     """Tope field of type (1,..,1): one perfect matching per d-subset."""
 
-    def __init__(self, n: int, d: int, assignment: dict):
-        super().__init__(n, d, core.all_ones(d), assignment)
+    def __init__(self, n: int, d: int, table: dict):
+        super().__init__(n, d, core.all_ones(d), table)
 
     def matching(self, sigma: Iterable[int]) -> BipartiteGraph:
         return self.tope(sigma)
@@ -188,7 +179,7 @@ def field_from_masks(n: int, d: int, v: tuple, table: dict) -> TopeField:
 def _held(n: int, d: int, v: tuple, table: dict) -> TopeField:
     """A MatchingField when v = (1, ..., 1), else a TopeField, holding the
     table unchecked."""
-    return (MatchingField if v == core.all_ones(d) else TopeField).from_masks(n, d, v, table)
+    return MatchingField(n, d, table) if v == core.all_ones(d) else TopeField(n, d, v, table)
 
 
 def _refuse_field(n: int, d: int, v: tuple, table: dict) -> None:
@@ -415,7 +406,7 @@ def coherent_field(weights: Sequence[Sequence]) -> MatchingField:
             edges |= 1 << (j * d + k - 1)
             mask &= ~(1 << j)
         table[key] = edges
-    return MatchingField.from_masks(n, d, core.all_ones(d), table)
+    return MatchingField(n, d, table)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +434,7 @@ def i_amalgamation(tf: TopeField, i: int) -> TopeField:
             tope = core.contained_tope(res.graph, i).mask
         table[tau] = tope
     new_type = core.vector_sum(tf.type_vector, core.unit_vector(tf.d, i))
-    return TopeField.from_masks(tf.n, tf.d, new_type, table)
+    return TopeField(tf.n, tf.d, new_type, table)
 
 
 def amalgamation_order(d: int, target: Sequence[int], start: Sequence[int]) -> list[int]:
@@ -505,8 +496,8 @@ class TopeArrangement:
         self.validate()
 
     @classmethod
-    def from_masks(cls, n: int, d: int, table: dict) -> "TopeArrangement":
-        """An arrangement holding the mask table itself, unchecked."""
+    def _unchecked(cls, n: int, d: int, table: dict) -> "TopeArrangement":
+        """An arrangement holding a table its builder has certified."""
         ta = cls.__new__(cls)
         ta.n, ta.d, ta.mask_table = n, d, table
         return ta
@@ -611,7 +602,7 @@ def tope_arrangement(field: MatchingField) -> TopeArrangement:
     A non-linkage field raises NotLinkageError with the first failing tau,
     the one the amalgamation chain (maximal_tope) would stop at.  The
     arrangement of a field that holds its type is held unchecked
-    (`TopeArrangement.from_masks`), as each check of `validate` holds by a
+    (`TopeArrangement._unchecked`), as each check of `validate` holds by a
     result on the linkage field certified first (Loho & Smith, "Matching
     fields and lattice points of simplices", arXiv:1804.01595):
     - keys: the loop runs over `core.simplex_lattice_points`;
@@ -643,7 +634,7 @@ def tope_arrangement(field: MatchingField) -> TopeArrangement:
                 raise InconsistentCollectionError(f"no covector with rdv {rdv}")
             mask |= covector
         topes[point] = mask
-    return (TopeArrangement.from_masks if field.holds_type else TopeArrangement)(n, d, topes)
+    return (TopeArrangement._unchecked if field.holds_type else TopeArrangement)(n, d, topes)
 
 
 def field_from_graphs(graphs: Iterable[BipartiteGraph], n: int, d: int) -> MatchingField:
@@ -712,8 +703,8 @@ def maximal_tope_covectors(field: MatchingField) -> dict[tuple, BipartiteGraph]:
 
 class ExtendedTopeArrangement:
     """One graph per lattice point of n*Delta_{d-1}, held as the mask table
-    {lattice point: edge mask}; boundary points carry isolated right nodes.
-    The graphs, `graph` and `items`, are a view."""
+    {lattice point: edge mask} on the n x d grid; boundary points carry
+    isolated right nodes.  The graphs, `graph` and `items`, are a view."""
 
     def __init__(self, n: int, d: int, table: dict):
         core._check_sides(n, d)  # before the binomial of is_simplex_lattice
@@ -722,6 +713,9 @@ class ExtendedTopeArrangement:
         self.mask_table = table
         if not core.is_simplex_lattice(table, n, d):
             raise MatchfieldError("extended arrangement must cover all lattice points")
+        for point, mask in table.items():
+            if mask >> n * d:  # so is a negative mask
+                raise MatchfieldError(f"graph at {point} has bits outside the {n}x{d} grid")
 
     def graph(self, point: Sequence[int]) -> BipartiteGraph:
         return BipartiteGraph.from_mask(self.n, self.d, self.mask_table[tuple(point)])

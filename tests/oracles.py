@@ -79,7 +79,7 @@ descriptions kept as test oracles.
   tuple: the oracles for the integer codes of ``core.sectors``,
   ``triang._tree``, ``triang._deletion`` and ``reconstruct_chow_from_phi``.
   The Chow sweeps with the table they build validated again by
-  ``ChowCollection.from_masks``, the oracle for the checks that
+  ``ChowCollection(n, d, table)``, the oracle for the checks that
   ``chow._rebuild`` makes while it builds, and the covectors of a linkage
   field validated the same way, the oracle for the coded pass of
   ``chow.chow_collection``.
@@ -93,7 +93,7 @@ descriptions kept as test oracles.
   that scans a {subset: graph} map in ``core.subsets`` order, and the
   collection validator that reads each covector graph: the oracles for
   ``core.read_masks``, ``fields.field_from_masks`` and the one-pass check
-  of ``ChowCollection.from_masks``.  The edge list read by one loop that
+  of ``ChowCollection(n, d, table)``.  The edge list read by one loop that
   tests each edge's shape before its place, and the field read through it
   and then validated by the row pass: the oracles for the accepting loop of
   ``core.edge_mask`` and the type ``fields.field_from_json_dict`` decides
@@ -130,7 +130,6 @@ from matchfield.errors import (
     MatchfieldError,
     MissingSubsetError,
     NotAMatchingError,
-    NotAProductSkeletonError,
     NotASpanningTreeError,
     NotLinkageError,
     SizeCapError,
@@ -569,6 +568,10 @@ def tope_to_cell(field: fields.MatchingField, v: Sequence[int]) -> Prodsimplicia
     return cell_of_tope(field, tope)
 
 
+class NotAProductSkeletonError(MatchfieldError):
+    """A vertex set does not induce the 1-skeleton of a product of simplices."""
+
+
 def cell_to_tope(field: fields.MatchingField, vertices: Iterable) -> BipartiteGraph:
     """Union of the matchings of a cell's vertex set, verified to be a product
     skeleton via the neighbour-choice coordinatisation."""
@@ -946,7 +949,7 @@ def reconstruct_chow_on_tuples(phi: PhiMap, n: int, d: int) -> ChowCollection:
         for rdv, i in sector.items():
             table[by_rdv[rdv]] |= 1 << (j * d + i - 1)
     try:
-        collection = ChowCollection(n, d, core.graph_table(n, d, table))
+        collection = ChowCollection(n, d, table)
         if collection.rdvs != phi.mapping:
             raise InconsistentPhiError("reconstruction does not reproduce phi")
         field = field_from_chow(collection)
@@ -961,17 +964,17 @@ def reconstruct_chow_on_tuples(phi: PhiMap, n: int, d: int) -> ChowCollection:
 def chow_collection_by_validation(field: fields.TopeField) -> ChowCollection:
     """Oracle for the coded pass of ``chow.chow_collection``: linkage
     required first, then the plain keyed pass, its table validated by
-    ``ChowCollection.from_masks`` (one ``core.read_rows`` per covector and
+    ``ChowCollection(n, d, table)`` (one ``core.read_rows`` per covector and
     the lattice count)."""
     fields.require_linkage(field)
     n, d = field.n, field.d
-    return ChowCollection.from_masks(n, d, fields.chow_masks(n, d, field.mask_table))
+    return ChowCollection(n, d, fields.chow_masks(n, d, field.mask_table))
 
 
 def rebuild_by_validation(phi: PhiMap, n: int, d: int) -> ChowCollection:
     """Oracle for ``chow._rebuild``: the same sector sweeps, with every
     point coded by ``core.encode_point`` and every rho its bitmask key, and
-    the table they build then validated by ``ChowCollection.from_masks``
+    the table they build then validated by ``ChowCollection(n, d, table)``
     and compared with phi."""
     base = n - d + 2  # above every coordinate
     by_code = {core.encode_point(v, base): rho for rho, v in phi.mapping.items()}
@@ -982,7 +985,7 @@ def rebuild_by_validation(phi: PhiMap, n: int, d: int) -> ChowCollection:
         for x, i in sector.items():
             table[by_code[x]] |= 1 << (j * d + i - 1)
     try:
-        collection = ChowCollection.from_masks(n, d, table)
+        collection = ChowCollection(n, d, table)
     except InconsistentCollectionError as exc:
         raise InconsistentPhiError(str(exc)) from exc
     if collection.rdvs != phi.mapping:
@@ -1010,7 +1013,7 @@ def increasing_splitting(tf: fields.TopeField) -> fields.MatchingField:
             for t, j in enumerate(sorted(tope.right_neighbors(i)), start=1):
                 edges.append((j, offset[i - 1] + t))
         assignment[sigma] = BipartiteGraph(tf.n, k, edges)
-    return fields.MatchingField(tf.n, k, assignment)
+    return fields.MatchingField(tf.n, k, core.graph_masks(tf.n, k, assignment))
 
 
 def collapse_split_graph(g: BipartiteGraph, type_vector: Sequence[int]) -> BipartiteGraph:
@@ -1037,7 +1040,8 @@ def subfield_delete_left(field: fields.MatchingField, j: int) -> fields.Matching
         assignment[tuple(label_map[x] for x in sigma)] = BipartiteGraph(
             field.n - 1, field.d, [(label_map[x], i) for x, i in m.edges]
         )
-    return fields.MatchingField(field.n - 1, field.d, assignment)
+    n, d = field.n - 1, field.d
+    return fields.MatchingField(n, d, core.graph_masks(n, d, assignment))
 
 
 def linkage_tree_decomposition(field: fields.MatchingField) -> dict:
@@ -1167,7 +1171,7 @@ def coherent_tope_field(
                 sigma, BipartiteGraph(n, d, best), BipartiteGraph(n, d, tied)
             )
         assignment[sigma] = BipartiteGraph(n, d, best)
-    return fields.TopeField(n, d, v, assignment)
+    return fields.TopeField(n, d, v, core.graph_masks(n, d, assignment))
 
 
 def check_basis_exchange(m: TransversalMatroid) -> bool:
@@ -1218,7 +1222,7 @@ def i_amalgamation_by_cycles(tf: fields.TopeField, i: int) -> fields.TopeField:
             raise NotLinkageError(tau, res.cycle)
         assignment[tau] = contained_tope_by_search(res.graph, i)
     new_type = core.vector_sum(tf.type_vector, core.unit_vector(tf.d, i))
-    return fields.TopeField(tf.n, tf.d, new_type, assignment)
+    return fields.TopeField(tf.n, tf.d, new_type, core.graph_masks(tf.n, tf.d, assignment))
 
 
 # ---------------------------------------------------------------------------
@@ -1235,7 +1239,7 @@ def _layer_field(stack: MatchingStack, I: tuple) -> fields.MatchingField:
         assignment[J] = BipartiteGraph(
             stack.n, k, [(j, relabel[i]) for j, i in m.edges]
         )
-    return fields.MatchingField(stack.n, k, assignment)
+    return fields.MatchingField(stack.n, k, core.graph_masks(stack.n, k, assignment))
 
 
 def _transpose(stack: MatchingStack) -> "GraphMatchingStack":
@@ -1313,7 +1317,7 @@ def _transpose_layer_field(stack: MatchingStack, J: tuple) -> fields.MatchingFie
         assignment[I] = BipartiteGraph(
             stack.d, k, [(i, relabel[j]) for j, i in m.edges]
         )
-    return fields.MatchingField(stack.d, k, assignment)
+    return fields.MatchingField(stack.d, k, core.graph_masks(stack.d, k, assignment))
 
 
 def stack_right_linkage(stack: MatchingStack) -> tuple[bool, Optional[tuple]]:
@@ -1677,8 +1681,8 @@ def _validated_field(n: int, d: int, v: tuple, assignment: dict) -> fields.TopeF
     if len(cleaned) > comb(n, sum(v)):
         extra = set(cleaned).difference(core.subsets(n, sum(v)))
         raise WrongSupportError(min(extra), None)
-    cls = fields.MatchingField if matching else fields.TopeField
-    return cls(n, d, cleaned) if matching else cls(n, d, v, cleaned)
+    table = core.graph_masks(n, d, cleaned)
+    return fields.MatchingField(n, d, table) if matching else fields.TopeField(n, d, v, table)
 
 
 def field_from_json_dict_by_graphs(data: dict) -> fields.TopeField:
@@ -1876,7 +1880,7 @@ def every_linkage_field(n: int, d: int) -> list[fields.MatchingField]:
         for sigma in core.subsets(n, d)
     ]
     keys = [core.subset_mask(sigma) for sigma in core.subsets(n, d)]
-    every = (fields.MatchingField.from_masks(n, d, (1,) * d, dict(zip(keys, masks)))
+    every = (fields.MatchingField(n, d, dict(zip(keys, masks)))
              for masks in product(*choices))
     return [field for field in every if fields.is_linkage(field).ok]
 

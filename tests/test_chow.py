@@ -29,7 +29,7 @@ from matchfield.chow import (
     phi_to_json_dict,
 )
 from matchfield import chow as chow_mod
-from matchfield import core, fields
+from matchfield import core, fields, triang
 from matchfield.errors import InconsistentCollectionError, MatchfieldError
 from matchfield.randgen import seeded_coherent_field
 
@@ -69,7 +69,7 @@ def reconstruct_by_deletion(phi, n, d):
         for rho, edges in covectors.items()
     }
     try:
-        collection = ChowCollection(n, d, out)
+        collection = ChowCollection(n, d, core.graph_masks(n, d, out))
         if collection.phi().mapping != phi.mapping:
             raise InconsistentPhiError("reconstruction does not reproduce phi")
         field = field_from_chow(collection)
@@ -189,7 +189,7 @@ class TestByDefinition:
         # test, so the pass refuses its mask itself, at once and in little
         # memory; a negative mask would never run out of bits
         table = {**field_42.mask_table, 0b1111: extra}
-        field = fields.MatchingField.from_masks(4, 2, core.all_ones(2), table)
+        field = fields.MatchingField(4, 2, table)
         for build in (lambda: fields.chow_masks(4, 2, table), lambda: chow_collection(field),
                       lambda: tope_arrangement(field)):
             with pytest.raises(MatchfieldError, match=r"^mask has bits outside the 4x2 grid$"):
@@ -265,7 +265,7 @@ class TestCollectionValidation:
             covectors[(1, 2, 4)] = BipartiteGraph(n, d, covectors[(1, 2, 4)].edges)
             message = r"^covector at \(1, 2, 4\) has wrong ambient size$"
             with pytest.raises(InconsistentCollectionError, match=message):
-                ChowCollection(4, 2, covectors)
+                ChowCollection(4, 2, core.graph_masks(4, 2, covectors))
 
     def test_repeated_degree_vector_is_refused(self, field_42):
         # the rows of a covector on rho give its rdv the sum |rho| and no
@@ -275,7 +275,7 @@ class TestCollectionValidation:
         covectors[(1, 3, 4)] = graph(4, 2, [(1, 1), (3, 1), (4, 1)])
         message = "^right degree vectors do not biject onto the lattice points$"
         with pytest.raises(InconsistentCollectionError, match=message):
-            ChowCollection(4, 2, covectors)
+            ChowCollection(4, 2, core.graph_masks(4, 2, covectors))
 
     def test_degree_vectors_are_read_once(self, field_42, monkeypatch):
         cc = chow_collection(field_42)
@@ -288,6 +288,77 @@ class TestCollectionValidation:
     def test_mask_table_is_the_covectors(self, field_63):
         cc = chow_collection(field_63)
         assert cc.mask_table == {core.subset_mask(rho): g.mask for rho, g in cc.covectors.items()}
+
+
+# each result class whose constructor validates a mask table: how the
+# result is built from field_42, and the error type and texts its
+# constructor raises for each fault at the least key
+RESULTS = {
+    "chow-collection": (ChowCollection, chow_collection, InconsistentCollectionError, {
+        "negative": "covector at (1, 2, 3) has wrong ambient size",
+        "off-grid": "covector at (1, 2, 3) has wrong ambient size",
+        "missing-key": "keys must be the (n-d+1)-subsets",
+    }),
+    "tope-arrangement": (fields.TopeArrangement, tope_arrangement, MatchfieldError, {
+        "negative": "tope at (0, 2) has wrong right degrees",
+        "off-grid": "tope at (0, 2) is not maximal",
+        "missing-key": "arrangement keys are not the lattice points",
+    }),
+    "extended-arrangement": (
+        fields.ExtendedTopeArrangement,
+        lambda field: triang.extended_tope_arrangement(triang.staircase_triangulation(3, 2)),
+        MatchfieldError,
+        {
+            "negative": "graph at (0, 3) has bits outside the 3x2 grid",
+            "off-grid": "graph at (0, 3) has bits outside the 3x2 grid",
+            "missing-key": "extended arrangement must cover all lattice points",
+        },
+    ),
+}
+
+TABLE_FAULTS = {
+    "negative": lambda table, key, nd: {**table, key: -1},
+    "off-grid": lambda table, key, nd: {**table, key: table[key] | 1 << nd},
+    "missing-key": lambda table, key, nd: {k: m for k, m in table.items() if k != key},
+}
+
+
+@pytest.mark.parametrize("fault", list(TABLE_FAULTS))
+@pytest.mark.parametrize("kind", list(RESULTS))
+def test_result_constructor_validates_its_table(field_42, kind, fault):
+    # a result class has one public constructor, on a mask table, and it
+    # validates: the table of a built result is accepted, and one fault at
+    # its least key raises the class's own error
+    build, result, error, texts = RESULTS[kind]
+    made = result(field_42)
+    n, d, table = made.n, made.d, made.mask_table
+    assert build(n, d, table).mask_table == table
+    with pytest.raises(error) as caught:
+        build(n, d, TABLE_FAULTS[fault](table, min(table), n * d))
+    assert type(caught.value) is error and str(caught.value) == texts[fault]
+
+
+# the private hold of each result class with one, and the validator it skips
+HOLDS = {
+    "chow-collection": (chow_mod, "_covector_rdvs",
+                        lambda cc: ChowCollection._unchecked(cc.n, cc.d, cc.mask_table, cc.rdvs)),
+    "tope-arrangement": (fields.TopeArrangement, "validate",
+                         lambda ta: fields.TopeArrangement._unchecked(ta.n, ta.d, ta.mask_table)),
+}
+
+
+@pytest.mark.parametrize("kind", list(HOLDS))
+def test_unchecked_holds_the_table_without_reading_it(field_42, monkeypatch, kind):
+    # a builder that certified its table holds that very table and runs no
+    # validator, where the public constructor runs it once
+    build, result, _, _ = RESULTS[kind]
+    owner, name, hold = HOLDS[kind]
+    made = result(field_42)
+    validator, calls = getattr(owner, name), []
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or validator(*args))
+    held = hold(made)
+    assert held.mask_table is made.mask_table and held == made and calls == []
+    assert build(made.n, made.d, made.mask_table) == made and len(calls) == 1
 
 
 def perturbed(covectors: dict, n: int, d: int, kind: str, rng: random.Random) -> dict:
@@ -343,11 +414,12 @@ class TestCollectionOracle:
         for kind in faults:
             covectors = perturbed(covectors, n, d, kind, rng)
         expected = collection_outcome(collection_rdvs_by_graphs, n, d, covectors)
-        assert collection_outcome(ChowCollection, n, d, covectors) == expected
+        graphs = core.graph_masks(n, d, covectors)
+        assert collection_outcome(ChowCollection, n, d, graphs) == expected
         table = {core.subset_mask(rho): g.mask for rho, g in covectors.items()}
-        assert collection_outcome(ChowCollection.from_masks, n, d, table) == expected
+        assert collection_outcome(ChowCollection, n, d, table) == expected
         if isinstance(expected[0], dict):  # accepted: the rdvs come in table order too
-            assert list(ChowCollection(n, d, covectors).rdvs.items()) == list(expected[1].items())
+            assert list(ChowCollection(n, d, graphs).rdvs.items()) == list(expected[1].items())
 
 
 def pass_outcome(build, field):
@@ -414,7 +486,7 @@ class TestCodedPass:
         table = dict(field_42.mask_table)
         key = core.subset_mask((1, 3))
         table[key] &= table[key] - 1
-        field = fields.MatchingField.from_masks(4, 2, core.all_ones(2), table)
+        field = fields.MatchingField(4, 2, table)
         expected = (InconsistentCollectionError, "covector at (1, 2, 4) has wrong support")
         assert pass_outcome(chow_collection_by_validation, field) == expected
         assert pass_outcome(chow_collection, field) == expected
@@ -469,7 +541,8 @@ class TestFieldFromChow:
     NO_FIELD = {(1, 3): [(1, 1), (3, 1)], (2, 3): [(2, 1), (3, 2)], (1, 2): [(1, 2), (2, 2)]}
 
     def test_collection_of_no_field_is_refused(self):
-        cc = ChowCollection(3, 2, {rho: graph(3, 2, e) for rho, e in self.NO_FIELD.items()})
+        no_field = {rho: graph(3, 2, e) for rho, e in self.NO_FIELD.items()}
+        cc = ChowCollection(3, 2, core.graph_masks(3, 2, no_field))
         with pytest.raises(NotAMatchingError) as caught:
             field_from_chow(cc)
         assert caught.value.sigma == (1, 2)
@@ -609,7 +682,7 @@ class TestReconstruction:
             for sigma, flip in zip(sigmas, choice):
                 a, b = sigma
                 assignment[sigma] = BipartiteGraph(n, 2, [(a, 1 + flip), (b, 2 - flip)])
-            f = MatchingField(n, 2, assignment)
+            f = MatchingField(n, 2, core.graph_masks(n, 2, assignment))
             if is_linkage(f).ok:
                 cc = chow_collection(f)
                 key = frozenset(cc.phi().mapping.items())
@@ -676,7 +749,7 @@ class TestReconstruction:
         monkeypatch.setattr(core, "read_rows", lambda *args: calls.append(args) or read_rows(*args))
         rebuilt = chow_mod._rebuild(phi, n, d)
         assert calls == []
-        ChowCollection.from_masks(n, d, rebuilt.mask_table)
+        ChowCollection(n, d, rebuilt.mask_table)
         assert len(calls) == comb(n, n - d + 1)
 
     def test_reconstruction_lists_no_subset(self, monkeypatch):
@@ -711,7 +784,7 @@ class TestReconstruction:
                 held = reconstruct_chow_from_phi(PhiMap(n, d, mapping), n, d)
             except InconsistentPhiError:
                 continue
-            validated = ChowCollection.from_masks(n, d, held.mask_table)
+            validated = ChowCollection(n, d, held.mask_table)
             assert list(held.mask_table.items()) == list(validated.mask_table.items())
             assert list(held.rdvs.items()) == list(validated.rdvs.items())
             accepted += 1

@@ -259,7 +259,8 @@ def test_differing_chow_rebuild_reaches_the_certificate(capsys, monkeypatch, fie
     other = chow.reconstruct_chow_from_phi(PhiMap(4, 2, mapping), 4, 2)
     edges = {(1, 2, 3): [(1, 1), (2, 1), (3, 1)], (1, 2, 4): [(1, 1), (2, 1), (4, 2)],
              (1, 3, 4): [(1, 2), (3, 2), (4, 1)], (2, 3, 4): [(2, 2), (3, 2), (4, 2)]}
-    broken = chow.ChowCollection(4, 2, {rho: core.BipartiteGraph(4, 2, e) for rho, e in edges.items()})
+    graphs = {rho: core.BipartiteGraph(4, 2, e) for rho, e in edges.items()}
+    broken = chow.ChowCollection(4, 2, core.graph_masks(4, 2, graphs))
     diff = sorted(core.subset_key(rho) for rho, g in chow_collection(field_42).covectors.items()
                   if other.covectors[rho] != g)
     assert diff
@@ -1205,7 +1206,7 @@ def test_field_read_decides_its_type_as_the_row_pass_does(parsed_fields, choice)
     if not issubclass(got[0], Exception):
         field = field_from_json_dict(data)
         assert "holds_type" in vars(field)
-        rows = fields.TopeField.from_masks(field.n, field.d, field.type_vector, field.mask_table)
+        rows = fields.TopeField(field.n, field.d, field.type_vector, field.mask_table)
         assert field.holds_type == rows.holds_type
 
 

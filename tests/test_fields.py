@@ -165,7 +165,7 @@ def coherent_field_by_permutations(weights):
             second = BipartiteGraph(n, d, list(zip(sigma, tied)))
             raise TiedMinimumError(sigma, first, second)
         assignment[sigma] = BipartiteGraph(n, d, list(zip(sigma, best)))
-    return fields_mod.MatchingField(n, d, assignment)
+    return fields_mod.MatchingField(n, d, core.graph_masks(n, d, assignment))
 
 
 def coherent_outcome(route, weights):
@@ -397,7 +397,7 @@ def raw_tope_fields(draw):
     assignment = {
         sigma: BipartiteGraph.from_mask(n, d, draw(masks)) for sigma in subsets(n, k)
     }
-    return fields_mod.TopeField(n, d, (k,) + (0,) * (d - 1), assignment)
+    return fields_mod.TopeField(n, d, (k,) + (0,) * (d - 1), core.graph_masks(n, d, assignment))
 
 
 class TestLinkageAgainstCycles:
@@ -534,7 +534,8 @@ class TestLinkageByCount:
         for field in (field_43, field_63):
             twin = field_from_json_dict(field_to_json_dict(field))
             read = self.spy(monkeypatch, "read_rows")
-            raw = fields_mod.MatchingField(field.n, field.d, dict(field.items()))
+            table = core.graph_masks(field.n, field.d, dict(field.items()))
+            raw = fields_mod.MatchingField(field.n, field.d, table)
             assert [is_linkage(raw), is_linkage(raw)] == [is_linkage(twin)] * 2
             assert len(read) == len(raw.mask_table) and raw.holds_type
 
@@ -544,7 +545,8 @@ class TestLinkageByCount:
         # take for a tree, as r3 stays out of it
         edges = {(1, 2, 3): [(1, 2), (2, 1), (3, 1)], (1, 2, 4): [(1, 2), (2, 1), (4, 1)],
                  (1, 3, 4): [(1, 1), (3, 2), (4, 1)], (2, 3, 4): [(2, 1), (3, 2), (4, 1)]}
-        field = fields_mod.TopeField(4, 3, (2, 1, 0), {s: graph(4, 3, e) for s, e in edges.items()})
+        table = core.graph_masks(4, 3, {s: graph(4, 3, e) for s, e in edges.items()})
+        field = fields_mod.TopeField(4, 3, (2, 1, 0), table)
         assert field.holds_type
         report = is_linkage(field)
         assert report == is_linkage_by_cycles(field)
@@ -554,7 +556,7 @@ class TestLinkageByCount:
         for n in range(1, 11):
             for k in range(n + 1):
                 table = dict.fromkeys(map(core.subset_mask, subsets(n, k)), 0)
-                field = fields_mod.TopeField.from_masks(n, 1, (k,), table)
+                field = fields_mod.TopeField(n, 1, (k,), table)
                 taus = [tau for tau, _ in fields_mod._covector_unions(field)]
                 expected = [core.subset_mask(t) for t in subsets(n, k + 1)] if k < n else []
                 assert taus == expected
@@ -919,7 +921,7 @@ class TestArrangement:
         # collector names the d-subset on which two topes disagree
         topes = dict(tope_arrangement(field_42).mask_table)
         topes[(1, 1)] = graph(4, 2, [(1, 2), (2, 1), (3, 1), (4, 2)]).mask
-        ta = fields_mod.TopeArrangement.from_masks(4, 2, topes)
+        ta = fields_mod.TopeArrangement._unchecked(4, 2, topes)
         with pytest.raises(MatchfieldError, match=r"trees disagree on the matching of \(1, 2\)$"):
             field_from_arrangement(ta)
 
@@ -1168,7 +1170,7 @@ class TestArrangementTrustsTheorems:
     def test_an_unchecked_table_that_is_no_field_is_validated(self):
         # linkage, but no field: the value on (2, 3) has four edges, two at
         # l1, and no theorem covers what is built from it
-        field = fields_mod.MatchingField.from_masks(3, 2, (1, 1), {3: 9, 5: 18, 6: 27})
+        field = fields_mod.MatchingField(3, 2, {3: 9, 5: 18, 6: 27})
         assert is_linkage(field).ok and not field.holds_type
         with pytest.raises(MatchfieldError, match=r"^tope at \(0, 1\) is not maximal$"):
             tope_arrangement(field)

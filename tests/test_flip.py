@@ -30,6 +30,7 @@ from matchfield.fields import is_linkage, tope_arrangement
 from matchfield.flip import cell_of_tope
 from matchfield.randgen import seeded_coherent_field
 from oracles import (
+    NotAProductSkeletonError,
     cell_to_tope,
     edge_count_check,
     every_linkage_field,
@@ -207,8 +208,6 @@ class TestCells:
             assert tope == maximal_tope(field_42, v)
 
     def test_not_a_skeleton(self, field_42):
-        from matchfield.errors import NotAProductSkeletonError
-
         with pytest.raises((NotAProductSkeletonError, MatchfieldError)):
             cell_to_tope(field_42, [(1, 2), (2, 3)])
 
