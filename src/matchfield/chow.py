@@ -76,7 +76,7 @@ def chow_by_definition(field: fields.MatchingField, rho: Iterable[int]) -> Bipar
     return BipartiteGraph(n, d, edges)
 
 
-class ChowCollection:
+class ChowCollection(core.MaskTable):
     """All covectors of a linkage field, with the degree-vector bijection,
     held as the checked mask table {rho bitmask: edge mask} and as
     {rho bitmask: rdv}; the graphs, `covectors`, are a view built on first
@@ -84,14 +84,8 @@ class ChowCollection:
 
     def __init__(self, n: int, d: int, table: dict):
         """A collection holding the mask table itself, once validated."""
-        self.n, self.d, self.mask_table, self.rdvs = n, d, table, _covector_rdvs(n, d, table)
-
-    @classmethod
-    def _unchecked(cls, n: int, d: int, table: dict, rdvs: dict) -> "ChowCollection":
-        """A collection holding a table and rdvs its builder has checked."""
-        cc = cls.__new__(cls)
-        cc.n, cc.d, cc.mask_table, cc.rdvs = n, d, table, rdvs
-        return cc
+        super().__init__(n, d, table)
+        self.rdvs = _covector_rdvs(n, d, table)
 
     @cached_property
     def covectors(self) -> dict:
@@ -103,16 +97,6 @@ class ChowCollection:
 
     def phi(self) -> "PhiMap":
         return PhiMap(self.n, self.d, self.rdvs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChowCollection)
-            and (self.n, self.d) == (other.n, other.d)
-            and self.mask_table == other.mask_table
-        )
-
-    def __repr__(self):
-        return f"<ChowCollection ({self.n},{self.d}) with {len(self.mask_table)} covectors>"
 
 
 def _covector_rdvs(n: int, d: int, table: dict) -> dict:
@@ -181,7 +165,8 @@ def chow_collection(field: fields.MatchingField) -> ChowCollection:
     if len({x >> nd for x in packed.values()}) < len(packed):
         raise InconsistentCollectionError(BIJECTION)
     rdvs = {rho: tuple([x // lift % base for lift in lifts]) for rho, x in packed.items()}
-    return ChowCollection._unchecked(n, d, {rho: x % (1 << nd) for rho, x in packed.items()}, rdvs)
+    table = {rho: x % (1 << nd) for rho, x in packed.items()}
+    return ChowCollection._unchecked(n, d, table, rdvs=rdvs)
 
 
 def field_from_chow(cc: ChowCollection) -> fields.MatchingField:
@@ -234,7 +219,7 @@ def _rebuild(phi: PhiMap, n: int, d: int) -> ChowCollection:
         raise InconsistentPhiError(BIJECTION)
     if any(map(ne, codes, codes.values())):
         raise InconsistentPhiError("reconstruction does not reproduce phi")
-    return ChowCollection._unchecked(n, d, table, dict(phi.mapping))
+    return ChowCollection._unchecked(n, d, table, rdvs=dict(phi.mapping))
 
 
 def _certified(collection: ChowCollection) -> ChowCollection:

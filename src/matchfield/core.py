@@ -36,14 +36,17 @@ onto the lattice points.  ``incompatible_partners``
 tests a partial map (``tope_function``) against all its partners in one
 closure over bitsets.
 
-Every keyed container is a mask table, {key: edge mask}: a field, a set of
-Chow covectors or a phi map keyed by left-subset bitmasks, a tope
-arrangement or an extended arrangement by lattice points, a matching stack
-by (J mask, I mask).  Its graphs, such as ``graph_table``, are a view built
-only for a caller that asks for them.  In process a left subset is its
-bitmask, and ``subset_masks`` is the one colex walk over them; ``subsets``
-lists the tuples for callers that name subsets.  A JSON table of keys and
-edge lists is read straight into one, each edge list by one accepting loop
+Every keyed container is a mask table, {key: edge mask}: a field or a set of
+Chow covectors keyed by left-subset bitmasks, a tope arrangement or an
+extended arrangement by lattice points, a matching stack by
+(J mask, I mask).  Each is a ``MaskTable``, which holds (n, d) and the table, compares
+and prints them, and gives the one trusted hold (``MaskTable._unchecked``).
+Its graphs, such as ``graph_table``, are a view built only for a caller that
+asks for them.  A phi map, keyed by left-subset bitmasks too, holds lattice
+points and is no MaskTable.  In process a left subset is its bitmask, and
+``subset_masks`` is the one colex walk over them; ``subsets`` lists the
+tuples for callers that name subsets.  A JSON table of keys and edge lists
+is read straight into one, each edge list by one accepting loop
 (``edge_mask``) that gathers the bitmask of its rows beside its mask; any
 other edge list goes to one refusal routine.  ``read_masks`` reads every
 table so but a field's, whose reader keeps the rows to decide the field's
@@ -458,6 +461,36 @@ def graph_masks(n: int, d: int, graphs: dict) -> dict:
         subset_bits(tuple(sorted(s)), n): g.mask if (g.n, g.d) == (n, d) else -1
         for s, g in graphs.items()
     }
+
+
+class MaskTable:
+    """A keyed container held as its mask table {key: edge mask} on (n, d).
+    Two are equal when one is an instance of the other's class and their
+    ``_identity`` matches; a subclass keeps only its checks, extra state and
+    graph views."""
+
+    def __init__(self, n: int, d: int, table: dict):
+        self.n, self.d, self.mask_table = n, d, table
+
+    @classmethod
+    def _unchecked(cls, n: int, d: int, table: dict, **held):
+        """The one trusted hold: a container of a table its builder has
+        certified, with the state that builder computed (``held``), no check run."""
+        made = cls.__new__(cls)
+        MaskTable.__init__(made, n, d, table)
+        made.__dict__.update(held)
+        return made
+
+    def _identity(self) -> tuple:
+        return self.n, self.d, self.mask_table
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented  # so Python asks other, which may be the subclass
+        return self._identity() == other._identity()
+
+    def __repr__(self):
+        return f"<{type(self).__name__} ({self.n},{self.d}) with {len(self.mask_table)} entries>"
 
 
 def subset_mask(subset: Iterable[int]) -> int:

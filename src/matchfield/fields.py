@@ -70,18 +70,19 @@ from .errors import (
 )
 
 
-class TopeField:
+class TopeField(core.MaskTable):
     """Assignment of one tope of fixed type to every k-subset of left nodes,
     held as the mask table {left-subset bitmask: edge mask}; the graphs,
     `assignment` and `items`, are a view built on first use."""
 
     def __init__(self, n: int, d: int, type_vector: Sequence[int], table: dict):
         """A field holding the mask table itself, unchecked."""
-        self.n = n
-        self.d = d
+        super().__init__(n, d, table)
         self.type_vector = tuple(type_vector)
-        self.thickness = sum(self.type_vector)
-        self.mask_table = table
+
+    @property
+    def thickness(self) -> int:
+        return sum(self.type_vector)
 
     @cached_property
     def holds_type(self) -> bool:
@@ -112,18 +113,11 @@ class TopeField:
     def items(self):
         return self.assignment.items()
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TopeField)
-            and (self.n, self.d, self.type_vector) == (other.n, other.d, other.type_vector)
-            and self.mask_table == other.mask_table
-        )
+    def _identity(self) -> tuple:
+        return *super()._identity(), self.type_vector
 
     def __hash__(self):
         return hash((self.n, self.d, self.type_vector, frozenset(self.mask_table.items())))
-
-    def __repr__(self):
-        return f"<TopeField ({self.n},{self.d}) type {self.type_vector}>"
 
 
 class MatchingField(TopeField):
@@ -134,9 +128,6 @@ class MatchingField(TopeField):
 
     def matching(self, sigma: Iterable[int]) -> BipartiteGraph:
         return self.tope(sigma)
-
-    def __repr__(self):
-        return f"<MatchingField ({self.n},{self.d})>"
 
 
 def validate_matching_field(n: int, d: int, assignment: dict) -> MatchingField:
@@ -478,7 +469,7 @@ def maximal_tope(
     return tf.tope(range(1, field.n + 1))
 
 
-class TopeArrangement:
+class TopeArrangement(core.MaskTable):
     """Compatible maximal topes keyed by lattice points of (n-d)*Delta_{d-1},
     held as a mask table; the graphs, `topes`, `tope` and `items`, a view.
 
@@ -492,15 +483,8 @@ class TopeArrangement:
 
     def __init__(self, n: int, d: int, table: dict):
         core._check_sides(n, d)  # before the binomial of is_simplex_lattice
-        self.n, self.d, self.mask_table = n, d, table
+        super().__init__(n, d, table)
         self.validate()
-
-    @classmethod
-    def _unchecked(cls, n: int, d: int, table: dict) -> "TopeArrangement":
-        """An arrangement holding a table its builder has certified."""
-        ta = cls.__new__(cls)
-        ta.n, ta.d, ta.mask_table = n, d, table
-        return ta
 
     def validate(self) -> None:
         n, d, table = self.n, self.d, self.mask_table
@@ -508,11 +492,13 @@ class TopeArrangement:
             raise MatchfieldError("arrangement keys are not the lattice points")
         maps = {}
         for point, mask in table.items():  # each tope's rows read once
+            if mask >> n * d:  # so is a negative mask
+                raise MatchfieldError(f"tope at {point} has bits outside the {n}x{d} grid")
             if core.right_degrees(mask, n, d) != tuple(x + 1 for x in point):
                 raise MatchfieldError(f"tope at {point} has wrong right degrees")
-            # on the grid, every row defined and n edges: one edge per row
+            # every row defined and n edges: one edge per row
             f = maps[point] = core.tope_function(mask, n, d)
-            if mask >> n * d or d in f or mask.bit_count() != n:
+            if d in f or mask.bit_count() != n:
                 raise MatchfieldError(f"tope at {point} is not maximal")
         # maximal topes are functions [n] -> [d]; each meets its later partners
         points = sorted(table)
@@ -533,16 +519,6 @@ class TopeArrangement:
 
     def items(self):
         return sorted(self.topes.items())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TopeArrangement)
-            and (self.n, self.d) == (other.n, other.d)
-            and self.mask_table == other.mask_table
-        )
-
-    def __repr__(self):
-        return f"<TopeArrangement ({self.n},{self.d}) with {len(self.mask_table)} topes>"
 
 
 def check_sector_monotonicity(table: dict) -> None:
@@ -701,16 +677,14 @@ def maximal_tope_covectors(field: MatchingField) -> dict[tuple, BipartiteGraph]:
 # extended arrangements and trianguloid axioms
 
 
-class ExtendedTopeArrangement:
+class ExtendedTopeArrangement(core.MaskTable):
     """One graph per lattice point of n*Delta_{d-1}, held as the mask table
     {lattice point: edge mask} on the n x d grid; boundary points carry
     isolated right nodes.  The graphs, `graph` and `items`, are a view."""
 
     def __init__(self, n: int, d: int, table: dict):
         core._check_sides(n, d)  # before the binomial of is_simplex_lattice
-        self.n = n
-        self.d = d
-        self.mask_table = table
+        super().__init__(n, d, table)
         if not core.is_simplex_lattice(table, n, d):
             raise MatchfieldError("extended arrangement must cover all lattice points")
         for point, mask in table.items():

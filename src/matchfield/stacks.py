@@ -34,18 +34,13 @@ from .core import BipartiteGraph
 from .errors import MatchfieldError, SizeCapError, TiedMinimumError
 
 
-class MatchingStack:
+class MatchingStack(core.MaskTable):
     """Map (J, I) -> perfect matching on J ⊔ I, held as the mask table
     {(J mask, I mask): edge mask}; `matching` is a graph view of one entry.
 
     Entries may be sparse: a pair without an entry has no matching, and
     asking for it raises MatchfieldError.
     """
-
-    def __init__(self, n: int, d: int, table: dict):
-        self.n = n
-        self.d = d
-        self.mask_table = table
 
     def matching(self, J: Iterable[int], I: Iterable[int]) -> BipartiteGraph:
         key = (tuple(sorted(J)), tuple(sorted(I)))
@@ -63,13 +58,6 @@ class MatchingStack:
                 for I in core.subsets(self.d, k):
                     yield (J, I)
 
-    def __eq__(self, other):
-        if not isinstance(other, MatchingStack):
-            return False
-        return (self.n, self.d, self.mask_table) == (other.n, other.d, other.mask_table)
-
-    def __repr__(self):
-        return f"<MatchingStack ({self.n},{self.d})>"
 
 
 def stack_from_trees(trees: Iterable[BipartiteGraph], n: int, d: int) -> MatchingStack:

@@ -29,7 +29,7 @@ from matchfield.chow import (
     phi_to_json_dict,
 )
 from matchfield import chow as chow_mod
-from matchfield import core, fields, triang
+from matchfield import core, fields, stacks, triang
 from matchfield.errors import InconsistentCollectionError, MatchfieldError
 from matchfield.randgen import seeded_coherent_field
 
@@ -300,8 +300,8 @@ RESULTS = {
         "missing-key": "keys must be the (n-d+1)-subsets",
     }),
     "tope-arrangement": (fields.TopeArrangement, tope_arrangement, MatchfieldError, {
-        "negative": "tope at (0, 2) has wrong right degrees",
-        "off-grid": "tope at (0, 2) is not maximal",
+        "negative": "tope at (0, 2) has bits outside the 4x2 grid",
+        "off-grid": "tope at (0, 2) has bits outside the 4x2 grid",
         "missing-key": "arrangement keys are not the lattice points",
     }),
     "extended-arrangement": (
@@ -338,12 +338,14 @@ def test_result_constructor_validates_its_table(field_42, kind, fault):
     assert type(caught.value) is error and str(caught.value) == texts[fault]
 
 
-# the private hold of each result class with one, and the validator it skips
+# the trusted hold of each result class, and the validator it skips
 HOLDS = {
     "chow-collection": (chow_mod, "_covector_rdvs",
-                        lambda cc: ChowCollection._unchecked(cc.n, cc.d, cc.mask_table, cc.rdvs)),
+                        lambda cc: ChowCollection._unchecked(cc.n, cc.d, cc.mask_table, rdvs=cc.rdvs)),
     "tope-arrangement": (fields.TopeArrangement, "validate",
                          lambda ta: fields.TopeArrangement._unchecked(ta.n, ta.d, ta.mask_table)),
+    "extended-arrangement": (core, "is_simplex_lattice", lambda eta: (
+        fields.ExtendedTopeArrangement._unchecked(eta.n, eta.d, eta.mask_table))),
 }
 
 
@@ -359,6 +361,53 @@ def test_unchecked_holds_the_table_without_reading_it(field_42, monkeypatch, kin
     held = hold(made)
     assert held.mask_table is made.mask_table and held == made and calls == []
     assert build(made.n, made.d, made.mask_table) == made and len(calls) == 1
+
+
+# each mask-table class, one container of it built from field_42 or a (3,2)
+# staircase, and the state its trusted hold takes beside the table
+MASK_TABLES = {
+    "tope-field": (fields.TopeField, lambda f: fields.i_amalgamation(f, 1),
+                   lambda tf: {"type_vector": tf.type_vector}),
+    "tope-arrangement": (fields.TopeArrangement, tope_arrangement, lambda ta: {}),
+    "extended-arrangement": (fields.ExtendedTopeArrangement, RESULTS["extended-arrangement"][1],
+                             lambda eta: {}),
+    "chow-collection": (ChowCollection, chow_collection, lambda cc: {"rdvs": cc.rdvs}),
+    "matching-stack": (stacks.MatchingStack, lambda f: stacks.stack_from_trees(
+        triang.staircase_triangulation(3, 2).sorted_trees(), 3, 2), lambda stack: {}),
+}
+
+
+@pytest.mark.parametrize("kind", list(MASK_TABLES))
+def test_mask_table_base_holds_compares_and_hashes(field_42, kind):
+    # every keyed container holds, compares and prints its table in one base,
+    # and its trusted hold keeps the very table and state it is given
+    cls, build, state = MASK_TABLES[kind]
+    made = build(field_42)
+    n, d, table, extra = made.n, made.d, made.mask_table, state(made)
+    held = cls._unchecked(n, d, table, **extra)
+    assert type(held) is cls and held.mask_table is table
+    assert all(getattr(held, name) is value for name, value in extra.items())
+    same = cls._unchecked(n, d, dict(table), **extra)
+    assert same == made and made == same and not same != made
+    key = min(table)
+    moved = cls._unchecked(n, d, {**table, key: table[key] ^ 1}, **extra)
+    assert moved != made and made != moved
+    for other, _, _ in MASK_TABLES.values():
+        if other is not cls:
+            stranger = other._unchecked(n, d, table, **extra)
+            assert stranger != made and made != stranger
+    assert repr(made) == f"<{cls.__name__} ({n},{d}) with {len(table)} entries>"
+    if cls is not fields.TopeField:
+        with pytest.raises(TypeError):
+            hash(made)
+        return
+    # only the fields are hashable, and a tope field of type (1, ..., 1) is
+    # its matching field, either way round
+    assert hash(held) == hash(made)
+    n, d, table = field_42.n, field_42.d, field_42.mask_table
+    ones = fields.TopeField(n, d, core.all_ones(d), table)
+    assert ones == field_42 and field_42 == ones and not field_42 != ones
+    assert hash(ones) == hash(field_42)
 
 
 def perturbed(covectors: dict, n: int, d: int, kind: str, rng: random.Random) -> dict:

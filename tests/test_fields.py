@@ -944,23 +944,23 @@ class TestArrangement:
             fields_mod.TopeArrangement(4, 2, topes)
 
     @pytest.mark.parametrize(
-        "n, d, point, mask",
+        "n, d, point, mask, fault",
         [
             # right degrees (2, 2) with l1 holding two edges and l2 none
-            (4, 2, (1, 1), graph(4, 2, [(1, 1), (1, 2), (3, 1), (4, 2)]).mask),
+            (4, 2, (1, 1), graph(4, 2, [(1, 1), (1, 2), (3, 1), (4, 2)]).mask, "is not maximal"),
             # the tope at (1, 1) of field_42 plus an edge bit off the 4 x 2 grid
-            (4, 2, (1, 1), 105 | 1 << 8),
+            (4, 2, (1, 1), 105 | 1 << 8, "has bits outside the 4x2 grid"),
             # every bit set: its one column on the grid has the right degree
-            (1, 1, (0,), -1),
+            (1, 1, (0,), -1, "has bits outside the 1x1 grid"),
         ],
         ids=["row-twice", "off-grid", "negative"],
     )
-    def test_a_tope_that_is_not_maximal_is_refused(self, field_42, n, d, point, mask):
+    def test_a_tope_that_is_not_maximal_is_refused(self, field_42, n, d, point, mask, fault):
         topes = dict(tope_arrangement(field_42).mask_table) if n == 4 else {}
         topes[point] = mask
         with pytest.raises(MatchfieldError) as err:
             fields_mod.TopeArrangement(n, d, topes)
-        assert str(err.value) == f"tope at {point} is not maximal"
+        assert str(err.value) == f"tope at {point} {fault}"
 
     def test_a_missing_covector_is_named_by_its_right_degrees(self, field_42, monkeypatch):
         # the covector of rdv (2, 1) dropped: the tope at (1, 1) is the first to need it
