@@ -44,9 +44,10 @@ and prints them, and gives the one trusted hold (``MaskTable._unchecked``).
 Its graphs, such as ``graph_table``, are a view built only for a caller that
 asks for them.  A phi map, keyed by left-subset bitmasks too, holds lattice
 points and is no MaskTable.  In process a left subset is its bitmask, and
-``subset_masks`` is the one colex walk over them; ``subsets`` lists the
-tuples for callers that name subsets.  A JSON table of keys and edge lists
-is read straight into one, each edge list by one accepting loop
+``subset_masks`` is the one colex walk over them; ``subsets`` is a view of
+it that names the members, for callers that name subsets, and one scan of
+it decides a field (``fields._field_fault``).  A JSON table of keys and
+edge lists is read straight into one, each edge list by one accepting loop
 (``edge_mask``) that gathers the bitmask of its rows beside its mask; any
 other edge list goes to one refusal routine.  ``read_masks`` reads every
 table so but a field's, whose reader keeps the rows to decide the field's
@@ -616,27 +617,12 @@ def contained_tope(tree: BipartiteGraph, k: int) -> BipartiteGraph:
 
 
 def subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """k-subsets of [n] in colexicographic order, without recursion.  The
-    least member runs through its range in an inner loop; then the next
-    member c_j with c_j + 1 not in the subset is raised (n + 1 stands above
-    the top one) and the members below it are reset to 1..j."""
+    """k-subsets of [n] in colexicographic order: a view of ``subset_masks``
+    that names each bitmask's members.  (n, k) out of range raise
+    SizeCapError at the call."""
     if not (0 <= k <= n <= MAX_SIDE):
         raise SizeCapError(f"subsets({n}, {k}) out of range")
-    if k == 0:
-        yield ()
-        return
-    c = list(range(1, k + 1)) + [n + 1]
-    while True:
-        rest = tuple(c[1:k])
-        for first in range(c[0], c[1]):
-            yield (first,) + rest
-        j = 1
-        while j < k and c[j] + 1 == c[j + 1]:
-            j += 1
-        if j == k:
-            return
-        c[j] += 1
-        c[:j] = range(1, j + 1)
+    return map(mask_subset, subset_masks(n, k))
 
 
 def subset_masks(n: int, k: int) -> Iterator[int]:
@@ -837,8 +823,8 @@ def _json_list(value, what: str, length: Optional[int] = None) -> list:
     return list(value)
 
 
-def _int_tuple(value, what: str, length: Optional[int] = None) -> tuple[int, ...]:
-    items = _json_list(value, what, length)
+def _int_tuple(value, what: str) -> tuple[int, ...]:
+    items = _json_list(value, what)
     if any(type(x) is not int for x in items):
         raise ValueError(f"{what} must hold integers, got {value!r}")
     return tuple(items)

@@ -86,20 +86,10 @@ class TopeField(core.MaskTable):
 
     @cached_property
     def holds_type(self) -> bool:
-        """Whether the table is a field of its type: its keys are exactly the
-        k-subsets of [n] as bitmasks, each holding an edge mask on (n, d)
-        with left degrees at most 1, right degree vector v and left support
-        its key.  The JSON reader sets it from what it parsed; on any other
-        field it is one pass over the rows, on first use, which the
-        validator reads to accept."""
-        n, d, v, k, table = self.n, self.d, self.type_vector, self.thickness, self.mask_table
-        if not (0 <= k <= n <= core.MAX_SIDE and len(table) == comb(n, k)):
-            return False
-        for key, mask in table.items():
-            rows = core.read_rows(mask, n, d)
-            if rows is None or rows[1] != key or rows[2] != v:
-                return False
-        return True  # k-subsets of [n], as many as there are: all of them
+        """Whether the table is a field of its type (``_field_fault`` finds
+        none).  The JSON reader sets it from what it parsed and the validator
+        from its scan; on any other field it is that scan, on first use."""
+        return _field_fault(self.n, self.d, self.type_vector, self.mask_table) is None
 
     @cached_property
     def assignment(self) -> dict:
@@ -153,18 +143,16 @@ def _type_vector(n: int, d: int, type_vector: Sequence[int]) -> tuple:
 
 
 def field_from_masks(n: int, d: int, v: tuple, table: dict) -> TopeField:
-    """The one field validator, on a mask table: the keys must be exactly
-    the sum(v)-subsets of [n] as bitmasks (a tuple key from
-    ``core.subset_bits`` never is), each holding an edge mask on (n, d) with
-    left degrees at most 1, right degree vector v and left support its key.
-    One pass over the table decides (``TopeField.holds_type``), and the
-    field keeps the verdict; only a fault goes to ``_refuse_field``.  A
-    MatchingField when v = (1, ..., 1), else a TopeField, holding the table
-    itself."""
+    """The one field validator, on a mask table: one scan over the
+    sum(v)-subsets in colex order (``_field_fault``) decides it, and the
+    field keeps the verdict.  A MatchingField when v = (1, ..., 1), else a
+    TopeField, holding the table itself."""
+    fault = _field_fault(n, d, v, table)
+    if fault is not None:
+        raise fault
     field = _held(n, d, v, table)
-    if field.holds_type:
-        return field
-    _refuse_field(n, d, v, table)
+    field.holds_type = True
+    return field
 
 
 def _held(n: int, d: int, v: tuple, table: dict) -> TopeField:
@@ -173,31 +161,41 @@ def _held(n: int, d: int, v: tuple, table: dict) -> TopeField:
     return MatchingField(n, d, table) if v == core.all_ones(d) else TopeField(n, d, v, table)
 
 
-def _refuse_field(n: int, d: int, v: tuple, table: dict) -> None:
-    """Raise the fault of a table ``field_from_masks`` refused, scanning the
-    subsets in ``core.subsets`` order: MatchfieldError naming (n, d) when
-    sum(v) > n, so a matching field with d > n, then MissingSubsetError,
-    NotAMatchingError or WrongSupportError with the first bad subset."""
-    if sum(v) > n:
-        raise MatchfieldError(
-            f"invalid type vector {v} for ({n}, {d}): its sum {sum(v)} exceeds n = {n}"
-        )
-    what = "perfect matching" if v == core.all_ones(d) else f"tope of type {v}"
-    cleaned = {key if type(key) is tuple else core.mask_subset(key): m for key, m in table.items()}
-    for sigma in core.subsets(n, sum(v)):
-        mask = cleaned.get(sigma)
-        if mask is None:
-            raise MissingSubsetError(sigma)
-        if mask >> n * d:
-            raise NotAMatchingError(sigma, f"graph for {sigma} has wrong ambient size")
-        rows = core.read_rows(mask, n, d)
-        if rows is None or rows[2] != v:
-            raise NotAMatchingError(sigma, f"value for {sigma} is not a {what}")
-        if rows[0] != sigma:
-            raise WrongSupportError(sigma, rows[0])
-    # every subset is present and good by now, so a key is left over
-    extra = set(cleaned).difference(core.subsets(n, sum(v)))
-    raise WrongSupportError(min(extra), None)
+def _field_fault(n: int, d: int, v: tuple, table: dict) -> Optional[MatchfieldError]:
+    """The first fault of a table as a field of type v, or None: its keys
+    must be exactly the k-subsets of [n] (k = sum(v)) as bitmasks, a tuple
+    key from ``core.subset_bits`` never is, each holding an edge mask on
+    (n, d) with left degrees at most 1, right degree vector v and left
+    support its key.  MatchfieldError naming (n, d) when k > n, so a
+    matching field with d > n; SizeCapError when (n, k) is out of the
+    range of ``core.subsets``; then MissingSubsetError, NotAMatchingError
+    or WrongSupportError with the first bad subset in colex order, one
+    ``read_rows`` per key; then WrongSupportError with the least extra key."""
+    k = sum(v)
+    if k > n:
+        return MatchfieldError(
+            f"invalid type vector {v} for ({n}, {d}): its sum {k} exceeds n = {n}")
+    if not 0 <= k <= n <= core.MAX_SIDE:
+        return SizeCapError(f"subsets({n}, {k}) out of range")
+    for key in core.subset_masks(n, k):
+        mask = table.get(key)
+        rows = None if mask is None else core.read_rows(mask, n, d)
+        if rows is None or rows[1] != key or rows[2] != v:
+            sigma = core.mask_subset(key)
+            if mask is None:
+                return MissingSubsetError(sigma)
+            if mask >> n * d:
+                return NotAMatchingError(sigma, f"graph for {sigma} has wrong ambient size")
+            if rows is None or rows[2] != v:
+                what = "perfect matching" if v == core.all_ones(d) else f"tope of type {v}"
+                return NotAMatchingError(sigma, f"value for {sigma} is not a {what}")
+            return WrongSupportError(sigma, rows[0])
+    if len(table) == comb(n, k):
+        return None  # k-subsets of [n], as many as there are: all of them
+    # a key is left over; a negative one, whose bits never end, names itself
+    extra = {key if type(key) is tuple else core.mask_subset(key) if key >= 0 else (key,)
+             for key in set(table).difference(core.subset_masks(n, k))}
+    return WrongSupportError(min(extra), None)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +282,15 @@ def _covector_unions(field: TopeField) -> Iterator[tuple[int, int]]:
 
 def covector_mask(topes: dict[int, int], tau: int) -> int:
     """Edge mask of the covector of the bitmask tau: the OR of topes[tau - j],
-    j in tau."""
+    j in tau; MissingSubsetError names a tau - j the table lacks."""
     union, rest = 0, tau
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        union |= topes[tau ^ low]
+    try:
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            union |= topes[tau ^ low]
+    except KeyError:
+        raise MissingSubsetError(core.mask_subset(tau ^ low)) from None
     return union
 
 
@@ -633,6 +634,8 @@ def _collect_matchings(masks: Iterable[int], n: int, d: int) -> MatchingField:
     first clashing matching in edge order."""
     table: dict = {}  # J mask -> edge mask of the matching on J ⊔ R, the field's table
     for mask in masks:
+        if mask >> n * d:  # so is a negative mask
+            raise MatchfieldError(f"mask has bits outside the {n}x{d} grid")
         found = core.right_perfect_matchings(mask, n, d)
         clashes = [(core.mask_subset(m), J) for J, m in found.items() if table.get(J, m) != m]
         if clashes:
@@ -835,9 +838,9 @@ def field_from_json_dict(data: dict) -> TopeField:
     entry's key is read by ``core.subset_reader`` and its edge list into its
     mask and rows by ``core.edge_mask``; when every entry's rows are its key
     with one edge each and its right degree vector is v, over C(n, k)
-    entries with 0 <= k <= n <= MAX_SIDE, which are the conditions of
-    ``TopeField.holds_type``, the field holds the verdict and no row is read
-    again.  Any other table goes to ``field_from_masks``."""
+    entries with 0 <= k <= n <= MAX_SIDE, which are the conditions
+    ``_field_fault`` scans for, the field holds the verdict and no row is
+    read again.  Any other table goes to ``field_from_masks``."""
     n, d, entries = core.read_object(data, "matchings")
     read_key, table, parsed = core.subset_reader(n, entries), {}, True
     for text, edges in entries.items():

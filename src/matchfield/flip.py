@@ -19,13 +19,13 @@ nested: cell(T1) ⊆ cell(T2) puts every edge of T1 in T2, and maximal topes
 have n edges each, so T1 = T2.
 
 `maximal_cells` finds every cell in one keyed containment pass.  The
-field's matchings are numbered in lexicographic order of sigma, and two
-lists of bitsets over them are built once: holders[b], the matchings that
-hold edge bit b, and users[j], those whose sigma holds lj.  A matching lies
-in the maximal tope with map f when each of its left nodes j takes the edge
-(lj, r f(j)), so the matchings inside the tope are every & ~OR_j (users[j] ^
-holders[j, f(j)]), and the cell's vertices are the sigmas of the set bits,
-already sorted.  The check that the field holds every product choice is a
+field's matchings are numbered in the colex order of `core.subset_masks`,
+and two lists of bitsets over them are built once: holders[b], the
+matchings that hold edge bit b, and users[j], those whose sigma holds lj.
+A matching lies in the maximal tope with map f when each of its left nodes
+j takes the edge (lj, r f(j)), so the matchings inside the tope are every &
+~OR_j (users[j] ^ holders[j, f(j)]), and the cell's vertices are the sigmas
+of the set bits.  The check that the field holds every product choice is a
 count.  The tope is a function, so it holds exactly |N_1| * ... * |N_d|
 matchings covering R, at most one per sigma, and each field matching inside
 it is one of them: the counts agree exactly when every product choice is
@@ -69,9 +69,13 @@ def _flips(d: int, matchings: Iterable) -> frozenset:
 
 def flip_graph(field: fields.MatchingField) -> FlipGraph:
     """The flip graph of any field, linkage or not; its vertices are the
-    d-subsets of ``core.subset_codec``, in ``core.subsets`` order."""
+    d-subsets of ``core.subset_codec``, in ``core.subsets`` order.  A table
+    with other keys raises its fault as a matching field
+    (``fields._field_fault``)."""
     table = field.mask_table
     vertices = {mask: sigma for _, mask, sigma in core.subset_codec(field.n, field.d, len(table))}
+    if vertices.keys() != table.keys():
+        raise fields._field_fault(field.n, field.d, core.all_ones(field.d), table)
     edges = _flips(field.d, ((vertices[k], m) for k, m in table.items()))
     return FlipGraph(field.n, field.d, tuple(vertices.values()), edges)
 
@@ -146,10 +150,11 @@ def maximal_cells(field: fields.MatchingField) -> dict:
     points are the same."""
     ta = fields.tope_arrangement(field)
     n, d, table = field.n, field.d, field.mask_table
-    sigmas = list(combinations(range(1, n + 1), d))
+    keys = list(core.subset_masks(n, d))
+    sigmas = list(map(core.mask_subset, keys))
     holders, users = [0] * (n * d), [0] * n
-    for k, sigma in enumerate(sigmas):
-        for b in core._bits(table[core.subset_mask(sigma)]):
+    for k, key in enumerate(keys):
+        for b in core._bits(table[key]):
             holders[b] |= 1 << k
             users[b // d] |= 1 << k
     # the matchings that use lj by another edge than bit b = (lj, ri)

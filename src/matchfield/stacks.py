@@ -286,9 +286,9 @@ def transversal_matroid(g: BipartiteGraph) -> TransversalMatroid:
     if g.n > TRANSVERSAL_MAX_LEFT:
         raise SizeCapError(f"transversal_matroid capped at n <= {TRANSVERSAL_MAX_LEFT}")
     full = (1 << g.d) - 1
-    rows = [g.mask >> j * g.d & full for j in range(g.n)]
+    rows, left = [g.mask >> j * g.d & full for j in range(g.n)], range(1, g.n + 1)
     for rank in range(min(g.n, g.d), -1, -1):
-        if bases := frozenset(J for J in core.subsets(g.n, rank) if _matchable(rows, J)):
+        if bases := frozenset(J for J in combinations(left, rank) if _matchable(rows, J)):
             return TransversalMatroid(g.n, rank, bases)
 
 

@@ -7,9 +7,9 @@ descriptions kept as test oracles.
   and the field read back through the maximal topes, unions of its
   covectors: the oracle for the keyed pass of ``chow.field_from_chow``.
 - Colexicographic subsets by recursion on the top member, the oracle for
-  the iterative ``core.subsets``, and a vector set compared sorted with the
-  listed lattice points, the oracle for the counting test of
-  ``core.is_simplex_lattice``.
+  ``core.subsets``, the view of the Gosper walk ``core.subset_masks``, and
+  a vector set compared sorted with the listed lattice points, the oracle
+  for the counting test of ``core.is_simplex_lattice``.
 - Necessary conditions on a degree-pair set, screened before a certified
   reconstruction.
 - Degree-pair reconstruction that deletes every left leaf at every level
@@ -93,7 +93,9 @@ descriptions kept as test oracles.
   that scans a {subset: graph} map in ``core.subsets`` order, and the
   collection validator that reads each covector graph: the oracles for
   ``core.read_masks``, ``fields.field_from_masks`` and the one-pass check
-  of ``ChowCollection(n, d, table)``.  The edge list read by one loop that
+  of ``ChowCollection(n, d, table)``.  The field validator's refusal run on
+  the table with its keys turned into tuples, the oracle for the one scan
+  of ``fields._field_fault``.  The edge list read by one loop that
   tests each edge's shape before its place, and the field read through it
   and then validated by the row pass: the oracles for the accepting loop of
   ``core.edge_mask`` and the type ``fields.field_from_json_dict`` decides
@@ -1649,6 +1651,36 @@ def field_from_json_dict_by_rows(data: dict) -> fields.TopeField:
     if v != core.all_ones(d):
         v = fields._type_vector(n, d, v)
     return fields.field_from_masks(n, d, v, table)
+
+
+def refuse_field_by_tuples(n: int, d: int, v: tuple, table: dict) -> None:
+    """Oracle for ``fields._field_fault``: the table with every bitmask key
+    turned into its tuple of members, scanned in ``core.subsets`` order.
+    Raises MatchfieldError naming (n, d) when sum(v) > n, SizeCapError from
+    ``core.subsets``, then MissingSubsetError, NotAMatchingError or
+    WrongSupportError with the first bad subset, then WrongSupportError with
+    the least key left over; returns None on a field of type v."""
+    if sum(v) > n:
+        raise MatchfieldError(
+            f"invalid type vector {v} for ({n}, {d}): its sum {sum(v)} exceeds n = {n}"
+        )
+    what = "perfect matching" if v == core.all_ones(d) else f"tope of type {v}"
+    cleaned = {key if type(key) is tuple else core.mask_subset(key): m for key, m in table.items()}
+    for sigma in core.subsets(n, sum(v)):
+        mask = cleaned.get(sigma)
+        if mask is None:
+            raise MissingSubsetError(sigma)
+        if mask >> n * d:
+            raise NotAMatchingError(sigma, f"graph for {sigma} has wrong ambient size")
+        rows = core.read_rows(mask, n, d)
+        if rows is None or rows[2] != v:
+            raise NotAMatchingError(sigma, f"value for {sigma} is not a {what}")
+        if rows[0] != sigma:
+            raise WrongSupportError(sigma, rows[0])
+    # every subset is present and good by now, so any other key is left over
+    extra = set(cleaned).difference(core.subsets(n, sum(v)))
+    if extra:
+        raise WrongSupportError(min(extra), None)
 
 
 def _validated_field(n: int, d: int, v: tuple, assignment: dict) -> fields.TopeField:

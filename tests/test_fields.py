@@ -27,6 +27,7 @@ from matchfield import (
     i_amalgamation,
     is_linkage,
     linkage_covector,
+    maximal_cells,
     maximal_tope,
     reconstruct_chow_from_phi,
     simplex_lattice_points,
@@ -48,6 +49,7 @@ from matchfield.fields import (
     tope_field_of_type,
 )
 from matchfield.randgen import random_weight_matrix, seeded_coherent_field
+from matchfield.stacks import stiefel_image_of_field
 
 from conftest import (
     BAD_WEIGHTS,
@@ -74,6 +76,7 @@ from oracles import (
     increasing_splitting,
     is_linkage_by_cycles,
     is_spanning_tree_by_cycles,
+    refuse_field_by_tuples,
     subfield_delete_left,
 )
 
@@ -185,6 +188,70 @@ def outcome(route, field):
         return type(exc), str(exc), getattr(exc, "cycle", None)
 
 
+def refusal(route, *args):
+    """The type and text of the MatchfieldError a route raises, or None."""
+    try:
+        route(*args)
+    except MatchfieldError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+FAULTS = ["none", "drop", "tuple", "beyond", "both", "off-grid", "row-twice", "shift", "sum",
+          "n=65"]
+
+
+@st.composite
+def mutated_field_tables(draw):
+    """(n, d, v, table) of a coherent field on (n, d) <= (6, 3), or a tope
+    field amalgamated from it, as it is or with one fault: an entry dropped,
+    a tuple key, a key with a member above n or both added, a bit moved off
+    the grid, a second edge in a row, the support shifted, sum(v) > n, n = 65."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d, 6))
+    field = seeded_coherent_field(n, d, draw(st.integers(0, 10**6)))[0]
+    for i in draw(st.lists(st.integers(1, d), max_size=n - d)):
+        field = i_amalgamation(field, i)
+    v, table = field.type_vector, dict(field.mask_table)
+    key = draw(st.sampled_from(sorted(table)))
+    mask, sigma = table[key], core.mask_subset(key)
+    b = draw(st.sampled_from(list(core._bits(mask))))
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "drop":
+        del table[key]
+    elif fault in ("tuple", "beyond", "both"):
+        if fault != "beyond":  # a member twice: no spelling of a subset
+            table[sigma + sigma[:1]] = mask
+        if fault != "tuple":  # the top member moved to n + 1
+            table[key ^ 1 << (key.bit_length() - 1) | 1 << n] = mask
+    elif fault == "off-grid":
+        table[key] = mask ^ 1 << b | 1 << (n * d + draw(st.integers(0, 5)))
+    elif fault == "row-twice":
+        other = draw(st.sampled_from([i for i in range(d) if i != b % d] or [None]))
+        table[key] = mask if other is None else mask | 1 << (b // d * d + other)
+    elif fault == "shift":  # the edge of a member moved to a row outside the key
+        row = draw(st.sampled_from([j for j in range(n) if not key >> j & 1] or [None]))
+        table[key] = mask if row is None else mask ^ 1 << b | 1 << (row * d + b % d)
+    elif fault == "sum":
+        v = (v[0] + n - sum(v) + 1, *v[1:])
+    elif fault == "n=65":
+        n = 65
+    return n, d, v, table
+
+
+# the public entry points that read an unchecked field's table
+UNCHECKED_ENTRY_POINTS = {
+    "is_linkage": is_linkage,
+    "require_linkage": fields_mod.require_linkage,
+    "i_amalgamation": lambda field: i_amalgamation(field, 1),
+    "tope_arrangement": tope_arrangement,
+    "maximal_cells": maximal_cells,
+    "chow_collection": chow_collection,
+    "stiefel_image_of_field": stiefel_image_of_field,
+    "flip_graph": flip_graph,
+}
+
+
 class TestValidation:
     def test_reference_field_valid(self, field_42):
         assert field_42.n == 4 and field_42.d == 2
@@ -274,6 +341,39 @@ class TestValidation:
             with pytest.raises(SizeCapError, match=re.escape(message)):
                 validate()
         assert time.perf_counter() - start < 0.05
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_field_tables())
+    def test_one_scan_refuses_as_the_tuple_scan(self, case):
+        # holds_type and the validator's refusal against the scan over the
+        # table with its keys turned into tuples
+        n, d, v, table = case
+        expected = refusal(refuse_field_by_tuples, n, d, v, table)
+        assert fields_mod.TopeField(n, d, v, table).holds_type == (expected is None)
+        assert refusal(fields_mod.field_from_masks, n, d, v, table) == expected
+
+    @pytest.mark.parametrize("entry", UNCHECKED_ENTRY_POINTS.values(),
+                             ids=UNCHECKED_ENTRY_POINTS.keys())
+    def test_an_unchecked_field_that_lacks_a_subset_is_refused(self, field_42, entry):
+        table = dict(field_42.mask_table)
+        del table[0b11]
+        with pytest.raises(MissingSubsetError) as err:
+            entry(fields_mod.MatchingField(4, 2, table))
+        assert str(err.value) == "no entry for subset (1, 2)"
+
+    def test_a_negative_key_is_named_by_itself(self, field_42):
+        # its bits never end, so it is no subset to list
+        table = {**field_42.mask_table, -1: 0}
+        assert not fields_mod.MatchingField(4, 2, table).holds_type
+        with pytest.raises(WrongSupportError) as err:
+            fields_mod.field_from_masks(4, 2, (1, 1), table)
+        assert str(err.value) == "value for (-1,) has left support None"
+
+    def test_flip_graph_refuses_an_extra_tuple_key(self, field_42):
+        table = {**field_42.mask_table, (2, 1): field_42.mask_table[0b11]}
+        with pytest.raises(WrongSupportError) as err:
+            flip_graph(fields_mod.MatchingField(4, 2, table))
+        assert str(err.value) == "value for (2, 1) has left support None"
 
 
 class TestLinkage:
@@ -514,8 +614,8 @@ class TestLinkageByCount:
         data = field_to_json_dict(field)
         read = self.spy(monkeypatch, "read_rows")
         refused = []
-        refuse = fields_mod._refuse_field
-        monkeypatch.setattr(fields_mod, "_refuse_field", lambda *a: refused.append(a) or refuse(*a))
+        refuse = fields_mod._field_fault
+        monkeypatch.setattr(fields_mod, "_field_fault", lambda *a: refused.append(a) or refuse(*a))
         validated = field_from_json_dict(data)
         assert read == [] and refused == []
         assert validated == field and "holds_type" in vars(validated) and validated.holds_type

@@ -489,6 +489,16 @@ class TestExtraction:
         with pytest.raises(MatchfieldError):
             extract_field(staircase_triangulation(2, 4))
 
+    def test_a_mask_off_the_grid_is_refused(self):
+        # an unchecked triangulation: bit 40 lies above the 3x2 grid and -1
+        # has bits above every grid
+        masks = staircase_triangulation(3, 2).masks
+        for t in (triang.Triangulation(3, 2, [masks[0] | 1 << 40, *masks[1:]]),
+                  triang.Triangulation(2, 2, [-1])):
+            with pytest.raises(MatchfieldError) as err:
+                extract_field(t)
+            assert str(err.value) == f"mask has bits outside the {t.n}x{t.d} grid"
+
     def test_partial_extraction_requires_coverage(self):
         single = staircase_triangulation(3, 2).sorted_trees()[:1]
         with pytest.raises(MatchfieldError):
