@@ -57,6 +57,8 @@ from .errors import (
 )
 
 BIJECTION = "right degree vectors do not biject onto the lattice points"
+PHI_KEYS = "phi keys must be the (n-d+1)-subsets"
+PHI_VALUES = "phi values must biject onto the lattice points"
 
 
 def chow_by_definition(field: fields.MatchingField, rho: Iterable[int]) -> BipartiteGraph:
@@ -112,8 +114,8 @@ def _covector_rdvs(n: int, d: int, table: dict) -> dict:
     for key, mask in table.items():
         rows = core.read_rows(mask, n, d)
         if rows is None or rows[1] != key:
-            fault = "wrong ambient size" if mask >> n * d else "wrong support"
-            raise InconsistentCollectionError(f"covector at {core.mask_subset(key)} has {fault}")
+            raise InconsistentCollectionError(
+                f"covector at {core.mask_subset(key)} has wrong support")
         rdvs[key] = rows[2]
     if not core.is_simplex_lattice(rdvs.values(), n - d + 1, d):
         raise InconsistentCollectionError(BIJECTION)
@@ -126,17 +128,23 @@ class PhiMap:
     by subsets."""
 
     def __init__(self, n: int, d: int, mapping: dict):
+        """The map, once 1 <= d <= n, every key is in range (``core.fit``) and
+        every value is a list or tuple."""
+        if not 1 <= d <= n:
+            raise InconsistentPhiError(f"phi for ({n}, {d}) needs 1 <= d <= n")
+        core._check_sides(n, d)  # before the key range and the binomial of the key count
+        if not core.fit(mapping, n):
+            raise InconsistentPhiError(PHI_KEYS)
+        if not set(map(type, mapping.values())) <= {tuple, list}:
+            raise InconsistentPhiError(PHI_VALUES)
         self.n, self.d, self.mapping = n, d, {rho: tuple(v) for rho, v in mapping.items()}
 
     def validate_bijective(self) -> None:
-        if not 1 <= self.d <= self.n:
-            raise InconsistentPhiError(f"phi for ({self.n}, {self.d}) needs 1 <= d <= n")
-        core._check_sides(self.n, self.d)  # before the binomial of the key count
         k = self.n - self.d + 1
         if not core.is_subset_keys(self.mapping.keys(), self.n, k):
-            raise InconsistentPhiError("phi keys must be the (n-d+1)-subsets")
+            raise InconsistentPhiError(PHI_KEYS)
         if not core.is_simplex_lattice(self.mapping.values(), k, self.d):
-            raise InconsistentPhiError("phi values must biject onto the lattice points")
+            raise InconsistentPhiError(PHI_VALUES)
 
     def items(self):
         return sorted((core.mask_subset(rho), v) for rho, v in self.mapping.items())
@@ -248,7 +256,7 @@ def phi_to_json_dict(phi: PhiMap) -> dict:
 def phi_from_json_dict(data: dict) -> PhiMap:
     """The phi map of a phi object, each key read by ``core.subset_reader``,
     which names a refused key and keeps one with a member beyond n a tuple,
-    for ``PhiMap.validate_bijective`` to refuse."""
+    for the ``PhiMap`` constructor to refuse."""
     n, d, table = core.read_object(data, "phi")
     key = core.subset_reader(n, table)
     return PhiMap(n, d, {key(k): core._int_tuple(v, "a vector") for k, v in table.items()})

@@ -38,12 +38,14 @@ closure over bitsets.
 
 Every keyed container is a mask table, {key: edge mask}: a field or a set of
 Chow covectors keyed by left-subset bitmasks, a tope arrangement or an
-extended arrangement by lattice points, a matching stack by
-(J mask, I mask).  Each is a ``MaskTable``, which holds (n, d) and the table, compares
-and prints them, and gives the one trusted hold (``MaskTable._unchecked``).
-Its graphs, such as ``graph_table``, are a view built only for a caller that
-asks for them.  A phi map, keyed by left-subset bitmasks too, holds lattice
-points and is no MaskTable.  In process a left subset is its bitmask, and
+extended arrangement by lattice points, a matching stack by (J mask, I mask),
+a triangulation by the rank of each tree mask.  Each is a ``MaskTable``, which
+holds (n, d) and the table once its constructor has decided their range by
+the one range rule (``fit``), compares and prints them, and gives the one
+trusted hold, which decides nothing (``MaskTable._unchecked``).  Its graphs,
+such as ``graph_table``, are a view built only for a caller that asks for
+them.  A phi map, keyed by left-subset bitmasks too, holds lattice points and
+is no MaskTable; its constructor decides its keys by the same rule.  In process a left subset is its bitmask, and
 ``subset_masks`` is the one colex walk over them; ``subsets`` is a view of
 it that names the members, for callers that name subsets, and one scan of
 it decides a field (``fields._field_fault``).  A JSON table of keys and
@@ -113,8 +115,7 @@ class BipartiteGraph:
     @classmethod
     def from_mask(cls, n: int, d: int, mask: int) -> "BipartiteGraph":
         _check_sides(n, d)
-        if mask < 0 or mask >> (n * d):
-            raise MatchfieldError(f"mask has bits outside the {n}x{d} grid")
+        check_masks((mask,), n, d)
         g = cls.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "d", d)
@@ -465,20 +466,29 @@ def graph_masks(n: int, d: int, graphs: dict) -> dict:
 
 
 class MaskTable:
-    """A keyed container held as its mask table {key: edge mask} on (n, d).
-    Two are equal when one is an instance of the other's class and their
-    ``_identity`` matches; a subclass keeps only its checks, extra state and
-    graph views."""
+    """A keyed container held as its mask table {key: edge mask} on (n, d),
+    its range decided by the constructor (``fit``).  Two are equal when one is
+    an instance of the other's class and their ``_identity`` matches; a
+    subclass keeps only its checks, extra state and graph views."""
+
+    key_sides = 0  # keys checked: 1, left-subset bitmasks; 2, (J, I) pairs; 0, by the class
 
     def __init__(self, n: int, d: int, table: dict):
+        _check_sides(n, d)
+        check_masks(table.values(), n, d)
+        if self.key_sides and not fit(table, *(n, d)[:self.key_sides]):
+            raise self._key_fault(n, d, table)
         self.n, self.d, self.mask_table = n, d, table
+
+    def _key_fault(self, n: int, d: int, table: dict) -> MatchfieldError:
+        return MatchfieldError(f"keys must be subset bitmasks of the sides ({n}, {d})")
 
     @classmethod
     def _unchecked(cls, n: int, d: int, table: dict, **held):
         """The one trusted hold: a container of a table its builder has
-        certified, with the state that builder computed (``held``), no check run."""
+        decided, with the state that builder computed (``held``), no check run."""
         made = cls.__new__(cls)
-        MaskTable.__init__(made, n, d, table)
+        made.n, made.d, made.mask_table = n, d, table
         made.__dict__.update(held)
         return made
 
@@ -492,6 +502,21 @@ class MaskTable:
 
     def __repr__(self):
         return f"<{type(self).__name__} ({self.n},{self.d}) with {len(self.mask_table)} entries>"
+
+
+def fit(xs: Collection, *bits: int) -> bool:
+    """The range rule: every x an int, no bool, in [0, 2^bits), as an edge mask
+    (n * d) or a subset bitmask (its side) is; for two widths, a pair of them."""
+    if len(bits) == 2:
+        return set(map(type, xs)) <= {tuple} and set(map(len, xs)) <= {2} and all(
+            map(fit, zip(*xs), bits))
+    return set(map(type, xs)) <= {int} and not (xs and (min(xs) < 0 or max(xs) >> bits[0]))
+
+
+def check_masks(masks: Iterable, n: int, d: int) -> None:
+    """Refuse an n x d edge mask out of range (``fit``) with the one grid text."""
+    if not fit(masks, n * d):
+        raise MatchfieldError(f"mask has bits outside the {n}x{d} grid")
 
 
 def subset_mask(subset: Iterable[int]) -> int:
@@ -674,6 +699,7 @@ def is_simplex_lattice(vectors: Collection, m: int, dim: int) -> bool:
         raise MatchfieldError(f"invalid lattice point parameters ({m}, {dim})")
     return (
         len(vectors) == comb(m + dim - 1, dim - 1) == len(set(vectors))
+        and set(map(type, vectors)) <= {tuple}
         and set(map(type, chain.from_iterable(vectors))) <= {int}
         and all(len(v) == dim and sum(v) == m and min(v) >= 0 for v in vectors)
     )

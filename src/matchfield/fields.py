@@ -4,9 +4,9 @@ An (n, d)-matching field assigns to every d-subset sigma of the left nodes a
 perfect matching on sigma ⊔ R.  A tope field of type v = (v1..vd) assigns to
 every k-subset (k = sum v) a tope whose right degree vector is v.
 
-A field is its mask table {left-subset bitmask: edge mask}, which its
-constructor holds unchecked.  The JSON reader builds it and decides its type
-while it parses (`field_from_json_dict`); a table built in process is
+A field is its mask table {left-subset bitmask: edge mask}, whose range its
+constructor decides, not its type.  The JSON reader builds it and decides its
+type while it parses (`field_from_json_dict`); a table built in process is
 validated by one pass over it (`field_from_masks`), and a {subset: graph}
 map by `validate_matching_field` or `validate_tope_field`.  The linkage
 test, the Chow pass and the writer read the table; the graphs are a view,
@@ -75,10 +75,18 @@ class TopeField(core.MaskTable):
     held as the mask table {left-subset bitmask: edge mask}; the graphs,
     `assignment` and `items`, are a view built on first use."""
 
+    key_sides = 1
+
     def __init__(self, n: int, d: int, type_vector: Sequence[int], table: dict):
-        """A field holding the mask table itself, unchecked."""
-        super().__init__(n, d, table)
+        """A field holding the mask table itself, its range decided and its type not."""
         self.type_vector = tuple(type_vector)
+        super().__init__(n, d, table)
+
+    def _key_fault(self, n: int, d: int, table: dict) -> MatchfieldError:
+        # the validator names ints and int tuples, the keys of core.subset_bits
+        if all(type(k) is int or type(k) is tuple and set(map(type, k)) <= {int} for k in table):
+            return _field_fault(n, d, self.type_vector, table)
+        return super()._key_fault(n, d, table)
 
     @property
     def thickness(self) -> int:
@@ -114,6 +122,7 @@ class MatchingField(TopeField):
     """Tope field of type (1,..,1): one perfect matching per d-subset."""
 
     def __init__(self, n: int, d: int, table: dict):
+        core._check_sides(n, d)  # before all_ones(d) builds d ones
         super().__init__(n, d, core.all_ones(d), table)
 
     def matching(self, sigma: Iterable[int]) -> BipartiteGraph:
@@ -150,15 +159,14 @@ def field_from_masks(n: int, d: int, v: tuple, table: dict) -> TopeField:
     fault = _field_fault(n, d, v, table)
     if fault is not None:
         raise fault
-    field = _held(n, d, v, table)
-    field.holds_type = True
-    return field
+    return _held(n, d, v, table)
 
 
 def _held(n: int, d: int, v: tuple, table: dict) -> TopeField:
-    """A MatchingField when v = (1, ..., 1), else a TopeField, holding the
-    table unchecked."""
-    return MatchingField(n, d, table) if v == core.all_ones(d) else TopeField(n, d, v, table)
+    """A MatchingField when v = (1, ..., 1), else a TopeField, holding a
+    table its caller has decided to be a field of type v, unchecked."""
+    cls = MatchingField if v == core.all_ones(d) else TopeField
+    return cls._unchecked(n, d, table, type_vector=v, holds_type=True)
 
 
 def _field_fault(n: int, d: int, v: tuple, table: dict) -> Optional[MatchfieldError]:
@@ -483,7 +491,6 @@ class TopeArrangement(core.MaskTable):
     H."""
 
     def __init__(self, n: int, d: int, table: dict):
-        core._check_sides(n, d)  # before the binomial of is_simplex_lattice
         super().__init__(n, d, table)
         self.validate()
 
@@ -493,8 +500,6 @@ class TopeArrangement(core.MaskTable):
             raise MatchfieldError("arrangement keys are not the lattice points")
         maps = {}
         for point, mask in table.items():  # each tope's rows read once
-            if mask >> n * d:  # so is a negative mask
-                raise MatchfieldError(f"tope at {point} has bits outside the {n}x{d} grid")
             if core.right_degrees(mask, n, d) != tuple(x + 1 for x in point):
                 raise MatchfieldError(f"tope at {point} has wrong right degrees")
             # every row defined and n edges: one edge per row
@@ -555,8 +560,7 @@ def chow_masks(n: int, d: int, table: dict[int, int], lifts: Sequence[int] = ())
     on tables whose entries lie in the rows of their keys.  There no bit comes
     twice, so adding one ORs it; an edge at ri adds lifts[i - 1] above too."""
     everyone, nd, lifts = (1 << n) - 1, n * d, lifts or [0] * d
-    if table and (min(table.values()) < 0 or max(table.values()) >> nd):
-        raise MatchfieldError(f"mask has bits outside the {n}x{d} grid")
+    core.check_masks(table.values(), n, d)
     rows, gains = [1 << p // d for p in range(nd)], [1 << p | lifts[p % d] for p in range(nd)]
     out: dict[int, int] = {}
     for subset, mask in table.items():
@@ -634,8 +638,6 @@ def _collect_matchings(masks: Iterable[int], n: int, d: int) -> MatchingField:
     first clashing matching in edge order."""
     table: dict = {}  # J mask -> edge mask of the matching on J ⊔ R, the field's table
     for mask in masks:
-        if mask >> n * d:  # so is a negative mask
-            raise MatchfieldError(f"mask has bits outside the {n}x{d} grid")
         found = core.right_perfect_matchings(mask, n, d)
         clashes = [(core.mask_subset(m), J) for J, m in found.items() if table.get(J, m) != m]
         if clashes:
@@ -686,13 +688,9 @@ class ExtendedTopeArrangement(core.MaskTable):
     isolated right nodes.  The graphs, `graph` and `items`, are a view."""
 
     def __init__(self, n: int, d: int, table: dict):
-        core._check_sides(n, d)  # before the binomial of is_simplex_lattice
         super().__init__(n, d, table)
         if not core.is_simplex_lattice(table, n, d):
             raise MatchfieldError("extended arrangement must cover all lattice points")
-        for point, mask in table.items():
-            if mask >> n * d:  # so is a negative mask
-                raise MatchfieldError(f"graph at {point} has bits outside the {n}x{d} grid")
 
     def graph(self, point: Sequence[int]) -> BipartiteGraph:
         return BipartiteGraph.from_mask(self.n, self.d, self.mask_table[tuple(point)])
@@ -857,9 +855,7 @@ def field_from_json_dict(data: dict) -> TopeField:
     if not (parsed and 0 <= k <= n <= core.MAX_SIDE and len(table) == comb(n, k)
             and all(core.right_degrees(mask, n, d) == v for mask in table.values())):
         return field_from_masks(n, d, v, table)
-    field = _held(n, d, v, table)
-    field.holds_type = True
-    return field
+    return _held(n, d, v, table)
 
 
 def arrangement_to_json_dict(ta: TopeArrangement) -> dict:

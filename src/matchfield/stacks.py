@@ -42,6 +42,8 @@ class MatchingStack(core.MaskTable):
     asking for it raises MatchfieldError.
     """
 
+    key_sides = 2
+
     def matching(self, J: Iterable[int], I: Iterable[int]) -> BipartiteGraph:
         key = (tuple(sorted(J)), tuple(sorted(I)))
         if len(key[0]) != len(key[1]):
@@ -445,5 +447,5 @@ def stack_to_json_dict(stack: MatchingStack) -> dict:
 
 def stack_from_json_dict(data: dict) -> MatchingStack:
     n, d = core.read_sides(data)
-    core._check_sides(n, d)  # an empty table checks no edge list's sides
+    core._check_sides(n, d)  # before any key is read
     return MatchingStack(*core.read_masks(data, "matchings", lambda k: read_stack_key(k, n, d)))

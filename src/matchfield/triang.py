@@ -69,15 +69,19 @@ class TriangulationReport:
     witness: Optional[tuple] = None
 
 
-class Triangulation:
-    """Set of spanning trees encoding the maximal cells, held as the sorted
-    tuple of their distinct edge masks.  The constructor checks nothing;
+class Triangulation(core.MaskTable):
+    """Set of spanning trees encoding the maximal cells, held as the mask
+    table {rank: edge mask} of their distinct edge masks in increasing order,
+    ``masks``.  The constructor decides only their range;
     ``validate_triangulation`` is the validating entry."""
 
     def __init__(self, n: int, d: int, masks: Iterable[int]):
-        self.n = n
-        self.d = d
-        self.masks = tuple(sorted(set(masks)))
+        super().__init__(n, d, dict(enumerate(masks)))  # the range, before the masks are sorted
+        self.mask_table = dict(enumerate(sorted(set(self.mask_table.values()))))
+
+    @property
+    def masks(self) -> tuple:
+        return tuple(self.mask_table.values())
 
     @property
     def trees(self) -> frozenset:
@@ -86,17 +90,8 @@ class Triangulation:
     def sorted_trees(self) -> list[BipartiteGraph]:
         return [BipartiteGraph.from_mask(self.n, self.d, m) for m in self.masks]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Triangulation)
-            and (self.n, self.d, self.masks) == (other.n, other.d, other.masks)
-        )
-
     def __hash__(self):
         return hash((self.n, self.d, self.masks))
-
-    def __repr__(self):
-        return f"<Triangulation ({self.n},{self.d}) with {len(self.masks)} trees>"
 
 
 def find_agreement_violation(trees: Sequence[BipartiteGraph]):

@@ -187,11 +187,12 @@ class TestByDefinition:
     def test_keyed_pass_refuses_bits_off_the_grid(self, field_42, extra):
         # an unchecked table's key of the wrong size is read by no linkage
         # test, so the pass refuses its mask itself, at once and in little
-        # memory; a negative mask would never run out of bits
+        # memory; a negative mask would never run out of bits.  A field's
+        # constructor refuses the mask first
         table = {**field_42.mask_table, 0b1111: extra}
-        field = fields.MatchingField(4, 2, table)
-        for build in (lambda: fields.chow_masks(4, 2, table), lambda: chow_collection(field),
-                      lambda: tope_arrangement(field)):
+        for build in (lambda: fields.chow_masks(4, 2, table),
+                      lambda: chow_collection(fields.MatchingField(4, 2, table)),
+                      lambda: tope_arrangement(fields.MatchingField(4, 2, table))):
             with pytest.raises(MatchfieldError, match=r"^mask has bits outside the 4x2 grid$"):
                 build()
 
@@ -263,9 +264,10 @@ class TestCollectionValidation:
         for n, d in [(6, 2), (4, 3)]:
             covectors = dict(chow_collection(field_42).covectors)
             covectors[(1, 2, 4)] = BipartiteGraph(n, d, covectors[(1, 2, 4)].edges)
-            message = r"^covector at \(1, 2, 4\) has wrong ambient size$"
-            with pytest.raises(InconsistentCollectionError, match=message):
+            message = r"^mask has bits outside the 4x2 grid$"
+            with pytest.raises(MatchfieldError, match=message) as err:
                 ChowCollection(4, 2, core.graph_masks(4, 2, covectors))
+            assert type(err.value) is MatchfieldError
 
     def test_repeated_degree_vector_is_refused(self, field_42):
         # the rows of a covector on rho give its rdv the sum |rho| and no
@@ -295,13 +297,13 @@ class TestCollectionValidation:
 # constructor raises for each fault at the least key
 RESULTS = {
     "chow-collection": (ChowCollection, chow_collection, InconsistentCollectionError, {
-        "negative": "covector at (1, 2, 3) has wrong ambient size",
-        "off-grid": "covector at (1, 2, 3) has wrong ambient size",
+        "negative": "mask has bits outside the 4x2 grid",
+        "off-grid": "mask has bits outside the 4x2 grid",
         "missing-key": "keys must be the (n-d+1)-subsets",
     }),
     "tope-arrangement": (fields.TopeArrangement, tope_arrangement, MatchfieldError, {
-        "negative": "tope at (0, 2) has bits outside the 4x2 grid",
-        "off-grid": "tope at (0, 2) has bits outside the 4x2 grid",
+        "negative": "mask has bits outside the 4x2 grid",
+        "off-grid": "mask has bits outside the 4x2 grid",
         "missing-key": "arrangement keys are not the lattice points",
     }),
     "extended-arrangement": (
@@ -309,8 +311,8 @@ RESULTS = {
         lambda field: triang.extended_tope_arrangement(triang.staircase_triangulation(3, 2)),
         MatchfieldError,
         {
-            "negative": "graph at (0, 3) has bits outside the 3x2 grid",
-            "off-grid": "graph at (0, 3) has bits outside the 3x2 grid",
+            "negative": "mask has bits outside the 3x2 grid",
+            "off-grid": "mask has bits outside the 3x2 grid",
             "missing-key": "extended arrangement must cover all lattice points",
         },
     ),
@@ -328,11 +330,14 @@ TABLE_FAULTS = {
 def test_result_constructor_validates_its_table(field_42, kind, fault):
     # a result class has one public constructor, on a mask table, and it
     # validates: the table of a built result is accepted, and one fault at
-    # its least key raises the class's own error
+    # its least key raises the class's own error, or for a mask out of
+    # range the hold's one grid fault
     build, result, error, texts = RESULTS[kind]
     made = result(field_42)
     n, d, table = made.n, made.d, made.mask_table
     assert build(n, d, table).mask_table == table
+    if fault != "missing-key":
+        error = MatchfieldError
     with pytest.raises(error) as caught:
         build(n, d, TABLE_FAULTS[fault](table, min(table), n * d))
     assert type(caught.value) is error and str(caught.value) == texts[fault]

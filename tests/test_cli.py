@@ -1849,3 +1849,21 @@ def test_untrusted_routes_keep_their_validators(inputs, pinned_inputs, validatio
                         lambda cc: validations.append("_certified") or certified(cc))
     assert run_quietly(["reconstruct-chow", "--phi", pinned_inputs["PHI-COHERENT-10-5"]])[0] == 0
     assert validations == ["validate"] * 2 + ["validate_bijective", "_certified"]
+
+
+def test_read_and_held_tables_equal_the_validated_ones(tmp_path):
+    # on the (4,3) staircase's field as the console script writes it: the
+    # arrangement read back and validated equals the one tope_arrangement
+    # holds unchecked, and a field held from that field's table equals the
+    # validated one
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("staircase", "field", "arrangement")}
+    for argv in (["staircase", "--n", "4", "--d", "3", "--json", paths["staircase"]],
+                 ["extract", paths["staircase"], "--json", paths["field"]],
+                 ["arrangement", paths["field"], "--json", paths["arrangement"]]):
+        assert run_quietly(argv)[0] == 0
+    with open(paths["field"]) as fh:
+        field = field_from_json_dict(json.load(fh))
+    with open(paths["arrangement"]) as fh:
+        assert arrangement_from_json_dict(json.load(fh)) == tope_arrangement(field)
+    n, d, table = field.n, field.d, field.mask_table
+    assert fields.MatchingField(n, d, table) == fields.field_from_masks(n, d, core.all_ones(d), table)

@@ -490,14 +490,13 @@ class TestExtraction:
             extract_field(staircase_triangulation(2, 4))
 
     def test_a_mask_off_the_grid_is_refused(self):
-        # an unchecked triangulation: bit 40 lies above the 3x2 grid and -1
-        # has bits above every grid
+        # refused where the triangulation is held: bit 40 lies above the
+        # 3x2 grid and -1 has bits above every grid
         masks = staircase_triangulation(3, 2).masks
-        for t in (triang.Triangulation(3, 2, [masks[0] | 1 << 40, *masks[1:]]),
-                  triang.Triangulation(2, 2, [-1])):
+        for n, d, held in ((3, 2, [masks[0] | 1 << 40, *masks[1:]]), (2, 2, [-1])):
             with pytest.raises(MatchfieldError) as err:
-                extract_field(t)
-            assert str(err.value) == f"mask has bits outside the {t.n}x{t.d} grid"
+                extract_field(triang.Triangulation(n, d, held))
+            assert str(err.value) == f"mask has bits outside the {n}x{d} grid"
 
     def test_partial_extraction_requires_coverage(self):
         single = staircase_triangulation(3, 2).sorted_trees()[:1]
