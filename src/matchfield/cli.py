@@ -10,8 +10,8 @@ then the ``(text, path)`` of any further file it writes, such as the
 ``--seed`` to the result, writes the further files and the result to stdout
 or the ``--json`` file, opening every file before it writes any, and writes
 the result to stderr as well when the verdict fails.  Exit codes: 0
-success, 1 validation failure (the report goes to stderr as JSON), 2 usage
-error.
+success, 1 validation failure (the report, or the library error with any
+witness it carries, goes to stderr as JSON), 2 usage error.
 """
 
 from __future__ import annotations
@@ -95,24 +95,14 @@ def _write(outputs: list) -> None:
             sys.stdout.write(text)
 
 
-def _cycle_json(cycle):
-    return [list(e) for e in cycle] if cycle else None
-
-
 # -- subcommand handlers ----------------------------------------------------
 
 
 def cmd_check_linkage(args) -> tuple[dict, bool]:
     field = fields.field_from_json_dict(_load(args.input))
     report = fields.is_linkage(field)
-    out = {
-        "linkage": report.ok,
-        "failures": [
-            {"tau": list(res.tau), "cycle": _cycle_json(res.cycle)}
-            for res in report.failures
-        ],
-    }
-    return out, report.ok
+    failures = [{"tau": res.tau, "cycle": res.cycle} for res in report.failures]
+    return {"linkage": report.ok, "failures": failures}, report.ok
 
 
 def cmd_amalgamate(args) -> tuple[dict, bool]:
@@ -155,8 +145,7 @@ def cmd_reconstruct_chow(args) -> tuple[dict, bool]:
 def cmd_validate_triangulation(args) -> tuple[dict, bool]:
     n, d, masks = triang.trees_from_json_dict(_load(args.input))
     report = triang.check_triangulation(masks, n, d)
-    out = {"valid": report.ok, "violation": report.kind, "witness": repr(report.witness)}
-    return out, report.ok
+    return {"valid": report.ok, "violation": report.kind, "witness": report.witness}, report.ok
 
 
 def cmd_extract(args) -> tuple[dict, bool]:
@@ -249,8 +238,7 @@ def cmd_stiefel(args) -> tuple[dict, bool]:
 def cmd_right_submatching_check(args) -> tuple[dict, bool]:
     field = _load_matching_field(args.input)
     report = stacks.right_submatching_check(field)
-    out = {"ok": report.ok, "witness": repr(report.witness) if report.witness else None}
-    return out, report.ok
+    return {"ok": report.ok, "witness": report.witness}, report.ok
 
 
 def cmd_roundtrip(args) -> tuple[dict, bool]:
@@ -271,10 +259,8 @@ def cmd_roundtrip(args) -> tuple[dict, bool]:
         rebuilt = triang._rebuild(triang.phi(t), t.n, t.d)  # phi checks the pairs' shape
         if rebuilt != t:  # t holds the axioms, so only a differing rebuild is certified
             triang._certified(rebuilt)
-        diff = sorted(
-            str(core.edge_list(t.n, t.d, m))
-            for m in set(t.masks).symmetric_difference(rebuilt.masks)
-        )
+        diff = [core.edge_list(t.n, t.d, m)
+                for m in sorted(set(t.masks).symmetric_difference(rebuilt.masks))]
     return {"kind": args.kind, "diff": diff, "match": not diff}, not diff
 
 
@@ -400,12 +386,13 @@ def run(argv=None) -> int:
         if not ok:
             sys.stderr.write(text)
         return 0 if ok else 1
-    except MatchfieldError as exc:
-        sys.stderr.write(core.canonical_json({"error": type(exc).__name__, "message": str(exc)}))
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        sys.stderr.write(core.canonical_json({"error": type(exc).__name__, "message": str(exc)}))
-        return 2
+    except (MatchfieldError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        failed = isinstance(exc, MatchfieldError)  # exit 1; any other is a usage error
+        report = {"error": type(exc).__name__, "message": str(exc)}
+        if failed and vars(exc):  # the attributes of an error that carries a witness
+            report["witness"] = vars(exc)
+        sys.stderr.write(core.canonical_json(report))
+        return 1 if failed else 2
 
 
 def main() -> None:

@@ -527,11 +527,11 @@ def subset_mask(subset: Iterable[int]) -> int:
 
 def subset_bits(subset: tuple[int, ...], n: int):
     """The key of a subset in a mask table: its bitmask when its members
-    increase within [n] and n <= MAX_SIDE, else the tuple itself.  No
-    validator accepts a tuple key, and a huge member is never shifted."""
+    are ints increasing within [n] and n <= MAX_SIDE, else the tuple itself.
+    No validator accepts a tuple key, and a huge member is never shifted."""
     mask, top = 0, min(n, MAX_SIDE)
     for j in subset:
-        if not 0 < j <= top or mask >> (j - 1):
+        if type(j) is not int or not 0 < j <= top or mask >> (j - 1):
             return subset
         mask |= 1 << (j - 1)
     return mask
@@ -778,9 +778,20 @@ def sectors(members: set, top: int, j: int, error: type, dim: int, base: int) ->
 
 def canonical_json(data) -> str:
     """Canonical JSON: sorted keys, no floats, newline-terminated.  Tuples
-    are written as arrays; every caller passes a fresh tree of dicts, lists
-    and tuples, so the encoder skips its check for circular references."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    are written as arrays, and a witness as it is held (``_witness_json``);
+    every caller passes a fresh tree, so the encoder skips its check for
+    circular references."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), check_circular=False,
+                      default=_witness_json) + "\n"
+
+
+def _witness_json(x):
+    """A graph as its edge list, a set as its sorted members; TypeError else."""
+    if isinstance(x, BipartiteGraph):
+        return x.edges
+    if isinstance(x, (set, frozenset)):
+        return sorted(x)
+    raise TypeError(f"{type(x).__name__} has no JSON form")
 
 
 _SUBSET_KEY = re.compile(r"[1-9][0-9]*(,[1-9][0-9]*)*")

@@ -83,8 +83,8 @@ class TopeField(core.MaskTable):
         super().__init__(n, d, table)
 
     def _key_fault(self, n: int, d: int, table: dict) -> MatchfieldError:
-        # the validator names ints and int tuples, the keys of core.subset_bits
-        if all(type(k) is int or type(k) is tuple and set(map(type, k)) <= {int} for k in table):
+        # the validator names ints and tuples, the keys of core.subset_bits
+        if set(map(type, table)) <= {int, tuple}:
             return _field_fault(n, d, self.type_vector, table)
         return super()._key_fault(n, d, table)
 
@@ -200,10 +200,12 @@ def _field_fault(n: int, d: int, v: tuple, table: dict) -> Optional[MatchfieldEr
             return WrongSupportError(sigma, rows[0])
     if len(table) == comb(n, k):
         return None  # k-subsets of [n], as many as there are: all of them
-    # a key is left over; a negative one, whose bits never end, names itself
+    # a key is left over; a negative one, whose bits never end, names itself,
+    # and one with a member that is no int is named by its repr after the rest
     extra = {key if type(key) is tuple else core.mask_subset(key) if key >= 0 else (key,)
              for key in set(table).difference(core.subset_masks(n, k))}
-    return WrongSupportError(min(extra), None)
+    ints = {s for s in extra if set(map(type, s)) <= {int}}
+    return WrongSupportError(min(ints) if ints else min(extra, key=repr), None)
 
 
 # ---------------------------------------------------------------------------
@@ -721,27 +723,8 @@ class TrianguloidReport:
         return self.pre_trianguloid and self.hexagon.ok
 
     def as_dict(self) -> dict:
-        def one(res):
-            return {"ok": res.ok, "witness": _jsonable(res.witness)}
-
-        return {
-            "T1": one(self.right_degrees),
-            "T2": one(self.left_cover),
-            "T3": one(self.sector_inclusion),
-            "T4": one(self.hexagon),
-        }
-
-
-def _jsonable(x):
-    if x is None or isinstance(x, (int, str)):
-        return x
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(y) for y in x]
-    if isinstance(x, frozenset):
-        return sorted(x)
-    if isinstance(x, BipartiteGraph):
-        return [list(e) for e in x.edges]
-    return repr(x)
+        results = (self.right_degrees, self.left_cover, self.sector_inclusion, self.hexagon)
+        return {f"T{t}": {"ok": r.ok, "witness": r.witness} for t, r in enumerate(results, 1)}
 
 
 def trianguloid_check(eta: ExtendedTopeArrangement) -> TrianguloidReport:

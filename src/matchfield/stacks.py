@@ -112,7 +112,7 @@ class EnsembleReport:
             "closure": self.closure_ok,
             "left_linkage": self.left_linkage_ok,
             "right_linkage": self.right_linkage_ok,
-            "witness": repr(self.witness) if self.witness else None,
+            "witness": self.witness,
         }
 
 

@@ -135,9 +135,12 @@ def check_triangulation(masks: Iterable[int], n: int, d: int) -> TriangulationRe
     matchings.  The flip axiom follows: a tree minus a non-leaf edge is a
     facet on all nodes, so off the boundary of the product, and an interior
     facet lies in two cells.  Only a witness is built as graphs; the sides
-    are refused (``core._check_sides``) before the trees are counted."""
-    masks = sorted(set(masks))
+    are refused (``core._check_sides``), then a mask out of range
+    (``core.check_masks``), before the trees are counted."""
+    masks = list(masks)
     core._check_sides(n, d, MatchfieldError(f"triangulation ({n}, {d}) needs a node on each side"))
+    core.check_masks(masks, n, d)
+    masks = sorted(set(masks))
     if len(masks) != tree_count(n, d):
         return TriangulationReport(False, "count", (len(masks), tree_count(n, d)))
     rows = range(1, n + 1)

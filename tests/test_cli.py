@@ -162,7 +162,12 @@ def test_differing_rebuild_reaches_the_certificate(capsys, monkeypatch, tmp_path
                 "message": "rebuilt trees violate the agreement axiom",
             }
         else:
-            assert json.loads(out)["match"] is (rebuilt == a)
+            # the diff holds the edge list of each tree in one set and not
+            # the other, in mask order
+            report = json.loads(out)
+            diff = [core.edge_mask(2, 2, edges)[0] for edges in report["diff"]]
+            assert diff == sorted(set(a.masks) ^ set(rebuilt.masks))
+            assert report["match"] is (rebuilt == a) is (diff == [])
 
 
 def count_shape_checks(monkeypatch):
@@ -349,7 +354,7 @@ def test_missing_stack_pair_is_reported(capsys, tmp_path):
         "left_linkage": False,
         "right_linkage": False,
         "support": False,
-        "witness": "('support', (), ())",
+        "witness": ["support", [], []],
     }
 
 
@@ -466,7 +471,7 @@ def test_tope_field_where_a_matching_field_is_needed(capsys, tmp_path, tope_fiel
                 "n": 3, "d": 2, "type": [2, 1],
                 "matchings": {"1,2,3": [[1, 1], [2, 1], [3, 2]], "1,2": [[1, 1], [2, 2]]},
             },
-            "(1, 2)",
+            (1, 2),
         ),
         (
             {
@@ -476,7 +481,7 @@ def test_tope_field_where_a_matching_field_is_needed(capsys, tmp_path, tope_fiel
                     "1,2,3": [[1, 1], [2, 1], [3, 2]],
                 },
             },
-            "(1, 2, 3)",
+            (1, 2, 3),
         ),
     ],
     ids=["tope-field", "matching-field"],
@@ -492,6 +497,7 @@ def test_field_with_an_extra_subset_is_refused(capsys, tmp_path, data, extra):
     assert json.loads(captured.err) == {
         "error": "WrongSupportError",
         "message": f"value for {extra} has left support None",
+        "witness": {"kind": "wrong-support", "sigma": list(extra)},
     }
 
 
@@ -1691,7 +1697,9 @@ PINNED_RUNS = [argv for argv, _ in OUTPUT_CASES] + [
 ]
 
 # sha256 of the stdout of every run in PINNED_RUNS, recorded at a known-good
-# revision: a change that alters canonical output for valid inputs fails here
+# revision: a change that alters canonical output for valid inputs fails here.
+# The validate-triangulation, EMPTY-STACK and WIDE digests were taken again
+# when witnesses became JSON (``core.canonical_json``) instead of repr strings
 STDOUT_SHA256 = {
     "check-linkage FIELD": "1a466de1a01dfa9c96c9154ff57e0be7f992b17a0e92f0b70c07b5e80465111a",
     "check-linkage NONLINKAGE": "c1a74af0b0701a5f0cc9d11dd1bb9cd5e3d04c2ab5c367b3355dc9c9922661e3",
@@ -1706,9 +1714,9 @@ STDOUT_SHA256 = {
     "reconstruct-chow --phi PHI":
         "da77c8cc61eb0d66354fac338665a187ba7ff87cf10a64a5dffe4d375ddfa7cc",
     "validate-triangulation TREES":
-        "6afdd0ccd86b15757375ee14676c7df51f2ee6ab676d72f0787a8cc03eff7522",
+        "7f0736848f6347ac5143dd1a38dbd895879470dfec08e2f801bfe1ca75a9b630",
     "validate-triangulation TOO-FEW-TREES":
-        "3fef858eb5e0f863356690f50dd156591477adac3d229e66be640a6b825faa3e",
+        "fed05326678e3e2468e3ac2efe2914cc5a95a343818b1a72f3629b2f9bd9e00e",
     "extract TREES": "61c9f59fa3b19e4acc9ac50507c73258f11f28bfd004b0768b4faa47c2c96596",
     "phi-triangulation TREES": "d819e100f4a29c676e0d103ec2c524dafd61d44c00cce95bf28b620849c9159c",
     "reconstruct-triangulation PAIRS":
@@ -1722,12 +1730,12 @@ STDOUT_SHA256 = {
     "complete STACK": "ac11e56e44ef1b185c68bd799baa5db29bbc092eae624d551131a7749aa6167b",
     "ensemble-check STACK": "b1a9808c65e2443070fbd47697f5ed3e115664151cc351b5e953a91f6f03e50d",
     "ensemble-check EMPTY-STACK":
-        "0a69a4db5165b86c181267c0e353ebd93800deef4401efbdeb4b1cc9a625f178",
+        "bd82a775b5f5779c829a29013f44ea7f55a2f8fb692f3bda9217571d7d032166",
     "stiefel FIELD": "380a4aa0749ddfd23ace5477a2056af3e118ed062be2421149d04c7b46e16609",
     "right-submatching-check FIELD":
         "262e5582a4db6b5a2e0888e2f22e12f95a28f66852bde8d3a612f267d91340a8",
     "right-submatching-check WIDE":
-        "aab5e113b61e6bfca8567205668f9921700ed936581cce467a1220faab3c91ac",
+        "4076eb1e3553cca2f6380a28bb844038a22a8fdc9a42c034fc031f30957b5309",
     "roundtrip --kind chow FIELD":
         "ea3c5c3b040893e22a810a765bd9d0ff4d644eb34689dd10b8c3431bb6cf7f35",
     "roundtrip --kind triangulation TREES":
@@ -1795,6 +1803,31 @@ def test_stdout_matches_its_pinned_digest(inputs, pinned_inputs, argv):
     _, out, _ = run_quietly([paths.get(a, a) for a in argv])
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == STDOUT_SHA256.get(" ".join(argv)), f"{' '.join(argv)!r}: {digest!r},"
+
+
+FAILING_RUNS = [argv for argv, code in OUTPUT_CASES if code == 1]
+WITNESS_KINDS = {"cycle", "incompatible", "support", "closure", "left-linkage", "right-linkage"}
+
+
+def json_strings(value):
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, (list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from json_strings(item)
+
+
+@pytest.mark.parametrize("argv", FAILING_RUNS, ids=[" ".join(a) for a in FAILING_RUNS])
+def test_a_failing_run_writes_its_witness_as_json(inputs, argv):
+    # the report loads back; the only strings in a witness name its kind,
+    # none is the repr of a graph or a tuple
+    code, out, err = run_quietly([inputs.get(a, a) for a in argv])
+    assert code == 1 and err == out and "Traceback" not in err
+    report = json.loads(out)
+    witnesses = [report.get("witness"), report.get("failures")] + [
+        report[t]["witness"] for t in ("T1", "T2", "T4") if t in report]
+    assert any(witnesses)
+    assert set(json_strings(witnesses)) <= WITNESS_KINDS
 
 
 # -- where validation runs ------------------------------------------------------

@@ -385,6 +385,28 @@ class TestValidation:
             flip_graph(fields_mod.MatchingField(4, 2, table))
         assert str(err.value) == "value for (2, 1) has left support None"
 
+    @pytest.mark.parametrize("extra, named", [
+        ([("a", "b")], ("a", "b")),
+        ([(1.5, 2)], (1.5, 2)),
+        # members that cannot be compared: the key is named by its repr
+        ([("a", "b"), (1.5, 2)], ("a", "b")),
+        ([("a", "b"), (2, 9)], (2, 9)),
+    ])
+    def test_a_key_with_a_member_that_is_no_int_is_named(self, field_42, extra, named):
+        # core.subset_bits keeps such a subset as its tuple, which no
+        # validator accepts; naming the least extra key compares no members
+        # of different types
+        assert core.subset_bits(extra[0], 4) == extra[0]
+        good = dict(field_42.items())
+        assignment = {**good, **{key: graph(4, 2, [(1, 1), (2, 2)]) for key in extra}}
+        for validate in (lambda: validate_matching_field(4, 2, assignment),
+                         lambda: validate_tope_field(4, 2, (1, 1), assignment)):
+            with pytest.raises(WrongSupportError) as err:
+                validate()
+            assert err.value.sigma == named
+        with pytest.raises(KeyError):
+            field_42.tope(("a", "b"))
+
 
 class TestLinkage:
     def test_one_mask_table_per_field(self, field_63, monkeypatch):

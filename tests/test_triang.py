@@ -281,6 +281,16 @@ class TestValidation:
         assert not report.ok and report.kind == "count"
         assert report.witness == (6, 21)
 
+    @pytest.mark.parametrize("bad", [None, "x", True, -1])
+    def test_a_mask_out_of_range_is_refused_by_the_grid_text(self, bad):
+        # before sorting, which would raise TypeError on a mask that is no int
+        masks = list(staircase_triangulation(3, 3).masks)
+        masks[1] = bad
+        for check in (check_triangulation, validate_triangulation):
+            with pytest.raises(MatchfieldError) as info:
+                check(masks, 3, 3)
+            assert str(info.value) == "mask has bits outside the 3x3 grid"
+
     @pytest.mark.parametrize("n,d", [(2, 0), (0, 3), (1, 0), (-1, 3), (0, 0)])
     def test_empty_side_is_refused_by_name(self, n, d):
         # as staircase_triangulation and enumerate_triangulations refuse it
