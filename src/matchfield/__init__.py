@@ -20,6 +20,7 @@ from .errors import (
     MissingSubsetError,
     NotAMatchingError,
     NotASpanningTreeError,
+    NotATriangulationError,
     NotLinkageError,
     SizeCapError,
     TiedMinimumError,

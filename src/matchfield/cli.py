@@ -256,11 +256,11 @@ def cmd_roundtrip(args) -> tuple[dict, bool]:
         )
     else:
         t = triang.triangulation_from_json_dict(_load(args.input))
-        rebuilt = triang._rebuild(triang.phi(t), t.n, t.d)  # phi checks the pairs' shape
-        if rebuilt != t:  # t holds the axioms, so only a differing rebuild is certified
-            triang._certified(rebuilt)
+        rebuilt = sorted(triang._rebuild(triang.phi(t), t.n, t.d))  # phi checks the pairs' shape
+        if rebuilt != list(t.masks):  # t holds the axioms, so only a differing rebuild is certified
+            triang._certified(rebuilt, t.n, t.d)
         diff = [core.edge_list(t.n, t.d, m)
-                for m in sorted(set(t.masks).symmetric_difference(rebuilt.masks))]
+                for m in sorted(set(t.masks).symmetric_difference(rebuilt))]
     return {"kind": args.kind, "diff": diff, "match": not diff}, not diff
 
 

@@ -492,6 +492,13 @@ class MaskTable:
         made.__dict__.update(held)
         return made
 
+    def _graph(self, key, missing) -> BipartiteGraph:
+        """The graph at a key, the one lookup of every view; ``missing()``, an
+        error naming the key asked for, when the table holds none there."""
+        if (mask := self.mask_table.get(key)) is None:
+            raise missing()
+        return BipartiteGraph.from_mask(self.n, self.d, mask)
+
     def _identity(self) -> tuple:
         return self.n, self.d, self.mask_table
 

@@ -68,5 +68,13 @@ class InconsistentPairsError(MatchfieldError):
     """A degree-pair set does not come from any triangulation."""
 
 
+class NotATriangulationError(MatchfieldError):
+    """Tree masks that fail an axiom: its kind and the witness of ``check_triangulation``."""
+
+    def __init__(self, kind, witness):
+        super().__init__(f"not a triangulation: {kind}")
+        self.kind, self.witness = kind, witness
+
+
 class InconsistentCollectionError(MatchfieldError):
     """A candidate covector collection violates a structural invariant."""

@@ -105,8 +105,10 @@ class TopeField(core.MaskTable):
         return core.graph_table(self.n, self.d, self.mask_table)
 
     def tope(self, sigma: Iterable[int]) -> BipartiteGraph:
-        key = core.subset_bits(tuple(sorted(sigma)), self.n)
-        return BipartiteGraph.from_mask(self.n, self.d, self.mask_table[key])
+        sigma = tuple(sigma)  # in any order; a subset of members not all ints names no key
+        key = (core.subset_bits(tuple(sorted(sigma)), self.n)
+               if core.fit(sigma, core.MAX_SIDE) else None)
+        return self._graph(key, lambda: MissingSubsetError(sigma))
 
     def items(self):
         return self.assignment.items()
@@ -125,8 +127,7 @@ class MatchingField(TopeField):
         core._check_sides(n, d)  # before all_ones(d) builds d ones
         super().__init__(n, d, core.all_ones(d), table)
 
-    def matching(self, sigma: Iterable[int]) -> BipartiteGraph:
-        return self.tope(sigma)
+    matching = TopeField.tope
 
 
 def validate_matching_field(n: int, d: int, assignment: dict) -> MatchingField:
@@ -523,7 +524,7 @@ class TopeArrangement(core.MaskTable):
         return {p: BipartiteGraph.from_mask(self.n, self.d, m) for p, m in self.mask_table.items()}
 
     def tope(self, point: Sequence[int]) -> BipartiteGraph:
-        return BipartiteGraph.from_mask(self.n, self.d, self.mask_table[tuple(point)])
+        return self._graph(tuple(point), lambda: MatchfieldError(f"no tope at {tuple(point)}"))
 
     def items(self):
         return sorted(self.topes.items())
@@ -695,7 +696,7 @@ class ExtendedTopeArrangement(core.MaskTable):
             raise MatchfieldError("extended arrangement must cover all lattice points")
 
     def graph(self, point: Sequence[int]) -> BipartiteGraph:
-        return BipartiteGraph.from_mask(self.n, self.d, self.mask_table[tuple(point)])
+        return self._graph(tuple(point), lambda: MatchfieldError(f"no graph at {tuple(point)}"))
 
     def items(self):
         return [(p, self.graph(p)) for p in sorted(self.mask_table)]

@@ -45,14 +45,12 @@ class MatchingStack(core.MaskTable):
     key_sides = 2
 
     def matching(self, J: Iterable[int], I: Iterable[int]) -> BipartiteGraph:
-        key = (tuple(sorted(J)), tuple(sorted(I)))
+        key = tuple(  # a subset of members not all ints names no key, unsorted
+            tuple(sorted(S)) if core.fit(S, core.MAX_SIDE) else S for S in map(tuple, (J, I)))
         if len(key[0]) != len(key[1]):
             raise MatchfieldError("|J| and |I| must agree")
-        mask = self.mask_table.get(
-            (core.subset_bits(key[0], self.n), core.subset_bits(key[1], self.d)))
-        if mask is None:
-            raise MatchfieldError(f"no matching assigned to {key}")
-        return BipartiteGraph.from_mask(self.n, self.d, mask)
+        bits = (core.subset_bits(key[0], self.n), core.subset_bits(key[1], self.d))
+        return self._graph(bits, lambda: MatchfieldError(f"no matching assigned to {key}"))
 
     def pairs(self):
         for k in range(min(self.n, self.d) + 1):
@@ -99,12 +97,7 @@ class EnsembleReport:
 
     @property
     def ok(self):
-        return (
-            self.support_ok
-            and self.closure_ok
-            and self.left_linkage_ok
-            and self.right_linkage_ok
-        )
+        return self.support_ok and self.closure_ok and self.left_linkage_ok and self.right_linkage_ok
 
     def as_dict(self) -> dict:
         return {

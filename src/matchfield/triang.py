@@ -43,7 +43,7 @@ carries its own pair and none is recounted; the masks must pass the axioms.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, factorial
 from typing import Iterable, Optional, Sequence
@@ -53,6 +53,7 @@ from .core import BipartiteGraph
 from .errors import (
     InconsistentPairsError,
     MatchfieldError,
+    NotATriangulationError,
     SizeCapError,
 )
 
@@ -67,13 +68,14 @@ class TriangulationReport:
     ok: bool
     kind: Optional[str] = None  # count, spanning or agreement
     witness: Optional[tuple] = None
+    masks: tuple = field(default=(), compare=False, repr=False)  # what an ok report checked
 
 
 class Triangulation(core.MaskTable):
-    """Set of spanning trees encoding the maximal cells, held as the mask
-    table {rank: edge mask} of their distinct edge masks in increasing order,
-    ``masks``.  The constructor decides only their range;
-    ``validate_triangulation`` is the validating entry."""
+    """Spanning trees encoding the maximal cells, held as the mask table
+    {rank: edge mask} of their distinct edge masks in increasing order,
+    ``masks``: decided by the constructor, or held (``_unchecked``) as
+    ``check_triangulation`` decided them by each entry that validates."""
 
     def __init__(self, n: int, d: int, masks: Iterable[int]):
         super().__init__(n, d, dict(enumerate(masks)))  # the range, before the masks are sorted
@@ -153,15 +155,15 @@ def check_triangulation(masks: Iterable[int], n: int, d: int) -> TriangulationRe
         g, h = (BipartiteGraph.from_mask(n, d, masks[t]) for t in (a, b))
         witness = (g, h, core.mask_subset(J), core.mask_subset(I))
         return TriangulationReport(False, "agreement", witness)
-    return TriangulationReport(True)
+    return TriangulationReport(True, masks=tuple(masks))
 
 
 def validate_triangulation(masks: Iterable[int], n: int, d: int) -> Triangulation:
-    masks = list(masks)
+    """The triangulation of n x d tree masks, or the first failure's error."""
     report = check_triangulation(masks, n, d)
     if not report.ok:
-        raise MatchfieldError(f"not a triangulation: {report.kind} {report.witness}")
-    return Triangulation(n, d, masks)
+        raise NotATriangulationError(report.kind, report.witness)
+    return Triangulation._unchecked(n, d, dict(enumerate(report.masks)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,23 +221,23 @@ def reconstruct_triangulation(pairs: Iterable, n: int, d: int) -> Triangulation:
     every accepted input is a triangulation's pair set."""
     pairs = frozenset((tuple(u), tuple(v)) for u, v in pairs)
     _check_pair_shape(pairs, n, d)
-    return _certified(_rebuild(pairs, n, d))
+    return _certified(_rebuild(pairs, n, d), n, d)
 
 
-def _rebuild(pairs: frozenset, n: int, d: int) -> Triangulation:
-    """The trees of the deletion chains of a pair set of checked shape."""
+def _rebuild(pairs: frozenset, n: int, d: int) -> list[int]:
+    """The tree masks of the deletion chains of a pair set of checked shape."""
     base = max(n, d)
     codes = frozenset(core.encode_point(u + v, base) for u, v in pairs)
     left, right, memo = tuple(range(1, n + 1)), tuple(range(1, d + 1)), {}
-    return Triangulation(n, d, [_tree(x, codes, left, right, base, memo) for x in sorted(codes)])
+    return [_tree(x, codes, left, right, base, memo) for x in sorted(codes)]
 
 
-def _certified(t: Triangulation) -> Triangulation:
-    """The rebuilt trees, once they satisfy the axioms themselves."""
-    report = check_triangulation(t.masks, t.n, t.d)
+def _certified(masks: list[int], n: int, d: int) -> Triangulation:
+    """The triangulation of rebuilt masks, once they satisfy the axioms themselves."""
+    report = check_triangulation(masks, n, d)
     if not report.ok:
         raise InconsistentPairsError(f"rebuilt trees violate the {report.kind} axiom")
-    return t
+    return Triangulation._unchecked(n, d, dict(enumerate(report.masks)))
 
 
 def _check_pair_shape(pairs, n, d):

@@ -151,7 +151,7 @@ def test_differing_rebuild_reaches_the_certificate(capsys, monkeypatch, tmp_path
     path.write_text(core.canonical_json(triangulation_to_json_dict(a)))
     mixed = Triangulation(2, 2, [a.masks[0], b.masks[0]])
     for rebuilt, code in [(mixed, 1), (b, 1), (a, 0)]:
-        monkeypatch.setattr(triang, "_rebuild", lambda pairs, n, d: rebuilt)
+        monkeypatch.setattr(triang, "_rebuild", lambda pairs, n, d: list(rebuilt.masks))
         calls = count_certificates(monkeypatch)
         assert run(["roundtrip", "--kind", "triangulation", str(path)]) == code
         out, err = capsys.readouterr()
@@ -442,16 +442,32 @@ def test_field_with_more_columns_than_left_nodes(capsys, tmp_path):
     }
 
 
-@pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 2)], ids=["help", "no-arguments"])
-def test_module_entry_point(argv, code):
-    # python -m matchfield runs the command line from a source checkout
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), ([], 2), (["ensemble-check", "REFUSED"], 1)],
+    ids=["help", "no-arguments", "refused"],
+)
+def test_module_entry_point(tmp_path, argv, code):
+    # python -m matchfield runs the command line from a source checkout; a
+    # refused input leaves one JSON object on stderr and no traceback
+    refused = tmp_path / "negative-stack.json"
+    refused.write_text('{"n":-1,"d":2,"matchings":{}}\n')
+    argv = [str(refused) if a == "REFUSED" else a for a in argv]
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-m", "matchfield", *argv], env=env, capture_output=True, text=True
     )
     assert done.returncode == code
-    assert "usage: matchfield" in (done.stdout if code == 0 else done.stderr)
+    assert "Traceback" not in done.stderr
+    if code == 1:
+        assert done.stdout == ""
+        assert json.loads(done.stderr) == {
+            "error": "MatchfieldError",
+            "message": "node counts (-1, 2) need n >= 0 and d >= 1",
+        }
+    else:
+        assert "usage: matchfield" in (done.stdout if code == 0 else done.stderr)
 
 
 @pytest.mark.parametrize("command", ["arrangement", "flipgraph", "cells", "chow", "stiefel"])

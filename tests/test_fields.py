@@ -404,8 +404,34 @@ class TestValidation:
             with pytest.raises(WrongSupportError) as err:
                 validate()
             assert err.value.sigma == named
-        with pytest.raises(KeyError):
+        with pytest.raises(MissingSubsetError) as err:
             field_42.tope(("a", "b"))
+        assert err.value.sigma == ("a", "b")
+
+    def test_a_view_names_a_key_its_table_lacks(self, field_42):
+        # a subset the field lacks, or one whose members do not compare, a
+        # point off the lattice and a pair of members that do not compare
+        # are each refused with an error naming the key asked for
+        from matchfield.stacks import stack_from_trees
+        from matchfield.triang import extended_tope_arrangement, staircase_triangulation
+
+        for sigma, named in [(("a", 1), ("a", 1)), ((1, 9), (1, 9)), ((True, 2), (True, 2)),
+                             (iter([5, 1]), (5, 1))]:
+            with pytest.raises(MissingSubsetError) as err:
+                field_42.matching(sigma)
+            assert err.value.sigma == named
+        t = staircase_triangulation(4, 2)
+        views = [
+            (lambda: tope_arrangement(field_42).tope((9, 9, 9)), "no tope at (9, 9, 9)"),
+            (lambda: extended_tope_arrangement(t).graph((5, 5)), "no graph at (5, 5)"),
+            (lambda: stack_from_trees(t.sorted_trees(), 4, 2).matching(("a", 1), (1, 2)),
+             "no matching assigned to (('a', 1), (1, 2))"),
+        ]
+        for view, message in views:
+            with pytest.raises(MatchfieldError) as err:
+                view()
+            assert str(err.value) == message
+        assert field_42.matching([2, 1]) == field_42.matching((1, 2))
 
 
 class TestLinkage:

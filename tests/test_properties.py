@@ -565,7 +565,7 @@ class TestSettledByTheShapeCheck:
             assert core.encode_point(sum(degree_pair(mask, n, d), ()), base) == x
         if len(trees) == len(codes):
             rebuilt = triang._rebuild(pairs, n, d)
-            assert sorted(degree_pair(m, n, d) for m in rebuilt.masks) == sorted(pairs)
+            assert sorted(degree_pair(m, n, d) for m in rebuilt) == sorted(pairs)
 
 
 @st.composite

@@ -9,6 +9,7 @@ import pytest
 from matchfield import (
     InconsistentPairsError,
     MatchfieldError,
+    NotATriangulationError,
     SizeCapError,
     count_bound,
     enumerate_triangulations,
@@ -299,6 +300,33 @@ class TestValidation:
                 check_triangulation(masks, n, d)
             assert type(info.value) is MatchfieldError
             assert str(info.value) == f"triangulation ({n}, {d}) needs a node on each side"
+
+    @pytest.mark.parametrize("kind", ["agreement", "count", "spanning"])
+    def test_a_refusal_carries_its_kind_and_witness(self, kind):
+        # the message names the kind only; the witness is the report's
+        masks = [graph(2, 2, t).mask for t in SQUARE_TREES]
+        masks[1] = {"agreement": graph(2, 2, [(1, 2), (2, 1), (2, 2)]).mask,
+                    "count": masks[0], "spanning": graph(2, 2, [(1, 1), (1, 2)]).mask}[kind]
+        with pytest.raises(NotATriangulationError) as info:
+            validate_triangulation(masks, 2, 2)
+        report = check_triangulation(masks, 2, 2)
+        assert report.kind == kind and str(info.value) == f"not a triangulation: {kind}"
+        assert (info.value.kind, info.value.witness) == (report.kind, report.witness)
+
+    def test_a_read_decides_its_masks_once(self, monkeypatch):
+        # the range of the masks is decided by check_triangulation, and the
+        # triangulation holds what it decided; a reconstruction decides the
+        # masks it rebuilt once too
+        calls, check = [], core.check_masks
+        monkeypatch.setattr(core, "check_masks", lambda *a: calls.append(a) or check(*a))
+        t = staircase_triangulation(5, 4, (2, 5, 1, 4, 3), (3, 1, 4, 2))
+        data, pairs = triangulation_to_json_dict(t), phi(t)
+        calls.clear()
+        assert triangulation_from_json_dict(data) == t
+        assert len(calls) == 1
+        calls.clear()
+        assert reconstruct_triangulation(pairs, 5, 4) == t
+        assert len(calls) == 1
 
     def test_spanning_violation(self):
         trees = [graph(2, 2, SQUARE_TREES[0]), graph(2, 2, [(1, 1), (1, 2)])]

@@ -1,8 +1,10 @@
 """Every witness a report or an error writes is JSON that loads back into
 the library and re-confirms its fault: a linkage cycle is a cycle inside the
 covector of its tau, a submatching cycle lies in the union on its (J, I),
-and a tied minimum holds two different matchings of one weight.  The witnesses
-of triangulations are loaded back in ``test_triang_pinned.py``."""
+and a tied minimum holds two different matchings of one weight.  A refused
+tree set's error holds two trees with different matchings on one (J, I); the
+reports of ``validate-triangulation`` are loaded back in
+``test_triang_pinned.py``."""
 
 import contextlib
 import io
@@ -11,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from matchfield import core, fields
+from matchfield import core, fields, triang
 from matchfield.cli import run
 from matchfield.errors import TiedMinimumError
 
@@ -81,6 +83,28 @@ def test_a_submatching_cycle_loads_back(tmp_path, field_64):
             if len(sub) == len(J) and {i for _, i in sub} == set(I_sub):
                 union |= core.edge_mask(n, d, sub)[0]
     assert assert_a_cycle(cycle, n, d) & ~union == 0
+
+
+@pytest.mark.parametrize(
+    "argv", [["extract"], ["phi-triangulation"], ["roundtrip", "--kind", "triangulation"]],
+    ids=lambda argv: argv[0])
+def test_a_refused_tree_set_loads_back(tmp_path, argv):
+    # the (3,3) staircase with its first tree replaced by the first tree it
+    # lacks of the staircase with l1 and l2 swapped: each tree read refuses
+    # it, and the two trees of the witness hold different matchings on (J, I)
+    trees = [triang.staircase_triangulation(3, 3, order).masks for order in (None, (2, 1, 3))]
+    masks = [next(m for m in trees[1] if m not in trees[0]), *trees[0][1:]]
+    data = {"n": 3, "d": 3, "trees": [core.edge_list(3, 3, m) for m in masks]}
+    code, out, err = run_json(argv + [write(tmp_path, "refused", data)])
+    assert code == 1 and out is None
+    assert err["error"] == "NotATriangulationError"
+    assert err["message"] == "not a triangulation: agreement"
+    assert err["witness"]["kind"] == "agreement"
+    g, h, J, I = err["witness"]["witness"]
+    key = (core.subset_mask(J), core.subset_mask(I))
+    held = [core.agreed_masks([core.edge_mask(3, 3, t)[0]], 3, 3)[0][key] for t in (g, h)]
+    assert held[0] != held[1]
+    assert core.edge_mask(3, 3, g)[0] in masks and core.edge_mask(3, 3, h)[0] in masks
 
 
 def test_a_tied_minimum_loads_back(tmp_path, monkeypatch):
