@@ -259,8 +259,7 @@ def cmd_roundtrip(args) -> tuple[dict, bool]:
         rebuilt = sorted(triang._rebuild(triang.phi(t), t.n, t.d))  # phi checks the pairs' shape
         if rebuilt != list(t.masks):  # t holds the axioms, so only a differing rebuild is certified
             triang._certified(rebuilt, t.n, t.d)
-        diff = [core.edge_list(t.n, t.d, m)
-                for m in sorted(set(t.masks).symmetric_difference(rebuilt))]
+        diff = core.edge_lists(t.n, t.d, sorted(set(t.masks).symmetric_difference(rebuilt)))
     return {"kind": args.kind, "diff": diff, "match": not diff}, not diff
 
 

@@ -50,11 +50,11 @@ is no MaskTable; its constructor decides its keys by the same rule.  In process 
 it that names the members, for callers that name subsets, and one scan of
 it decides a field (``fields._field_fault``).  A JSON table of keys and
 edge lists is read straight into one, each edge list by one accepting loop
-(``edge_mask``) that gathers the bitmask of its rows beside its mask; any
-other edge list goes to one refusal routine.  ``read_masks`` reads every
-table so but a field's, whose reader keeps the rows to decide the field's
-type while it parses (``fields.field_from_json_dict``).  ``write_masks``
-writes a table back through a table from bit to [j, i] per (n, d).  Subset
+(``edge_mask``) that gathers the bitmasks of its rows and columns beside
+its mask; any other edge list goes to one refusal routine.  ``read_masks``
+reads every table so but a field's, whose reader decides its type from
+them while it parses (``fields.field_from_json_dict``).  ``write_masks``
+writes one [j, i] list per grid bit per output (``edge_lists``).  Subset
 keys cross that boundary through one codec per call, ``subset_codec``: every
 k-subset of [n] as (key, bitmask, subset) in colex order, built for a table
 only when it has no more entries than the table, k taken from the table's
@@ -494,9 +494,12 @@ class MaskTable:
 
     def _graph(self, key, missing) -> BipartiteGraph:
         """The graph at a key, the one lookup of every view; ``missing()``, an
-        error naming the key asked for, when the table holds none there."""
-        if (mask := self.mask_table.get(key)) is None:
-            raise missing()
+        error naming the key asked for, when the table holds none there, an
+        unhashable key included."""
+        try:
+            mask = self.mask_table[key]
+        except (KeyError, TypeError):  # TypeError: the key cannot be hashed
+            raise missing() from None
         return BipartiteGraph.from_mask(self.n, self.d, mask)
 
     def _identity(self) -> tuple:
@@ -874,23 +877,26 @@ def _int_tuple(value, what: str) -> tuple[int, ...]:
     return tuple(items)
 
 
-def edge_mask(n: int, d: int, edges) -> tuple[int, int]:
-    """The edge mask of a JSON edge list and the bitmask of its rows, the
-    left nodes it meets, read in one loop over its pairs of integers on the
-    n x d grid.  Anything else goes to ``_refuse_edges``.  Each edge is
-    unpacked as (j, i), so in process any two-item iterable of integers
-    passes where JSON gives a list."""
-    mask = rows = 0
+def edge_mask(n: int, d: int, edges) -> tuple[int, int, int]:
+    """The edge mask of a JSON edge list, the bitmask of its rows (the left
+    nodes it meets) and that of its columns (the right nodes it meets),
+    read in one loop over its pairs of integers on the n x d grid.
+    Anything else goes to ``_refuse_edges``.  Each edge is unpacked as
+    (j, i), so in process any two-item iterable of integers passes where
+    JSON gives a list."""
+    mask = rows = cols = 0
     if type(edges) in _JSON_LISTS and 0 <= n <= MAX_SIDE and 1 <= d <= MAX_SIDE:
         try:
+            top = d + 1  # bit (j - 1) * d + i - 1 in one subtraction; rows and cols one up
             for j, i in edges:
                 if type(j) is int and type(i) is int and 0 < j <= n and 0 < i <= d:
-                    mask |= 1 << ((j - 1) * d + i - 1)
-                    rows |= 1 << (j - 1)
+                    mask |= 1 << (j * d + i - top)
+                    rows |= 1 << j
+                    cols |= 1 << i
                 else:
                     break
             else:
-                return mask, rows
+                return mask, rows >> 1, cols >> 1
         except (TypeError, ValueError):  # an edge that is no pair
             pass
     _refuse_edges(n, d, edges)
@@ -920,13 +926,18 @@ def _edge_pairs(n: int, d: int) -> tuple[tuple[int, int], ...]:
     return tuple((b // d + 1, b % d + 1) for b in range(n * d))
 
 
-def edge_list(n: int, d: int, mask: int) -> list:
-    """The JSON edge list [[j, i], ...] of an n x d edge mask, in bit order."""
-    pairs, out = _edge_pairs(n, d), []
-    while mask:
-        low = mask & -mask
-        out.append(list(pairs[low.bit_length() - 1]))
-        mask ^= low
+def edge_lists(n: int, d: int, masks: Iterable[int]) -> list[list]:
+    """The JSON edge list [[j, i], ...] of each n x d edge mask, in bit
+    order, one call per output: its lists share one [j, i] list per grid
+    bit, made beside the tuples of ``_edge_pairs``, and no two calls do."""
+    pairs, out = list(map(list, _edge_pairs(n, d))), []
+    for mask in masks:
+        edges = []
+        while mask:
+            low = mask & -mask
+            edges.append(pairs[low.bit_length() - 1])
+            mask ^= low
+        out.append(edges)
     return out
 
 
@@ -974,9 +985,10 @@ def subset_writer(n: int, table: dict):
 
 def write_masks(n: int, d: int, name: str, table: dict, key=None) -> dict:
     """The object read_masks reads, each key written by key(k), by default
-    ``subset_writer``'s."""
+    ``subset_writer``'s, and the edge lists by one ``edge_lists`` call, so
+    the entries of one output share its [j, i] lists."""
     key = key or subset_writer(n, table)
-    return {"n": n, "d": d, name: {key(k): edge_list(n, d, m) for k, m in table.items()}}
+    return {"n": n, "d": d, name: dict(zip(map(key, table), edge_lists(n, d, table.values())))}
 
 
 def all_spanning_trees(n: int, d: int) -> list[BipartiteGraph]:

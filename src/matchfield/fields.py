@@ -818,26 +818,30 @@ def field_to_json_dict(field: TopeField) -> dict:
 def field_from_json_dict(data: dict) -> TopeField:
     """The field of a JSON object, its type decided while it parses.  Each
     entry's key is read by ``core.subset_reader`` and its edge list into its
-    mask and rows by ``core.edge_mask``; when every entry's rows are its key
-    with one edge each and its right degree vector is v, over C(n, k)
-    entries with 0 <= k <= n <= MAX_SIDE, which are the conditions
+    mask, rows and columns by ``core.edge_mask``; when every entry's rows
+    are its key with one edge each and its right degree vector is v, over
+    C(n, k) entries with 0 <= k <= n <= MAX_SIDE, which are the conditions
     ``_field_fault`` scans for, the field holds the verdict and no row is
-    read again.  Any other table goes to ``field_from_masks``."""
+    read again.  For v = (1, ..., 1) an entry's right degrees are v when its
+    d edges meet d columns; any other v reads them by
+    ``core.right_degrees``.  Any other table goes to ``field_from_masks``."""
     n, d, entries = core.read_object(data, "matchings")
-    read_key, table, parsed = core.subset_reader(n, entries), {}, True
+    read_key, table, parsed, matched = core.subset_reader(n, entries), {}, True, True
     for text, edges in entries.items():
         key = read_key(text)
-        mask, rows = core.edge_mask(n, d, edges)
+        mask, rows, cols = core.edge_mask(n, d, edges)
         table[key] = mask
-        if rows != key or mask.bit_count() != rows.bit_count():
-            parsed = False
+        size = mask.bit_count()
+        parsed = parsed and rows == key and size == rows.bit_count()
+        matched = matched and size == cols.bit_count() == d
     core._check_sides(n, d)  # before all_ones(d): an empty table checks no edge
     v = core._int_tuple(data.get("type", core.all_ones(d)), "a type vector")
     if v != core.all_ones(d):
         v = _type_vector(n, d, v)
     k = sum(v)
-    if not (parsed and 0 <= k <= n <= core.MAX_SIDE and len(table) == comb(n, k)
-            and all(core.right_degrees(mask, n, d) == v for mask in table.values())):
+    if not (parsed and 0 <= k <= n <= core.MAX_SIDE and len(table) == comb(n, k) and (
+            matched if v == core.all_ones(d)
+            else all(core.right_degrees(m, n, d) == v for m in table.values()))):
         return field_from_masks(n, d, v, table)
     return _held(n, d, v, table)
 

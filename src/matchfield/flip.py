@@ -19,9 +19,10 @@ nested: cell(T1) ⊆ cell(T2) puts every edge of T1 in T2, and maximal topes
 have n edges each, so T1 = T2.
 
 `maximal_cells` finds every cell in one keyed containment pass.  The
-field's matchings are numbered in the colex order of `core.subset_masks`,
-and two lists of bitsets over them are built once: holders[b], the
-matchings that hold edge bit b, and users[j], those whose sigma holds lj.
+field's matchings are numbered in the colex order of `core.subset_codec`,
+which also gives each number its sigma, as it does for `flip_graph`, and
+two lists of bitsets over them are built once: holders[b], the matchings
+that hold edge bit b, and users[j], those whose sigma holds lj.
 A matching lies in the maximal tope with map f when each of its left nodes
 j takes the edge (lj, r f(j)), so the matchings inside the tope are every &
 ~OR_j (users[j] ^ holders[j, f(j)]), and the cell's vertices are the sigmas
@@ -150,16 +151,15 @@ def maximal_cells(field: fields.MatchingField) -> dict:
     points are the same."""
     ta = fields.tope_arrangement(field)
     n, d, table = field.n, field.d, field.mask_table
-    keys = list(core.subset_masks(n, d))
-    sigmas = list(map(core.mask_subset, keys))
+    codec = core.subset_codec(n, d, len(table))
     holders, users = [0] * (n * d), [0] * n
-    for k, key in enumerate(keys):
+    for k, (_, key, _) in enumerate(codec):
         for b in core._bits(table[key]):
             holders[b] |= 1 << k
             users[b // d] |= 1 << k
     # the matchings that use lj by another edge than bit b = (lj, ri)
     elsewhere = [users[b // d] ^ holders[b] for b in range(n * d)]
-    every = (1 << len(sigmas)) - 1
+    every = (1 << len(codec)) - 1
     cells = {}
     for point, mask in sorted(ta.mask_table.items()):
         outside, factors = 0, [[] for _ in range(d)]
@@ -171,7 +171,7 @@ def maximal_cells(field: fields.MatchingField) -> dict:
             found = core.right_perfect_matchings(mask, n, d)
             sigma = min(core.mask_subset(J) for J, m in found.items() if table[J] != m)
             raise MatchfieldError(f"tope matching on {sigma} is not in the field")
-        vertices = frozenset([sigmas[b] for b in core._bits(held)])
+        vertices = frozenset([codec[b][2] for b in core._bits(held)])
         cells[point] = ProdsimplicialCell(tuple(map(tuple, factors)), vertices)
     return cells
 

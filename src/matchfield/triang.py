@@ -5,7 +5,7 @@ K = binom(n+d-2, n-1) full-dimensional cells, spanning trees on the bipartite
 node set.  A ``Triangulation`` holds the sorted tuple of their n x d edge
 masks (``masks``); its trees as graphs, ``trees`` and ``sorted_trees()``, are
 a view built on request.  The JSON reader reads each tree into its mask
-(``core.edge_mask``) and the writer writes it back (``core.edge_list``).
+(``core.edge_mask``) and the writer writes them back (``core.edge_lists``).
 
 By Postnikov (2009, Lemma 12.6), K distinct spanning trees are a
 triangulation exactly when any two containing perfect matchings on the same
@@ -445,7 +445,7 @@ def extended_tope_arrangement(t: Triangulation) -> fields.ExtendedTopeArrangemen
         for k in range(1, d + 1):
             cell = core.tree_tope(mask, rows, d, k)
             if cell is None:
-                raise MatchfieldError(f"{core.edge_list(n, d, mask)} is not a spanning tree")
+                raise MatchfieldError(f"{core.edge_lists(n, d, [mask])[0]} is not a spanning tree")
             rdv = core.right_degrees(cell, n, d)
             if table.setdefault(rdv, cell) != cell:
                 raise MatchfieldError(f"two cells share the right degree vector {rdv}")
@@ -457,8 +457,7 @@ def extended_tope_arrangement(t: Triangulation) -> fields.ExtendedTopeArrangemen
 
 
 def triangulation_to_json_dict(t: Triangulation) -> dict:
-    n, d = t.n, t.d
-    return {"n": n, "d": d, "trees": [core.edge_list(n, d, m) for m in t.masks]}
+    return {"n": t.n, "d": t.d, "trees": core.edge_lists(t.n, t.d, t.masks)}
 
 
 def trees_from_json_dict(data: dict) -> tuple[int, int, list[int]]:

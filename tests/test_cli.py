@@ -1150,8 +1150,8 @@ def test_malformed_field_reads_as_the_graph_reader_does(field_42):
 
 # -- the field's type decided while it parses ----------------------------------
 
-EDGE_FAULTS = ["string", "one", "three", "object", "bool", "double", "row", "off-grid",
-               "list-object", "tuple", "missing", "extra", "squeeze", "type"]
+EDGE_FAULTS = ["string", "one", "three", "object", "bool", "double", "row", "column",
+               "off-grid", "list-object", "tuple", "missing", "extra", "squeeze", "grow", "type"]
 
 
 @st.composite
@@ -1180,6 +1180,8 @@ def mutated_edges(draw, data):
         edges.insert(t, [j, i])
     elif fault == "row":
         edges.insert(t, [j, i % d + 1])
+    elif fault == "column":  # the rows stay the key, one edge each, and a column repeats
+        edges[t] = [j, i % d + 1]
     elif fault == "off-grid":
         edges[t] = draw(st.sampled_from([[0, i], [n + 1, i], [j, 0], [j, d + 1], [-1, 1], [65, 1]]))
         if draw(st.booleans()):  # a malformed edge after it is still a shape fault
@@ -1196,6 +1198,10 @@ def mutated_edges(draw, data):
         del table[key]
         rest = [e for e in edges if e != [j, i]]
         table[",".join(sorted({str(e[0]) for e in rest}, key=int))] = [[rest[0][0], i]] + rest
+    elif fault == "grow":  # the key gains its least missing member, whose edge repeats a column
+        del table[key]
+        new = min(set(range(1, n + 1)) - {e[0] for e in edges})
+        table[",".join(map(str, sorted({e[0] for e in edges} | {new})))] = edges + [[new, i]]
     else:
         data["type"] = draw(st.lists(st.integers(0, 3), min_size=max(d - 1, 1), max_size=d + 1))
     return data
@@ -1204,7 +1210,7 @@ def mutated_edges(draw, data):
 @pytest.fixture(scope="session")
 def parsed_fields(field_42, tope_field_42):
     """Valid field objects to mutate: the matching and tope fields on (4, 2)
-    and a coherent matching field on (6, 3)."""
+    and a coherent matching field on (6, 3), each of its keys short of n."""
     coherent = seeded_coherent_field(6, 3, 1)[0]
     return [field_to_json_dict(f) for f in (field_42, tope_field_42, coherent)]
 
@@ -1270,6 +1276,22 @@ def test_edge_mask_reads_as_the_oracle_loop_does(n, d, edges):
     assert got == expected
     if type(got) is int:
         assert core.edge_mask(n, d, edges)[1] == sum({1 << (e[0] - 1) for e in edges})
+        assert core.edge_mask(n, d, edges)[2] == sum({1 << (e[1] - 1) for e in edges})
+
+
+@pytest.mark.parametrize("name", ["field_42", "tope_field_42", "staircase"])
+def test_two_outputs_never_share_a_pair(request, name):
+    # the edge lists of one output share its [j, i] lists; a pair changed in
+    # one output leaves the next output of the same object as a fresh one
+    if name == "staircase":
+        obj, write, entries = staircase_triangulation(4, 2), triangulation_to_json_dict, "trees"
+    else:
+        obj, write, entries = request.getfixturevalue(name), field_to_json_dict, "matchings"
+    first, second = write(obj), write(obj)
+    edges = first[entries]
+    for edge_list in edges.values() if isinstance(edges, dict) else edges:
+        edge_list[0][0] = 0
+    assert second == write(obj) != first
 
 
 @pytest.mark.parametrize("n, d", [(10**9, 10**9), (3, 10**9)])

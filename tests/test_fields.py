@@ -410,13 +410,14 @@ class TestValidation:
 
     def test_a_view_names_a_key_its_table_lacks(self, field_42):
         # a subset the field lacks, or one whose members do not compare, a
-        # point off the lattice and a pair of members that do not compare
-        # are each refused with an error naming the key asked for
+        # point off the lattice, a pair of members that do not compare and
+        # a key with a list member, which cannot be hashed, are each refused
+        # with an error naming the key asked for
         from matchfield.stacks import stack_from_trees
         from matchfield.triang import extended_tope_arrangement, staircase_triangulation
 
         for sigma, named in [(("a", 1), ("a", 1)), ((1, 9), (1, 9)), ((True, 2), (True, 2)),
-                             (iter([5, 1]), (5, 1))]:
+                             (iter([5, 1]), (5, 1)), (([1], 2), ([1], 2))]:
             with pytest.raises(MissingSubsetError) as err:
                 field_42.matching(sigma)
             assert err.value.sigma == named
@@ -426,6 +427,10 @@ class TestValidation:
             (lambda: extended_tope_arrangement(t).graph((5, 5)), "no graph at (5, 5)"),
             (lambda: stack_from_trees(t.sorted_trees(), 4, 2).matching(("a", 1), (1, 2)),
              "no matching assigned to (('a', 1), (1, 2))"),
+            (lambda: tope_arrangement(field_42).tope(([1], 1, 0)), "no tope at ([1], 1, 0)"),
+            (lambda: extended_tope_arrangement(t).graph(([1], 3)), "no graph at ([1], 3)"),
+            (lambda: stack_from_trees(t.sorted_trees(), 4, 2).matching(([1],), (1,)),
+             "no matching assigned to (([1],), (1,))"),
         ]
         for view, message in views:
             with pytest.raises(MatchfieldError) as err:

@@ -79,7 +79,7 @@ def test_a_submatching_cycle_loads_back(tmp_path, field_64):
     n, d, union = field_64.n, field_64.d, 0
     for m in field_64.mask_table.values():
         for I_sub in combinations(I, len(J)):
-            sub = [(j, i) for j, i in core.edge_list(n, d, m) if j in J and i in I_sub]
+            sub = [(j, i) for j, i in core.edge_lists(n, d, [m])[0] if j in J and i in I_sub]
             if len(sub) == len(J) and {i for _, i in sub} == set(I_sub):
                 union |= core.edge_mask(n, d, sub)[0]
     assert assert_a_cycle(cycle, n, d) & ~union == 0
@@ -94,7 +94,7 @@ def test_a_refused_tree_set_loads_back(tmp_path, argv):
     # it, and the two trees of the witness hold different matchings on (J, I)
     trees = [triang.staircase_triangulation(3, 3, order).masks for order in (None, (2, 1, 3))]
     masks = [next(m for m in trees[1] if m not in trees[0]), *trees[0][1:]]
-    data = {"n": 3, "d": 3, "trees": [core.edge_list(3, 3, m) for m in masks]}
+    data = {"n": 3, "d": 3, "trees": core.edge_lists(3, 3, masks)}
     code, out, err = run_json(argv + [write(tmp_path, "refused", data)])
     assert code == 1 and out is None
     assert err["error"] == "NotATriangulationError"
