@@ -55,10 +55,7 @@ def _load(path: str) -> dict:
 
 
 def _load_matching_field(path: str) -> fields.MatchingField:
-    field = fields.field_from_json_dict(_load(path))
-    if not isinstance(field, fields.MatchingField):
-        raise MatchfieldError(f"expected a matching field, not type {field.type_vector}")
-    return field
+    return fields._matching_field(fields.field_from_json_dict(_load(path)))
 
 
 def _write(outputs: list) -> None:
@@ -274,52 +271,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, handler, help, input=None, **before):
+        """A subcommand with --json, --seed, an option --NAME=keywords for
+        each in ``before``, then its input (help text ``input``; none when
+        False); the caller adds the rest."""
+        p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         p.add_argument("--json", help="write the JSON result to this path")
         p.add_argument("--seed", type=int, help="seed recorded in the output")
+        for option, keywords in before.items():
+            p.add_argument("--" + option, **keywords)
+        if input is not False:
+            p.add_argument("input", help=input)
         return p
 
-    p = add("check-linkage", cmd_check_linkage, help="test the linkage property")
-    p.add_argument("input", help="matching/tope field JSON")
+    add("check-linkage", cmd_check_linkage, help="test the linkage property",
+        input="matching/tope field JSON")
 
     p = add("amalgamate", cmd_amalgamate, help="iterated amalgamation to a type")
-    p.add_argument("input")
     p.add_argument("--target", required=True, help="target type vector, e.g. 3,1")
 
-    p = add("arrangement", cmd_arrangement, help="tope arrangement of a field")
-    p.add_argument("input")
+    add("arrangement", cmd_arrangement, help="tope arrangement of a field")
+    add("trianguloid-check", cmd_trianguloid_check, help="axioms T1-T4",
+        input="extended arrangement JSON")
+    add("chow", cmd_chow, help="all Chow covectors")
+    add("phi", cmd_phi, help="subset -> lattice point bijection")
 
-    p = add("trianguloid-check", cmd_trianguloid_check, help="axioms T1-T4")
-    p.add_argument("input", help="extended arrangement JSON")
-
-    p = add("chow", cmd_chow, help="all Chow covectors")
-    p.add_argument("input")
-
-    p = add("phi", cmd_phi, help="subset -> lattice point bijection")
-    p.add_argument("input")
-
-    p = add("reconstruct-chow", cmd_reconstruct_chow, help="invert a phi map")
+    p = add("reconstruct-chow", cmd_reconstruct_chow, help="invert a phi map", input=False)
     p.add_argument("--phi", required=True, help="phi JSON file")
 
-    p = add("validate-triangulation", cmd_validate_triangulation, help="tree axioms")
-    p.add_argument("input")
-
-    p = add("extract", cmd_extract, help="matching field of a triangulation")
-    p.add_argument("input")
-
-    p = add("phi-triangulation", cmd_phi_triangulation, help="degree pair set")
-    p.add_argument("input")
-
-    p = add(
+    add("validate-triangulation", cmd_validate_triangulation, help="tree axioms")
+    add("extract", cmd_extract, help="matching field of a triangulation")
+    add("phi-triangulation", cmd_phi_triangulation, help="degree pair set")
+    add(
         "reconstruct-triangulation",
         cmd_reconstruct_triangulation,
         help="invert a degree pair set",
+        input="pairs JSON with n, d",
     )
-    p.add_argument("input", help="pairs JSON with n, d")
 
-    p = add("staircase", cmd_staircase, help="staircase triangulation")
+    p = add("staircase", cmd_staircase, help="staircase triangulation", input=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--left-order", help="permutation of 1..n, e.g. 2,1,3")
@@ -329,36 +320,26 @@ def build_parser() -> argparse.ArgumentParser:
         "enumerate-triangulations",
         cmd_enumerate_triangulations,
         help="exhaustive enumeration (tiny sizes)",
+        input=False,
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
 
     p = add("flipgraph", cmd_flipgraph, help="flip graph, optionally as DOT")
-    p.add_argument("input")
     p.add_argument("--dot", help="write DOT with per-linkage-tree colors")
 
-    p = add("cells", cmd_cells, help="maximal prodsimplicial cells")
-    p.add_argument("input")
-
-    p = add("complete", cmd_complete, help="matching field completion of a stack")
-    p.add_argument("input")
-
-    p = add("ensemble-check", cmd_ensemble_check, help="stack ensemble axioms")
-    p.add_argument("input")
-
-    p = add("stiefel", cmd_stiefel, help="transversal matroids of the maximal covectors")
-    p.add_argument("input")
-
-    p = add(
+    add("cells", cmd_cells, help="maximal prodsimplicial cells")
+    add("complete", cmd_complete, help="matching field completion of a stack")
+    add("ensemble-check", cmd_ensemble_check, help="stack ensemble axioms")
+    add("stiefel", cmd_stiefel, help="transversal matroids of the maximal covectors")
+    add(
         "right-submatching-check",
         cmd_right_submatching_check,
         help="compatible right submatching property",
     )
-    p.add_argument("input")
-
-    p = add("roundtrip", cmd_roundtrip, help="forward map, reconstruct, diff")
-    p.add_argument("--kind", choices=["chow", "triangulation"], required=True)
-    p.add_argument("input")
+    # --kind before the input, so a call with neither names --kind first
+    add("roundtrip", cmd_roundtrip, help="forward map, reconstruct, diff",
+        kind={"choices": ["chow", "triangulation"], "required": True})
 
     return parser
 
@@ -385,7 +366,7 @@ def run(argv=None) -> int:
         if not ok:
             sys.stderr.write(text)
         return 0 if ok else 1
-    except (MatchfieldError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (MatchfieldError, OSError, KeyError, ValueError) as exc:
         failed = isinstance(exc, MatchfieldError)  # exit 1; any other is a usage error
         report = {"error": type(exc).__name__, "message": str(exc)}
         if failed and vars(exc):  # the attributes of an error that carries a witness

@@ -32,10 +32,10 @@ arrangement of the field, a bijection onto the lattice points of
 collecting the maximal matchings of its tope masks with the collector that
 also reads the field off the trees of a triangulation (`field_from_graphs`).
 The arrangement is built without amalgamating: the maximal tope of type v is the
-union of the Chow covectors whose right degree vectors are
-v - 1_{[d] minus i}, i = 1..d, and one keyed pass over the matchings yields
-every Chow covector (`chow_masks`).  The pass is its own inverse: run on the
-covectors it reads the field back.
+union of the Chow covectors whose right degree vectors are v - 1_{[d] minus i},
+i = 1..d, looked up by the rdv codes that the one keyed pass over the
+matchings (`chow_masks`) adds above each covector's edges.  The pass is its
+own inverse: run on the covectors it reads the field back.
 
 An arrangement, like a field, is its mask table {lattice point: edge mask},
 and so is an extended arrangement, which carries a graph for every lattice
@@ -128,6 +128,14 @@ class MatchingField(TopeField):
         super().__init__(n, d, core.all_ones(d), table)
 
     matching = TopeField.tope
+
+
+def _matching_field(field: TopeField) -> MatchingField:
+    """The field, once it is a matching field; MatchfieldError naming the
+    type of any other tope field."""
+    if not isinstance(field, MatchingField):
+        raise MatchfieldError(f"expected a matching field, not type {field.type_vector}")
+    return field
 
 
 def validate_matching_field(n: int, d: int, assignment: dict) -> MatchingField:
@@ -579,9 +587,9 @@ def chow_masks(n: int, d: int, table: dict[int, int], lifts: Sequence[int] = ())
 def tope_arrangement(field: MatchingField) -> TopeArrangement:
     """Maximal tope for every lattice point p of (n-d)*Delta_{d-1}: the union
     of the Chow covectors of `chow_masks` with right degree vectors p + e_i,
-    i = 1..d, each keyed by the integer code of its column popcounts
-    (`core.encode_point`, base n + 1), so that p + e_i is a code plus
-    (n + 1)^(d - i).
+    i = 1..d, each keyed by the rdv code the keyed pass adds above its edges
+    (`core.encode_point`, base n - d + 2, the lifts of `chow.chow_collection`),
+    so that p + e_i is a code plus (n - d + 2)^(d - i).
 
     A non-linkage field raises NotLinkageError with the first failing tau,
     the one the amalgamation chain (maximal_tope) would stop at.  The
@@ -594,20 +602,17 @@ def tope_arrangement(field: MatchingField) -> TopeArrangement:
       right degree vectors p + e_i is the maximal tope at p;
     - pairwise compatibility: the maximal topes of a linkage field form a
       tope arrangement.
-    A table that does not hold its type is no field, so no theorem covers
-    it and its arrangement is validated.  The tests run the skipped checks
-    on every linkage field at desk scale and on coherent fields.
+    A table that does not hold its type is no field: no theorem covers it,
+    its edges may carry into the codes (`chow_masks`), and its arrangement
+    is validated.  The tests run the skipped checks on every linkage field
+    at desk scale and on coherent fields.
     """
     require_linkage(field)
-    n, d = field.n, field.d
-    base, column = n + 1, core.column_mask(n, d)  # a column popcount is at most n
-    by_code = {}
-    for m in chow_masks(n, d, field.mask_table).values():
-        code = 0
-        for i in range(d):  # encode_point of the column popcounts, r1 first
-            code = code * base + (m >> i & column).bit_count()
-        by_code[code] = m
+    n, d, nd = field.n, field.d, field.n * field.d
+    base = n - d + 2  # above every coordinate of a covector's rdv
     units = [base ** (d - i) for i in range(1, d + 1)]  # the code of e_i
+    packed = chow_masks(n, d, field.mask_table, [unit << nd for unit in units])
+    by_code = {x >> nd: x & (1 << nd) - 1 for x in packed.values()}
     topes = {}
     for point in core.simplex_lattice_points(n - d, d):
         code, mask = core.encode_point(point, base), 0

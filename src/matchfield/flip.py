@@ -186,6 +186,7 @@ def flip_graph_to_dot(field: fields.MatchingField, fg: FlipGraph) -> str:
     field each linkage tree takes a cycling palette colour by the colex rank
     of its tau (its place in `core.subsets`), and a flip between a and b lies
     in the tree of a ∪ b."""
+    fields._matching_field(field)
     palette = ["red", "blue", "green", "orange", "magenta", "cyan", "brown", "black"]
     color = fields.is_linkage(field).ok
     lines = ["graph flips {"]

@@ -351,6 +351,7 @@ def right_submatching_check(field: fields.MatchingField) -> SubmatchingReport:
     forest meets every field matching in one ``core.incompatible_partners``
     call; its lowest bit, in mask table order, is a full rescan's witness.
     """
+    fields._matching_field(field)
     n, d = field.n, field.d
     matchings = list(field.mask_table.values())
     table: dict[int, dict[int, Optional[int]]] = {}

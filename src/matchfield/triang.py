@@ -376,8 +376,15 @@ def staircase_triangulation(
 
 
 def count_bound(n: int, d: int) -> int:
-    """Upper bound K! on the number of triangulations."""
-    return factorial(tree_count(n, d))
+    """Upper bound K! on the number of triangulations, K = tree_count(n, d).
+    Raises MatchfieldError on an empty side and SizeCapError beyond
+    STAIRCASE_MAX_TREES trees, before the factorial."""
+    core._check_sides(n, d, MatchfieldError(f"count_bound ({n}, {d}) needs a node on each side"))
+    K = tree_count(n, d)
+    if K > STAIRCASE_MAX_TREES:
+        raise SizeCapError(
+            f"count_bound ({n}, {d}) has {K} trees, over the cap of {STAIRCASE_MAX_TREES}")
+    return factorial(K)
 
 
 def enumerate_triangulations(n: int, d: int) -> list[Triangulation]:

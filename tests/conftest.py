@@ -4,7 +4,9 @@ Matchings are written as words: position i of the word holds the left node
 matched to ri.
 """
 
+import gc
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,20 @@ from hypothesis import strategies as st
 
 from matchfield import BipartiteGraph, subsets, validate_matching_field
 from matchfield.fields import field_from_graphs
+
+
+def cpu_timed(call):
+    """call()'s result and the CPU time of this process it took, with the
+    collector paused: CPU time leaves out other processes' load, and a full
+    collection of the whole test session's heap can alone take longer than
+    a bound, charged to whichever call happens to trigger it."""
+    gc.disable()
+    try:
+        start = time.process_time()
+        result = call()
+        return result, time.process_time() - start
+    finally:
+        gc.enable()
 
 
 def graph(n, d, edges):

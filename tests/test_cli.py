@@ -4,7 +4,6 @@ import argparse
 import contextlib
 import copy
 import errno
-import gc
 import hashlib
 import io
 import json
@@ -12,7 +11,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -45,6 +43,7 @@ from matchfield.triang import (
 )
 
 import oracles
+from conftest import cpu_timed
 
 
 @pytest.fixture()
@@ -894,6 +893,76 @@ def test_readme_lists_every_subcommand_and_option():
     assert documented == actual
 
 
+# every action of the parser and of each subcommand, in declaration order, as
+# (dest, option strings, required, help, choices, type name): what the help,
+# usage and missing-argument texts are made of, without the layout that
+# depends on the Python version and the terminal width
+HELP = ("help", ("-h", "--help"), False, "show this help message and exit", None, None)
+COMMON = [
+    HELP,
+    ("json", ("--json",), False, "write the JSON result to this path", None, None),
+    ("seed", ("--seed",), False, "seed recorded in the output", None, "int"),
+]
+INPUT = ("input", (), True, None, None, None)
+SIDES = [("n", ("--n",), True, None, None, "int"), ("d", ("--d",), True, None, None, "int")]
+DECLARATIONS = {  # subcommand: (its help, its actions after COMMON)
+    "check-linkage": (
+        "test the linkage property", [("input", (), True, "matching/tope field JSON", None, None)]),
+    "amalgamate": ("iterated amalgamation to a type", [
+        INPUT, ("target", ("--target",), True, "target type vector, e.g. 3,1", None, None)]),
+    "arrangement": ("tope arrangement of a field", [INPUT]),
+    "trianguloid-check": (
+        "axioms T1-T4", [("input", (), True, "extended arrangement JSON", None, None)]),
+    "chow": ("all Chow covectors", [INPUT]),
+    "phi": ("subset -> lattice point bijection", [INPUT]),
+    "reconstruct-chow": (
+        "invert a phi map", [("phi", ("--phi",), True, "phi JSON file", None, None)]),
+    "validate-triangulation": ("tree axioms", [INPUT]),
+    "extract": ("matching field of a triangulation", [INPUT]),
+    "phi-triangulation": ("degree pair set", [INPUT]),
+    "reconstruct-triangulation": (
+        "invert a degree pair set", [("input", (), True, "pairs JSON with n, d", None, None)]),
+    "staircase": ("staircase triangulation", [
+        *SIDES,
+        ("left_order", ("--left-order",), False, "permutation of 1..n, e.g. 2,1,3", None, None),
+        ("right_order", ("--right-order",), False, "permutation of 1..d", None, None)]),
+    "enumerate-triangulations": ("exhaustive enumeration (tiny sizes)", SIDES),
+    "flipgraph": ("flip graph, optionally as DOT", [
+        INPUT, ("dot", ("--dot",), False, "write DOT with per-linkage-tree colors", None, None)]),
+    "cells": ("maximal prodsimplicial cells", [INPUT]),
+    "complete": ("matching field completion of a stack", [INPUT]),
+    "ensemble-check": ("stack ensemble axioms", [INPUT]),
+    "stiefel": ("transversal matroids of the maximal covectors", [INPUT]),
+    "right-submatching-check": ("compatible right submatching property", [INPUT]),
+    "roundtrip": ("forward map, reconstruct, diff", [
+        ("kind", ("--kind",), True, None, ("chow", "triangulation"), None), INPUT]),
+}
+
+
+def declarations(parser):
+    """The actions of a parser as in DECLARATIONS, each subcommand's name
+    and help after the action that holds them."""
+    rows = []
+    for a in parser._actions:
+        choices = None if a.choices is None else tuple(a.choices)
+        rows.append((a.dest, tuple(a.option_strings), a.required, a.help, choices,
+                     getattr(a.type, "__name__", None)))
+        rows += [(c.dest, (), False, c.help, None, None) for c in getattr(a, "_choices_actions", ())]
+    return rows
+
+
+def test_parser_declarations_are_pinned():
+    parser = build_parser()
+    assert declarations(parser) == [
+        HELP,
+        ("command", (), True, None, tuple(DECLARATIONS), None),
+        *[(name, (), False, text, None, None) for name, (text, _) in DECLARATIONS.items()],
+    ]
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, (_, actions) in DECLARATIONS.items():
+        assert declarations(subparsers.choices[name]) == COMMON + actions, name
+
+
 EMPTY_SIDES = [(0, 5), (3, 0), (-1, 2)]
 
 
@@ -1425,20 +1494,6 @@ def integer_option_argv(draw, field_path):
     if draw(st.booleans()):
         argv += ["--seed", draw(value)]
     return argv
-
-
-def cpu_timed(call):
-    """call()'s result and the CPU time of this process it took, with the
-    collector paused: CPU time leaves out other processes' load, and a full
-    collection of the whole test session's heap can alone take longer than
-    a bound, charged to whichever call happens to trigger it."""
-    gc.disable()
-    try:
-        start = time.process_time()
-        result = call()
-        return result, time.process_time() - start
-    finally:
-        gc.enable()
 
 
 @settings(

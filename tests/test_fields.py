@@ -1128,9 +1128,9 @@ class TestArrangement:
 
     def test_a_missing_covector_is_named_by_its_right_degrees(self, field_42, monkeypatch):
         # the covector of rdv (2, 1) dropped: the tope at (1, 1) is the first to need it
-        def chow_masks(n, d, table):
-            covectors = real(n, d, table).items()
-            return {k: m for k, m in covectors if core.right_degrees(m, n, d) != (2, 1)}
+        def chow_masks(n, d, table, lifts):
+            covectors, grid = real(n, d, table, lifts).items(), (1 << n * d) - 1
+            return {k: m for k, m in covectors if core.right_degrees(m & grid, n, d) != (2, 1)}
 
         real = fields_mod.chow_masks
         monkeypatch.setattr(fields_mod, "chow_masks", chow_masks)

@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 from matchfield import (
     MatchfieldError,
     NotLinkageError,
+    extract_field,
     flip_graph,
     linkage_covector,
     linkage_tree,
     maximal_cells,
     maximal_tope,
+    staircase_triangulation,
 )
 from matchfield import subsets
 from matchfield.flip import (
@@ -355,6 +357,14 @@ class TestDot:
         dot = flip_graph_to_dot(field, flip_graph(field))
         assert ("color=" in dot) == color
         assert hashlib.sha256(dot.encode()).hexdigest() == self.DIGESTS[(name, color)]
+
+    @pytest.mark.parametrize("n, d, v", [(4, 2, (2, 1)), (5, 3, (2, 1, 1))])
+    def test_a_tope_field_is_refused(self, n, d, v):
+        field = extract_field(staircase_triangulation(n, d))
+        tope_field = fields_mod.tope_field_of_type(field, v)
+        with pytest.raises(MatchfieldError) as err:
+            flip_graph_to_dot(tope_field, flip_graph(field))
+        assert str(err.value) == f"expected a matching field, not type {v}"
 
     def test_word_encoding(self):
         assert matching_word(graph(4, 2, [(4, 1), (2, 2)])) == "42"

@@ -18,6 +18,7 @@ from matchfield import (
     completion,
     core,
     extend,
+    extract_field,
     extraction,
     is_linkage,
     right_submatching_check,
@@ -519,6 +520,13 @@ class TestRightSubmatching:
     def test_square_vacuous(self):
         f = field_from_words(2, 2, {(1, 2): "12"})
         assert right_submatching_check(f).ok
+
+    @pytest.mark.parametrize("n, d, v", [(4, 2, (2, 1)), (5, 3, (2, 1, 1))])
+    def test_a_tope_field_is_refused(self, n, d, v):
+        tope_field = fields.tope_field_of_type(extract_field(staircase_triangulation(n, d)), v)
+        with pytest.raises(MatchfieldError) as err:
+            right_submatching_check(tope_field)
+        assert str(err.value) == f"expected a matching field, not type {v}"
 
     def test_witness_names_the_lowest_incompatible_partner(self, monkeypatch, field_42):
         # no real field yet reaches a submatching with two incompatible

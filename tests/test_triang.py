@@ -39,7 +39,7 @@ from matchfield.triang import (
 )
 from matchfield import trianguloid_check
 
-from conftest import graph, mask_table, matchings_agree
+from conftest import cpu_timed, graph, mask_table, matchings_agree
 from oracles import (
     agreed_matchings_per_graph,
     check_triangulation_with_flip,
@@ -838,6 +838,22 @@ class TestGenerators:
         assert count_bound(2, 2) == 2
         assert count_bound(2, 3) == 6
         assert count_bound(3, 3) == 720
+
+    @pytest.mark.parametrize(
+        "n, d, error, message",
+        [
+            (0, 2, MatchfieldError, r"count_bound \(0, 2\) needs a node on each side"),
+            (2, 0, MatchfieldError, r"count_bound \(2, 0\) needs a node on each side"),
+            # C(22, 11) = 705432 trees: the factorial alone takes seconds
+            (12, 12, SizeCapError, r"count_bound \(12, 12\) has 705432 trees, over the cap of 100000"),
+        ],
+    )
+    def test_count_bound_refuses_at_once(self, n, d, error, message):
+        def call():
+            with pytest.raises(error, match=f"^{message}$"):
+                count_bound(n, d)
+
+        assert cpu_timed(call)[1] < 0.05
 
     def test_enumeration_counts(self):
         assert len(enumerate_triangulations(2, 2)) == 2
